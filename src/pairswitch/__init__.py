@@ -14,10 +14,6 @@ from .errors import (
     PairSwitchError,
 )
 from .metrics import (
-    ComparisonTable,
-    CountRow,
-    DepthStats,
-    SeriesRow,
     count_table,
     depth_formulas,
     depth_stats,
@@ -38,18 +34,18 @@ from .routing import (
     route_triangular,
 )
 from .simulation import (
-    PairingReport,
     check_pairing,
     estimate_loss,
     propagate,
+    simulate,
     traversal_depths,
 )
 from .topology import (
+    MAX_PORTS,
     Design,
     Network,
     State,
     SwitchPoint,
-    ValidationReport,
     build_network,
     network_from_json,
     network_to_json,
@@ -58,11 +54,8 @@ from .topology import (
     validate_network,
 )
 from .verification import (
-    MinimalityReport,
-    VerificationReport,
     double_factorial,
     enumerate_pair_lists,
-    lower_bound,
     random_pair_list,
     verify_design,
     verify_minimality,
@@ -72,28 +65,21 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "MAX_PORTS",
     "BoundExceeded",
-    "ComparisonTable",
-    "CountRow",
     "Design",
-    "DepthStats",
     "IncompleteStates",
     "InvalidDemand",
     "InvalidInput",
     "InvalidPorts",
-    "MinimalityReport",
     "Network",
     "OpCounter",
     "PairList",
     "PairSwitchError",
-    "PairingReport",
     "RenderOptions",
     "RoutingPlan",
-    "SeriesRow",
     "State",
     "SwitchPoint",
-    "ValidationReport",
-    "VerificationReport",
     "brute_force_route",
     "build_network",
     "check_pairing",
@@ -104,7 +90,6 @@ __all__ = [
     "emit_csv",
     "enumerate_pair_lists",
     "estimate_loss",
-    "lower_bound",
     "network_from_json",
     "network_to_json",
     "optimal_switch_count",
@@ -120,6 +105,7 @@ __all__ = [
     "route_chevron",
     "route_triangular",
     "series_rows",
+    "simulate",
     "traversal_depths",
     "validate_network",
     "verify_design",

@@ -5,20 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidPorts
-from .topology import Design
+from .topology import Design, _check_ports, optimal_switch_count
 from .verification import VerificationReport
-
-
-def _check_ports(ports: int, minimum: int = 4) -> None:
-    if ports < minimum or ports % 2:
-        raise InvalidPorts(f"ports must be an even integer >= {minimum}, got {ports}")
 
 
 def depth_formulas(design: Design | str, ports: int) -> tuple[int, int, int]:
     """(max, min, delta) structural depth for the design at N ports."""
     design = Design(design)
-    _check_ports(ports)
+    _check_ports(ports, minimum=4)
     half = ports // 2
     if design is Design.TRIANGULAR:
         return ports - 2, 0, ports - 2
@@ -96,8 +90,8 @@ def count_table(ports_list: Sequence[int]) -> ComparisonTable:
     """
     rows = []
     for n in ports_list:
-        _check_ports(n)
-        rows.append(CountRow(SCHEME_OURS, n, True, n * (n - 2) // 4, 0, 2))
+        _check_ports(n, minimum=4)
+        rows.append(CountRow(SCHEME_OURS, n, True, optimal_switch_count(n), 0, 2))
         rows.append(CountRow(SCHEME_SPANKE_BENES, n, True, n * (n - 1) // 2, 0, 2))
         if _is_power_of_two(n):
             log2 = n.bit_length() - 1
@@ -131,8 +125,8 @@ def series_rows(ports_list: Sequence[int]) -> tuple[SeriesRow, ...]:
     fabric (max depth N-1), and the non-planar schemes where defined."""
     rows = []
     for n in ports_list:
-        _check_ports(n)
-        ours = n * (n - 2) // 4
+        _check_ports(n, minimum=4)
+        ours = optimal_switch_count(n)
         for design in Design:
             fmax, _, _ = depth_formulas(design, n)
             rows.append(SeriesRow(design.value, n, ours, 0, fmax))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import BoundExceeded, InvalidDemand, InvalidInput
-from .topology import Design, Network, State, build_network
+from .topology import Design, Network, State, _check_ports, states_by_id
 
 _PAIR_TOKEN = re.compile(r"^(\d+)-(\d+)$")
 
@@ -105,14 +105,11 @@ def _bsa_assignment(permuted: list[int]) -> dict[int, tuple[int, int]]:
 
 
 def _check_demand(ports: int, demand: PairList) -> None:
+    _check_ports(ports)
     if demand.ports != ports:
         raise InvalidDemand(
             f"demand covers {demand.ports} ports, network has {ports}"
         )
-
-
-def _switch_ids(net: Network) -> dict[tuple[int, int], int]:
-    return {(sp.layer, sp.line): sp.id for sp in net.switches}
 
 
 def route(design: Design | str, ports: int, demand: PairList,
@@ -135,28 +132,25 @@ def route_triangular(ports: int, demand: PairList,
     """Bubble-style peeling: per layer, cascade the partner of the current
     bottom photon down to meet it, then recurse on the first n-2 photons."""
     _check_demand(ports, demand)
-    swid = _switch_ids(build_network(Design.TRIANGULAR, ports))
     mate = demand.partner()
     photons = list(range(ports))
-    states: dict[int, State] = {}
+    decisions: dict[tuple[int, int], State] = {}
     n = ports
     while n > 2:
         layer = n // 2 - 1
         idx = photons.index(mate[photons[n - 1]])
         if counter:
             counter.tick(idx + 1)
-        for j in range(idx):
-            states[swid[(layer, j)]] = State.BAR
-        for j in range(idx, n - 2):
-            states[swid[(layer, j)]] = State.CROSS
+        for j in range(idx, n - 2):  # switches above the partner stay Bar
+            decisions[(layer, j)] = State.CROSS
         photons = (
             photons[:idx] + photons[idx + 1 : n - 1] + [photons[idx]] + photons[n - 1 :]
         )
         if counter:
             counter.tick(2 * n - 2)
         n -= 2
-    permuted = tuple(photons)
-    return RoutingPlan(states, permuted, _bsa_assignment(photons))
+    states = states_by_id(Design.TRIANGULAR, ports, decisions)
+    return RoutingPlan(states, tuple(photons), _bsa_assignment(photons))
 
 
 # ---------------------------------------------------------------------------
@@ -165,93 +159,76 @@ def route_triangular(ports: int, demand: PairList,
 
 def route_chevron(ports: int, demand: PairList,
                   counter: OpCounter | None = None) -> RoutingPlan:
-    """Recursive routing over nested windows.
+    """Routing over nested windows: window k holds photons k..N-1-k and
+    its layer is N/2-1-k.
 
-    Strip the top- and bottom-most photons.  If they pair with each other,
-    the whole layer goes Cross and they meet at the middle.  Otherwise their
-    partners become one virtual pair for the inner window; once the inner
+    From the outside in, strip each window's top- and bottom-most photons.
+    If they pair with each other, the whole layer goes Cross and they meet
+    at the middle.  Otherwise their partners become one virtual pair for the
+    inner window.  Then, from the inside out, once a window's inner
     arrangement is known, at most two layer switches go Bar: one stopping
-    the outer photon next to its partner, and the switch at the virtual
-    pair itself when its orientation is already correct.
+    the outer photon next to its partner, and the switch at the virtual pair
+    itself when its orientation is already correct.
     """
     _check_demand(ports, demand)
-    swid = _switch_ids(build_network(Design.CHEVRON, ports))
     mate = demand.partner()
-    states: dict[int, State] = {}
-
-    def assign_layer(layer: int, left: int, n: int, bars: dict[int, State]) -> None:
-        # bars maps window-relative lines to explicit states; rest is Cross.
-        half = n // 2
-        rel_lines = list(range(half - 1))
-        if layer % 2 == 0:
-            rel_lines += list(range(n - 2, half - 1, -1))
-        else:
-            rel_lines += list(range(n - 2, half, -1)) + [half - 1]
-        for rel in rel_lines:
-            states[swid[(layer, left + rel)]] = bars.get(rel, State.CROSS)
+    virtual: list[tuple[int, int] | None] = []  # per window, outermost first
+    for top in range(ports // 2 - 1):
+        bot = ports - 1 - top
         if counter:
-            counter.tick(len(rel_lines))
-
-    def solve(photons: list[int], left: int) -> list[int]:
-        n = len(photons)
-        if n == 2:
-            return photons
-        layer = n // 2 - 1
-        half = n // 2
-        top, bot = photons[0], photons[-1]
-        if counter:
-            counter.tick(n)
+            counter.tick(bot - top + 1)
         if mate[top] == bot:
-            inner = solve(photons[1:-1], left + 1)
-            assign_layer(layer, left, n, {})
-            if layer % 2:
-                return inner[:half] + [top, bot] + inner[half:]
-            return inner[: half - 1] + [top, bot] + inner[half - 1 :]
+            virtual.append(None)
+        else:
+            top_mate, bot_mate = mate[top], mate[bot]
+            mate[top_mate], mate[bot_mate] = bot_mate, top_mate
+            virtual.append((top_mate, bot_mate))
 
-        top_mate, bot_mate = mate[top], mate[bot]
-        mate[top_mate], mate[bot_mate] = bot_mate, top_mate  # virtual pair
-        inner = solve(photons[1:-1], left + 1)
-        q = min(inner.index(top_mate), inner.index(bot_mate))
-        if counter:
-            counter.tick(n)
-        v = q + 1  # window line of the virtual pair's upper member (odd)
-        oriented = inner[v - 1] == top_mate
-        orient_state = State.BAR if oriented else State.CROSS
-        if layer % 2 and v == half - 1:
-            # virtual pair straddles the middle; the tip fixes orientation
-            assign_layer(layer, left, n, {half - 2: State.BAR, v: orient_state})
-            return (
-                inner[: half - 2]
-                + [top, top_mate, bot_mate, bot]
-                + inner[half:]
-            )
-        if v + 1 <= half - 1:
-            # virtual pair in the upper half: outer top stops just above it,
-            # its other member rides the rest of the arm down to the middle
-            assign_layer(layer, left, n, {v - 1: State.BAR, v: orient_state})
-            if layer % 2:
-                return (
-                    inner[: v - 1] + [top, top_mate] + inner[v + 1 : half]
-                    + [bot_mate, bot] + inner[half:]
+    decisions: dict[tuple[int, int], State] = {}
+    inner = [ports // 2 - 1, ports // 2]
+    for left in reversed(range(len(virtual))):
+        top, bot = left, ports - 1 - left
+        n = ports - 2 * left
+        half = n // 2
+        layer = half - 1
+        mid = half if layer % 2 else half - 1  # the one window line the layer skips
+        bars: dict[int, State] = {}
+        if virtual[left] is None:
+            inner = inner[:mid] + [top, bot] + inner[mid:]
+        else:
+            top_mate, bot_mate = virtual[left]
+            q = min(inner.index(top_mate), inner.index(bot_mate))
+            if counter:
+                counter.tick(n)
+            v = q + 1  # window line of the virtual pair's upper member (odd)
+            bars[v] = State.BAR if inner[v - 1] == top_mate else State.CROSS
+            if layer % 2 and v == half - 1:
+                # virtual pair straddles the middle; the tip fixes orientation
+                bars[half - 2] = State.BAR
+                inner = inner[: half - 2] + [top, top_mate, bot_mate, bot] + inner[half:]
+            elif v + 1 <= half - 1:
+                # virtual pair in the upper half: outer top stops just above it,
+                # its other member rides the rest of the arm down to the middle
+                bars[v - 1] = State.BAR
+                inner = (
+                    inner[: v - 1] + [top, top_mate] + inner[v + 1 : mid]
+                    + [bot_mate, bot] + inner[mid:]
                 )
-            return (
-                inner[: v - 1] + [top, top_mate] + inner[v + 1 : half - 1]
-                + [bot_mate, bot] + inner[half - 1 :]
-            )
-        # virtual pair in the lower half (mirror of the upper case)
-        assign_layer(layer, left, n, {v + 1: State.BAR, v: orient_state})
-        if layer % 2:
-            return (
-                inner[:half] + [top, top_mate] + inner[half : v - 1]
-                + [bot_mate, bot] + inner[v + 1 :]
-            )
-        return (
-            inner[: half - 1] + [top, top_mate] + inner[half - 1 : v - 1]
-            + [bot_mate, bot] + inner[v + 1 :]
-        )
+            else:
+                # virtual pair in the lower half (mirror of the upper case)
+                bars[v + 1] = State.BAR
+                inner = (
+                    inner[:mid] + [top, top_mate] + inner[mid : v - 1]
+                    + [bot_mate, bot] + inner[v + 1 :]
+                )
+        for rel in range(n - 1):
+            if rel != mid:
+                decisions[(layer, left + rel)] = bars.get(rel, State.CROSS)
+        if counter:
+            counter.tick(n - 2)
 
-    permuted = solve(list(range(ports)), 0)
-    return RoutingPlan(states, tuple(permuted), _bsa_assignment(permuted))
+    states = states_by_id(Design.CHEVRON, ports, decisions)
+    return RoutingPlan(states, tuple(inner), _bsa_assignment(inner))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +252,8 @@ def route_chevron(ports: int, demand: PairList,
 # _down_cell: cells left of a removed corridor keep their column, cells
 # right of it shift by one, and lines close up around the removed pair.
 # Switches that survive but fit no cell of the smaller frame can only ever
-# touch a committed photon, so they are forced to Bar (done at the end for
-# everything never assigned).
+# touch a committed photon, so they are left unset, which states_by_id
+# turns into Bar.
 
 def _frame_col_lines(n: int, c: int) -> tuple[int, int]:
     """(parity, max_line) of frame column c; lines are parity, parity+2, ..."""
@@ -316,11 +293,9 @@ def route_brickwork(ports: int, demand: PairList,
     possible, the bottom photon up as late as necessary; recurse on the
     surviving smaller brickwork."""
     _check_demand(ports, demand)
-    net = build_network(Design.BRICKWORK, ports)
-    swid = _switch_ids(net)
     half0 = ports // 2
     mate = demand.partner()
-    states: dict[int, State] = {}
+    decisions: dict[tuple[int, int], State] = {}
     photons = list(range(ports))
     frame_out = list(range(ports))  # frame line -> physical output line
     levels: list[tuple[int, int, int, int]] = []
@@ -329,7 +304,7 @@ def route_brickwork(ports: int, demand: PairList,
     def commit(c: int, j: int, state: State) -> None:
         for level in reversed(levels):
             c, j = _down_cell(c, j, level)
-        states[swid[(half0 - c, j)]] = state
+        decisions[(half0 - c, j)] = state
         if counter:
             counter.tick()
 
@@ -371,8 +346,7 @@ def route_brickwork(ports: int, demand: PairList,
     result[frame_out[1]] = photons[1]
     permuted = [p for p in result if p is not None]
     assert len(permuted) == ports
-    for sp in net.switches:
-        states.setdefault(sp.id, State.BAR)
+    states = states_by_id(Design.BRICKWORK, ports, decisions)
     return RoutingPlan(states, tuple(permuted), _bsa_assignment(permuted))
 
 

@@ -20,25 +20,14 @@ def _check_states(net: Network, states: Mapping[int, State]) -> None:
         )
 
 
-def propagate(net: Network, states: Mapping[int, State]) -> tuple[int, ...]:
+def simulate(
+    net: Network, states: Mapping[int, State]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Apply switches in traversal order; photon i starts on line i.
 
-    Returns the final line occupancy: result[line] = photon index.
-    """
-    _check_states(net, states)
-    lines = list(range(net.ports))
-    for sp in net.switches:
-        if states[sp.id] is State.CROSS:
-            i = sp.line
-            lines[i], lines[i + 1] = lines[i + 1], lines[i]
-    assert sorted(lines) == list(range(net.ports))
-    return tuple(lines)
-
-
-def traversal_depths(net: Network, states: Mapping[int, State]) -> tuple[int, ...]:
-    """Per-photon count of switch elements traversed (Bar counts too).
-
-    Indexed by photon: depths[photon] = number of switches encountered.
+    Returns ``(perm, depths)``: the final line occupancy, perm[line] =
+    photon, and the per-photon count of switch elements traversed (Bar
+    counts too), depths[photon].
     """
     _check_states(net, states)
     lines = list(range(net.ports))
@@ -49,7 +38,17 @@ def traversal_depths(net: Network, states: Mapping[int, State]) -> tuple[int, ..
         depths[lines[i + 1]] += 1
         if states[sp.id] is State.CROSS:
             lines[i], lines[i + 1] = lines[i + 1], lines[i]
-    return tuple(depths)
+    return tuple(lines), tuple(depths)
+
+
+def propagate(net: Network, states: Mapping[int, State]) -> tuple[int, ...]:
+    """The final line occupancy of :func:`simulate`: result[line] = photon."""
+    return simulate(net, states)[0]
+
+
+def traversal_depths(net: Network, states: Mapping[int, State]) -> tuple[int, ...]:
+    """The per-photon switch counts of :func:`simulate`: depths[photon]."""
+    return simulate(net, states)[1]
 
 
 @dataclass(frozen=True)

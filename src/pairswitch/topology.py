@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Mapping
 
-from .errors import InvalidInput, InvalidPorts
+from .errors import BoundExceeded, InvalidInput, InvalidPorts
 
 
 class Design(str, Enum):
@@ -59,9 +59,17 @@ def optimal_switch_count(ports: int) -> int:
     return ports * (ports - 2) // 4
 
 
-def _check_ports(ports: int) -> None:
-    if not isinstance(ports, int) or ports < 2 or ports % 2:
-        raise InvalidPorts(f"ports must be an even integer >= 2, got {ports!r}")
+MAX_PORTS = 2048
+"""Port budget: the largest N that is built, routed, enumerated or
+tabulated.  Larger requests raise BoundExceeded instead of allocating
+N(N-2)/4 switches."""
+
+
+def _check_ports(ports: int, minimum: int = 2) -> None:
+    if not isinstance(ports, int) or ports < minimum or ports % 2:
+        raise InvalidPorts(f"ports must be an even integer >= {minimum}, got {ports!r}")
+    if ports > MAX_PORTS:
+        raise BoundExceeded(f"{ports} ports exceed the {MAX_PORTS}-port budget")
 
 
 def _triangular_cells(ports: int) -> Iterator[tuple[int, int, int]]:
@@ -132,6 +140,25 @@ def build_network(design: Design | str, ports: int) -> Network:
     return Network(design=design, ports=ports, switches=switches)
 
 
+def states_by_id(
+    design: Design, ports: int, decisions: Mapping[tuple[int, int], State]
+) -> dict[int, State]:
+    """Key a router's (layer, line) decisions by switch id, in id order.
+
+    A switch with no decision is Bar; a decision for a (layer, line) the
+    design does not have raises KeyError.
+    """
+    _check_ports(ports)
+    unused = dict(decisions)
+    states = {
+        i: unused.pop((layer, line), State.BAR)
+        for i, (layer, line, _) in enumerate(_BUILDERS[design](ports))
+    }
+    if unused:
+        raise KeyError(f"no {design.value} switch at (layer, line) {min(unused)}")
+    return states
+
+
 def reverse_network(net: Network) -> Network:
     """Mirror the traversal order, for operation with sources behind the
     former output side: adjacent input pairs are distributed to arbitrary
@@ -192,7 +219,7 @@ def validate_network(net: Network) -> ValidationReport:
             violations.append(
                 ("layer-structure", None, "switch placement differs from the design rules")
             )
-    except (InvalidPorts, ValueError):
+    except (BoundExceeded, ValueError):
         violations.append(("layer-structure", None, "design rules not checkable"))
 
     return ValidationReport(not violations, tuple(violations))
@@ -213,18 +240,30 @@ def network_to_json(net: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
+    """Parse a network document, rejecting any switch that would index
+    outside the network (ports, lines, ids or columns out of range)."""
     try:
         doc = json.loads(text)
         design = Design(doc["design"])
+        ports = int(doc["ports"])
+        _check_ports(ports)
         switches = tuple(
             SwitchPoint(int(s["id"]), int(s["layer"]), int(s["line"]), int(s["col"]))
             for s in doc["switches"]
         )
-        return Network(
+        net = Network(
             design=design,
-            ports=int(doc["ports"]),
+            ports=ports,
             switches=switches,
             reversed=bool(doc.get("reversed", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed network document: {exc}") from exc
+    for i, sp in enumerate(switches):
+        if sp.id != i:
+            raise InvalidInput(f"switch ids are not dense 0..S-1 in order at position {i}")
+        if not 0 <= sp.line <= ports - 2:
+            raise InvalidInput(f"switch {i} line {sp.line} outside 0..{ports - 2}")
+        if sp.col < 0:
+            raise InvalidInput(f"switch {i} has negative col {sp.col}")
+    return net

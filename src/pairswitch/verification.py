@@ -7,17 +7,10 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .errors import BoundExceeded, InvalidPorts
+from .errors import BoundExceeded
 from .routing import PairList, brute_force_route, route
-from .simulation import check_pairing, propagate, traversal_depths
-from .topology import Design, build_network
-
-
-def lower_bound(ports: int) -> int:
-    """Minimum switch count for paired egress: sum_{k=1}^{N/2-1} (N-2k)."""
-    if ports < 2 or ports % 2:
-        raise InvalidPorts(f"ports must be an even integer >= 2, got {ports}")
-    return ports * (ports - 2) // 4
+from .simulation import check_pairing, simulate
+from .topology import Design, _check_ports, build_network
 
 
 def worst_case_pair_list(ports: int) -> PairList:
@@ -30,8 +23,7 @@ def worst_case_pair_list(ports: int) -> PairList:
 def enumerate_pair_lists(ports: int) -> Iterator[PairList]:
     """Yield every perfect matching of 0..N-1 exactly once, smallest free
     index first; stream length is (N-1)!!."""
-    if ports < 2 or ports % 2:
-        raise InvalidPorts(f"ports must be an even integer >= 2, got {ports}")
+    _check_ports(ports)
 
     def rec(free: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
         if not free:
@@ -127,7 +119,7 @@ def verify_design(
     for demand in demands:
         checked += 1
         plan = route(design, ports, demand)
-        perm = propagate(net, plan.states)
+        perm, depths = simulate(net, plan.states)
         if perm != plan.permuted:
             failures.append(
                 (demand.to_text(), f"router predicted {plan.permuted}, simulator got {perm}")
@@ -139,7 +131,6 @@ def verify_design(
                 (demand.to_text(), f"output pairs wrong at BSAs {list(report.mismatches)}")
             )
             continue
-        depths = traversal_depths(net, plan.states)
         max_depth = max(max_depth, max(depths))
         min_depth = min(min_depth, min(depths))
     failures.sort(key=lambda f: f[0])

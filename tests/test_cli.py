@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from pairswitch import Design, build_network, network_to_json
 from pairswitch.cli import main
@@ -150,6 +153,56 @@ def test_render_svg_with_states(tmp_path, capsys):
                      "--states", str(plan_path), "--svg", str(svg_path))
     assert code == 0
     assert svg_path.read_text().count('class="cross"') == 2
+
+
+_SWITCH = {"id": 0, "layer": 1, "line": 0, "col": 0}
+
+
+@pytest.mark.parametrize(
+    "ports,switches",
+    [
+        (4, [{**_SWITCH, "line": 7}]),
+        (4, [{**_SWITCH, "line": -1}]),
+        (5, []),
+        (0, []),
+        (4, [{**_SWITCH, "id": 1}]),
+        (4, [_SWITCH, {**_SWITCH, "line": 1, "col": -1, "id": 1}]),
+    ],
+)
+@pytest.mark.parametrize("with_states", [False, True])
+def test_render_malformed_network_exits_2(tmp_path, capsys, ports, switches, with_states):
+    net_path = tmp_path / "bad.json"
+    net_path.write_text(json.dumps(
+        {"design": "triangular", "ports": ports, "reversed": False, "switches": switches}
+    ))
+    argv = ["render", "--net", str(net_path), "--ascii"]
+    if with_states:
+        states_path = tmp_path / "states.json"
+        states_path.write_text(json.dumps({str(s["id"]): "cross" for s in switches}))
+        argv += ["--states", str(states_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_verify_above_port_budget_exits_2_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "--design", "triangular", "--ports", "3000000", "--samples", "1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+def test_generate_above_port_budget_exits_2(capsys):
+    code, out, err = run(capsys, "generate", "--design", "brickwork", "--ports", "2050")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_cli_output_is_deterministic(capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from pairswitch import (
@@ -13,6 +16,7 @@ from pairswitch import (
     plan_from_json,
     plan_to_json,
     propagate,
+    random_pair_list,
     route,
     route_brickwork,
     route_chevron,
@@ -105,6 +109,14 @@ def test_chevron_8_worst_case_all_cross():
     perm = propagate(net, plan.states)
     assert perm == plan.permuted
     assert check_pairing(perm, pl("0-7,1-6,2-5,3-4")).ok
+
+
+def test_chevron_2048_worst_case_without_recursion_limit():
+    n = 2048
+    demand = worst_case_pair_list(n)
+    plan = route_chevron(n, demand)
+    assert set(plan.states) == set(range(n * (n - 2) // 4))
+    assert check_pairing(plan.permuted, demand).ok
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +279,26 @@ def test_plan_json_round_trip_and_key_order():
     assert again.states == plan.states
     assert again.permuted == plan.permuted
     assert again.bsa == plan.bsa
+
+
+# sha256 over plan_to_json of every demand with N <= 10, 1000 seeded random
+# demands at N = 64 and the worst case at N = 256, in that order.
+GOLDEN_PLAN_SHA256 = {
+    Design.TRIANGULAR: "f8916aaef4c8a73253aa330b07180e58942585c34541056f04c44b38398465bc",
+    Design.CHEVRON: "0c8342fda47cd5d9f32d983329f6cfb8b651937515a1aa125a989277c8c698ed",
+    Design.BRICKWORK: "29d0f4e9542c4d8b0b1c983b919195b174dd2540c56c82f90c432dbea588ef08",
+}
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_plans_match_golden_digest(design):
+    rng = random.Random(64)
+    demands = [
+        *(d for n in range(2, 11, 2) for d in enumerate_pair_lists(n)),
+        *(random_pair_list(64, rng) for _ in range(1000)),
+        worst_case_pair_list(256),
+    ]
+    digest = hashlib.sha256()
+    for demand in demands:
+        digest.update(plan_to_json(route(design, demand.ports, demand)).encode())
+    assert digest.hexdigest() == GOLDEN_PLAN_SHA256[design]

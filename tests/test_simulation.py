@@ -18,6 +18,7 @@ from pairswitch import (
     propagate,
     route,
     route_triangular,
+    simulate,
     traversal_depths,
     worst_case_pair_list,
 )
@@ -45,6 +46,13 @@ def test_all_bar_is_identity():
 def test_triangular_4_both_cross():
     net = build_network(Design.TRIANGULAR, 4)
     assert propagate(net, all_states(net, State.CROSS)) == (1, 2, 0, 3)
+
+
+def test_simulate_returns_permutation_and_depths():
+    net = build_network(Design.TRIANGULAR, 4)
+    states = all_states(net, State.CROSS)
+    assert simulate(net, states) == ((1, 2, 0, 3), (2, 1, 1, 0))
+    assert simulate(net, states) == (propagate(net, states), traversal_depths(net, states))
 
 
 def test_single_switch_transposition():

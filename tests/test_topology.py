@@ -4,6 +4,8 @@ from dataclasses import replace
 import pytest
 
 from pairswitch import (
+    MAX_PORTS,
+    BoundExceeded,
     Design,
     InvalidInput,
     InvalidPorts,
@@ -18,6 +20,7 @@ from pairswitch import (
     reverse_network,
     validate_network,
 )
+from pairswitch.topology import states_by_id
 
 ALL_N = list(range(4, 65, 2))
 
@@ -28,6 +31,15 @@ def test_switch_count_matches_bound(design):
         net = build_network(design, n)
         assert len(net.switches) == optimal_switch_count(n) == n * (n - 2) // 4
     assert build_network(design, 2).switches == ()
+
+
+def test_optimal_switch_count_values():
+    assert optimal_switch_count(4) == 2
+    assert optimal_switch_count(12) == 30
+    assert optimal_switch_count(2) == 0
+    # closed form agrees with the layer sum
+    for n in range(2, 33, 2):
+        assert optimal_switch_count(n) == sum(n - 2 * k for k in range(1, n // 2))
 
 
 def test_triangular_4_layout():
@@ -95,6 +107,28 @@ def test_planarity_and_id_density(design):
 def test_invalid_ports_rejected(bad):
     with pytest.raises(InvalidPorts):
         build_network(Design.TRIANGULAR, bad)
+
+
+def test_port_budget():
+    from pairswitch import PairList, count_table, enumerate_pair_lists, route
+
+    assert MAX_PORTS == 2048
+    with pytest.raises(BoundExceeded):
+        build_network("triangular", 2050)
+    with pytest.raises(BoundExceeded):
+        route("brickwork", 2050, PairList.from_pairs((k, k + 1) for k in range(0, 2050, 2)))
+    with pytest.raises(BoundExceeded):
+        next(enumerate_pair_lists(2050))
+    with pytest.raises(BoundExceeded):
+        count_table([2050])
+    assert not validate_network(Network(Design.TRIANGULAR, 2050, ())).ok
+
+
+def test_states_by_id_defaults_to_bar_and_rejects_unknown_cells():
+    states = states_by_id(Design.TRIANGULAR, 6, {(2, 1): State.CROSS})
+    assert states == {i: State.CROSS if i == 1 else State.BAR for i in range(6)}
+    with pytest.raises(KeyError):
+        states_by_id(Design.TRIANGULAR, 6, {(2, 4): State.CROSS})
 
 
 def test_constructors_deterministic_bytes():

@@ -8,7 +8,6 @@ from pairswitch import (
     State,
     double_factorial,
     enumerate_pair_lists,
-    lower_bound,
     route,
     verify_design,
     verify_minimality,
@@ -37,15 +36,6 @@ def test_worst_case_pair_lists():
     assert worst_case_pair_list(4).pairs == ((0, 3), (1, 2))
     assert worst_case_pair_list(2).pairs == ((0, 1),)
     assert worst_case_pair_list(12).to_text() == "0-11,1-10,2-9,3-8,4-7,5-6"
-
-
-def test_lower_bound_values():
-    assert lower_bound(4) == 2
-    assert lower_bound(12) == 30
-    assert lower_bound(2) == 0
-    # closed form agrees with the layer sum
-    for n in range(2, 33, 2):
-        assert lower_bound(n) == sum(n - 2 * k for k in range(1, n // 2))
 
 
 def test_verify_triangular_8_exhaustive():
