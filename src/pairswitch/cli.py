@@ -11,26 +11,32 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import PairSwitchError
+from .errors import BoundExceeded, PairSwitchError
 from .metrics import count_table, emit_csv, format_count_table, format_depth_table, series_rows
 from .render import RenderOptions, render_ascii, render_svg
 from .routing import PairList, plan_to_json, route, states_from_json
 from .simulation import propagate
-from .topology import Design, build_network, network_from_json, network_to_json, reverse_network
+from .topology import (
+    MAX_PORTS, Design, build_network, network_from_json, network_to_json, reverse_network,
+)
 from .verification import report_to_json, verify_design, verify_minimality
 
 _DESIGNS = [d.value for d in Design]
 
 
 def _parse_ports_range(text: str) -> list[int]:
-    """``N`` or ``A..B``: even values only, odd endpoints rejected."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    """``N`` or ``A..B``: even values only, odd endpoints rejected, and the
+    whole range checked against the port budget before any work starts."""
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+    except ValueError as exc:
+        raise PairSwitchError(f"ports range {text!r} is not N or A..B") from exc
     if lo % 2 or hi % 2 or lo < 2 or hi < lo:
         raise PairSwitchError(f"ports range {text!r} must use even endpoints >= 2")
+    if hi > MAX_PORTS:
+        raise BoundExceeded(f"ports range {text!r} exceeds the {MAX_PORTS}-port budget")
     return list(range(lo, hi + 1, 2))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -86,8 +87,8 @@ class RoutingPlan:
 
 
 class OpCounter:
-    """Counts elementary routing operations: photon-list touches and
-    switch-state commits."""
+    """Counts elementary routing operations: photon-list touches,
+    switch-state commits and, in brickwork, frame lines rebuilt."""
 
     __slots__ = ("count",)
 
@@ -237,8 +238,9 @@ def route_chevron(ports: int, demand: PairList,
 #
 # The brickwork router works in "frame" coordinates.  A frame of size n is a
 # standard brickwork grid: columns c = 0..n/2-1 (column c holds layer
-# n/2 - c), with the parity pattern of _frame_col_lines below.  One
-# iteration pairs the frame's bottom photon with its partner:
+# n/2 - c, so its lines have parity (n/2 - c) % 2); column 0 holds only
+# n//4 lines, every later column all lines of its parity.  One iteration
+# pairs the frame's bottom photon with its partner:
 #
 #   * the partner drops one line per column along a diagonal of Cross
 #     switches, starting at the first switch it encounters (if that switch
@@ -248,44 +250,18 @@ def route_chevron(ports: int, demand: PairList,
 #     meet it, using the latest possible columns (also Cross).
 #
 # Removing the two committed paths leaves a grid whose surviving switches
-# form a standard brickwork of size n-2 under the coordinate shifts of
-# _down_cell: cells left of a removed corridor keep their column, cells
-# right of it shift by one, and lines close up around the removed pair.
-# Switches that survive but fit no cell of the smaller frame can only ever
-# touch a committed photon, so they are left unset, which states_by_id
-# turns into Bar.
-
-def _frame_col_lines(n: int, c: int) -> tuple[int, int]:
-    """(parity, max_line) of frame column c; lines are parity, parity+2, ..."""
-    layer = n // 2 - c
-    parity = layer % 2
-    if c == 0:
-        max_line = parity + 2 * (n // 4 - 1)
-    elif parity:
-        max_line = n - 3
-    else:
-        max_line = n - 2
-    return parity, max_line
-
-
-def _frame_has(n: int, c: int, line: int) -> bool:
-    parity, max_line = _frame_col_lines(n, c)
-    return line % 2 == parity and parity <= line <= max_line
-
-
-def _down_cell(c: int, j: int, level: tuple[int, int, int, int]) -> tuple[int, int]:
-    """Map a cell of frame k+1 onto frame k, undoing one iteration's shifts."""
-    half, i, cstart, j_meet = level
-    if j < i:
-        return c + 1, j
-    if j < j_meet:
-        if c <= cstart + (j - i) - 1:
-            return c, j + 1
-        return c + 1, j
-    if c <= half + j_meet - j - 3:
-        return c, j + 1
-    return c + 1, j + 2
-
+# form a standard brickwork of size n-2: cells left of a removed corridor
+# keep their column, cells right of it shift by one, and lines close up
+# around the removed pair.  Switches that survive but fit no cell of the
+# smaller frame can only ever touch a committed photon, so they are left
+# unset, which states_by_id turns into Bar.
+#
+# The router keeps the physical cell of every frame cell in one flat array,
+# one row of N/2 entries per physical output line.  Frame line j is the row
+# frame_out[j] and frame column c its entry `skip + c`, where skip counts the
+# iterations done: each iteration drops column 0 of every line.  Lines above
+# the partner need nothing more; a line at or below it takes a prefix of the
+# line beneath it, which one slice copy brings into its row.
 
 def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
@@ -298,31 +274,34 @@ def route_brickwork(ports: int, demand: PairList,
     decisions: dict[tuple[int, int], State] = {}
     photons = list(range(ports))
     frame_out = list(range(ports))  # frame line -> physical output line
-    levels: list[tuple[int, int, int, int]] = []
+    # a value line * half0 + c codes the physical cell (layer half0 - c, line);
+    # entry k starts out holding cell k
+    cells = array("L", range(ports * half0))
+    skip = 0
     result: list[int | None] = [None] * ports
 
     def commit(c: int, j: int, state: State) -> None:
-        for level in reversed(levels):
-            c, j = _down_cell(c, j, level)
-        decisions[(half0 - c, j)] = state
+        line, col = divmod(cells[frame_out[j] * half0 + skip + c], half0)
+        decisions[(half0 - col, line)] = state
         if counter:
             counter.tick()
 
     n = ports
     while n > 2:
         half = n // 2
-        bottom = photons[-1]
+        bottom = photons.pop()
         i = photons.index(mate[bottom])
         if counter:
             counter.tick(i + 1)
-        if i == n - 2:
-            # already adjacent at the bottom; nothing to move
-            cstart, j_meet = 0, n - 2
-        else:
-            c0 = 0
-            while not (_frame_has(n, c0, i) or (i > 0 and _frame_has(n, c0, i - 1))):
-                c0 += 1
-            if _frame_has(n, c0, i):
+        j_meet = n - 2
+        if i < n - 2:
+            # column 0 holds lines p0, p0+2, ..., last0; column 1 every line
+            # of the other parity, so the partner meets a switch in one of them
+            p0 = half % 2
+            last0 = p0 + 2 * (n // 4 - 1)
+            up = (i - p0) % 2  # 1 when column 0's switch couples line i from above
+            c0 = 0 if 0 <= i - up <= last0 else 1
+            if up == c0:
                 cstart = c0
             else:
                 commit(c0, i - 1, State.BAR)  # would pull the partner upward
@@ -330,16 +309,31 @@ def route_brickwork(ports: int, demand: PairList,
             j_meet = min(n - 2, i + (half - cstart))
             for t in range(j_meet - i):
                 commit(cstart + t, i + t, State.CROSS)
-            if j_meet < n - 2:
-                for q in range(j_meet + 1, n - 1):
-                    commit(half + j_meet - q, q, State.CROSS)
-        result[frame_out[j_meet]] = photons[i]
+            for q in range(j_meet + 1, n - 1):
+                commit(half + j_meet - q, q, State.CROSS)
+            # Rebuild the frame lines at and below the partner for frame n-2.
+            # Line j < j_meet keeps its row past column t and takes line j+1's
+            # first t cells; line j >= j_meet moves to line j+2's row and takes
+            # line j+1's first t cells, if t > 0.  The order reads every prefix
+            # before its row is overwritten.
+            for j in range(i, j_meet):
+                t = cstart + j - i
+                dst = frame_out[j] * half0 + skip + 1
+                src = frame_out[j + 1] * half0 + skip
+                cells[dst : dst + t] = cells[src : src + t]
+            for j in range(min(n - 3, half + j_meet - 3), j_meet - 1, -1):
+                t = half + j_meet - j - 2
+                dst = frame_out[j + 2] * half0 + skip + 1
+                src = frame_out[j + 1] * half0 + skip
+                cells[dst : dst + t] = cells[src : src + t]
+            if counter:
+                counter.tick(n - 2 - i)
+        result[frame_out[j_meet]] = photons.pop(i)
         result[frame_out[j_meet + 1]] = bottom
-        photons = photons[:i] + photons[i + 1 : n - 1]
-        frame_out = [frame_out[j if j < j_meet else j + 2] for j in range(n - 2)]
+        del frame_out[j_meet : j_meet + 2]
         if counter:
             counter.tick(2 * n)
-        levels.append((half, i, cstart, j_meet))
+        skip += 1
         n -= 2
 
     result[frame_out[0]] = photons[0]

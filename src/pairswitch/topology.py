@@ -264,6 +264,6 @@ def network_from_json(text: str) -> Network:
             raise InvalidInput(f"switch ids are not dense 0..S-1 in order at position {i}")
         if not 0 <= sp.line <= ports - 2:
             raise InvalidInput(f"switch {i} line {sp.line} outside 0..{ports - 2}")
-        if sp.col < 0:
-            raise InvalidInput(f"switch {i} has negative col {sp.col}")
+        if not 0 <= sp.col < len(switches):
+            raise InvalidInput(f"switch {i} col {sp.col} outside 0..{len(switches) - 1}")
     return net

@@ -167,6 +167,8 @@ _SWITCH = {"id": 0, "layer": 1, "line": 0, "col": 0}
         (0, []),
         (4, [{**_SWITCH, "id": 1}]),
         (4, [_SWITCH, {**_SWITCH, "line": 1, "col": -1, "id": 1}]),
+        (4, [_SWITCH, {**_SWITCH, "line": 1, "col": 2, "id": 1}]),
+        (4, [_SWITCH, {**_SWITCH, "line": 1, "col": 500000, "id": 1}]),
     ],
 )
 @pytest.mark.parametrize("with_states", [False, True])
@@ -196,6 +198,26 @@ def test_verify_above_port_budget_exits_2_quickly(capsys):
     assert code == 2
     assert out == ""
     assert "budget" in err
+
+
+def test_verify_range_crossing_port_budget_exits_2_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "--design", "triangular", "--ports", "2048..2050", "--samples", "1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("ports", ["abc", "4..", "..8", "4..x"])
+def test_verify_rejects_non_numeric_range(capsys, ports):
+    code, out, err = run(capsys, "verify", "--design", "all", "--ports", ports, "--exhaustive")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_generate_above_port_budget_exits_2(capsys):

@@ -153,6 +153,15 @@ def test_brickwork_12_distant_pair_example():
     assert propagate(net, plan.states) == plan.permuted
 
 
+def test_brickwork_1024_worst_case_all_cross():
+    n = 1024
+    demand = worst_case_pair_list(n)
+    plan = route_brickwork(n, demand)
+    assert len(plan.states) == n * (n - 2) // 4
+    assert set(plan.states.values()) == {State.CROSS}
+    assert check_pairing(plan.permuted, demand).ok
+
+
 # ---------------------------------------------------------------------------
 # Shared router properties
 # ---------------------------------------------------------------------------
@@ -302,3 +311,26 @@ def test_plans_match_golden_digest(design):
     for demand in demands:
         digest.update(plan_to_json(route(design, demand.ports, demand)).encode())
     assert digest.hexdigest() == GOLDEN_PLAN_SHA256[design]
+
+
+# sha256 over brickwork's plan_to_json of every demand with N = 12, the worst
+# case at N = 1024 and two seeded random demands at N = 1024, in that order;
+# recorded with the router that walked every earlier frame level per commit.
+GOLDEN_BRICKWORK_LARGE_SHA256 = (
+    "fd10db0f117a9c68cf6ca1d91c91efc351ed65f9ee1eace8d07b2eb8aa42d0d4"
+)
+
+
+def test_brickwork_plans_match_large_golden_digest():
+    rng = random.Random(1024)
+    demands = [
+        *enumerate_pair_lists(12),
+        worst_case_pair_list(1024),
+        random_pair_list(1024, rng),
+        random_pair_list(1024, rng),
+    ]
+    digest = hashlib.sha256()
+    for demand in demands:
+        plan = route(Design.BRICKWORK, demand.ports, demand)
+        digest.update(plan_to_json(plan).encode())
+    assert digest.hexdigest() == GOLDEN_BRICKWORK_LARGE_SHA256

@@ -171,9 +171,11 @@ def test_brickwork_6_golden_bytes():
 
 
 def test_json_round_trip():
+    # every built network, and its reverse, keeps its columns below S
     for design in Design:
-        net = build_network(design, 10)
-        assert network_from_json(network_to_json(net)) == net
+        for n in range(2, 65, 2):
+            for net in (build_network(design, n), reverse_network(build_network(design, n))):
+                assert network_from_json(network_to_json(net)) == net
     with pytest.raises(InvalidInput):
         network_from_json("{\"ports\": 4}")
 
