@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import re
-from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import BoundExceeded, InvalidDemand, InvalidInput
-from .topology import Design, Network, State, _check_ports, states_by_id
+from .topology import Design, Network, State, _check_ports, optimal_switch_count
+from .topology import _brickwork_id_table, _chevron_id, _triangular_first_id
 
 _PAIR_TOKEN = re.compile(r"^(\d+)-(\d+)$")
 
@@ -99,10 +99,9 @@ class OpCounter:
         self.count += n
 
 
-def _bsa_assignment(permuted: list[int]) -> dict[int, tuple[int, int]]:
-    return {
-        j: (permuted[2 * j], permuted[2 * j + 1]) for j in range(len(permuted) // 2)
-    }
+def _plan(states: dict[int, State], permuted: list[int]) -> RoutingPlan:
+    bsa = {j: (permuted[2 * j], permuted[2 * j + 1]) for j in range(len(permuted) // 2)}
+    return RoutingPlan(states, tuple(permuted), bsa)
 
 
 def _check_demand(ports: int, demand: PairList) -> None:
@@ -135,23 +134,20 @@ def route_triangular(ports: int, demand: PairList,
     _check_demand(ports, demand)
     mate = demand.partner()
     photons = list(range(ports))
-    decisions: dict[tuple[int, int], State] = {}
+    states = [State.BAR] * optimal_switch_count(ports)
     n = ports
     while n > 2:
-        layer = n // 2 - 1
         idx = photons.index(mate[photons[n - 1]])
         if counter:
             counter.tick(idx + 1)
-        for j in range(idx, n - 2):  # switches above the partner stay Bar
-            decisions[(layer, j)] = State.CROSS
-        photons = (
-            photons[:idx] + photons[idx + 1 : n - 1] + [photons[idx]] + photons[n - 1 :]
-        )
+        first = _triangular_first_id(ports, n // 2 - 1)
+        # switches above the partner stay Bar
+        states[first + idx : first + n - 2] = [State.CROSS] * (n - 2 - idx)
+        photons.insert(n - 2, photons.pop(idx))
         if counter:
             counter.tick(2 * n - 2)
         n -= 2
-    states = states_by_id(Design.TRIANGULAR, ports, decisions)
-    return RoutingPlan(states, tuple(photons), _bsa_assignment(photons))
+    return _plan(dict(enumerate(states)), photons)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +181,7 @@ def route_chevron(ports: int, demand: PairList,
             mate[top_mate], mate[bot_mate] = bot_mate, top_mate
             virtual.append((top_mate, bot_mate))
 
-    decisions: dict[tuple[int, int], State] = {}
+    states = [State.CROSS] * optimal_switch_count(ports)
     inner = [ports // 2 - 1, ports // 2]
     for left in reversed(range(len(virtual))):
         top, bot = left, ports - 1 - left
@@ -193,7 +189,6 @@ def route_chevron(ports: int, demand: PairList,
         half = n // 2
         layer = half - 1
         mid = half if layer % 2 else half - 1  # the one window line the layer skips
-        bars: dict[int, State] = {}
         if virtual[left] is None:
             inner = inner[:mid] + [top, bot] + inner[mid:]
         else:
@@ -202,34 +197,31 @@ def route_chevron(ports: int, demand: PairList,
             if counter:
                 counter.tick(n)
             v = q + 1  # window line of the virtual pair's upper member (odd)
-            bars[v] = State.BAR if inner[v - 1] == top_mate else State.CROSS
+            orientation = State.BAR if inner[v - 1] == top_mate else State.CROSS
+            states[_chevron_id(layer, v)] = orientation
             if layer % 2 and v == half - 1:
                 # virtual pair straddles the middle; the tip fixes orientation
-                bars[half - 2] = State.BAR
+                states[_chevron_id(layer, half - 2)] = State.BAR
                 inner = inner[: half - 2] + [top, top_mate, bot_mate, bot] + inner[half:]
             elif v + 1 <= half - 1:
                 # virtual pair in the upper half: outer top stops just above it,
                 # its other member rides the rest of the arm down to the middle
-                bars[v - 1] = State.BAR
+                states[_chevron_id(layer, v - 1)] = State.BAR
                 inner = (
                     inner[: v - 1] + [top, top_mate] + inner[v + 1 : mid]
                     + [bot_mate, bot] + inner[mid:]
                 )
             else:
                 # virtual pair in the lower half (mirror of the upper case)
-                bars[v + 1] = State.BAR
+                states[_chevron_id(layer, v + 1)] = State.BAR
                 inner = (
                     inner[:mid] + [top, top_mate] + inner[mid : v - 1]
                     + [bot_mate, bot] + inner[v + 1 :]
                 )
-        for rel in range(n - 1):
-            if rel != mid:
-                decisions[(layer, left + rel)] = bars.get(rel, State.CROSS)
         if counter:
             counter.tick(n - 2)
 
-    states = states_by_id(Design.CHEVRON, ports, decisions)
-    return RoutingPlan(states, tuple(inner), _bsa_assignment(inner))
+    return _plan(dict(enumerate(states)), inner)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +245,15 @@ def route_chevron(ports: int, demand: PairList,
 # form a standard brickwork of size n-2: cells left of a removed corridor
 # keep their column, cells right of it shift by one, and lines close up
 # around the removed pair.  Switches that survive but fit no cell of the
-# smaller frame can only ever touch a committed photon, so they are left
-# unset, which states_by_id turns into Bar.
+# smaller frame can only ever touch a committed photon, so they stay Bar.
 #
-# The router keeps the physical cell of every frame cell in one flat array,
-# one row of N/2 entries per physical output line.  Frame line j is the row
-# frame_out[j] and frame column c its entry `skip + c`, where skip counts the
-# iterations done: each iteration drops column 0 of every line.  Lines above
-# the partner need nothing more; a line at or below it takes a prefix of the
-# line beneath it, which one slice copy brings into its row.
+# The router keeps the switch id of every frame cell in one flat array, one
+# row of N/2 entries per physical output line; cells without a switch hold
+# the switch count S, so committing one raises IndexError.  Frame line j is
+# the row frame_out[j] and frame column c its entry `skip + c`, where skip
+# counts the iterations done: each iteration drops column 0 of every line.
+# Lines above the partner need nothing more; a line at or below it takes a
+# prefix of the line beneath it, which one slice copy brings into its row.
 
 def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
@@ -271,18 +263,17 @@ def route_brickwork(ports: int, demand: PairList,
     _check_demand(ports, demand)
     half0 = ports // 2
     mate = demand.partner()
-    decisions: dict[tuple[int, int], State] = {}
+    states = [State.BAR] * optimal_switch_count(ports)
     photons = list(range(ports))
     frame_out = list(range(ports))  # frame line -> physical output line
-    # a value line * half0 + c codes the physical cell (layer half0 - c, line);
-    # entry k starts out holding cell k
-    cells = array("L", range(ports * half0))
+    # entry line * half0 + c starts out holding the id of the switch at
+    # (layer half0 - c, line)
+    cells = _brickwork_id_table(ports)
     skip = 0
     result: list[int | None] = [None] * ports
 
     def commit(c: int, j: int, state: State) -> None:
-        line, col = divmod(cells[frame_out[j] * half0 + skip + c], half0)
-        decisions[(half0 - col, line)] = state
+        states[cells[frame_out[j] * half0 + skip + c]] = state
         if counter:
             counter.tick()
 
@@ -340,8 +331,7 @@ def route_brickwork(ports: int, demand: PairList,
     result[frame_out[1]] = photons[1]
     permuted = [p for p in result if p is not None]
     assert len(permuted) == ports
-    states = states_by_id(Design.BRICKWORK, ports, decisions)
-    return RoutingPlan(states, tuple(permuted), _bsa_assignment(permuted))
+    return _plan(dict(enumerate(states)), permuted)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +368,7 @@ def brute_force_route(net: Network, demand: PairList,
                 sp.id: State.CROSS if (assignment >> k) & 1 else State.BAR
                 for k, sp in enumerate(net.switches)
             }
-            return RoutingPlan(states, tuple(perm), _bsa_assignment(perm))
+            return _plan(states, perm)
     return None
 
 

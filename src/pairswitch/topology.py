@@ -8,9 +8,10 @@ ascending id.  All three designs use exactly N*(N-2)/4 switches.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import BoundExceeded, InvalidInput, InvalidPorts
 
@@ -89,34 +90,70 @@ def _chevron_cells(ports: int) -> Iterator[tuple[int, int, int]]:
     half = ports // 2
     col = 0
     for layer in range(1, half):
+        odd = layer % 2
         for t in range(layer):
             yield layer, half - layer - 1 + t, col + t
-        if layer % 2 == 0:
-            for t in range(layer):
-                yield layer, half + layer - 1 - t, col + t
-            col += layer
-        else:
-            for t in range(layer - 1):
-                yield layer, half + layer - 1 - t, col + t
+        for t in range(layer - odd):
+            yield layer, half + layer - 1 - t, col + t
+        if odd:
             yield layer, half - 1, col + layer
-            col += layer + 1
+        col += layer + odd
 
 
-def _brickwork_cells(ports: int) -> Iterator[tuple[int, int, int]]:
+def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int]]:
     # Layer N/2 is traversed first.  Odd layers hold lines 1,3,..,N-3 and
     # even layers 0,2,..,N-2; the first-traversed layer is truncated to
     # floor(N/4) switches with the same parity as its index.
     half = ports // 2
-    for col, layer in enumerate(range(half, 0, -1)):
+    for layer in range(half, 0, -1):
         parity = layer % 2
-        if layer == half:
-            count = ports // 4
-        elif parity:
-            count = half - 1
-        else:
-            count = half
+        yield layer, parity, ports // 4 if layer == half else half - parity
+
+
+def _brickwork_cells(ports: int) -> Iterator[tuple[int, int, int]]:
+    for col, (layer, parity, count) in enumerate(_brickwork_columns(ports)):
         for t in range(count):
             yield layer, parity + 2 * t, col
+
+
+# Switch ids in closed form, for routers that write states straight into id
+# order.  Each helper agrees with the cell generator above it.
+
+def _triangular_first_id(ports: int, layer: int) -> int:
+    """Id of triangular switch (layer, 0).  Layers layer..1 come last and
+    hold layer*(layer+1) switches, each layer's lines at consecutive ids."""
+    return optimal_switch_count(ports) - layer * (layer + 1)
+
+
+def _chevron_id(layer: int, span: int) -> int:
+    """Id of the chevron switch on line ``span`` of the layer's 2*layer+1
+    lines, counted from its top line N/2-layer-1.  Layer l holds ids
+    l(l-1)..l(l+1)-1: the upper arm ascending, the lower arm descending,
+    then the tip for odd l.  Raises KeyError on the line with no switch."""
+    first = layer * (layer - 1)
+    if span < layer:
+        return first + span
+    if span == layer + layer % 2:
+        raise KeyError(f"no chevron switch on line {span} of layer {layer}")
+    if span == layer:
+        return first + 2 * layer - 1
+    return first + 3 * layer - span
+
+
+def _brickwork_id_table(ports: int) -> array:
+    """Brickwork switch ids by cell: entry line * N/2 + c is the id of the
+    switch at (layer N/2 - c, line), or the switch count S where there is
+    none, so indexing a list of S states with it raises IndexError."""
+    half = ports // 2
+    count = optimal_switch_count(ports)
+    table = array("L", [count]) * (ports * half)
+    ids = array("L", range(count))
+    first = 0
+    for col, (_, parity, size) in enumerate(_brickwork_columns(ports)):
+        start = parity * half + col
+        table[start : start + 2 * half * size : 2 * half] = ids[first : first + size]
+        first += size
+    return table
 
 
 _BUILDERS = {
@@ -138,25 +175,6 @@ def build_network(design: Design | str, ports: int) -> Network:
         for i, (layer, line, col) in enumerate(_BUILDERS[design](ports))
     )
     return Network(design=design, ports=ports, switches=switches)
-
-
-def states_by_id(
-    design: Design, ports: int, decisions: Mapping[tuple[int, int], State]
-) -> dict[int, State]:
-    """Key a router's (layer, line) decisions by switch id, in id order.
-
-    A switch with no decision is Bar; a decision for a (layer, line) the
-    design does not have raises KeyError.
-    """
-    _check_ports(ports)
-    unused = dict(decisions)
-    states = {
-        i: unused.pop((layer, line), State.BAR)
-        for i, (layer, line, _) in enumerate(_BUILDERS[design](ports))
-    }
-    if unused:
-        raise KeyError(f"no {design.value} switch at (layer, line) {min(unused)}")
-    return states
 
 
 def reverse_network(net: Network) -> Network:

@@ -169,6 +169,21 @@ def test_c8_quadratic_growth(design):
         assert 3.0 <= ratio <= 5.0, (design, small, counts)
 
 
+# totals recorded before the routers wrote states straight into id order, so
+# the growth above keeps counting the same work
+OPERATION_TOTALS = {
+    Design.TRIANGULAR: {16: 631, 32: 2482, 64: 9831},
+    Design.CHEVRON: {16: 704, 32: 2828, 64: 11154},
+    Design.BRICKWORK: {16: 947, 32: 3779, 64: 15016},
+}
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_c8_operation_totals(design):
+    counts = {n: _instrumented_ops(design, n) for n in (16, 32, 64)}
+    assert counts == OPERATION_TOTALS[design]
+
+
 # --------------------------------------------------------------------------
 # criterion 9: reversed network inverts the permutation
 # --------------------------------------------------------------------------

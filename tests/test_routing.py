@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pairswitch import (
+    MAX_PORTS,
     BoundExceeded,
     Design,
     InvalidDemand,
@@ -111,14 +112,6 @@ def test_chevron_8_worst_case_all_cross():
     assert check_pairing(perm, pl("0-7,1-6,2-5,3-4")).ok
 
 
-def test_chevron_2048_worst_case_without_recursion_limit():
-    n = 2048
-    demand = worst_case_pair_list(n)
-    plan = route_chevron(n, demand)
-    assert set(plan.states) == set(range(n * (n - 2) // 4))
-    assert check_pairing(plan.permuted, demand).ok
-
-
 # ---------------------------------------------------------------------------
 # Brickwork
 # ---------------------------------------------------------------------------
@@ -153,15 +146,6 @@ def test_brickwork_12_distant_pair_example():
     assert propagate(net, plan.states) == plan.permuted
 
 
-def test_brickwork_1024_worst_case_all_cross():
-    n = 1024
-    demand = worst_case_pair_list(n)
-    plan = route_brickwork(n, demand)
-    assert len(plan.states) == n * (n - 2) // 4
-    assert set(plan.states.values()) == {State.CROSS}
-    assert check_pairing(plan.permuted, demand).ok
-
-
 # ---------------------------------------------------------------------------
 # Shared router properties
 # ---------------------------------------------------------------------------
@@ -172,6 +156,16 @@ def test_every_switch_assigned_exactly_once(design):
         net = build_network(design, n)
         plan = route(design, n, worst_case_pair_list(n))
         assert set(plan.states) == {sp.id for sp in net.switches}
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_worst_case_all_cross_at_port_budget(design):
+    n = MAX_PORTS
+    demand = worst_case_pair_list(n)
+    plan = route(design, n, demand)
+    assert list(plan.states) == list(range(n * (n - 2) // 4))
+    assert set(plan.states.values()) == {State.CROSS}
+    assert check_pairing(plan.permuted, demand).ok
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -334,3 +328,26 @@ def test_brickwork_plans_match_large_golden_digest():
         plan = route(Design.BRICKWORK, demand.ports, demand)
         digest.update(plan_to_json(plan).encode())
     assert digest.hexdigest() == GOLDEN_BRICKWORK_LARGE_SHA256
+
+
+# sha256 over plan_to_json of the worst case at N = 2048 and two seeded random
+# demands at N = 1024, in that order; recorded with the routers that keyed
+# (layer, line) decisions by switch id through the cell generators.
+GOLDEN_LARGE_SHA256 = {
+    Design.TRIANGULAR: "12f180a9468cfce8f93b62a486d0837dd1e7152fc80a9296a43d0d3636df11dd",
+    Design.CHEVRON: "b042939b286ca75deb46021cf345e709eeea00dd3f3f21161646bb2b18220803",
+}
+
+
+@pytest.mark.parametrize("design", list(GOLDEN_LARGE_SHA256))
+def test_plans_match_large_golden_digest(design):
+    rng = random.Random(1024)
+    demands = [
+        worst_case_pair_list(2048),
+        random_pair_list(1024, rng),
+        random_pair_list(1024, rng),
+    ]
+    digest = hashlib.sha256()
+    for demand in demands:
+        digest.update(plan_to_json(route(design, demand.ports, demand)).encode())
+    assert digest.hexdigest() == GOLDEN_LARGE_SHA256[design]

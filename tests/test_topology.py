@@ -20,7 +20,7 @@ from pairswitch import (
     reverse_network,
     validate_network,
 )
-from pairswitch.topology import states_by_id
+from pairswitch.topology import _brickwork_id_table, _chevron_id, _triangular_first_id
 
 ALL_N = list(range(4, 65, 2))
 
@@ -124,11 +124,37 @@ def test_port_budget():
     assert not validate_network(Network(Design.TRIANGULAR, 2050, ())).ok
 
 
-def test_states_by_id_defaults_to_bar_and_rejects_unknown_cells():
-    states = states_by_id(Design.TRIANGULAR, 6, {(2, 1): State.CROSS})
-    assert states == {i: State.CROSS if i == 1 else State.BAR for i in range(6)}
-    with pytest.raises(KeyError):
-        states_by_id(Design.TRIANGULAR, 6, {(2, 4): State.CROSS})
+LAYOUT_N = list(range(2, 65, 2))
+
+
+def test_triangular_first_id_matches_build_network():
+    for n in LAYOUT_N:
+        for sp in build_network(Design.TRIANGULAR, n).switches:
+            assert _triangular_first_id(n, sp.layer) + sp.line == sp.id
+
+
+def test_chevron_id_matches_build_network():
+    for n in LAYOUT_N:
+        half = n // 2
+        for sp in build_network(Design.CHEVRON, n).switches:
+            assert _chevron_id(sp.layer, sp.line - (half - sp.layer - 1)) == sp.id
+        for layer in range(1, half):
+            # the one line of the layer's 2*layer+1 without a switch
+            with pytest.raises(KeyError):
+                _chevron_id(layer, layer + layer % 2)
+
+
+def test_brickwork_id_table_matches_build_network():
+    for n in LAYOUT_N:
+        half = n // 2
+        switches = build_network(Design.BRICKWORK, n).switches
+        table = _brickwork_id_table(n)
+        for sp in switches:
+            assert table[sp.line * half + half - sp.layer] == sp.id
+        # every other cell holds the switch count S, one past the end of a
+        # list of S states, so a router's write there raises IndexError
+        count = len(switches)
+        assert sorted(table) == list(range(count)) + [count] * (len(table) - count)
 
 
 def test_constructors_deterministic_bytes():
