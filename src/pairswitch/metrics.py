@@ -78,8 +78,21 @@ class ComparisonTable:
         )
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and n & (n - 1) == 0
+def _count_rows(n: int) -> list[CountRow]:
+    """The rows of :func:`count_table` at N ports, which :func:`series_rows`
+    also reads: every switch-count formula is written here once."""
+    _check_ports(n, minimum=4)
+    rows = [
+        CountRow(SCHEME_OURS, n, True, optimal_switch_count(n), 0, 2),
+        CountRow(SCHEME_SPANKE_BENES, n, True, n * (n - 1) // 2, 0, 2),
+    ]
+    if n & (n - 1) == 0:
+        log2 = n.bit_length() - 1
+        crosspoints = n * (n - log2 - 1) // 2
+        stages = 4 * log2 - 2
+        rows.append(CountRow(SCHEME_BENES, n, False, n * log2 - n // 2, crosspoints, stages))
+        rows.append(CountRow(SCHEME_WAKSMAN, n, False, n * log2 - n + 1, crosspoints, stages))
+    return rows
 
 
 def count_table(ports_list: Sequence[int]) -> ComparisonTable:
@@ -88,24 +101,7 @@ def count_table(ports_list: Sequence[int]) -> ComparisonTable:
     The two non-planar schemes are defined only for power-of-two N and are
     omitted otherwise.
     """
-    rows = []
-    for n in ports_list:
-        _check_ports(n, minimum=4)
-        rows.append(CountRow(SCHEME_OURS, n, True, optimal_switch_count(n), 0, 2))
-        rows.append(CountRow(SCHEME_SPANKE_BENES, n, True, n * (n - 1) // 2, 0, 2))
-        if _is_power_of_two(n):
-            log2 = n.bit_length() - 1
-            crosspoints = n * (n - log2 - 1) // 2
-            stages = 4 * log2 - 2
-            rows.append(
-                CountRow(SCHEME_BENES, n, False, n * log2 - n // 2, crosspoints, stages)
-            )
-            rows.append(
-                CountRow(
-                    SCHEME_WAKSMAN, n, False, n * log2 - n + 1, crosspoints, stages
-                )
-            )
-    return ComparisonTable(tuple(rows))
+    return ComparisonTable(tuple(r for n in ports_list for r in _count_rows(n)))
 
 
 @dataclass(frozen=True)
@@ -125,19 +121,15 @@ def series_rows(ports_list: Sequence[int]) -> tuple[SeriesRow, ...]:
     fabric (max depth N-1), and the non-planar schemes where defined."""
     rows = []
     for n in ports_list:
-        _check_ports(n, minimum=4)
-        ours = optimal_switch_count(n)
-        for design in Design:
-            fmax, _, _ = depth_formulas(design, n)
-            rows.append(SeriesRow(design.value, n, ours, 0, fmax))
-        rows.append(SeriesRow(SCHEME_SPANKE_BENES, n, n * (n - 1) // 2, 0, n - 1))
-        if _is_power_of_two(n):
-            log2 = n.bit_length() - 1
-            crosspoints = n * (n - log2 - 1) // 2
-            rows.append(SeriesRow(SCHEME_BENES, n, n * log2 - n // 2, crosspoints, None))
-            rows.append(
-                SeriesRow(SCHEME_WAKSMAN, n, n * log2 - n + 1, crosspoints, None)
-            )
+        for r in _count_rows(n):
+            if r.scheme == SCHEME_OURS:
+                rows.extend(
+                    SeriesRow(d.value, n, r.switches, 0, depth_formulas(d, n)[0])
+                    for d in Design
+                )
+            else:
+                depth = n - 1 if r.scheme == SCHEME_SPANKE_BENES else None
+                rows.append(SeriesRow(r.scheme, n, r.switches, r.crosspoints, depth))
     return tuple(rows)
 
 

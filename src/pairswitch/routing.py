@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import BoundExceeded, InvalidDemand, InvalidInput
@@ -23,26 +23,39 @@ _PAIR_TOKEN = re.compile(r"^(\d+)-(\d+)$")
 class PairList:
     """A perfect matching of the N inputs: the demand.
 
-    Pairs are kept canonical: each as (i, j) with i < j, sorted by i.
+    ``mate[i]`` is the input paired with input i.  Pairs are kept canonical:
+    each as (i, j) with i < j, sorted by i.
     """
 
     ports: int
     pairs: tuple[tuple[int, int], ...]
+    mate: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.ports < 2 or self.ports % 2:
-            raise InvalidDemand(f"ports must be an even integer >= 2, got {self.ports}")
-        canonical = tuple(sorted((a, b) if a < b else (b, a) for a, b in self.pairs))
-        object.__setattr__(self, "pairs", canonical)
-        seen: list[int] = []
+        ports = self.ports
+        if ports < 2 or ports % 2:
+            raise InvalidDemand(f"ports must be an even integer >= 2, got {ports}")
+        mate = [-1] * ports
+        for a, b in self.pairs:
+            if (a == b or not (0 <= a < ports and 0 <= b < ports)
+                    or mate[a] >= 0 or mate[b] >= 0):
+                break
+            mate[a] = b
+            mate[b] = a
+        else:
+            if -1 not in mate:
+                object.__setattr__(self, "mate", tuple(mate))
+                object.__setattr__(
+                    self, "pairs", tuple([(a, b) for a, b in enumerate(mate) if a < b])
+                )
+                return
+        canonical = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
         for a, b in canonical:
             if a == b:
                 raise InvalidDemand(f"index {a} paired with itself")
-            seen.extend((a, b))
-        if sorted(seen) != list(range(self.ports)):
-            raise InvalidDemand(
-                f"pairs {canonical} are not a perfect matching of 0..{self.ports - 1}"
-            )
+        raise InvalidDemand(
+            f"pairs {canonical} are not a perfect matching of 0..{ports - 1}"
+        )
 
     @classmethod
     def from_pairs(
@@ -71,19 +84,16 @@ class PairList:
     def to_text(self) -> str:
         return ",".join(f"{a}-{b}" for a, b in self.pairs)
 
-    def partner(self) -> dict[int, int]:
-        mate: dict[int, int] = {}
-        for a, b in self.pairs:
-            mate[a] = b
-            mate[b] = a
-        return mate
-
 
 @dataclass(frozen=True)
 class RoutingPlan:
     states: dict[int, State]
     permuted: tuple[int, ...]
-    bsa: dict[int, tuple[int, int]]
+
+    @property
+    def bsa(self) -> dict[int, tuple[int, int]]:
+        """Analyzer j receives the photons on output lines (2j, 2j+1)."""
+        return dict(enumerate(zip(self.permuted[::2], self.permuted[1::2])))
 
 
 class OpCounter:
@@ -97,11 +107,6 @@ class OpCounter:
 
     def tick(self, n: int = 1) -> None:
         self.count += n
-
-
-def _plan(states: dict[int, State], permuted: list[int]) -> RoutingPlan:
-    bsa = {j: (permuted[2 * j], permuted[2 * j + 1]) for j in range(len(permuted) // 2)}
-    return RoutingPlan(states, tuple(permuted), bsa)
 
 
 def _check_demand(ports: int, demand: PairList) -> None:
@@ -132,7 +137,7 @@ def route_triangular(ports: int, demand: PairList,
     """Bubble-style peeling: per layer, cascade the partner of the current
     bottom photon down to meet it, then recurse on the first n-2 photons."""
     _check_demand(ports, demand)
-    mate = demand.partner()
+    mate = demand.mate
     photons = list(range(ports))
     states = [State.BAR] * optimal_switch_count(ports)
     n = ports
@@ -147,7 +152,7 @@ def route_triangular(ports: int, demand: PairList,
         if counter:
             counter.tick(2 * n - 2)
         n -= 2
-    return _plan(dict(enumerate(states)), photons)
+    return RoutingPlan(dict(enumerate(states)), tuple(photons))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,7 @@ def route_chevron(ports: int, demand: PairList,
     itself when its orientation is already correct.
     """
     _check_demand(ports, demand)
-    mate = demand.partner()
+    mate = list(demand.mate)  # rewritten as windows fold their outer pair inward
     virtual: list[tuple[int, int] | None] = []  # per window, outermost first
     for top in range(ports // 2 - 1):
         bot = ports - 1 - top
@@ -221,7 +226,7 @@ def route_chevron(ports: int, demand: PairList,
         if counter:
             counter.tick(n - 2)
 
-    return _plan(dict(enumerate(states)), inner)
+    return RoutingPlan(dict(enumerate(states)), tuple(inner))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +267,7 @@ def route_brickwork(ports: int, demand: PairList,
     surviving smaller brickwork."""
     _check_demand(ports, demand)
     half0 = ports // 2
-    mate = demand.partner()
+    mate = demand.mate
     states = [State.BAR] * optimal_switch_count(ports)
     photons = list(range(ports))
     frame_out = list(range(ports))  # frame line -> physical output line
@@ -331,7 +336,7 @@ def route_brickwork(ports: int, demand: PairList,
     result[frame_out[1]] = photons[1]
     permuted = [p for p in result if p is not None]
     assert len(permuted) == ports
-    return _plan(dict(enumerate(states)), permuted)
+    return RoutingPlan(dict(enumerate(states)), tuple(permuted))
 
 
 # ---------------------------------------------------------------------------
@@ -350,25 +355,22 @@ def brute_force_route(net: Network, demand: PairList,
             f"{count} switches exceed the {max_switches}-switch enumeration budget"
         )
     lines = [sp.line for sp in net.switches]
-    wanted = set(demand.pairs)
+    mate = demand.mate
     n = net.ports
     for assignment in range(1 << count):
         perm = list(range(n))
         for k, line in enumerate(lines):
             if (assignment >> k) & 1:
                 perm[line], perm[line + 1] = perm[line + 1], perm[line]
-        ok = True
         for j in range(0, n, 2):
-            a, b = perm[j], perm[j + 1]
-            if ((a, b) if a < b else (b, a)) not in wanted:
-                ok = False
+            if mate[perm[j]] != perm[j + 1]:
                 break
-        if ok:
+        else:
             states = {
                 sp.id: State.CROSS if (assignment >> k) & 1 else State.BAR
                 for k, sp in enumerate(net.switches)
             }
-            return _plan(states, perm)
+            return RoutingPlan(states, tuple(perm))
     return None
 
 
@@ -380,20 +382,26 @@ def plan_to_json(plan: RoutingPlan) -> str:
     doc = {
         "states": {str(i): plan.states[i].value for i in sorted(plan.states)},
         "permuted": list(plan.permuted),
-        "bsa": {str(j): list(plan.bsa[j]) for j in sorted(plan.bsa)},
+        "bsa": {str(j): list(pair) for j, pair in plan.bsa.items()},
     }
     return json.dumps(doc, indent=2)
 
 
+def _states(doc: dict) -> dict[int, State]:
+    return {int(k): State(v) for k, v in doc.items()}
+
+
 def plan_from_json(text: str) -> RoutingPlan:
+    """Parse a plan document; its ``bsa`` must agree with its ``permuted``."""
     try:
         doc = json.loads(text)
-        states = {int(k): State(v) for k, v in doc["states"].items()}
-        permuted = tuple(int(x) for x in doc["permuted"])
-        bsa = {int(k): (int(v[0]), int(v[1])) for k, v in doc["bsa"].items()}
-        return RoutingPlan(states, permuted, bsa)
-    except (KeyError, TypeError, ValueError) as exc:
+        plan = RoutingPlan(_states(doc["states"]), tuple(int(x) for x in doc["permuted"]))
+        bsa = {int(k): tuple(int(x) for x in v) for k, v in doc["bsa"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed plan document: {exc}") from exc
+    if bsa != plan.bsa:
+        raise InvalidInput("plan bsa does not match the pairs of its permuted lines")
+    return plan
 
 
 def states_from_json(text: str) -> dict[int, State]:
@@ -402,6 +410,6 @@ def states_from_json(text: str) -> dict[int, State]:
         doc = json.loads(text)
         if isinstance(doc, dict) and "states" in doc:
             doc = doc["states"]
-        return {int(k): State(v) for k, v in doc.items()}
+        return _states(doc)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed states document: {exc}") from exc

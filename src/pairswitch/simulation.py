@@ -64,14 +64,13 @@ def check_pairing(perm: Sequence[int], demand: PairList) -> PairingReport:
         raise InvalidInput(
             f"permutation has {len(perm)} entries, demand covers {demand.ports} ports"
         )
-    wanted = set(demand.pairs)
+    mate, n = demand.mate, demand.ports
     matched = []
     mismatches = []
-    for j in range(len(perm) // 2):
+    for j in range(n // 2):
         a, b = perm[2 * j], perm[2 * j + 1]
-        pair = (a, b) if a < b else (b, a)
-        if pair in wanted:
-            matched.append((j, pair))
+        if 0 <= a < n and mate[a] == b:
+            matched.append((j, (a, b) if a < b else (b, a)))
         else:
             mismatches.append(j)
     return PairingReport(not mismatches, tuple(matched), tuple(mismatches))

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, InvalidInput
 from .routing import PairList, brute_force_route, route
 from .simulation import check_pairing, simulate
 from .topology import Design, _check_ports, build_network
@@ -24,28 +25,28 @@ def enumerate_pair_lists(ports: int) -> Iterator[PairList]:
     """Yield every perfect matching of 0..N-1 exactly once, smallest free
     index first; stream length is (N-1)!!."""
     _check_ports(ports)
-
-    def rec(free: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not free:
-            yield ()
+    # Pairs are (line[2d], line[2d+1]): level d pairs its smallest free index
+    # with the next free one, in ascending order.  Once the levels below d
+    # have tried every choice they are ascending again, and so are level d's
+    # other free indices, line[2d+2:]: its next partner is one swap away.
+    line = list(range(ports))
+    while True:
+        yield PairList.from_pairs(zip(line[::2], line[1::2]), ports)
+        for i in range(ports - 3, 0, -2):  # i = 2d+1, deepest level with a choice first
+            j = bisect(line, line[i], i + 1)
+            if j < ports:
+                line[i], line[j] = line[j], line[i]
+                break
+            line[i:] = line[i + 1 :] + [line[i]]  # level d done: ascending again
+        else:
             return
-        first = free[0]
-        for k in range(1, len(free)):
-            rest = free[1:k] + free[k + 1 :]
-            for tail in rec(rest):
-                yield ((first, free[k]),) + tail
-
-    for pairs in rec(tuple(range(ports))):
-        yield PairList.from_pairs(pairs, ports)
 
 
 def random_pair_list(ports: int, rng: random.Random) -> PairList:
     """Uniform random perfect matching: shuffle, pair consecutive entries."""
     order = list(range(ports))
     rng.shuffle(order)
-    return PairList.from_pairs(
-        [(order[2 * j], order[2 * j + 1]) for j in range(ports // 2)], ports
-    )
+    return PairList.from_pairs(zip(order[::2], order[1::2]), ports)
 
 
 def double_factorial(n: int) -> int:
@@ -110,7 +111,7 @@ def verify_design(
         demands = (random_pair_list(ports, rng) for _ in range(samples))
         samples_field, seed_field = samples, seed
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidInput(f"unknown mode {mode!r}")
 
     failures: list[tuple[str, str]] = []
     checked = 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -118,6 +119,24 @@ def test_metrics_csv(tmp_path, capsys):
     assert code == 0
     assert "ratio ours/spanke_benes" in out
     assert csv_path.read_text().startswith("scheme,N,switches,crosspoints,max_depth\n")
+
+
+# sha256 of the stdout and of the CSV bytes of `metrics --ports 4..16 --csv`,
+# recorded while count_table and series_rows each wrote their own formulas.
+GOLDEN_METRICS_SHA256 = (
+    "97b347ff4a4df40fc717b9a28985d5c990b626e596eb939ac6617bef5e7ed586",
+    "1601249da02084f36981478b6af660931454fad9af05c5f14a4f0d7394880929",
+)
+
+
+def test_metrics_match_golden_digest(tmp_path, capsys):
+    csv_path = tmp_path / "table.csv"
+    code, out, _ = run(capsys, "metrics", "--ports", "4..16", "--csv", str(csv_path))
+    assert code == 0
+    digests = tuple(
+        hashlib.sha256(data).hexdigest() for data in (out.encode(), csv_path.read_bytes())
+    )
+    assert digests == GOLDEN_METRICS_SHA256
 
 
 def test_render_ascii_from_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from pairswitch import (
     BoundExceeded,
     Design,
     InvalidDemand,
+    InvalidInput,
     PairList,
     State,
     brute_force_route,
@@ -48,6 +50,7 @@ def test_pairlist_canonical_text_round_trip():
         ("0-1", 4),            # missing indices
         ("0-1,2-5", 4),        # out of range
         ("0-0,1-2", 4),        # self pair
+        ("0-0,1-1", 2),        # self pairs covering every index
         ("0-1,2:3", 4),        # bad token
         ("", None),            # empty
     ],
@@ -55,6 +58,12 @@ def test_pairlist_canonical_text_round_trip():
 def test_pairlist_rejects_malformed(text, ports):
     with pytest.raises(InvalidDemand):
         PairList.from_text(text, ports)
+
+
+def test_pairlist_rejects_negative_index():
+    # in a table indexed by input, -2 would stand for input 2
+    with pytest.raises(InvalidDemand):
+        PairList.from_pairs([(-2, 0), (1, 3)], 4)
 
 
 def test_router_rejects_ports_mismatch():
@@ -282,6 +291,18 @@ def test_plan_json_round_trip_and_key_order():
     assert again.states == plan.states
     assert again.permuted == plan.permuted
     assert again.bsa == plan.bsa
+
+
+@pytest.mark.parametrize("bsa", [
+    {"0": [2, 1], "1": [0, 3]},  # one entry's photons swapped
+    {"0": [0, 3], "1": [0, 3]},  # one analyzer's pair given twice
+])
+def test_plan_from_json_rejects_bsa_contradicting_permuted(bsa):
+    doc = json.loads(plan_to_json(route_triangular(4, pl("0-3,1-2"))))
+    assert doc["permuted"] == [1, 2, 0, 3]
+    doc["bsa"] = bsa
+    with pytest.raises(InvalidInput):
+        plan_from_json(json.dumps(doc))
 
 
 # sha256 over plan_to_json of every demand with N <= 10, 1000 seeded random

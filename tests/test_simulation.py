@@ -134,6 +134,16 @@ def test_check_pairing_mismatch():
     assert report.mismatches == (0, 1)
 
 
+def test_check_pairing_out_of_range_entries_are_mismatches():
+    # -1 must not wrap to the last input, and 4 must not raise IndexError
+    report = check_pairing((-1, 3, 4, 0), PairList.from_text("0-2,1-3"))
+    assert not report.ok
+    assert report.mismatches == (0, 1)
+    report = check_pairing((0, 2, 1, -1), PairList.from_text("0-2,1-3"))
+    assert report.matched == ((0, (0, 2)),)
+    assert report.mismatches == (1,)
+
+
 def test_check_pairing_size_mismatch():
     with pytest.raises(InvalidInput):
         check_pairing((0, 1), PairList.from_text("0-1,2-3"))

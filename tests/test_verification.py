@@ -3,8 +3,10 @@ import json
 import pytest
 
 from pairswitch import (
+    MAX_PORTS,
     BoundExceeded,
     Design,
+    PairSwitchError,
     State,
     double_factorial,
     enumerate_pair_lists,
@@ -30,6 +32,12 @@ def test_enumeration_unique_and_valid():
         assert demand.pairs not in seen
         seen.add(demand.pairs)
     assert len(seen) == double_factorial(7) == 105
+
+
+def test_enumeration_first_demand_at_port_budget():
+    # a generator per level would exceed the interpreter's recursion limit
+    first = next(enumerate_pair_lists(MAX_PORTS))
+    assert first.pairs == tuple((k, k + 1) for k in range(0, MAX_PORTS, 2))
 
 
 def test_worst_case_pair_lists():
@@ -58,8 +66,9 @@ def test_verify_cap_enforced():
 
 
 def test_verify_unknown_mode_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         verify_design(Design.TRIANGULAR, 4, mode="sometimes")
+    assert isinstance(excinfo.value, PairSwitchError)
 
 
 def test_random_mode_is_seed_stable():
