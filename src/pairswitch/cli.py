@@ -19,7 +19,7 @@ from .simulation import propagate
 from .topology import (
     MAX_PORTS, Design, build_network, network_from_json, network_to_json, reverse_network,
 )
-from .verification import report_to_json, verify_design, verify_minimality
+from .verification import _check_exhaustive, report_to_json, verify_design, verify_minimality
 
 _DESIGNS = [d.value for d in Design]
 
@@ -68,8 +68,12 @@ def _cmd_route(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     designs = _DESIGNS if args.design == "all" else [args.design]
     mode = "exhaustive" if args.exhaustive else "random"
+    ports_list = _parse_ports_range(args.ports)
+    if args.exhaustive:  # the whole range, before its first N is verified
+        for ports in ports_list:
+            _check_exhaustive(ports, args.cap)
     reports = []
-    for ports in _parse_ports_range(args.ports):
+    for ports in ports_list:
         for design in designs:
             reports.append(
                 verify_design(

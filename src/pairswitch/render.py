@@ -29,7 +29,7 @@ class RenderOptions:
 
 
 def _columns(net: Network) -> int:
-    return max((sp.col for sp in net.switches), default=-1) + 1
+    return max(net.cols, default=-1) + 1
 
 
 def render_ascii(net: Network, states: Mapping[int, State] | None = None) -> str:
@@ -45,9 +45,9 @@ def render_ascii(net: Network, states: Mapping[int, State] | None = None) -> str
         [("-" if r % 2 == 0 else " ") * cell for _ in range(ncols)]
         for r in range(2 * net.ports - 1)
     ]
-    for sp in net.switches:
-        glyph = _GLYPH[states.get(sp.id) if states is not None else None]
-        grid[2 * sp.line + 1][sp.col] = f" {glyph} "
+    for i, (line, col) in enumerate(zip(net.lines, net.cols)):
+        glyph = _GLYPH[states.get(i) if states is not None else None]
+        grid[2 * line + 1][col] = f" {glyph} "
     out = []
     for r in range(2 * net.ports - 1):
         body = "".join(grid[r])
@@ -65,18 +65,18 @@ def _trajectories(net: Network, states: Mapping[int, State]) -> list[list[int]]:
     """Per-photon line positions at each column boundary (column order)."""
     ncols = _columns(net)
     lines = list(range(net.ports))
-    pos: dict[int, list[int]] = {p: [p] for p in range(net.ports)}
-    by_col: dict[int, list] = {}
-    for sp in net.switches:
-        by_col.setdefault(sp.col, []).append(sp)
+    pos = [[p] for p in range(net.ports)]
+    by_col: dict[int, list[int]] = {}
+    for i, col in enumerate(net.cols):
+        by_col.setdefault(col, []).append(i)
     for c in range(ncols):
-        for sp in by_col.get(c, ()):
-            if states[sp.id] is State.CROSS:
-                i = sp.line
+        for k in by_col.get(c, ()):
+            if states[k] is State.CROSS:
+                i = net.lines[k]
                 lines[i], lines[i + 1] = lines[i + 1], lines[i]
         for line, photon in enumerate(lines):
             pos[photon].append(line)
-    return [pos[p] for p in range(net.ports)]
+    return pos
 
 
 def render_svg(
@@ -121,16 +121,16 @@ def render_svg(
             )
             color = opt.palette[photon % len(opt.palette)]
             parts.append(f'<polyline class="photon" stroke="{color}" points="{coords}"/>')
-    for sp in net.switches:
-        x = left + sp.col * s + s // 6
-        y = top + sp.line * s - s // 6
+    for i, (layer, line, col) in enumerate(zip(net.layers, net.lines, net.cols)):
+        x = left + col * s + s // 6
+        y = top + line * s - s // 6
         w = s - s // 3
         h = s + s // 3
-        color = opt.palette[(sp.layer - 1) % len(opt.palette)]
+        color = opt.palette[(layer - 1) % len(opt.palette)]
         if states is None or not opt.show_states:
             cls = "unset"
         else:
-            cls = states[sp.id].value
+            cls = states[i].value
         parts.append(
             f'<g class="{cls}"><rect x="{x}" y="{y}" width="{w}" height="{h}" '
             f'rx="{s // 6}" fill="{color}" stroke="#222222"/></g>'

@@ -346,15 +346,15 @@ def route_brickwork(ports: int, demand: PairList,
 def brute_force_route(net: Network, demand: PairList,
                       max_switches: int = 24) -> RoutingPlan | None:
     """Exhaustively try all 2^S state assignments in counter order (switch
-    at tuple position k is bit k, Cross when set) and return the first one
-    that realizes the demand, or None when the demand is unroutable."""
+    k is bit k, Cross when set) and return the first one that realizes the
+    demand, or None when the demand is unroutable."""
     _check_demand(net.ports, demand)
-    count = len(net.switches)
+    lines = net.lines
+    count = len(lines)
     if count > max_switches:
         raise BoundExceeded(
             f"{count} switches exceed the {max_switches}-switch enumeration budget"
         )
-    lines = [sp.line for sp in net.switches]
     mate = demand.mate
     n = net.ports
     for assignment in range(1 << count):
@@ -367,8 +367,8 @@ def brute_force_route(net: Network, demand: PairList,
                 break
         else:
             states = {
-                sp.id: State.CROSS if (assignment >> k) & 1 else State.BAR
-                for k, sp in enumerate(net.switches)
+                k: State.CROSS if (assignment >> k) & 1 else State.BAR
+                for k in range(count)
             }
             return RoutingPlan(states, tuple(perm))
     return None
@@ -397,7 +397,7 @@ def plan_from_json(text: str) -> RoutingPlan:
         doc = json.loads(text)
         plan = RoutingPlan(_states(doc["states"]), tuple(int(x) for x in doc["permuted"]))
         bsa = {int(k): tuple(int(x) for x in v) for k, v in doc["bsa"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed plan document: {exc}") from exc
     if bsa != plan.bsa:
         raise InvalidInput("plan bsa does not match the pairs of its permuted lines")
@@ -411,5 +411,5 @@ def states_from_json(text: str) -> dict[int, State]:
         if isinstance(doc, dict) and "states" in doc:
             doc = doc["states"]
         return _states(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed states document: {exc}") from exc

@@ -9,17 +9,6 @@ from .routing import PairList
 from .topology import Network, State
 
 
-def _check_states(net: Network, states: Mapping[int, State]) -> None:
-    ids = {sp.id for sp in net.switches}
-    given = set(states)
-    if given != ids:
-        missing = sorted(ids - given)
-        extra = sorted(given - ids)
-        raise IncompleteStates(
-            f"states do not cover the network exactly (missing {missing}, extra {extra})"
-        )
-
-
 def simulate(
     net: Network, states: Mapping[int, State]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -29,14 +18,23 @@ def simulate(
     photon, and the per-photon count of switch elements traversed (Bar
     counts too), depths[photon].
     """
-    _check_states(net, states)
+    count = len(net.lines)
+    try:
+        ordered = list(map(states.__getitem__, range(count)))
+    except KeyError:
+        ordered = None
+    if ordered is None or len(states) != count:
+        ids, given = set(range(count)), set(states)
+        raise IncompleteStates(
+            "states do not cover the network exactly "
+            f"(missing {sorted(ids - given)}, extra {sorted(given - ids)})"
+        )
     lines = list(range(net.ports))
     depths = [0] * net.ports
-    for sp in net.switches:
-        i = sp.line
+    for i, state in zip(net.lines, ordered):
         depths[lines[i]] += 1
         depths[lines[i + 1]] += 1
-        if states[sp.id] is State.CROSS:
+        if state is State.CROSS:
             lines[i], lines[i + 1] = lines[i + 1], lines[i]
     return tuple(lines), tuple(depths)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -43,10 +43,21 @@ class SwitchPoint:
 
 @dataclass(frozen=True)
 class Network:
+    """The layout as three ``array('i')``s indexed by switch id: the upper
+    line, the layer and the rendering column of every switch."""
+
     design: Design
     ports: int
-    switches: tuple[SwitchPoint, ...]
+    lines: array
+    layers: array
+    cols: array
     reversed: bool = False
+
+    @property
+    def switches(self) -> tuple[SwitchPoint, ...]:
+        """The switches in id order, built on each access."""
+        ids = range(len(self.lines))
+        return tuple(map(SwitchPoint, ids, self.layers, self.lines, self.cols))
 
 
 @dataclass(frozen=True)
@@ -73,33 +84,6 @@ def _check_ports(ports: int, minimum: int = 2) -> None:
         raise BoundExceeded(f"{ports} ports exceed the {MAX_PORTS}-port budget")
 
 
-def _triangular_cells(ports: int) -> Iterator[tuple[int, int, int]]:
-    # Largest layer sits on the input side; each layer is a cascade that
-    # carries one photon down to the bottom of its sub-network.
-    col = 0
-    for layer in range(ports // 2 - 1, 0, -1):
-        for line in range(2 * layer):
-            yield layer, line, col
-            col += 1
-
-
-def _chevron_cells(ports: int) -> Iterator[tuple[int, int, int]]:
-    # Layer 1 sits innermost on the input side.  Each layer is two arms
-    # converging on the middle lines; odd layers swap the lowest arm switch
-    # for a tip element at line half-1, traversed after both arms.
-    half = ports // 2
-    col = 0
-    for layer in range(1, half):
-        odd = layer % 2
-        for t in range(layer):
-            yield layer, half - layer - 1 + t, col + t
-        for t in range(layer - odd):
-            yield layer, half + layer - 1 - t, col + t
-        if odd:
-            yield layer, half - 1, col + layer
-        col += layer + odd
-
-
 def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int]]:
     # Layer N/2 is traversed first.  Odd layers hold lines 1,3,..,N-3 and
     # even layers 0,2,..,N-2; the first-traversed layer is truncated to
@@ -110,14 +94,8 @@ def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int]]:
         yield layer, parity, ports // 4 if layer == half else half - parity
 
 
-def _brickwork_cells(ports: int) -> Iterator[tuple[int, int, int]]:
-    for col, (layer, parity, count) in enumerate(_brickwork_columns(ports)):
-        for t in range(count):
-            yield layer, parity + 2 * t, col
-
-
 # Switch ids in closed form, for routers that write states straight into id
-# order.  Each helper agrees with the cell generator above it.
+# order.  Each helper agrees with the layout build_network fills below.
 
 def _triangular_first_id(ports: int, layer: int) -> int:
     """Id of triangular switch (layer, 0).  Layers layer..1 come last and
@@ -156,13 +134,6 @@ def _brickwork_id_table(ports: int) -> array:
     return table
 
 
-_BUILDERS = {
-    Design.TRIANGULAR: _triangular_cells,
-    Design.CHEVRON: _chevron_cells,
-    Design.BRICKWORK: _brickwork_cells,
-}
-
-
 def build_network(design: Design | str, ports: int) -> Network:
     """Construct the named design for an even number of ports.
 
@@ -170,30 +141,51 @@ def build_network(design: Design | str, ports: int) -> Network:
     """
     design = Design(design)
     _check_ports(ports)
-    switches = tuple(
-        SwitchPoint(i, layer, line, col)
-        for i, (layer, line, col) in enumerate(_BUILDERS[design](ports))
-    )
-    return Network(design=design, ports=ports, switches=switches)
+    half, count = ports // 2, optimal_switch_count(ports)
+    ramp = array("i", range(max(ports, count)))
+    lines, layers, cols = (array("i", [0]) * count for _ in range(3))
+    if design is Design.TRIANGULAR:
+        # Largest layer sits on the input side; each layer is a cascade that
+        # carries one photon down to the bottom of its sub-network.
+        for layer in range(1, half):
+            first, size = _triangular_first_id(ports, layer), 2 * layer
+            lines[first : first + size] = ramp[:size]
+            layers[first : first + size] = array("i", [layer]) * size
+        cols = ramp[:count]
+    elif design is Design.CHEVRON:
+        # Layer 1 sits innermost on the input side.  Each layer is two arms
+        # converging on the middle lines; odd layers swap the lowest arm
+        # switch for a tip element at line half-1, traversed after both arms.
+        for layer in range(1, half):
+            odd, first = layer % 2, layer * (layer - 1)
+            col = first // 2 + layer // 2  # layers before it span j + j % 2 columns each
+            upper = slice(first, first + layer)
+            lower = slice(first + layer, first + 2 * layer - odd)
+            lines[upper] = ramp[half - layer - 1 : half - 1]
+            cols[upper] = ramp[col : col + layer]
+            lines[lower] = ramp[half + layer - 1 : half + odd - 1 : -1]
+            cols[lower] = ramp[col : col + layer - odd]
+            if odd:
+                lines[first + 2 * layer - 1] = half - 1
+                cols[first + 2 * layer - 1] = col + layer
+            layers[first : first + 2 * layer] = array("i", [layer]) * (2 * layer)
+    else:
+        first = 0
+        for col, (layer, parity, size) in enumerate(_brickwork_columns(ports)):
+            lines[first : first + size] = ramp[parity : parity + 2 * size : 2]
+            layers[first : first + size] = array("i", [layer]) * size
+            cols[first : first + size] = array("i", [col]) * size
+            first += size
+    return Network(design, ports, lines, layers, cols)
 
 
 def reverse_network(net: Network) -> Network:
     """Mirror the traversal order, for operation with sources behind the
     former output side: adjacent input pairs are distributed to arbitrary
     output pairings."""
-    if not net.switches:
-        return replace(net, reversed=not net.reversed)
-    max_col = max(sp.col for sp in net.switches)
-    flipped = tuple(
-        SwitchPoint(i, sp.layer, sp.line, max_col - sp.col)
-        for i, sp in enumerate(reversed(net.switches))
-    )
-    return Network(
-        design=net.design,
-        ports=net.ports,
-        switches=flipped,
-        reversed=not net.reversed,
-    )
+    max_col = max(net.cols, default=0)
+    cols = array("i", [max_col - c for c in reversed(net.cols)])
+    return Network(net.design, net.ports, net.lines[::-1], net.layers[::-1], cols, not net.reversed)
 
 
 def validate_network(net: Network) -> ValidationReport:
@@ -204,36 +196,29 @@ def validate_network(net: Network) -> ValidationReport:
         violations.append(("ports", n, "ports must be an even integer >= 2"))
         return ValidationReport(False, tuple(violations))
 
-    for sp in net.switches:
-        if not 0 <= sp.line <= n - 2:
-            violations.append(
-                ("planarity", sp.id, f"switch line {sp.line} outside 0..{n - 2}")
-            )
+    for i, line in enumerate(net.lines):
+        if not 0 <= line <= n - 2:
+            violations.append(("planarity", i, f"switch line {line} outside 0..{n - 2}"))
 
     expected = optimal_switch_count(n)
-    if len(net.switches) != expected:
+    if len(net.lines) != expected:
         violations.append(
-            ("count", None, f"{len(net.switches)} switches != N(N-2)/4 = {expected}")
+            ("count", None, f"{len(net.lines)} switches != N(N-2)/4 = {expected}")
         )
 
-    ids = [sp.id for sp in net.switches]
-    if ids != list(range(len(ids))):
-        violations.append(("id-density", None, "ids are not dense 0..S-1 in order"))
-
     seen = set()
-    for sp in net.switches:
-        key = (sp.layer, sp.line)
+    for i, key in enumerate(zip(net.layers, net.lines)):
         if key in seen:
-            violations.append(("duplicate", sp.id, f"second switch at layer/line {key}"))
+            violations.append(("duplicate", i, f"second switch at layer/line {key}"))
         seen.add(key)
 
     try:
         reference = build_network(net.design, n)
         if net.reversed:
             reference = reverse_network(reference)
-        got = [(sp.layer, sp.line) for sp in net.switches]
-        want = [(sp.layer, sp.line) for sp in reference.switches]
-        if got != want:
+        # compared as lists: an array never equals a list a caller passed
+        got = (list(net.layers), list(net.lines))
+        if got != (reference.layers.tolist(), reference.lines.tolist()):
             violations.append(
                 ("layer-structure", None, "switch placement differs from the design rules")
             )
@@ -250,8 +235,8 @@ def network_to_json(net: Network) -> str:
         "ports": net.ports,
         "reversed": net.reversed,
         "switches": [
-            {"id": sp.id, "layer": sp.layer, "line": sp.line, "col": sp.col}
-            for sp in net.switches
+            {"id": i, "layer": layer, "line": line, "col": col}
+            for i, (layer, line, col) in enumerate(zip(net.layers, net.lines, net.cols))
         ],
     }
     return json.dumps(doc, indent=2)
@@ -259,29 +244,27 @@ def network_to_json(net: Network) -> str:
 
 def network_from_json(text: str) -> Network:
     """Parse a network document, rejecting any switch that would index
-    outside the network (ports, lines, ids or columns out of range)."""
+    outside the network (ports, ids, layers, lines or columns out of range)."""
     try:
         doc = json.loads(text)
         design = Design(doc["design"])
         ports = int(doc["ports"])
         _check_ports(ports)
-        switches = tuple(
-            SwitchPoint(int(s["id"]), int(s["layer"]), int(s["line"]), int(s["col"]))
+        rows = [
+            (int(s["id"]), int(s["layer"]), int(s["line"]), int(s["col"]))
             for s in doc["switches"]
-        )
-        net = Network(
-            design=design,
-            ports=ports,
-            switches=switches,
-            reversed=bool(doc.get("reversed", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        ]
+        flipped = bool(doc.get("reversed", False))
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed network document: {exc}") from exc
-    for i, sp in enumerate(switches):
-        if sp.id != i:
+    for i, (sid, layer, line, col) in enumerate(rows):
+        if sid != i:
             raise InvalidInput(f"switch ids are not dense 0..S-1 in order at position {i}")
-        if not 0 <= sp.line <= ports - 2:
-            raise InvalidInput(f"switch {i} line {sp.line} outside 0..{ports - 2}")
-        if not 0 <= sp.col < len(switches):
-            raise InvalidInput(f"switch {i} col {sp.col} outside 0..{len(switches) - 1}")
-    return net
+        if not 1 <= layer <= ports // 2:
+            raise InvalidInput(f"switch {i} layer {layer} outside 1..{ports // 2}")
+        if not 0 <= line <= ports - 2:
+            raise InvalidInput(f"switch {i} line {line} outside 0..{ports - 2}")
+        if not 0 <= col < len(rows):
+            raise InvalidInput(f"switch {i} col {col} outside 0..{len(rows) - 1}")
+    layers, lines, cols = (array("i", [row[k] for row in rows]) for k in (1, 2, 3))
+    return Network(design, ports, lines, layers, cols, reversed=flipped)

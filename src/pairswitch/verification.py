@@ -5,13 +5,24 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BoundExceeded, InvalidInput
 from .routing import PairList, brute_force_route, route
 from .simulation import check_pairing, simulate
-from .topology import Design, _check_ports, build_network
+from .topology import Design, Network, _check_ports, build_network
+
+
+MAX_EXHAUSTIVE_PORTS = 16
+"""Demand budget of an exhaustive run, whatever its cap: (N-1)!! demands,
+at most 15!! = 2,027,025."""
+
+
+def _check_exhaustive(ports: int, cap: int) -> None:
+    cap = min(cap, MAX_EXHAUSTIVE_PORTS)
+    if ports > cap:
+        raise BoundExceeded(f"exhaustive verification capped at {cap} ports, got {ports}")
 
 
 def worst_case_pair_list(ports: int) -> PairList:
@@ -100,10 +111,7 @@ def verify_design(
     design = Design(design)
     net = build_network(design, ports)
     if mode == "exhaustive":
-        if ports > cap:
-            raise BoundExceeded(
-                f"exhaustive verification capped at {cap} ports, got {ports}"
-            )
+        _check_exhaustive(ports, cap)
         demands: Iterator[PairList] = enumerate_pair_lists(ports)
         samples_field = seed_field = None
     elif mode == "random":
@@ -176,18 +184,17 @@ def verify_minimality(
     the damaged network; a minimal design leaves every deletion unroutable."""
     design = Design(design)
     net = build_network(design, ports)
-    if len(net.switches) - 1 > max_switches:
-        raise BoundExceeded(
-            f"{len(net.switches) - 1} switches exceed the brute-force budget"
-        )
+    count = len(net.lines)
+    if count - 1 > max_switches:
+        raise BoundExceeded(f"{count - 1} switches exceed the brute-force budget")
     demand = worst_case_pair_list(ports)
     outcomes = []
-    for sp in net.switches:
-        damaged = replace(
-            net, switches=tuple(s for s in net.switches if s.id != sp.id)
-        )
+    for k in range(count):
+        # the damaged copy renumbers its ids densely; only routability is read
+        cut = (a[:k] + a[k + 1 :] for a in (net.lines, net.layers, net.cols))
+        damaged = Network(design, ports, *cut)
         plan = brute_force_route(damaged, demand, max_switches=max_switches)
-        outcomes.append((sp.id, plan is not None))
+        outcomes.append((k, plan is not None))
     return MinimalityReport(design=design, ports=ports, outcomes=tuple(outcomes))
 
 

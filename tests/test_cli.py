@@ -188,14 +188,22 @@ _SWITCH = {"id": 0, "layer": 1, "line": 0, "col": 0}
         (4, [_SWITCH, {**_SWITCH, "line": 1, "col": -1, "id": 1}]),
         (4, [_SWITCH, {**_SWITCH, "line": 1, "col": 2, "id": 1}]),
         (4, [_SWITCH, {**_SWITCH, "line": 1, "col": 500000, "id": 1}]),
+        (4, [{**_SWITCH, "layer": 0}]),
+        (4, [{**_SWITCH, "layer": -3}]),
+        (4, [{**_SWITCH, "layer": 3}]),
+        (4, [{**_SWITCH, "layer": 2**80}]),
+        ("1e400", []),
+        (4, [{**_SWITCH, "layer": "1e400"}]),
+        (4, [{**_SWITCH, "col": "1e400"}]),
     ],
 )
 @pytest.mark.parametrize("with_states", [False, True])
 def test_render_malformed_network_exits_2(tmp_path, capsys, ports, switches, with_states):
     net_path = tmp_path / "bad.json"
+    # "1e400" stands for the bare number, which JSON reads as float infinity
     net_path.write_text(json.dumps(
         {"design": "triangular", "ports": ports, "reversed": False, "switches": switches}
-    ))
+    ).replace('"1e400"', "1e400"))
     argv = ["render", "--net", str(net_path), "--ascii"]
     if with_states:
         states_path = tmp_path / "states.json"
@@ -217,6 +225,20 @@ def test_verify_above_port_budget_exits_2_quickly(capsys):
     assert code == 2
     assert out == ""
     assert "budget" in err
+
+
+@pytest.mark.parametrize("ports", ["2048", "4..2048"])
+def test_exhaustive_verify_above_demand_budget_exits_2_quickly(capsys, ports):
+    # the range is checked whole: N = 4..16 alone would take minutes
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "--design", "triangular", "--ports", ports,
+        "--exhaustive", "--cap", "4096",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_range_crossing_port_budget_exits_2_quickly(capsys):

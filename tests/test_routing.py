@@ -229,7 +229,12 @@ def test_brute_force_prefers_all_bar():
 
 def test_brute_force_reports_unroutable_after_deletion():
     net = build_network(Design.TRIANGULAR, 6)
-    damaged = replace(net, switches=net.switches[:2] + net.switches[3:])
+    damaged = replace(
+        net,
+        lines=net.lines[:2] + net.lines[3:],
+        layers=net.layers[:2] + net.layers[3:],
+        cols=net.cols[:2] + net.cols[3:],
+    )
     assert brute_force_route(damaged, pl("0-5,1-4,2-3")) is None
 
 
@@ -303,6 +308,18 @@ def test_plan_from_json_rejects_bsa_contradicting_permuted(bsa):
     doc["bsa"] = bsa
     with pytest.raises(InvalidInput):
         plan_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path", [("permuted", 0), ("bsa", "0", 0)])
+def test_plan_from_json_rejects_overflowing_number(path):
+    # JSON reads 1e400 as float infinity, which int() cannot convert
+    doc = json.loads(plan_to_json(route_triangular(4, pl("0-3,1-2"))))
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = "1e400"
+    with pytest.raises(InvalidInput):
+        plan_from_json(json.dumps(doc).replace('"1e400"', "1e400"))
 
 
 # sha256 over plan_to_json of every demand with N <= 10, 1000 seeded random

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -9,7 +10,6 @@ from pairswitch import (
     Network,
     PairList,
     State,
-    SwitchPoint,
     build_network,
     check_pairing,
     depth_formulas,
@@ -57,7 +57,8 @@ def test_simulate_returns_permutation_and_depths():
 
 def test_single_switch_transposition():
     for line in (0, 2, 4):
-        net = Network(Design.TRIANGULAR, 6, (SwitchPoint(0, 1, line, 0),))
+        lines, layers, cols = array("i", [line]), array("i", [1]), array("i", [0])
+        net = Network(Design.TRIANGULAR, 6, lines, layers, cols)
         perm = propagate(net, {0: State.CROSS})
         expect = list(range(6))
         expect[line], expect[line + 1] = expect[line + 1], expect[line]
@@ -68,11 +69,11 @@ def test_incomplete_states_rejected():
     net = build_network(Design.TRIANGULAR, 6)
     states = all_states(net, State.BAR)
     states.pop(0)
-    with pytest.raises(IncompleteStates):
+    with pytest.raises(IncompleteStates, match=r"missing \[0\], extra \[\]"):
         propagate(net, states)
     states[0] = State.BAR
     states[99] = State.BAR
-    with pytest.raises(IncompleteStates):
+    with pytest.raises(IncompleteStates, match=r"missing \[\], extra \[99\]"):
         traversal_depths(net, states)
 
 

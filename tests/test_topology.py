@@ -1,4 +1,6 @@
+import hashlib
 import json
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -11,7 +13,6 @@ from pairswitch import (
     InvalidPorts,
     Network,
     State,
-    SwitchPoint,
     build_network,
     network_from_json,
     network_to_json,
@@ -23,6 +24,7 @@ from pairswitch import (
 from pairswitch.topology import _brickwork_id_table, _chevron_id, _triangular_first_id
 
 ALL_N = list(range(4, 65, 2))
+_EMPTY = (array("i"), array("i"), array("i"))  # lines, layers, cols
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -121,7 +123,7 @@ def test_port_budget():
         next(enumerate_pair_lists(2050))
     with pytest.raises(BoundExceeded):
         count_table([2050])
-    assert not validate_network(Network(Design.TRIANGULAR, 2050, ())).ok
+    assert not validate_network(Network(Design.TRIANGULAR, 2050, *_EMPTY)).ok
 
 
 LAYOUT_N = list(range(2, 65, 2))
@@ -196,6 +198,25 @@ def test_brickwork_6_golden_bytes():
     assert network_to_json(build_network(Design.BRICKWORK, 6)) == golden
 
 
+# sha256 over network_to_json for N = 2..64 and 256, each N forward and then
+# reversed; recorded from the per-switch cell generators the arrays replaced.
+GOLDEN_NETWORK_SHA256 = {
+    Design.TRIANGULAR: "c12478f081b120237eac744928b569014960a8b94880402d4d67d9a6e13a2185",
+    Design.CHEVRON: "5da885f2145ce2dd5a3d266558e94ba71fc3b4edc40e353d9f5d4727094f1b22",
+    Design.BRICKWORK: "68a5dc691360df37c1414d056d84d10ce229ee81a466511ab7c05b388e8e44f5",
+}
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_network_json_matches_golden_digest(design):
+    digest = hashlib.sha256()
+    for n in [*range(2, 65, 2), 256]:
+        net = build_network(design, n)
+        for built in (net, reverse_network(net)):
+            digest.update(network_to_json(built).encode())
+    assert digest.hexdigest() == GOLDEN_NETWORK_SHA256[design]
+
+
 def test_json_round_trip():
     # every built network, and its reverse, keeps its columns below S
     for design in Design:
@@ -215,11 +236,9 @@ def test_validate_built_networks():
 
 def test_validate_flags_planarity():
     net = build_network(Design.TRIANGULAR, 8)
-    bad = replace(
-        net,
-        switches=net.switches[:-1]
-        + (replace(net.switches[-1], line=net.ports - 1),),
-    )
+    lines = net.lines[:]
+    lines[-1] = net.ports - 1
+    bad = replace(net, lines=lines)
     report = validate_network(bad)
     assert not report.ok
     assert any(rule == "planarity" for rule, _, _ in report.violations)
@@ -227,7 +246,7 @@ def test_validate_flags_planarity():
 
 def test_validate_flags_deleted_switch():
     net = build_network(Design.TRIANGULAR, 12)
-    damaged = replace(net, switches=net.switches[:-1])
+    damaged = replace(net, lines=net.lines[:-1], layers=net.layers[:-1], cols=net.cols[:-1])
     report = validate_network(damaged)
     assert not report.ok
     assert any(rule == "count" for rule, _, _ in report.violations)
@@ -260,15 +279,20 @@ def test_reverse_propagation_spot_check():
 
 
 def test_hand_built_network_is_rejected_by_structure_rule():
-    sws = (SwitchPoint(0, 1, 1, 0), SwitchPoint(1, 1, 0, 1))
-    net = Network(Design.TRIANGULAR, 4, sws)
+    lines, layers, cols = array("i", [1, 0]), array("i", [1, 1]), array("i", [0, 1])
+    net = Network(Design.TRIANGULAR, 4, lines, layers, cols)
     report = validate_network(net)
     assert not report.ok
     assert any(rule == "layer-structure" for rule, _, _ in report.violations)
 
 
+def test_validate_accepts_layout_given_as_lists():
+    net = Network(Design.TRIANGULAR, 4, [0, 1], [1, 1], [0, 1])
+    assert validate_network(net).ok
+
+
 def test_validate_rejects_odd_ports():
-    report = validate_network(Network(Design.TRIANGULAR, 5, ()))
+    report = validate_network(Network(Design.TRIANGULAR, 5, *_EMPTY))
     assert not report.ok
     assert report.violations[0][0] == "ports"
 
