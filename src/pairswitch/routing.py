@@ -14,7 +14,8 @@ from typing import Iterable
 
 from .errors import BoundExceeded, InvalidDemand, InvalidInput
 from .topology import Design, Network, State, _check_ports, optimal_switch_count
-from .topology import _brickwork_id_table, _chevron_id, _triangular_first_id
+from .topology import _brickwork_id, _brickwork_starts, _chevron_id, _json_id, _json_int
+from .topology import _triangular_first_id
 
 _PAIR_TOKEN = re.compile(r"^(\d+)-(\d+)$")
 
@@ -98,7 +99,7 @@ class RoutingPlan:
 
 class OpCounter:
     """Counts elementary routing operations: photon-list touches,
-    switch-state commits and, in brickwork, frame lines rebuilt."""
+    switch-state commits and, in brickwork, diagonal-list entries walked."""
 
     __slots__ = ("count",)
 
@@ -252,13 +253,18 @@ def route_chevron(ports: int, demand: PairList,
 # around the removed pair.  Switches that survive but fit no cell of the
 # smaller frame can only ever touch a committed photon, so they stay Bar.
 #
-# The router keeps the switch id of every frame cell in one flat array, one
-# row of N/2 entries per physical output line; cells without a switch hold
-# the switch count S, so committing one raises IndexError.  Frame line j is
-# the row frame_out[j] and frame column c its entry `skip + c`, where skip
-# counts the iterations done: each iteration drops column 0 of every line.
-# Lines above the partner need nothing more; a line at or below it takes a
-# prefix of the line beneath it, which one slice copy brings into its row.
+# The router keeps no table of frame cells.  Frame cell (c, j) lies on the
+# physical anti-diagonal line + col = j + c + skip and on the diagonal
+# line - col = j - c - skip, where skip counts the iterations done.  The
+# partner's path is one diagonal and the bottom photon's one anti-diagonal,
+# and removing those two is all that shrinking the frame does to them: the
+# frame's k-th diagonal is the k-th physical diagonal still in `diag`, and
+# likewise for `anti`.  Every entry has the parity of N/2, so frame cell
+# (c, j) is entry (j + c + skip) // 2 of `anti` and (j - c - skip + N/2) // 2
+# of `diag`.  An iteration writes each Cross run by walking a slice of one
+# list against one entry of the other, then deletes the two entries it
+# used.  `_brickwork_id` turns (col, line) into the switch id and raises
+# IndexError where no switch sits.
 
 def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
@@ -269,18 +275,13 @@ def route_brickwork(ports: int, demand: PairList,
     half0 = ports // 2
     mate = demand.mate
     states = [State.BAR] * optimal_switch_count(ports)
+    starts = _brickwork_starts(ports)
     photons = list(range(ports))
     frame_out = list(range(ports))  # frame line -> physical output line
-    # entry line * half0 + c starts out holding the id of the switch at
-    # (layer half0 - c, line)
-    cells = _brickwork_id_table(ports)
+    anti = list(range(half0 % 2, ports + half0, 2))  # surviving line + col
+    diag = list(range(-half0, ports, 2))  # surviving line - col
     skip = 0
-    result: list[int | None] = [None] * ports
-
-    def commit(c: int, j: int, state: State) -> None:
-        states[cells[frame_out[j] * half0 + skip + c]] = state
-        if counter:
-            counter.tick()
+    result = [0] * ports
 
     n = ports
     while n > 2:
@@ -297,33 +298,24 @@ def route_brickwork(ports: int, demand: PairList,
             last0 = p0 + 2 * (n // 4 - 1)
             up = (i - p0) % 2  # 1 when column 0's switch couples line i from above
             c0 = 0 if 0 <= i - up <= last0 else 1
-            if up == c0:
-                cstart = c0
-            else:
-                commit(c0, i - 1, State.BAR)  # would pull the partner upward
-                cstart = c0 + 1
+            # the switch at (c0, i - 1) would pull the partner upward: it
+            # stays Bar and the diagonal starts one column later
+            cstart = c0 + (up != c0)
             j_meet = min(n - 2, i + (half - cstart))
-            for t in range(j_meet - i):
-                commit(cstart + t, i + t, State.CROSS)
-            for q in range(j_meet + 1, n - 1):
-                commit(half + j_meet - q, q, State.CROSS)
-            # Rebuild the frame lines at and below the partner for frame n-2.
-            # Line j < j_meet keeps its row past column t and takes line j+1's
-            # first t cells; line j >= j_meet moves to line j+2's row and takes
-            # line j+1's first t cells, if t > 0.  The order reads every prefix
-            # before its row is overwritten.
-            for j in range(i, j_meet):
-                t = cstart + j - i
-                dst = frame_out[j] * half0 + skip + 1
-                src = frame_out[j + 1] * half0 + skip
-                cells[dst : dst + t] = cells[src : src + t]
-            for j in range(min(n - 3, half + j_meet - 3), j_meet - 1, -1):
-                t = half + j_meet - j - 2
-                dst = frame_out[j + 2] * half0 + skip + 1
-                src = frame_out[j + 1] * half0 + skip
-                cells[dst : dst + t] = cells[src : src + t]
+            rd = (i - cstart - skip + half0) // 2
+            ra = (i + cstart + skip) // 2
+            d = diag[rd]
+            for a in anti[ra : ra + j_meet - i]:
+                states[_brickwork_id(starts, (a - d) // 2, (a + d) // 2)] = State.CROSS
+            if j_meet < n - 2:
+                a = anti.pop((half + j_meet + skip) // 2)
+                rq = (j_meet + 2 - half - skip + half0) // 2
+                # ranks count the partner's diagonal, which goes last
+                for d in diag[rq : rq + n - 2 - j_meet]:
+                    states[_brickwork_id(starts, (a - d) // 2, (a + d) // 2)] = State.CROSS
+            del diag[rd]
             if counter:
-                counter.tick(n - 2 - i)
+                counter.tick((up != c0) + 2 * (n - 2 - i))
         result[frame_out[j_meet]] = photons.pop(i)
         result[frame_out[j_meet + 1]] = bottom
         del frame_out[j_meet : j_meet + 2]
@@ -334,9 +326,7 @@ def route_brickwork(ports: int, demand: PairList,
 
     result[frame_out[0]] = photons[0]
     result[frame_out[1]] = photons[1]
-    permuted = [p for p in result if p is not None]
-    assert len(permuted) == ports
-    return RoutingPlan(dict(enumerate(states)), tuple(permuted))
+    return RoutingPlan(dict(enumerate(states)), tuple(result))
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +378,16 @@ def plan_to_json(plan: RoutingPlan) -> str:
 
 
 def _states(doc: dict) -> dict[int, State]:
-    return {int(k): State(v) for k, v in doc.items()}
+    return {_json_id(k): State(v) for k, v in doc.items()}
 
 
 def plan_from_json(text: str) -> RoutingPlan:
     """Parse a plan document; its ``bsa`` must agree with its ``permuted``."""
     try:
         doc = json.loads(text)
-        plan = RoutingPlan(_states(doc["states"]), tuple(int(x) for x in doc["permuted"]))
-        bsa = {int(k): tuple(int(x) for x in v) for k, v in doc["bsa"].items()}
+        permuted = tuple(_json_int(x) for x in doc["permuted"])
+        plan = RoutingPlan(_states(doc["states"]), permuted)
+        bsa = {_json_id(k): tuple(_json_int(x) for x in v) for k, v in doc["bsa"].items()}
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed plan document: {exc}") from exc
     if bsa != plan.bsa:

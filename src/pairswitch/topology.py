@@ -118,20 +118,25 @@ def _chevron_id(layer: int, span: int) -> int:
     return first + 3 * layer - span
 
 
-def _brickwork_id_table(ports: int) -> array:
-    """Brickwork switch ids by cell: entry line * N/2 + c is the id of the
-    switch at (layer N/2 - c, line), or the switch count S where there is
-    none, so indexing a list of S states with it raises IndexError."""
-    half = ports // 2
-    count = optimal_switch_count(ports)
-    table = array("L", [count]) * (ports * half)
-    ids = array("L", range(count))
-    first = 0
-    for col, (_, parity, size) in enumerate(_brickwork_columns(ports)):
-        start = parity * half + col
-        table[start : start + 2 * half * size : 2 * half] = ids[first : first + size]
-        first += size
-    return table
+def _brickwork_starts(ports: int) -> list[int]:
+    """First id of each brickwork column (layer N/2 - col), then S."""
+    starts = [0]
+    for _, _, size in _brickwork_columns(ports):
+        starts.append(starts[-1] + size)
+    return starts
+
+
+def _brickwork_id(starts: list[int], col: int, line: int) -> int:
+    """Id of the brickwork switch on ``line`` of column ``col``, given the
+    column starts of ``_brickwork_starts``.  A column's lines share one
+    parity and sit at consecutive ids.  Raises IndexError where the cell
+    has no switch."""
+    half = len(starts) - 1
+    if 0 <= col < half and line >= 0 and (line + col - half) % 2 == 0:
+        sid = starts[col] + line // 2
+        if sid < starts[col + 1]:
+            return sid
+    raise IndexError(f"no brickwork switch on line {line} of column {col}")
 
 
 def build_network(design: Design | str, ports: int) -> Network:
@@ -228,6 +233,21 @@ def validate_network(net: Network) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
+def _json_int(value: object) -> int:
+    """A JSON integer; anything else, a float or a bool too, raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_id(key: str) -> int:
+    """An id key as the writers emit it, the str() of an int."""
+    sid = int(key)
+    if str(sid) != key:
+        raise ValueError(f"id key {key!r} is not plain decimal")
+    return sid
+
+
 def network_to_json(net: Network) -> str:
     """Serialize with deterministic key and array order (byte-stable)."""
     doc = {
@@ -248,13 +268,15 @@ def network_from_json(text: str) -> Network:
     try:
         doc = json.loads(text)
         design = Design(doc["design"])
-        ports = int(doc["ports"])
+        ports = _json_int(doc["ports"])
         _check_ports(ports)
         rows = [
-            (int(s["id"]), int(s["layer"]), int(s["line"]), int(s["col"]))
+            tuple(_json_int(s[key]) for key in ("id", "layer", "line", "col"))
             for s in doc["switches"]
         ]
-        flipped = bool(doc.get("reversed", False))
+        flipped = doc.get("reversed", False)
+        if type(flipped) is not bool:
+            raise TypeError(f"reversed must be true or false, got {flipped!r}")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed network document: {exc}") from exc
     for i, (sid, layer, line, col) in enumerate(rows):

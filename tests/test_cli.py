@@ -195,6 +195,12 @@ _SWITCH = {"id": 0, "layer": 1, "line": 0, "col": 0}
         ("1e400", []),
         (4, [{**_SWITCH, "layer": "1e400"}]),
         (4, [{**_SWITCH, "col": "1e400"}]),
+        (4.9, [_SWITCH]),
+        (4, [{**_SWITCH, "layer": 1.7}]),
+        (4, [{**_SWITCH, "line": 0.5}]),
+        (4, [{**_SWITCH, "col": False}]),
+        (4, [{**_SWITCH, "id": False}]),
+        (4, [{**_SWITCH, "layer": True}]),
     ],
 )
 @pytest.mark.parametrize("with_states", [False, True])
@@ -214,6 +220,17 @@ def test_render_malformed_network_exits_2(tmp_path, capsys, ports, switches, wit
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flipped", ["no", 0, None])
+def test_render_network_with_non_bool_reversed_exits_2(tmp_path, capsys, flipped):
+    net_path = tmp_path / "bad.json"
+    net_path.write_text(json.dumps(
+        {"design": "triangular", "ports": 4, "reversed": flipped, "switches": [_SWITCH]}
+    ))
+    code, out, err = run(capsys, "render", "--net", str(net_path), "--ascii")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_verify_above_port_budget_exits_2_quickly(capsys):

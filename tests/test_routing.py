@@ -322,6 +322,31 @@ def test_plan_from_json_rejects_overflowing_number(path):
         plan_from_json(json.dumps(doc).replace('"1e400"', "1e400"))
 
 
+@pytest.mark.parametrize("path,value", [
+    (("permuted", 0), 1.0),
+    (("permuted", 0), True),
+    (("bsa", "0", 0), 1.0),
+])
+def test_plan_from_json_rejects_non_integer_number(path, value):
+    doc = json.loads(plan_to_json(route_triangular(4, pl("0-3,1-2"))))
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    assert entry[path[-1]] == value  # the same number, only not a JSON integer
+    entry[path[-1]] = value
+    with pytest.raises(InvalidInput):
+        plan_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section", ["bsa", "states"])
+@pytest.mark.parametrize("key", [" 0", "+0", "00"])
+def test_plan_from_json_rejects_id_key_not_in_written_form(section, key):
+    doc = json.loads(plan_to_json(route_triangular(4, pl("0-3,1-2"))))
+    doc[section][key] = doc[section].pop("0")
+    with pytest.raises(InvalidInput):
+        plan_from_json(json.dumps(doc))
+
+
 # sha256 over plan_to_json of every demand with N <= 10, 1000 seeded random
 # demands at N = 64 and the worst case at N = 256, in that order.
 GOLDEN_PLAN_SHA256 = {
@@ -366,6 +391,26 @@ def test_brickwork_plans_match_large_golden_digest():
         plan = route(Design.BRICKWORK, demand.ports, demand)
         digest.update(plan_to_json(plan).encode())
     assert digest.hexdigest() == GOLDEN_BRICKWORK_LARGE_SHA256
+
+
+# sha256 over brickwork's plan_to_json of five seeded random demands and the
+# worst case at every even N from 14 to 130, in that order; recorded with the
+# router that rebuilt frame lines by slice copies.  These sizes fill the gap
+# between the other digests, and half of them have odd N/2.
+GOLDEN_BRICKWORK_MID_SHA256 = (
+    "f43af6aa762e3455de33e3e45d4c7c765c7db4d8ca572b89bb6335ac444ebb77"
+)
+
+
+def test_brickwork_plans_match_mid_golden_digest():
+    digest = hashlib.sha256()
+    for n in range(14, 131, 2):
+        rng = random.Random(n)
+        demands = [*(random_pair_list(n, rng) for _ in range(5)), worst_case_pair_list(n)]
+        for demand in demands:
+            plan = route(Design.BRICKWORK, n, demand)
+            digest.update(plan_to_json(plan).encode())
+    assert digest.hexdigest() == GOLDEN_BRICKWORK_MID_SHA256
 
 
 # sha256 over plan_to_json of the worst case at N = 2048 and two seeded random

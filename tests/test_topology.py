@@ -21,7 +21,12 @@ from pairswitch import (
     reverse_network,
     validate_network,
 )
-from pairswitch.topology import _brickwork_id_table, _chevron_id, _triangular_first_id
+from pairswitch.topology import (
+    _brickwork_id,
+    _brickwork_starts,
+    _chevron_id,
+    _triangular_first_id,
+)
 
 ALL_N = list(range(4, 65, 2))
 _EMPTY = (array("i"), array("i"), array("i"))  # lines, layers, cols
@@ -146,17 +151,22 @@ def test_chevron_id_matches_build_network():
                 _chevron_id(layer, layer + layer % 2)
 
 
-def test_brickwork_id_table_matches_build_network():
+def test_brickwork_id_matches_build_network():
     for n in LAYOUT_N:
         half = n // 2
-        switches = build_network(Design.BRICKWORK, n).switches
-        table = _brickwork_id_table(n)
-        for sp in switches:
-            assert table[sp.line * half + half - sp.layer] == sp.id
-        # every other cell holds the switch count S, one past the end of a
-        # list of S states, so a router's write there raises IndexError
-        count = len(switches)
-        assert sorted(table) == list(range(count)) + [count] * (len(table) - count)
+        net = build_network(Design.BRICKWORK, n)
+        starts = _brickwork_starts(n)
+        assert starts[-1] == len(net.lines)
+        ids = {(col, line): i for i, (col, line) in enumerate(zip(net.cols, net.lines))}
+        # every cell of the grid and a margin around it: a column holds only
+        # lines of its layer's parity, and column 0 only N//4 of those
+        for col in range(-2, half + 2):
+            for line in range(-2, n + 1):
+                if (col, line) in ids:
+                    assert _brickwork_id(starts, col, line) == ids[col, line]
+                else:
+                    with pytest.raises(IndexError):
+                        _brickwork_id(starts, col, line)
 
 
 def test_constructors_deterministic_bytes():
