@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping
 
 from .errors import BoundExceeded, InvalidDemand, InvalidInput
 from .topology import Design, Network, State, _check_ports, optimal_switch_count
@@ -86,9 +86,27 @@ class PairList:
         return ",".join(f"{a}-{b}" for a, b in self.pairs)
 
 
+class StateVector(Mapping[int, State]):
+    """Read-only switch id -> State mapping over one byte per switch, 1 for Cross."""
+
+    def __init__(self, bits: bytearray) -> None:
+        self.bits = bits
+
+    def __getitem__(self, sid: int) -> State:
+        if isinstance(sid, int) and 0 <= sid < len(self.bits):
+            return State.CROSS if self.bits[sid] else State.BAR
+        raise KeyError(sid)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.bits)))
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+
 @dataclass(frozen=True)
 class RoutingPlan:
-    states: dict[int, State]
+    states: Mapping[int, State]
     permuted: tuple[int, ...]
 
     @property
@@ -140,7 +158,7 @@ def route_triangular(ports: int, demand: PairList,
     _check_demand(ports, demand)
     mate = demand.mate
     photons = list(range(ports))
-    states = [State.BAR] * optimal_switch_count(ports)
+    states = bytearray(optimal_switch_count(ports))
     n = ports
     while n > 2:
         idx = photons.index(mate[photons[n - 1]])
@@ -148,12 +166,12 @@ def route_triangular(ports: int, demand: PairList,
             counter.tick(idx + 1)
         first = _triangular_first_id(ports, n // 2 - 1)
         # switches above the partner stay Bar
-        states[first + idx : first + n - 2] = [State.CROSS] * (n - 2 - idx)
+        states[first + idx : first + n - 2] = b"\x01" * (n - 2 - idx)
         photons.insert(n - 2, photons.pop(idx))
         if counter:
             counter.tick(2 * n - 2)
         n -= 2
-    return RoutingPlan(dict(enumerate(states)), tuple(photons))
+    return RoutingPlan(StateVector(states), tuple(photons))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +205,7 @@ def route_chevron(ports: int, demand: PairList,
             mate[top_mate], mate[bot_mate] = bot_mate, top_mate
             virtual.append((top_mate, bot_mate))
 
-    states = [State.CROSS] * optimal_switch_count(ports)
+    states = bytearray(b"\x01") * optimal_switch_count(ports)
     inner = [ports // 2 - 1, ports // 2]
     for left in reversed(range(len(virtual))):
         top, bot = left, ports - 1 - left
@@ -203,23 +221,23 @@ def route_chevron(ports: int, demand: PairList,
             if counter:
                 counter.tick(n)
             v = q + 1  # window line of the virtual pair's upper member (odd)
-            orientation = State.BAR if inner[v - 1] == top_mate else State.CROSS
-            states[_chevron_id(layer, v)] = orientation
+            # Bar when the virtual pair is already in order, Cross otherwise
+            states[_chevron_id(layer, v)] = inner[v - 1] != top_mate
             if layer % 2 and v == half - 1:
                 # virtual pair straddles the middle; the tip fixes orientation
-                states[_chevron_id(layer, half - 2)] = State.BAR
+                states[_chevron_id(layer, half - 2)] = 0
                 inner = inner[: half - 2] + [top, top_mate, bot_mate, bot] + inner[half:]
             elif v + 1 <= half - 1:
                 # virtual pair in the upper half: outer top stops just above it,
                 # its other member rides the rest of the arm down to the middle
-                states[_chevron_id(layer, v - 1)] = State.BAR
+                states[_chevron_id(layer, v - 1)] = 0
                 inner = (
                     inner[: v - 1] + [top, top_mate] + inner[v + 1 : mid]
                     + [bot_mate, bot] + inner[mid:]
                 )
             else:
                 # virtual pair in the lower half (mirror of the upper case)
-                states[_chevron_id(layer, v + 1)] = State.BAR
+                states[_chevron_id(layer, v + 1)] = 0
                 inner = (
                     inner[:mid] + [top, top_mate] + inner[mid : v - 1]
                     + [bot_mate, bot] + inner[v + 1 :]
@@ -227,7 +245,7 @@ def route_chevron(ports: int, demand: PairList,
         if counter:
             counter.tick(n - 2)
 
-    return RoutingPlan(dict(enumerate(states)), tuple(inner))
+    return RoutingPlan(StateVector(states), tuple(inner))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +292,7 @@ def route_brickwork(ports: int, demand: PairList,
     _check_demand(ports, demand)
     half0 = ports // 2
     mate = demand.mate
-    states = [State.BAR] * optimal_switch_count(ports)
+    states = bytearray(optimal_switch_count(ports))
     starts = _brickwork_starts(ports)
     photons = list(range(ports))
     frame_out = list(range(ports))  # frame line -> physical output line
@@ -306,13 +324,13 @@ def route_brickwork(ports: int, demand: PairList,
             ra = (i + cstart + skip) // 2
             d = diag[rd]
             for a in anti[ra : ra + j_meet - i]:
-                states[_brickwork_id(starts, (a - d) // 2, (a + d) // 2)] = State.CROSS
+                states[_brickwork_id(starts, (a - d) // 2, (a + d) // 2)] = 1
             if j_meet < n - 2:
                 a = anti.pop((half + j_meet + skip) // 2)
                 rq = (j_meet + 2 - half - skip + half0) // 2
                 # ranks count the partner's diagonal, which goes last
                 for d in diag[rq : rq + n - 2 - j_meet]:
-                    states[_brickwork_id(starts, (a - d) // 2, (a + d) // 2)] = State.CROSS
+                    states[_brickwork_id(starts, (a - d) // 2, (a + d) // 2)] = 1
             del diag[rd]
             if counter:
                 counter.tick((up != c0) + 2 * (n - 2 - i))
@@ -326,7 +344,7 @@ def route_brickwork(ports: int, demand: PairList,
 
     result[frame_out[0]] = photons[0]
     result[frame_out[1]] = photons[1]
-    return RoutingPlan(dict(enumerate(states)), tuple(result))
+    return RoutingPlan(StateVector(states), tuple(result))
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +374,8 @@ def brute_force_route(net: Network, demand: PairList,
             if mate[perm[j]] != perm[j + 1]:
                 break
         else:
-            states = {
-                k: State.CROSS if (assignment >> k) & 1 else State.BAR
-                for k in range(count)
-            }
-            return RoutingPlan(states, tuple(perm))
+            bits = bytearray((assignment >> k) & 1 for k in range(count))
+            return RoutingPlan(StateVector(bits), tuple(perm))
     return None
 
 
@@ -369,12 +384,18 @@ def brute_force_route(net: Network, demand: PairList,
 # ---------------------------------------------------------------------------
 
 def plan_to_json(plan: RoutingPlan) -> str:
+    # json.dumps(indent=2) of the plan, the states rows formatted by hand
+    if isinstance(plan.states, StateVector):  # straight from the bytes, in id order
+        rows = [f'"{i}": "{("bar", "cross")[b]}"' for i, b in enumerate(plan.states.bits)]
+    else:  # a plan read from a document may be sparse
+        rows = [f'"{i}": "{plan.states[i].value}"' for i in sorted(plan.states)]
     doc = {
-        "states": {str(i): plan.states[i].value for i in sorted(plan.states)},
+        "states": 0,  # placeholder for the rows
         "permuted": list(plan.permuted),
         "bsa": {str(j): list(pair) for j, pair in plan.bsa.items()},
     }
-    return json.dumps(doc, indent=2)
+    section = "{\n    " + ",\n    ".join(rows) + "\n  }" if rows else "{}"
+    return json.dumps(doc, indent=2).replace('"states": 0', '"states": ' + section, 1)
 
 
 def _states(doc: dict) -> dict[int, State]:

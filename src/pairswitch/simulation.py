@@ -5,8 +5,22 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import IncompleteStates, InvalidInput
-from .routing import PairList
+from .routing import PairList, StateVector
 from .topology import Network, State
+
+
+def _state_bits(states: Mapping[int, State], count: int) -> bytes:
+    """Any id -> State mapping as one byte per id 0..count-1, 1 for Cross."""
+    if len(states) != count or not all(map(states.__contains__, range(count))):
+        ids, given = set(range(count)), set(states)
+        raise IncompleteStates(
+            "states do not cover the network exactly "
+            f"(missing {sorted(ids - given)}, extra {sorted(given - ids)})"
+        )
+    bad = [i for i in range(count) if type(states[i]) is not State]
+    if bad:
+        raise InvalidInput(f"switch {bad[0]} state {states[bad[0]]!r} is not a State")
+    return bytes([states[i] is State.CROSS for i in range(count)])
 
 
 def simulate(
@@ -19,22 +33,14 @@ def simulate(
     counts too), depths[photon].
     """
     count = len(net.lines)
-    try:
-        ordered = list(map(states.__getitem__, range(count)))
-    except KeyError:
-        ordered = None
-    if ordered is None or len(states) != count:
-        ids, given = set(range(count)), set(states)
-        raise IncompleteStates(
-            "states do not cover the network exactly "
-            f"(missing {sorted(ids - given)}, extra {sorted(given - ids)})"
-        )
+    vector = isinstance(states, StateVector) and len(states) == count
+    bits = states.bits if vector else _state_bits(states, count)
     lines = list(range(net.ports))
     depths = [0] * net.ports
-    for i, state in zip(net.lines, ordered):
+    for i, cross in zip(net.lines, bits):
         depths[lines[i]] += 1
         depths[lines[i + 1]] += 1
-        if state is State.CROSS:
+        if cross:
             lines[i], lines[i + 1] = lines[i + 1], lines[i]
     return tuple(lines), tuple(depths)
 

@@ -147,20 +147,23 @@ def build_network(design: Design | str, ports: int) -> Network:
     design = Design(design)
     _check_ports(ports)
     half, count = ports // 2, optimal_switch_count(ports)
-    ramp = array("i", range(max(ports, count)))
     lines, layers, cols = (array("i", [0]) * count for _ in range(3))
+    # an index ramp in typecode 'i' converts every item, which dominates a
+    # large build: each design makes only as long a ramp as its slices read
     if design is Design.TRIANGULAR:
         # Largest layer sits on the input side; each layer is a cascade that
-        # carries one photon down to the bottom of its sub-network.
+        # carries one photon down to the bottom of its sub-network.  Switch i
+        # sits alone in column i, so cols is also the ramp (count >= N - 2).
+        cols = array("i", range(count))
         for layer in range(1, half):
             first, size = _triangular_first_id(ports, layer), 2 * layer
-            lines[first : first + size] = ramp[:size]
+            lines[first : first + size] = cols[:size]
             layers[first : first + size] = array("i", [layer]) * size
-        cols = ramp[:count]
     elif design is Design.CHEVRON:
         # Layer 1 sits innermost on the input side.  Each layer is two arms
         # converging on the middle lines; odd layers swap the lowest arm
         # switch for a tip element at line half-1, traversed after both arms.
+        ramp = array("i", range(count // 2 + ports))
         for layer in range(1, half):
             odd, first = layer % 2, layer * (layer - 1)
             col = first // 2 + layer // 2  # layers before it span j + j % 2 columns each
@@ -175,6 +178,7 @@ def build_network(design: Design | str, ports: int) -> Network:
                 cols[first + 2 * layer - 1] = col + layer
             layers[first : first + 2 * layer] = array("i", [layer]) * (2 * layer)
     else:
+        ramp = array("i", range(ports))
         first = 0
         for col, (layer, parity, size) in enumerate(_brickwork_columns(ports)):
             lines[first : first + size] = ramp[parity : parity + 2 * size : 2]

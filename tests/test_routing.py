@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -11,6 +12,7 @@ from pairswitch import (
     InvalidDemand,
     InvalidInput,
     PairList,
+    RoutingPlan,
     State,
     brute_force_route,
     build_network,
@@ -27,6 +29,8 @@ from pairswitch import (
     worst_case_pair_list,
 )
 from dataclasses import replace
+
+from pairswitch.routing import StateVector
 
 
 def pl(text, ports=None):
@@ -206,6 +210,78 @@ def test_router_handles_sampled_larger_sizes(design):
             perm = propagate(net, plan.states)
             assert perm == plan.permuted
             assert check_pairing(perm, demand).ok
+
+
+# ---------------------------------------------------------------------------
+# State vector
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("design", list(Design))
+def test_plan_states_are_a_read_only_id_mapping(design):
+    n, count = 12, 12 * 10 // 4
+    plan = route(design, n, random_pair_list(n, random.Random(5)))
+    states = plan.states
+    assert isinstance(states, Mapping) and isinstance(states, StateVector)
+    assert len(states) == count
+    assert list(states) == list(range(count))
+    items = list(states.items())
+    assert [sid for sid, _ in items] == list(range(count))
+    assert all(type(state) is State for _, state in items)
+    for bad in (-1, count, "0"):
+        with pytest.raises(KeyError):
+            states[bad]
+        assert bad not in states
+    with pytest.raises(TypeError):
+        states[0] = State.BAR
+    # the form every router returned before: one State per id, in id order
+    old = dict(enumerate([State.CROSS if b else State.BAR for b in states.bits]))
+    assert dict(states) == old and states == old and old == states
+    assert list(dict(states).items()) == list(old.items())
+    flipped = {**states, 0: State.CROSS}
+    assert len(flipped) == count and flipped[0] is State.CROSS
+
+
+def test_state_vector_bytes_match_the_states():
+    plan = route_triangular(6, pl("0-5,1-4,2-3"))
+    assert bytes(plan.states.bits) == b"\x01" * 6
+    plan = route_triangular(6, pl("0-1,2-3,4-5"))
+    assert bytes(plan.states.bits) == bytes(6)
+
+
+def test_brute_force_returns_the_routers_state_form():
+    net = build_network(Design.TRIANGULAR, 6)
+    found = brute_force_route(net, pl("0-3,1-5,2-4"))
+    assert isinstance(found.states, StateVector)
+    assert len(found.states) == len(net.lines)
+
+
+def test_plans_read_from_documents_keep_dict_states():
+    text = plan_to_json(route_chevron(8, pl("0-7,1-2,3-5,4-6")))
+    plan = plan_from_json(text)
+    assert type(plan.states) is dict
+    # a dict-state plan is written back to the same bytes
+    assert plan_to_json(plan) == text
+
+
+def test_plan_to_json_writes_sparse_dict_states_in_id_order():
+    plan = RoutingPlan({3: State.CROSS, 0: State.BAR}, (0, 1, 2, 3))
+    doc = json.loads(plan_to_json(plan))
+    assert list(doc["states"]) == ["0", "3"]
+    assert doc["states"] == {"0": "bar", "3": "cross"}
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_plan_to_json_matches_json_dumps(design):
+    # the states rows are formatted by hand; json.dumps is the reference
+    rng = random.Random(23)
+    for n in (2, 4, 10, 30):
+        plan = route(design, n, random_pair_list(n, rng))
+        doc = {
+            "states": {str(i): s.value for i, s in plan.states.items()},
+            "permuted": list(plan.permuted),
+            "bsa": {str(j): list(pair) for j, pair in plan.bsa.items()},
+        }
+        assert plan_to_json(plan) == json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ from pairswitch import (
     enumerate_pair_lists,
     estimate_loss,
     propagate,
+    random_pair_list,
     route,
     route_triangular,
     simulate,
     traversal_depths,
     worst_case_pair_list,
 )
+from pairswitch.routing import StateVector
 
 
 def all_states(net, state):
@@ -75,6 +77,47 @@ def test_incomplete_states_rejected():
     states[99] = State.BAR
     with pytest.raises(IncompleteStates, match=r"missing \[\], extra \[99\]"):
         traversal_depths(net, states)
+
+
+def test_incomplete_states_message_for_a_plan_of_another_size():
+    plan = route(Design.TRIANGULAR, 8, worst_case_pair_list(8))  # 12 switches
+    net = build_network(Design.TRIANGULAR, 10)  # 20 switches
+    missing = ", ".join(map(str, range(12, 20)))
+    with pytest.raises(IncompleteStates, match=rf"missing \[{missing}\], extra \[\]\)$"):
+        simulate(net, plan.states)
+    with pytest.raises(IncompleteStates, match=r"missing \[\], extra \[12, 13\]\)$"):
+        simulate(build_network(Design.TRIANGULAR, 8), {**plan.states, 12: State.BAR, 13: State.BAR})
+    with pytest.raises(IncompleteStates, match=r"missing \[\], extra \[12, 13\]\)$"):
+        simulate(build_network(Design.TRIANGULAR, 8), StateVector(bytearray(14)))
+
+
+def test_incomplete_states_message_for_a_dict_missing_an_id():
+    net = build_network(Design.CHEVRON, 6)
+    states = dict(route(Design.CHEVRON, 6, worst_case_pair_list(6)).states)
+    del states[4]
+    with pytest.raises(IncompleteStates, match=r"^states do not cover the network exactly "
+                       r"\(missing \[4\], extra \[\]\)$"):
+        simulate(net, states)
+
+
+@pytest.mark.parametrize("states, bad", [
+    ({0: "cross", 1: "cross"}, 0),
+    ({0: "banana", 1: None}, 0),
+    ({0: State.CROSS, 1: "bar"}, 1),
+])
+def test_simulate_rejects_values_that_are_not_states(states, bad):
+    net = build_network(Design.TRIANGULAR, 4)
+    with pytest.raises(InvalidInput, match=rf"^switch {bad} state "):
+        simulate(net, states)
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_simulate_agrees_for_a_state_vector_and_its_dict(design):
+    rng = random.Random(31)
+    for n in (2, 4, 12, 40):
+        net = build_network(design, n)
+        plan = route(design, n, random_pair_list(n, rng))
+        assert simulate(net, plan.states) == simulate(net, dict(plan.states))
 
 
 def test_propagate_is_bijection_for_random_states():
