@@ -86,6 +86,11 @@ class PairList:
         return ",".join(f"{a}-{b}" for a, b in self.pairs)
 
 
+# Indexed by a state byte: a tuple subscript, where ``State.CROSS`` is an
+# attribute lookup through the enum's metaclass.
+_STATE_OF_BYTE = (State.BAR,) + (State.CROSS,) * 255
+
+
 class StateVector(Mapping[int, State]):
     """Read-only switch id -> State mapping over one byte per switch, 1 for Cross."""
 
@@ -94,7 +99,7 @@ class StateVector(Mapping[int, State]):
 
     def __getitem__(self, sid: int) -> State:
         if isinstance(sid, int) and 0 <= sid < len(self.bits):
-            return State.CROSS if self.bits[sid] else State.BAR
+            return _STATE_OF_BYTE[self.bits[sid]]
         raise KeyError(sid)
 
     def __iter__(self) -> Iterator[int]:
