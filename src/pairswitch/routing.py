@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import BoundExceeded, InvalidDemand, InvalidInput
 from .topology import Design, Network, State, _check_ports, optimal_switch_count
-from .topology import _brickwork_id, _brickwork_starts, _chevron_id, _json_id, _json_int
+from .topology import _brickwork_id, _chevron_id, _json_id, _json_int
 from .topology import _triangular_first_id
 
 _PAIR_TOKEN = re.compile(r"^(\d+)-(\d+)$")
@@ -284,10 +284,38 @@ def route_chevron(ports: int, demand: PairList,
 # frame's k-th diagonal is the k-th physical diagonal still in `diag`, and
 # likewise for `anti`.  Every entry has the parity of N/2, so frame cell
 # (c, j) is entry (j + c + skip) // 2 of `anti` and (j - c - skip + N/2) // 2
-# of `diag`.  An iteration writes each Cross run by walking a slice of one
-# list against one entry of the other, then deletes the two entries it
-# used.  `_brickwork_id` turns (col, line) into the switch id and raises
-# IndexError where no switch sits.
+# of `diag`.  A Cross run keeps to one entry of one list; its first and
+# last cells are two entries of the other.  An iteration writes its runs,
+# then deletes the two entries it used.
+#
+# Past column 0, switch ids are affine along both kinds of diagonal: one
+# step along a diagonal adds N/2 to the id, one step along an anti-diagonal
+# N/2 - 1.  So a run is one strided slice of `states`, written at once.
+# The slice also covers the cells whose crossing diagonal is already gone;
+# `anti_alive` and `diag_alive` hold 0 for those, and they keep their state,
+# which an earlier run may have set Cross.  `_brickwork_id` gives the ids of
+# the two end cells and raises IndexError where either has no switch; line
+# and column are monotone along a run, so the cells between exist too.
+# Column 0 breaks the stride and can only hold a run's first cell, which
+# `_cross_run` then writes alone.
+
+def _cross_run(states: bytearray, ports: int, col: int, line: int, end_col: int,
+               end_line: int, stride: int, alive: bytes) -> None:
+    """Set Cross on one run of brickwork switches, one per column from cell
+    (col, line) to (end_col, end_line), ``stride`` ids apart.  ``alive[k]`` is
+    0 where the k-th cell lies on a diagonal already removed: that switch is
+    not on the run and keeps its state."""
+    first = _brickwork_id(ports, col, line)
+    last = _brickwork_id(ports, end_col, end_line)
+    if col == 0:  # column 0 breaks the stride: its switch is written alone
+        states[first] = 1
+        alive = alive[1:]
+    run = slice(last - stride * (len(alive) - 1), last + 1, stride)
+    if 0 in alive:
+        alive = (int.from_bytes(states[run], "little") | int.from_bytes(alive, "little")
+                 ).to_bytes(len(alive), "little")
+    states[run] = alive
+
 
 def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
@@ -298,11 +326,12 @@ def route_brickwork(ports: int, demand: PairList,
     half0 = ports // 2
     mate = demand.mate
     states = bytearray(optimal_switch_count(ports))
-    starts = _brickwork_starts(ports)
     photons = list(range(ports))
     frame_out = list(range(ports))  # frame line -> physical output line
     anti = list(range(half0 % 2, ports + half0, 2))  # surviving line + col
     diag = list(range(-half0, ports, 2))  # surviving line - col
+    anti_alive = bytearray(b"\x01") * len(anti)  # indexed by (line + col) // 2
+    diag_alive = bytearray(b"\x01") * len(diag)  # indexed by (line - col + N/2) // 2
     skip = 0
     result = [0] * ports
 
@@ -328,15 +357,21 @@ def route_brickwork(ports: int, demand: PairList,
             rd = (i - cstart - skip + half0) // 2
             ra = (i + cstart + skip) // 2
             d = diag[rd]
-            for a in anti[ra : ra + j_meet - i]:
-                states[_brickwork_id(starts, (a - d) // 2, (a + d) // 2)] = 1
+            if j_meet > i:
+                lo, hi = anti[ra], anti[ra + j_meet - i - 1]
+                _cross_run(states, ports, (lo - d) // 2, (lo + d) // 2, (hi - d) // 2,
+                           (hi + d) // 2, half0, anti_alive[lo // 2 : hi // 2 + 1])
             if j_meet < n - 2:
                 a = anti.pop((half + j_meet + skip) // 2)
+                anti_alive[a // 2] = 0
                 rq = (j_meet + 2 - half - skip + half0) // 2
                 # ranks count the partner's diagonal, which goes last
-                for d in diag[rq : rq + n - 2 - j_meet]:
-                    states[_brickwork_id(starts, (a - d) // 2, (a + d) // 2)] = 1
+                lo, hi = diag[rq], diag[rq + n - 3 - j_meet]
+                alive = diag_alive[(lo + half0) // 2 : (hi + half0) // 2 + 1]
+                _cross_run(states, ports, (a - hi) // 2, (a + hi) // 2, (a - lo) // 2,
+                           (a + lo) // 2, half0 - 1, alive[::-1])
             del diag[rd]
+            diag_alive[(d + half0) // 2] = 0
             if counter:
                 counter.tick((up != c0) + 2 * (n - 2 - i))
         result[frame_out[j_meet]] = photons.pop(i)

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import is_
 from typing import Mapping, Sequence
 
 from .errors import IncompleteStates, InvalidInput
@@ -10,17 +12,23 @@ from .topology import Network, State
 
 
 def _state_bits(states: Mapping[int, State], count: int) -> bytes:
-    """Any id -> State mapping as one byte per id 0..count-1, 1 for Cross."""
-    if len(states) != count or not all(map(states.__contains__, range(count))):
+    """Any id -> State mapping as one byte per id 0..count-1, 1 for Cross,
+    looked up in one pass over the ids."""
+    try:
+        values = list(map(states.__getitem__, range(count))) if len(states) == count else None
+    except KeyError:
+        values = None
+    if values is None:
         ids, given = set(range(count)), set(states)
         raise IncompleteStates(
             "states do not cover the network exactly "
             f"(missing {sorted(ids - given)}, extra {sorted(given - ids)})"
         )
-    bad = [i for i in range(count) if type(states[i]) is not State]
-    if bad:
-        raise InvalidInput(f"switch {bad[0]} state {states[bad[0]]!r} is not a State")
-    return bytes([states[i] is State.CROSS for i in range(count)])
+    # by type: a str such as "cross" equals its State member but is not one
+    if not set(map(type, values)) <= {State}:
+        bad = next(i for i, v in enumerate(values) if type(v) is not State)
+        raise InvalidInput(f"switch {bad} state {values[bad]!r} is not a State")
+    return bytes(map(is_, values, repeat(State.CROSS)))
 
 
 def simulate(

@@ -118,24 +118,18 @@ def _chevron_id(layer: int, span: int) -> int:
     return first + 3 * layer - span
 
 
-def _brickwork_starts(ports: int) -> list[int]:
-    """First id of each brickwork column (layer N/2 - col), then S."""
-    starts = [0]
-    for _, _, size in _brickwork_columns(ports):
-        starts.append(starts[-1] + size)
-    return starts
-
-
-def _brickwork_id(starts: list[int], col: int, line: int) -> int:
-    """Id of the brickwork switch on ``line`` of column ``col``, given the
-    column starts of ``_brickwork_starts``.  A column's lines share one
-    parity and sit at consecutive ids.  Raises IndexError where the cell
-    has no switch."""
-    half = len(starts) - 1
-    if 0 <= col < half and line >= 0 and (line + col - half) % 2 == 0:
-        sid = starts[col] + line // 2
-        if sid < starts[col + 1]:
-            return sid
+def _brickwork_id(ports: int, col: int, line: int) -> int:
+    """Id of the brickwork switch on ``line`` of column ``col`` (layer
+    N/2 - col).  Column 0 holds ids 0..N//4-1; past it, one step along a
+    diagonal (col + 1, line + 1) adds N/2 to the id, and one step along an
+    anti-diagonal (col + 1, line - 1) adds N/2 - 1.  Raises IndexError where
+    the cell has no switch."""
+    half = ports // 2
+    if 0 <= col < half and 0 <= line <= ports - 2 and (line + col - half) % 2 == 0:
+        if col:
+            return ports // 4 + (line - col + 1) // 2 + half * (col - 1)
+        if line // 2 < ports // 4:
+            return line // 2
     raise IndexError(f"no brickwork switch on line {line} of column {col}")
 
 

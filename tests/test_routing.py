@@ -490,11 +490,13 @@ def test_brickwork_plans_match_mid_golden_digest():
 
 
 # sha256 over plan_to_json of the worst case at N = 2048 and two seeded random
-# demands at N = 1024, in that order; recorded with the routers that keyed
-# (layer, line) decisions by switch id through the cell generators.
+# demands at N = 1024, in that order; triangular and chevron recorded with the
+# routers that keyed (layer, line) decisions by switch id through the cell
+# generators, brickwork with the router that wrote one id per Cross switch.
 GOLDEN_LARGE_SHA256 = {
     Design.TRIANGULAR: "12f180a9468cfce8f93b62a486d0837dd1e7152fc80a9296a43d0d3636df11dd",
     Design.CHEVRON: "b042939b286ca75deb46021cf345e709eeea00dd3f3f21161646bb2b18220803",
+    Design.BRICKWORK: "25c5e212966a1d69e1d16db3950b707f0ac75a4b44b012e239b770c38e4687b8",
 }
 
 

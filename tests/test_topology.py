@@ -23,7 +23,6 @@ from pairswitch import (
 )
 from pairswitch.topology import (
     _brickwork_id,
-    _brickwork_starts,
     _chevron_id,
     _triangular_first_id,
 )
@@ -155,18 +154,17 @@ def test_brickwork_id_matches_build_network():
     for n in LAYOUT_N:
         half = n // 2
         net = build_network(Design.BRICKWORK, n)
-        starts = _brickwork_starts(n)
-        assert starts[-1] == len(net.lines)
         ids = {(col, line): i for i, (col, line) in enumerate(zip(net.cols, net.lines))}
         # every cell of the grid and a margin around it: a column holds only
-        # lines of its layer's parity, and column 0 only N//4 of those
+        # lines of its layer's parity, column 0 only N//4 of those, and no
+        # column a line outside 0..N-2
         for col in range(-2, half + 2):
             for line in range(-2, n + 1):
                 if (col, line) in ids:
-                    assert _brickwork_id(starts, col, line) == ids[col, line]
+                    assert _brickwork_id(n, col, line) == ids[col, line]
                 else:
                     with pytest.raises(IndexError):
-                        _brickwork_id(starts, col, line)
+                        _brickwork_id(n, col, line)
 
 
 def test_constructors_deterministic_bytes():
