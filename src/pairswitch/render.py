@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InvalidInput
+from .routing import StateVector
 from .topology import Network, State
 
 _PALETTE = (
@@ -14,6 +15,14 @@ _PALETTE = (
 )
 
 _GLYPH = {State.BAR: "=", State.CROSS: "X", None: "?"}
+_GLYPH_OF_BYTE = b"=" + b"X" * 255  # translates a StateVector's bytes to glyphs
+
+
+def _bits(net: Network, states: Mapping[int, State] | None) -> bytearray | None:
+    """The state bytes of a StateVector that covers every switch, else None."""
+    if isinstance(states, StateVector) and len(states) == len(net.lines):
+        return states.bits
+    return None
 
 
 @dataclass(frozen=True)
@@ -45,8 +54,13 @@ def render_ascii(net: Network, states: Mapping[int, State] | None = None) -> str
         [("-" if r % 2 == 0 else " ") * cell for _ in range(ncols)]
         for r in range(2 * net.ports - 1)
     ]
-    for i, (line, col) in enumerate(zip(net.lines, net.cols)):
-        glyph = _GLYPH[states.get(i) if states is not None else None]
+    bits = _bits(net, states)
+    if bits is not None:
+        glyphs = bits.translate(_GLYPH_OF_BYTE).decode()
+    else:
+        glyphs = [_GLYPH[states.get(i) if states is not None else None]
+                  for i in range(len(net.lines))]
+    for line, col, glyph in zip(net.lines, net.cols, glyphs):
         grid[2 * line + 1][col] = f" {glyph} "
     out = []
     for r in range(2 * net.ports - 1):
@@ -69,9 +83,10 @@ def _trajectories(net: Network, states: Mapping[int, State]) -> list[list[int]]:
     by_col: dict[int, list[int]] = {}
     for i, col in enumerate(net.cols):
         by_col.setdefault(col, []).append(i)
+    bits = _bits(net, states)
     for c in range(ncols):
         for k in by_col.get(c, ()):
-            if states[k] is State.CROSS:
+            if bits[k] if bits is not None else states[k] is State.CROSS:
                 i = net.lines[k]
                 lines[i], lines[i + 1] = lines[i + 1], lines[i]
         for line, photon in enumerate(lines):

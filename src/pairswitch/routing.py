@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import BoundExceeded, InvalidDemand, InvalidInput
 from .topology import Design, Network, State, _check_ports, optimal_switch_count
-from .topology import _brickwork_id, _chevron_id, _json_id, _json_int
+from .topology import _brickwork_id, _json_id, _json_int
 from .topology import _triangular_first_id
 
 _PAIR_TOKEN = re.compile(r"^(\d+)-(\d+)$")
@@ -89,6 +89,7 @@ class PairList:
 # Indexed by a state byte: a tuple subscript, where ``State.CROSS`` is an
 # attribute lookup through the enum's metaclass.
 _STATE_OF_BYTE = (State.BAR,) + (State.CROSS,) * 255
+_BIT_OF_BYTE = b"\x00" + b"\x01" * 255  # a state byte as 0 Bar, 1 Cross
 
 
 class StateVector(Mapping[int, State]):
@@ -107,6 +108,11 @@ class StateVector(Mapping[int, State]):
 
     def __len__(self) -> int:
         return len(self.bits)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, StateVector):  # any nonzero byte reads as Cross
+            return self.bits.translate(_BIT_OF_BYTE) == other.bits.translate(_BIT_OF_BYTE)
+        return super().__eq__(other)
 
 
 @dataclass(frozen=True)
@@ -191,10 +197,16 @@ def route_chevron(ports: int, demand: PairList,
     From the outside in, strip each window's top- and bottom-most photons.
     If they pair with each other, the whole layer goes Cross and they meet
     at the middle.  Otherwise their partners become one virtual pair for the
-    inner window.  Then, from the inside out, once a window's inner
-    arrangement is known, at most two layer switches go Bar: one stopping
-    the outer photon next to its partner, and the switch at the virtual pair
-    itself when its orientation is already correct.
+    inner window.  Then, from the inside out, once the virtual pair's place
+    in the inner arrangement is known, at most two layer switches go Bar:
+    one stopping the outer photon next to its partner, and the switch at the
+    virtual pair itself when its orientation is already correct.
+
+    The inside-out pass keeps one position per photon and no arrangement
+    list, so each window costs O(1) steps.  A window's arrangement grows
+    only at its middle, where its layer skips a line: a photon above that
+    point keeps its index from the top and one below it its index from the
+    bottom, stored as a negative, Python-style index.
     """
     _check_demand(ports, demand)
     mate = list(demand.mate)  # rewritten as windows fold their outer pair inward
@@ -211,46 +223,46 @@ def route_chevron(ports: int, demand: PairList,
             virtual.append((top_mate, bot_mate))
 
     states = bytearray(b"\x01") * optimal_switch_count(ports)
-    inner = [ports // 2 - 1, ports // 2]
+    pos = [0] * ports  # photon -> index in its window, >= 0 from the top, < 0 from the bottom
+    pos[ports // 2] = 1  # the innermost window holds N/2-1 above N/2
     for left in reversed(range(len(virtual))):
         top, bot = left, ports - 1 - left
         n = ports - 2 * left
         half = n // 2
         layer = half - 1
-        mid = half if layer % 2 else half - 1  # the one window line the layer skips
+        # a pair entering at the middle joins the part below it on odd layers
+        # and the part above it on even ones, so no stored index moves
+        mid = -half if layer % 2 else half - 1
         if virtual[left] is None:
-            inner = inner[:mid] + [top, bot] + inner[mid:]
+            pos[top], pos[bot] = mid, mid + 1
         else:
             top_mate, bot_mate = virtual[left]
-            q = min(inner.index(top_mate), inner.index(bot_mate))
+            a, b = pos[top_mate], pos[bot_mate]  # adjacent, so of one sign
+            lo = min(a, b)
             if counter:
                 counter.tick(n)
-            v = q + 1  # window line of the virtual pair's upper member (odd)
-            # Bar when the virtual pair is already in order, Cross otherwise
-            states[_chevron_id(layer, v)] = inner[v - 1] != top_mate
-            if layer % 2 and v == half - 1:
-                # virtual pair straddles the middle; the tip fixes orientation
-                states[_chevron_id(layer, half - 2)] = 0
-                inner = inner[: half - 2] + [top, top_mate, bot_mate, bot] + inner[half:]
-            elif v + 1 <= half - 1:
-                # virtual pair in the upper half: outer top stops just above it,
-                # its other member rides the rest of the arm down to the middle
-                states[_chevron_id(layer, v - 1)] = 0
-                inner = (
-                    inner[: v - 1] + [top, top_mate] + inner[v + 1 : mid]
-                    + [bot_mate, bot] + inner[mid:]
-                )
+            # layer l holds ids l(l-1)..l(l+1)-1: the upper arm from the top,
+            # the lower arm from the bottom, then an odd layer's tip; the
+            # pair's own switch is Bar when the pair is already in order
+            first = layer * (layer - 1)
+            if lo >= 0:
+                # upper arm or tip: outer top stops just above the pair, its
+                # other member rides the rest of the arm down to the middle
+                states[first + lo + 1 if lo + 1 < layer else first + 2 * layer - 1] = a > b
+                states[first + lo] = 0
+                pos[top], pos[top_mate], pos[bot_mate], pos[bot] = lo, lo + 1, mid, mid + 1
             else:
-                # virtual pair in the lower half (mirror of the upper case)
-                states[_chevron_id(layer, v + 1)] = 0
-                inner = (
-                    inner[:mid] + [top, top_mate] + inner[mid : v - 1]
-                    + [bot_mate, bot] + inner[v + 1 :]
-                )
+                # lower arm (mirror of the upper case)
+                states[first + layer - lo - 1] = a > b
+                states[first + layer - lo - 2] = 0
+                pos[top], pos[top_mate], pos[bot_mate], pos[bot] = mid, mid + 1, lo, lo + 1
         if counter:
             counter.tick(n - 2)
 
-    return RoutingPlan(StateVector(states), tuple(inner))
+    permuted = [0] * ports
+    for photon, index in enumerate(pos):
+        permuted[index] = photon
+    return RoutingPlan(StateVector(states), tuple(permuted))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +450,16 @@ def plan_to_json(plan: RoutingPlan) -> str:
     return json.dumps(doc, indent=2).replace('"states": 0', '"states": ' + section, 1)
 
 
-def _states(doc: dict) -> dict[int, State]:
+_BYTE_OF_NAME = {"bar": 0, "cross": 1}
+
+
+def _states(doc: dict) -> Mapping[int, State]:
+    # ids "0".."S-1" in order, as plan_to_json writes them: one pass into bytes
+    if isinstance(doc, dict) and list(doc) == list(map(str, range(len(doc)))):
+        try:
+            return StateVector(bytearray(map(_BYTE_OF_NAME.__getitem__, doc.values())))
+        except (KeyError, TypeError):
+            pass  # a bad value: the general path below names it
     return {_json_id(k): State(v) for k, v in doc.items()}
 
 
@@ -456,7 +477,7 @@ def plan_from_json(text: str) -> RoutingPlan:
     return plan
 
 
-def states_from_json(text: str) -> dict[int, State]:
+def states_from_json(text: str) -> Mapping[int, State]:
     """Accept either a full plan document or a bare id->state mapping."""
     try:
         doc = json.loads(text)

@@ -103,21 +103,6 @@ def _triangular_first_id(ports: int, layer: int) -> int:
     return optimal_switch_count(ports) - layer * (layer + 1)
 
 
-def _chevron_id(layer: int, span: int) -> int:
-    """Id of the chevron switch on line ``span`` of the layer's 2*layer+1
-    lines, counted from its top line N/2-layer-1.  Layer l holds ids
-    l(l-1)..l(l+1)-1: the upper arm ascending, the lower arm descending,
-    then the tip for odd l.  Raises KeyError on the line with no switch."""
-    first = layer * (layer - 1)
-    if span < layer:
-        return first + span
-    if span == layer + layer % 2:
-        raise KeyError(f"no chevron switch on line {span} of layer {layer}")
-    if span == layer:
-        return first + 2 * layer - 1
-    return first + 3 * layer - span
-
-
 def _brickwork_id(ports: int, col: int, line: int) -> int:
     """Id of the brickwork switch on ``line`` of column ``col`` (layer
     N/2 - col).  Column 0 holds ids 0..N//4-1; past it, one step along a

@@ -1,3 +1,4 @@
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,10 +10,13 @@ from pairswitch import (
     RenderOptions,
     State,
     build_network,
+    random_pair_list,
     render_ascii,
     render_svg,
+    route,
     route_triangular,
 )
+from pairswitch.routing import StateVector
 
 
 def glyph_positions(text, glyph):
@@ -115,3 +119,27 @@ def test_show_states_false_renders_unset():
     root = ET.fromstring(doc)
     ns = {"svg": "http://www.w3.org/2000/svg"}
     assert {g.get("class") for g in root.findall(".//svg:g", ns)} == {"unset"}
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_state_vectors_render_as_their_dicts(design):
+    # a StateVector is drawn from its bytes, a dict through per-id lookups;
+    # the two must give the same text, any nonzero byte reading as Cross
+    rng = random.Random(41)
+    for n in (2, 6, 12):
+        net = build_network(design, n)
+        plan = route(design, n, random_pair_list(n, rng))
+        bits = bytearray(b * 7 for b in plan.states.bits)
+        for states in (plan.states, StateVector(bits)):
+            as_dict = dict(states)
+            options = RenderOptions(highlight=tuple(range(n)))
+            assert render_ascii(net, states) == render_ascii(net, as_dict)
+            assert render_svg(net, states, options) == render_svg(net, as_dict, options)
+
+
+def test_short_state_vector_renders_unset_glyphs():
+    net = build_network(Design.TRIANGULAR, 6)
+    states = StateVector(bytearray(b"\x01\x00\x01"))
+    art = render_ascii(net, states)
+    assert art == render_ascii(net, dict(states))
+    assert len(glyph_positions(art, "?")) == 3

@@ -23,7 +23,6 @@ from pairswitch import (
 )
 from pairswitch.topology import (
     _brickwork_id,
-    _chevron_id,
     _triangular_first_id,
 )
 
@@ -137,17 +136,6 @@ def test_triangular_first_id_matches_build_network():
     for n in LAYOUT_N:
         for sp in build_network(Design.TRIANGULAR, n).switches:
             assert _triangular_first_id(n, sp.layer) + sp.line == sp.id
-
-
-def test_chevron_id_matches_build_network():
-    for n in LAYOUT_N:
-        half = n // 2
-        for sp in build_network(Design.CHEVRON, n).switches:
-            assert _chevron_id(sp.layer, sp.line - (half - sp.layer - 1)) == sp.id
-        for layer in range(1, half):
-            # the one line of the layer's 2*layer+1 without a switch
-            with pytest.raises(KeyError):
-                _chevron_id(layer, layer + layer % 2)
 
 
 def test_brickwork_id_matches_build_network():
