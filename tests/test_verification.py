@@ -113,3 +113,78 @@ def test_report_json_shape():
     mdoc = json.loads(report_to_json(mreport))
     assert mdoc["passed"] is True
     assert len(mdoc["outcomes"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Goldens: verify reports, recorded before plans were checked in batches
+# ---------------------------------------------------------------------------
+
+def _cli_digest(argv):
+    import contextlib
+    import hashlib
+    import io
+
+    from pairswitch import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--design", "all", "--ports", "4..12", "--exhaustive"],
+     "733585989e75aa73bbcc3d367e9db8db1ce04a4b2d4b9cf80cab43dc13ef4667"),
+    (["verify", "--design", "all", "--ports", "16..64", "--samples", "200", "--seed", "7"],
+     "4888f18e3f27870b34185699d598c7a0006afa1ad5119bd75a09f682283d4330"),
+])
+def test_verify_output_matches_golden_digest(argv, digest):
+    assert _cli_digest(argv) == (0, digest)
+
+
+def _corrupting_route(monkeypatch, targets):
+    """Patch the router that verify_design calls: the k-th plan of a run is
+    corrupted as ``targets[k]`` says.  ("flip", i) flips switch i; ("perm", i)
+    swaps predicted entries i and i + 2; ("pair", i) flips switch i and
+    predicts what the simulator then gives, so only the pairing fails."""
+    import pairswitch.verification as verification
+    from pairswitch import RoutingPlan, build_network, simulate
+    from pairswitch.routing import StateVector
+
+    original = verification.route
+    calls = iter(range(1 << 30))
+
+    def route(design, ports, demand, *rest):
+        plan = original(design, ports, demand, *rest)
+        target = targets.get(next(calls))
+        if target is None:
+            return plan
+        how, i = target
+        bits, permuted = bytearray(plan.states.bits), list(plan.permuted)
+        if how == "perm":
+            permuted[i], permuted[i + 2] = permuted[i + 2], permuted[i]
+        else:
+            bits[i] ^= 1
+            if how == "pair":
+                permuted = simulate(build_network(design, ports), StateVector(bits))[0]
+        return RoutingPlan(StateVector(bits), tuple(permuted))
+
+    monkeypatch.setattr(verification, "route", route)
+
+
+@pytest.mark.parametrize("design, ports, kwargs, targets, failures, digest", [
+    ("triangular", 8, dict(mode="exhaustive"), {40: ("flip", 5)}, 1,
+     "c8f0e721c057a41555d2ed2b9640dd9134e05dc52fc207ffae667e4c902cbc69"),
+    ("chevron", 64, dict(mode="random", samples=200, seed=7), {100: ("perm", 0)}, 1,
+     "b2602ae485d0346e49be4a1c2e250eb50f137505660263b06d139a08b96aa990"),
+    ("brickwork", 12, dict(mode="exhaustive"), {5000: ("pair", 7), 9000: ("flip", 0)}, 2,
+     "14bbc0e1b56ee8b54504333d663bbae0e671ab4f1203fe30342857d508a244f0"),
+])
+def test_corrupted_plans_give_the_golden_report(monkeypatch, design, ports, kwargs, targets,
+                                                failures, digest):
+    import hashlib
+
+    _corrupting_route(monkeypatch, targets)
+    report = verify_design(design, ports, **kwargs)
+    assert len(report.failures) == failures
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest
