@@ -25,7 +25,6 @@ from .routing import (
     OpCounter,
     PairList,
     RoutingPlan,
-    brute_force_route,
     plan_from_json,
     plan_to_json,
     route,
@@ -34,6 +33,7 @@ from .routing import (
     route_triangular,
 )
 from .simulation import (
+    brute_force_route,
     check_pairing,
     estimate_loss,
     propagate,

@@ -75,22 +75,28 @@ def render_ascii(net: Network, states: Mapping[int, State] | None = None) -> str
     return "\n".join(out) + "\n"
 
 
-def _trajectories(net: Network, states: Mapping[int, State]) -> list[list[int]]:
-    """Per-photon line positions at each column boundary (column order)."""
+def _trajectories(
+    net: Network, states: Mapping[int, State], photons: tuple[int, ...]
+) -> dict[int, list[int]]:
+    """Line positions of each of ``photons`` at every column boundary
+    (column order)."""
     ncols = _columns(net)
-    lines = list(range(net.ports))
-    pos = [[p] for p in range(net.ports)]
+    lines = list(range(net.ports))  # line -> photon
+    where = list(range(net.ports))  # photon -> line
+    pos: dict[int, list[int]] = {p: [] for p in photons}
     by_col: dict[int, list[int]] = {}
     for i, col in enumerate(net.cols):
         by_col.setdefault(col, []).append(i)
     bits = _bits(net, states)
-    for c in range(ncols):
+    for c in range(ncols + 1):
+        for photon, path in pos.items():
+            path.append(where[photon])
         for k in by_col.get(c, ()):
             if bits[k] if bits is not None else states[k] is State.CROSS:
                 i = net.lines[k]
-                lines[i], lines[i + 1] = lines[i + 1], lines[i]
-        for line, photon in enumerate(lines):
-            pos[photon].append(line)
+                a, b = lines[i], lines[i + 1]
+                lines[i], lines[i + 1] = b, a
+                where[a], where[b] = i + 1, i
     return pos
 
 
@@ -128,7 +134,7 @@ def render_svg(
             f'text-anchor="end">{line}</text>'
         )
     if states is not None and opt.highlight:
-        traj = _trajectories(net, states)
+        traj = _trajectories(net, states, opt.highlight)
         for photon in opt.highlight:
             pts = traj[photon]
             coords = " ".join(
@@ -136,6 +142,7 @@ def render_svg(
             )
             color = opt.palette[photon % len(opt.palette)]
             parts.append(f'<polyline class="photon" stroke="{color}" points="{coords}"/>')
+    bits = _bits(net, states)
     for i, (layer, line, col) in enumerate(zip(net.layers, net.lines, net.cols)):
         x = left + col * s + s // 6
         y = top + line * s - s // 6
@@ -144,6 +151,8 @@ def render_svg(
         color = opt.palette[(layer - 1) % len(opt.palette)]
         if states is None or not opt.show_states:
             cls = "unset"
+        elif bits is not None:
+            cls = "cross" if bits[i] else "bar"
         else:
             cls = states[i].value
         parts.append(

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import BoundExceeded, InvalidDemand, InvalidInput
-from .topology import Design, Network, State, _check_ports, optimal_switch_count
+from .errors import InvalidDemand, InvalidInput
+from .topology import Design, State, _check_ports, optimal_switch_count
 from .topology import _brickwork_id, _json_id, _json_int
 from .topology import _triangular_first_id
 
@@ -109,10 +110,27 @@ class StateVector(Mapping[int, State]):
     def __len__(self) -> int:
         return len(self.bits)
 
+    def values(self) -> ValuesView[State]:
+        return _StateValues(self)
+
+    def items(self) -> ItemsView[int, State]:
+        return _StateItems(self)
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, StateVector):  # any nonzero byte reads as Cross
             return self.bits.translate(_BIT_OF_BYTE) == other.bits.translate(_BIT_OF_BYTE)
         return super().__eq__(other)
+
+
+class _StateValues(ValuesView):
+    def __iter__(self) -> Iterator[State]:  # the bytes through the table, in one map
+        return map(_STATE_OF_BYTE.__getitem__, self._mapping.bits)
+
+
+class _StateItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[int, State]]:
+        bits = self._mapping.bits
+        return zip(range(len(bits)), map(_STATE_OF_BYTE.__getitem__, bits))
 
 
 @dataclass(frozen=True)
@@ -397,38 +415,6 @@ def route_brickwork(ports: int, demand: PairList,
     result[frame_out[0]] = photons[0]
     result[frame_out[1]] = photons[1]
     return RoutingPlan(StateVector(states), tuple(result))
-
-
-# ---------------------------------------------------------------------------
-# Reference router (oracle)
-# ---------------------------------------------------------------------------
-
-def brute_force_route(net: Network, demand: PairList,
-                      max_switches: int = 24) -> RoutingPlan | None:
-    """Exhaustively try all 2^S state assignments in counter order (switch
-    k is bit k, Cross when set) and return the first one that realizes the
-    demand, or None when the demand is unroutable."""
-    _check_demand(net.ports, demand)
-    lines = net.lines
-    count = len(lines)
-    if count > max_switches:
-        raise BoundExceeded(
-            f"{count} switches exceed the {max_switches}-switch enumeration budget"
-        )
-    mate = demand.mate
-    n = net.ports
-    for assignment in range(1 << count):
-        perm = list(range(n))
-        for k, line in enumerate(lines):
-            if (assignment >> k) & 1:
-                perm[line], perm[line + 1] = perm[line + 1], perm[line]
-        for j in range(0, n, 2):
-            if mate[perm[j]] != perm[j + 1]:
-                break
-        else:
-            bits = bytearray((assignment >> k) & 1 for k in range(count))
-            return RoutingPlan(StateVector(bits), tuple(perm))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Deterministic single-pass photon propagation and derived measurements."""
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import is_
 from typing import Mapping, Sequence
 
-from .errors import IncompleteStates, InvalidInput
-from .routing import PairList, StateVector
+from .errors import BoundExceeded, IncompleteStates, InvalidInput
+from .routing import PairList, RoutingPlan, StateVector, _check_demand
 from .topology import Network, State
 
 
@@ -86,6 +88,195 @@ def check_pairing(perm: Sequence[int], demand: PairList) -> PairingReport:
         else:
             mismatches.append(j)
     return PairingReport(not mismatches, tuple(matched), tuple(mismatches))
+
+
+# ---------------------------------------------------------------------------
+# Bit-sliced lanes: many plans or switch configurations in one pass
+# ---------------------------------------------------------------------------
+# A lane is one bit of every Python int (Biham, FSE 1997).  Each line holds
+# the bit planes of its photon's id, of that photon's mate and of its depth
+# counter; a switch swaps its two lines' planes in the lanes of its Cross
+# mask.  Lane k of a chunk is bit k, so the lowest set bit is the first lane.
+
+_MASK_DIGITS = b"0" + b"1" * 255  # any nonzero state byte reads as Cross
+_PLANE_DIGITS = tuple(bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8))
+
+
+def _lane_start(full: int, mates: list[list[int]], depth_bits: int) -> list[list[int]]:
+    """Per line p: the planes of photon p, of its mate and a zero depth."""
+    ids = range(len(mates[0]))
+    return [[full if p >> b & 1 else 0 for b in ids] + mate + [0] * depth_bits
+            for p, mate in enumerate(mates)]
+
+
+def _lane_kernel(lines: Sequence[int], masks: Sequence[int], full: int,
+                 state: list[list[int]], depth_bits: int) -> None:
+    """Apply switch k (upper line ``lines[k]``) to every lane of ``state``,
+    crossing in the lanes set in ``masks[k]``; the last ``depth_bits``
+    planes of each line count the switches its photon passed."""
+    counter = range(len(state[0]) - depth_bits, len(state[0]))
+    for i, m in zip(lines, masks):
+        a, b = state[i], state[i + 1]
+        for c in (a, b) if depth_bits else ():  # +1 in every lane, carry rippling up
+            carry = full
+            for x in counter:
+                v = c[x]
+                c[x] = v ^ carry
+                carry &= v
+                if not carry:
+                    break
+        if m == full:
+            state[i], state[i + 1] = b, a
+        elif m:
+            t = [(p ^ q) & m for p, q in zip(a, b)]
+            state[i] = [p ^ u for p, u in zip(a, t)]
+            state[i + 1] = [q ^ u for q, u in zip(b, t)]
+
+
+def _lane_checks(state: list[list[int]], full: int, width: int,
+                 predicted: list[list[int]] | None, depth_bits: int) -> tuple[int, int, int, int]:
+    """Read the lanes after :func:`_lane_kernel`, ids ``width`` planes wide.
+
+    Returns the lanes whose permutation differs from ``predicted`` (None:
+    not checked), the lanes where the photon on line 2j+1 is not the mate
+    of the one on 2j, and the largest and smallest depth over the lanes
+    that pass both checks (0 and -1 when none does).
+    """
+    ids = range(width)
+    wrong_perm = wrong_pair = 0
+    for planes, want in zip(state, predicted or ()):
+        for x in ids:
+            wrong_perm |= planes[x] ^ want[x]
+    for top, bottom in zip(state[::2], state[1::2]):
+        for x in ids:
+            wrong_pair |= top[width + x] ^ bottom[x]
+    ok = full & ~(wrong_perm | wrong_pair)
+    if not ok:
+        return wrong_perm, wrong_pair, 0, -1
+    counters = [planes[2 * width:] for planes in state]
+    extrema = []
+    for flip in (0, full):  # the largest depth, then the largest complement
+        live, value = [ok] * len(counters), 0
+        for x in reversed(range(depth_bits)):
+            hits = [lane & (c[x] ^ flip) for lane, c in zip(live, counters)]
+            if any(hits):
+                value |= 1 << x
+                live = hits
+        extrema.append(value)
+    return wrong_perm, wrong_pair, extrema[0], (1 << depth_bits) - 1 - extrema[1]
+
+
+def _id_planes(rows: list[Sequence[int]], count: int, bits: int) -> list[list[int]]:
+    """Planes of ``rows[k][c]`` (lane k) for each column c < ``count``.
+    Ids above 255 take two bytes, low byte first; an id outside
+    0..count-1 raises ValueError (or OverflowError, TypeError)."""
+    if count > 256:
+        ids = array("H", chain.from_iterable(reversed(rows)))
+        if max(ids) >= count:
+            raise ValueError("id out of range")
+        if sys.byteorder == "big":
+            ids.byteswap()
+        data, width = ids.tobytes(), 2
+    else:
+        data, width = bytes(chain.from_iterable(reversed(rows))), 1
+        if data.translate(None, bytes(range(count))):  # a byte left is out of range
+            raise ValueError("id out of range")
+    stride = width * count
+    out = []
+    for c in range(0, stride, width):
+        column = [data[c + w::stride] for w in range(width)]
+        out.append([int(column[b >> 3].translate(_PLANE_DIGITS[b & 7]), 2) for b in range(bits)])
+    return out
+
+
+def _depth_bits(lines: Sequence[int], ports: int) -> int:
+    """Width of a counter that holds any photon's depth: the longest chain
+    of switches, each sharing a line with the one before."""
+    longest = [0] * ports
+    for i in lines:
+        longest[i] = longest[i + 1] = max(longest[i], longest[i + 1]) + 1
+    return max(longest, default=0).bit_length()
+
+
+def _check_plans(
+    net: Network, demands: Sequence[PairList], plans: Sequence[RoutingPlan]
+) -> tuple[int, int, int] | None:
+    """Simulate and pair-check routed plans as lanes, plan k in lane k.
+
+    Returns the lanes that fail (predicted permutation or pairing) and the
+    largest and smallest depth over the rest, or None when a plan is not a
+    full state vector with an in-range predicted permutation.
+    """
+    ports, count, lanes = net.ports, len(net.lines), len(plans)
+    for plan in plans:
+        states, permuted = plan.states, plan.permuted
+        if not (type(states) is StateVector and len(states.bits) == count
+                and type(permuted) is tuple and len(permuted) == ports):
+            return None
+    bits = (ports - 1).bit_length()
+    try:
+        predicted = _id_planes([p.permuted for p in plans], ports, bits)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    joined = b"".join(reversed([p.states.bits for p in plans])).translate(_MASK_DIGITS)
+    masks = [int(joined[k::count], 2) for k in range(count)]
+    mates = _id_planes([d.mate for d in demands], ports, bits)
+    full, depth_bits = (1 << lanes) - 1, _depth_bits(net.lines, ports)
+    state = _lane_start(full, mates, depth_bits)
+    _lane_kernel(net.lines, masks, full, state, depth_bits)
+    wrong_perm, wrong_pair, high, low = _lane_checks(state, full, bits, predicted, depth_bits)
+    return wrong_perm | wrong_pair, high, low
+
+
+_LOW_SWITCHES = 16  # brute force: the low switches take fixed lane patterns
+
+
+def _lane_patterns(low: int) -> list[int]:
+    """Over 2^low lanes, the lanes whose index has bit k set, k < low."""
+    lanes = 1 << low
+    out = []
+    for k in range(low):
+        # one period of 2^(k+1) lanes as little-endian bytes, k >= 3; or a byte
+        unit = bytes([(0xAA, 0xCC, 0xF0)[k]]) if k < 3 else bytes(1 << k - 3) + b"\xff" * (1 << k - 3)
+        repeat = max(1, lanes // (8 * len(unit)))
+        out.append(int.from_bytes(unit * repeat, "little") & ((1 << lanes) - 1))
+    return out
+
+
+def brute_force_route(net: Network, demand: PairList,
+                      max_switches: int = 24) -> RoutingPlan | None:
+    """Exhaustively try all 2^S state assignments in counter order (switch
+    k is bit k, Cross when set) and return the first one that realizes the
+    demand, or None when the demand is unroutable.
+
+    Assignments run as lanes, 2^16 to a chunk: the low 16 switches take the
+    lane index's bits, the rest the chunk index's, so the lowest passing
+    lane of the first chunk with one is the first assignment.
+    """
+    _check_demand(net.ports, demand)
+    count = len(net.lines)
+    if count > max_switches:
+        raise BoundExceeded(
+            f"{count} switches exceed the {max_switches}-switch enumeration budget"
+        )
+    low = min(count, _LOW_SWITCHES)
+    full = (1 << (1 << low)) - 1
+    bits = (net.ports - 1).bit_length()
+    start = _lane_start(full, [[full if m >> b & 1 else 0 for b in range(bits)]
+                               for m in demand.mate], 0)
+    # the low switches come first in traversal order: one pass for them all
+    _lane_kernel(net.lines[:low], _lane_patterns(low), full, start, 0)
+    high = net.lines[low:]
+    for chunk in range(1 << (count - low)):
+        state = list(start)  # a uniform mask only moves whole plane lists
+        _lane_kernel(high, [full if chunk >> k & 1 else 0 for k in range(count - low)],
+                     full, state, 0)
+        ok = full & ~_lane_checks(state, full, bits, None, 0)[1]
+        if ok:
+            assignment = chunk << low | (ok & -ok).bit_length() - 1
+            states = StateVector(bytearray(assignment >> k & 1 for k in range(count)))
+            return RoutingPlan(states, simulate(net, states)[0])
+    return None
 
 
 def estimate_loss(

@@ -6,13 +6,24 @@ import json
 import random
 from bisect import bisect
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .errors import BoundExceeded, InvalidInput
-from .routing import PairList, brute_force_route, route
-from .simulation import check_pairing, simulate
+from .routing import PairList, RoutingPlan, route
+from .simulation import _check_plans, brute_force_route, check_pairing, simulate
 from .topology import Design, Network, _check_ports, build_network
 
+
+_CHUNK_DEMANDS = 1024
+_CHUNK_STATE_BYTES = 1 << 22
+"""A verify run routes demands in chunks of at most this many demands and
+state bytes, so the plans held at once stay small."""
+
+_LANES_PER_ID_BIT = 24
+"""A chunk of at least this many plans per bit of a photon id is checked as
+lanes of one bit-sliced pass, a smaller one a plan at a time: timed, one
+pass costs what 8 to 17 plans per id bit cost one at a time, N = 8..1024."""
 
 MAX_EXHAUSTIVE_PORTS = 16
 """Demand budget of an exhaustive run, whatever its cap: (N-1)!! demands,
@@ -125,23 +136,42 @@ def verify_design(
     checked = 0
     max_depth = 0
     min_depth = ports * ports
-    for demand in demands:
-        checked += 1
-        plan = route(design, ports, demand)
+
+    def check_one(demand: PairList, plan: RoutingPlan) -> None:
+        nonlocal max_depth, min_depth
         perm, depths = simulate(net, plan.states)
         if perm != plan.permuted:
             failures.append(
                 (demand.to_text(), f"router predicted {plan.permuted}, simulator got {perm}")
             )
-            continue
+            return
         report = check_pairing(perm, demand)
         if not report.ok:
             failures.append(
                 (demand.to_text(), f"output pairs wrong at BSAs {list(report.mismatches)}")
             )
-            continue
+            return
         max_depth = max(max_depth, max(depths))
         min_depth = min(min_depth, min(depths))
+
+    size = min(_CHUNK_DEMANDS, _CHUNK_STATE_BYTES // max(1, len(net.lines)))
+    while chunk := list(islice(demands, size)):
+        plans = [route(design, ports, demand) for demand in chunk]
+        checked += len(chunk)
+        large = len(chunk) >= _LANES_PER_ID_BIT * (ports - 1).bit_length()
+        lanes = _check_plans(net, chunk, plans) if large else None
+        if lanes is None:
+            for demand, plan in zip(chunk, plans):
+                check_one(demand, plan)
+            continue
+        flagged, high, low = lanes
+        while flagged:  # the per-plan check words each failure
+            k = (flagged & -flagged).bit_length() - 1
+            check_one(chunk[k], plans[k])
+            flagged &= flagged - 1
+        if low >= 0:
+            max_depth = max(max_depth, high)
+            min_depth = min(min_depth, low)
     failures.sort(key=lambda f: f[0])
     return VerificationReport(
         design=design,

@@ -126,7 +126,7 @@ def test_c5_worst_case_saturation(design):
 def test_c6_minimality():
     start = time.perf_counter()
     for design in DESIGNS:
-        for n in (4, 6, 8):
+        for n in (4, 6, 8, 10):
             report = verify_minimality(design, n)
             assert len(report.outcomes) == n * (n - 2) // 4
             assert report.passed

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import xml.etree.ElementTree as ET
 
@@ -143,3 +144,21 @@ def test_short_state_vector_renders_unset_glyphs():
     art = render_ascii(net, states)
     assert art == render_ascii(net, dict(states))
     assert len(glyph_positions(art, "?")) == 3
+
+
+def test_svg_matches_golden_digest():
+    # recorded when every photon's trajectory was kept and class names were
+    # read through per-id State lookups
+    digest = hashlib.sha256()
+    rng = random.Random(43)
+    for design in Design:
+        for n in (2, 4, 10, 24):
+            net = build_network(design, n)
+            plan = route(design, n, random_pair_list(n, rng))
+            bits = StateVector(bytearray(b * 255 for b in plan.states.bits))
+            for states in (None, plan.states, dict(plan.states), bits):
+                for highlight in ((), (0,), (n - 1, 0), (-1,), tuple(range(n))):
+                    for show in (True, False):
+                        options = RenderOptions(show_states=show, highlight=highlight)
+                        digest.update(render_svg(net, states, options).encode())
+    assert digest.hexdigest() == "0aaff74b0bff8b9785f03cb7da2e1baf9972cd2f7799cd3249eb9d25fc95d277"

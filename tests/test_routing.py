@@ -270,6 +270,16 @@ def test_state_vector_equality_matches_the_mapping_comparison():
             assert (b == a) is expected
 
 
+def test_state_vector_views_match_the_mapping_views():
+    vector = StateVector(bytearray(b"\x00\x01\x02\xff\x00"))
+    assert list(vector.values()) == [vector[i] for i in range(5)]
+    assert list(vector.items()) == [(i, vector[i]) for i in range(5)]
+    assert len(vector.values()) == len(vector.items()) == 5
+    assert State.CROSS in vector.values() and (3, State.CROSS) in vector.items()
+    assert (3, State.BAR) not in vector.items()
+    assert list(StateVector(bytearray()).items()) == []
+
+
 def test_plans_read_from_documents_write_back_the_same_bytes():
     text = plan_to_json(route_chevron(8, pl("0-7,1-2,3-5,4-6")))
     plan = plan_from_json(text)
