@@ -107,10 +107,15 @@ def test_verify_rejects_odd_range(capsys):
 
 
 def test_minimality(capsys):
-    code, out, _ = run(capsys, "minimality", "--design", "triangular", "--ports", "4")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["passed"] is True
+    for ports in ("4", "10"):
+        code, out, _ = run(capsys, "minimality", "--design", "triangular", "--ports", ports)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+    # N = 12 leaves 29 switches after a deletion, past the 24-switch budget
+    code, out, err = run(capsys, "minimality", "--design", "chevron", "--ports", "12")
+    assert (code, out) == (2, "")
+    assert "brute-force budget" in err
 
 
 def test_metrics_csv(tmp_path, capsys):
