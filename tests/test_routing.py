@@ -388,6 +388,16 @@ def test_brute_force_matches_router_on_small_nets():
             assert check_pairing(propagate(net, plan.states), demand).ok
 
 
+# sha256 over the state bytes and predicted permutation that brute_force_route
+# returned for every N = 8 demand, in enumeration order, recorded when it
+# still tried one assignment at a time
+BRUTE_FORCE_DIGESTS = {
+    Design.TRIANGULAR: "99b6dcc6d2d6c024c7c779acefbf860f1dc0122f88c132cda707e634dd84d151",
+    Design.CHEVRON: "0cac04bfcddf8b3a878462350a78730713757618ff1a3feb3d7c9b08376efa86",
+    Design.BRICKWORK: "5d01f430c28aeb7446a2c1730ede6667dd44d808c69e4df77af5c14800d73e54",
+}
+
+
 def test_brute_force_returns_lexicographically_first_solution():
     # counter order: switch at tuple position k is bit k, Cross when set
     net = build_network(Design.CHEVRON, 6)
@@ -409,26 +419,14 @@ def test_brute_force_returns_lexicographically_first_solution():
         for k, sp in enumerate(net.switches)
     }
     assert found.states == expect
-
-
-# sha256 over the state bytes and predicted permutation that brute_force_route
-# returned for every N = 8 demand, in enumeration order, recorded when it
-# still tried one assignment at a time
-BRUTE_FORCE_DIGESTS = {
-    Design.TRIANGULAR: "99b6dcc6d2d6c024c7c779acefbf860f1dc0122f88c132cda707e634dd84d151",
-    Design.CHEVRON: "0cac04bfcddf8b3a878462350a78730713757618ff1a3feb3d7c9b08376efa86",
-    Design.BRICKWORK: "5d01f430c28aeb7446a2c1730ede6667dd44d808c69e4df77af5c14800d73e54",
-}
-
-
-@pytest.mark.parametrize("design", list(Design))
-def test_brute_force_returns_the_golden_first_solutions(design):
-    net = build_network(design, 8)
-    digest = hashlib.sha256()
-    for demand in enumerate_pair_lists(8):
-        plan = brute_force_route(net, demand)
-        digest.update(bytes(plan.states.bits) + bytes(plan.permuted))
-    assert digest.hexdigest() == BRUTE_FORCE_DIGESTS[design]
+    # and every N = 8 demand on every design gives the recorded first solution
+    for design, expected in BRUTE_FORCE_DIGESTS.items():
+        net = build_network(design, 8)
+        digest = hashlib.sha256()
+        for demand in enumerate_pair_lists(8):
+            plan = brute_force_route(net, demand)
+            digest.update(bytes(plan.states.bits) + bytes(plan.permuted))
+        assert digest.hexdigest() == expected, design
 
 
 @pytest.mark.parametrize("design", list(Design))
