@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
@@ -16,7 +17,6 @@ from typing import Iterable, Iterator, Mapping
 from .errors import InvalidDemand, InvalidInput
 from .topology import Design, State, _check_ports, optimal_switch_count
 from .topology import _brickwork_id, _json_id, _json_int
-from .topology import _triangular_first_id
 
 _PAIR_TOKEN = re.compile(r"^(\d+)-(\d+)$")
 
@@ -37,6 +37,7 @@ class PairList:
         ports = self.ports
         if ports < 2 or ports % 2:
             raise InvalidDemand(f"ports must be an even integer >= 2, got {ports}")
+        _check_ports(ports)  # past the port budget, before the table below is allocated
         mate = [-1] * ports
         for a, b in self.pairs:
             if (a == b or not (0 <= a < ports and 0 <= b < ports)
@@ -146,7 +147,11 @@ class RoutingPlan:
 
 class OpCounter:
     """Counts elementary routing operations: photon-list touches,
-    switch-state commits and, in brickwork, diagonal-list entries walked."""
+    switch-state commits and, in brickwork, diagonal-list entries walked.
+
+    The ticks model the paper's cascade work, the O(N^2) a router does when
+    it walks lines one by one, not the Python steps it takes: a partner found
+    by bisection still ticks once per photon the scan would have passed."""
 
     __slots__ = ("count",)
 
@@ -183,24 +188,35 @@ def route(design: Design | str, ports: int, demand: PairList,
 def route_triangular(ports: int, demand: PairList,
                      counter: OpCounter | None = None) -> RoutingPlan:
     """Bubble-style peeling: per layer, cascade the partner of the current
-    bottom photon down to meet it, then recurse on the first n-2 photons."""
+    bottom photon down to meet it, then recurse on the first n-2 photons.
+
+    ``photons`` holds the n photons still unpaired, in line order.  A layer
+    only removes photons from it, the bottom one and its partner, so it
+    stays sorted by photon id and the partner's index is its rank, found by
+    bisection.  The counter's ticks still model the cascade (a scan down to
+    the partner, then the layer's switch commits and photon moves), not the
+    Python steps taken."""
     _check_demand(ports, demand)
     mate = demand.mate
     photons = list(range(ports))
+    permuted = [0] * ports
     states = bytearray(optimal_switch_count(ports))
+    first = 0  # layer n/2-1 starts at id S - (n/2-1)(n/2)
     n = ports
     while n > 2:
-        idx = photons.index(mate[photons[n - 1]])
+        bottom = photons.pop()
+        idx = bisect_left(photons, mate[bottom])
         if counter:
             counter.tick(idx + 1)
-        first = _triangular_first_id(ports, n // 2 - 1)
         # switches above the partner stay Bar
         states[first + idx : first + n - 2] = b"\x01" * (n - 2 - idx)
-        photons.insert(n - 2, photons.pop(idx))
+        permuted[n - 2], permuted[n - 1] = photons.pop(idx), bottom
         if counter:
             counter.tick(2 * n - 2)
+        first += n - 2
         n -= 2
-    return RoutingPlan(StateVector(states), tuple(photons))
+    permuted[0], permuted[1] = photons
+    return RoutingPlan(StateVector(states), tuple(permuted))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +367,13 @@ def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
     """Pair the bottom-most photon first: its partner moves down as soon as
     possible, the bottom photon up as late as necessary; recurse on the
-    surviving smaller brickwork."""
+    surviving smaller brickwork.
+
+    ``photons`` holds the frame's unpaired photons, in line order.  Each
+    iteration only removes photons from it, the bottom one and its partner,
+    so it stays sorted by photon id and the partner's frame line is its rank,
+    found by bisection.  Counter ticks are the cascade's, as in
+    :func:`route_triangular`."""
     _check_demand(ports, demand)
     half0 = ports // 2
     mate = demand.mate
@@ -369,7 +391,7 @@ def route_brickwork(ports: int, demand: PairList,
     while n > 2:
         half = n // 2
         bottom = photons.pop()
-        i = photons.index(mate[bottom])
+        i = bisect_left(photons, mate[bottom])
         if counter:
             counter.tick(i + 1)
         j_meet = n - 2

@@ -2,11 +2,12 @@
 
 Criterion 4 note: the chevron minimum-depth targets are unreachable for four
 sizes.  Exhaustive search over every switch configuration (not just this
-router's output) shows some demands force a photon below the target, and at
-N=6 a minimum of 0 requires an untouched line, which forces a worst pair to
-travel N-2 > N-3 switches.  Those parametrized cells fail by design; the
-analysis lives alongside this repository's review notes.
+router's output) shows it: at N=6 no configuration leaves a photon at the
+formula's depth 0, and at N=8 twelve demands force a photon below depth 2
+(``test_c4_chevron_minimum_unreachable_by_any_configuration``).  Those
+parametrized cells fail by design; N=10 and N=12 are not exhausted here.
 """
+import itertools
 import random
 import time
 
@@ -23,10 +24,12 @@ from pairswitch import (
     propagate,
     random_pair_list,
     route,
+    simulate,
     verify_design,
     verify_minimality,
     worst_case_pair_list,
 )
+from pairswitch.routing import StateVector
 
 DESIGNS = list(Design)
 EXHAUSTIVE_SIZES = (4, 6, 8, 10, 12)
@@ -105,6 +108,35 @@ def test_c4_depth_formulas(design, n, exhaustive_runs):
     assert fdelta == fmax - fmin
     assert report.max_depth == fmax
     assert report.min_depth == fmin  # unreachable for chevron N in {6,8,10,12}
+
+
+def _best_minimum_depths(design, n):
+    """Simulate every one of the 2^S configurations: demand -> the largest
+    minimum photon depth among the configurations that realize it, and the
+    smallest photon depth any configuration leaves."""
+    net = build_network(design, n)
+    best, lowest = {}, n
+    for bits in itertools.product(b"\x00\x01", repeat=len(net.lines)):
+        perm, depths = simulate(net, StateVector(bytearray(bits)))
+        demand = frozenset(map(frozenset, zip(perm[::2], perm[1::2])))
+        least = min(depths)
+        best[demand] = max(best.get(demand, 0), least)
+        lowest = min(lowest, least)
+    return best, lowest
+
+
+def test_c4_chevron_minimum_unreachable_by_any_configuration():
+    # N = 6: the formula minimum is 0, yet every configuration touches every photon
+    best, lowest = _best_minimum_depths(Design.CHEVRON, 6)
+    assert depth_formulas(Design.CHEVRON, 6)[1] == 0
+    assert len(best) == 15
+    assert lowest >= 1
+    # N = 8: twelve demands put some photon below depth 2 in every configuration
+    best, _ = _best_minimum_depths(Design.CHEVRON, 8)
+    fmin = depth_formulas(Design.CHEVRON, 8)[1]
+    assert fmin == 2
+    assert len(best) == 105
+    assert sum(depth < fmin for depth in best.values()) == 12
 
 
 # --------------------------------------------------------------------------

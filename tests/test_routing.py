@@ -70,6 +70,16 @@ def test_pairlist_rejects_negative_index():
         PairList.from_pairs([(-2, 0), (1, 3)], 4)
 
 
+def test_pairlist_checks_the_port_budget_before_allocating():
+    # a partner table for 10**9 inputs would take 8 GB
+    with pytest.raises(BoundExceeded):
+        PairList.from_pairs([(0, 1)], 10**9)
+    with pytest.raises(BoundExceeded):
+        PairList.from_pairs([(0, 1)], MAX_PORTS + 2)
+    with pytest.raises(InvalidDemand):  # odd ports stay a malformed demand
+        PairList.from_pairs([(0, 1)], 10**9 + 1)
+
+
 def test_router_rejects_ports_mismatch():
     with pytest.raises(InvalidDemand):
         route_triangular(6, pl("0-1,2-3"))
@@ -585,6 +595,27 @@ def test_chevron_plans_match_mid_golden_digest():
             plan = route(Design.CHEVRON, n, demand)
             digest.update(plan_to_json(plan).encode())
     assert digest.hexdigest() == GOLDEN_CHEVRON_MID_SHA256
+
+
+# sha256 over triangular's plan_to_json of five seeded random demands and the
+# worst case at every even N from 14 to 130, in that order; recorded with the
+# router that found each partner by a linear list.index scan.  The other
+# triangular digests pin no N between 10 and 64, nor above 64 apart from
+# 256, 1024 and 2048.
+GOLDEN_TRIANGULAR_MID_SHA256 = (
+    "2020bbfcb9f14a06949597633e1b346f1dedce37746b9a5e2d581fddb6b6e646"
+)
+
+
+def test_triangular_plans_match_mid_golden_digest():
+    digest = hashlib.sha256()
+    for n in range(14, 131, 2):
+        rng = random.Random(n)
+        demands = [*(random_pair_list(n, rng) for _ in range(5)), worst_case_pair_list(n)]
+        for demand in demands:
+            plan = route(Design.TRIANGULAR, n, demand)
+            digest.update(plan_to_json(plan).encode())
+    assert digest.hexdigest() == GOLDEN_TRIANGULAR_MID_SHA256
 
 
 # sha256 over plan_to_json of the worst case at N = 2048 and two seeded random
