@@ -149,9 +149,9 @@ class OpCounter:
     """Counts elementary routing operations: photon-list touches,
     switch-state commits and, in brickwork, diagonal-list entries walked.
 
-    The ticks model the paper's cascade work, the O(N^2) a router does when
-    it walks lines one by one, not the Python steps it takes: a partner found
-    by bisection still ticks once per photon the scan would have passed."""
+    The ticks model the paper's cascade work, which walks lines one at a
+    time, not the Python steps a router takes: a partner found by bisection
+    still ticks once per photon a scan would pass."""
 
     __slots__ = ("count",)
 

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -297,21 +296,22 @@ def test_generate_above_port_budget_exits_2(capsys):
     assert err.startswith("error: ")
 
 
-def _one_gib_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+# The CLI in a child process limited to 1 GiB of address space, so a demand
+# that allocated its 10**9-entry partner table (8 GB) would fail there.
+_LIMITED_CLI = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from pairswitch.cli import main; sys.exit(main(sys.argv[1:]))"
+)
 
 
 def test_route_above_port_budget_exits_2_before_allocating():
-    # in a child process with 1 GiB of address space, so a demand that
-    # allocated its 10**9-entry partner table (8 GB) would fail there
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pairswitch.cli", "route", "--design", "triangular",
+        [sys.executable, "-c", _LIMITED_CLI, "route", "--design", "triangular",
          "--ports", "1000000000", "--pairs", "0-1"],
         capture_output=True, text=True, env=env, timeout=30,
-        preexec_fn=_one_gib_address_space,
     )
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 2

@@ -565,15 +565,18 @@ GOLDEN_BRICKWORK_MID_SHA256 = (
 )
 
 
-def test_brickwork_plans_match_mid_golden_digest():
+def _mid_digest(design):
     digest = hashlib.sha256()
     for n in range(14, 131, 2):
         rng = random.Random(n)
         demands = [*(random_pair_list(n, rng) for _ in range(5)), worst_case_pair_list(n)]
         for demand in demands:
-            plan = route(Design.BRICKWORK, n, demand)
-            digest.update(plan_to_json(plan).encode())
-    assert digest.hexdigest() == GOLDEN_BRICKWORK_MID_SHA256
+            digest.update(plan_to_json(route(design, n, demand)).encode())
+    return digest.hexdigest()
+
+
+def test_brickwork_plans_match_mid_golden_digest():
+    assert _mid_digest(Design.BRICKWORK) == GOLDEN_BRICKWORK_MID_SHA256
 
 
 # sha256 over chevron's plan_to_json of five seeded random demands and the
@@ -587,14 +590,7 @@ GOLDEN_CHEVRON_MID_SHA256 = (
 
 
 def test_chevron_plans_match_mid_golden_digest():
-    digest = hashlib.sha256()
-    for n in range(14, 131, 2):
-        rng = random.Random(n)
-        demands = [*(random_pair_list(n, rng) for _ in range(5)), worst_case_pair_list(n)]
-        for demand in demands:
-            plan = route(Design.CHEVRON, n, demand)
-            digest.update(plan_to_json(plan).encode())
-    assert digest.hexdigest() == GOLDEN_CHEVRON_MID_SHA256
+    assert _mid_digest(Design.CHEVRON) == GOLDEN_CHEVRON_MID_SHA256
 
 
 # sha256 over triangular's plan_to_json of five seeded random demands and the
@@ -608,14 +604,7 @@ GOLDEN_TRIANGULAR_MID_SHA256 = (
 
 
 def test_triangular_plans_match_mid_golden_digest():
-    digest = hashlib.sha256()
-    for n in range(14, 131, 2):
-        rng = random.Random(n)
-        demands = [*(random_pair_list(n, rng) for _ in range(5)), worst_case_pair_list(n)]
-        for demand in demands:
-            plan = route(Design.TRIANGULAR, n, demand)
-            digest.update(plan_to_json(plan).encode())
-    assert digest.hexdigest() == GOLDEN_TRIANGULAR_MID_SHA256
+    assert _mid_digest(Design.TRIANGULAR) == GOLDEN_TRIANGULAR_MID_SHA256
 
 
 # sha256 over plan_to_json of the worst case at N = 2048 and two seeded random
