@@ -336,32 +336,24 @@ def route_chevron(ports: int, demand: PairList,
 #
 # Past column 0, switch ids are affine along both kinds of diagonal: one
 # step along a diagonal adds N/2 to the id, one step along an anti-diagonal
-# N/2 - 1.  So a run is one strided slice of `states`, written at once.
-# The slice also covers the cells whose crossing diagonal is already gone;
-# `anti_alive` and `diag_alive` hold 0 for those, and they keep their state,
-# which an earlier run may have set Cross.  `_brickwork_id` gives the ids of
-# the two end cells and raises IndexError where either has no switch; line
-# and column are monotone along a run, so the cells between exist too.
-# Column 0 breaks the stride and can only hold a run's first cell, which
-# `_cross_run` then writes alone.
-
-def _cross_run(states: bytearray, ports: int, col: int, line: int, end_col: int,
-               end_line: int, stride: int, alive: bytes) -> None:
-    """Set Cross on one run of brickwork switches, one per column from cell
-    (col, line) to (end_col, end_line), ``stride`` ids apart.  ``alive[k]`` is
-    0 where the k-th cell lies on a diagonal already removed: that switch is
-    not on the run and keeps its state."""
-    first = _brickwork_id(ports, col, line)
-    last = _brickwork_id(ports, end_col, end_line)
-    if col == 0:  # column 0 breaks the stride: its switch is written alone
-        states[first] = 1
-        alive = alive[1:]
-    run = slice(last - stride * (len(alive) - 1), last + 1, stride)
-    if 0 in alive:
-        alive = (int.from_bytes(states[run], "little") | int.from_bytes(alive, "little")
-                 ).to_bytes(len(alive), "little")
-    states[run] = alive
-
+# N/2 - 1.  So a run is one strided slice of `states`, written at once as
+# ones.  `_brickwork_id` gives the ids of the two end cells and raises
+# IndexError where either has no switch; line and column are monotone along
+# a run, so the cells between exist too.  Column 0 breaks the stride and can
+# only hold the first cell of the partner's run, which is then written alone.
+# The bottom photon's run ends in the last column and has at most n/2 - 1
+# cells, since a partner on line 0 starts its diagonal by column 1.
+#
+# The slice also covers the cells where the run crosses a line already
+# removed, and writing ones there changes nothing:
+#
+#   * each diagonal and each anti-diagonal carries at most one run in its
+#     life, since the iteration that writes a run on a line removes it;
+#   * a removed line's own run has already set Cross on every cell where a
+#     later run crosses it.  That run spans the part of its line inside its
+#     frame that later frames can reach (the partner's from its first
+#     switch to the meeting line, the bottom photon's from the bottom line
+#     to the last column), and every later frame lies within that frame.
 
 def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
@@ -382,8 +374,7 @@ def route_brickwork(ports: int, demand: PairList,
     frame_out = list(range(ports))  # frame line -> physical output line
     anti = list(range(half0 % 2, ports + half0, 2))  # surviving line + col
     diag = list(range(-half0, ports, 2))  # surviving line - col
-    anti_alive = bytearray(b"\x01") * len(anti)  # indexed by (line + col) // 2
-    diag_alive = bytearray(b"\x01") * len(diag)  # indexed by (line - col + N/2) // 2
+    fall, rise = half0, half0 - 1  # id strides along a diagonal and an anti-diagonal
     skip = 0
     result = [0] * ports
 
@@ -411,19 +402,22 @@ def route_brickwork(ports: int, demand: PairList,
             d = diag[rd]
             if j_meet > i:
                 lo, hi = anti[ra], anti[ra + j_meet - i - 1]
-                _cross_run(states, ports, (lo - d) // 2, (lo + d) // 2, (hi - d) // 2,
-                           (hi + d) // 2, half0, anti_alive[lo // 2 : hi // 2 + 1])
+                col = (lo - d) // 2
+                first = _brickwork_id(ports, col, (lo + d) // 2)
+                last = _brickwork_id(ports, (hi - d) // 2, (hi + d) // 2)
+                if col == 0:  # column 0 breaks the stride: its switch is written alone
+                    states[first] = 1
+                    first = last - fall * ((hi - lo) // 2 - 1)
+                states[first : last + 1 : fall] = b"\x01" * ((last - first) // fall + 1)
             if j_meet < n - 2:
                 a = anti.pop((half + j_meet + skip) // 2)
-                anti_alive[a // 2] = 0
                 rq = (j_meet + 2 - half - skip + half0) // 2
                 # ranks count the partner's diagonal, which goes last
                 lo, hi = diag[rq], diag[rq + n - 3 - j_meet]
-                alive = diag_alive[(lo + half0) // 2 : (hi + half0) // 2 + 1]
-                _cross_run(states, ports, (a - hi) // 2, (a + hi) // 2, (a - lo) // 2,
-                           (a + lo) // 2, half0 - 1, alive[::-1])
+                first = _brickwork_id(ports, (a - hi) // 2, (a + hi) // 2)
+                last = _brickwork_id(ports, (a - lo) // 2, (a + lo) // 2)
+                states[first : last + 1 : rise] = b"\x01" * ((last - first) // rise + 1)
             del diag[rd]
-            diag_alive[(d + half0) // 2] = 0
             if counter:
                 counter.tick((up != c0) + 2 * (n - 2 - i))
         result[frame_out[j_meet]] = photons.pop(i)

@@ -193,7 +193,7 @@ def test_worst_case_all_cross_at_port_budget(design):
 
 @pytest.mark.parametrize("design", list(Design))
 def test_router_agrees_with_simulator_exhaustively(design):
-    for n in (2, 4, 6, 8):
+    for n in (2, 4, 6, 8, 10):
         net = build_network(design, n)
         for demand in enumerate_pair_lists(n):
             plan = route(design, n, demand)
@@ -577,6 +577,41 @@ def _mid_digest(design):
 
 def test_brickwork_plans_match_mid_golden_digest():
     assert _mid_digest(Design.BRICKWORK) == GOLDEN_BRICKWORK_MID_SHA256
+
+
+# sha256 over brickwork's plan_to_json, at every even N from 14 to 130, of the
+# demands (k, k + N/2), (2k + 1, (2k + 2) mod N) and three window-shuffled
+# ones, in that order; recorded with the router that merged a mask of live
+# cells into each Cross run.  A window-shuffled demand pairs the k-th line
+# with the (N-1-k)-th of an order shuffled within blocks of eight lines:
+# close to the worst case, so its runs are long and over a third of them
+# pass diagonals already removed.
+GOLDEN_BRICKWORK_STRUCTURED_SHA256 = (
+    "ab6b3bd059fe027f7f48bcbf4dc795cb32430a675144eeae8f352901cef19630"
+)
+
+
+def _window_shuffled(n, rng):
+    order = list(range(n))
+    for w in range(0, n, 8):
+        block = order[w : w + 8]
+        rng.shuffle(block)
+        order[w : w + 8] = block
+    return PairList.from_pairs([(order[k], order[n - 1 - k]) for k in range(n // 2)], n)
+
+
+def test_brickwork_plans_match_structured_golden_digest():
+    digest = hashlib.sha256()
+    for n in range(14, 131, 2):
+        rng = random.Random(n)
+        demands = [
+            PairList.from_pairs([(k, k + n // 2) for k in range(n // 2)], n),
+            PairList.from_pairs([(2 * k + 1, (2 * k + 2) % n) for k in range(n // 2)], n),
+            *(_window_shuffled(n, rng) for _ in range(3)),
+        ]
+        for demand in demands:
+            digest.update(plan_to_json(route(Design.BRICKWORK, n, demand)).encode())
+    assert digest.hexdigest() == GOLDEN_BRICKWORK_STRUCTURED_SHA256
 
 
 # sha256 over chevron's plan_to_json of five seeded random demands and the
