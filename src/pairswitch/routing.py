@@ -39,26 +39,41 @@ class PairList:
             raise InvalidDemand(f"ports must be an even integer >= 2, got {ports}")
         _check_ports(ports)  # past the port budget, before the table below is allocated
         mate = [-1] * ports
-        for a, b in self.pairs:
-            if (a == b or not (0 <= a < ports and 0 <= b < ports)
-                    or mate[a] >= 0 or mate[b] >= 0):
-                break
-            mate[a] = b
-            mate[b] = a
-        else:
-            if -1 not in mate:
-                object.__setattr__(self, "mate", tuple(mate))
-                object.__setattr__(
-                    self, "pairs", tuple([(a, b) for a, b in enumerate(mate) if a < b])
-                )
-                return
-        canonical = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
+        try:  # an entry that is no pair of ints fails an unpacking, comparison or index
+            for a, b in self.pairs:
+                if (a == b or not (0 <= a < ports and 0 <= b < ports)
+                        or mate[a] >= 0 or mate[b] >= 0):
+                    break
+                mate[a] = b
+                mate[b] = a
+            else:
+                if -1 not in mate:
+                    object.__setattr__(self, "mate", tuple(mate))
+                    object.__setattr__(
+                        self, "pairs", tuple([(a, b) for a, b in enumerate(mate) if a < b])
+                    )
+                    return
+            canonical = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
+        except (TypeError, ValueError):
+            raise InvalidDemand(f"pairs {self.pairs!r} are not pairs of input indices") from None
         for a, b in canonical:
             if a == b:
                 raise InvalidDemand(f"index {a} paired with itself")
         raise InvalidDemand(
             f"pairs {canonical} are not a perfect matching of 0..{ports - 1}"
         )
+
+    @classmethod
+    def _perfect(cls, pairs: tuple[tuple[int, int], ...], mate: tuple[int, ...]) -> PairList:
+        """A demand made without ``__post_init__``'s checks, for callers that
+        build matchings themselves.  ``mate`` must already be a perfect
+        matching of 0..len(mate)-1 and ``pairs`` its canonical form: each
+        pair (i, mate[i]) with i < mate[i], sorted by i."""
+        demand = object.__new__(cls)
+        object.__setattr__(demand, "ports", len(mate))
+        object.__setattr__(demand, "pairs", pairs)
+        object.__setattr__(demand, "mate", mate)
+        return demand
 
     @classmethod
     def from_pairs(

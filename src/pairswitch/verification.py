@@ -51,9 +51,19 @@ def enumerate_pair_lists(ports: int) -> Iterator[PairList]:
     # with the next free one, in ascending order.  Once the levels below d
     # have tried every choice they are ascending again, and so are level d's
     # other free indices, line[2d+2:]: its next partner is one swap away.
+    # So the pairs come out canonical, and only levels d and up need new
+    # entries in the pair and partner tables after level d's swap.
     line = list(range(ports))
+    pairs: list[tuple[int, int]] = [(0, 0)] * (ports // 2)
+    mate = [0] * ports
+    i = 1
     while True:
-        yield PairList.from_pairs(zip(line[::2], line[1::2]), ports)
+        for k in range(i - 1, ports, 2):  # k = 2d for every level d from i's up
+            a, b = line[k], line[k + 1]
+            pairs[k // 2] = (a, b)
+            mate[a] = b
+            mate[b] = a
+        yield PairList._perfect(tuple(pairs), tuple(mate))
         for i in range(ports - 3, 0, -2):  # i = 2d+1, deepest level with a choice first
             j = bisect(line, line[i], i + 1)
             if j < ports:
@@ -126,6 +136,8 @@ def verify_design(
         demands: Iterator[PairList] = enumerate_pair_lists(ports)
         samples_field = seed_field = None
     elif mode == "random":
+        if type(samples) is not int or samples < 1:  # a bool is no sample count either
+            raise InvalidInput(f"samples must be an integer >= 1, got {samples!r}")
         rng = random.Random(seed)
         demands = (random_pair_list(ports, rng) for _ in range(samples))
         samples_field, seed_field = samples, seed

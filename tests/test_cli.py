@@ -281,6 +281,14 @@ def test_verify_range_crossing_port_budget_exits_2_quickly(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_a_sample_count_below_one(capsys, samples):
+    code, out, err = run(
+        capsys, "verify", "--design", "triangular", "--ports", "4", "--samples", samples
+    )
+    assert (code, out, err) == (2, "", "error: --samples must be >= 1\n")
+
+
 @pytest.mark.parametrize("ports", ["abc", "4..", "..8", "4..x"])
 def test_verify_rejects_non_numeric_range(capsys, ports):
     code, out, err = run(capsys, "verify", "--design", "all", "--ports", ports, "--exhaustive")

@@ -70,6 +70,22 @@ def test_pairlist_rejects_negative_index():
         PairList.from_pairs([(-2, 0), (1, 3)], 4)
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0.0, 1), (2, 3)],    # float index
+        [("0", 1), (2, 3)],    # string index
+        [(0, 1, 2)],           # triple
+        [5],                   # bare int
+        [(0, 0), ("2", 3)],    # reaches the message path, which sorts the pairs
+        [(0, 0), (1, 2, 3)],
+    ],
+)
+def test_pairlist_rejects_entries_that_are_not_index_pairs(pairs):
+    with pytest.raises(InvalidDemand):
+        PairList.from_pairs(pairs, 4)
+
+
 def test_pairlist_checks_the_port_budget_before_allocating():
     # a partner table for 10**9 inputs would take 8 GB
     with pytest.raises(BoundExceeded):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,6 +7,8 @@ from pairswitch import (
     MAX_PORTS,
     BoundExceeded,
     Design,
+    InvalidInput,
+    PairList,
     PairSwitchError,
     State,
     double_factorial,
@@ -32,6 +35,33 @@ def test_enumeration_unique_and_valid():
         assert demand.pairs not in seen
         seen.add(demand.pairs)
     assert len(seen) == double_factorial(7) == 105
+
+
+def test_enumerated_demands_match_validated_ones(monkeypatch):
+    # enumeration skips PairList's checks; the validating constructor must agree
+    for n in range(2, 13, 2):
+        for demand in enumerate_pair_lists(n):
+            checked = PairList.from_pairs(demand.pairs, n)
+            assert demand.pairs == checked.pairs
+            assert demand.mate == checked.mate
+            assert demand == checked
+            assert hash(demand) == hash(checked)
+            assert repr(demand) == repr(checked)
+            for name in ("ports", "pairs", "mate"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(demand, name, getattr(checked, name))
+
+    calls = 0
+    init = PairList.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PairList, "__init__", counted)
+    assert sum(1 for _ in enumerate_pair_lists(8)) == 105
+    assert calls == 0
 
 
 def test_enumeration_first_demand_at_port_budget():
@@ -69,6 +99,12 @@ def test_verify_unknown_mode_rejected():
     with pytest.raises(ValueError) as excinfo:
         verify_design(Design.TRIANGULAR, 4, mode="sometimes")
     assert isinstance(excinfo.value, PairSwitchError)
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True, None, "5"])
+def test_random_mode_rejects_a_bad_sample_count(samples):
+    with pytest.raises(InvalidInput):
+        verify_design(Design.TRIANGULAR, 4, mode="random", samples=samples)
 
 
 def test_random_mode_is_seed_stable():
