@@ -12,7 +12,7 @@ import re
 from bisect import bisect_left
 from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidDemand, InvalidInput
 from .topology import Design, State, _check_ports, optimal_switch_count
@@ -35,8 +35,8 @@ class PairList:
 
     def __post_init__(self) -> None:
         ports = self.ports
-        if ports < 2 or ports % 2:
-            raise InvalidDemand(f"ports must be an even integer >= 2, got {ports}")
+        if not isinstance(ports, int) or ports < 2 or ports % 2:
+            raise InvalidDemand(f"ports must be an even integer >= 2, got {ports!r}")
         _check_ports(ports)  # past the port budget, before the table below is allocated
         mate = [-1] * ports
         try:  # an entry that is no pair of ints fails an unpacking, comparison or index
@@ -47,7 +47,8 @@ class PairList:
                 mate[a] = b
                 mate[b] = a
             else:
-                if -1 not in mate:
+                # every given index is some entry's partner; a bool passes as 0 or 1
+                if -1 not in mate and bool not in set(map(type, mate)):
                     object.__setattr__(self, "mate", tuple(mate))
                     object.__setattr__(
                         self, "pairs", tuple([(a, b) for a, b in enumerate(mate) if a < b])
@@ -64,14 +65,13 @@ class PairList:
         )
 
     @classmethod
-    def _perfect(cls, pairs: tuple[tuple[int, int], ...], mate: tuple[int, ...]) -> PairList:
+    def _perfect(cls, mate: tuple[int, ...]) -> PairList:
         """A demand made without ``__post_init__``'s checks, for callers that
-        build matchings themselves.  ``mate`` must already be a perfect
-        matching of 0..len(mate)-1 and ``pairs`` its canonical form: each
-        pair (i, mate[i]) with i < mate[i], sorted by i."""
+        build matchings themselves: ``mate`` must already be a perfect
+        matching of 0..len(mate)-1, as a tuple of ints."""
         demand = object.__new__(cls)
         object.__setattr__(demand, "ports", len(mate))
-        object.__setattr__(demand, "pairs", pairs)
+        object.__setattr__(demand, "pairs", tuple([(a, b) for a, b in enumerate(mate) if a < b]))
         object.__setattr__(demand, "mate", mate)
         return demand
 
@@ -79,7 +79,10 @@ class PairList:
     def from_pairs(
         cls, pairs: Iterable[tuple[int, int]], ports: int | None = None
     ) -> PairList:
-        pairs = tuple(pairs)
+        try:
+            pairs = tuple(pairs)
+        except TypeError:
+            raise InvalidDemand(f"pairs {pairs!r} are not pairs of input indices") from None
         if ports is None:
             ports = 2 * len(pairs)
         return cls(ports=ports, pairs=pairs)
@@ -185,23 +188,20 @@ def _check_demand(ports: int, demand: PairList) -> None:
         )
 
 
-def route(design: Design | str, ports: int, demand: PairList,
-          counter: OpCounter | None = None) -> RoutingPlan:
-    """Dispatch to the router for ``design``."""
-    design = Design(design)
-    if design is Design.TRIANGULAR:
-        return route_triangular(ports, demand, counter)
-    if design is Design.CHEVRON:
-        return route_chevron(ports, demand, counter)
-    return route_brickwork(ports, demand, counter)
-
-
 # ---------------------------------------------------------------------------
 # Triangular
 # ---------------------------------------------------------------------------
 
 def route_triangular(ports: int, demand: PairList,
                      counter: OpCounter | None = None) -> RoutingPlan:
+    """Route ``demand`` on the triangular network; see :func:`_route_triangular`."""
+    _check_demand(ports, demand)
+    states, permuted = _route_triangular(ports, demand.mate, counter)
+    return RoutingPlan(StateVector(states), permuted)
+
+
+def _route_triangular(ports: int, mate: Sequence[int],
+                      counter: OpCounter | None = None) -> tuple[bytearray, tuple[int, ...]]:
     """Bubble-style peeling: per layer, cascade the partner of the current
     bottom photon down to meet it, then recurse on the first n-2 photons.
 
@@ -210,9 +210,9 @@ def route_triangular(ports: int, demand: PairList,
     stays sorted by photon id and the partner's index is its rank, found by
     bisection.  The counter's ticks still model the cascade (a scan down to
     the partner, then the layer's switch commits and photon moves), not the
-    Python steps taken."""
-    _check_demand(ports, demand)
-    mate = demand.mate
+    Python steps taken.
+
+    Returns the state bytes, 1 for Cross, and the photon on each output line."""
     photons = list(range(ports))
     permuted = [0] * ports
     states = bytearray(optimal_switch_count(ports))
@@ -231,7 +231,7 @@ def route_triangular(ports: int, demand: PairList,
         first += n - 2
         n -= 2
     permuted[0], permuted[1] = photons
-    return RoutingPlan(StateVector(states), tuple(permuted))
+    return states, tuple(permuted)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +240,14 @@ def route_triangular(ports: int, demand: PairList,
 
 def route_chevron(ports: int, demand: PairList,
                   counter: OpCounter | None = None) -> RoutingPlan:
+    """Route ``demand`` on the chevron network; see :func:`_route_chevron`."""
+    _check_demand(ports, demand)
+    states, permuted = _route_chevron(ports, demand.mate, counter)
+    return RoutingPlan(StateVector(states), permuted)
+
+
+def _route_chevron(ports: int, mate: Sequence[int],
+                   counter: OpCounter | None = None) -> tuple[bytearray, tuple[int, ...]]:
     """Routing over nested windows: window k holds photons k..N-1-k and
     its layer is N/2-1-k.
 
@@ -256,9 +264,10 @@ def route_chevron(ports: int, demand: PairList,
     only at its middle, where its layer skips a line: a photon above that
     point keeps its index from the top and one below it its index from the
     bottom, stored as a negative, Python-style index.
+
+    Returns the state bytes, 1 for Cross, and the photon on each output line.
     """
-    _check_demand(ports, demand)
-    mate = list(demand.mate)  # rewritten as windows fold their outer pair inward
+    mate = list(mate)  # rewritten as windows fold their outer pair inward
     virtual: list[tuple[int, int] | None] = []  # per window, outermost first
     for top in range(ports // 2 - 1):
         bot = ports - 1 - top
@@ -311,7 +320,7 @@ def route_chevron(ports: int, demand: PairList,
     permuted = [0] * ports
     for photon, index in enumerate(pos):
         permuted[index] = photon
-    return RoutingPlan(StateVector(states), tuple(permuted))
+    return states, tuple(permuted)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +381,14 @@ def route_chevron(ports: int, demand: PairList,
 
 def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
+    """Route ``demand`` on the brickwork network; see :func:`_route_brickwork`."""
+    _check_demand(ports, demand)
+    states, permuted = _route_brickwork(ports, demand.mate, counter)
+    return RoutingPlan(StateVector(states), permuted)
+
+
+def _route_brickwork(ports: int, mate: Sequence[int],
+                     counter: OpCounter | None = None) -> tuple[bytearray, tuple[int, ...]]:
     """Pair the bottom-most photon first: its partner moves down as soon as
     possible, the bottom photon up as late as necessary; recurse on the
     surviving smaller brickwork.
@@ -380,10 +397,8 @@ def route_brickwork(ports: int, demand: PairList,
     iteration only removes photons from it, the bottom one and its partner,
     so it stays sorted by photon id and the partner's frame line is its rank,
     found by bisection.  Counter ticks are the cascade's, as in
-    :func:`route_triangular`."""
-    _check_demand(ports, demand)
+    :func:`_route_triangular`, and so is what it returns."""
     half0 = ports // 2
-    mate = demand.mate
     states = bytearray(optimal_switch_count(ports))
     photons = list(range(ports))
     frame_out = list(range(ports))  # frame line -> physical output line
@@ -445,7 +460,40 @@ def route_brickwork(ports: int, demand: PairList,
 
     result[frame_out[0]] = photons[0]
     result[frame_out[1]] = photons[1]
-    return RoutingPlan(StateVector(states), tuple(result))
+    return states, tuple(result)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+_ROUTERS = {
+    Design.TRIANGULAR: "route_triangular",
+    Design.CHEVRON: "route_chevron",
+    Design.BRICKWORK: "route_brickwork",
+}
+"""Each design's public router, by name: :func:`route` looks it up in this
+module at call time, as a direct call would, so a router replaced on the
+module (a tracing wrapper, a test's patch) is the one called.  A design is
+a ``str`` enum, so its value finds the same entry as its member."""
+
+_CORES = {
+    Design.TRIANGULAR: _route_triangular,
+    Design.CHEVRON: _route_chevron,
+    Design.BRICKWORK: _route_brickwork,
+}
+"""Each design's routing core: ``(ports, mate, counter=None) -> (state
+bytes, permuted)``, for callers that hold a checked partner table."""
+
+
+def route(design: Design | str, ports: int, demand: PairList,
+          counter: OpCounter | None = None) -> RoutingPlan:
+    """Dispatch to the router for ``design``."""
+    try:
+        name = _ROUTERS[design]
+    except (KeyError, TypeError):  # no design: Design() raises its ValueError
+        name = _ROUTERS[Design(design)]
+    return globals()[name](ports, demand, counter)
 
 
 # ---------------------------------------------------------------------------

@@ -199,30 +199,32 @@ def _depth_bits(lines: Sequence[int], ports: int) -> int:
 
 
 def _check_plans(
-    net: Network, demands: Sequence[PairList], plans: Sequence[RoutingPlan]
+    net: Network, mates: Sequence[Sequence[int]],
+    plans: Sequence[tuple[bytes | bytearray, tuple[int, ...]]],
 ) -> tuple[int, int, int] | None:
     """Simulate and pair-check routed plans as lanes, plan k in lane k.
 
-    Returns the lanes that fail (predicted permutation or pairing) and the
-    largest and smallest depth over the rest, or None when a plan is not a
-    full state vector with an in-range predicted permutation.
+    Plan k is the state bytes and predicted permutation a routing core
+    returns for the partner table ``mates[k]``.  Returns the lanes that fail
+    (predicted permutation or pairing) and the largest and smallest depth
+    over the rest, or None when a plan is not one state byte per switch with
+    an in-range predicted permutation.
     """
     ports, count, lanes = net.ports, len(net.lines), len(plans)
-    for plan in plans:
-        states, permuted = plan.states, plan.permuted
-        if not (type(states) is StateVector and len(states.bits) == count
+    for states, permuted in plans:
+        if not (type(states) in (bytes, bytearray) and len(states) == count
                 and type(permuted) is tuple and len(permuted) == ports):
             return None
     bits = (ports - 1).bit_length()
     try:
-        predicted = _id_planes([p.permuted for p in plans], ports, bits)
+        predicted = _id_planes([permuted for _, permuted in plans], ports, bits)
     except (TypeError, ValueError, OverflowError):
         return None
-    joined = b"".join(reversed([p.states.bits for p in plans])).translate(_MASK_DIGITS)
+    joined = b"".join(reversed([states for states, _ in plans])).translate(_MASK_DIGITS)
     masks = [int(joined[k::count], 2) for k in range(count)]
-    mates = _id_planes([d.mate for d in demands], ports, bits)
+    mate_planes = _id_planes(mates, ports, bits)
     full, depth_bits = (1 << lanes) - 1, _depth_bits(net.lines, ports)
-    state = _lane_start(full, mates, depth_bits)
+    state = _lane_start(full, mate_planes, depth_bits)
     _lane_kernel(net.lines, masks, full, state, depth_bits)
     wrong_perm, wrong_pair, high, low = _lane_checks(state, full, bits, predicted, depth_bits)
     return wrong_perm | wrong_pair, high, low

@@ -10,7 +10,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import BoundExceeded, InvalidInput
-from .routing import PairList, RoutingPlan, route
+from .routing import _CORES, PairList, StateVector
 from .simulation import _check_plans, brute_force_route, check_pairing, simulate
 from .topology import Design, Network, _check_ports, build_network
 
@@ -46,24 +46,27 @@ def worst_case_pair_list(ports: int) -> PairList:
 def enumerate_pair_lists(ports: int) -> Iterator[PairList]:
     """Yield every perfect matching of 0..N-1 exactly once, smallest free
     index first; stream length is (N-1)!!."""
+    return map(PairList._perfect, _mate_tables(ports))
+
+
+def _mate_tables(ports: int) -> Iterator[tuple[int, ...]]:
+    """The partner table of every matching :func:`enumerate_pair_lists`
+    yields, in its order: ``mate[i]`` is the input paired with i."""
     _check_ports(ports)
     # Pairs are (line[2d], line[2d+1]): level d pairs its smallest free index
     # with the next free one, in ascending order.  Once the levels below d
     # have tried every choice they are ascending again, and so are level d's
     # other free indices, line[2d+2:]: its next partner is one swap away.
-    # So the pairs come out canonical, and only levels d and up need new
-    # entries in the pair and partner tables after level d's swap.
+    # So only levels d and up need new partner entries after level d's swap.
     line = list(range(ports))
-    pairs: list[tuple[int, int]] = [(0, 0)] * (ports // 2)
     mate = [0] * ports
     i = 1
     while True:
         for k in range(i - 1, ports, 2):  # k = 2d for every level d from i's up
             a, b = line[k], line[k + 1]
-            pairs[k // 2] = (a, b)
             mate[a] = b
             mate[b] = a
-        yield PairList._perfect(tuple(pairs), tuple(mate))
+        yield tuple(mate)
         for i in range(ports - 3, 0, -2):  # i = 2d+1, deepest level with a choice first
             j = bisect(line, line[i], i + 1)
             if j < ports:
@@ -133,28 +136,30 @@ def verify_design(
     net = build_network(design, ports)
     if mode == "exhaustive":
         _check_exhaustive(ports, cap)
-        demands: Iterator[PairList] = enumerate_pair_lists(ports)
+        mates = _mate_tables(ports)
         samples_field = seed_field = None
     elif mode == "random":
         if type(samples) is not int or samples < 1:  # a bool is no sample count either
             raise InvalidInput(f"samples must be an integer >= 1, got {samples!r}")
         rng = random.Random(seed)
-        demands = (random_pair_list(ports, rng) for _ in range(samples))
+        mates = (random_pair_list(ports, rng).mate for _ in range(samples))
         samples_field, seed_field = samples, seed
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
 
+    core = _CORES[design]
     failures: list[tuple[str, str]] = []
     checked = 0
     max_depth = 0
     min_depth = ports * ports
 
-    def check_one(demand: PairList, plan: RoutingPlan) -> None:
+    def check_one(mate: tuple[int, ...], states: bytearray, permuted: tuple[int, ...]) -> None:
         nonlocal max_depth, min_depth
-        perm, depths = simulate(net, plan.states)
-        if perm != plan.permuted:
+        demand = PairList._perfect(mate)
+        perm, depths = simulate(net, StateVector(states))
+        if perm != permuted:
             failures.append(
-                (demand.to_text(), f"router predicted {plan.permuted}, simulator got {perm}")
+                (demand.to_text(), f"router predicted {permuted}, simulator got {perm}")
             )
             return
         report = check_pairing(perm, demand)
@@ -167,19 +172,17 @@ def verify_design(
         min_depth = min(min_depth, min(depths))
 
     size = min(_CHUNK_DEMANDS, _CHUNK_STATE_BYTES // max(1, len(net.lines)))
-    while chunk := list(islice(demands, size)):
-        plans = [route(design, ports, demand) for demand in chunk]
+    while chunk := list(islice(mates, size)):
+        plans = [core(ports, mate) for mate in chunk]
         checked += len(chunk)
         large = len(chunk) >= _LANES_PER_ID_BIT * (ports - 1).bit_length()
         lanes = _check_plans(net, chunk, plans) if large else None
-        if lanes is None:
-            for demand, plan in zip(chunk, plans):
-                check_one(demand, plan)
-            continue
-        flagged, high, low = lanes
-        while flagged:  # the per-plan check words each failure
+        # without lanes every plan is checked alone; with them, only the
+        # flagged ones, so that each failure is worded
+        flagged, high, low = lanes or ((1 << len(chunk)) - 1, 0, -1)
+        while flagged:
             k = (flagged & -flagged).bit_length() - 1
-            check_one(chunk[k], plans[k])
+            check_one(chunk[k], *plans[k])
             flagged &= flagged - 1
         if low >= 0:
             max_depth = max(max_depth, high)

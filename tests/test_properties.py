@@ -93,6 +93,12 @@ def test_plan_json_round_trip(design, demand):
     assert plan_from_json(plan_to_json(plan)) == plan
 
 
+def _raw(demands, plans):
+    """The partner tables and (state bytes, permuted) pairs that the lane
+    check reads, as the routing cores hand them over."""
+    return [d.mate for d in demands], [(p.states.bits, p.permuted) for p in plans]
+
+
 def _per_plan(net, demands, plans):
     """The lanes that fail one plan at a time, and the depth extrema of the rest."""
     flagged, high, low = 0, 0, -1
@@ -142,7 +148,7 @@ def test_lane_check_flags_what_the_per_plan_check_fails(design, ports, lanes, se
             i = k % count
             bits[lane][i] = int(how) if bits[lane][i] else 0
     plans = [RoutingPlan(StateVector(b), tuple(p)) for b, p in zip(bits, permuted)]
-    assert _check_plans(net, demands, plans) == _per_plan(net, demands, plans)
+    assert _check_plans(net, *_raw(demands, plans)) == _per_plan(net, demands, plans)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -161,7 +167,7 @@ def test_lane_check_flags_each_flipped_switch(design):
             plans += [RoutingPlan(flipped, plan.permuted),
                       RoutingPlan(flipped, simulate(net, flipped)[0])]
         demands = [demand] * len(plans)
-        found = _check_plans(net, demands, plans)
+        found = _check_plans(net, *_raw(demands, plans))
         assert found == _per_plan(net, demands, plans)
         assert found[0] == (1 << len(plans)) - 2  # a single Bar breaks the worst case
 
@@ -170,12 +176,13 @@ def test_lane_check_declines_plans_it_cannot_read():
     net = build_network(Design.BRICKWORK, 8)
     demand = random_pair_list(8, random.Random(3))
     plan = route(Design.BRICKWORK, 8, demand)
-    assert _check_plans(net, [demand], [plan]) == _per_plan(net, [demand], [plan])
-    for odd in (RoutingPlan(dict(plan.states), plan.permuted),
-                RoutingPlan(StateVector(plan.states.bits[:-1]), plan.permuted),
-                RoutingPlan(plan.states, list(plan.permuted)),
-                RoutingPlan(plan.states, plan.permuted[:-1]),
-                RoutingPlan(plan.states, (8,) + plan.permuted[1:]),
-                RoutingPlan(plan.states, (-1,) + plan.permuted[1:]),
-                RoutingPlan(plan.states, (0.0,) + plan.permuted[1:])):
-        assert _check_plans(net, [demand, demand], [plan, odd]) is None
+    assert _check_plans(net, *_raw([demand], [plan])) == _per_plan(net, [demand], [plan])
+    bits, permuted = plan.states.bits, plan.permuted
+    for odd in ((dict(plan.states), permuted),
+                (bits[:-1], permuted),
+                (bits, list(permuted)),
+                (bits, permuted[:-1]),
+                (bits, (8,) + permuted[1:]),
+                (bits, (-1,) + permuted[1:]),
+                (bits, (0.0,) + permuted[1:])):
+        assert _check_plans(net, [demand.mate] * 2, [(bits, permuted), odd]) is None

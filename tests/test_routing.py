@@ -30,7 +30,8 @@ from pairswitch import (
 )
 from dataclasses import replace
 
-from pairswitch.routing import StateVector, states_from_json
+from pairswitch import routing
+from pairswitch.routing import _CORES, _ROUTERS, OpCounter, StateVector, states_from_json
 
 
 def pl(text, ports=None):
@@ -79,11 +80,21 @@ def test_pairlist_rejects_negative_index():
         [5],                   # bare int
         [(0, 0), ("2", 3)],    # reaches the message path, which sorts the pairs
         [(0, 0), (1, 2, 3)],
+        [(True, 0), (2, 3)],   # a bool would be kept, and written as "True"
+        [(0, 3), (True, 2)],
+        [(0, 1), (2, False)],  # False stands for 0, already paired
+        5,                     # no iterable at all
     ],
 )
 def test_pairlist_rejects_entries_that_are_not_index_pairs(pairs):
     with pytest.raises(InvalidDemand):
         PairList.from_pairs(pairs, 4)
+
+
+@pytest.mark.parametrize("ports", ["4", 4.0, None, [4], True])
+def test_pairlist_rejects_ports_that_are_no_integer(ports):
+    with pytest.raises(InvalidDemand):
+        PairList(ports=ports, pairs=((0, 1), (2, 3)))
 
 
 def test_pairlist_checks_the_port_budget_before_allocating():
@@ -236,6 +247,63 @@ def test_router_handles_sampled_larger_sizes(design):
             perm = propagate(net, plan.states)
             assert perm == plan.permuted
             assert check_pairing(perm, demand).ok
+
+
+# ---------------------------------------------------------------------------
+# Routing cores and dispatch
+# ---------------------------------------------------------------------------
+
+_PUBLIC = {
+    Design.TRIANGULAR: route_triangular,
+    Design.CHEVRON: route_chevron,
+    Design.BRICKWORK: route_brickwork,
+}
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_cores_return_what_the_public_routers_plan(design):
+    # every demand with N <= 10, then seeded random ones up to N = 256
+    rng = random.Random(f"cores:{design.value}")
+    demands = [d for n in range(2, 11, 2) for d in enumerate_pair_lists(n)]
+    demands += [random_pair_list(n, rng) for n in (12, 14, 16, 32, 64, 128, 256) for _ in range(4)]
+    for demand in demands:
+        ports, ticks, core_ticks = demand.ports, OpCounter(), OpCounter()
+        plan = _PUBLIC[design](ports, demand, ticks)
+        states, permuted = _CORES[design](ports, demand.mate, core_ticks)
+        assert type(states) is bytearray and states == plan.states.bits
+        assert type(permuted) is tuple and permuted == plan.permuted
+        assert core_ticks.count == ticks.count
+        assert _CORES[design](ports, demand.mate) == (states, permuted)
+
+
+def test_dispatch_tables_cover_every_design():
+    assert set(_ROUTERS) == set(_CORES) == set(Design)
+    demand = pl("0-3,1-5,2-4")
+    for design in Design:
+        assert getattr(routing, _ROUTERS[design]) is _PUBLIC[design]
+        plan = _PUBLIC[design](6, demand)
+        assert route(design, 6, demand) == route(design.value, 6, demand) == plan
+
+
+def test_route_calls_the_router_the_module_holds(monkeypatch):
+    seen = []
+
+    def recording(ports, demand, counter=None):
+        seen.append(ports)
+        return route_chevron(ports, demand, counter)
+
+    monkeypatch.setattr(routing, "route_chevron", recording)
+    route("chevron", 4, pl("0-3,1-2"))
+    route(Design.CHEVRON, 6, pl("0-3,1-5,2-4"))
+    assert seen == [4, 6]
+
+
+@pytest.mark.parametrize("design", ["bogus", "Triangular", "", None, 3, ["triangular"], {}])
+def test_route_rejects_an_unknown_design_as_before(design):
+    with pytest.raises(ValueError) as excinfo:
+        route(design, 4, pl("0-3,1-2"))
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == f"{design!r} is not a valid Design"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pairswitch import (
     verify_minimality,
     worst_case_pair_list,
 )
-from pairswitch.verification import report_to_json
+from pairswitch.verification import _mate_tables, report_to_json
 
 
 def test_enumeration_counts():
@@ -62,6 +62,31 @@ def test_enumerated_demands_match_validated_ones(monkeypatch):
     monkeypatch.setattr(PairList, "__init__", counted)
     assert sum(1 for _ in enumerate_pair_lists(8)) == 105
     assert calls == 0
+
+
+def _reference_matchings(free):
+    """Every matching of ``free`` as a pair tuple: its smallest index with
+    each other one in ascending order, the rest matched the same way."""
+    if not free:
+        yield ()
+        return
+    for k in range(1, len(free)):
+        for rest in _reference_matchings(free[1:k] + free[k + 1 :]):
+            yield ((free[0], free[k]),) + rest
+
+
+def test_mate_stream_matches_the_enumerated_demands():
+    for n in range(2, 13, 2):
+        mates = list(_mate_tables(n))
+        assert mates == [d.mate for d in enumerate_pair_lists(n)]
+        reference = []
+        for pairs in _reference_matchings(list(range(n))):
+            mate = [0] * n
+            for a, b in pairs:
+                mate[a], mate[b] = b, a
+            reference.append(tuple(mate))
+        assert mates == reference
+        assert all(type(mate) is tuple for mate in mates)
 
 
 def test_enumeration_first_demand_at_port_budget():
@@ -179,33 +204,35 @@ def test_verify_output_matches_golden_digest(argv, digest):
 
 
 def _corrupting_route(monkeypatch, targets):
-    """Patch the router that verify_design calls: the k-th plan of a run is
-    corrupted as ``targets[k]`` says.  ("flip", i) flips switch i; ("perm", i)
-    swaps predicted entries i and i + 2; ("pair", i) flips switch i and
-    predicts what the simulator then gives, so only the pairing fails."""
-    import pairswitch.verification as verification
-    from pairswitch import RoutingPlan, build_network, simulate
-    from pairswitch.routing import StateVector
+    """Patch the routing core that verify_design calls: the k-th plan of a
+    run is corrupted as ``targets[k]`` says.  ("flip", i) flips switch i;
+    ("perm", i) swaps predicted entries i and i + 2; ("pair", i) flips switch
+    i and predicts what the simulator then gives, so only the pairing fails."""
+    from pairswitch import build_network, simulate
+    from pairswitch.routing import _CORES, StateVector
 
-    original = verification.route
     calls = iter(range(1 << 30))
 
-    def route(design, ports, demand, *rest):
-        plan = original(design, ports, demand, *rest)
-        target = targets.get(next(calls))
-        if target is None:
-            return plan
-        how, i = target
-        bits, permuted = bytearray(plan.states.bits), list(plan.permuted)
-        if how == "perm":
-            permuted[i], permuted[i + 2] = permuted[i + 2], permuted[i]
-        else:
-            bits[i] ^= 1
-            if how == "pair":
-                permuted = simulate(build_network(design, ports), StateVector(bits))[0]
-        return RoutingPlan(StateVector(bits), tuple(permuted))
+    def corrupting(design, original):
+        def core(ports, mate, *rest):
+            states, permuted = original(ports, mate, *rest)
+            target = targets.get(next(calls))
+            if target is None:
+                return states, permuted
+            how, i = target
+            states, permuted = bytearray(states), list(permuted)
+            if how == "perm":
+                permuted[i], permuted[i + 2] = permuted[i + 2], permuted[i]
+            else:
+                states[i] ^= 1
+                if how == "pair":
+                    permuted = simulate(build_network(design, ports), StateVector(states))[0]
+            return states, tuple(permuted)
 
-    monkeypatch.setattr(verification, "route", route)
+        return core
+
+    for design, original in list(_CORES.items()):
+        monkeypatch.setitem(_CORES, design, corrupting(design, original))
 
 
 @pytest.mark.parametrize("design, ports, kwargs, targets, failures, digest", [
