@@ -47,8 +47,9 @@ class PairList:
                 mate[a] = b
                 mate[b] = a
             else:
-                # every given index is some entry's partner; a bool passes as 0 or 1
-                if -1 not in mate and bool not in set(map(type, mate)):
+                # a bool index passes every check above as 0 or 1; in a perfect
+                # matching the entries equal to 0 and 1 sit at their partners
+                if -1 not in mate and bool not in (type(mate[mate[0]]), type(mate[mate[1]])):
                     object.__setattr__(self, "mate", tuple(mate))
                     object.__setattr__(
                         self, "pairs", tuple([(a, b) for a, b in enumerate(mate) if a < b])

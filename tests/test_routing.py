@@ -91,6 +91,17 @@ def test_pairlist_rejects_entries_that_are_not_index_pairs(pairs):
         PairList.from_pairs(pairs, 4)
 
 
+def test_pairlist_rejects_a_bool_in_any_place():
+    # a bool can only stand for input 0 or 1: try each occurrence of either
+    for demand in enumerate_pair_lists(6):
+        for k, side in [(k, side) for k in range(3) for side in range(2)]:
+            pairs = [list(pair) for pair in demand.pairs]
+            if pairs[k][side] < 2:
+                pairs[k][side] = bool(pairs[k][side])
+                with pytest.raises(InvalidDemand):
+                    PairList.from_pairs(map(tuple, pairs), 6)
+
+
 @pytest.mark.parametrize("ports", ["4", 4.0, None, [4], True])
 def test_pairlist_rejects_ports_that_are_no_integer(ports):
     with pytest.raises(InvalidDemand):
