@@ -200,7 +200,7 @@ def _depth_bits(lines: Sequence[int], ports: int) -> int:
 
 def _check_plans(
     net: Network, mates: Sequence[Sequence[int]],
-    plans: Sequence[tuple[bytes | bytearray, tuple[int, ...]]],
+    plans: Sequence[tuple[bytearray, tuple[int, ...]]],
 ) -> tuple[int, int, int] | None:
     """Simulate and pair-check routed plans as lanes, plan k in lane k.
 
@@ -212,7 +212,7 @@ def _check_plans(
     """
     ports, count, lanes = net.ports, len(net.lines), len(plans)
     for states, permuted in plans:
-        if not (type(states) in (bytes, bytearray) and len(states) == count
+        if not (type(states) is bytearray and len(states) == count
                 and type(permuted) is tuple and len(permuted) == ports):
             return None
     bits = (ports - 1).bit_length()
