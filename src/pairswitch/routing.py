@@ -16,9 +16,16 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidDemand, InvalidInput
 from .topology import Design, State, _check_ports, optimal_switch_count
-from .topology import _brickwork_id, _json_id, _json_int
+from .topology import _json_id, _json_int
 
 _PAIR_TOKEN = re.compile(r"^(\d+)-(\d+)$")
+
+
+def _check_demand_ports(ports: int) -> None:
+    """A demand's port count: an even int >= 2, within the port budget."""
+    if not isinstance(ports, int) or ports < 2 or ports % 2:
+        raise InvalidDemand(f"ports must be an even integer >= 2, got {ports!r}")
+    _check_ports(ports)
 
 
 @dataclass(frozen=True)
@@ -35,9 +42,7 @@ class PairList:
 
     def __post_init__(self) -> None:
         ports = self.ports
-        if not isinstance(ports, int) or ports < 2 or ports % 2:
-            raise InvalidDemand(f"ports must be an even integer >= 2, got {ports!r}")
-        _check_ports(ports)  # past the port budget, before the table below is allocated
+        _check_demand_ports(ports)  # past the port budget, before the table below is allocated
         mate = [-1] * ports
         try:  # an entry that is no pair of ints fails an unpacking, comparison or index
             for a, b in self.pairs:
@@ -355,19 +360,33 @@ def _route_chevron(ports: int, mate: Sequence[int],
 # frame's k-th diagonal is the k-th physical diagonal still in `diag`, and
 # likewise for `anti`.  Every entry has the parity of N/2, so frame cell
 # (c, j) is entry (j + c + skip) // 2 of `anti` and (j - c - skip + N/2) // 2
-# of `diag`.  A Cross run keeps to one entry of one list; its first and
-# last cells are two entries of the other.  An iteration writes its runs,
-# then deletes the two entries it used.
+# = (j - c + n/2) // 2 of `diag`.  A Cross run keeps to one entry of one
+# list; its first and last cells are two entries of the other.  An
+# iteration writes its runs, then deletes the two entries it used.
 #
-# Past column 0, switch ids are affine along both kinds of diagonal: one
-# step along a diagonal adds N/2 to the id, one step along an anti-diagonal
-# N/2 - 1.  So a run is one strided slice of `states`, written at once as
-# ones.  `_brickwork_id` gives the ids of the two end cells and raises
-# IndexError where either has no switch; line and column are monotone along
-# a run, so the cells between exist too.  Column 0 breaks the stride and can
-# only hold the first cell of the partner's run, which is then written alone.
+# Past column 0, switch ids are affine along both kinds of diagonal.  The
+# cell on diagonal d = line - col in column col > 0 has id
+#
+#     N//4 - N/2 + (d + 1)//2 + (N/2)*col,
+#
+# so one step along a diagonal adds N/2 to the id, one step along an
+# anti-diagonal N/2 - 1.  Column 0 holds ids 0..N//4 - 1, line // 2 on each
+# of its lines.  A run is one strided slice of `states`, written at once as
+# ones: the loop computes its first id from this formula and its length from
+# the span of columns it covers.  Column 0 breaks the stride and can only
+# hold the first cell of the partner's run, which is then written alone.
 # The bottom photon's run ends in the last column and has at most n/2 - 1
 # cells, since a partner on line 0 starts its diagonal by column 1.
+#
+# One range check per run guards both of its end cells: each must lie in
+# columns 0..N/2 - 1 and on lines 0..N-2, and an end in column 0 on a line
+# less than 2(N//4).  Any other cell holds no switch, and the check raises
+# IndexError there rather than let the slice write other switches.  The
+# parity rule needs no check, since every entry of `anti` and `diag` has the
+# parity of N/2.  Line and column are monotone along a run, so when both
+# ends hold a switch the cells between do too.  The tests reach the check
+# only with odd N, which demand checks reject: there a frame's last run can
+# start in column 0.
 #
 # The slice also covers the cells where the run crosses a line already
 # removed, and writing ones there changes nothing:
@@ -379,6 +398,14 @@ def _route_chevron(ports: int, mate: Sequence[int],
 #     frame that later frames can reach (the partner's from its first
 #     switch to the meeting line, the bottom photon's from the bottom line
 #     to the last column), and every later frame lies within that frame.
+
+def _off_grid(col: int, line: int, last_col: int, last_line: int) -> IndexError:
+    """The error for a brickwork Cross run with an end cell that holds no switch."""
+    return IndexError(
+        f"no brickwork switch at an end of the Cross run from line {line} of column"
+        f" {col} to line {last_line} of column {last_col}"
+    )
+
 
 def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
@@ -406,48 +433,61 @@ def _route_brickwork(ports: int, mate: Sequence[int],
     anti = list(range(half0 % 2, ports + half0, 2))  # surviving line + col
     diag = list(range(-half0, ports, 2))  # surviving line - col
     fall, rise = half0, half0 - 1  # id strides along a diagonal and an anti-diagonal
-    skip = 0
+    quarter = ports // 4  # column 0 holds ids 0..quarter-1
+    base = quarter - half0  # cell (col > 0, line) has id base + (line - col + 1)//2 + fall*col
+    wide, top = 2 * half0, 2 * ports - 4  # twice the column count and the lowest line
     result = [0] * ports
 
-    n = ports
+    # the frame's size and half of it, and the iterations done; since
+    # half + skip = half0, the anti-diagonal ranks of the bottom photon's run
+    # and the diagonal ranks of its ends need no frame offset
+    n, half, skip = ports, half0, 0
     while n > 2:
-        half = n // 2
         bottom = photons.pop()
         i = bisect_left(photons, mate[bottom])
         if counter:
             counter.tick(i + 1)
         j_meet = n - 2
-        if i < n - 2:
-            # column 0 holds lines p0, p0+2, ..., last0; column 1 every line
-            # of the other parity, so the partner meets a switch in one of them
-            p0 = half % 2
-            last0 = p0 + 2 * (n // 4 - 1)
-            up = (i - p0) % 2  # 1 when column 0's switch couples line i from above
-            c0 = 0 if 0 <= i - up <= last0 else 1
+        if i < j_meet:
+            # column 0 holds the lines of half's parity up to half-2; column 1
+            # every line of the other, so the partner meets a switch in one of them
+            up = (i + half) & 1  # 1 when column 0's switch couples line i from above
+            c0 = 0 if 0 <= i - up <= half - 2 else 1
             # the switch at (c0, i - 1) would pull the partner upward: it
             # stays Bar and the diagonal starts one column later
             cstart = c0 + (up != c0)
-            j_meet = min(n - 2, i + (half - cstart))
-            rd = (i - cstart - skip + half0) // 2
-            ra = (i + cstart + skip) // 2
+            if i + half - cstart < j_meet:
+                j_meet = i + half - cstart
+            rd = (i - cstart + half) >> 1
             d = diag[rd]
             if j_meet > i:
+                ra = (i + cstart + skip) >> 1
                 lo, hi = anti[ra], anti[ra + j_meet - i - 1]
-                col = (lo - d) // 2
-                first = _brickwork_id(ports, col, (lo + d) // 2)
-                last = _brickwork_id(ports, (hi - d) // 2, (hi + d) // 2)
-                if col == 0:  # column 0 breaks the stride: its switch is written alone
-                    states[first] = 1
-                    first = last - fall * ((hi - lo) // 2 - 1)
-                states[first : last + 1 : fall] = b"\x01" * ((last - first) // fall + 1)
+                # cell (line + col, line - col) = (x, d) for x = lo, hi
+                if not (-lo <= d <= lo and hi - d < wide and hi + d <= top):
+                    raise _off_grid((lo - d) >> 1, (lo + d) >> 1, (hi - d) >> 1, (hi + d) >> 1)
+                col = (lo - d) >> 1
+                if not col:  # column 0 breaks the stride: its switch is written alone
+                    if d >> 1 >= quarter:  # its id is line // 2, and line = d there
+                        raise _off_grid(0, d, (hi - d) >> 1, (hi + d) >> 1)
+                    states[d >> 1] = 1
+                    col = 1
+                first = base + ((d + 1) >> 1) + fall * col
+                count = ((hi - d) >> 1) - col + 1
+                states[first : first + fall * count : fall] = b"\x01" * count
             if j_meet < n - 2:
-                a = anti.pop((half + j_meet + skip) // 2)
-                rq = (j_meet + 2 - half - skip + half0) // 2
+                a = anti.pop((j_meet + half0) >> 1)
+                rq = (j_meet >> 1) + 1
                 # ranks count the partner's diagonal, which goes last
                 lo, hi = diag[rq], diag[rq + n - 3 - j_meet]
-                first = _brickwork_id(ports, (a - hi) // 2, (a + hi) // 2)
-                last = _brickwork_id(ports, (a - lo) // 2, (a + lo) // 2)
-                states[first : last + 1 : rise] = b"\x01" * ((last - first) // rise + 1)
+                # cell (line + col, line - col) = (a, x) for x = hi, lo; an end in
+                # column 0 (hi == a) must be on one of its lines
+                if not (-a <= lo and a - lo < wide and hi <= a and a + hi <= top) or (
+                        hi == a and a >> 1 >= quarter):
+                    raise _off_grid((a - hi) >> 1, (a + hi) >> 1, (a - lo) >> 1, (a + lo) >> 1)
+                first = base + ((hi + 1) >> 1) + fall * ((a - hi) >> 1)
+                count = ((hi - lo) >> 1) + 1
+                states[first : first + rise * count : rise] = b"\x01" * count
             del diag[rd]
             if counter:
                 counter.tick((up != c0) + 2 * (n - 2 - i))
@@ -456,8 +496,9 @@ def _route_brickwork(ports: int, mate: Sequence[int],
         del frame_out[j_meet : j_meet + 2]
         if counter:
             counter.tick(2 * n)
-        skip += 1
         n -= 2
+        half -= 1
+        skip += 1
 
     result[frame_out[0]] = photons[0]
     result[frame_out[1]] = photons[1]

@@ -94,28 +94,13 @@ def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int]]:
         yield layer, parity, ports // 4 if layer == half else half - parity
 
 
-# Switch ids in closed form, for routers that write states straight into id
-# order.  Each helper agrees with the layout build_network fills below.
+# Triangular switch ids in closed form, as build_network fills them below.
+# The chevron and brickwork routers compute their ids inline.
 
 def _triangular_first_id(ports: int, layer: int) -> int:
     """Id of triangular switch (layer, 0).  Layers layer..1 come last and
     hold layer*(layer+1) switches, each layer's lines at consecutive ids."""
     return optimal_switch_count(ports) - layer * (layer + 1)
-
-
-def _brickwork_id(ports: int, col: int, line: int) -> int:
-    """Id of the brickwork switch on ``line`` of column ``col`` (layer
-    N/2 - col).  Column 0 holds ids 0..N//4-1; past it, one step along a
-    diagonal (col + 1, line + 1) adds N/2 to the id, and one step along an
-    anti-diagonal (col + 1, line - 1) adds N/2 - 1.  Raises IndexError where
-    the cell has no switch."""
-    half = ports // 2
-    if 0 <= col < half and 0 <= line <= ports - 2 and (line + col - half) % 2 == 0:
-        if col:
-            return ports // 4 + (line - col + 1) // 2 + half * (col - 1)
-        if line // 2 < ports // 4:
-            return line // 2
-    raise IndexError(f"no brickwork switch on line {line} of column {col}")
 
 
 def build_network(design: Design | str, ports: int) -> Network:

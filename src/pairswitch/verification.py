@@ -10,7 +10,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import BoundExceeded, InvalidInput
-from .routing import _CORES, PairList, StateVector
+from .routing import _CORES, PairList, StateVector, _check_demand_ports
 from .simulation import _check_plans, brute_force_route, check_pairing, simulate
 from .topology import Design, Network, _check_ports, build_network
 
@@ -79,9 +79,24 @@ def _mate_tables(ports: int) -> Iterator[tuple[int, ...]]:
 
 def random_pair_list(ports: int, rng: random.Random) -> PairList:
     """Uniform random perfect matching: shuffle, pair consecutive entries."""
+    return PairList._perfect(next(_random_mate_tables(ports, rng)))
+
+
+def _random_mate_tables(ports: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
+    """The partner tables of successive :func:`random_pair_list` calls on
+    ``rng``: one shuffle of 0..N-1 each, so the same rng calls in the same
+    order.  Ports are checked after the first shuffle, as a demand's are."""
     order = list(range(ports))
     rng.shuffle(order)
-    return PairList.from_pairs(zip(order[::2], order[1::2]), ports)
+    _check_demand_ports(ports)
+    mate = [0] * ports
+    while True:
+        for a, b in zip(order[::2], order[1::2]):
+            mate[a] = b
+            mate[b] = a
+        yield tuple(mate)
+        order = list(range(ports))
+        rng.shuffle(order)
 
 
 def double_factorial(n: int) -> int:
@@ -141,8 +156,7 @@ def verify_design(
     elif mode == "random":
         if type(samples) is not int or samples < 1:  # a bool is no sample count either
             raise InvalidInput(f"samples must be an integer >= 1, got {samples!r}")
-        rng = random.Random(seed)
-        mates = (random_pair_list(ports, rng).mate for _ in range(samples))
+        mates = islice(_random_mate_tables(ports, random.Random(seed)), samples)
         samples_field, seed_field = samples, seed
     else:
         raise InvalidInput(f"unknown mode {mode!r}")

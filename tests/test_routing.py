@@ -709,6 +709,39 @@ def test_brickwork_plans_match_structured_golden_digest():
     assert digest.hexdigest() == GOLDEN_BRICKWORK_STRUCTURED_SHA256
 
 
+# sha256 over the brickwork routing core's outcome, at every N from 2 to 41,
+# on 40 seeded tables of entries drawn from 0..N-1: the state bytes and
+# permuted lines where it returns, whether an IndexError names a missing
+# brickwork switch where it raises, and the ticks counted either way.
+# Recorded with the router that looked each run's end ids up through a
+# closed-form helper raising IndexError at every cell without a switch.
+# Demand checks keep odd N from the router; there a frame's last Cross run
+# can start at a column-0 cell that holds no switch, and only the end-cell
+# guard stops the run from being written elsewhere.
+GOLDEN_BRICKWORK_GUARD_SHA256 = (
+    "e3f0f460e931d3f4e8eb7b0c4f559bfda1fcd0f8c6da1d16ec2c3acb5be4d55f"
+)
+
+
+def test_brickwork_core_raises_where_a_run_end_has_no_switch():
+    digest = hashlib.sha256()
+    raised = 0
+    for ports in range(2, 42):
+        for seed in range(40):
+            rng = random.Random(seed)
+            mate = [rng.randrange(ports) for _ in range(ports)]
+            counter = OpCounter()
+            try:
+                states, permuted = _CORES[Design.BRICKWORK](ports, mate, counter)
+                outcome = (bytes(states), permuted)
+            except IndexError as exc:
+                outcome = str(exc).startswith("no brickwork switch")
+                raised += outcome
+            digest.update(repr((ports, seed, outcome, counter.count)).encode())
+    assert raised == 110
+    assert digest.hexdigest() == GOLDEN_BRICKWORK_GUARD_SHA256
+
+
 # sha256 over chevron's plan_to_json of five seeded random demands and the
 # worst case at every even N from 14 to 130, in that order; recorded with the
 # router that rebuilt its inner arrangement by list concatenation.  The other

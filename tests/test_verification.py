@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import random
+import re
 
 import pytest
 
@@ -13,6 +15,7 @@ from pairswitch import (
     State,
     double_factorial,
     enumerate_pair_lists,
+    random_pair_list,
     route,
     verify_design,
     verify_minimality,
@@ -51,17 +54,55 @@ def test_enumerated_demands_match_validated_ones(monkeypatch):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(demand, name, getattr(checked, name))
 
-    calls = 0
+    calls = _count_validated_demands(monkeypatch)
+    assert sum(1 for _ in enumerate_pair_lists(8)) == 105
+    assert calls == [0]
+
+
+def _count_validated_demands(monkeypatch):
+    """Patch ``PairList.__init__`` to count its calls in the returned list."""
+    calls = [0]
     init = PairList.__init__
 
     def counted(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PairList, "__init__", counted)
-    assert sum(1 for _ in enumerate_pair_lists(8)) == 105
-    assert calls == 0
+    return calls
+
+
+def _validated_random_pair_list(ports, rng):
+    # random_pair_list as a shuffle through the validating constructor
+    order = list(range(ports))
+    rng.shuffle(order)
+    return PairList.from_pairs(zip(order[::2], order[1::2]), ports)
+
+
+def test_random_demands_match_validated_ones():
+    for n in range(2, 200, 2):
+        for seed in range(20):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(2):  # the second draw starts where the first left the rng
+                demand, checked = random_pair_list(n, fast), _validated_random_pair_list(n, slow)
+                assert demand.pairs == checked.pairs
+                assert demand.mate == checked.mate
+                assert type(demand.mate) is tuple
+                assert demand == checked
+                assert hash(demand) == hash(checked)
+            assert fast.random() == slow.random()
+    for ports in (-2, 0, 3, True, MAX_PORTS + 2):
+        with pytest.raises(PairSwitchError) as checked:
+            _validated_random_pair_list(ports, random.Random(1))
+        with pytest.raises(type(checked.value), match=re.escape(str(checked.value))):
+            random_pair_list(ports, random.Random(1))
+
+
+def test_random_verify_builds_no_validated_demand(monkeypatch):
+    calls = _count_validated_demands(monkeypatch)
+    for design in Design:
+        assert verify_design(design, 16, mode="random", samples=30, seed=3).passed
+    assert calls == [0]
 
 
 def _reference_matchings(free):
