@@ -193,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     except PairSwitchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file unreadable, or not text
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -558,11 +558,24 @@ def plan_to_json(plan: RoutingPlan) -> str:
 
 
 _BYTE_OF_NAME = {"bar": 0, "cross": 1}
+_LOW_DIGITS = tuple(f"{k:03d}" for k in range(1000))
+
+
+def _joined_ids(count: int) -> str:
+    """``",".join(map(str, range(count)))`` with one join per thousand ids:
+    the ids 1000q..1000q+999 are str(q) followed by three more digits."""
+    blocks = [",".join(map(str, range(min(count, 1000))))]
+    for high in range(1, -(-count // 1000)):
+        lead = str(high)
+        blocks.append(lead + ("," + lead).join(_LOW_DIGITS[: count - 1000 * high]))
+    return ",".join(blocks)
 
 
 def _states(doc: dict) -> Mapping[int, State]:
-    # ids "0".."S-1" in order, as plan_to_json writes them: one pass into bytes
-    if isinstance(doc, dict) and list(doc) == list(map(str, range(len(doc)))):
+    # ids "0".."S-1" in order, as plan_to_json writes them: one pass into bytes.
+    # Joined, the keys hold S-1 commas only if none holds one, so equal
+    # joined strings mean equal keys.
+    if isinstance(doc, dict) and ",".join(doc) == _joined_ids(len(doc)):
         try:
             return StateVector(bytearray(map(_BYTE_OF_NAME.__getitem__, doc.values())))
         except (KeyError, TypeError):
@@ -577,7 +590,8 @@ def plan_from_json(text: str) -> RoutingPlan:
         permuted = tuple(_json_int(x) for x in doc["permuted"])
         plan = RoutingPlan(_states(doc["states"]), permuted)
         bsa = {_json_id(k): tuple(_json_int(x) for x in v) for k, v in doc["bsa"].items()}
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+            ValueError) as exc:
         raise InvalidInput(f"malformed plan document: {exc}") from exc
     if bsa != plan.bsa:
         raise InvalidInput("plan bsa does not match the pairs of its permuted lines")
@@ -591,5 +605,6 @@ def states_from_json(text: str) -> Mapping[int, State]:
         if isinstance(doc, dict) and "states" in doc:
             doc = doc["states"]
         return _states(doc)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+            ValueError) as exc:
         raise InvalidInput(f"malformed states document: {exc}") from exc

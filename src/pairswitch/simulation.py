@@ -4,7 +4,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import is_
 from typing import Mapping, Sequence
 
@@ -33,6 +33,62 @@ def _state_bits(states: Mapping[int, State], count: int) -> bytes:
     return bytes(map(is_, values, repeat(State.CROSS)))
 
 
+_BAR_OF_BYTE = b"\x01" + b"\x00" * 255  # a state byte as 1 for Bar, 0 for Cross
+
+_CROSS_FRAME_BARS = 4
+"""A plan with at most 1/4 of its switches Bar builds the all-Cross frame
+when its network has none; once built, any plan with fewer Bar switches
+than Cross ones walks it."""
+
+
+def _frame(net: Network, cross: bool) -> tuple:
+    """The identity frame (``cross`` false) or the all-Cross frame of
+    ``net``, built in one pass on first use and kept on the object.
+
+    Per switch k, the depth step count(upper slot) - count(lower slot) over
+    switches 0..k, where a slot is a line (identity frame) or a label
+    (all-Cross frame); then each slot's final count.  The all-Cross frame
+    leads with the two labels u_k, v_k meeting at each switch and ends with
+    the label on each output line.  Steps and labels are 2-byte ints unless
+    a count outgrows them."""
+    frame = net._frames.get(cross)
+    if frame is None:
+        try:
+            frame = _build_frame(net, cross, "h")
+        except OverflowError:  # a count past 2^15 - 1, in a network read from a document
+            frame = _build_frame(net, cross, "i")
+        net._frames[cross] = frame
+    return frame
+
+
+def _build_frame(net: Network, cross: bool, typecode: str) -> tuple:
+    at = list(range(net.ports))  # the label on each line
+    count = [0] * net.ports  # switches passed so far, per line or label
+    step = array(typecode, [0]) * len(net.lines)
+    if not cross:
+        for k, i in enumerate(net.lines):
+            a = count[i] + 1
+            b = count[i + 1] + 1
+            count[i] = a
+            count[i + 1] = b
+            step[k] = a - b
+        return step, count
+    upper, lower = array(typecode, [0]) * len(step), array(typecode, [0]) * len(step)
+    for k, i in enumerate(net.lines):
+        u = at[i]
+        v = at[i + 1]
+        at[i] = v
+        at[i + 1] = u
+        a = count[u] + 1
+        b = count[v] + 1
+        count[u] = a
+        count[v] = b
+        upper[k] = u
+        lower[k] = v
+        step[k] = a - b
+    return upper, lower, step, count, at
+
+
 def simulate(
     net: Network, states: Mapping[int, State]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -41,18 +97,57 @@ def simulate(
     Returns ``(perm, depths)``: the final line occupancy, perm[line] =
     photon, and the per-photon count of switch elements traversed (Bar
     counts too), depths[photon].
+
+    Only the switches of the plan's minority state are stepped through, in
+    one of two frames of reference that depend on the network alone (see
+    :func:`_frame`).  Let T_l(k) count the switches 0..k that touch line l.
+    A photon on line l from just after switch a through switch b passes
+    T_l(b) - T_l(a) switches, so its depth telescopes over the switches
+    that move it.
+
+    Identity frame: only a Cross switch moves a photon.  Cross switch k on
+    lines (i, i+1) adds T_i(k) - T_{i+1}(k) to the photon moving down and
+    its negative to the one moving up; at the end each photon adds
+    T_l(S-1) for the line l it ends on.
+
+    All-Cross frame: label l follows photon l's path when every switch is
+    Cross, and each photon rides one label.  Riders trade labels only at a
+    Bar switch, between the labels u_k and v_k meeting there, with the same
+    telescoped steps taken over per-label counts.  Output line l holds the
+    rider of the label that ends on line l.
+
+    A plan with at most 1/_CROSS_FRAME_BARS of its switches Bar walks the
+    all-Cross frame, so its Bar switches are the steps taken.
     """
     count = len(net.lines)
     vector = isinstance(states, StateVector) and len(states) == count
     bits = states.bits if vector else _state_bits(states, count)
-    lines = list(range(net.ports))
+    bars = bits.count(0)
     depths = [0] * net.ports
-    for i, cross in zip(net.lines, bits):
-        depths[lines[i]] += 1
-        depths[lines[i + 1]] += 1
-        if cross:
-            lines[i], lines[i + 1] = lines[i + 1], lines[i]
-    return tuple(lines), tuple(depths)
+    if bars * _CROSS_FRAME_BARS <= count or (True in net._frames and 2 * bars < count):
+        upper, lower, step, tail, order = _frame(net, True)
+        at = list(range(net.ports))  # the photon riding each label
+        for u, v, d in compress(zip(upper, lower, step), bits.translate(_BAR_OF_BYTE)):
+            a = at[u]
+            b = at[v]
+            at[u] = b
+            at[v] = a
+            depths[a] += d
+            depths[b] -= d
+    else:
+        step, tail = _frame(net, False)
+        order = None
+        at = list(range(net.ports))  # the photon on each line
+        for i, d in compress(zip(net.lines, step), bits):
+            a = at[i]
+            b = at[i + 1]
+            at[i] = b
+            at[i + 1] = a
+            depths[a] += d
+            depths[b] -= d
+    for photon, t in zip(at, tail):
+        depths[photon] += t
+    return tuple(at if order is None else map(at.__getitem__, order)), tuple(depths)
 
 
 def propagate(net: Network, states: Mapping[int, State]) -> tuple[int, ...]:

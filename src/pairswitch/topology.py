@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -44,7 +45,10 @@ class SwitchPoint:
 @dataclass(frozen=True)
 class Network:
     """The layout as three ``array('i')``s indexed by switch id: the upper
-    line, the layer and the rendering column of every switch."""
+    line, the layer and the rendering column of every switch.
+
+    ``_frames`` holds the simulator's tables for this object, built on first
+    use; a network read, reversed or cut is a new object with none."""
 
     design: Design
     ports: int
@@ -52,6 +56,7 @@ class Network:
     layers: array
     cols: array
     reversed: bool = False
+    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def switches(self) -> tuple[SwitchPoint, ...]:
@@ -152,6 +157,43 @@ def build_network(design: Design | str, ports: int) -> Network:
     return Network(design, ports, lines, layers, cols)
 
 
+_CACHE_SWITCHES = 1 << 18
+"""Switch budget of the network cache: one N = 1024 network (261,632
+switches), or all three designs at every even N up to 128."""
+
+
+class _NetworkCache:
+    """Built networks by (design, N), at most ``budget`` switches in all; the
+    least recently used goes first.  A network over the budget is built
+    each time and never held."""
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.held = 0
+        self.nets: OrderedDict[tuple[Design, int], Network] = OrderedDict()
+
+    def get(self, design: Design, ports: int) -> Network:
+        _check_ports(ports)  # before the lookup: an unhashable ports raises InvalidPorts
+        key = (design, ports)
+        net = self.nets.get(key)
+        if net is not None:
+            self.nets.move_to_end(key)
+            return net
+        net = build_network(design, ports)
+        size = len(net.lines)
+        if size <= self.budget:
+            self.nets[key] = net
+            self.held += size
+            while self.held > self.budget:
+                self.held -= len(self.nets.popitem(last=False)[1].lines)
+        return net
+
+
+_networks = _NetworkCache(_CACHE_SWITCHES)
+"""The networks :func:`pairswitch.verification.verify_design` routes on: one
+object per (design, N), so the simulator's tables outlive a call."""
+
+
 def reverse_network(net: Network) -> Network:
     """Mirror the traversal order, for operation with sources behind the
     former output side: adjacent input pairs are distributed to arbitrary
@@ -245,7 +287,7 @@ def network_from_json(text: str) -> Network:
         flipped = doc.get("reversed", False)
         if type(flipped) is not bool:
             raise TypeError(f"reversed must be true or false, got {flipped!r}")
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed network document: {exc}") from exc
     for i, (sid, layer, line, col) in enumerate(rows):
         if sid != i:

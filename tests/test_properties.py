@@ -1,20 +1,27 @@
 """Property-based checks: demands are accepted exactly when they are perfect
 matchings, every router agrees with the simulator on drawn demands up to
-N = 256, plans survive the JSON wire format, and the bit-sliced lane check
-agrees with the per-plan simulator."""
+N = 256, plans survive the JSON wire format, the bit-sliced lane check
+agrees with the per-plan simulator, and malformed documents and pair lists
+exit the command line with code 2 and no traceback."""
+import io
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairswitch import (
+    MAX_PORTS,
     Design,
     InvalidDemand,
+    InvalidInput,
     PairList,
     RoutingPlan,
     build_network,
     check_pairing,
+    network_to_json,
     plan_from_json,
     plan_to_json,
     random_pair_list,
@@ -22,6 +29,7 @@ from pairswitch import (
     simulate,
     worst_case_pair_list,
 )
+from pairswitch.cli import main
 from pairswitch.routing import StateVector
 from pairswitch.simulation import _check_plans
 
@@ -186,3 +194,163 @@ def test_lane_check_declines_plans_it_cannot_read():
                 (bits, (-1,) + permuted[1:]),
                 (bits, (0.0,) + permuted[1:])):
         assert _check_plans(net, [demand.mate] * 2, [(bits, permuted), odd]) is None
+
+
+# ---------------------------------------------------------------------------
+# Malformed input at the command line: exit 2, one error line, no traceback
+# ---------------------------------------------------------------------------
+
+_NOT_AN_INT = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                        st.lists(st.integers(), max_size=2))
+_ENDS = {"truncate", "nest", "bytes"}  # edits of the text, not of the document
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_rejected(*argv):
+    code, out, err = _cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _text_edit(draw, edit, text):
+    """The document ``text`` cut short, or some text that is no document."""
+    if edit == "truncate":  # every document ends in a closing brace
+        return text[: draw(st.integers(0, len(text) - 1))].encode()
+    if edit == "nest":  # deeper than the JSON reader recurses
+        return b"[" * draw(st.integers(5_000, 50_000))
+    return b"\xff" + draw(st.binary(max_size=8))  # not UTF-8
+
+
+@st.composite
+def malformed_network_documents(draw):
+    """A generated network document with one edit that makes it malformed:
+    cut short, a key dropped, a value of the wrong type or out of range."""
+    design = draw(st.sampled_from(Design))
+    ports = draw(st.sampled_from((4, 6, 8)))
+    text = network_to_json(build_network(design, ports))
+    edit = draw(st.sampled_from(sorted(_ENDS) + ["drop", "type", "range"]))
+    if edit in _ENDS:
+        return _text_edit(draw, edit, text)
+    doc = json.loads(text)
+    count = len(doc["switches"])
+    position = draw(st.integers(0, count - 1))
+    switch = doc["switches"][position]
+    key = draw(st.sampled_from(("design", "ports", "switches", "reversed",
+                                "id", "layer", "line", "col")))
+    if edit == "drop" and key == "reversed":  # optional; its value is checked instead
+        edit = "type"
+    target = switch if key in switch else doc
+    if edit == "drop":
+        del target[key]
+    elif key == "design":
+        target[key] = draw(st.one_of(_NOT_AN_INT, st.sampled_from(("Triangular", "brick"))))
+    elif key == "reversed":
+        target[key] = draw(st.one_of(st.none(), st.integers(), st.text(max_size=3)))
+    elif key == "switches":
+        target[key] = draw(st.one_of(st.none(), st.integers(), st.text(min_size=1, max_size=3),
+                                     st.lists(_NOT_AN_INT, min_size=1, max_size=2)))
+    elif edit == "type":
+        target[key] = draw(_NOT_AN_INT)
+    else:
+        target[key] = draw(st.sampled_from({
+            "ports": (-2, 0, 3, 5, MAX_PORTS + 2, 10**30),
+            "id": (-1, count, 10**30),
+            "layer": (-1, 0, ports // 2 + 1, 10**30),
+            "line": (-1, ports - 1, ports, 10**30),
+            "col": (-1, count, 10**30),
+        }[key]))
+    return json.dumps(doc).encode()
+
+
+@SETTINGS
+@given(document=malformed_network_documents())
+def test_malformed_network_documents_exit_2(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("net") / "net.json"
+    path.write_bytes(document)
+    _assert_rejected("render", "--net", str(path), "--ascii")
+
+
+@st.composite
+def malformed_state_documents(draw):
+    """A triangular N = 6 plan document, or its bare states, with one edit
+    that makes it malformed.  Returns the document and whether
+    :func:`plan_from_json` must reject it too (a missing or extra switch
+    id is a sparse map there, refused only against a network)."""
+    plan = route(Design.TRIANGULAR, 6, random_pair_list(6, random.Random(draw(st.integers(0, 9)))))
+    bare = draw(st.booleans())
+    edit = draw(st.sampled_from(sorted(_ENDS) + ["value", "key", "drop", "extra", "shape"]))
+    text = plan_to_json(plan)
+    if edit in _ENDS:
+        return _text_edit(draw, edit, text), edit != "bytes"
+    doc = json.loads(text)
+    states = doc["states"]
+    sid = str(draw(st.integers(0, len(states) - 1)))
+    if edit == "value":
+        states[sid] = draw(st.one_of(_NOT_AN_INT, st.sampled_from(("Cross", "BAR", "")))
+                           .filter(lambda v: v not in ("bar", "cross")))
+    elif edit == "key":
+        states[draw(st.sampled_from((" 0", "+0", "00", "x", "1.0", "")))] = states.pop("0")
+    elif edit == "drop":
+        del states[sid]
+    elif edit == "extra":
+        states[draw(st.sampled_from(("-1", str(len(states)), "99")))] = "bar"
+    else:  # the states section, or the whole document, not a mapping
+        shape = draw(st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                               st.lists(st.sampled_from(("states", "0")), max_size=2)))
+        if bare:
+            return json.dumps(shape).encode(), False
+        doc["states"] = shape
+    return json.dumps(states if bare else doc).encode(), not bare and edit not in ("drop", "extra")
+
+
+@SETTINGS
+@given(case=malformed_state_documents())
+def test_malformed_plan_and_states_documents_exit_2(tmp_path_factory, case):
+    document, plan_rejects = case
+    folder = tmp_path_factory.mktemp("states")
+    (folder / "net.json").write_text(network_to_json(build_network(Design.TRIANGULAR, 6)))
+    (folder / "states.json").write_bytes(document)
+    _assert_rejected("render", "--net", str(folder / "net.json"),
+                     "--states", str(folder / "states.json"), "--ascii")
+    if plan_rejects:
+        with pytest.raises(InvalidInput):
+            plan_from_json(document.decode())
+
+
+@st.composite
+def malformed_pairs(draw):
+    """A perfect matching as ``--pairs`` text after one edit that breaks it:
+    an index out of range, a pair split into self pairs, a pair dropped or
+    added, or a character that is no digit, hyphen, comma or space."""
+    ports = 2 * draw(st.integers(1, 6))
+    order = draw(st.permutations(range(ports)))
+    pairs = list(zip(order[::2], order[1::2]))
+    k = draw(st.integers(0, len(pairs) - 1))
+    edit = draw(st.sampled_from(("range", "split", "drop", "add", "char")))
+    if edit == "range":
+        pairs[k] = (pairs[k][0], draw(st.sampled_from((ports, ports + 1, 10**30))))
+    elif edit == "split":
+        a, b = pairs[k]
+        pairs[k : k + 1] = [(a, a), (b, b)]
+    elif edit == "drop":
+        del pairs[k]
+    elif edit == "add":
+        pairs.append((draw(st.integers(0, ports + 1)), draw(st.integers(0, ports + 1))))
+    text = ",".join(f"{a}-{b}" for a, b in pairs)
+    if edit == "char":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("x.;+/:_")) + text[at:]
+    return ports, text
+
+
+@SETTINGS
+@given(design=st.sampled_from(Design), case=malformed_pairs())
+def test_malformed_pairs_exit_2(design, case):
+    ports, text = case
+    _assert_rejected("route", "--design", design.value, "--ports", str(ports), f"--pairs={text}")

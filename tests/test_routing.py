@@ -31,7 +31,9 @@ from pairswitch import (
 from dataclasses import replace
 
 from pairswitch import routing
-from pairswitch.routing import _CORES, _ROUTERS, OpCounter, StateVector, states_from_json
+from pairswitch.routing import (
+    _CORES, _ROUTERS, OpCounter, StateVector, _joined_ids, states_from_json,
+)
 
 
 def pl(text, ports=None):
@@ -793,3 +795,33 @@ def test_plans_match_large_golden_digest(design):
     for demand in demands:
         digest.update(plan_to_json(route(design, demand.ports, demand)).encode())
     assert digest.hexdigest() == GOLDEN_LARGE_SHA256[design]
+
+
+def test_joined_ids_equals_the_joined_decimal_ids():
+    for count in (0, 1, 2, 999, 1000, 1001, 1999, 2000, 2001, 54321):
+        assert _joined_ids(count) == ",".join(map(str, range(count)))
+
+
+@pytest.mark.parametrize("keys, message", [
+    (["0", "01"], "id key '01' is not plain decimal"),
+    (["0", "1,2"], "invalid literal for int() with base 10: '1,2'"),
+    (["0,1", "2"], "invalid literal for int() with base 10: '0,1'"),
+])
+def test_states_keys_off_the_written_form_get_the_general_message(keys, message):
+    doc = dict(zip(keys, ["bar", "cross"]))
+    with pytest.raises(InvalidInput) as exc:
+        states_from_json(json.dumps(doc))
+    assert str(exc.value) == f"malformed states document: {message}"
+
+
+@pytest.mark.parametrize("keys", [["1", "0"], ["0", "2"], ["1"]])
+def test_reordered_or_missing_states_keys_read_as_a_dict(keys):
+    states = states_from_json(json.dumps(dict.fromkeys(keys, "cross")))
+    assert type(states) is dict and states == {int(k): State.CROSS for k in keys}
+
+
+def test_plan_document_at_the_port_budget_reads_back_byte_identical():
+    text = plan_to_json(route_triangular(MAX_PORTS, worst_case_pair_list(MAX_PORTS)))
+    plan = plan_from_json(text)
+    assert isinstance(plan.states, StateVector)
+    assert plan_to_json(plan) == text

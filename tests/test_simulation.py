@@ -1,7 +1,10 @@
+import json
 import random
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairswitch import (
     Design,
@@ -15,14 +18,18 @@ from pairswitch import (
     depth_formulas,
     enumerate_pair_lists,
     estimate_loss,
+    network_from_json,
+    network_to_json,
     propagate,
     random_pair_list,
+    reverse_network,
     route,
     route_triangular,
     simulate,
     traversal_depths,
     worst_case_pair_list,
 )
+from pairswitch import simulation
 from pairswitch.routing import StateVector
 
 
@@ -219,3 +226,147 @@ def test_worst_case_transposition_count_reaches_bound():
             plan = route(design, n, worst_case_pair_list(n))
             assert set(plan.states.values()) == {State.CROSS}
             assert inversions(propagate(net, plan.states)) == n * (n - 2) // 4
+
+
+# ---------------------------------------------------------------------------
+# The frame walk against the single-pass simulator
+# ---------------------------------------------------------------------------
+
+def reference_simulate(net, states):
+    """The single-pass simulator: every switch in id order adds 1 to both
+    of its photons' depths, and a Cross switch exchanges them."""
+    lines = list(range(net.ports))
+    depths = [0] * net.ports
+    for k, i in enumerate(net.lines):
+        depths[lines[i]] += 1
+        depths[lines[i + 1]] += 1
+        if states[k] is State.CROSS:
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return tuple(lines), tuple(depths)
+
+
+def assert_matches_reference(net, bits):
+    """simulate on the state bytes and on their dict agrees with the reference."""
+    vector = StateVector(bytearray(bits))
+    want = reference_simulate(net, vector)
+    assert simulate(net, vector) == want
+    assert simulate(net, dict(vector)) == want
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_simulate_matches_the_reference_on_every_demand_up_to_10(design):
+    for n in (2, 4, 6, 8, 10):
+        net = build_network(design, n)
+        for demand in enumerate_pair_lists(n):
+            plan = route(design, n, demand)
+            assert simulate(net, plan.states) == reference_simulate(net, plan.states)
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_simulate_matches_the_reference_on_seeded_plans_up_to_256(design):
+    rng = random.Random(2024)
+    for n in (12, 16, 30, 64, 128, 256):
+        net = build_network(design, n)
+        demands = [random_pair_list(n, rng) for _ in range(3)] + [worst_case_pair_list(n)]
+        for demand in demands:
+            plan = route(design, n, demand)
+            assert simulate(net, plan.states) == reference_simulate(net, plan.states)
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_simulate_matches_the_reference_on_uniform_and_any_byte_states(design):
+    rng = random.Random(7)
+    for n in (2, 4, 10, 32):
+        net = build_network(design, n)
+        count = len(net.lines)
+        assert_matches_reference(net, bytes(count))  # all Bar
+        assert_matches_reference(net, b"\x01" * count)  # all Cross
+        assert_matches_reference(net, b"\xff" * count)
+        for cross_share in (0.05, 0.3, 0.5, 0.8, 0.97):  # both frames, any nonzero byte
+            bits = [rng.randrange(1, 256) if rng.random() < cross_share else 0
+                    for _ in range(count)]
+            assert_matches_reference(net, bits)
+
+
+def test_simulate_matches_the_reference_on_reversed_damaged_and_read_networks():
+    rng = random.Random(11)
+    for design in Design:
+        net = build_network(design, 10)
+        count = len(net.lines)
+        cut = [a[:3] + a[4:] for a in (net.lines, net.layers, net.cols)]  # as verify_minimality
+        variants = [reverse_network(net), Network(design, 10, *cut),
+                    network_from_json(network_to_json(net))]
+        for variant in variants:
+            for cross_share in (0.1, 0.5, 0.9):
+                bits = [rng.random() < cross_share for _ in range(len(variant.lines))]
+                assert_matches_reference(variant, bits)
+        assert count == len(variants[0].lines) == len(variants[2].lines)
+
+
+@st.composite
+def networks_and_states(draw):
+    """Any planar network (lines drawn from 0..N-2, in any order and number)
+    and a few state byte strings for it."""
+    ports = 2 * draw(st.integers(1, 9))
+    lines = draw(st.lists(st.integers(0, ports - 2), max_size=60)) if ports > 2 else []
+    count = len(lines)
+    net = Network(Design.TRIANGULAR, ports, array("i", lines), array("i", [1]) * count,
+                  array("i", range(count)))
+    states = draw(st.lists(st.binary(min_size=count, max_size=count), min_size=1, max_size=4))
+    return net, states
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(networks_and_states())
+def test_simulate_matches_the_reference_on_any_network(case):
+    net, states = case
+    for bits in states:  # one network object: later plans reuse its frames
+        assert_matches_reference(net, bits)
+
+
+def test_each_frame_is_built_at_most_once_per_network(monkeypatch):
+    built = []
+    build = simulation._build_frame
+
+    def counted(net, cross, typecode):
+        built.append((id(net), cross))
+        return build(net, cross, typecode)
+
+    monkeypatch.setattr(simulation, "_build_frame", counted)
+    rng = random.Random(3)
+    nets = [build_network(design, 24) for design in Design]
+    for net in nets * 2:
+        count = len(net.lines)
+        for cross_share in (0.0, 0.1, 0.4, 0.6, 0.9, 1.0):
+            bits = bytes(rng.random() < cross_share for _ in range(count))
+            simulate(net, StateVector(bytearray(bits)))
+            simulate(net, dict(StateVector(bytearray(bits))))
+    assert sorted(built) == sorted({(id(net), cross) for net in nets for cross in (False, True)})
+
+
+def test_mostly_cross_plans_walk_the_all_cross_frame():
+    # a plan with at most a quarter of its switches Bar builds the all-Cross
+    # frame; a plan nearer half and half, the identity frame only
+    net = build_network(Design.CHEVRON, 16)
+    count = len(net.lines)
+    quarter = bytearray(b"\x01" * count)
+    quarter[: count // 4] = bytes(count // 4)
+    simulate(net, StateVector(quarter))
+    assert set(net._frames) == {True}
+    net = build_network(Design.TRIANGULAR, 16)
+    quarter[: count // 4 + 1] = bytes(count // 4 + 1)
+    simulate(net, StateVector(quarter))
+    assert set(net._frames) == {False}
+
+
+def test_frames_widen_where_a_count_outgrows_two_bytes():
+    # 40,000 switches on lines 1-2, then one on lines 0-1: its step is
+    # 1 - 40,001, past a 2-byte int, so both frames fall back to 4 bytes
+    switches = [{"id": k, "layer": 1, "line": 1, "col": k} for k in range(40000)]
+    switches.append({"id": 40000, "layer": 1, "line": 0, "col": 40000})
+    net = network_from_json(json.dumps({"design": "triangular", "ports": 4,
+                                        "switches": switches}))
+    for bits in (b"\x01" * 40001, bytes(40001), b"\x00\x01" * 20000 + b"\x01"):
+        assert_matches_reference(net, bits)
+    assert [frame[0].typecode for _, frame in sorted(net._frames.items())] == ["i", "i"]
+    assert net._frames[False][0][40000] == 1 - 40001

@@ -13,14 +13,17 @@ from pairswitch import (
     PairList,
     PairSwitchError,
     State,
+    build_network,
     double_factorial,
     enumerate_pair_lists,
     random_pair_list,
+    reverse_network,
     route,
     verify_design,
     verify_minimality,
     worst_case_pair_list,
 )
+from pairswitch.topology import _networks
 from pairswitch.verification import _mate_tables, report_to_json
 
 
@@ -292,3 +295,22 @@ def test_corrupted_plans_give_the_golden_report(monkeypatch, design, ports, kwar
     report = verify_design(design, ports, **kwargs)
     assert len(report.failures) == failures
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest
+
+
+def test_verify_reuses_one_network_and_its_frames_per_design_and_size():
+    verify_design("chevron", 18, "random", samples=3, seed=5)
+    net = _networks.get(Design.CHEVRON, 18)
+    frames = dict(net._frames)
+    assert frames  # the random plans were simulated on the cached network
+    verify_design("chevron", 18, "random", samples=3, seed=6)
+    assert _networks.get(Design.CHEVRON, 18) is net
+    assert all(net._frames[k] is frame for k, frame in frames.items())
+
+
+def test_damaged_and_reversed_networks_never_enter_the_cache():
+    verify_minimality("triangular", 6)
+    reverse_network(_networks.get(Design.TRIANGULAR, 6))
+    verify_design("brickwork", 6, "random", samples=2)
+    for (design, ports), net in _networks.nets.items():
+        assert (net.design, net.ports) == (design, ports)
+        assert net == build_network(design, ports)  # so neither reversed nor cut
