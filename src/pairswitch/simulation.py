@@ -50,7 +50,7 @@ def _frame(net: Network, cross: bool) -> tuple:
     (all-Cross frame); then each slot's final count.  The all-Cross frame
     leads with the two labels u_k, v_k meeting at each switch and ends with
     the label on each output line.  Steps and labels are 2-byte ints unless
-    a count outgrows them."""
+    a value outgrows them."""
     frame = net._frames.get(cross)
     if frame is None:
         try:
@@ -62,7 +62,6 @@ def _frame(net: Network, cross: bool) -> tuple:
 
 
 def _build_frame(net: Network, cross: bool, typecode: str) -> tuple:
-    at = list(range(net.ports))  # the label on each line
     count = [0] * net.ports  # switches passed so far, per line or label
     step = array(typecode, [0]) * len(net.lines)
     if not cross:
@@ -74,6 +73,7 @@ def _build_frame(net: Network, cross: bool, typecode: str) -> tuple:
             step[k] = a - b
         return step, count
     upper, lower = array(typecode, [0]) * len(step), array(typecode, [0]) * len(step)
+    at = list(range(net.ports))  # the label on each line
     for k, i in enumerate(net.lines):
         u = at[i]
         v = at[i + 1]
@@ -123,10 +123,10 @@ def simulate(
     vector = isinstance(states, StateVector) and len(states) == count
     bits = states.bits if vector else _state_bits(states, count)
     bars = bits.count(0)
+    at = list(range(net.ports))  # the photon on each line, or riding each label
     depths = [0] * net.ports
     if bars * _CROSS_FRAME_BARS <= count or (True in net._frames and 2 * bars < count):
         upper, lower, step, tail, order = _frame(net, True)
-        at = list(range(net.ports))  # the photon riding each label
         for u, v, d in compress(zip(upper, lower, step), bits.translate(_BAR_OF_BYTE)):
             a = at[u]
             b = at[v]
@@ -137,7 +137,6 @@ def simulate(
     else:
         step, tail = _frame(net, False)
         order = None
-        at = list(range(net.ports))  # the photon on each line
         for i, d in compress(zip(net.lines, step), bits):
             a = at[i]
             b = at[i + 1]

@@ -8,6 +8,7 @@ ascending id.  All three designs use exactly N*(N-2)/4 switches.
 from __future__ import annotations
 
 import json
+import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -171,21 +172,23 @@ class _NetworkCache:
         self.budget = budget
         self.held = 0
         self.nets: OrderedDict[tuple[Design, int], Network] = OrderedDict()
+        self._lock = threading.Lock()  # one object per key, and a held count that adds up
 
     def get(self, design: Design, ports: int) -> Network:
         _check_ports(ports)  # before the lookup: an unhashable ports raises InvalidPorts
         key = (design, ports)
-        net = self.nets.get(key)
-        if net is not None:
-            self.nets.move_to_end(key)
-            return net
-        net = build_network(design, ports)
-        size = len(net.lines)
-        if size <= self.budget:
-            self.nets[key] = net
-            self.held += size
-            while self.held > self.budget:
-                self.held -= len(self.nets.popitem(last=False)[1].lines)
+        with self._lock:
+            net = self.nets.get(key)
+            if net is not None:
+                self.nets.move_to_end(key)
+                return net
+            net = build_network(design, ports)
+            size = len(net.lines)
+            if size <= self.budget:
+                self.nets[key] = net
+                self.held += size
+                while self.held > self.budget:
+                    self.held -= len(self.nets.popitem(last=False)[1].lines)
         return net
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import threading
 from array import array
 from dataclasses import replace
 
@@ -365,3 +367,29 @@ def test_network_cache_gives_one_object_and_build_network_fresh_ones():
     fresh = build_network(Design.CHEVRON, 14)
     assert fresh is not net and fresh is not build_network(Design.CHEVRON, 14)
     assert fresh == net and not fresh._frames
+
+
+def test_network_cache_keeps_its_count_under_threads():
+    cache = _NetworkCache(budget=60)
+    keys = [(design, ports) for design in Design for ports in (4, 6, 8, 10)]
+    seen = {key: set() for key in keys}
+
+    def worker(offset):
+        for k in range(200):
+            key = keys[(offset + 7 * k) % len(keys)]
+            seen[key].add(id(cache.get(*key)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert cache.held == sum(len(net.lines) for net in cache.nets.values()) <= cache.budget
+    for key, net in cache.nets.items():
+        assert id(net) in seen[key]
