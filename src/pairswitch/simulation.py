@@ -1,4 +1,4 @@
-"""Deterministic single-pass photon propagation and derived measurements."""
+"""Deterministic photon propagation and derived measurements."""
 from __future__ import annotations
 
 import sys
@@ -49,8 +49,10 @@ def _frame(net: Network, cross: bool) -> tuple:
     switches 0..k, where a slot is a line (identity frame) or a label
     (all-Cross frame); then each slot's final count.  The all-Cross frame
     leads with the two labels u_k, v_k meeting at each switch and ends with
-    the label on each output line.  Steps and labels are 2-byte ints unless
-    a value outgrows them."""
+    the label on each output line.  The identity frame's slots are the
+    network's own lines i and i+1, so it stores no labels: building them
+    would make a one-off call slower than stepping through every switch.
+    Steps and labels are 2-byte ints unless a value outgrows them."""
     frame = net._frames.get(cross)
     if frame is None:
         try:
