@@ -35,24 +35,26 @@ def _state_bits(states: Mapping[int, State], count: int) -> bytes:
 
 _BAR_OF_BYTE = b"\x01" + b"\x00" * 255  # a state byte as 1 for Bar, 0 for Cross
 
-_CROSS_FRAME_BARS = 4
-"""A plan with at most 1/4 of its switches Bar builds the all-Cross frame
-when its network has none; once built, any plan with fewer Bar switches
-than Cross ones walks it."""
+_FRAME_MINORITY = 4
+"""A plan walks a frame only when its minority state is at most
+1/_FRAME_MINORITY of its switches; any other plan takes one pass over every
+switch.  Against that pass, timed on the networks of N = 16..64: building a
+frame costs about two passes, and walking it about 0.3 of one at 5-10 %
+minority, 0.55 at 25 % and 0.85 at 50 %.  ``pairswitch verify --samples 5``
+simulates five plans on each network it builds, so there a frame pays for
+itself up to a minority of about a quarter."""
 
 
 def _frame(net: Network, cross: bool) -> tuple:
     """The identity frame (``cross`` false) or the all-Cross frame of
     ``net``, built in one pass on first use and kept on the object.
 
-    Per switch k, the depth step count(upper slot) - count(lower slot) over
-    switches 0..k, where a slot is a line (identity frame) or a label
-    (all-Cross frame); then each slot's final count.  The all-Cross frame
-    leads with the two labels u_k, v_k meeting at each switch and ends with
-    the label on each output line.  The identity frame's slots are the
-    network's own lines i and i+1, so it stores no labels: building them
-    would make a one-off call slower than stepping through every switch.
-    Steps and labels are 2-byte ints unless a value outgrows them."""
+    Per switch k: the slots u_k, v_k on its upper and lower line, where a
+    slot is a line (identity frame) or a label (all-Cross frame), and the
+    depth step count(u_k) - count(v_k) over switches 0..k.  Then each
+    slot's final count and, for the all-Cross frame, the label ending on
+    each output line.  Slots and steps are 2-byte ints unless a value
+    outgrows them."""
     frame = net._frames.get(cross)
     if frame is None:
         try:
@@ -64,23 +66,15 @@ def _frame(net: Network, cross: bool) -> tuple:
 
 
 def _build_frame(net: Network, cross: bool, typecode: str) -> tuple:
-    count = [0] * net.ports  # switches passed so far, per line or label
-    step = array(typecode, [0]) * len(net.lines)
-    if not cross:
-        for k, i in enumerate(net.lines):
-            a = count[i] + 1
-            b = count[i + 1] + 1
-            count[i] = a
-            count[i + 1] = b
-            step[k] = a - b
-        return step, count
-    upper, lower = array(typecode, [0]) * len(step), array(typecode, [0]) * len(step)
-    at = list(range(net.ports))  # the label on each line
+    upper, lower, step = (array(typecode, [0]) * len(net.lines) for _ in range(3))
+    count = [0] * net.ports  # switches met so far, per slot
+    at = list(range(net.ports))  # the slot on each line
     for k, i in enumerate(net.lines):
         u = at[i]
         v = at[i + 1]
-        at[i] = v
-        at[i + 1] = u
+        if cross:
+            at[i] = v
+            at[i + 1] = u
         a = count[u] + 1
         b = count[v] + 1
         count[u] = a
@@ -88,7 +82,7 @@ def _build_frame(net: Network, cross: bool, typecode: str) -> tuple:
         upper[k] = u
         lower[k] = v
         step[k] = a - b
-    return upper, lower, step, count, at
+    return upper, lower, step, count, at if cross else None
 
 
 def simulate(
@@ -100,52 +94,58 @@ def simulate(
     photon, and the per-photon count of switch elements traversed (Bar
     counts too), depths[photon].
 
-    Only the switches of the plan's minority state are stepped through, in
+    A plan whose Cross or whose Bar switches are at most a quarter of all
+    (see :data:`_FRAME_MINORITY`) steps through those switches only, in
     one of two frames of reference that depend on the network alone (see
-    :func:`_frame`).  Let T_l(k) count the switches 0..k that touch line l.
-    A photon on line l from just after switch a through switch b passes
-    T_l(b) - T_l(a) switches, so its depth telescopes over the switches
-    that move it.
+    :func:`_frame`); any other plan takes one pass over every switch.  Let
+    T_l(k) count the switches 0..k that touch line l.  A photon on line l
+    from just after switch a through switch b passes T_l(b) - T_l(a)
+    switches, so its depth telescopes over the switches that move it.
 
-    Identity frame: only a Cross switch moves a photon.  Cross switch k on
-    lines (i, i+1) adds T_i(k) - T_{i+1}(k) to the photon moving down and
-    its negative to the one moving up; at the end each photon adds
-    T_l(S-1) for the line l it ends on.
+    Identity frame, for a plan mostly Bar: only a Cross switch moves a
+    photon.  Cross switch k on lines (i, i+1) adds T_i(k) - T_{i+1}(k) to
+    the photon moving down and its negative to the one moving up; at the
+    end each photon adds T_l(S-1) for the line l it ends on.
 
-    All-Cross frame: label l follows photon l's path when every switch is
-    Cross, and each photon rides one label.  Riders trade labels only at a
-    Bar switch, between the labels u_k and v_k meeting there, with the same
-    telescoped steps taken over per-label counts.  Output line l holds the
-    rider of the label that ends on line l.
+    All-Cross frame, for a plan mostly Cross: label l follows photon l's
+    path when every switch is Cross, and each photon rides one label.
+    Riders trade labels only at a Bar switch, between the labels u_k and
+    v_k meeting there, with the same telescoped steps taken over per-label
+    counts.  Output line l holds the rider of the label that ends on line l.
 
-    A plan with at most 1/_CROSS_FRAME_BARS of its switches Bar walks the
-    all-Cross frame, so its Bar switches are the steps taken.
+    The frames are kept on ``net``, so its arrays must not be changed after
+    its first call here.
     """
     count = len(net.lines)
     vector = isinstance(states, StateVector) and len(states) == count
     bits = states.bits if vector else _state_bits(states, count)
     bars = bits.count(0)
+    if bars * _FRAME_MINORITY <= count:
+        frame, moves = _frame(net, True), bits.translate(_BAR_OF_BYTE)
+    elif (count - bars) * _FRAME_MINORITY <= count:
+        frame, moves = _frame(net, False), bits
+    else:
+        lines = list(range(net.ports))
+        depths = [0] * net.ports
+        for i, cross in zip(net.lines, bits):
+            depths[lines[i]] += 1
+            depths[lines[i + 1]] += 1
+            if cross:
+                lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        return tuple(lines), tuple(depths)
+    upper, lower, step, tail, order = frame
     at = list(range(net.ports))  # the photon on each line, or riding each label
     depths = [0] * net.ports
-    if bars * _CROSS_FRAME_BARS <= count or (True in net._frames and 2 * bars < count):
-        upper, lower, step, tail, order = _frame(net, True)
-        for u, v, d in compress(zip(upper, lower, step), bits.translate(_BAR_OF_BYTE)):
-            a = at[u]
-            b = at[v]
-            at[u] = b
-            at[v] = a
-            depths[a] += d
-            depths[b] -= d
-    else:
-        step, tail = _frame(net, False)
-        order = None
-        for i, d in compress(zip(net.lines, step), bits):
-            a = at[i]
-            b = at[i + 1]
-            at[i] = b
-            at[i + 1] = a
-            depths[a] += d
-            depths[b] -= d
+    for k in compress(range(count), moves):
+        u = upper[k]
+        v = lower[k]
+        a = at[u]
+        b = at[v]
+        at[u] = b
+        at[v] = a
+        d = step[k]
+        depths[a] += d
+        depths[b] -= d
     for photon, t in zip(at, tail):
         depths[photon] += t
     return tuple(at if order is None else map(at.__getitem__, order)), tuple(depths)

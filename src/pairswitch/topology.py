@@ -8,9 +8,7 @@ ascending id.  All three designs use exactly N*(N-2)/4 switches.
 from __future__ import annotations
 
 import json
-import threading
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -49,7 +47,9 @@ class Network:
     line, the layer and the rendering column of every switch.
 
     ``_frames`` holds the simulator's tables for this object, built on first
-    use; a network read, reversed or cut is a new object with none."""
+    use; a network read, reversed or cut is a new object with none.  The
+    tables are read from ``lines``, so the arrays must not be changed after
+    the first :func:`~pairswitch.simulation.simulate` on the object."""
 
     design: Design
     ports: int
@@ -156,45 +156,6 @@ def build_network(design: Design | str, ports: int) -> Network:
             cols[first : first + size] = array("i", [col]) * size
             first += size
     return Network(design, ports, lines, layers, cols)
-
-
-_CACHE_SWITCHES = 1 << 18
-"""Switch budget of the network cache: one N = 1024 network (261,632
-switches), or all three designs at every even N up to 128."""
-
-
-class _NetworkCache:
-    """Built networks by (design, N), at most ``budget`` switches in all; the
-    least recently used goes first.  A network over the budget is built
-    each time and never held."""
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.held = 0
-        self.nets: OrderedDict[tuple[Design, int], Network] = OrderedDict()
-        self._lock = threading.Lock()  # one object per key, and a held count that adds up
-
-    def get(self, design: Design, ports: int) -> Network:
-        _check_ports(ports)  # before the lookup: an unhashable ports raises InvalidPorts
-        key = (design, ports)
-        with self._lock:
-            net = self.nets.get(key)
-            if net is not None:
-                self.nets.move_to_end(key)
-                return net
-            net = build_network(design, ports)
-            size = len(net.lines)
-            if size <= self.budget:
-                self.nets[key] = net
-                self.held += size
-                while self.held > self.budget:
-                    self.held -= len(self.nets.popitem(last=False)[1].lines)
-        return net
-
-
-_networks = _NetworkCache(_CACHE_SWITCHES)
-"""The networks :func:`pairswitch.verification.verify_design` routes on: one
-object per (design, N), so the simulator's tables outlive a call."""
 
 
 def reverse_network(net: Network) -> Network:

@@ -12,7 +12,7 @@ from typing import Iterator
 from .errors import BoundExceeded, InvalidInput
 from .routing import _CORES, PairList, StateVector, _check_demand_ports
 from .simulation import _check_plans, brute_force_route, check_pairing, simulate
-from .topology import Design, Network, _check_ports, _networks, build_network
+from .topology import Design, Network, _check_ports, build_network
 
 
 _CHUNK_DEMANDS = 1024
@@ -148,7 +148,7 @@ def verify_design(
     """Route every demand (or a seeded sample), simulate, and check the
     paired egress; collect depth extrema across all checked routings."""
     design = Design(design)
-    net = _networks.get(design, ports)
+    net = build_network(design, ports)
     if mode == "exhaustive":
         _check_exhaustive(ports, cap)
         mates = _mate_tables(ports)

@@ -342,19 +342,18 @@ def test_each_frame_is_built_at_most_once_per_network(monkeypatch):
     assert sorted(built) == sorted({(id(net), cross) for net in nets for cross in (False, True)})
 
 
-def test_mostly_cross_plans_walk_the_all_cross_frame():
-    # a plan with at most a quarter of its switches Bar builds the all-Cross
-    # frame; a plan nearer half and half, the identity frame only
-    net = build_network(Design.CHEVRON, 16)
-    count = len(net.lines)
-    quarter = bytearray(b"\x01" * count)
-    quarter[: count // 4] = bytes(count // 4)
-    simulate(net, StateVector(quarter))
-    assert set(net._frames) == {True}
-    net = build_network(Design.TRIANGULAR, 16)
-    quarter[: count // 4 + 1] = bytes(count // 4 + 1)
-    simulate(net, StateVector(quarter))
-    assert set(net._frames) == {False}
+def test_plans_walk_the_frame_of_a_minority_of_at_most_a_quarter():
+    # at most a quarter of the switches Bar: the all-Cross frame; at most a
+    # quarter Cross: the identity frame; anything between: no frame at all
+    count = len(build_network(Design.CHEVRON, 16).lines)
+    quarter = count // 4
+    for bars, frames in ((quarter, {True}), (count - quarter, {False}),
+                         (quarter + 1, set()), (count - quarter - 1, set())):
+        net = build_network(Design.CHEVRON, 16)
+        bits = bytearray(b"\x01" * count)
+        bits[:bars] = bytes(bars)
+        assert_matches_reference(net, bits)
+        assert set(net._frames) == frames
 
 
 def test_frames_widen_where_a_count_outgrows_two_bytes():
@@ -367,4 +366,4 @@ def test_frames_widen_where_a_count_outgrows_two_bytes():
     for bits in (b"\x01" * 40001, bytes(40001), b"\x00\x01" * 20000 + b"\x01"):
         assert_matches_reference(net, bits)
     assert [frame[0].typecode for _, frame in sorted(net._frames.items())] == ["i", "i"]
-    assert net._frames[False][0][40000] == 1 - 40001
+    assert net._frames[False][2][40000] == 1 - 40001  # the step of the last switch

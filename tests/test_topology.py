@@ -1,7 +1,5 @@
 import hashlib
 import json
-import sys
-import threading
 from array import array
 from dataclasses import replace
 
@@ -23,9 +21,7 @@ from pairswitch import (
     reverse_network,
     validate_network,
 )
-from pairswitch.topology import (
-    _CACHE_SWITCHES, _NetworkCache, _networks, _triangular_first_id,
-)
+from pairswitch.topology import _triangular_first_id
 
 ALL_N = list(range(4, 65, 2))
 _EMPTY = (array("i"), array("i"), array("i"))  # lines, layers, cols
@@ -323,73 +319,3 @@ def test_reversed_network_distributes_adjacent_pairs():
             out_b = rperm.index(2 * j + 1)
             pair = tuple(sorted((out_a, out_b)))
             assert pair in demand.pairs
-
-
-# ---------------------------------------------------------------------------
-# The network cache verify runs share
-# ---------------------------------------------------------------------------
-
-def test_network_cache_keeps_its_switch_budget_and_evicts_the_least_recent():
-    cache = _NetworkCache(budget=40)  # N = 8 has 12 switches, N = 10 has 20
-    tri8, chev8 = cache.get(Design.TRIANGULAR, 8), cache.get(Design.CHEVRON, 8)
-    assert cache.held == 24
-    assert cache.get(Design.TRIANGULAR, 8) is tri8  # now the most recent
-    cache.get(Design.BRICKWORK, 10)  # 44 > 40: the least recent, chevron, goes
-    assert list(cache.nets) == [(Design.TRIANGULAR, 8), (Design.BRICKWORK, 10)]
-    assert cache.held == 32 <= cache.budget
-    assert cache.get(Design.CHEVRON, 8) is not chev8  # rebuilt, and triangular goes
-    assert list(cache.nets) == [(Design.BRICKWORK, 10), (Design.CHEVRON, 8)]
-    assert cache.held == sum(len(net.lines) for net in cache.nets.values()) == 32
-
-
-def test_network_cache_never_holds_a_network_over_its_budget():
-    cache = _NetworkCache(budget=20)
-    cache.get(Design.TRIANGULAR, 10)  # 20 switches: held
-    first = cache.get(Design.TRIANGULAR, 12)  # 30 switches: built, not held
-    assert cache.get(Design.TRIANGULAR, 12) is not first
-    assert list(cache.nets) == [(Design.TRIANGULAR, 10)] and cache.held == 20
-
-
-def test_network_cache_budget_holds_one_network_of_1024_ports():
-    assert optimal_switch_count(1024) <= _CACHE_SWITCHES < optimal_switch_count(1026)
-    assert _CACHE_SWITCHES == _networks.budget
-
-
-def test_network_cache_checks_ports_before_its_lookup():
-    for ports in ([4], 5, 0, MAX_PORTS + 2):
-        with pytest.raises((InvalidPorts, BoundExceeded)):
-            _networks.get(Design.TRIANGULAR, ports)
-
-
-def test_network_cache_gives_one_object_and_build_network_fresh_ones():
-    net = _networks.get(Design.CHEVRON, 14)
-    assert _networks.get(Design.CHEVRON, 14) is net
-    fresh = build_network(Design.CHEVRON, 14)
-    assert fresh is not net and fresh is not build_network(Design.CHEVRON, 14)
-    assert fresh == net and not fresh._frames
-
-
-def test_network_cache_keeps_its_count_under_threads():
-    cache = _NetworkCache(budget=60)
-    keys = [(design, ports) for design in Design for ports in (4, 6, 8, 10)]
-    seen = {key: set() for key in keys}
-
-    def worker(offset):
-        for k in range(200):
-            key = keys[(offset + 7 * k) % len(keys)]
-            seen[key].add(id(cache.get(*key)))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert cache.held == sum(len(net.lines) for net in cache.nets.values()) <= cache.budget
-    for key, net in cache.nets.items():
-        assert id(net) in seen[key]

@@ -13,17 +13,15 @@ from pairswitch import (
     PairList,
     PairSwitchError,
     State,
-    build_network,
     double_factorial,
     enumerate_pair_lists,
     random_pair_list,
-    reverse_network,
     route,
     verify_design,
     verify_minimality,
     worst_case_pair_list,
 )
-from pairswitch.topology import _networks
+from pairswitch import simulation
 from pairswitch.verification import _mate_tables, report_to_json
 
 
@@ -297,20 +295,17 @@ def test_corrupted_plans_give_the_golden_report(monkeypatch, design, ports, kwar
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest
 
 
-def test_verify_reuses_one_network_and_its_frames_per_design_and_size():
-    verify_design("chevron", 18, "random", samples=3, seed=5)
-    net = _networks.get(Design.CHEVRON, 18)
-    frames = dict(net._frames)
-    assert frames  # the random plans were simulated on the cached network
-    verify_design("chevron", 18, "random", samples=3, seed=6)
-    assert _networks.get(Design.CHEVRON, 18) is net
-    assert all(net._frames[k] is frame for k, frame in frames.items())
+def test_verify_builds_a_frame_once_per_call(monkeypatch):
+    # the samples of one call share its network's frame; a call builds its own
+    built = []
+    build = simulation._build_frame
 
+    def counted(net, cross, typecode):
+        built.append(cross)
+        return build(net, cross, typecode)
 
-def test_damaged_and_reversed_networks_never_enter_the_cache():
-    verify_minimality("triangular", 6)
-    reverse_network(_networks.get(Design.TRIANGULAR, 6))
-    verify_design("brickwork", 6, "random", samples=2)
-    for (design, ports), net in _networks.nets.items():
-        assert (net.design, net.ports) == (design, ports)
-        assert net == build_network(design, ports)  # so neither reversed nor cut
+    monkeypatch.setattr(simulation, "_build_frame", counted)
+    verify_design("chevron", 18, "random", samples=5, seed=5)
+    assert built == [True]  # every plan is at most a quarter Bar
+    verify_design("chevron", 18, "random", samples=5, seed=5)
+    assert built == [True, True]
