@@ -18,7 +18,7 @@ from .errors import InvalidDemand, InvalidInput
 from .topology import Design, State, _check_ports, optimal_switch_count
 from .topology import _json_id, _json_int
 
-_PAIR_TOKEN = re.compile(r"^(\d+)-(\d+)$")
+_PAIR_TOKEN = re.compile(r"^([0-9]+)-([0-9]+)$")  # not \d, which takes any Unicode digit
 
 
 def _check_demand_ports(ports: int) -> None:

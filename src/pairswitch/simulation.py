@@ -15,7 +15,10 @@ from .topology import Network, State
 
 def _state_bits(states: Mapping[int, State], count: int) -> bytes:
     """Any id -> State mapping as one byte per id 0..count-1, 1 for Cross,
-    looked up in one pass over the ids."""
+    looked up in one pass over the ids; a StateVector over those ids gives
+    its own bytes."""
+    if isinstance(states, StateVector) and len(states) == count:
+        return states.bits
     try:
         values = list(map(states.__getitem__, range(count))) if len(states) == count else None
     except KeyError:
@@ -36,45 +39,33 @@ def _state_bits(states: Mapping[int, State], count: int) -> bytes:
 _BAR_OF_BYTE = b"\x01" + b"\x00" * 255  # a state byte as 1 for Bar, 0 for Cross
 
 _FRAME_MINORITY = 4
-"""A plan walks a frame only when its minority state is at most
-1/_FRAME_MINORITY of its switches; any other plan takes one pass over every
-switch.  Against that pass, timed on the networks of N = 16..64: building a
-frame costs about two passes, and walking it about 0.3 of one at 5-10 %
-minority, 0.55 at 25 % and 0.85 at 50 %.  ``pairswitch verify --samples 5``
-simulates five plans on each network it builds, so there a frame pays for
-itself up to a minority of about a quarter."""
+"""A plan walks the all-Cross frame only when at most 1/_FRAME_MINORITY of
+its switches are Bar; any other plan takes one pass over every switch.
+Against that pass, timed on the networks of N = 16..64: building the frame
+costs about two passes, and walking it about 0.3 of one at 5-10 % Bar,
+0.55 at 25 % and 0.85 at 50 %.  ``pairswitch verify --samples 5``
+simulates five plans on each network it builds, so there the frame pays
+for itself up to about a quarter Bar."""
 
 
-def _frame(net: Network, cross: bool) -> tuple:
-    """The identity frame (``cross`` false) or the all-Cross frame of
-    ``net``, built in one pass on first use and kept on the object.
+def _build_frame(net: Network) -> tuple:
+    """The all-Cross frame of ``net``: label l follows the path photon l
+    takes when every switch is Cross.
 
-    Per switch k: the slots u_k, v_k on its upper and lower line, where a
-    slot is a line (identity frame) or a label (all-Cross frame), and the
-    depth step count(u_k) - count(v_k) over switches 0..k.  Then each
-    slot's final count and, for the all-Cross frame, the label ending on
-    each output line.  Slots and steps are 2-byte ints unless a value
-    outgrows them."""
-    frame = net._frames.get(cross)
-    if frame is None:
-        try:
-            frame = _build_frame(net, cross, "h")
-        except OverflowError:  # a count past 2^15 - 1, in a network read from a document
-            frame = _build_frame(net, cross, "i")
-        net._frames[cross] = frame
-    return frame
-
-
-def _build_frame(net: Network, cross: bool, typecode: str) -> tuple:
-    upper, lower, step = (array(typecode, [0]) * len(net.lines) for _ in range(3))
-    count = [0] * net.ports  # switches met so far, per slot
-    at = list(range(net.ports))  # the slot on each line
+    Per switch k: the labels u_k, v_k meeting there, on its upper and lower
+    line, and the depth step count(u_k) - count(v_k), where count(l) is the
+    number of switches 0..k on label l's path.  Then each label's final
+    count and the label ending on each output line.  The tables are 2-byte
+    arrays: a label's count is the depth of a photon, which on a network
+    from :func:`~pairswitch.topology.build_network` is at most N-2 <= 2046."""
+    upper, lower, step = (array("h", [0]) * len(net.lines) for _ in range(3))
+    count = [0] * net.ports  # switches met so far, per label
+    at = list(range(net.ports))  # the label on each line
     for k, i in enumerate(net.lines):
         u = at[i]
         v = at[i + 1]
-        if cross:
-            at[i] = v
-            at[i + 1] = u
+        at[i] = v
+        at[i + 1] = u
         a = count[u] + 1
         b = count[v] + 1
         count[u] = a
@@ -82,7 +73,54 @@ def _build_frame(net: Network, cross: bool, typecode: str) -> tuple:
         upper[k] = u
         lower[k] = v
         step[k] = a - b
-    return upper, lower, step, count, at if cross else None
+    return upper, lower, step, count, at
+
+
+class _PlanSimulator:
+    """:func:`simulate` for the plans one verify call checks on ``net``, a
+    network from :func:`~pairswitch.topology.build_network`.
+
+    A plan at most 1/:data:`_FRAME_MINORITY` Bar steps through its Bar
+    switches only, in the all-Cross frame (see :func:`_build_frame`), which
+    is built on the first such plan and kept on this object; any other plan
+    takes :func:`simulate`'s single pass.  Each photon rides one label, and
+    riders trade labels only at a Bar switch.  Let T_l(k) count the
+    switches 0..k on label l's path.  A photon riding label l from just
+    after switch a through switch b passes T_l(b) - T_l(a) switches, so its
+    depth telescopes: Bar switch k, where labels u = u_k and v = v_k meet,
+    adds T_u(k) - T_v(k) to the rider moving from u to v and its negative
+    to the other one, and at the end each photon adds the final count of
+    its label.  Output line l holds the rider of the label that ends on
+    line l.
+    """
+
+    def __init__(self, net: Network) -> None:
+        self.net = net
+        self.frame: tuple | None = None
+
+    def __call__(self, states: Mapping[int, State]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        net = self.net
+        bits = _state_bits(states, len(net.lines))
+        if bits.count(0) * _FRAME_MINORITY > len(bits):
+            return simulate(net, states)
+        if self.frame is None:
+            self.frame = _build_frame(net)
+        upper, lower, step, tail, order = self.frame
+        rider = list(range(net.ports))  # the photon riding each label
+        depths = [0] * net.ports
+        for k in compress(range(len(bits)), bits.translate(_BAR_OF_BYTE)):
+            u = upper[k]
+            v = lower[k]
+            a = rider[u]
+            b = rider[v]
+            rider[u] = b
+            rider[v] = a
+            d = step[k]
+            depths[a] += d
+            depths[b] -= d
+        for photon, t in zip(rider, tail):
+            depths[photon] += t
+        return tuple(map(rider.__getitem__, order)), tuple(depths)
 
 
 def simulate(
@@ -92,63 +130,17 @@ def simulate(
 
     Returns ``(perm, depths)``: the final line occupancy, perm[line] =
     photon, and the per-photon count of switch elements traversed (Bar
-    counts too), depths[photon].
-
-    A plan whose Cross or whose Bar switches are at most a quarter of all
-    (see :data:`_FRAME_MINORITY`) steps through those switches only, in
-    one of two frames of reference that depend on the network alone (see
-    :func:`_frame`); any other plan takes one pass over every switch.  Let
-    T_l(k) count the switches 0..k that touch line l.  A photon on line l
-    from just after switch a through switch b passes T_l(b) - T_l(a)
-    switches, so its depth telescopes over the switches that move it.
-
-    Identity frame, for a plan mostly Bar: only a Cross switch moves a
-    photon.  Cross switch k on lines (i, i+1) adds T_i(k) - T_{i+1}(k) to
-    the photon moving down and its negative to the one moving up; at the
-    end each photon adds T_l(S-1) for the line l it ends on.
-
-    All-Cross frame, for a plan mostly Cross: label l follows photon l's
-    path when every switch is Cross, and each photon rides one label.
-    Riders trade labels only at a Bar switch, between the labels u_k and
-    v_k meeting there, with the same telescoped steps taken over per-label
-    counts.  Output line l holds the rider of the label that ends on line l.
-
-    The frames are kept on ``net``, so its arrays must not be changed after
-    its first call here.
+    counts too), depths[photon].  One pass over every switch; nothing is
+    kept on ``net``.
     """
-    count = len(net.lines)
-    vector = isinstance(states, StateVector) and len(states) == count
-    bits = states.bits if vector else _state_bits(states, count)
-    bars = bits.count(0)
-    if bars * _FRAME_MINORITY <= count:
-        frame, moves = _frame(net, True), bits.translate(_BAR_OF_BYTE)
-    elif (count - bars) * _FRAME_MINORITY <= count:
-        frame, moves = _frame(net, False), bits
-    else:
-        lines = list(range(net.ports))
-        depths = [0] * net.ports
-        for i, cross in zip(net.lines, bits):
-            depths[lines[i]] += 1
-            depths[lines[i + 1]] += 1
-            if cross:
-                lines[i], lines[i + 1] = lines[i + 1], lines[i]
-        return tuple(lines), tuple(depths)
-    upper, lower, step, tail, order = frame
-    at = list(range(net.ports))  # the photon on each line, or riding each label
+    lines = list(range(net.ports))
     depths = [0] * net.ports
-    for k in compress(range(count), moves):
-        u = upper[k]
-        v = lower[k]
-        a = at[u]
-        b = at[v]
-        at[u] = b
-        at[v] = a
-        d = step[k]
-        depths[a] += d
-        depths[b] -= d
-    for photon, t in zip(at, tail):
-        depths[photon] += t
-    return tuple(at if order is None else map(at.__getitem__, order)), tuple(depths)
+    for i, cross in zip(net.lines, _state_bits(states, len(net.lines))):
+        depths[lines[i]] += 1
+        depths[lines[i + 1]] += 1
+        if cross:
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return tuple(lines), tuple(depths)
 
 
 def propagate(net: Network, states: Mapping[int, State]) -> tuple[int, ...]:
@@ -328,6 +320,10 @@ def _check_plans(
 
 _LOW_SWITCHES = 16  # brute force: the low switches take fixed lane patterns
 
+MAX_BRUTE_FORCE_SWITCHES = 24
+"""Switch budget of :func:`brute_force_route`: 2^S assignments, at most
+2^24 = 16,777,216, which is 256 lane passes of 2^16."""
+
 
 def _lane_patterns(low: int) -> list[int]:
     """Over 2^low lanes, the lanes whose index has bit k set, k < low."""
@@ -341,8 +337,7 @@ def _lane_patterns(low: int) -> list[int]:
     return out
 
 
-def brute_force_route(net: Network, demand: PairList,
-                      max_switches: int = 24) -> RoutingPlan | None:
+def brute_force_route(net: Network, demand: PairList) -> RoutingPlan | None:
     """Exhaustively try all 2^S state assignments in counter order (switch
     k is bit k, Cross when set) and return the first one that realizes the
     demand, or None when the demand is unroutable.
@@ -353,9 +348,9 @@ def brute_force_route(net: Network, demand: PairList,
     """
     _check_demand(net.ports, demand)
     count = len(net.lines)
-    if count > max_switches:
+    if count > MAX_BRUTE_FORCE_SWITCHES:
         raise BoundExceeded(
-            f"{count} switches exceed the {max_switches}-switch enumeration budget"
+            f"{count} switches exceed the {MAX_BRUTE_FORCE_SWITCHES}-switch enumeration budget"
         )
     low = min(count, _LOW_SWITCHES)
     full = (1 << (1 << low)) - 1

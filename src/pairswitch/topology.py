@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -44,12 +44,7 @@ class SwitchPoint:
 @dataclass(frozen=True)
 class Network:
     """The layout as three ``array('i')``s indexed by switch id: the upper
-    line, the layer and the rendering column of every switch.
-
-    ``_frames`` holds the simulator's tables for this object, built on first
-    use; a network read, reversed or cut is a new object with none.  The
-    tables are read from ``lines``, so the arrays must not be changed after
-    the first :func:`~pairswitch.simulation.simulate` on the object."""
+    line, the layer and the rendering column of every switch."""
 
     design: Design
     ports: int
@@ -57,7 +52,6 @@ class Network:
     layers: array
     cols: array
     reversed: bool = False
-    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def switches(self) -> tuple[SwitchPoint, ...]:

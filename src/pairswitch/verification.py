@@ -11,7 +11,8 @@ from typing import Iterator
 
 from .errors import BoundExceeded, InvalidInput
 from .routing import _CORES, PairList, StateVector, _check_demand_ports
-from .simulation import _check_plans, brute_force_route, check_pairing, simulate
+from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_plans, _PlanSimulator,
+                         brute_force_route, check_pairing)
 from .topology import Design, Network, _check_ports, build_network
 
 
@@ -148,7 +149,7 @@ def verify_design(
     """Route every demand (or a seeded sample), simulate, and check the
     paired egress; collect depth extrema across all checked routings."""
     design = Design(design)
-    net = build_network(design, ports)
+    _check_ports(ports)
     if mode == "exhaustive":
         _check_exhaustive(ports, cap)
         mates = _mate_tables(ports)
@@ -161,6 +162,8 @@ def verify_design(
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
 
+    net = build_network(design, ports)
+    simulate_plan = _PlanSimulator(net)  # builds the all-Cross frame at most once per call
     core = _CORES[design]
     failures: list[tuple[str, str]] = []
     checked = 0
@@ -170,7 +173,7 @@ def verify_design(
     def check_one(mate: tuple[int, ...], states: bytearray, permuted: tuple[int, ...]) -> None:
         nonlocal max_depth, min_depth
         demand = PairList._perfect(mate)
-        perm, depths = simulate(net, StateVector(states))
+        perm, depths = simulate_plan(StateVector(states))
         if perm != permuted:
             failures.append(
                 (demand.to_text(), f"router predicted {permuted}, simulator got {perm}")
@@ -236,15 +239,13 @@ class MinimalityReport:
         }
 
 
-def verify_minimality(
-    design: Design | str, ports: int, max_switches: int = 24
-) -> MinimalityReport:
+def verify_minimality(design: Design | str, ports: int) -> MinimalityReport:
     """Delete each switch in turn and brute-force the worst-case demand on
     the damaged network; a minimal design leaves every deletion unroutable."""
     design = Design(design)
     net = build_network(design, ports)
     count = len(net.lines)
-    if count - 1 > max_switches:
+    if count - 1 > MAX_BRUTE_FORCE_SWITCHES:
         raise BoundExceeded(f"{count - 1} switches exceed the brute-force budget")
     demand = worst_case_pair_list(ports)
     outcomes = []
@@ -252,7 +253,7 @@ def verify_minimality(
         # the damaged copy renumbers its ids densely; only routability is read
         cut = (a[:k] + a[k + 1 :] for a in (net.lines, net.layers, net.cols))
         damaged = Network(design, ports, *cut)
-        plan = brute_force_route(damaged, demand, max_switches=max_switches)
+        plan = brute_force_route(damaged, demand)
         outcomes.append((k, plan is not None))
     return MinimalityReport(design=design, ports=ports, outcomes=tuple(outcomes))
 

@@ -69,6 +69,15 @@ def test_route_malformed_pairs_exits_2(capsys):
     assert "error" in err
 
 
+def test_route_pairs_in_non_ascii_digits_exit_2(capsys):
+    arabic_indic = "\u0660-\u0663,\u0661-\u0662"  # 0-3,1-2
+    code, out, err = run(
+        capsys, "route", "--design", "triangular", "--ports", "4", "--pairs", arabic_indic
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_route_odd_ports_exits_2(capsys):
     code, _, err = run(
         capsys, "route", "--design", "triangular", "--ports", "5", "--pairs", "0-1"

@@ -327,7 +327,7 @@ def test_malformed_plan_and_states_documents_exit_2(tmp_path_factory, case):
 def malformed_pairs(draw):
     """A perfect matching as ``--pairs`` text after one edit that breaks it:
     an index out of range, a pair split into self pairs, a pair dropped or
-    added, or a character that is no digit, hyphen, comma or space."""
+    added, or a character that is no ASCII digit, hyphen, comma or space."""
     ports = 2 * draw(st.integers(1, 6))
     order = draw(st.permutations(range(ports)))
     pairs = list(zip(order[::2], order[1::2]))
@@ -345,7 +345,9 @@ def malformed_pairs(draw):
     text = ",".join(f"{a}-{b}" for a, b in pairs)
     if edit == "char":
         at = draw(st.integers(0, len(text)))
-        text = text[:at] + draw(st.sampled_from("x.;+/:_")) + text[at:]
+        # non-ASCII digits too: int() reads them, the wire format does not
+        char = draw(st.sampled_from("x.;+/:_\u0660\u0663\u06f1\u0967\uff10\uff15"))
+        text = text[:at] + char + text[at:]
     return ports, text
 
 

@@ -26,6 +26,7 @@ from pairswitch import (
     route_brickwork,
     route_chevron,
     route_triangular,
+    verify_minimality,
     worst_case_pair_list,
 )
 from dataclasses import replace
@@ -60,6 +61,8 @@ def test_pairlist_canonical_text_round_trip():
         ("0-0,1-1", 2),        # self pairs covering every index
         ("0-1,2:3", 4),        # bad token
         ("", None),            # empty
+        ("\u0660-\u0663,\u0661-\u0662", None),  # Arabic-Indic digits
+        ("0-\uff13,1-2", 4),   # a fullwidth digit
     ],
 )
 def test_pairlist_rejects_malformed(text, ports):
@@ -482,8 +485,10 @@ def test_brute_force_reports_unroutable_after_deletion():
 
 def test_brute_force_budget():
     net = build_network(Design.TRIANGULAR, 12)  # 30 switches
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match=r"^30 switches exceed the 24-switch enumeration budget$"):
         brute_force_route(net, worst_case_pair_list(12))
+    with pytest.raises(BoundExceeded, match=r"^29 switches exceed the brute-force budget$"):
+        verify_minimality(Design.CHEVRON, 12)
 
 
 def test_brute_force_matches_router_on_small_nets():

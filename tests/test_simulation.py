@@ -1,4 +1,4 @@
-import json
+import copy
 import random
 from array import array
 
@@ -10,6 +10,7 @@ from pairswitch import (
     Design,
     IncompleteStates,
     InvalidInput,
+    MAX_PORTS,
     Network,
     PairList,
     State,
@@ -229,7 +230,7 @@ def test_worst_case_transposition_count_reaches_bound():
 
 
 # ---------------------------------------------------------------------------
-# The frame walk against the single-pass simulator
+# The single pass and verify's frame walk against the reference
 # ---------------------------------------------------------------------------
 
 def reference_simulate(net, states):
@@ -245,21 +246,30 @@ def reference_simulate(net, states):
     return tuple(lines), tuple(depths)
 
 
-def assert_matches_reference(net, bits):
-    """simulate on the state bytes and on their dict agrees with the reference."""
+def assert_matches_reference(net, bits, simulator=None):
+    """simulate on the state bytes and on their dict agrees with the
+    reference, and so does ``simulator``, a verify call's simulator for
+    ``net``, when one is given."""
     vector = StateVector(bytearray(bits))
     want = reference_simulate(net, vector)
     assert simulate(net, vector) == want
     assert simulate(net, dict(vector)) == want
+    if simulator is not None:
+        assert simulator(vector) == want
+        assert simulator(dict(vector)) == want
 
 
 @pytest.mark.parametrize("design", list(Design))
 def test_simulate_matches_the_reference_on_every_demand_up_to_10(design):
     for n in (2, 4, 6, 8, 10):
         net = build_network(design, n)
+        simulator = simulation._PlanSimulator(net)
         for demand in enumerate_pair_lists(n):
             plan = route(design, n, demand)
-            assert simulate(net, plan.states) == reference_simulate(net, plan.states)
+            want = reference_simulate(net, plan.states)
+            assert simulate(net, plan.states) == want
+            assert simulator(plan.states) == want
+        assert simulator.frame is not None  # the worst case is all Cross
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -267,10 +277,14 @@ def test_simulate_matches_the_reference_on_seeded_plans_up_to_256(design):
     rng = random.Random(2024)
     for n in (12, 16, 30, 64, 128, 256):
         net = build_network(design, n)
+        simulator = simulation._PlanSimulator(net)
         demands = [random_pair_list(n, rng) for _ in range(3)] + [worst_case_pair_list(n)]
         for demand in demands:
             plan = route(design, n, demand)
-            assert simulate(net, plan.states) == reference_simulate(net, plan.states)
+            want = reference_simulate(net, plan.states)
+            assert simulate(net, plan.states) == want
+            assert simulator(plan.states) == want
+        assert simulator.frame is not None
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -278,14 +292,15 @@ def test_simulate_matches_the_reference_on_uniform_and_any_byte_states(design):
     rng = random.Random(7)
     for n in (2, 4, 10, 32):
         net = build_network(design, n)
+        simulator = simulation._PlanSimulator(net)
         count = len(net.lines)
-        assert_matches_reference(net, bytes(count))  # all Bar
-        assert_matches_reference(net, b"\x01" * count)  # all Cross
-        assert_matches_reference(net, b"\xff" * count)
-        for cross_share in (0.05, 0.3, 0.5, 0.8, 0.97):  # both frames, any nonzero byte
+        assert_matches_reference(net, bytes(count), simulator)  # all Bar
+        assert_matches_reference(net, b"\x01" * count, simulator)  # all Cross
+        assert_matches_reference(net, b"\xff" * count, simulator)
+        for cross_share in (0.05, 0.3, 0.5, 0.8, 0.97):  # both paths, any nonzero byte
             bits = [rng.randrange(1, 256) if rng.random() < cross_share else 0
                     for _ in range(count)]
-            assert_matches_reference(net, bits)
+            assert_matches_reference(net, bits, simulator)
 
 
 def test_simulate_matches_the_reference_on_reversed_damaged_and_read_networks():
@@ -318,52 +333,65 @@ def networks_and_states(draw):
 @given(networks_and_states())
 def test_simulate_matches_the_reference_on_any_network(case):
     net, states = case
-    for bits in states:  # one network object: later plans reuse its frames
+    for bits in states:
         assert_matches_reference(net, bits)
 
 
-def test_each_frame_is_built_at_most_once_per_network(monkeypatch):
-    built = []
-    build = simulation._build_frame
-
-    def counted(net, cross, typecode):
-        built.append((id(net), cross))
-        return build(net, cross, typecode)
-
-    monkeypatch.setattr(simulation, "_build_frame", counted)
-    rng = random.Random(3)
-    nets = [build_network(design, 24) for design in Design]
-    for net in nets * 2:
-        count = len(net.lines)
-        for cross_share in (0.0, 0.1, 0.4, 0.6, 0.9, 1.0):
-            bits = bytes(rng.random() < cross_share for _ in range(count))
-            simulate(net, StateVector(bytearray(bits)))
-            simulate(net, dict(StateVector(bytearray(bits))))
-    assert sorted(built) == sorted({(id(net), cross) for net in nets for cross in (False, True)})
+@st.composite
+def built_networks_and_states(draw):
+    """A built network and a few state byte strings for it, each with its
+    own share of Bar bytes, so that plans fall on both sides of the rule."""
+    net = build_network(draw(st.sampled_from(list(Design))), 2 * draw(st.integers(1, 20)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    states = []
+    for share in draw(st.lists(st.sampled_from((0, 0.1, 0.25, 0.3, 0.6, 1)), min_size=1,
+                               max_size=4)):
+        states.append(bytes(0 if rng.random() < share else rng.randrange(1, 256)
+                            for _ in net.lines))
+    return net, states
 
 
-def test_plans_walk_the_frame_of_a_minority_of_at_most_a_quarter():
-    # at most a quarter of the switches Bar: the all-Cross frame; at most a
-    # quarter Cross: the identity frame; anything between: no frame at all
-    count = len(build_network(Design.CHEVRON, 16).lines)
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(built_networks_and_states())
+def test_simulate_and_the_verify_simulator_match_the_reference_on_built_networks(case):
+    net, states = case
+    simulator = simulation._PlanSimulator(net)  # later plans reuse its frame
+    for bits in states:
+        assert_matches_reference(net, bits, simulator)
+
+
+def test_simulate_keeps_nothing_on_the_network():
+    # a table kept on the object would be read from the old lines below
+    net = build_network(Design.CHEVRON, 16)
+    plan = route(Design.CHEVRON, 16, worst_case_pair_list(16))  # every switch Cross
+    before = copy.deepcopy(vars(net))
+    first = simulate(net, plan.states)
+    assert vars(net) == before
+    net.lines[0], net.lines[1] = net.lines[1], net.lines[0]  # lines 6-7 and 7-8: order matters
+    fresh = Network(net.design, net.ports, net.lines, net.layers, net.cols)
+    assert simulate(net, plan.states) == simulate(fresh, plan.states) != first
+    assert vars(net) == {**before, "lines": net.lines}
+
+
+def test_the_verify_simulator_walks_the_frame_only_at_most_a_quarter_bar():
+    net = build_network(Design.CHEVRON, 16)
+    count = len(net.lines)
     quarter = count // 4
-    for bars, frames in ((quarter, {True}), (count - quarter, {False}),
-                         (quarter + 1, set()), (count - quarter - 1, set())):
-        net = build_network(Design.CHEVRON, 16)
+    assert quarter * 4 == count  # so the rule's edge is at exactly a quarter
+    for bars, walks in ((0, True), (quarter, True), (quarter + 1, False),
+                        (count - quarter, False), (count, False)):
+        simulator = simulation._PlanSimulator(net)
         bits = bytearray(b"\x01" * count)
         bits[:bars] = bytes(bars)
-        assert_matches_reference(net, bits)
-        assert set(net._frames) == frames
+        assert_matches_reference(net, bits, simulator)
+        assert (simulator.frame is not None) is walks
 
 
-def test_frames_widen_where_a_count_outgrows_two_bytes():
-    # 40,000 switches on lines 1-2, then one on lines 0-1: its step is
-    # 1 - 40,001, past a 2-byte int, so both frames fall back to 4 bytes
-    switches = [{"id": k, "layer": 1, "line": 1, "col": k} for k in range(40000)]
-    switches.append({"id": 40000, "layer": 1, "line": 0, "col": 40000})
-    net = network_from_json(json.dumps({"design": "triangular", "ports": 4,
-                                        "switches": switches}))
-    for bits in (b"\x01" * 40001, bytes(40001), b"\x00\x01" * 20000 + b"\x01"):
-        assert_matches_reference(net, bits)
-    assert [frame[0].typecode for _, frame in sorted(net._frames.items())] == ["i", "i"]
-    assert net._frames[False][2][40000] == 1 - 40001  # the step of the last switch
+@pytest.mark.parametrize("design", list(Design))
+def test_the_all_cross_frame_fits_two_bytes_at_the_port_budget(design):
+    # a label's count is a photon's depth, at most N - 2; a value past a
+    # 2-byte int would raise OverflowError while the table is filled
+    upper, lower, step, tail, order = simulation._build_frame(build_network(design, MAX_PORTS))
+    assert {a.typecode for a in (upper, lower, step)} == {"h"}
+    assert max(tail) <= MAX_PORTS - 2
+    assert sorted(order) == list(range(MAX_PORTS))

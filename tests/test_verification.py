@@ -21,7 +21,7 @@ from pairswitch import (
     verify_minimality,
     worst_case_pair_list,
 )
-from pairswitch import simulation
+from pairswitch import simulation, verification
 from pairswitch.verification import _mate_tables, report_to_json
 
 
@@ -168,6 +168,22 @@ def test_verify_unknown_mode_rejected():
     assert isinstance(excinfo.value, PairSwitchError)
 
 
+@pytest.mark.parametrize("args", [
+    ("triangular", 2048, "exhaustive"),  # 1,047,552 switches, past the exhaustive cap
+    ("triangular", 14, "exhaustive"),
+    ("chevron", 7, "random"),
+    ("chevron", 8, "sometimes"),
+    ("brickwork", 8, "random", 0),
+])
+def test_a_rejected_verify_call_builds_no_network(monkeypatch, args):
+    def no_build(design, ports):
+        raise AssertionError(f"built a {design} network for {ports} ports")
+
+    monkeypatch.setattr(verification, "build_network", no_build)
+    with pytest.raises(PairSwitchError):
+        verify_design(*args)
+
+
 @pytest.mark.parametrize("samples", [0, -3, 2.5, True, None, "5"])
 def test_random_mode_rejects_a_bad_sample_count(samples):
     with pytest.raises(InvalidInput):
@@ -296,16 +312,24 @@ def test_corrupted_plans_give_the_golden_report(monkeypatch, design, ports, kwar
 
 
 def test_verify_builds_a_frame_once_per_call(monkeypatch):
-    # the samples of one call share its network's frame; a call builds its own
+    # the samples of one call share its frame; each call builds its own, at
+    # most one, and none when no plan is at most a quarter Bar
     built = []
     build = simulation._build_frame
 
-    def counted(net, cross, typecode):
-        built.append(cross)
-        return build(net, cross, typecode)
+    def counted(net):
+        built.append(net.design.value)
+        return build(net)
 
     monkeypatch.setattr(simulation, "_build_frame", counted)
     verify_design("chevron", 18, "random", samples=5, seed=5)
-    assert built == [True]  # every plan is at most a quarter Bar
+    assert built == ["chevron"]  # every plan is at most a quarter Bar
     verify_design("chevron", 18, "random", samples=5, seed=5)
-    assert built == [True, True]
+    assert built == ["chevron", "chevron"]
+    built.clear()
+    # plans checked one at a time: 40 random ones, then every demand at N = 6,
+    # the all-Cross worst case among them
+    for design in Design:
+        verify_design(design, 24, "random", samples=40, seed=3)
+        verify_design(design, 6, "exhaustive")
+    assert sorted(built) == ["brickwork", "chevron", "chevron", "triangular"]
