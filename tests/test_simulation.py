@@ -373,6 +373,31 @@ def test_simulate_keeps_nothing_on_the_network():
     assert vars(net) == {**before, "lines": net.lines}
 
 
+def test_each_frame_is_built_at_most_once_per_network(monkeypatch):
+    # simulate builds none; a verify simulator builds its network's frame on
+    # the first plan at most a quarter Bar and reuses it for every later plan
+    built = []
+    build = simulation._build_frame
+
+    def counted(net):
+        built.append(id(net))
+        return build(net)
+
+    monkeypatch.setattr(simulation, "_build_frame", counted)
+    rng = random.Random(3)
+    nets = [build_network(design, 24) for design in Design]
+    simulators = [simulation._PlanSimulator(net) for net in nets]
+    for net, simulator in zip(nets * 2, simulators * 2):
+        count = len(net.lines)
+        for cross_share in (0.0, 0.1, 0.4, 0.6, 0.9, 1.0):
+            bits = bytes(rng.random() < cross_share for _ in range(count))
+            before = len(built)
+            assert_matches_reference(net, bits)
+            assert len(built) == before
+            assert_matches_reference(net, bits, simulator)
+    assert sorted(built) == sorted(id(net) for net in nets)
+
+
 def test_the_verify_simulator_walks_the_frame_only_at_most_a_quarter_bar():
     net = build_network(Design.CHEVRON, 16)
     count = len(net.lines)
