@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InvalidInput
-from .routing import StateVector
+from .routing import _BIT_OF_BYTE, StateVector
 from .topology import Network, State
 
 _PALETTE = (
@@ -14,15 +14,27 @@ _PALETTE = (
     "#b07aa1", "#76b7b2", "#edc948", "#9c755f",
 )
 
-_GLYPH = {State.BAR: "=", State.CROSS: "X", None: "?"}
-_GLYPH_OF_BYTE = b"=" + b"X" * 255  # translates a StateVector's bytes to glyphs
+_BAR, _CROSS, _UNSET = range(3)  # a switch's code: its index in "=X?" and the SVG classes
+_CODE_OF_STATE = {State.BAR: _BAR, State.CROSS: _CROSS, None: _UNSET}
 
 
-def _bits(net: Network, states: Mapping[int, State] | None) -> bytearray | None:
-    """The state bytes of a StateVector that covers every switch, else None."""
-    if isinstance(states, StateVector) and len(states) == len(net.lines):
-        return states.bits
-    return None
+def _codes(net: Network, states: Mapping[int, State] | None) -> bytes:
+    """One code per switch id: _BAR, _CROSS or _UNSET.  A StateVector over
+    every switch is read from its bytes, any nonzero byte as Cross; any other
+    mapping by id, a missing id as unset and a value equal to a State member
+    (``"cross"`` too) as that state.  Any other value raises InvalidInput."""
+    count = len(net.lines)
+    if isinstance(states, StateVector) and len(states) == count:
+        return states.bits.translate(_BIT_OF_BYTE)
+    get = {}.get if states is None else states.get
+    codes = bytearray(count)
+    for i in range(count):
+        value = get(i)
+        try:
+            codes[i] = _CODE_OF_STATE[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise InvalidInput(f"switch {i} state {value!r} is not a State") from None
+    return codes
 
 
 @dataclass(frozen=True)
@@ -48,20 +60,10 @@ def render_ascii(net: Network, states: Mapping[int, State] | None = None) -> str
     Glyphs: ``X`` Cross, ``=`` Bar, ``?`` unset.
     """
     ncols = max(_columns(net), 1)
-    cell = 3
     # even text rows are photon lines, odd rows the gaps between them
-    grid = [
-        [("-" if r % 2 == 0 else " ") * cell for _ in range(ncols)]
-        for r in range(2 * net.ports - 1)
-    ]
-    bits = _bits(net, states)
-    if bits is not None:
-        glyphs = bits.translate(_GLYPH_OF_BYTE).decode()
-    else:
-        glyphs = [_GLYPH[states.get(i) if states is not None else None]
-                  for i in range(len(net.lines))]
-    for line, col, glyph in zip(net.lines, net.cols, glyphs):
-        grid[2 * line + 1][col] = f" {glyph} "
+    grid = [[("-" if r % 2 == 0 else " ") * 3] * ncols for r in range(2 * net.ports - 1)]
+    for line, col, code in zip(net.lines, net.cols, _codes(net, states)):
+        grid[2 * line + 1][col] = f" {'=X?'[code]} "
     out = []
     for r in range(2 * net.ports - 1):
         body = "".join(grid[r])
@@ -76,10 +78,13 @@ def render_ascii(net: Network, states: Mapping[int, State] | None = None) -> str
 
 
 def _trajectories(
-    net: Network, states: Mapping[int, State], photons: tuple[int, ...]
+    net: Network, codes: bytes, photons: tuple[int, ...]
 ) -> dict[int, list[int]]:
     """Line positions of each of ``photons`` at every column boundary
-    (column order)."""
+    (column order); a photon passes an unset switch straight, as Bar."""
+    for photon in photons:
+        if not (isinstance(photon, int) and -net.ports <= photon < net.ports):
+            raise InvalidInput(f"highlight {photon!r} is not in -{net.ports}..{net.ports - 1}")
     ncols = _columns(net)
     lines = list(range(net.ports))  # line -> photon
     where = list(range(net.ports))  # photon -> line
@@ -87,12 +92,11 @@ def _trajectories(
     by_col: dict[int, list[int]] = {}
     for i, col in enumerate(net.cols):
         by_col.setdefault(col, []).append(i)
-    bits = _bits(net, states)
     for c in range(ncols + 1):
         for photon, path in pos.items():
             path.append(where[photon])
         for k in by_col.get(c, ()):
-            if bits[k] if bits is not None else states[k] is State.CROSS:
+            if codes[k] == _CROSS:
                 i = net.lines[k]
                 a, b = lines[i], lines[i + 1]
                 lines[i], lines[i + 1] = b, a
@@ -133,8 +137,9 @@ def render_svg(
             f'<text x="{left - s - 4}" y="{y + 4}" font-size="{max(s // 2, 8)}" '
             f'text-anchor="end">{line}</text>'
         )
+    codes = _codes(net, states)
     if states is not None and opt.highlight:
-        traj = _trajectories(net, states, opt.highlight)
+        traj = _trajectories(net, codes, opt.highlight)
         for photon in opt.highlight:
             pts = traj[photon]
             coords = " ".join(
@@ -142,21 +147,15 @@ def render_svg(
             )
             color = opt.palette[photon % len(opt.palette)]
             parts.append(f'<polyline class="photon" stroke="{color}" points="{coords}"/>')
-    bits = _bits(net, states)
-    for i, (layer, line, col) in enumerate(zip(net.layers, net.lines, net.cols)):
+    names = ("bar", "cross", "unset") if opt.show_states else ("unset",) * 3
+    for layer, line, col, code in zip(net.layers, net.lines, net.cols, codes):
         x = left + col * s + s // 6
         y = top + line * s - s // 6
         w = s - s // 3
         h = s + s // 3
         color = opt.palette[(layer - 1) % len(opt.palette)]
-        if states is None or not opt.show_states:
-            cls = "unset"
-        elif bits is not None:
-            cls = "cross" if bits[i] else "bar"
-        else:
-            cls = states[i].value
         parts.append(
-            f'<g class="{cls}"><rect x="{x}" y="{y}" width="{w}" height="{h}" '
+            f'<g class="{names[code]}"><rect x="{x}" y="{y}" width="{w}" height="{h}" '
             f'rx="{s // 6}" fill="{color}" stroke="#222222"/></g>'
         )
     for j in range(net.ports // 2):

@@ -14,7 +14,7 @@ from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InvalidDemand, InvalidInput
+from .errors import InvalidDemand, InvalidInput, InvalidPorts
 from .topology import Design, State, _check_ports, optimal_switch_count
 from .topology import _json_id, _json_int
 
@@ -23,9 +23,10 @@ _PAIR_TOKEN = re.compile(r"^([0-9]+)-([0-9]+)$")  # not \d, which takes any Unic
 
 def _check_demand_ports(ports: int) -> None:
     """A demand's port count: an even int >= 2, within the port budget."""
-    if not isinstance(ports, int) or ports < 2 or ports % 2:
-        raise InvalidDemand(f"ports must be an even integer >= 2, got {ports!r}")
-    _check_ports(ports)
+    try:
+        _check_ports(ports)
+    except InvalidPorts as exc:
+        raise InvalidDemand(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,7 @@ class PairList:
 # Indexed by a state byte: a tuple subscript, where ``State.CROSS`` is an
 # attribute lookup through the enum's metaclass.
 _STATE_OF_BYTE = (State.BAR,) + (State.CROSS,) * 255
+_NAME_OF_BYTE = ("bar",) + ("cross",) * 255  # the state's value, for plan_to_json
 _BIT_OF_BYTE = b"\x00" + b"\x01" * 255  # a state byte as 0 Bar, 1 Cross
 
 
@@ -545,7 +547,7 @@ def route(design: Design | str, ports: int, demand: PairList,
 def plan_to_json(plan: RoutingPlan) -> str:
     # json.dumps(indent=2) of the plan, the states rows formatted by hand
     if isinstance(plan.states, StateVector):  # straight from the bytes, in id order
-        rows = [f'"{i}": "{("bar", "cross")[b]}"' for i, b in enumerate(plan.states.bits)]
+        rows = [f'"{i}": "{_NAME_OF_BYTE[b]}"' for i, b in enumerate(plan.states.bits)]
     else:  # a plan read from a document may be sparse
         rows = [f'"{i}": "{plan.states[i].value}"' for i in sorted(plan.states)]
     doc = {

@@ -141,6 +141,13 @@ def test_metrics_csv(tmp_path, capsys):
     assert csv_path.read_text().startswith("scheme,N,switches,crosspoints,max_depth\n")
 
 
+def test_metrics_without_an_n_of_at_least_4_exits_2(capsys):
+    code, out, err = run(capsys, "metrics", "--ports", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: metrics need at least one even N >= 4\n"
+
+
 # sha256 of the stdout and of the CSV bytes of `metrics --ports 4..16 --csv`,
 # recorded while count_table and series_rows each wrote their own formulas.
 GOLDEN_METRICS_SHA256 = (

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -162,3 +163,78 @@ def test_svg_matches_golden_digest():
                         options = RenderOptions(show_states=show, highlight=highlight)
                         digest.update(render_svg(net, states, options).encode())
     assert digest.hexdigest() == "0aaff74b0bff8b9785f03cb7da2e1baf9972cd2f7799cd3249eb9d25fc95d277"
+
+
+_SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _svg_classes(doc):
+    return [g.get("class") for g in ET.fromstring(doc).iter(_SVG + "g")]
+
+
+def _svg_paths(doc):
+    return [p.get("points") for p in ET.fromstring(doc).iter(_SVG + "polyline")]
+
+
+def _ascii_glyphs(net, art):
+    # each switch's glyph, read at its gap row and column cell
+    rows = art.splitlines()
+    return [rows[2 * line + 1][5 + 3 * col] for line, col in zip(net.lines, net.cols)]
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_svg_and_ascii_agree_on_unset_switches(design):
+    # a partial map, the same map as strings and a short StateVector: the
+    # SVG marks unset exactly the switches the ASCII drawing shows as "?"
+    net = build_network(design, 6)
+    plan = route(design, 6, random_pair_list(6, random.Random(47)))
+    partial = {i: s for i, s in plan.states.items() if i % 3}
+    strings = {i: s.value for i, s in partial.items()}
+    short = StateVector(bytearray(plan.states.bits[:4]))
+    names = {"=": "bar", "X": "cross", "?": "unset"}
+    for states in (partial, strings, short):
+        doc = render_svg(net, states, RenderOptions(highlight=(0, 5)))
+        glyphs = _ascii_glyphs(net, render_ascii(net, states))
+        assert "?" in glyphs
+        assert _svg_classes(doc) == [names[g] for g in glyphs]
+        assert len(_svg_paths(doc)) == 2
+
+
+@pytest.mark.parametrize("design", list(Design))
+@pytest.mark.parametrize("value", [1, 0.5, "sideways", ["cross"]])
+def test_a_value_that_is_no_state_raises_invalid_input(design, value):
+    net = build_network(design, 6)
+    states = {i: State.CROSS for i in range(len(net.lines))}
+    states[2] = value
+    message = rf"^switch 2 state {re.escape(repr(value))} is not a State$"
+    with pytest.raises(InvalidInput, match=message):
+        render_ascii(net, states)
+    with pytest.raises(InvalidInput, match=message):
+        render_svg(net, states, RenderOptions(highlight=(1,)))
+
+
+def test_highlighted_path_passes_unset_switches_straight():
+    net = build_network(Design.TRIANGULAR, 4)
+    options = RenderOptions(highlight=(0, 1, 2, 3))
+    bars = {i: State.BAR for i in range(len(net.lines))}
+    assert _svg_paths(render_svg(net, {}, options)) == _svg_paths(render_svg(net, bars, options))
+    assert _svg_paths(render_svg(net, {1: State.BAR}, options)) != _svg_paths(
+        render_svg(net, {0: State.CROSS, 1: State.BAR}, options))
+
+
+@pytest.mark.parametrize("photon", [6, 9, -7, -100, 1.5, "0"])
+def test_highlight_outside_the_network_raises_invalid_input(photon):
+    net = build_network(Design.TRIANGULAR, 6)
+    plan = route_triangular(6, PairList.from_text("0-5,1-2,3-4"))
+    message = rf"^highlight {re.escape(repr(photon))} is not in -6\.\.5$"
+    with pytest.raises(InvalidInput, match=message):
+        render_svg(net, plan.states, RenderOptions(highlight=(0, photon)))
+
+
+def test_negative_highlights_in_range_index_from_the_end():
+    net = build_network(Design.TRIANGULAR, 6)
+    plan = route_triangular(6, PairList.from_text("0-5,1-2,3-4"))
+    for photon, twin in ((-6, 0), (-1, 5)):
+        paths = [_svg_paths(render_svg(net, plan.states, RenderOptions(highlight=(p,))))
+                 for p in (photon, twin)]
+        assert paths[0] == paths[1]

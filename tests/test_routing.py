@@ -123,6 +123,15 @@ def test_pairlist_checks_the_port_budget_before_allocating():
         PairList.from_pairs([(0, 1)], 10**9 + 1)
 
 
+@pytest.mark.parametrize("ports", ["4", 4.0, None, True, 0, 3, -2, 10**9 + 1])
+def test_demand_port_errors_keep_their_type_and_text(ports):
+    # the demand reuses topology's port check, re-raised as a demand error
+    with pytest.raises(InvalidDemand) as exc:
+        PairList(ports=ports, pairs=((0, 1), (2, 3)))
+    assert type(exc.value) is InvalidDemand
+    assert str(exc.value) == f"ports must be an even integer >= 2, got {ports!r}"
+
+
 def test_router_rejects_ports_mismatch():
     with pytest.raises(InvalidDemand):
         route_triangular(6, pl("0-1,2-3"))
@@ -437,6 +446,15 @@ def test_plan_to_json_writes_sparse_dict_states_in_id_order():
     doc = json.loads(plan_to_json(plan))
     assert list(doc["states"]) == ["0", "3"]
     assert doc["states"] == {"0": "bar", "3": "cross"}
+
+
+def test_plan_to_json_reads_any_nonzero_byte_as_cross():
+    plan = route_triangular(6, pl("0-5,1-2,3-4"))
+    bits = bytearray(b * (1 + k % 255) for k, b in enumerate(plan.states.bits))
+    assert max(bits) > 1
+    wide = RoutingPlan(StateVector(bits), plan.permuted)
+    assert wide == plan
+    assert plan_to_json(wide) == plan_to_json(plan)
 
 
 @pytest.mark.parametrize("design", list(Design))

@@ -30,7 +30,7 @@ from pairswitch import (
     traversal_depths,
     worst_case_pair_list,
 )
-from pairswitch import simulation
+from pairswitch import simulation, verification
 from pairswitch.routing import StateVector
 
 
@@ -97,6 +97,12 @@ def test_incomplete_states_message_for_a_plan_of_another_size():
         simulate(build_network(Design.TRIANGULAR, 8), {**plan.states, 12: State.BAR, 13: State.BAR})
     with pytest.raises(IncompleteStates, match=r"missing \[\], extra \[12, 13\]\)$"):
         simulate(build_network(Design.TRIANGULAR, 8), StateVector(bytearray(14)))
+
+
+def test_incomplete_states_message_for_a_dict_of_the_right_size_with_a_wrong_id():
+    net = build_network(Design.TRIANGULAR, 4)  # switches 0 and 1
+    with pytest.raises(IncompleteStates, match=r"\(missing \[1\], extra \[5\]\)$"):
+        simulate(net, {0: State.BAR, 5: State.CROSS})
 
 
 def test_incomplete_states_message_for_a_dict_missing_an_id():
@@ -420,3 +426,29 @@ def test_the_all_cross_frame_fits_two_bytes_at_the_port_budget(design):
     assert {a.typecode for a in (upper, lower, step)} == {"h"}
     assert max(tail) <= MAX_PORTS - 2
     assert sorted(order) == list(range(MAX_PORTS))
+
+
+def test_the_lane_check_declines_a_two_byte_id_out_of_range():
+    # past N = 256 ids take two bytes; photon N is out of range in either
+    net = build_network(Design.TRIANGULAR, 258)
+    demand = random_pair_list(258, random.Random(53))
+    plan = route(Design.TRIANGULAR, 258, demand)
+    found = simulation._check_plans(net, [demand.mate], [(plan.states.bits, plan.permuted)])
+    assert found is not None and found[0] == 0
+    for bad in ((258,) + plan.permuted[1:], plan.permuted[:-1] + (258,)):
+        assert simulation._check_plans(net, [demand.mate], [(plan.states.bits, bad)]) is None
+
+
+def test_random_verify_runs_the_lane_kernel_past_n_256(monkeypatch):
+    # a 4-MiB chunk holds 218 plans of triangular N = 278 (19,182 switches),
+    # enough for 24 lanes per id bit (216); at N = 280 it holds 215
+    found = []
+
+    def recording(*args):
+        found.append(simulation._check_plans(*args))
+        return found[-1]
+
+    monkeypatch.setattr(verification, "_check_plans", recording)
+    report = verification.verify_design("triangular", 278, "random", samples=216)
+    assert report.passed and report.demands_checked == 216
+    assert len(found) == 1 and found[0][0] == 0

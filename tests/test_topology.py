@@ -247,6 +247,16 @@ def test_validate_flags_planarity():
     assert any(rule == "planarity" for rule, _, _ in report.violations)
 
 
+def test_validate_flags_a_repeated_layer_and_line():
+    net = build_network(Design.TRIANGULAR, 8)
+    layers, lines = net.layers[:], net.lines[:]
+    layers[1], lines[1] = layers[0], lines[0]
+    report = validate_network(replace(net, layers=layers, lines=lines))
+    assert not report.ok
+    key = (layers[0], lines[0])
+    assert ("duplicate", 1, f"second switch at layer/line {key}") in report.violations
+
+
 def test_validate_flags_deleted_switch():
     net = build_network(Design.TRIANGULAR, 12)
     damaged = replace(net, lines=net.lines[:-1], layers=net.layers[:-1], cols=net.cols[:-1])
