@@ -15,7 +15,7 @@ from .errors import BoundExceeded, PairSwitchError
 from .metrics import count_table, emit_csv, format_count_table, format_depth_table, series_rows
 from .render import RenderOptions, render_ascii, render_svg
 from .routing import PairList, plan_to_json, route, states_from_json
-from .simulation import propagate
+from .simulation import _state_bits
 from .topology import (
     MAX_PORTS, Design, build_network, network_from_json, network_to_json, reverse_network,
 )
@@ -117,7 +117,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     states = None
     if args.states:
         states = states_from_json(Path(args.states).read_text())
-        propagate(net, states)  # rejects incomplete state maps early
+        _state_bits(states, len(net.lines))  # rejects a map that is not one State per switch
     if args.ascii:
         sys.stdout.write(render_ascii(net, states))
     else:

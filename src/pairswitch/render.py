@@ -45,8 +45,13 @@ class RenderOptions:
     palette: tuple[str, ...] = field(default=_PALETTE)
 
     def __post_init__(self) -> None:
-        if self.scale < 1:
-            raise InvalidInput(f"scale must be >= 1, got {self.scale}")
+        if type(self.scale) is not int or self.scale < 1:  # a bool is no scale either
+            raise InvalidInput(f"scale must be an integer >= 1, got {self.scale!r}")
+        if not (isinstance(self.palette, tuple) and self.palette
+                and all(isinstance(color, str) for color in self.palette)):
+            raise InvalidInput(f"palette must be a non-empty tuple of str, got {self.palette!r}")
+        if not isinstance(self.highlight, tuple):
+            raise InvalidInput(f"highlight must be a tuple of photons, got {self.highlight!r}")
 
 
 def _columns(net: Network) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidDemand, InvalidInput, InvalidPorts
-from .topology import Design, State, _check_ports, optimal_switch_count
+from .topology import MAX_PORTS, Design, State, _check_ports, optimal_switch_count
 from .topology import _json_id, _json_int
 
 _PAIR_TOKEN = re.compile(r"^([0-9]+)-([0-9]+)$")  # not \d, which takes any Unicode digit
@@ -118,6 +118,11 @@ class PairList:
 _STATE_OF_BYTE = (State.BAR,) + (State.CROSS,) * 255
 _NAME_OF_BYTE = ("bar",) + ("cross",) * 255  # the state's value, for plan_to_json
 _BIT_OF_BYTE = b"\x00" + b"\x01" * 255  # a state byte as 0 Bar, 1 Cross
+
+_ONES = bytearray(b"\x01") * MAX_PORTS
+"""Cross bytes for the routers' runs, each at most N cells long: a slice of
+a bytearray is assigned into the state bytes as it is, where ``bytes``
+would first be copied into a new bytearray."""
 
 
 class StateVector(Mapping[int, State]):
@@ -232,7 +237,7 @@ def _route_triangular(ports: int, mate: Sequence[int],
         if counter:
             counter.tick(idx + 1)
         # switches above the partner stay Bar
-        states[first + idx : first + n - 2] = b"\x01" * (n - 2 - idx)
+        states[first + idx : first + n - 2] = _ONES[: n - 2 - idx]
         permuted[n - 2], permuted[n - 1] = photons.pop(idx), bottom
         if counter:
             counter.tick(2 * n - 2)
@@ -304,7 +309,7 @@ def _route_chevron(ports: int, mate: Sequence[int],
         else:
             top_mate, bot_mate = virtual[left]
             a, b = pos[top_mate], pos[bot_mate]  # adjacent, so of one sign
-            lo = min(a, b)
+            lo = a if a < b else b
             if counter:
                 counter.tick(n)
             # layer l holds ids l(l-1)..l(l+1)-1: the upper arm from the top,
@@ -439,6 +444,7 @@ def _route_brickwork(ports: int, mate: Sequence[int],
     base = quarter - half0  # cell (col > 0, line) has id base + (line - col + 1)//2 + fall*col
     wide, top = 2 * half0, 2 * ports - 4  # twice the column count and the lowest line
     result = [0] * ports
+    ones = _ONES
 
     # the frame's size and half of it, and the iterations done; since
     # half + skip = half0, the anti-diagonal ranks of the bottom photon's run
@@ -476,7 +482,7 @@ def _route_brickwork(ports: int, mate: Sequence[int],
                     col = 1
                 first = base + ((d + 1) >> 1) + fall * col
                 count = ((hi - d) >> 1) - col + 1
-                states[first : first + fall * count : fall] = b"\x01" * count
+                states[first : first + fall * count : fall] = ones[:count]
             if j_meet < n - 2:
                 a = anti.pop((j_meet + half0) >> 1)
                 rq = (j_meet >> 1) + 1
@@ -489,7 +495,7 @@ def _route_brickwork(ports: int, mate: Sequence[int],
                     raise _off_grid((a - hi) >> 1, (a + hi) >> 1, (a - lo) >> 1, (a + lo) >> 1)
                 first = base + ((hi + 1) >> 1) + fall * ((a - hi) >> 1)
                 count = ((hi - lo) >> 1) + 1
-                states[first : first + rise * count : rise] = b"\x01" * count
+                states[first : first + rise * count : rise] = ones[:count]
             del diag[rd]
             if counter:
                 counter.tick((up != c0) + 2 * (n - 2 - i))

@@ -54,21 +54,33 @@ def _mate_tables(ports: int) -> Iterator[tuple[int, ...]]:
     """The partner table of every matching :func:`enumerate_pair_lists`
     yields, in its order: ``mate[i]`` is the input paired with i."""
     _check_ports(ports)
+    if ports == 2:
+        yield (1, 0)
+        return
     # Pairs are (line[2d], line[2d+1]): level d pairs its smallest free index
     # with the next free one, in ascending order.  Once the levels below d
     # have tried every choice they are ascending again, and so are level d's
     # other free indices, line[2d+2:]: its next partner is one swap away.
     # So only levels d and up need new partner entries after level d's swap.
+    # The last four free indices w < x < y < z stay ascending, and their
+    # three matchings are written out in the order the search would take.
     line = list(range(ports))
     mate = [0] * ports
+    last = ports - 4
     i = 1
     while True:
-        for k in range(i - 1, ports, 2):  # k = 2d for every level d from i's up
+        for k in range(i - 1, last, 2):  # k = 2d for every level d from i's up
             a, b = line[k], line[k + 1]
             mate[a] = b
             mate[b] = a
+        w, x, y, z = line[last:]
+        mate[w], mate[x], mate[y], mate[z] = x, w, z, y
         yield tuple(mate)
-        for i in range(ports - 3, 0, -2):  # i = 2d+1, deepest level with a choice first
+        mate[w], mate[x], mate[y], mate[z] = y, z, w, x
+        yield tuple(mate)
+        mate[w], mate[x], mate[y], mate[z] = z, y, x, w
+        yield tuple(mate)
+        for i in range(last - 1, 0, -2):  # i = 2d+1, deepest level with a choice first
             j = bisect(line, line[i], i + 1)
             if j < ports:
                 line[i], line[j] = line[j], line[i]

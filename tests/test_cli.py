@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pairswitch import Design, build_network, network_to_json
+from pairswitch import Design, build_network, cli, network_to_json, simulation
 from pairswitch.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -199,6 +199,50 @@ def test_render_svg_with_states(tmp_path, capsys):
                      "--states", str(plan_path), "--svg", str(svg_path))
     assert code == 0
     assert svg_path.read_text().count('class="cross"') == 2
+
+
+_FULL_6 = {str(i): "cross" for i in range(6)}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"0": "cross"}, "states do not cover the network exactly (missing [1, 2, 3, 4, 5], extra [])"),
+    ({**_FULL_6, "9": "bar"}, "states do not cover the network exactly (missing [], extra [9])"),
+    ({**{str(i): "bar" for i in range(5)}, "9": "bar"},
+     "states do not cover the network exactly (missing [5], extra [9])"),
+    ({**_FULL_6, "3": "sideways"}, "malformed states document: 'sideways' is not a valid State"),
+    ({**_FULL_6, "x": "bar"},
+     "malformed states document: invalid literal for int() with base 10: 'x'"),
+])
+def test_render_rejects_states_off_the_network_without_simulating(
+        tmp_path, capsys, monkeypatch, doc, message):
+    net_path = tmp_path / "net.json"
+    states_path = tmp_path / "states.json"
+    run(capsys, "generate", "--design", "triangular", "--ports", "6", "--out", str(net_path))
+    states_path.write_text(json.dumps(doc))
+    monkeypatch.setattr(simulation, "simulate", _no_simulation)
+    code, out, err = run(capsys, "render", "--net", str(net_path),
+                         "--states", str(states_path), "--ascii")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("render ran a simulation pass")
+
+
+def test_render_with_states_runs_no_simulation_pass(tmp_path, capsys, monkeypatch):
+    net_path = tmp_path / "net.json"
+    plan_path = tmp_path / "plan.json"
+    run(capsys, "generate", "--design", "brickwork", "--ports", "8", "--out", str(net_path))
+    run(capsys, "route", "--design", "brickwork", "--ports", "8",
+        "--pairs", "0-7,1-6,2-5,3-4", "--out", str(plan_path))
+    expected = run(capsys, "render", "--net", str(net_path), "--states", str(plan_path), "--ascii")
+    monkeypatch.setattr(simulation, "simulate", _no_simulation)
+    monkeypatch.setattr(simulation._PlanSimulator, "__call__", _no_simulation)
+    assert not hasattr(cli, "propagate") and not hasattr(cli, "simulate")
+    code, out, err = run(capsys, "render", "--net", str(net_path),
+                         "--states", str(plan_path), "--ascii")
+    assert (code, out, err) == expected
+    assert code == 0 and out.count("X") == 12
 
 
 _SWITCH = {"id": 0, "layer": 1, "line": 0, "col": 0}

@@ -114,6 +114,31 @@ def test_scale_validated():
         RenderOptions(scale=0)
 
 
+@pytest.mark.parametrize("scale", [0, -3, True, False, 2.0, "3", None])
+def test_scale_must_be_an_int_of_at_least_one(scale):
+    with pytest.raises(InvalidInput, match="^scale must be an integer >= 1"):
+        RenderOptions(scale=scale)
+
+
+@pytest.mark.parametrize("palette", [(), ("#4e79a7", 3), (None,), ["#4e79a7"], "#4e79a7", 5])
+def test_palette_must_be_a_non_empty_tuple_of_str(palette):
+    with pytest.raises(InvalidInput, match="^palette must be a non-empty tuple of str"):
+        RenderOptions(palette=palette)
+
+
+@pytest.mark.parametrize("highlight", [5, [0, 1], None, "01", range(2)])
+def test_highlight_must_be_a_tuple(highlight):
+    with pytest.raises(InvalidInput, match="^highlight must be a tuple of photons"):
+        RenderOptions(highlight=highlight)
+
+
+def test_options_at_the_edge_of_the_checks_render():
+    net = build_network(Design.TRIANGULAR, 4)
+    plan = route_triangular(4, PairList.from_text("0-3,1-2"))
+    doc = render_svg(net, plan.states, RenderOptions(scale=1, palette=("red",), highlight=(0,)))
+    assert doc.count('fill="red"') == 2 and 'stroke="red"' in doc
+
+
 def test_show_states_false_renders_unset():
     net = build_network(Design.TRIANGULAR, 4)
     plan = route_triangular(4, PairList.from_text("0-3,1-2"))

@@ -243,6 +243,21 @@ def test_worst_case_all_cross_at_port_budget(design):
     assert check_pairing(plan.permuted, demand).ok
 
 
+@pytest.mark.parametrize("design", [Design.TRIANGULAR, Design.BRICKWORK])
+def test_cross_runs_leave_the_shared_ones_buffer_intact(design):
+    # the worst case writes the longest Cross runs, each a slice of one buffer
+    n = MAX_PORTS
+    demand = worst_case_pair_list(n)
+    first = route(design, n, demand)
+    assert routing._ONES == b"\x01" * MAX_PORTS
+    expected = bytes(first.states.bits)
+    first.states.bits[:] = bytes(len(expected))  # a caller rewrites its plan
+    second = route(design, n, demand)
+    assert second.states.bits == expected
+    assert second.states.bits is not first.states.bits
+    assert routing._ONES == b"\x01" * MAX_PORTS
+
+
 @pytest.mark.parametrize("design", list(Design))
 def test_router_agrees_with_simulator_exhaustively(design):
     for n in (2, 4, 6, 8, 10):

@@ -118,17 +118,23 @@ def _reference_matchings(free):
 
 
 def test_mate_stream_matches_the_enumerated_demands():
-    for n in range(2, 13, 2):
-        mates = list(_mate_tables(n))
-        assert mates == [d.mate for d in enumerate_pair_lists(n)]
-        reference = []
-        for pairs in _reference_matchings(list(range(n))):
-            mate = [0] * n
-            for a, b in pairs:
-                mate[a], mate[b] = b, a
-            reference.append(tuple(mate))
-        assert mates == reference
-        assert all(type(mate) is tuple for mate in mates)
+    # the order of the recursive reference: the smallest free index with each
+    # larger free index in ascending order, the rest matched the same way
+    for n in range(2, 15, 2):
+        streams = enumerate_pair_lists(n), _mate_tables(n), _reference_matchings(list(range(n)))
+        for demand, mate, pairs in zip(*streams, strict=True):
+            assert demand.pairs == pairs
+            assert demand.mate == mate
+            assert type(mate) is tuple
+            assert all(mate[a] == b and mate[b] == a for a, b in pairs)
+
+
+@pytest.mark.parametrize("ports", [0, -2, 3, 13, True, 4.0, "4", MAX_PORTS + 2])
+def test_enumeration_rejects_bad_ports_at_the_first_next(ports):
+    tables, demands = _mate_tables(ports), enumerate_pair_lists(ports)  # nothing checked yet
+    for stream in (tables, demands):
+        with pytest.raises(PairSwitchError):
+            next(stream)
 
 
 def test_enumeration_first_demand_at_port_budget():
