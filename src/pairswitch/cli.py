@@ -7,6 +7,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -125,6 +126,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairswitch",
@@ -179,9 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "command", None) == "verify" and args.samples is not None:

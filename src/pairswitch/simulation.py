@@ -4,9 +4,10 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import is_
-from typing import Mapping, Sequence
+from struct import iter_unpack
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceeded, IncompleteStates, InvalidInput
 from .routing import PairList, RoutingPlan, StateVector, _check_demand
@@ -34,93 +35,6 @@ def _state_bits(states: Mapping[int, State], count: int) -> bytes:
         bad = next(i for i, v in enumerate(values) if type(v) is not State)
         raise InvalidInput(f"switch {bad} state {values[bad]!r} is not a State")
     return bytes(map(is_, values, repeat(State.CROSS)))
-
-
-_BAR_OF_BYTE = b"\x01" + b"\x00" * 255  # a state byte as 1 for Bar, 0 for Cross
-
-_FRAME_MINORITY = 4
-"""A plan walks the all-Cross frame only when at most 1/_FRAME_MINORITY of
-its switches are Bar; any other plan takes one pass over every switch.
-Against that pass, timed on the networks of N = 16..64: building the frame
-costs about two passes, and walking it about 0.3 of one at 5-10 % Bar,
-0.55 at 25 % and 0.85 at 50 %.  ``pairswitch verify --samples 5``
-simulates five plans on each network it builds, so there the frame pays
-for itself up to about a quarter Bar."""
-
-
-def _build_frame(net: Network) -> tuple:
-    """The all-Cross frame of ``net``: label l follows the path photon l
-    takes when every switch is Cross.
-
-    Per switch k: the labels u_k, v_k meeting there, on its upper and lower
-    line, and the depth step count(u_k) - count(v_k), where count(l) is the
-    number of switches 0..k on label l's path.  Then each label's final
-    count and the label ending on each output line.  The tables are 2-byte
-    arrays: a label's count is the depth of a photon, which on a network
-    from :func:`~pairswitch.topology.build_network` is at most N-2 <= 2046."""
-    upper, lower, step = (array("h", [0]) * len(net.lines) for _ in range(3))
-    count = [0] * net.ports  # switches met so far, per label
-    at = list(range(net.ports))  # the label on each line
-    for k, i in enumerate(net.lines):
-        u = at[i]
-        v = at[i + 1]
-        at[i] = v
-        at[i + 1] = u
-        a = count[u] + 1
-        b = count[v] + 1
-        count[u] = a
-        count[v] = b
-        upper[k] = u
-        lower[k] = v
-        step[k] = a - b
-    return upper, lower, step, count, at
-
-
-class _PlanSimulator:
-    """:func:`simulate` for the plans one verify call checks on ``net``, a
-    network from :func:`~pairswitch.topology.build_network`.
-
-    A plan at most 1/:data:`_FRAME_MINORITY` Bar steps through its Bar
-    switches only, in the all-Cross frame (see :func:`_build_frame`), which
-    is built on the first such plan and kept on this object; any other plan
-    takes :func:`simulate`'s single pass.  Each photon rides one label, and
-    riders trade labels only at a Bar switch.  Let T_l(k) count the
-    switches 0..k on label l's path.  A photon riding label l from just
-    after switch a through switch b passes T_l(b) - T_l(a) switches, so its
-    depth telescopes: Bar switch k, where labels u = u_k and v = v_k meet,
-    adds T_u(k) - T_v(k) to the rider moving from u to v and its negative
-    to the other one, and at the end each photon adds the final count of
-    its label.  Output line l holds the rider of the label that ends on
-    line l.
-    """
-
-    def __init__(self, net: Network) -> None:
-        self.net = net
-        self.frame: tuple | None = None
-
-    def __call__(self, states: Mapping[int, State]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        net = self.net
-        bits = _state_bits(states, len(net.lines))
-        if bits.count(0) * _FRAME_MINORITY > len(bits):
-            return simulate(net, states)
-        if self.frame is None:
-            self.frame = _build_frame(net)
-        upper, lower, step, tail, order = self.frame
-        rider = list(range(net.ports))  # the photon riding each label
-        depths = [0] * net.ports
-        for k in compress(range(len(bits)), bits.translate(_BAR_OF_BYTE)):
-            u = upper[k]
-            v = lower[k]
-            a = rider[u]
-            b = rider[v]
-            rider[u] = b
-            rider[v] = a
-            d = step[k]
-            depths[a] += d
-            depths[b] -= d
-        for photon, t in zip(rider, tail):
-            depths[photon] += t
-        return tuple(map(rider.__getitem__, order)), tuple(depths)
 
 
 def simulate(
@@ -254,36 +168,29 @@ def _lane_checks(state: list[list[int]], full: int, width: int,
     return wrong_perm, wrong_pair, extrema[0], (1 << depth_bits) - 1 - extrema[1]
 
 
-def _id_planes(rows: list[Sequence[int]], count: int, bits: int) -> list[list[int]]:
-    """Planes of ``rows[k][c]`` (lane k) for each column c < ``count``.
-    Ids above 255 take two bytes, low byte first; an id outside
-    0..count-1 raises ValueError (or OverflowError, TypeError)."""
-    if count > 256:
-        ids = array("H", chain.from_iterable(reversed(rows)))
-        if max(ids) >= count:
-            raise ValueError("id out of range")
-        if sys.byteorder == "big":
-            ids.byteswap()
-        data, width = ids.tobytes(), 2
-    else:
-        data, width = bytes(chain.from_iterable(reversed(rows))), 1
-        if data.translate(None, bytes(range(count))):  # a byte left is out of range
-            raise ValueError("id out of range")
+def _id_planes(data: bytes, count: int, bits: int) -> list[list[int]]:
+    """Planes of id c of every row of :func:`_fields` bytes (row k in lane
+    k), for each c < ``count``."""
+    width = 1 if count <= 256 else 2
     stride = width * count
     out = []
     for c in range(0, stride, width):
-        column = [data[c + w::stride] for w in range(width)]
+        column = [data[c + w::stride][::-1] for w in range(width)]
         out.append([int(column[b >> 3].translate(_PLANE_DIGITS[b & 7]), 2) for b in range(bits)])
     return out
 
 
-def _depth_bits(lines: Sequence[int], ports: int) -> int:
-    """Width of a counter that holds any photon's depth: the longest chain
-    of switches, each sharing a line with the one before."""
-    longest = [0] * ports
-    for i in lines:
-        longest[i] = longest[i + 1] = max(longest[i], longest[i + 1]) + 1
-    return max(longest, default=0).bit_length()
+def _predicted(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]]]) -> bytes | None:
+    """The plans' predicted permutations as :func:`_fields`, or None when a
+    plan is not one state byte per switch and a tuple of N ids in range."""
+    count, ports = len(net.lines), net.ports
+    if not all(type(states) is bytearray and len(states) == count and type(permuted) is tuple
+               and len(permuted) == ports for states, permuted in plans):
+        return None
+    try:
+        return _fields([permuted for _, permuted in plans], ports)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def _check_plans(
@@ -296,26 +203,120 @@ def _check_plans(
     returns for the partner table ``mates[k]``.  Returns the lanes that fail
     (predicted permutation or pairing) and the largest and smallest depth
     over the rest, or None when a plan is not one state byte per switch with
-    an in-range predicted permutation.
+    an in-range predicted permutation.  On a network from
+    :func:`~pairswitch.topology.build_network` a depth is at most N - 2.
     """
     ports, count, lanes = net.ports, len(net.lines), len(plans)
-    for states, permuted in plans:
-        if not (type(states) is bytearray and len(states) == count
-                and type(permuted) is tuple and len(permuted) == ports):
-            return None
-    bits = (ports - 1).bit_length()
-    try:
-        predicted = _id_planes([permuted for _, permuted in plans], ports, bits)
-    except (TypeError, ValueError, OverflowError):
+    bits, data = (ports - 1).bit_length(), _predicted(net, plans)
+    if data is None:
         return None
+    predicted = _id_planes(data, ports, bits)
     joined = b"".join(reversed([states for states, _ in plans])).translate(_MASK_DIGITS)
     masks = [int(joined[k::count], 2) for k in range(count)]
-    mate_planes = _id_planes(mates, ports, bits)
-    full, depth_bits = (1 << lanes) - 1, _depth_bits(net.lines, ports)
+    mate_planes = _id_planes(_fields(mates, ports), ports, bits)
+    full, depth_bits = (1 << lanes) - 1, (ports - 2).bit_length()
     state = _lane_start(full, mate_planes, depth_bits)
     _lane_kernel(net.lines, masks, full, state, depth_bits)
     wrong_perm, wrong_pair, high, low = _lane_checks(state, full, bits, predicted, depth_bits)
     return wrong_perm | wrong_pair, high, low
+
+
+# ---------------------------------------------------------------------------
+# Byte lanes: a few plans in one pass
+# ---------------------------------------------------------------------------
+# SIMD within a register (Lamport, CACM 1975): each line is one Python int of
+# two groups of w-byte fields, little-endian, plan k in field k of each: the
+# photon on the line, and its depth.  A switch adds 1 to every depth field
+# of both its lines, then swaps the two ints under its Cross mask, which
+# covers plan k's fields in both groups.
+
+_CROSS_BYTES = b"\x00" + b"\xff" * 255  # any nonzero state byte reads as Cross
+
+
+def _fields(rows: Sequence[Sequence[int]], ports: int) -> bytes:
+    """The rows' ids one after another, little-endian, one byte each up to
+    N = 256 and two above; an id outside 0..N-1 raises ValueError (or
+    OverflowError, TypeError)."""
+    flat = chain.from_iterable(rows)
+    out = bytes(flat) if ports <= 256 else array("H", flat)
+    if out.translate(None, bytes(range(ports))) if ports <= 256 else max(out) >= ports:
+        raise ValueError("id out of range")  # with one-byte ids, a byte left is out of range
+    if ports > 256 and sys.byteorder == "big":
+        out.byteswap()
+    return bytes(out)
+
+
+def _byte_masks(plans: Sequence[tuple[bytearray, tuple[int, ...]]], count: int,
+                width: int) -> Iterable[int]:
+    """Per switch, the bytes of the plans' fields where it is Cross, as an
+    int: strided writes into one buffer, read back in C, one machine word a
+    switch while a row fits in 8 bytes."""
+    size = len(plans) * width
+    stride = 8 if size <= 8 else size
+    joined = bytearray(stride * count)
+    for k, (states, _) in enumerate(plans):
+        cross = states.translate(_CROSS_BYTES)
+        for at in range(k * width, (k + 1) * width):
+            joined[7 - at if stride == 8 and sys.byteorder == "big" else at::stride] = cross
+    if stride == 8:
+        return memoryview(joined).cast("Q")
+    return map(int.from_bytes, chain.from_iterable(iter_unpack(f"{size}s", joined)),
+               repeat("little"))
+
+
+def _holds(data: bytes, value: int, width: int) -> bool:
+    """Whether a ``width``-byte little-endian field of ``data`` holds
+    ``value``: byte searches in C, skipping matches across two fields."""
+    pattern = value.to_bytes(width, "little")
+    at = data.find(pattern)
+    while at > 0 and at % width:
+        at = data.find(pattern, at + 1)
+    return at >= 0
+
+
+def _check_bytes(
+    net: Network, mates: Sequence[Sequence[int]],
+    plans: Sequence[tuple[bytearray, tuple[int, ...]]],
+) -> tuple[int, int, int] | None:
+    """:func:`_check_plans` on byte lanes, plan k in field k: the same result,
+    with the same depth bound on ``net``.  The pairing is checked on the
+    predicted permutations, which the lanes then compare with the simulated ones."""
+    ports, lanes, predicted = net.ports, len(plans), _predicted(net, plans)
+    if predicted is None:
+        return None
+    width = 1 if ports <= 256 else 2
+    size, span = lanes * width, ports * width  # bytes in a group of a line, in a predicted row
+    one = int.from_bytes((b"\x01" + bytes(width - 1)) * lanes, "little")
+    step, spread, group = one << 8 * size, 1 | 1 << 8 * size, (1 << 8 * size) - 1
+    full = spread * group
+    state = [p * one for p in range(ports)]
+    for i, m in zip(net.lines, map(spread.__mul__, _byte_masks(plans, len(net.lines), width))):
+        a = state[i] + step
+        b = state[i + 1] + step
+        if m == full:
+            state[i], state[i + 1] = b, a
+        elif m:
+            t = (a ^ b) & m
+            state[i], state[i + 1] = a ^ t, b ^ t
+        else:
+            state[i], state[i + 1] = a, b
+    ids, flagged = b"".join([(x & group).to_bytes(size, "little") for x in state]), 0
+    for k, (mate, (_, permuted)) in enumerate(zip(mates, plans)):
+        # the simulated photons differ from the predicted ones, or the photon
+        # on line 2j+1 is not the mate of the one on 2j
+        if (any(ids[k * width + b::size] != predicted[k * span + b:(k + 1) * span:width]
+                for b in range(width))
+                or tuple(map(mate.__getitem__, permuted[::2])) != permuted[1::2]):
+            flagged |= 1 << k
+    if flagged == (1 << lanes) - 1:
+        return flagged, 0, -1
+    keep = sum(group // one << 8 * width * k for k in range(lanes) if not flagged >> k & 1)
+    depths = [x >> 8 * size for x in state]  # a failed lane's fields: 0 when kept, all ones lifted
+    kept = b"".join([(d & keep).to_bytes(size, "little") for d in depths])
+    lifted = b"".join([(d | group ^ keep).to_bytes(size, "little") for d in depths])
+    top = ports - 2
+    return (flagged, next(v for v in range(top, -1, -1) if _holds(kept, v, width)),
+            next(v for v in range(top + 1) if _holds(lifted, v, width)))
 
 
 _LOW_SWITCHES = 16  # brute force: the low switches take fixed lane patterns

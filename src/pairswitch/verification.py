@@ -11,8 +11,8 @@ from typing import Iterator
 
 from .errors import BoundExceeded, InvalidInput
 from .routing import _CORES, PairList, StateVector, _check_demand_ports
-from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_plans, _PlanSimulator,
-                         brute_force_route, check_pairing)
+from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_bytes, _check_plans,
+                         brute_force_route, check_pairing, simulate)
 from .topology import Design, Network, _check_ports, build_network
 
 
@@ -21,10 +21,16 @@ _CHUNK_STATE_BYTES = 1 << 22
 """A verify run routes demands in chunks of at most this many demands and
 state bytes, so the plans held at once stay small."""
 
+_BYTE_LANES_FROM = 3
+"""A chunk of at least this many plans is checked as byte lanes, a smaller
+one a plan at a time.  Timed against that, N = 16-2048: byte lanes cost
+1.2-2.3x for one plan, 0.73-1.40x for two, 0.53-1.16x for three."""
+
 _LANES_PER_ID_BIT = 24
 """A chunk of at least this many plans per bit of a photon id is checked as
-lanes of one bit-sliced pass, a smaller one a plan at a time: timed, one
-pass costs what 8 to 17 plans per id bit cost one at a time, N = 8..1024."""
+lanes of one bit-sliced pass, a smaller one as byte lanes.  Timed, the two
+cost the same at 8-21 plans per id bit for N = 4-8, 24-48 for N = 10-16 and
+40-60 for N = 32-64; 24 keeps every exhaustive chunk from N = 8 on it."""
 
 MAX_EXHAUSTIVE_PORTS = 16
 """Demand budget of an exhaustive run, whatever its cap: (N-1)!! demands,
@@ -162,6 +168,9 @@ def verify_design(
     paired egress; collect depth extrema across all checked routings."""
     design = Design(design)
     _check_ports(ports)
+    for name, value in (("cap", cap), ("seed", seed)):
+        if type(value) is not int:  # a bool is neither
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if mode == "exhaustive":
         _check_exhaustive(ports, cap)
         mates = _mate_tables(ports)
@@ -175,7 +184,6 @@ def verify_design(
         raise InvalidInput(f"unknown mode {mode!r}")
 
     net = build_network(design, ports)
-    simulate_plan = _PlanSimulator(net)  # builds the all-Cross frame at most once per call
     core = _CORES[design]
     failures: list[tuple[str, str]] = []
     checked = 0
@@ -185,7 +193,7 @@ def verify_design(
     def check_one(mate: tuple[int, ...], states: bytearray, permuted: tuple[int, ...]) -> None:
         nonlocal max_depth, min_depth
         demand = PairList._perfect(mate)
-        perm, depths = simulate_plan(StateVector(states))
+        perm, depths = simulate(net, StateVector(states))
         if perm != permuted:
             failures.append(
                 (demand.to_text(), f"router predicted {permuted}, simulator got {perm}")
@@ -205,7 +213,8 @@ def verify_design(
         plans = [core(ports, mate) for mate in chunk]
         checked += len(chunk)
         large = len(chunk) >= _LANES_PER_ID_BIT * (ports - 1).bit_length()
-        lanes = _check_plans(net, chunk, plans) if large else None
+        check = _check_plans if large else _check_bytes
+        lanes = check(net, chunk, plans) if len(chunk) >= _BYTE_LANES_FROM else None
         # without lanes every plan is checked alone; with them, only the
         # flagged ones, so that each failure is worded
         flagged, high, low = lanes or ((1 << len(chunk)) - 1, 0, -1)

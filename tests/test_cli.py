@@ -113,6 +113,20 @@ def test_verify_sampled(capsys):
     assert report["seed"] == 3
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # a bad argv, then a good verify, through the process's one parser; the
+    # same two calls on a fresh parser each must print the same
+    calls = [("verify", "--design", "chevron", "--ports", "8", "--samples", "0x"),
+             ("verify", "--design", "triangular", "--ports", "4..8", "--samples", "3")]
+    assert cli._build_parser() is cli._build_parser()
+    shared = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0]
+    assert "invalid int value: '0x'" in shared[0][2] and shared[1][2] == ""
+
+
 def test_verify_rejects_odd_range(capsys):
     code, _, err = run(
         capsys, "verify", "--design", "all", "--ports", "4..7", "--exhaustive"
@@ -236,8 +250,8 @@ def test_render_with_states_runs_no_simulation_pass(tmp_path, capsys, monkeypatc
     run(capsys, "route", "--design", "brickwork", "--ports", "8",
         "--pairs", "0-7,1-6,2-5,3-4", "--out", str(plan_path))
     expected = run(capsys, "render", "--net", str(net_path), "--states", str(plan_path), "--ascii")
-    monkeypatch.setattr(simulation, "simulate", _no_simulation)
-    monkeypatch.setattr(simulation._PlanSimulator, "__call__", _no_simulation)
+    for name in ("simulate", "_check_bytes", "_check_plans"):
+        monkeypatch.setattr(simulation, name, _no_simulation)
     assert not hasattr(cli, "propagate") and not hasattr(cli, "simulate")
     code, out, err = run(capsys, "render", "--net", str(net_path),
                          "--states", str(plan_path), "--ascii")

@@ -1,7 +1,7 @@
 """Property-based checks: demands are accepted exactly when they are perfect
 matchings, every router agrees with the simulator on drawn demands up to
-N = 256, plans survive the JSON wire format, the bit-sliced lane check
-agrees with the per-plan simulator, and malformed documents and pair lists
+N = 256, plans survive the JSON wire format, the bit-sliced and byte lane
+checks agree with the per-plan simulator, and malformed documents and pair lists
 exit the command line with code 2 and no traceback."""
 import io
 import json
@@ -29,9 +29,10 @@ from pairswitch import (
     simulate,
     worst_case_pair_list,
 )
+from pairswitch import verification
 from pairswitch.cli import main
 from pairswitch.routing import StateVector
-from pairswitch.simulation import _check_plans
+from pairswitch.simulation import _check_bytes, _check_plans
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -120,23 +121,11 @@ def _per_plan(net, demands, plans):
     return flagged, high, low
 
 
-@SETTINGS
-@given(
-    design=st.sampled_from(Design),
-    ports=st.integers(1, 32).map(lambda k: 2 * k),
-    lanes=st.integers(1, 40),
-    seed=st.integers(0, 2**32),
-    edits=st.lists(st.tuples(st.integers(0, 10**6),
-                             st.sampled_from(("flip", "pair", "2", "255", "swap"))), max_size=6),
-)
-@example(design=Design.TRIANGULAR, ports=258, lanes=3, seed=5,
-         edits=[(1, "flip"), (2, "255"), (7, "swap")])
-@example(design=Design.CHEVRON, ports=258, lanes=2, seed=6, edits=[(1, "2"), (4, "pair")])
-def test_lane_check_flags_what_the_per_plan_check_fails(design, ports, lanes, seed, edits):
-    # edits on lane k % lanes: "flip" one state bit, flip one and predict
-    # what the simulator then gives ("pair": only the pairing can fail),
-    # rewrite a state byte as 2 or 255 (both read as Cross), or "swap" two
-    # predicted entries
+def _edited(design, ports, lanes, seed, edits):
+    """``lanes`` routed random demands and their plans after ``edits``, each
+    on lane k % lanes: "flip" one state bit, flip one and predict what the
+    simulator then gives ("pair": only the pairing can fail), rewrite a state
+    byte as 2 or 255 (both read as Cross), or "swap" two predicted entries."""
     rng = random.Random(seed)
     net = build_network(design, ports)
     demands = [random_pair_list(ports, rng) for _ in range(lanes)]
@@ -155,8 +144,66 @@ def test_lane_check_flags_what_the_per_plan_check_fails(design, ports, lanes, se
         elif count:
             i = k % count
             bits[lane][i] = int(how) if bits[lane][i] else 0
-    plans = [RoutingPlan(StateVector(b), tuple(p)) for b, p in zip(bits, permuted)]
+    return net, demands, [RoutingPlan(StateVector(b), tuple(p)) for b, p in zip(bits, permuted)]
+
+
+_EDITS = st.lists(st.tuples(st.integers(0, 10**6),
+                            st.sampled_from(("flip", "pair", "2", "255", "swap"))), max_size=6)
+
+
+@SETTINGS
+@given(
+    design=st.sampled_from(Design),
+    ports=st.integers(1, 32).map(lambda k: 2 * k),
+    lanes=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+    edits=_EDITS,
+)
+@example(design=Design.TRIANGULAR, ports=258, lanes=3, seed=5,
+         edits=[(1, "flip"), (2, "255"), (7, "swap")])
+@example(design=Design.CHEVRON, ports=258, lanes=2, seed=6, edits=[(1, "2"), (4, "pair")])
+def test_lane_check_flags_what_the_per_plan_check_fails(design, ports, lanes, seed, edits):
+    net, demands, plans = _edited(design, ports, lanes, seed, edits)
     assert _check_plans(net, *_raw(demands, plans)) == _per_plan(net, demands, plans)
+
+
+def _below_lanes(ports):
+    """Chunk sizes from 2 to the last one verify checks as byte lanes at
+    ``ports``.  Past N = 64 the per-plan reference costs milliseconds a
+    plan, so the chunks drawn there stay small."""
+    top = verification._LANES_PER_ID_BIT * (ports - 1).bit_length() - 1
+    return st.integers(2, top if ports <= 64 else 6)
+
+
+@SETTINGS
+@given(
+    design=st.sampled_from(Design),
+    chunk=st.integers(1, 150).map(lambda k: 2 * k).flatmap(
+        lambda ports: st.tuples(st.just(ports), _below_lanes(ports))),
+    seed=st.integers(0, 2**32),
+    edits=_EDITS,
+)
+@example(design=Design.BRICKWORK, chunk=(2, 2), seed=1, edits=[(0, "swap")])  # no switches
+@example(design=Design.TRIANGULAR, chunk=(64, 143), seed=2, edits=[(5, "flip"), (70, "pair")])
+@example(design=Design.CHEVRON, chunk=(256, 4), seed=3, edits=[(1, "255"), (2, "flip")])
+@example(design=Design.TRIANGULAR, chunk=(258, 3), seed=4, edits=[(1, "2"), (2, "swap")])
+@example(design=Design.BRICKWORK, chunk=(300, 5), seed=5, edits=[(3, "pair"), (4, "flip")])
+def test_byte_lanes_flag_what_the_per_plan_check_fails(design, chunk, seed, edits):
+    ports, lanes = chunk
+    net, demands, plans = _edited(design, ports, lanes, seed, edits)
+    assert _check_bytes(net, *_raw(demands, plans)) == _per_plan(net, demands, plans)
+
+
+def test_byte_lanes_hold_ids_and_depths_up_to_n_minus_2_at_the_port_budget():
+    # two-byte fields: the worst case takes photon 0 through N - 2 switches
+    rng = random.Random(41)
+    net = build_network(Design.TRIANGULAR, MAX_PORTS)
+    demands = [worst_case_pair_list(MAX_PORTS)]
+    demands += [random_pair_list(MAX_PORTS, rng) for _ in range(3)]
+    plans = [route(Design.TRIANGULAR, MAX_PORTS, d) for d in demands]
+    found = _check_bytes(net, *_raw(demands, plans))
+    assert found == _per_plan(net, demands, plans)
+    assert found[:2] == (0, MAX_PORTS - 2)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -178,6 +225,50 @@ def test_lane_check_flags_each_flipped_switch(design):
         found = _check_plans(net, *_raw(demands, plans))
         assert found == _per_plan(net, demands, plans)
         assert found[0] == (1 << len(plans)) - 2  # a single Bar breaks the worst case
+
+
+def test_byte_lanes_compare_both_bytes_of_an_id():
+    # past N = 256 two ids can share their low byte, as 3 and 259 do; paired,
+    # they land on one output pair, so swapping them in a prediction keeps
+    # its pairing and differs from the simulated one in the high bytes only
+    rest = [p for p in range(300) if p not in (3, 259)]
+    random.Random(1).shuffle(rest)
+    demands = [PairList.from_pairs([(3, 259), *zip(rest[::2], rest[1::2])], 300)]
+    demands += [random_pair_list(300, random.Random(seed)) for seed in (2, 3)]
+    net = build_network(Design.CHEVRON, 300)
+    plans = [route(Design.CHEVRON, 300, d) for d in demands]
+    permuted = list(plans[0].permuted)
+    i, j = permuted.index(3), permuted.index(259)
+    assert i // 2 == j // 2
+    permuted[i], permuted[j] = 259, 3
+    plans[0] = RoutingPlan(plans[0].states, tuple(permuted))
+    found = _check_bytes(net, *_raw(demands, plans))
+    assert found == _per_plan(net, demands, plans)
+    assert found[0] == 0b001
+
+
+@pytest.mark.parametrize("ports", [8, 258])
+def test_byte_lanes_decline_what_the_lane_check_declines(ports):
+    net = build_network(Design.BRICKWORK, ports)
+    demand = random_pair_list(ports, random.Random(3))
+    plan = route(Design.BRICKWORK, ports, demand)
+    bits, permuted = plan.states.bits, plan.permuted
+    assert _check_bytes(net, *_raw([demand], [plan])) == _per_plan(net, [demand], [plan])
+    for odd in ((dict(plan.states), permuted),
+                (bytes(bits), permuted),
+                (bits[:-1], permuted),
+                (bits + b"\x00", permuted),
+                (bits, list(permuted)),
+                (bits, permuted[:-1]),
+                (bits, (ports,) + permuted[1:]),
+                (bits, permuted[:-1] + (255 if ports == 8 else 65535,)),  # fits a field
+                (bits, (65536,) + permuted[1:]),
+                (bits, (-1,) + permuted[1:]),
+                (bits, (0.0,) + permuted[1:]),
+                (bits, ("0",) + permuted[1:])):
+        chunk = [demand.mate] * 2, [(bits, permuted), odd]
+        assert _check_bytes(net, *chunk) is None
+        assert _check_plans(net, *chunk) is None
 
 
 def test_lane_check_declines_plans_it_cannot_read():

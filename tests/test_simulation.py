@@ -10,7 +10,6 @@ from pairswitch import (
     Design,
     IncompleteStates,
     InvalidInput,
-    MAX_PORTS,
     Network,
     PairList,
     State,
@@ -236,7 +235,7 @@ def test_worst_case_transposition_count_reaches_bound():
 
 
 # ---------------------------------------------------------------------------
-# The single pass and verify's frame walk against the reference
+# The single pass and verify's byte lanes against the reference
 # ---------------------------------------------------------------------------
 
 def reference_simulate(net, states):
@@ -252,30 +251,46 @@ def reference_simulate(net, states):
     return tuple(lines), tuple(depths)
 
 
-def assert_matches_reference(net, bits, simulator=None):
-    """simulate on the state bytes and on their dict agrees with the
-    reference, and so does ``simulator``, a verify call's simulator for
-    ``net``, when one is given."""
+def assert_matches_reference(net, bits):
+    """simulate on the state bytes and on their dict agrees with the reference."""
     vector = StateVector(bytearray(bits))
     want = reference_simulate(net, vector)
     assert simulate(net, vector) == want
     assert simulate(net, dict(vector)) == want
-    if simulator is not None:
-        assert simulator(vector) == want
-        assert simulator(dict(vector)) == want
+
+
+def assert_lanes_match_reference(net, chunk):
+    """verify's byte lanes on ``chunk``, state byte strings for ``net``, one
+    plan each, agree with the reference.  Each plan predicts the reference
+    permutation, and its partner table pairs that permutation's output
+    slots, so no lane fails and the depth extrema are the reference's.  With
+    two slots of the first prediction swapped, that lane alone fails."""
+    wants = [reference_simulate(net, StateVector(bytearray(bits))) for bits in chunk]
+    mates = []
+    for perm, _ in wants:
+        mate = [0] * net.ports
+        for a, b in zip(perm[::2], perm[1::2]):
+            mate[a], mate[b] = b, a
+        mates.append(tuple(mate))
+    plans = [(bytearray(bits), perm) for bits, (perm, _) in zip(chunk, wants)]
+    depths = [[d for _, ds in wants[first:] for d in ds] for first in (0, 1)]
+    assert simulation._check_bytes(net, mates, plans) == (0, max(depths[0]), min(depths[0]))
+    perm = wants[0][0]
+    plans[0] = (plans[0][0], (perm[1], perm[0]) + perm[2:])
+    rest = (max(depths[1]), min(depths[1])) if depths[1] else (0, -1)
+    assert simulation._check_bytes(net, mates, plans) == (1, *rest)
 
 
 @pytest.mark.parametrize("design", list(Design))
 def test_simulate_matches_the_reference_on_every_demand_up_to_10(design):
     for n in (2, 4, 6, 8, 10):
         net = build_network(design, n)
-        simulator = simulation._PlanSimulator(net)
+        chunk = []
         for demand in enumerate_pair_lists(n):
             plan = route(design, n, demand)
-            want = reference_simulate(net, plan.states)
-            assert simulate(net, plan.states) == want
-            assert simulator(plan.states) == want
-        assert simulator.frame is not None  # the worst case is all Cross
+            assert simulate(net, plan.states) == reference_simulate(net, plan.states)
+            chunk.append(plan.states.bits)
+        assert_lanes_match_reference(net, chunk)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -283,14 +298,13 @@ def test_simulate_matches_the_reference_on_seeded_plans_up_to_256(design):
     rng = random.Random(2024)
     for n in (12, 16, 30, 64, 128, 256):
         net = build_network(design, n)
-        simulator = simulation._PlanSimulator(net)
         demands = [random_pair_list(n, rng) for _ in range(3)] + [worst_case_pair_list(n)]
+        chunk = []
         for demand in demands:
             plan = route(design, n, demand)
-            want = reference_simulate(net, plan.states)
-            assert simulate(net, plan.states) == want
-            assert simulator(plan.states) == want
-        assert simulator.frame is not None
+            assert simulate(net, plan.states) == reference_simulate(net, plan.states)
+            chunk.append(plan.states.bits)
+        assert_lanes_match_reference(net, chunk)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -298,15 +312,14 @@ def test_simulate_matches_the_reference_on_uniform_and_any_byte_states(design):
     rng = random.Random(7)
     for n in (2, 4, 10, 32):
         net = build_network(design, n)
-        simulator = simulation._PlanSimulator(net)
         count = len(net.lines)
-        assert_matches_reference(net, bytes(count), simulator)  # all Bar
-        assert_matches_reference(net, b"\x01" * count, simulator)  # all Cross
-        assert_matches_reference(net, b"\xff" * count, simulator)
-        for cross_share in (0.05, 0.3, 0.5, 0.8, 0.97):  # both paths, any nonzero byte
-            bits = [rng.randrange(1, 256) if rng.random() < cross_share else 0
-                    for _ in range(count)]
-            assert_matches_reference(net, bits, simulator)
+        chunk = [bytes(count), b"\x01" * count, b"\xff" * count]  # all Bar, all Cross
+        for cross_share in (0.05, 0.3, 0.5, 0.8, 0.97):  # any nonzero byte
+            chunk.append(bytes(rng.randrange(1, 256) if rng.random() < cross_share else 0
+                               for _ in range(count)))
+        for bits in chunk:
+            assert_matches_reference(net, bits)
+        assert_lanes_match_reference(net, chunk)
 
 
 def test_simulate_matches_the_reference_on_reversed_damaged_and_read_networks():
@@ -346,7 +359,7 @@ def test_simulate_matches_the_reference_on_any_network(case):
 @st.composite
 def built_networks_and_states(draw):
     """A built network and a few state byte strings for it, each with its
-    own share of Bar bytes, so that plans fall on both sides of the rule."""
+    own share of Bar bytes."""
     net = build_network(draw(st.sampled_from(list(Design))), 2 * draw(st.integers(1, 20)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     states = []
@@ -361,9 +374,9 @@ def built_networks_and_states(draw):
 @given(built_networks_and_states())
 def test_simulate_and_the_verify_simulator_match_the_reference_on_built_networks(case):
     net, states = case
-    simulator = simulation._PlanSimulator(net)  # later plans reuse its frame
     for bits in states:
-        assert_matches_reference(net, bits, simulator)
+        assert_matches_reference(net, bits)
+    assert_lanes_match_reference(net, states)  # the states as one chunk
 
 
 def test_simulate_keeps_nothing_on_the_network():
@@ -379,53 +392,31 @@ def test_simulate_keeps_nothing_on_the_network():
     assert vars(net) == {**before, "lines": net.lines}
 
 
-def test_each_frame_is_built_at_most_once_per_network(monkeypatch):
-    # simulate builds none; a verify simulator builds its network's frame on
-    # the first plan at most a quarter Bar and reuses it for every later plan
-    built = []
-    build = simulation._build_frame
-
-    def counted(net):
-        built.append(id(net))
-        return build(net)
-
-    monkeypatch.setattr(simulation, "_build_frame", counted)
-    rng = random.Random(3)
-    nets = [build_network(design, 24) for design in Design]
-    simulators = [simulation._PlanSimulator(net) for net in nets]
-    for net, simulator in zip(nets * 2, simulators * 2):
-        count = len(net.lines)
-        for cross_share in (0.0, 0.1, 0.4, 0.6, 0.9, 1.0):
-            bits = bytes(rng.random() < cross_share for _ in range(count))
-            before = len(built)
-            assert_matches_reference(net, bits)
-            assert len(built) == before
-            assert_matches_reference(net, bits, simulator)
-    assert sorted(built) == sorted(id(net) for net in nets)
-
-
-def test_the_verify_simulator_walks_the_frame_only_at_most_a_quarter_bar():
-    net = build_network(Design.CHEVRON, 16)
-    count = len(net.lines)
-    quarter = count // 4
-    assert quarter * 4 == count  # so the rule's edge is at exactly a quarter
-    for bars, walks in ((0, True), (quarter, True), (quarter + 1, False),
-                        (count - quarter, False), (count, False)):
-        simulator = simulation._PlanSimulator(net)
-        bits = bytearray(b"\x01" * count)
-        bits[:bars] = bytes(bars)
-        assert_matches_reference(net, bits, simulator)
-        assert (simulator.frame is not None) is walks
-
-
 @pytest.mark.parametrize("design", list(Design))
-def test_the_all_cross_frame_fits_two_bytes_at_the_port_budget(design):
-    # a label's count is a photon's depth, at most N - 2; a value past a
-    # 2-byte int would raise OverflowError while the table is filled
-    upper, lower, step, tail, order = simulation._build_frame(build_network(design, MAX_PORTS))
-    assert {a.typecode for a in (upper, lower, step)} == {"h"}
-    assert max(tail) <= MAX_PORTS - 2
-    assert sorted(order) == list(range(MAX_PORTS))
+def test_no_switch_chain_is_longer_than_n_minus_2(design):
+    # both lane checks size a depth field for N - 2: a photon's path is a
+    # chain of switches, each sharing a line with the one before
+    for n in [*range(2, 66, 2), 256, 258, 1024]:
+        longest = [0] * n
+        for i in build_network(design, n).lines:
+            longest[i] = longest[i + 1] = max(longest[i], longest[i + 1]) + 1
+        assert max(longest) <= n - 2
+
+
+def test_the_byte_lanes_match_the_reference_at_every_cross_share():
+    # the shares that once picked between two simulators, twice on each
+    # network; the lane check keeps nothing on the network either
+    rng = random.Random(3)
+    for design in Design:
+        net = build_network(design, 24)
+        before = copy.deepcopy(vars(net))
+        for _ in range(2):
+            chunk = [bytes(rng.random() < share for _ in net.lines)
+                     for share in (0.0, 0.1, 0.4, 0.6, 0.9, 1.0)]
+            for bits in chunk:
+                assert_matches_reference(net, bits)
+            assert_lanes_match_reference(net, chunk)
+        assert vars(net) == before
 
 
 def test_the_lane_check_declines_a_two_byte_id_out_of_range():

@@ -21,7 +21,7 @@ from pairswitch import (
     verify_minimality,
     worst_case_pair_list,
 )
-from pairswitch import simulation, verification
+from pairswitch import verification
 from pairswitch.verification import _mate_tables, report_to_json
 
 
@@ -196,6 +196,23 @@ def test_random_mode_rejects_a_bad_sample_count(samples):
         verify_design(Design.TRIANGULAR, 4, mode="random", samples=samples)
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("name, value", [
+    ("cap", None), ("cap", "12"), ("cap", 12.0), ("cap", True),
+    ("seed", b"x"), ("seed", None), ("seed", "7"), ("seed", 7.0), ("seed", False),
+])
+def test_verify_rejects_a_cap_or_seed_that_is_no_int(monkeypatch, mode, name, value):
+    # None and "12" used to meet min() as a TypeError, and a bytes seed gave a
+    # report that report_to_json could not write
+    def no_build(design, ports):
+        raise AssertionError("built a network")
+
+    monkeypatch.setattr(verification, "build_network", no_build)
+    message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(InvalidInput, match=message):
+        verify_design(Design.TRIANGULAR, 4, mode=mode, samples=3, **{name: value})
+
+
 def test_random_mode_is_seed_stable():
     a = verify_design(Design.BRICKWORK, 16, mode="random", samples=40, seed=9)
     b = verify_design(Design.BRICKWORK, 16, mode="random", samples=40, seed=9)
@@ -317,25 +334,54 @@ def test_corrupted_plans_give_the_golden_report(monkeypatch, design, ports, kwar
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest
 
 
-def test_verify_builds_a_frame_once_per_call(monkeypatch):
-    # the samples of one call share its frame; each call builds its own, at
-    # most one, and none when no plan is at most a quarter Bar
-    built = []
-    build = simulation._build_frame
+def _recorded_paths(monkeypatch):
+    """Record the path each chunk of a verify call takes: ("simulate", 1)
+    per plan checked alone, or the lane check and its chunk size."""
+    paths = []
 
-    def counted(net):
-        built.append(net.design.value)
-        return build(net)
+    def recording(name, check):
+        def recorded(net, *args):
+            paths.append((name, len(args[-1]) if name != "simulate" else 1))
+            return check(net, *args)
+        return recorded
 
-    monkeypatch.setattr(simulation, "_build_frame", counted)
-    verify_design("chevron", 18, "random", samples=5, seed=5)
-    assert built == ["chevron"]  # every plan is at most a quarter Bar
-    verify_design("chevron", 18, "random", samples=5, seed=5)
-    assert built == ["chevron", "chevron"]
-    built.clear()
-    # plans checked one at a time: 40 random ones, then every demand at N = 6,
-    # the all-Cross worst case among them
-    for design in Design:
-        verify_design(design, 24, "random", samples=40, seed=3)
-        verify_design(design, 6, "exhaustive")
-    assert sorted(built) == ["brickwork", "chevron", "chevron", "triangular"]
+    for name in ("simulate", "_check_bytes", "_check_plans"):
+        monkeypatch.setattr(verification, name, recording(name, getattr(verification, name)))
+    return paths
+
+
+def test_each_chunk_size_takes_its_path(monkeypatch):
+    # one plan: simulate; up to the bit-sliced threshold: byte lanes, in one
+    # pass for the whole chunk; from it on: the bit-sliced pass
+    paths = _recorded_paths(monkeypatch)
+    threshold = verification._LANES_PER_ID_BIT * 5  # 5 id bits at N = 18
+    smallest = verification._BYTE_LANES_FROM
+    for samples, want in [
+        (1, [("simulate", 1)]),
+        (smallest - 1, [("simulate", 1)] * (smallest - 1)),
+        (smallest, [("_check_bytes", smallest)]),
+        (5, [("_check_bytes", 5)]),
+        (threshold - 1, [("_check_bytes", threshold - 1)]),
+        (threshold, [("_check_plans", threshold)]),
+        (1025, [("_check_plans", 1024), ("simulate", 1)]),  # chunks of 1024 demands
+    ]:
+        paths.clear()
+        report = verify_design("chevron", 18, "random", samples=samples, seed=5)
+        assert report.passed and report.demands_checked == samples
+        assert paths == want, samples
+    # exhaustively: N = 4 and 6 as byte lanes, N >= 8 on the bit-sliced pass
+    for ports, want in [(2, ("simulate", 1)), (4, ("_check_bytes", 3)),
+                        (6, ("_check_bytes", 15)), (8, ("_check_plans", 105))]:
+        paths.clear()
+        assert verify_design("triangular", ports).passed
+        assert paths == [want]
+
+
+def test_a_flagged_lane_is_checked_again_alone(monkeypatch):
+    # a failing plan in a byte-lane chunk is simulated on its own for its
+    # failure text; the others are not
+    paths = _recorded_paths(monkeypatch)
+    _corrupting_route(monkeypatch, {2: ("perm", 0)})
+    report = verify_design("brickwork", 16, "random", samples=5, seed=1)
+    assert paths == [("_check_bytes", 5), ("simulate", 1)]
+    assert len(report.failures) == 1 and "router predicted" in report.failures[0][1]
