@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairswitch import (
+    MAX_PORTS,
     Design,
     IncompleteStates,
     InvalidInput,
@@ -417,6 +418,44 @@ def test_the_byte_lanes_match_the_reference_at_every_cross_share():
                 assert_matches_reference(net, bits)
             assert_lanes_match_reference(net, chunk)
         assert vars(net) == before
+
+
+def test_the_verify_simulator_walks_the_frame_only_at_most_a_quarter_bar():
+    # the Bar counts on both sides of the quarter-Bar edge that once chose
+    # between walking an all-Cross frame and simulating: there is no frame
+    # now, and the byte lanes read them all in one chunk like the reference
+    assert not hasattr(simulation, "_build_frame")
+    net = build_network(Design.CHEVRON, 16)
+    count = len(net.lines)
+    quarter = count // 4
+    assert quarter * 4 == count  # so the old rule's edge is at exactly a quarter
+    chunk = []
+    for bars in (0, quarter, quarter + 1, count - quarter, count):
+        bits = bytearray(b"\x01" * count)
+        bits[:bars] = bytes(bars)
+        assert_matches_reference(net, bits)
+        chunk.append(bytes(bits))
+    assert_lanes_match_reference(net, chunk)
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_the_all_cross_frame_fits_two_bytes_at_the_port_budget(design):
+    # the all-Cross worst case and a random plan as one byte-lane chunk at
+    # MAX_PORTS: two-byte fields hold every id and every depth, up to N - 2
+    net = build_network(design, MAX_PORTS)
+    demands = [worst_case_pair_list(MAX_PORTS), random_pair_list(MAX_PORTS, random.Random(41))]
+    plans = [route(design, MAX_PORTS, d) for d in demands]
+    assert plans[0].states.bits == b"\x01" * len(net.lines)
+    depths = []
+    for plan in plans:
+        perm, plan_depths = simulate(net, plan.states)
+        assert perm == plan.permuted
+        depths += plan_depths
+    found = simulation._check_bytes(net, [d.mate for d in demands],
+                                    [(p.states.bits, p.permuted) for p in plans])
+    assert found == (0, max(depths), min(depths))
+    assert max(depths) <= MAX_PORTS - 2
+    assert (max(depths) == MAX_PORTS - 2) is (design is Design.TRIANGULAR)
 
 
 def test_the_lane_check_declines_a_two_byte_id_out_of_range():

@@ -377,6 +377,22 @@ def test_each_chunk_size_takes_its_path(monkeypatch):
         assert paths == [want]
 
 
+def test_verify_builds_a_frame_once_per_call(monkeypatch):
+    # no frame: the samples of one call share one byte-lane pass, each call
+    # makes its own, and a second call gives the same report
+    paths = _recorded_paths(monkeypatch)
+    first = verify_design("chevron", 18, "random", samples=5, seed=5)
+    assert paths == [("_check_bytes", 5)]
+    assert verify_design("chevron", 18, "random", samples=5, seed=5) == first
+    assert paths == [("_check_bytes", 5)] * 2
+    paths.clear()
+    # 40 random plans, then every demand at N = 6, the all-Cross worst case among them
+    for design in Design:
+        verify_design(design, 24, "random", samples=40, seed=3)
+        verify_design(design, 6, "exhaustive")
+    assert paths == [("_check_bytes", 40), ("_check_bytes", 15)] * len(Design)
+
+
 def test_a_flagged_lane_is_checked_again_alone(monkeypatch):
     # a failing plan in a byte-lane chunk is simulated on its own for its
     # failure text; the others are not
