@@ -209,12 +209,12 @@ def route_triangular(ports: int, demand: PairList,
                      counter: OpCounter | None = None) -> RoutingPlan:
     """Route ``demand`` on the triangular network; see :func:`_route_triangular`."""
     _check_demand(ports, demand)
-    states, permuted = _route_triangular(ports, demand.mate, counter)
+    (states, permuted), = _route_triangular(ports, [demand.mate], counter)
     return RoutingPlan(StateVector(states), permuted)
 
 
-def _route_triangular(ports: int, mate: Sequence[int],
-                      counter: OpCounter | None = None) -> tuple[bytearray, tuple[int, ...]]:
+def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
+                      ) -> list[tuple[bytearray, tuple[int, ...]]]:
     """Bubble-style peeling: per layer, cascade the partner of the current
     bottom photon down to meet it, then recurse on the first n-2 photons.
 
@@ -225,26 +225,31 @@ def _route_triangular(ports: int, mate: Sequence[int],
     the partner, then the layer's switch commits and photon moves), not the
     Python steps taken.
 
-    Returns the state bytes, 1 for Cross, and the photon on each output line."""
-    photons = list(range(ports))
-    permuted = [0] * ports
-    states = bytearray(optimal_switch_count(ports))
-    first = 0  # layer n/2-1 starts at id S - (n/2-1)(n/2)
-    n = ports
-    while n > 2:
-        bottom = photons.pop()
-        idx = bisect_left(photons, mate[bottom])
-        if counter:
-            counter.tick(idx + 1)
-        # switches above the partner stay Bar
-        states[first + idx : first + n - 2] = _ONES[: n - 2 - idx]
-        permuted[n - 2], permuted[n - 1] = photons.pop(idx), bottom
-        if counter:
-            counter.tick(2 * n - 2)
-        first += n - 2
-        n -= 2
-    permuted[0], permuted[1] = photons
-    return states, tuple(permuted)
+    Returns one plan per partner table in ``mates``: the state bytes, 1 for
+    Cross, and the photon on each output line."""
+    count, lines = optimal_switch_count(ports), list(range(ports))
+    plans = []
+    for mate in mates:
+        photons = lines[:]
+        permuted = [0] * ports
+        states = bytearray(count)
+        first = 0  # layer n/2-1 starts at id S - (n/2-1)(n/2)
+        n = ports
+        while n > 2:
+            bottom = photons.pop()
+            idx = bisect_left(photons, mate[bottom])
+            if counter:
+                counter.tick(idx + 1)
+            # switches above the partner stay Bar
+            states[first + idx : first + n - 2] = _ONES[: n - 2 - idx]
+            permuted[n - 2], permuted[n - 1] = photons.pop(idx), bottom
+            if counter:
+                counter.tick(2 * n - 2)
+            first += n - 2
+            n -= 2
+        permuted[0], permuted[1] = photons
+        plans.append((states, tuple(permuted)))
+    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +260,12 @@ def route_chevron(ports: int, demand: PairList,
                   counter: OpCounter | None = None) -> RoutingPlan:
     """Route ``demand`` on the chevron network; see :func:`_route_chevron`."""
     _check_demand(ports, demand)
-    states, permuted = _route_chevron(ports, demand.mate, counter)
+    (states, permuted), = _route_chevron(ports, [demand.mate], counter)
     return RoutingPlan(StateVector(states), permuted)
 
 
-def _route_chevron(ports: int, mate: Sequence[int],
-                   counter: OpCounter | None = None) -> tuple[bytearray, tuple[int, ...]]:
+def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
+                   ) -> list[tuple[bytearray, tuple[int, ...]]]:
     """Routing over nested windows: window k holds photons k..N-1-k and
     its layer is N/2-1-k.
 
@@ -278,62 +283,67 @@ def _route_chevron(ports: int, mate: Sequence[int],
     point keeps its index from the top and one below it its index from the
     bottom, stored as a negative, Python-style index.
 
-    Returns the state bytes, 1 for Cross, and the photon on each output line.
+    Returns one plan per partner table in ``mates``: the state bytes, 1 for
+    Cross, and the photon on each output line.
     """
-    mate = list(mate)  # rewritten as windows fold their outer pair inward
-    virtual: list[tuple[int, int] | None] = []  # per window, outermost first
-    for top in range(ports // 2 - 1):
-        bot = ports - 1 - top
-        if counter:
-            counter.tick(bot - top + 1)
-        if mate[top] == bot:
-            virtual.append(None)
-        else:
-            top_mate, bot_mate = mate[top], mate[bot]
-            mate[top_mate], mate[bot_mate] = bot_mate, top_mate
-            virtual.append((top_mate, bot_mate))
-
-    states = bytearray(b"\x01") * optimal_switch_count(ports)
-    pos = [0] * ports  # photon -> index in its window, >= 0 from the top, < 0 from the bottom
-    pos[ports // 2] = 1  # the innermost window holds N/2-1 above N/2
-    for left in reversed(range(len(virtual))):
-        top, bot = left, ports - 1 - left
-        n = ports - 2 * left
-        half = n // 2
-        layer = half - 1
-        # a pair entering at the middle joins the part below it on odd layers
-        # and the part above it on even ones, so no stored index moves
-        mid = -half if layer % 2 else half - 1
-        if virtual[left] is None:
-            pos[top], pos[bot] = mid, mid + 1
-        else:
-            top_mate, bot_mate = virtual[left]
-            a, b = pos[top_mate], pos[bot_mate]  # adjacent, so of one sign
-            lo = a if a < b else b
+    count = optimal_switch_count(ports)
+    plans = []
+    for mate in mates:
+        mate = list(mate)  # rewritten as windows fold their outer pair inward
+        virtual: list[tuple[int, int] | None] = []  # per window, outermost first
+        for top in range(ports // 2 - 1):
+            bot = ports - 1 - top
             if counter:
-                counter.tick(n)
-            # layer l holds ids l(l-1)..l(l+1)-1: the upper arm from the top,
-            # the lower arm from the bottom, then an odd layer's tip; the
-            # pair's own switch is Bar when the pair is already in order
-            first = layer * (layer - 1)
-            if lo >= 0:
-                # upper arm or tip: outer top stops just above the pair, its
-                # other member rides the rest of the arm down to the middle
-                states[first + lo + 1 if lo + 1 < layer else first + 2 * layer - 1] = a > b
-                states[first + lo] = 0
-                pos[top], pos[top_mate], pos[bot_mate], pos[bot] = lo, lo + 1, mid, mid + 1
+                counter.tick(bot - top + 1)
+            if mate[top] == bot:
+                virtual.append(None)
             else:
-                # lower arm (mirror of the upper case)
-                states[first + layer - lo - 1] = a > b
-                states[first + layer - lo - 2] = 0
-                pos[top], pos[top_mate], pos[bot_mate], pos[bot] = mid, mid + 1, lo, lo + 1
-        if counter:
-            counter.tick(n - 2)
+                top_mate, bot_mate = mate[top], mate[bot]
+                mate[top_mate], mate[bot_mate] = bot_mate, top_mate
+                virtual.append((top_mate, bot_mate))
 
-    permuted = [0] * ports
-    for photon, index in enumerate(pos):
-        permuted[index] = photon
-    return states, tuple(permuted)
+        states = bytearray(b"\x01") * count
+        pos = [0] * ports  # photon -> index in its window: >= 0 from the top, < 0 from the bottom
+        pos[ports // 2] = 1  # the innermost window holds N/2-1 above N/2
+        for left in reversed(range(len(virtual))):
+            top, bot = left, ports - 1 - left
+            n = ports - 2 * left
+            half = n // 2
+            layer = half - 1
+            # a pair entering at the middle joins the part below it on odd layers
+            # and the part above it on even ones, so no stored index moves
+            mid = -half if layer % 2 else half - 1
+            if virtual[left] is None:
+                pos[top], pos[bot] = mid, mid + 1
+            else:
+                top_mate, bot_mate = virtual[left]
+                a, b = pos[top_mate], pos[bot_mate]  # adjacent, so of one sign
+                lo = a if a < b else b
+                if counter:
+                    counter.tick(n)
+                # layer l holds ids l(l-1)..l(l+1)-1: the upper arm from the top,
+                # the lower arm from the bottom, then an odd layer's tip; the
+                # pair's own switch is Bar when the pair is already in order
+                first = layer * (layer - 1)
+                if lo >= 0:
+                    # upper arm or tip: outer top stops just above the pair, its
+                    # other member rides the rest of the arm down to the middle
+                    states[first + lo + 1 if lo + 1 < layer else first + 2 * layer - 1] = a > b
+                    states[first + lo] = 0
+                    pos[top], pos[top_mate], pos[bot_mate], pos[bot] = lo, lo + 1, mid, mid + 1
+                else:
+                    # lower arm (mirror of the upper case)
+                    states[first + layer - lo - 1] = a > b
+                    states[first + layer - lo - 2] = 0
+                    pos[top], pos[top_mate], pos[bot_mate], pos[bot] = mid, mid + 1, lo, lo + 1
+            if counter:
+                counter.tick(n - 2)
+
+        permuted = [0] * ports
+        for photon, index in enumerate(pos):
+            permuted[index] = photon
+        plans.append((states, tuple(permuted)))
+    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +428,12 @@ def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
     """Route ``demand`` on the brickwork network; see :func:`_route_brickwork`."""
     _check_demand(ports, demand)
-    states, permuted = _route_brickwork(ports, demand.mate, counter)
+    (states, permuted), = _route_brickwork(ports, [demand.mate], counter)
     return RoutingPlan(StateVector(states), permuted)
 
 
-def _route_brickwork(ports: int, mate: Sequence[int],
-                     counter: OpCounter | None = None) -> tuple[bytearray, tuple[int, ...]]:
+def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
+                     ) -> list[tuple[bytearray, tuple[int, ...]]]:
     """Pair the bottom-most photon first: its partner moves down as soon as
     possible, the bottom photon up as late as necessary; recurse on the
     surviving smaller brickwork.
@@ -434,83 +444,85 @@ def _route_brickwork(ports: int, mate: Sequence[int],
     found by bisection.  Counter ticks are the cascade's, as in
     :func:`_route_triangular`, and so is what it returns."""
     half0 = ports // 2
-    states = bytearray(optimal_switch_count(ports))
-    photons = list(range(ports))
-    frame_out = list(range(ports))  # frame line -> physical output line
-    anti = list(range(half0 % 2, ports + half0, 2))  # surviving line + col
-    diag = list(range(-half0, ports, 2))  # surviving line - col
+    count = optimal_switch_count(ports)
+    lines = list(range(ports))  # the photons, and frame line -> physical output line
+    anti0 = list(range(half0 % 2, ports + half0, 2))  # surviving line + col
+    diag0 = list(range(-half0, ports, 2))  # surviving line - col
     fall, rise = half0, half0 - 1  # id strides along a diagonal and an anti-diagonal
     quarter = ports // 4  # column 0 holds ids 0..quarter-1
     base = quarter - half0  # cell (col > 0, line) has id base + (line - col + 1)//2 + fall*col
     wide, top = 2 * half0, 2 * ports - 4  # twice the column count and the lowest line
-    result = [0] * ports
     ones = _ONES
-
-    # the frame's size and half of it, and the iterations done; since
-    # half + skip = half0, the anti-diagonal ranks of the bottom photon's run
-    # and the diagonal ranks of its ends need no frame offset
-    n, half, skip = ports, half0, 0
-    while n > 2:
-        bottom = photons.pop()
-        i = bisect_left(photons, mate[bottom])
-        if counter:
-            counter.tick(i + 1)
-        j_meet = n - 2
-        if i < j_meet:
-            # column 0 holds the lines of half's parity up to half-2; column 1
-            # every line of the other, so the partner meets a switch in one of them
-            up = (i + half) & 1  # 1 when column 0's switch couples line i from above
-            c0 = 0 if 0 <= i - up <= half - 2 else 1
-            # the switch at (c0, i - 1) would pull the partner upward: it
-            # stays Bar and the diagonal starts one column later
-            cstart = c0 + (up != c0)
-            if i + half - cstart < j_meet:
-                j_meet = i + half - cstart
-            rd = (i - cstart + half) >> 1
-            d = diag[rd]
-            if j_meet > i:
-                ra = (i + cstart + skip) >> 1
-                lo, hi = anti[ra], anti[ra + j_meet - i - 1]
-                # cell (line + col, line - col) = (x, d) for x = lo, hi
-                if not (-lo <= d <= lo and hi - d < wide and hi + d <= top):
-                    raise _off_grid((lo - d) >> 1, (lo + d) >> 1, (hi - d) >> 1, (hi + d) >> 1)
-                col = (lo - d) >> 1
-                if not col:  # column 0 breaks the stride: its switch is written alone
-                    if d >> 1 >= quarter:  # its id is line // 2, and line = d there
-                        raise _off_grid(0, d, (hi - d) >> 1, (hi + d) >> 1)
-                    states[d >> 1] = 1
-                    col = 1
-                first = base + ((d + 1) >> 1) + fall * col
-                count = ((hi - d) >> 1) - col + 1
-                states[first : first + fall * count : fall] = ones[:count]
-            if j_meet < n - 2:
-                a = anti.pop((j_meet + half0) >> 1)
-                rq = (j_meet >> 1) + 1
-                # ranks count the partner's diagonal, which goes last
-                lo, hi = diag[rq], diag[rq + n - 3 - j_meet]
-                # cell (line + col, line - col) = (a, x) for x = hi, lo; an end in
-                # column 0 (hi == a) must be on one of its lines
-                if not (-a <= lo and a - lo < wide and hi <= a and a + hi <= top) or (
-                        hi == a and a >> 1 >= quarter):
-                    raise _off_grid((a - hi) >> 1, (a + hi) >> 1, (a - lo) >> 1, (a + lo) >> 1)
-                first = base + ((hi + 1) >> 1) + fall * ((a - hi) >> 1)
-                count = ((hi - lo) >> 1) + 1
-                states[first : first + rise * count : rise] = ones[:count]
-            del diag[rd]
+    plans = []
+    for mate in mates:
+        states = bytearray(count)
+        photons, frame_out, anti, diag = lines[:], lines[:], anti0[:], diag0[:]
+        result = [0] * ports
+        # the frame's size and half of it, and the iterations done; since
+        # half + skip = half0, the anti-diagonal ranks of the bottom photon's run
+        # and the diagonal ranks of its ends need no frame offset
+        n, half, skip = ports, half0, 0
+        while n > 2:
+            bottom = photons.pop()
+            i = bisect_left(photons, mate[bottom])
             if counter:
-                counter.tick((up != c0) + 2 * (n - 2 - i))
-        result[frame_out[j_meet]] = photons.pop(i)
-        result[frame_out[j_meet + 1]] = bottom
-        del frame_out[j_meet : j_meet + 2]
-        if counter:
-            counter.tick(2 * n)
-        n -= 2
-        half -= 1
-        skip += 1
+                counter.tick(i + 1)
+            j_meet = n - 2
+            if i < j_meet:
+                # column 0 holds the lines of half's parity up to half-2, column 1
+                # every line of the other.  A partner off half's parity starts in
+                # column 1; one on it in column 0 up to line half-2, else in
+                # column 2, as column 1's switch above it stays Bar
+                cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
+                if i + half - cstart < j_meet:
+                    j_meet = i + half - cstart
+                rd = (i - cstart + half) >> 1
+                d = diag[rd]
+                if j_meet > i:
+                    ra = (i + cstart + skip) >> 1
+                    lo, hi = anti[ra], anti[ra + j_meet - i - 1]
+                    # cell (line + col, line - col) = (x, d) for x = lo, hi
+                    if not (-lo <= d <= lo and hi - d < wide and hi + d <= top):
+                        raise _off_grid((lo - d) >> 1, (lo + d) >> 1, (hi - d) >> 1, (hi + d) >> 1)
+                    col = (lo - d) >> 1
+                    if not col:  # column 0 breaks the stride: its switch is written alone
+                        if d >> 1 >= quarter:  # its id is line // 2, and line = d there
+                            raise _off_grid(0, d, (hi - d) >> 1, (hi + d) >> 1)
+                        states[d >> 1] = 1
+                        col = 1
+                    first = base + ((d + 1) >> 1) + fall * col
+                    run = ((hi - d) >> 1) - col + 1
+                    states[first : first + fall * run : fall] = ones[:run]
+                if j_meet < n - 2:
+                    a = anti.pop((j_meet + half0) >> 1)
+                    rq = (j_meet >> 1) + 1
+                    # ranks count the partner's diagonal, which goes last
+                    lo, hi = diag[rq], diag[rq + n - 3 - j_meet]
+                    # cell (line + col, line - col) = (a, x) for x = hi, lo; an end in
+                    # column 0 (hi == a) must be on one of its lines
+                    if not (-a <= lo and a - lo < wide and hi <= a and a + hi <= top) or (
+                            hi == a and a >> 1 >= quarter):
+                        raise _off_grid((a - hi) >> 1, (a + hi) >> 1, (a - lo) >> 1, (a + lo) >> 1)
+                    first = base + ((hi + 1) >> 1) + fall * ((a - hi) >> 1)
+                    run = ((hi - lo) >> 1) + 1
+                    states[first : first + rise * run : rise] = ones[:run]
+                del diag[rd]
+                if counter:  # a tick when the partner's first switch couples it from above
+                    bar = 0 < i < half if (i + half) & 1 else i >= half - 1
+                    counter.tick(bar + 2 * (n - 2 - i))
+            result[frame_out[j_meet]] = photons.pop(i)
+            result[frame_out[j_meet + 1]] = bottom
+            del frame_out[j_meet : j_meet + 2]
+            if counter:
+                counter.tick(2 * n)
+            n -= 2
+            half -= 1
+            skip += 1
 
-    result[frame_out[0]] = photons[0]
-    result[frame_out[1]] = photons[1]
-    return states, tuple(result)
+        result[frame_out[0]] = photons[0]
+        result[frame_out[1]] = photons[1]
+        plans.append((states, tuple(result)))
+    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +544,10 @@ _CORES = {
     Design.CHEVRON: _route_chevron,
     Design.BRICKWORK: _route_brickwork,
 }
-"""Each design's routing core: ``(ports, mate, counter=None) -> (state
-bytes, permuted)``, for callers that hold a checked partner table."""
+"""Each design's routing core: ``(ports, mates, counter=None) -> [(state
+bytes, permuted), ...]``, one plan per partner table, for callers that hold
+checked tables.  What depends only on N is worked out once per call, so a
+batch pays it once; each public router routes a batch of one."""
 
 
 def route(design: Design | str, ports: int, demand: PairList,

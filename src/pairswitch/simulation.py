@@ -264,16 +264,6 @@ def _byte_masks(plans: Sequence[tuple[bytearray, tuple[int, ...]]], count: int,
                repeat("little"))
 
 
-def _holds(data: bytes, value: int, width: int) -> bool:
-    """Whether a ``width``-byte little-endian field of ``data`` holds
-    ``value``: byte searches in C, skipping matches across two fields."""
-    pattern = value.to_bytes(width, "little")
-    at = data.find(pattern)
-    while at > 0 and at % width:
-        at = data.find(pattern, at + 1)
-    return at >= 0
-
-
 def _check_bytes(
     net: Network, mates: Sequence[Sequence[int]],
     plans: Sequence[tuple[bytearray, tuple[int, ...]]],
@@ -312,11 +302,12 @@ def _check_bytes(
         return flagged, 0, -1
     keep = sum(group // one << 8 * width * k for k in range(lanes) if not flagged >> k & 1)
     depths = [x >> 8 * size for x in state]  # a failed lane's fields: 0 when kept, all ones lifted
-    kept = b"".join([(d & keep).to_bytes(size, "little") for d in depths])
-    lifted = b"".join([(d | group ^ keep).to_bytes(size, "little") for d in depths])
-    top = ports - 2
-    return (flagged, next(v for v in range(top, -1, -1) if _holds(kept, v, width)),
-            next(v for v in range(top + 1) if _holds(lifted, v, width)))
+    # in native byte order each field is one array item; the field order is
+    # reversed on big-endian hosts, which max and min do not see
+    code, order = "BH"[width - 1], sys.byteorder
+    kept = array(code, b"".join([(d & keep).to_bytes(size, order) for d in depths]))
+    lifted = array(code, b"".join([(d | group ^ keep).to_bytes(size, order) for d in depths]))
+    return flagged, max(kept), min(lifted)
 
 
 _LOW_SWITCHES = 16  # brute force: the low switches take fixed lane patterns

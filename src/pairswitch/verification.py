@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import islice
@@ -104,10 +105,11 @@ def random_pair_list(ports: int, rng: random.Random) -> PairList:
 def _random_mate_tables(ports: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
     """The partner tables of successive :func:`random_pair_list` calls on
     ``rng``: one shuffle of 0..N-1 each, so the same rng calls in the same
-    order.  Ports are checked after the first shuffle, as a demand's are."""
+    order.  Ports are checked as a demand's are, before the first shuffle,
+    so a rejected call leaves ``rng`` as it was and allocates nothing."""
+    _check_demand_ports(ports)
     order = list(range(ports))
     rng.shuffle(order)
-    _check_demand_ports(ports)
     mate = [0] * ports
     while True:
         for a, b in zip(order[::2], order[1::2]):
@@ -178,6 +180,8 @@ def verify_design(
     elif mode == "random":
         if type(samples) is not int or samples < 1:  # a bool is no sample count either
             raise InvalidInput(f"samples must be an integer >= 1, got {samples!r}")
+        if samples > sys.maxsize:  # islice's stop, and past any run's reach
+            raise BoundExceeded(f"samples capped at {sys.maxsize}, got {samples}")
         mates = islice(_random_mate_tables(ports, random.Random(seed)), samples)
         samples_field, seed_field = samples, seed
     else:
@@ -210,7 +214,7 @@ def verify_design(
 
     size = min(_CHUNK_DEMANDS, _CHUNK_STATE_BYTES // max(1, len(net.lines)))
     while chunk := list(islice(mates, size)):
-        plans = [core(ports, mate) for mate in chunk]
+        plans = core(ports, chunk)
         checked += len(chunk)
         large = len(chunk) >= _LANES_PER_ID_BIT * (ports - 1).bit_length()
         check = _check_plans if large else _check_bytes

@@ -355,6 +355,15 @@ def test_verify_range_crossing_port_budget_exits_2_quickly(capsys):
     assert "budget" in err
 
 
+def test_verify_with_a_huge_sample_count_exits_2(capsys):
+    code, out, err = run(
+        capsys, "verify", "--design", "triangular", "--ports", "8",
+        "--samples", "99999999999999999999999",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: samples capped at {sys.maxsize}, got 99999999999999999999999\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_a_sample_count_below_one(capsys, samples):
     code, out, err = run(

@@ -35,6 +35,7 @@ from pairswitch import routing
 from pairswitch.routing import (
     _CORES, _ROUTERS, OpCounter, StateVector, _joined_ids, states_from_json,
 )
+from pairswitch.verification import _mate_tables
 
 
 def pl(text, ports=None):
@@ -309,11 +310,31 @@ def test_cores_return_what_the_public_routers_plan(design):
     for demand in demands:
         ports, ticks, core_ticks = demand.ports, OpCounter(), OpCounter()
         plan = _PUBLIC[design](ports, demand, ticks)
-        states, permuted = _CORES[design](ports, demand.mate, core_ticks)
+        (states, permuted), = _CORES[design](ports, [demand.mate], core_ticks)
         assert type(states) is bytearray and states == plan.states.bits
         assert type(permuted) is tuple and permuted == plan.permuted
         assert core_ticks.count == ticks.count
-        assert _CORES[design](ports, demand.mate) == (states, permuted)
+        assert _CORES[design](ports, [demand.mate]) == [(states, permuted)]
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_a_core_routes_a_batch_as_its_tables_one_by_one(design):
+    # every table of each N <= 10 as one batch, then seeded batches up to
+    # N = 256: the plans and the tick total are the per-table ones, so no
+    # state a core copies for each table leaks from one table to the next
+    core, rng = _CORES[design], random.Random(f"batch:{design.value}")
+    batches = [list(_mate_tables(n)) for n in range(2, 11, 2)]
+    batches += [[random_pair_list(n, rng).mate for _ in range(6)]
+                for n in (12, 14, 16, 32, 64, 128, 256)]
+    batches.append(batches[-1] + [worst_case_pair_list(256).mate] + batches[-1][:2])
+    for mates in batches:
+        ports, ticks, alone = len(mates[0]), OpCounter(), OpCounter()
+        plans = core(ports, mates, ticks)
+        assert plans == [plan for mate in mates for plan in core(ports, [mate], alone)]
+        assert ticks.count == alone.count and (ticks.count or ports == 2)
+        assert core(ports, iter(mates)) == plans
+        assert core(ports, []) == [] and core(ports, [], ticks) == []
+        assert ticks.count == alone.count
 
 
 def test_dispatch_tables_cover_every_design():
@@ -772,7 +793,7 @@ def test_brickwork_core_raises_where_a_run_end_has_no_switch():
             mate = [rng.randrange(ports) for _ in range(ports)]
             counter = OpCounter()
             try:
-                states, permuted = _CORES[Design.BRICKWORK](ports, mate, counter)
+                (states, permuted), = _CORES[Design.BRICKWORK](ports, [mate], counter)
                 outcome = (bytes(states), permuted)
             except IndexError as exc:
                 outcome = str(exc).startswith("no brickwork switch")

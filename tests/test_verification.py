@@ -2,6 +2,8 @@ import dataclasses
 import json
 import random
 import re
+import sys
+from itertools import islice
 
 import pytest
 
@@ -9,6 +11,7 @@ from pairswitch import (
     MAX_PORTS,
     BoundExceeded,
     Design,
+    InvalidDemand,
     InvalidInput,
     PairList,
     PairSwitchError,
@@ -97,6 +100,20 @@ def test_random_demands_match_validated_ones():
             _validated_random_pair_list(ports, random.Random(1))
         with pytest.raises(type(checked.value), match=re.escape(str(checked.value))):
             random_pair_list(ports, random.Random(1))
+
+
+@pytest.mark.parametrize("ports, error, message", [
+    (2.5, InvalidDemand, "ports must be an even integer >= 2, got 2.5"),
+    ("8", InvalidDemand, "ports must be an even integer >= 2, got '8'"),
+    (None, InvalidDemand, "ports must be an even integer >= 2, got None"),
+    (2**62, BoundExceeded, f"{2**62} ports exceed the {MAX_PORTS}-port budget"),
+])
+def test_random_demands_check_ports_before_the_first_shuffle(ports, error, message):
+    # 2**62 ports are past any machine's memory: the check comes first
+    rng = random.Random(1)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        random_pair_list(ports, rng)
+    assert rng.random() == random.Random(1).random()  # a rejected call draws nothing
 
 
 def test_random_verify_builds_no_validated_demand(monkeypatch):
@@ -194,6 +211,17 @@ def test_a_rejected_verify_call_builds_no_network(monkeypatch, args):
 def test_random_mode_rejects_a_bad_sample_count(samples):
     with pytest.raises(InvalidInput):
         verify_design(Design.TRIANGULAR, 4, mode="random", samples=samples)
+
+
+@pytest.mark.parametrize("samples", [sys.maxsize + 1, 99999999999999999999999])
+def test_random_mode_bounds_a_huge_sample_count(monkeypatch, samples):
+    # islice takes no stop past sys.maxsize; the count is refused before a network is built
+    def no_build(design, ports):
+        raise AssertionError("built a network")
+
+    monkeypatch.setattr(verification, "build_network", no_build)
+    with pytest.raises(BoundExceeded, match=f"^samples capped at {sys.maxsize}, got {samples}$"):
+        verify_design(Design.TRIANGULAR, 8, mode="random", samples=samples)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
@@ -295,20 +323,21 @@ def _corrupting_route(monkeypatch, targets):
     calls = iter(range(1 << 30))
 
     def corrupting(design, original):
-        def core(ports, mate, *rest):
-            states, permuted = original(ports, mate, *rest)
-            target = targets.get(next(calls))
-            if target is None:
-                return states, permuted
-            how, i = target
-            states, permuted = bytearray(states), list(permuted)
-            if how == "perm":
-                permuted[i], permuted[i + 2] = permuted[i + 2], permuted[i]
-            else:
-                states[i] ^= 1
-                if how == "pair":
-                    permuted = simulate(build_network(design, ports), StateVector(states))[0]
-            return states, tuple(permuted)
+        def core(ports, mates, *rest):
+            plans = original(ports, mates, *rest)
+            for k, target in enumerate(map(targets.get, islice(calls, len(plans)))):
+                if target is None:
+                    continue
+                how, i = target
+                states, permuted = bytearray(plans[k][0]), list(plans[k][1])
+                if how == "perm":
+                    permuted[i], permuted[i + 2] = permuted[i + 2], permuted[i]
+                else:
+                    states[i] ^= 1
+                    if how == "pair":
+                        permuted = simulate(build_network(design, ports), StateVector(states))[0]
+                plans[k] = states, tuple(permuted)
+            return plans
 
         return core
 
