@@ -471,8 +471,9 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
             if i < j_meet:
                 # column 0 holds the lines of half's parity up to half-2, column 1
                 # every line of the other.  A partner off half's parity starts in
-                # column 1; one on it in column 0 up to line half-2, else in
-                # column 2, as column 1's switch above it stays Bar
+                # column 1, past column 0's switch above it if there is one; one
+                # on it in column 0 up to line half-2, else in column 2, past
+                # column 1's switch above it.  A switch passed stays Bar.
                 cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
                 if i + half - cstart < j_meet:
                     j_meet = i + half - cstart
