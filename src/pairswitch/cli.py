@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -24,14 +25,28 @@ from .verification import _check_exhaustive, report_to_json, verify_design, veri
 
 _DESIGNS = [d.value for d in Design]
 
+_DECIMAL = re.compile(r"-?[0-9]+")  # not \d, which takes any Unicode digit
+
+
+def _decimal(text: str) -> int:
+    """A numeric option's value: plain ASCII decimal digits, with an optional
+    leading minus.  ``int`` would also take other scripts' digits,
+    underscores, a plus sign and surrounding whitespace."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
+_decimal.__name__ = "int"  # argparse names the type in its message: "invalid int value"
+
 
 def _parse_ports_range(text: str) -> list[int]:
     """``N`` or ``A..B``: even values only, odd endpoints rejected, and the
     whole range checked against the port budget before any work starts."""
     lo_s, sep, hi_s = text.partition("..")
     try:
-        lo = int(lo_s)
-        hi = int(hi_s) if sep else lo
+        lo = _decimal(lo_s)
+        hi = _decimal(hi_s) if sep else lo
     except ValueError as exc:
         raise PairSwitchError(f"ports range {text!r} is not N or A..B") from exc
     if lo % 2 or hi % 2 or lo < 2 or hi < lo:
@@ -136,14 +151,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a network as JSON")
     p.add_argument("--design", choices=_DESIGNS, required=True)
-    p.add_argument("--ports", type=int, required=True)
+    p.add_argument("--ports", type=_decimal, required=True)
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("route", help="route a pair list and emit the plan")
     p.add_argument("--design", choices=_DESIGNS, required=True)
-    p.add_argument("--ports", type=int, required=True)
+    p.add_argument("--ports", type=_decimal, required=True)
     p.add_argument("--pairs", required=True, help="e.g. 0-3,1-2")
     p.add_argument("--out")
     p.add_argument("--svg", help="also render the configured network")
@@ -154,14 +169,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ports", required=True, help="N or A..B (even)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=12)
+    group.add_argument("--samples", type=_decimal)
+    p.add_argument("--seed", type=_decimal, default=0)
+    p.add_argument("--cap", type=_decimal, default=12)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("minimality", help="single-switch deletion search")
     p.add_argument("--design", choices=_DESIGNS, required=True)
-    p.add_argument("--ports", type=int, required=True)
+    p.add_argument("--ports", type=_decimal, required=True)
     p.set_defaults(func=_cmd_minimality)
 
     p = sub.add_parser("metrics", help="comparison and depth tables")

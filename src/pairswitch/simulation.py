@@ -275,10 +275,10 @@ def _check_bytes(
     if predicted is None:
         return None
     width = 1 if ports <= 256 else 2
-    size, span = lanes * width, ports * width  # bytes in a group of a line, in a predicted row
+    size = lanes * width  # bytes in a group of a line
     one = int.from_bytes((b"\x01" + bytes(width - 1)) * lanes, "little")
-    step, spread, group = one << 8 * size, 1 | 1 << 8 * size, (1 << 8 * size) - 1
-    full = spread * group
+    step, spread = one << 8 * size, 1 | 1 << 8 * size
+    full = (1 << 16 * size) - 1
     state = [p * one for p in range(ports)]
     for i, m in zip(net.lines, map(spread.__mul__, _byte_masks(plans, len(net.lines), width))):
         a = state[i] + step
@@ -290,24 +290,26 @@ def _check_bytes(
             state[i], state[i + 1] = a ^ t, b ^ t
         else:
             state[i], state[i + 1] = a, b
-    ids, flagged = b"".join([(x & group).to_bytes(size, "little") for x in state]), 0
+    # one C pass reads every line back, little-endian: item k of line p's
+    # 2 * lanes items is the photon plan k has on it, item lanes + k that
+    # photon's depth
+    code, stride = "BH"[width - 1], 2 * lanes
+    read = array(code, b"".join(map(int.to_bytes, state, repeat(2 * size), repeat("little"))))
+    want = array(code, predicted)
+    if width > 1 and sys.byteorder == "big":
+        read.byteswap()
+        want.byteswap()
+    flagged = 0
     for k, (mate, (_, permuted)) in enumerate(zip(mates, plans)):
         # the simulated photons differ from the predicted ones, or the photon
         # on line 2j+1 is not the mate of the one on 2j
-        if (any(ids[k * width + b::size] != predicted[k * span + b:(k + 1) * span:width]
-                for b in range(width))
+        if (read[k::stride] != want[k * ports:(k + 1) * ports]
                 or tuple(map(mate.__getitem__, permuted[::2])) != permuted[1::2]):
             flagged |= 1 << k
-    if flagged == (1 << lanes) - 1:
+    depths = [read[lanes + k::stride] for k in range(lanes) if not flagged >> k & 1]
+    if not depths:
         return flagged, 0, -1
-    keep = sum(group // one << 8 * width * k for k in range(lanes) if not flagged >> k & 1)
-    depths = [x >> 8 * size for x in state]  # a failed lane's fields: 0 when kept, all ones lifted
-    # in native byte order each field is one array item; the field order is
-    # reversed on big-endian hosts, which max and min do not see
-    code, order = "BH"[width - 1], sys.byteorder
-    kept = array(code, b"".join([(d & keep).to_bytes(size, order) for d in depths]))
-    lifted = array(code, b"".join([(d | group ^ keep).to_bytes(size, order) for d in depths]))
-    return flagged, max(kept), min(lifted)
+    return flagged, max(map(max, depths)), min(map(min, depths))
 
 
 _LOW_SWITCHES = 16  # brute force: the low switches take fixed lane patterns

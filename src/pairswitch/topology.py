@@ -8,6 +8,7 @@ ascending id.  All three designs use exactly N*(N-2)/4 switches.
 from __future__ import annotations
 
 import json
+import struct
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -103,6 +104,20 @@ def _triangular_first_id(ports: int, layer: int) -> int:
     return optimal_switch_count(ports) - layer * (layer + 1)
 
 
+_RAMP_BLOCK = 4096
+
+
+def _ramp(size: int) -> array:
+    """``array("i", range(size))``, packed ``_RAMP_BLOCK`` ids at a time: the
+    array converts its items one by one, ``struct.pack`` a block in one call,
+    and a block's argument tuple stays small."""
+    out = array("i")
+    for start in range(0, size, _RAMP_BLOCK):
+        stop = min(size, start + _RAMP_BLOCK)
+        out.frombytes(struct.pack(f"{stop - start}i", *range(start, stop)))
+    return out
+
+
 def build_network(design: Design | str, ports: int) -> Network:
     """Construct the named design for an even number of ports.
 
@@ -112,13 +127,13 @@ def build_network(design: Design | str, ports: int) -> Network:
     _check_ports(ports)
     half, count = ports // 2, optimal_switch_count(ports)
     lines, layers, cols = (array("i", [0]) * count for _ in range(3))
-    # an index ramp in typecode 'i' converts every item, which dominates a
-    # large build: each design makes only as long a ramp as its slices read
+    # an index ramp dominates a large build: each design makes only as long
+    # a ramp as its slices read
     if design is Design.TRIANGULAR:
         # Largest layer sits on the input side; each layer is a cascade that
         # carries one photon down to the bottom of its sub-network.  Switch i
         # sits alone in column i, so cols is also the ramp (count >= N - 2).
-        cols = array("i", range(count))
+        cols = _ramp(count)
         for layer in range(1, half):
             first, size = _triangular_first_id(ports, layer), 2 * layer
             lines[first : first + size] = cols[:size]
@@ -127,7 +142,7 @@ def build_network(design: Design | str, ports: int) -> Network:
         # Layer 1 sits innermost on the input side.  Each layer is two arms
         # converging on the middle lines; odd layers swap the lowest arm
         # switch for a tip element at line half-1, traversed after both arms.
-        ramp = array("i", range(count // 2 + ports))
+        ramp = _ramp(count // 2 + ports)
         for layer in range(1, half):
             odd, first = layer % 2, layer * (layer - 1)
             col = first // 2 + layer // 2  # layers before it span j + j % 2 columns each
@@ -142,7 +157,7 @@ def build_network(design: Design | str, ports: int) -> Network:
                 cols[first + 2 * layer - 1] = col + layer
             layers[first : first + 2 * layer] = array("i", [layer]) * (2 * layer)
     else:
-        ramp = array("i", range(ports))
+        ramp = _ramp(ports)
         first = 0
         for col, (layer, parity, size) in enumerate(_brickwork_columns(ports)):
             lines[first : first + size] = ramp[parity : parity + 2 * size : 2]

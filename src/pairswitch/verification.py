@@ -98,26 +98,36 @@ def _mate_tables(ports: int) -> Iterator[tuple[int, ...]]:
 
 
 def random_pair_list(ports: int, rng: random.Random) -> PairList:
-    """Uniform random perfect matching: shuffle, pair consecutive entries."""
+    """Uniform random perfect matching: shuffle 0..N-1 with
+    ``Random.shuffle``'s draws, made with ``rng.getrandbits``, and pair
+    consecutive entries."""
     return PairList._perfect(next(_random_mate_tables(ports, rng)))
 
 
 def _random_mate_tables(ports: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
     """The partner tables of successive :func:`random_pair_list` calls on
-    ``rng``: one shuffle of 0..N-1 each, so the same rng calls in the same
-    order.  Ports are checked as a demand's are, before the first shuffle,
-    so a rejected call leaves ``rng`` as it was and allocates nothing."""
+    ``rng``: one shuffle of 0..N-1 each, with ``Random.shuffle``'s draws,
+    made with ``rng.getrandbits``, so the same rng calls in the same order.
+    Ports are checked as a demand's are, before the first shuffle, so a
+    rejected call leaves ``rng`` as it was and allocates nothing."""
     _check_demand_ports(ports)
-    order = list(range(ports))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
     mate = [0] * ports
     while True:
+        # Fisher-Yates (Knuth, TAOCP Vol. 2, 3.4.2, Algorithm P); j is drawn
+        # as shuffle's _randbelow_with_getrandbits(i + 1) draws it, without
+        # a Python call per draw
+        order = list(range(ports))
+        for i in range(ports - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
         for a, b in zip(order[::2], order[1::2]):
             mate[a] = b
             mate[b] = a
         yield tuple(mate)
-        order = list(range(ports))
-        rng.shuffle(order)
 
 
 def double_factorial(n: int) -> int:

@@ -380,6 +380,38 @@ def test_verify_rejects_non_numeric_range(capsys, ports):
     assert err.startswith("error: ")
 
 
+# every numeric option, "{}" standing for its value
+_NUMERIC_OPTIONS = [
+    ("generate", "--design", "triangular", "--ports", "{}"),
+    ("route", "--design", "triangular", "--ports", "{}", "--pairs", "0-1,2-3"),
+    ("minimality", "--design", "triangular", "--ports", "{}"),
+    ("verify", "--design", "triangular", "--ports", "{}", "--exhaustive"),
+    ("verify", "--design", "triangular", "--ports", "2..{}", "--exhaustive"),
+    ("verify", "--design", "triangular", "--ports", "4", "--samples", "{}"),
+    ("verify", "--design", "triangular", "--ports", "4", "--samples", "2", "--seed", "{}"),
+    ("verify", "--design", "triangular", "--ports", "4", "--exhaustive", "--cap", "{}"),
+    ("metrics", "--ports", "{}"),
+]
+
+
+@pytest.mark.parametrize("value", ["\u0664", "1_0", "+4", " 4", "x"])  # \u0664 is an Arabic-Indic 4
+@pytest.mark.parametrize("argv", _NUMERIC_OPTIONS, ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+def test_numeric_options_take_only_ascii_decimal(capsys, argv, value):
+    # int() reads every one of these values as 4 or 10
+    code, out, err = run(capsys, *(arg.format(value) for arg in argv))
+    assert (code, out) == (2, "")
+    given = next(arg.format(value) for arg in argv if "{}" in arg)
+    assert repr(given) in err and "Traceback" not in err
+    assert run(capsys, *(arg.format("4") for arg in argv))[0] == 0
+
+
+def test_a_seed_may_be_negative(capsys):
+    code, out, _ = run(capsys, "verify", "--design", "chevron", "--ports", "8",
+                       "--samples", "3", "--seed", "-4")
+    assert code == 0
+    assert json.loads(out)[0]["seed"] == -4
+
+
 def test_generate_above_port_budget_exits_2(capsys):
     code, out, err = run(capsys, "generate", "--design", "brickwork", "--ports", "2050")
     assert code == 2

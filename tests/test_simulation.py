@@ -458,6 +458,28 @@ def test_the_all_cross_frame_fits_two_bytes_at_the_port_budget(design):
     assert (max(depths) == MAX_PORTS - 2) is (design is Design.TRIANGULAR)
 
 
+@pytest.mark.parametrize("design", list(Design))
+def test_the_byte_lanes_flag_every_lane_or_keep_one_with_two_byte_fields(design):
+    # N = 258: ids and depths take two bytes.  Lanes 0 and 2 fail on a
+    # predicted permutation with its first two photons swapped, lanes 1 and
+    # 3 on another lane's partner table
+    n = 258
+    net = build_network(design, n)
+    demands = [random_pair_list(n, random.Random(seed)) for seed in range(4)]
+    plans = [route(design, n, d) for d in demands]
+    good = [(p.states.bits, p.permuted) for p in plans]
+    mates = [d.mate for d in demands]
+    bad_plans = [(bits, (perm[1], perm[0]) + perm[2:]) for bits, perm in good]
+    bad_mates = mates[1:] + mates[:1]
+    bad = [(bad_mates[k], good[k]) if k % 2 else (mates[k], bad_plans[k]) for k in range(4)]
+    assert simulation._check_bytes(net, *zip(*bad)) == (0b1111, 0, -1)
+    for k in range(4):
+        chunk = bad[:k] + [(mates[k], good[k])] + bad[k + 1:]
+        depths = simulate(net, plans[k].states)[1]
+        assert simulation._check_bytes(net, *zip(*chunk)) == (0b1111 ^ 1 << k, max(depths),
+                                                               min(depths))
+
+
 def test_the_lane_check_declines_a_two_byte_id_out_of_range():
     # past N = 256 ids take two bytes; photon N is out of range in either
     net = build_network(Design.TRIANGULAR, 258)

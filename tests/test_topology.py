@@ -21,7 +21,7 @@ from pairswitch import (
     reverse_network,
     validate_network,
 )
-from pairswitch.topology import _triangular_first_id
+from pairswitch.topology import _ramp, _triangular_first_id
 
 ALL_N = list(range(4, 65, 2))
 _EMPTY = (array("i"), array("i"), array("i"))  # lines, layers, cols
@@ -127,6 +127,12 @@ def test_port_budget():
 
 
 LAYOUT_N = list(range(2, 65, 2))
+
+
+@pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097])
+def test_ramp_is_the_index_range(size):
+    # either side of one packed block of 4096 ids
+    assert _ramp(size) == array("i", range(size))
 
 
 def test_triangular_first_id_matches_build_network():

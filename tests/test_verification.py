@@ -102,6 +102,24 @@ def test_random_demands_match_validated_ones():
             random_pair_list(ports, random.Random(1))
 
 
+@pytest.mark.parametrize("ports", [2, 4, 16, 64, 258, 1024, 2048])
+def test_random_tables_make_the_draws_of_random_shuffle(ports):
+    # the tables of two shuffles in a row, and the rng left where they leave it
+    for seed in range(30):
+        rng, reference = random.Random(seed), random.Random(seed)
+        tables = list(islice(verification._random_mate_tables(ports, rng), 2))
+        want = []
+        for _ in range(2):
+            order = list(range(ports))
+            reference.shuffle(order)
+            mate = [0] * ports
+            for a, b in zip(order[::2], order[1::2]):
+                mate[a], mate[b] = b, a
+            want.append(tuple(mate))
+        assert tables == want
+        assert rng.getstate() == reference.getstate()
+
+
 @pytest.mark.parametrize("ports, error, message", [
     (2.5, InvalidDemand, "ports must be an even integer >= 2, got 2.5"),
     ("8", InvalidDemand, "ports must be an even integer >= 2, got '8'"),
