@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import InvalidInput
 from .topology import Design, _check_ports, optimal_switch_count
 from .verification import VerificationReport
 
@@ -39,11 +40,17 @@ def depth_stats(
     design: Design | str, ports: int, report: VerificationReport | None = None
 ) -> DepthStats:
     """Formula depth fields, with empirical extrema copied from a
-    verification report when one is supplied."""
+    verification report when one is supplied; the report must be of the
+    same design and N."""
     design = Design(design)
     fmax, fmin, fdelta = depth_formulas(design, ports)
     emax = emin = edelta = None
     if report is not None:
+        if (report.design, report.ports) != (design, ports):
+            raise InvalidInput(
+                f"report covers {report.design.value} at N = {report.ports},"
+                f" not {design.value} at N = {ports}"
+            )
         emax, emin = report.max_depth, report.min_depth
         edelta = emax - emin
     return DepthStats(design, ports, fmax, fmin, fdelta, emax, emin, edelta)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import InvalidInput
+from .errors import BoundExceeded, InvalidInput
 from .routing import _BIT_OF_BYTE, StateVector
 from .topology import Network, State
 
@@ -54,6 +54,12 @@ class RenderOptions:
             raise InvalidInput(f"highlight must be a tuple of photons, got {self.highlight!r}")
 
 
+MAX_ASCII_CELLS = 1 << 23
+"""Cell budget of :func:`render_ascii`, whose grid holds (2N-1) x columns
+cells: N^3/2 for triangular and N^3/4 for chevron.  2^23 = 8,388,608 cells
+draw triangular up to N = 256 and brickwork up to N = 2048."""
+
+
 def _columns(net: Network) -> int:
     return max(net.cols, default=-1) + 1
 
@@ -65,6 +71,11 @@ def render_ascii(net: Network, states: Mapping[int, State] | None = None) -> str
     Glyphs: ``X`` Cross, ``=`` Bar, ``?`` unset.
     """
     ncols = max(_columns(net), 1)
+    cells = (2 * net.ports - 1) * ncols
+    if cells > MAX_ASCII_CELLS:
+        raise BoundExceeded(
+            f"an ASCII diagram of {cells} cells exceeds the {MAX_ASCII_CELLS}-cell budget"
+        )
     # even text rows are photon lines, odd rows the gaps between them
     grid = [[("-" if r % 2 == 0 else " ") * 3] * ncols for r in range(2 * net.ports - 1)]
     for line, col, code in zip(net.lines, net.cols, _codes(net, states)):

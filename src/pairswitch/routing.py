@@ -12,6 +12,7 @@ import re
 from bisect import bisect_left
 from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidDemand, InvalidInput, InvalidPorts
@@ -264,6 +265,29 @@ def route_chevron(ports: int, demand: PairList,
     return RoutingPlan(StateVector(states), permuted)
 
 
+def _chevron_windows(ports: int) -> tuple[Iterator[tuple[int, int]],
+                                          Iterator[tuple[int, int, int, int, int]]]:
+    """The chevron router's per-window constants, which depend only on N,
+    made by C-level passes over ``range``s.
+
+    ``outer`` yields each window's ``(top, bot)`` lines from the outside in,
+    ``inner`` each window's ``(top, bot, layer, mid, first)`` from the
+    inside out.  Layer l holds ids ``first = l(l-1)`` to l(l+1)-1.  A pair
+    entering at the middle joins the part below it on odd layers and the
+    part above it on even ones, so no stored index moves: it takes ``mid``,
+    -(l+1) from the bottom on odd layers and l from the top on even ones.
+    """
+    half = ports // 2
+    outer = zip(range(half - 1), range(ports - 1, half, -1))
+    mid = [0] * (half - 1)  # indexed by layer - 1
+    mid[::2] = range(-2, -half - 1, -2)
+    mid[1::2] = range(2, half, 2)
+    # l(l-1) rises by 2l from layer l to layer l+1
+    firsts = accumulate(range(2, 2 * half - 2, 2), initial=0)
+    inner = zip(range(half - 2, -1, -1), range(half + 1, ports), range(1, half), mid, firsts)
+    return outer, inner
+
+
 def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
                    ) -> list[tuple[bytearray, tuple[int, ...]]]:
     """Routing over nested windows: window k holds photons k..N-1-k and
@@ -287,12 +311,18 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
     Cross, and the photon on each output line.
     """
     count = optimal_switch_count(ports)
+    mates = list(mates)
+    outer, inner = _chevron_windows(ports)
+    if len(mates) > 1:
+        # every table reads the same constants, so a batch lists them once; a
+        # single table reads them as they are made, since listing them adds
+        # allocations that cost most when the call starts with a cold cache
+        outer, inner = list(outer), list(inner)
     plans = []
     for mate in mates:
         mate = list(mate)  # rewritten as windows fold their outer pair inward
         virtual: list[tuple[int, int] | None] = []  # per window, outermost first
-        for top in range(ports // 2 - 1):
-            bot = ports - 1 - top
+        for top, bot in outer:
             if counter:
                 counter.tick(bot - top + 1)
             if mate[top] == bot:
@@ -305,26 +335,18 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
         states = bytearray(b"\x01") * count
         pos = [0] * ports  # photon -> index in its window: >= 0 from the top, < 0 from the bottom
         pos[ports // 2] = 1  # the innermost window holds N/2-1 above N/2
-        for left in reversed(range(len(virtual))):
-            top, bot = left, ports - 1 - left
-            n = ports - 2 * left
-            half = n // 2
-            layer = half - 1
-            # a pair entering at the middle joins the part below it on odd layers
-            # and the part above it on even ones, so no stored index moves
-            mid = -half if layer % 2 else half - 1
-            if virtual[left] is None:
+        for (top, bot, layer, mid, first), pair in zip(inner, reversed(virtual)):
+            if pair is None:
                 pos[top], pos[bot] = mid, mid + 1
             else:
-                top_mate, bot_mate = virtual[left]
+                top_mate, bot_mate = pair
                 a, b = pos[top_mate], pos[bot_mate]  # adjacent, so of one sign
                 lo = a if a < b else b
                 if counter:
-                    counter.tick(n)
-                # layer l holds ids l(l-1)..l(l+1)-1: the upper arm from the top,
-                # the lower arm from the bottom, then an odd layer's tip; the
+                    counter.tick(2 * layer + 2)  # the window's photon count
+                # the layer's ids run along the upper arm from the top, the
+                # lower arm from the bottom, then an odd layer's tip; the
                 # pair's own switch is Bar when the pair is already in order
-                first = layer * (layer - 1)
                 if lo >= 0:
                     # upper arm or tip: outer top stops just above the pair, its
                     # other member rides the rest of the arm down to the middle
@@ -337,7 +359,7 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
                     states[first + layer - lo - 2] = 0
                     pos[top], pos[top_mate], pos[bot_mate], pos[bot] = mid, mid + 1, lo, lo + 1
             if counter:
-                counter.tick(n - 2)
+                counter.tick(2 * layer)
 
         permuted = [0] * ports
         for photon, index in enumerate(pos):

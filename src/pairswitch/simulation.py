@@ -1,10 +1,12 @@
 """Deterministic photon propagation and derived measurements."""
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
+from numbers import Real
 from operator import is_
 from struct import iter_unpack
 from typing import Iterable, Mapping, Sequence
@@ -369,7 +371,21 @@ def brute_force_route(net: Network, demand: PairList) -> RoutingPlan | None:
 def estimate_loss(
     depths: Sequence[int], per_switch_db: float, insertion_db: float
 ) -> tuple[float, ...]:
-    """Linear loss model: loss_i = insertion_db + depth_i * per_switch_db."""
+    """Linear loss model: loss_i = insertion_db + depth_i * per_switch_db.
+
+    Both parameters must be finite, non-negative real numbers and every
+    depth a non-negative int; a bool is neither."""
+    for value in (per_switch_db, insertion_db):
+        # NaN fails both comparisons; math.isfinite would overflow on a huge int
+        if isinstance(value, bool) or not isinstance(value, Real) or not -math.inf < value < math.inf:
+            raise InvalidInput(f"loss parameter {value!r} is not a finite real number")
     if per_switch_db < 0 or insertion_db < 0:
         raise InvalidInput("loss parameters must be non-negative")
+    try:
+        depths = tuple(depths)
+    except TypeError:
+        raise InvalidInput(f"depths {depths!r} are not a sequence of ints") from None
+    for d in depths:
+        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+            raise InvalidInput(f"depth {d!r} is not a non-negative int")
     return tuple(insertion_db + d * per_switch_db for d in depths)

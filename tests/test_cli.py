@@ -189,6 +189,16 @@ def test_render_ascii_from_file(tmp_path, capsys):
     assert out.count("?") == 2
 
 
+def test_render_ascii_past_the_cell_budget_exits_2(tmp_path, capsys):
+    net_path = tmp_path / "net.json"
+    run(capsys, "generate", "--design", "triangular", "--ports", "512",
+        "--out", str(net_path))
+    code, out, err = run(capsys, "render", "--net", str(net_path), "--ascii")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cell budget" in err
+
+
 def test_render_incomplete_states_exits_2(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     states_path = tmp_path / "states.json"

@@ -2,6 +2,7 @@ import pytest
 
 from pairswitch import (
     Design,
+    InvalidInput,
     InvalidPorts,
     count_table,
     depth_formulas,
@@ -37,6 +38,14 @@ def test_depth_stats_copies_empirical_fields():
     assert s.empirical_delta == report.max_depth - report.min_depth
     bare = depth_stats(Design.TRIANGULAR, 6)
     assert bare.empirical_max is None
+
+
+def test_depth_stats_rejects_a_report_of_another_network():
+    report = verify_design(Design.CHEVRON, 10, mode="exhaustive")
+    with pytest.raises(InvalidInput):
+        depth_stats(Design.TRIANGULAR, 10, report)
+    with pytest.raises(InvalidInput):
+        depth_stats(Design.CHEVRON, 8, report)
 
 
 def test_depth_stats_rejects_tiny_ports():

@@ -1,11 +1,13 @@
 import hashlib
 import random
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from pairswitch import (
+    BoundExceeded,
     Design,
     InvalidInput,
     PairList,
@@ -18,6 +20,7 @@ from pairswitch import (
     route,
     route_triangular,
 )
+from pairswitch import render
 from pairswitch.routing import StateVector
 
 
@@ -64,6 +67,27 @@ def test_ascii_mixed_states():
     bars = list(plan.states.values()).count(State.BAR)
     assert len(glyph_positions(art, "X")) == crosses
     assert len(glyph_positions(art, "=")) == bars
+
+
+def test_ascii_renders_at_the_cell_budget_and_raises_past_it(monkeypatch):
+    net = build_network(Design.TRIANGULAR, 8)  # 15 rows x 12 columns
+    monkeypatch.setattr(render, "MAX_ASCII_CELLS", 15 * 12)
+    assert render_ascii(net).count("?") == 12
+    monkeypatch.setattr(render, "MAX_ASCII_CELLS", 15 * 12 - 1)
+    with pytest.raises(BoundExceeded):
+        render_ascii(net)
+
+
+def test_ascii_past_the_cell_budget_raises_before_allocating():
+    net = build_network(Design.TRIANGULAR, 512)  # 1023 x 65,280 cells
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded, match="66781440 cells exceeds the 8388608-cell budget"):
+            render_ascii(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_svg_is_well_formed_xml():

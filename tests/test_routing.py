@@ -33,7 +33,7 @@ from dataclasses import replace
 
 from pairswitch import routing
 from pairswitch.routing import (
-    _CORES, _ROUTERS, OpCounter, StateVector, _joined_ids, states_from_json,
+    _CORES, _ROUTERS, OpCounter, StateVector, _chevron_windows, _joined_ids, states_from_json,
 )
 from pairswitch.verification import _mate_tables
 
@@ -825,6 +825,39 @@ def test_chevron_plans_match_mid_golden_digest():
 GOLDEN_TRIANGULAR_MID_SHA256 = (
     "2020bbfcb9f14a06949597633e1b346f1dedce37746b9a5e2d581fddb6b6e646"
 )
+
+
+# sha256 over chevron's plan_to_json of every demand with N = 12, then at
+# N = 1024 and at N = 2048 the worst case and two seeded random demands, in
+# that order; recorded with the router that worked out each window's
+# constants once per partner table.
+GOLDEN_CHEVRON_LARGE_SHA256 = (
+    "b134102c29b354c1a342568956464eeeb27bb2771a1979c4e57cae5baeea3a2a"
+)
+
+
+def test_chevron_plans_match_large_golden_digest():
+    rng = random.Random(1024)
+    demands = [*enumerate_pair_lists(12)]
+    for n in (1024, 2048):
+        demands += [worst_case_pair_list(n), random_pair_list(n, rng), random_pair_list(n, rng)]
+    digest = hashlib.sha256()
+    for demand in demands:
+        digest.update(plan_to_json(route(Design.CHEVRON, demand.ports, demand)).encode())
+    assert digest.hexdigest() == GOLDEN_CHEVRON_LARGE_SHA256
+
+
+def test_chevron_windows_match_the_per_window_formulas():
+    for ports in range(2, MAX_PORTS + 1, 2):
+        outer, inner = map(list, _chevron_windows(ports))
+        assert outer == [(top, ports - 1 - top) for top in range(ports // 2 - 1)]
+        expected = []
+        for left in reversed(range(ports // 2 - 1)):
+            half = (ports - 2 * left) // 2
+            layer = half - 1
+            mid = -half if layer % 2 else half - 1
+            expected.append((left, ports - 1 - left, layer, mid, layer * (layer - 1)))
+        assert inner == expected
 
 
 def test_triangular_plans_match_mid_golden_digest():

@@ -210,10 +210,33 @@ def test_check_pairing_size_mismatch():
 def test_loss_model():
     assert estimate_loss((0,), 0.5, 1.0) == (1.0,)
     assert estimate_loss((10,), 0.2, 1.0) == (3.0,)
+    assert estimate_loss((2,), 10**400, 0) == (2 * 10**400,)  # too large for a float
     with pytest.raises(InvalidInput):
         estimate_loss((1,), -0.1, 0.0)
     with pytest.raises(InvalidInput):
         estimate_loss((1,), 0.1, -1.0)
+
+
+@pytest.mark.parametrize("depths, per_switch_db, insertion_db", [
+    ((1,), float("nan"), 0.0),
+    ((1,), 0.1, float("nan")),
+    ((1,), float("inf"), 0.0),
+    ((1,), 0.1, float("-inf")),
+    ((1,), True, 0.0),
+    ((1,), 0.1, False),
+    ((1,), "0.1", 0.0),
+    ((1,), 0.1, None),
+    ((1,), 1j, 0.0),
+    (("a",), 0.1, 0.0),
+    ((True,), 0.1, 0.0),
+    ((1.0,), 0.1, 0.0),
+    ((0, -1), 0.1, 0.0),
+    (5, 0.1, 0.0),
+])
+def test_loss_model_rejects_parameters_and_depths_of_the_wrong_type(
+        depths, per_switch_db, insertion_db):
+    with pytest.raises(InvalidInput):
+        estimate_loss(depths, per_switch_db, insertion_db)
 
 
 def test_worst_case_loss_gap_is_delta_times_per_switch():
