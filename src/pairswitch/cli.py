@@ -15,11 +15,12 @@ from pathlib import Path
 
 from .errors import BoundExceeded, PairSwitchError
 from .metrics import count_table, emit_csv, format_count_table, format_depth_table, series_rows
-from .render import RenderOptions, render_ascii, render_svg
+from .render import RenderOptions, _check_document_cells, render_ascii, render_svg
 from .routing import PairList, plan_to_json, route, states_from_json
 from .simulation import _state_bits
 from .topology import (
-    MAX_PORTS, Design, build_network, network_from_json, network_to_json, reverse_network,
+    MAX_PORTS, Design, _network_doc, _network_from_doc, build_network, network_to_json,
+    reverse_network,
 )
 from .verification import _check_exhaustive, report_to_json, verify_design, verify_minimality
 
@@ -129,7 +130,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    net = network_from_json(Path(args.net).read_text())
+    doc = _network_doc(Path(args.net).read_text())
+    if args.ascii:  # the grid's size is known before any switch is validated
+        _check_document_cells(doc)
+    net = _network_from_doc(doc)
     states = None
     if args.states:
         states = states_from_json(Path(args.states).read_text())

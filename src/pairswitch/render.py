@@ -64,6 +64,29 @@ def _columns(net: Network) -> int:
     return max(net.cols, default=-1) + 1
 
 
+def _check_cells(ports: int, columns: int) -> None:
+    """Raise BoundExceeded when an ASCII diagram of N = ``ports`` lines and
+    ``columns`` columns exceeds :data:`MAX_ASCII_CELLS`."""
+    cells = (2 * ports - 1) * max(columns, 1)
+    if cells > MAX_ASCII_CELLS:
+        raise BoundExceeded(
+            f"an ASCII diagram of {cells} cells exceeds the {MAX_ASCII_CELLS}-cell budget"
+        )
+
+
+def _check_document_cells(doc: object) -> None:
+    """The cell budget of :func:`render_ascii` on a parsed network document,
+    before any switch is validated: its ``ports`` and every switch's ``col``
+    decide the grid's size.  A document where any of them is not a plain
+    int is left to the network's own validation."""
+    try:
+        ports, cols = doc["ports"], [switch["col"] for switch in doc["switches"]]
+    except (KeyError, TypeError):
+        return
+    if type(ports) is int and all(type(col) is int for col in cols):
+        _check_cells(ports, max(cols, default=-1) + 1)
+
+
 def render_ascii(net: Network, states: Mapping[int, State] | None = None) -> str:
     """N horizontal lines with one state glyph per switch, drawn between the
     two lines it couples; brackets join each output pair on the right.
@@ -71,11 +94,7 @@ def render_ascii(net: Network, states: Mapping[int, State] | None = None) -> str
     Glyphs: ``X`` Cross, ``=`` Bar, ``?`` unset.
     """
     ncols = max(_columns(net), 1)
-    cells = (2 * net.ports - 1) * ncols
-    if cells > MAX_ASCII_CELLS:
-        raise BoundExceeded(
-            f"an ASCII diagram of {cells} cells exceeds the {MAX_ASCII_CELLS}-cell budget"
-        )
+    _check_cells(net.ports, ncols)
     # even text rows are photon lines, odd rows the gaps between them
     grid = [[("-" if r % 2 == 0 else " ") * 3] * ncols for r in range(2 * net.ports - 1)]
     for line, col, code in zip(net.lines, net.cols, _codes(net, states)):

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceeded, IncompleteStates, InvalidInput
 from .routing import PairList, RoutingPlan, StateVector, _check_demand
-from .topology import Network, State
+from .topology import Network, State, _brickwork_columns, optimal_switch_count
 
 
 def _state_bits(states: Mapping[int, State], count: int) -> bytes:
@@ -226,11 +226,16 @@ def _check_plans(
 # ---------------------------------------------------------------------------
 # Byte lanes: a few plans in one pass
 # ---------------------------------------------------------------------------
-# SIMD within a register (Lamport, CACM 1975): each line is one Python int of
-# two groups of w-byte fields, little-endian, plan k in field k of each: the
-# photon on the line, and its depth.  A switch adds 1 to every depth field
-# of both its lines, then swaps the two ints under its Cross mask, which
-# covers plan k's fields in both groups.
+# SIMD within a register (Lamport, CACM 1975): fields of w bytes,
+# little-endian, plan k in field k of each block of lanes * w bytes; a field
+# holds a photon on a line, or that photon's depth.  Any network steps one
+# switch at a time: each line is one int of a photon block and a depth
+# block, a switch adds 1 to every depth field of both its lines, then swaps
+# the two ints under its Cross mask.  A brickwork network steps one column
+# at a time, because a column's switches sit on disjoint line pairs at
+# consecutive ids (Clements et al., Optica 2016): block h of four ints holds
+# line 2h or 2h + 1, photons and depths apart, and a column is a few
+# operations on them.
 
 _CROSS_BYTES = b"\x00" + b"\xff" * 255  # any nonzero state byte reads as Cross
 
@@ -248,36 +253,41 @@ def _fields(rows: Sequence[Sequence[int]], ports: int) -> bytes:
     return bytes(out)
 
 
-def _byte_masks(plans: Sequence[tuple[bytearray, tuple[int, ...]]], count: int,
-                width: int) -> Iterable[int]:
-    """Per switch, the bytes of the plans' fields where it is Cross, as an
-    int: strided writes into one buffer, read back in C, one machine word a
-    switch while a row fits in 8 bytes."""
-    size = len(plans) * width
-    stride = 8 if size <= 8 else size
-    joined = bytearray(stride * count)
+def _mask_image(plans: Sequence[tuple[bytearray, tuple[int, ...]]], count: int, width: int,
+                stride: int, flip: bool = False) -> bytearray:
+    """One ``stride``-byte record per switch in id order: the bytes of plan
+    k's field, k * width on (counted from the record's end when ``flip``),
+    are 0xff where plan k has the switch Cross.  One strided write per plan
+    and byte."""
+    image = bytearray(stride * count)
     for k, (states, _) in enumerate(plans):
         cross = states.translate(_CROSS_BYTES)
         for at in range(k * width, (k + 1) * width):
-            joined[7 - at if stride == 8 and sys.byteorder == "big" else at::stride] = cross
-    if stride == 8:
-        return memoryview(joined).cast("Q")
-    return map(int.from_bytes, chain.from_iterable(iter_unpack(f"{size}s", joined)),
-               repeat("little"))
+            image[stride - 1 - at if flip else at::stride] = cross
+    return image
 
 
-def _check_bytes(
-    net: Network, mates: Sequence[Sequence[int]],
-    plans: Sequence[tuple[bytearray, tuple[int, ...]]],
-) -> tuple[int, int, int] | None:
-    """:func:`_check_plans` on byte lanes, plan k in field k: the same result,
-    with the same depth bound on ``net``.  The pairing is checked on the
-    predicted permutations, which the lanes then compare with the simulated ones."""
-    ports, lanes, predicted = net.ports, len(plans), _predicted(net, plans)
-    if predicted is None:
-        return None
-    width = 1 if ports <= 256 else 2
-    size = lanes * width  # bytes in a group of a line
+def _byte_masks(plans: Sequence[tuple[bytearray, tuple[int, ...]]], count: int,
+                width: int) -> Iterable[int]:
+    """Per switch, the bytes of the plans' fields where it is Cross, as an
+    int, read back in C: one machine word a switch while a row fits in 8
+    bytes."""
+    size = len(plans) * width
+    if size <= 8:
+        return memoryview(_mask_image(plans, count, width, 8, sys.byteorder == "big")).cast("Q")
+    return map(int.from_bytes, chain.from_iterable(
+        iter_unpack(f"{size}s", _mask_image(plans, count, width, size))), repeat("little"))
+
+
+def _switch_lanes(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]]],
+                  width: int) -> tuple[bytes, bytes, int, bytes, int]:
+    """Step any network one switch at a time.  Each line is one int of a
+    photon block and a depth block; a switch adds 1 to every depth field of
+    both its lines, then swaps the two ints under its Cross mask.  Returns
+    the readback that :func:`_column_lanes` describes, from one pass over the
+    lines: here one buffer holds both the photon and the depth fields."""
+    ports, lanes = net.ports, len(plans)
+    size = lanes * width  # bytes in a block
     one = int.from_bytes((b"\x01" + bytes(width - 1)) * lanes, "little")
     step, spread = one << 8 * size, 1 | 1 << 8 * size
     full = (1 << 16 * size) - 1
@@ -292,26 +302,131 @@ def _check_bytes(
             state[i], state[i + 1] = a ^ t, b ^ t
         else:
             state[i], state[i + 1] = a, b
-    # one C pass reads every line back, little-endian: item k of line p's
-    # 2 * lanes items is the photon plan k has on it, item lanes + k that
-    # photon's depth
-    code, stride = "BH"[width - 1], 2 * lanes
-    read = array(code, b"".join(map(int.to_bytes, state, repeat(2 * size), repeat("little"))))
-    want = array(code, predicted)
-    if width > 1 and sys.byteorder == "big":
-        read.byteswap()
-        want.byteswap()
+    # line p's photon block at field 2p * lanes, its depth block after it
+    lines = b"".join(map(int.to_bytes, state, repeat(2 * size), repeat("little")))
+    return lines, lines[2 * size :], 4 * lanes, lines[size:], 2 * lanes
+
+
+def _brickwork_steps(net: Network) -> list[tuple[int, int, int, int]] | None:
+    """The columns of :func:`~pairswitch.topology._brickwork_columns` when
+    ``net.lines`` is exactly that layout for ``net.ports``, each column
+    confirmed with one slice comparison; None for any other network."""
+    ports, lines = net.ports, net.lines
+    if len(lines) != optimal_switch_count(ports):
+        return None
+    # compared by value; lines held in a list never equal an array
+    rows = (array("i", range(0, ports - 1, 2)), array("i", range(1, ports - 2, 2)))
+    columns = []
+    for column in _brickwork_columns(ports):
+        _, parity, first, size = column
+        if lines[first : first + size] != rows[parity][:size]:
+            return None
+        columns.append(column)
+    return columns
+
+
+def _column_lanes(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]]],
+                  width: int, columns: list[tuple[int, int, int, int]]
+                  ) -> tuple[bytes, bytes, int, bytes, int]:
+    """Step a brickwork network one column at a time.  Block h of four ints
+    holds line 2h or 2h + 1: photons on even lines, on odd lines, and their
+    depths.  A parity-0 column pairs even block h with odd block h, a
+    parity-1 column odd block h with even block h + 1; its Cross mask is one
+    read of its switches' contiguous records.
+
+    Returns the fields of the photons on even lines and on odd lines with
+    the stride between one plan's fields in them, then the depth fields with
+    theirs: plan k's are fields k, k + stride, ... .  Here the depth fields
+    hold nothing else, so their stride is the lane count.
+    """
+    ports, lanes = net.ports, len(plans)
+    size = lanes * width  # bytes in a block
+    shift, half = 8 * size, ports // 2
+    image = _mask_image(plans, len(net.lines), width, size)
+    field = (b"\x01" + bytes(width - 1)) * lanes  # 1 in every field of a block
+    runs = {count: int.from_bytes(field * count, "little") for *_, count in columns}
+    # block h of the even lines holds photon 2h in every field
+    starts, ids = bytearray(half * size), _fields([range(0, ports, 2)], ports)
+    for at in range(width):
+        starts[at::size] = ids[at::width]
+    evens = int.from_bytes(starts, "little") * int.from_bytes(field, "little")
+    odds = evens + int.from_bytes(field * half, "little")
+    deep_evens = deep_odds = 0
+    for _, parity, first, count in columns:
+        ones = runs[count]
+        m = int.from_bytes(image[first * size : (first + count) * size], "little")
+        if parity:
+            deep_evens += ones << shift
+            deep_odds += ones
+            if m:
+                t = (evens >> shift ^ odds) & m
+                evens ^= t << shift
+                odds ^= t
+                t = (deep_evens >> shift ^ deep_odds) & m
+                deep_evens ^= t << shift
+                deep_odds ^= t
+        else:
+            deep_evens += ones
+            deep_odds += ones
+            if m:
+                t = (evens ^ odds) & m
+                evens ^= t
+                odds ^= t
+                t = (deep_evens ^ deep_odds) & m
+                deep_evens ^= t
+                deep_odds ^= t
+    evens, odds, deep_evens, deep_odds = (
+        v.to_bytes(half * size, "little") for v in (evens, odds, deep_evens, deep_odds))
+    return evens, odds, lanes, deep_evens + deep_odds, lanes
+
+
+def _check_bytes(
+    net: Network, mates: Sequence[Sequence[int]],
+    plans: Sequence[tuple[bytearray, tuple[int, ...]]],
+) -> tuple[int, int, int] | None:
+    """:func:`_check_plans` on byte lanes, plan k in field k: the same result,
+    with the same depth bound on ``net``.  The pairing is checked on the
+    predicted permutations, which the lanes then compare with the simulated
+    ones.  A brickwork network steps a column at a time, any other a switch
+    at a time."""
+    ports, lanes, predicted = net.ports, len(plans), _predicted(net, plans)
+    if predicted is None:
+        return None
+    width = 1 if ports <= 256 else 2
+    columns = _brickwork_steps(net)
+    if columns is None:
+        evens, odds, stride, depths, deep = _switch_lanes(net, plans, width)
+    else:
+        evens, odds, stride, depths, deep = _column_lanes(net, plans, width, columns)
+    # plan k's photons on lines 0, 2, ... are fields k, k + stride, ... of
+    # evens, on lines 1, 3, ... the same fields of odds; its depths are
+    # fields k, k + deep, ... of depths
+    if width == 1:
+        want = predicted
+    else:
+        evens, odds, want, depths = (array("H", b) for b in (evens, odds, predicted, depths))
+        if sys.byteorder == "big":
+            for values in (evens, odds, want, depths):
+                values.byteswap()
     flagged = 0
-    for k, (mate, (_, permuted)) in enumerate(zip(mates, plans)):
-        # the simulated photons differ from the predicted ones, or the photon
-        # on line 2j+1 is not the mate of the one on 2j
-        if (read[k::stride] != want[k * ports:(k + 1) * ports]
-                or tuple(map(mate.__getitem__, permuted[::2])) != permuted[1::2]):
+    for k, mate in zip(range(lanes), mates):
+        row = k * ports
+        tops, bottoms = want[row : row + ports : 2], want[row + 1 : row + ports : 2]
+        # the photon on line 2j+1 is not the mate of the one on 2j, or the
+        # simulated photons differ from the predicted ones
+        if width == 1:  # a partner table translates one-byte ids
+            unpaired = tops.translate(bytes(mate).ljust(256, b"\0")) != bottoms
+        else:
+            unpaired = array("H", map(mate.__getitem__, tops)) != bottoms
+        if unpaired or evens[k::stride] != tops or odds[k::stride] != bottoms:
             flagged |= 1 << k
-    depths = [read[lanes + k::stride] for k in range(lanes) if not flagged >> k & 1]
-    if not depths:
+    kept = [k for k in range(lanes) if not flagged >> k & 1]
+    if not kept:
         return flagged, 0, -1
-    return flagged, max(map(max, depths)), min(map(min, depths))
+    if len(kept) == lanes == deep:  # every depth field counts: one pass
+        return flagged, max(depths), min(depths)
+    walks = [depths[k::deep] for k in kept]
+    return flagged, max(map(max, walks)), min(map(min, walks))
 
 
 _LOW_SWITCHES = 16  # brute force: the low switches take fixed lane patterns

@@ -85,14 +85,19 @@ def _check_ports(ports: int, minimum: int = 2) -> None:
         raise BoundExceeded(f"{ports} ports exceed the {MAX_PORTS}-port budget")
 
 
-def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int]]:
+def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int, int]]:
+    """Per brickwork column in traversal order: its layer, the parity of its
+    lines, its first switch id and its size.  Column c holds layer N/2 - c,
+    its switches at consecutive ids, on lines parity, parity + 2, ... ."""
     # Layer N/2 is traversed first.  Odd layers hold lines 1,3,..,N-3 and
     # even layers 0,2,..,N-2; the first-traversed layer is truncated to
     # floor(N/4) switches with the same parity as its index.
-    half = ports // 2
+    half, first = ports // 2, 0
     for layer in range(half, 0, -1):
         parity = layer % 2
-        yield layer, parity, ports // 4 if layer == half else half - parity
+        size = ports // 4 if layer == half else half - parity
+        yield layer, parity, first, size
+        first += size
 
 
 # Triangular switch ids in closed form, as build_network fills them below.
@@ -158,12 +163,10 @@ def build_network(design: Design | str, ports: int) -> Network:
             layers[first : first + 2 * layer] = array("i", [layer]) * (2 * layer)
     else:
         ramp = _ramp(ports)
-        first = 0
-        for col, (layer, parity, size) in enumerate(_brickwork_columns(ports)):
+        for col, (layer, parity, first, size) in enumerate(_brickwork_columns(ports)):
             lines[first : first + size] = ramp[parity : parity + 2 * size : 2]
             layers[first : first + size] = array("i", [layer]) * size
             cols[first : first + size] = array("i", [col]) * size
-            first += size
     return Network(design, ports, lines, layers, cols)
 
 
@@ -248,8 +251,20 @@ def network_to_json(net: Network) -> str:
 def network_from_json(text: str) -> Network:
     """Parse a network document, rejecting any switch that would index
     outside the network (ports, ids, layers, lines or columns out of range)."""
+    return _network_from_doc(_network_doc(text))
+
+
+def _network_doc(text: str) -> object:
+    """The JSON value of a network document, read but not yet checked."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
+    except (RecursionError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed network document: {exc}") from exc
+
+
+def _network_from_doc(doc: object) -> Network:
+    """The network of a parsed document; see :func:`network_from_json`."""
+    try:
         design = Design(doc["design"])
         ports = _json_int(doc["ports"])
         _check_ports(ports)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from pairswitch import Design, build_network, cli, network_to_json, simulation
+from pairswitch import (
+    Design, InvalidInput, build_network, cli, network_from_json, network_to_json, simulation,
+)
 from pairswitch.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -197,6 +199,50 @@ def test_render_ascii_past_the_cell_budget_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "cell budget" in err
+
+
+def _refuse_to_validate(doc):
+    raise AssertionError("render validated the switches first")
+
+
+@pytest.mark.parametrize("ports,cols", [(2048, [0, 2048]), (4, [0, 2**40]), (1024, [300000])])
+def test_render_ascii_checks_the_cell_budget_before_any_switch(
+        tmp_path, capsys, monkeypatch, ports, cols):
+    # plain-int ports and cols decide the grid's size: the budget is checked
+    # on the parsed document, before its switches are validated (these
+    # switches would fail validation: their ids and layers are all 0)
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"design": "triangular", "ports": ports, "switches": [
+        {"id": 0, "layer": 0, "line": 0, "col": col} for col in cols]}))
+    monkeypatch.setattr(cli, "_network_from_doc", _refuse_to_validate)
+    code, out, err = run(capsys, "render", "--net", str(net_path), "--ascii")
+    cells = (2 * ports - 1) * (max(cols) + 1)
+    assert (code, out) == (2, "")
+    assert err == f"error: an ASCII diagram of {cells} cells exceeds the 8388608-cell budget\n"
+
+
+@pytest.mark.parametrize("ports,switch", [
+    (4, {"id": 0, "layer": 1, "line": 0, "col": True}),
+    (4, {"id": 0, "layer": 1, "line": 0, "col": 1.0}),
+    (4, {"id": 0, "layer": 1, "line": 0, "col": "0"}),
+    (4, {"id": 0, "layer": 1, "line": 0}),
+    (4, []),
+    (4.0, {"id": 0, "layer": 1, "line": 0, "col": 0}),
+    (True, {"id": 0, "layer": 1, "line": 0, "col": 0}),
+])
+def test_render_ascii_leaves_other_documents_to_validation(tmp_path, capsys, ports, switch):
+    # ports or a col that is not a plain int, a switch without a col or one
+    # that is no object: the validation error stands, whatever the other
+    # switch's col says
+    huge = {"id": 1, "layer": 1, "line": 1, "col": 2**40}
+    text = json.dumps({"design": "triangular", "ports": ports, "switches": [switch, huge]})
+    net_path = tmp_path / "net.json"
+    net_path.write_text(text)
+    with pytest.raises(InvalidInput) as raised:
+        network_from_json(text)
+    code, out, err = run(capsys, "render", "--net", str(net_path), "--ascii")
+    assert (code, out, err) == (2, "", f"error: {raised.value}\n")
+    assert "cell budget" not in err
 
 
 def test_render_incomplete_states_exits_2(tmp_path, capsys):

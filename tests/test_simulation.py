@@ -283,13 +283,17 @@ def assert_matches_reference(net, bits):
     assert simulate(net, dict(vector)) == want
 
 
-def assert_lanes_match_reference(net, chunk):
+def assert_lanes_match_reference(net, chunk, wants=None):
     """verify's byte lanes on ``chunk``, state byte strings for ``net``, one
-    plan each, agree with the reference.  Each plan predicts the reference
-    permutation, and its partner table pairs that permutation's output
-    slots, so no lane fails and the depth extrema are the reference's.  With
-    two slots of the first prediction swapped, that lane alone fails."""
-    wants = [reference_simulate(net, StateVector(bytearray(bits))) for bits in chunk]
+    plan each, agree with the reference (or with ``wants``, its results
+    worked out beforehand).  Each plan predicts the reference permutation,
+    and its partner table pairs that permutation's output slots, so no lane
+    fails and the depth extrema are the reference's.  With each lane given
+    the next one's partner table, exactly the lanes whose outputs that table
+    does not pair fail.  With two slots of the first prediction swapped,
+    that lane alone fails."""
+    if wants is None:
+        wants = [reference_simulate(net, StateVector(bytearray(bits))) for bits in chunk]
     mates = []
     for perm, _ in wants:
         mate = [0] * net.ports
@@ -299,6 +303,13 @@ def assert_lanes_match_reference(net, chunk):
     plans = [(bytearray(bits), perm) for bits, (perm, _) in zip(chunk, wants)]
     depths = [[d for _, ds in wants[first:] for d in ds] for first in (0, 1)]
     assert simulation._check_bytes(net, mates, plans) == (0, max(depths[0]), min(depths[0]))
+    moved = mates[1:] + mates[:1]
+    unpaired = [any(mate[a] != b for a, b in zip(perm[::2], perm[1::2]))
+                for mate, (perm, _) in zip(moved, wants)]
+    kept = [d for fails, (_, ds) in zip(unpaired, wants) if not fails for d in ds]
+    assert simulation._check_bytes(net, moved, plans) == (
+        sum(fails << k for k, fails in enumerate(unpaired)),
+        *((max(kept), min(kept)) if kept else (0, -1)))
     perm = wants[0][0]
     plans[0] = (plans[0][0], (perm[1], perm[0]) + perm[2:])
     rest = (max(depths[1]), min(depths[1])) if depths[1] else (0, -1)
@@ -403,6 +414,59 @@ def test_simulate_and_the_verify_simulator_match_the_reference_on_built_networks
     assert_lanes_match_reference(net, states)  # the states as one chunk
 
 
+def _any_byte_states(rng, net, lanes):
+    """``lanes`` state byte strings for ``net``, each with its own share of
+    Bar bytes; any other byte, 1 to 255, reads as Cross."""
+    return [bytes(rng.randrange(1, 256) if rng.random() < share else 0 for _ in net.lines)
+            for share in (rng.random() for _ in range(lanes))]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the byte lanes took the other path")
+
+
+def test_brickwork_byte_lanes_step_a_column_at_a_time_at_every_even_n_to_64(monkeypatch):
+    # 3, 5, 8, 9 and 17 lanes: blocks below, at and past an 8-byte word
+    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
+    rng = random.Random(26)
+    for n in range(2, 66, 2):
+        net = build_network(Design.BRICKWORK, n)
+        assert_lanes_match_reference(net, _any_byte_states(rng, net, (3, 5, 8, 9, 17)[n % 5]))
+        assert_lanes_match_reference(network_from_json(network_to_json(net)),
+                                     _any_byte_states(rng, net, 3))
+    report = verification.verify_design(Design.BRICKWORK, 16, "random", samples=5)
+    assert report.passed and report.demands_checked == 5
+
+
+def test_brickwork_byte_lanes_step_a_column_at_a_time_past_n_256(monkeypatch):
+    # two-byte fields from N = 258 on; routed plans and any-byte states
+    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
+    rng = random.Random(258)
+    for n, lanes in ((256, 9), (258, 5), (1024, 3)):
+        net = build_network(Design.BRICKWORK, n)
+        chunk = [route(Design.BRICKWORK, n, random_pair_list(n, rng)).states.bits,
+                 *_any_byte_states(rng, net, lanes - 1)]
+        assert_lanes_match_reference(net, chunk, [simulate(net, StateVector(bytearray(bits)))
+                                                  for bits in chunk])
+
+
+def test_reversed_and_edited_brickwork_step_a_switch_at_a_time(monkeypatch):
+    # the column path reads only networks laid out as build_network lays
+    # out brickwork: a reversed network, one line edited and a switch cut
+    # (as verify_minimality cuts one) take the per-switch path
+    monkeypatch.setattr(simulation, "_column_lanes", _refuse)
+    rng = random.Random(5)
+    for n in (4, 8, 16, 30):
+        net = build_network(Design.BRICKWORK, n)
+        lines = array("i", net.lines)
+        k = len(lines) // 2
+        lines[k] += 1 if lines[k] < n - 2 else -1
+        cut = [a[:k] + a[k + 1 :] for a in (net.lines, net.layers, net.cols)]
+        for variant in (reverse_network(net), Network(net.design, n, lines, net.layers, net.cols),
+                        Network(net.design, n, *cut)):
+            assert_lanes_match_reference(variant, _any_byte_states(rng, variant, (3, 5, 9)[k % 3]))
+
+
 def test_simulate_keeps_nothing_on_the_network():
     # a table kept on the object would be read from the old lines below
     net = build_network(Design.CHEVRON, 16)
@@ -479,6 +543,9 @@ def test_the_all_cross_frame_fits_two_bytes_at_the_port_budget(design):
     assert found == (0, max(depths), min(depths))
     assert max(depths) <= MAX_PORTS - 2
     assert (max(depths) == MAX_PORTS - 2) is (design is Design.TRIANGULAR)
+    if design is Design.BRICKWORK:  # a column at a time: flagged lanes too
+        assert_lanes_match_reference(net, [p.states.bits for p in plans],
+                                     [simulate(net, p.states) for p in plans])
 
 
 @pytest.mark.parametrize("design", list(Design))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from array import array
+from operator import sub
 from dataclasses import replace
 
 import pytest
@@ -21,7 +22,8 @@ from pairswitch import (
     reverse_network,
     validate_network,
 )
-from pairswitch.topology import _ramp, _triangular_first_id
+from pairswitch import simulation
+from pairswitch.topology import _brickwork_columns, _ramp, _triangular_first_id
 
 ALL_N = list(range(4, 65, 2))
 _EMPTY = (array("i"), array("i"), array("i"))  # lines, layers, cols
@@ -89,6 +91,32 @@ def test_brickwork_12_traversal_column_sizes():
         sizes.append(sum(1 for sp in net.switches if sp.col == col))
     assert sizes == [3, 5, 6, 5, 6, 5]
     assert len(net.switches) == 30
+
+
+def _rising_runs(lines):
+    """(first id, first line, size) of each maximal run of consecutive ids
+    whose lines rise by 2."""
+    rising = bytes(map((2).__eq__, map(sub, lines[1:], lines[:-1])))
+    runs, first = [], 0
+    while first < len(lines):
+        stop = rising.find(0, first) + 1 or len(lines)  # -1 + 1: no break up to the end
+        runs.append((first, lines[first], stop - first))
+        first = stop
+    return runs
+
+
+def test_brickwork_is_n_over_2_rising_runs_the_byte_lanes_read():
+    # the byte lanes step a brickwork network a column at a time: each
+    # column is a run of consecutive ids on lines parity, parity + 2, ...,
+    # as topology._brickwork_columns lists them
+    for n in [*range(2, 258, 2), MAX_PORTS]:
+        net = build_network(Design.BRICKWORK, n)
+        columns = list(_brickwork_columns(n))
+        assert len(columns) == n // 2
+        assert [(first, parity, size) for _, parity, first, size in columns if size] == \
+            _rising_runs(net.lines)
+        assert [layer for layer, *_ in columns] == list(range(n // 2, 0, -1))
+        assert simulation._brickwork_steps(net) == columns
 
 
 def test_chevron_2_is_empty():
