@@ -417,15 +417,19 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
 # The bottom photon's run ends in the last column and has at most n/2 - 1
 # cells, since a partner on line 0 starts its diagonal by column 1.
 #
-# One range check per run guards both of its end cells: each must lie in
-# columns 0..N/2 - 1 and on lines 0..N-2, and an end in column 0 on a line
-# less than 2(N//4).  Any other cell holds no switch, and the check raises
-# IndexError there rather than let the slice write other switches.  The
-# parity rule needs no check, since every entry of `anti` and `diag` has the
-# parity of N/2.  Line and column are monotone along a run, so when both
-# ends hold a switch the cells between do too.  The tests reach the check
-# only with odd N, which demand checks reject: there a frame's last run can
-# start in column 0.
+# No run end is checked against the grid.  At every even N each end holds a
+# switch and the bottom photon's run stays past column 0, by induction on
+# the frame size (Waksman, JACM 1968): frame N is the network itself, and
+# for every frame size n, partner rank and parity of skip, both runs end on
+# frame cells and every cell of frame n - 2, read past the two removed
+# entries, reads a cell of frame n.  tools/brickwork_frames.py checks this
+# to any bound and the tests to n = 256; the tests also tie the model to
+# this loop at depth 0 and 1.  The loop reads skip only through its parity
+# and an offset skip // 2 shared by every `anti` index, so that covers
+# every depth.  Line and column are monotone along a run, so when both ends
+# hold a switch the cells between do too.  Odd N breaks the step (a frame's
+# last run can start at a column-0 cell that holds no switch); every way
+# into this core rejects it first.
 #
 # The slice also covers the cells where the run crosses a line already
 # removed, and writing ones there changes nothing:
@@ -437,14 +441,6 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
 #     frame that later frames can reach (the partner's from its first
 #     switch to the meeting line, the bottom photon's from the bottom line
 #     to the last column), and every later frame lies within that frame.
-
-def _off_grid(col: int, line: int, last_col: int, last_line: int) -> IndexError:
-    """The error for a brickwork Cross run with an end cell that holds no switch."""
-    return IndexError(
-        f"no brickwork switch at an end of the Cross run from line {line} of column"
-        f" {col} to line {last_line} of column {last_col}"
-    )
-
 
 def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
@@ -471,9 +467,7 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
     anti0 = list(range(half0 % 2, ports + half0, 2))  # surviving line + col
     diag0 = list(range(-half0, ports, 2))  # surviving line - col
     fall, rise = half0, half0 - 1  # id strides along a diagonal and an anti-diagonal
-    quarter = ports // 4  # column 0 holds ids 0..quarter-1
-    base = quarter - half0  # cell (col > 0, line) has id base + (line - col + 1)//2 + fall*col
-    wide, top = 2 * half0, 2 * ports - 4  # twice the column count and the lowest line
+    base = ports // 4 - half0  # cell (col > 0, line) has id base + (line - col + 1)//2 + fall*col
     ones = _ONES
     plans = []
     for mate in mates:
@@ -505,13 +499,9 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
                     ra = (i + cstart + skip) >> 1
                     lo, hi = anti[ra], anti[ra + j_meet - i - 1]
                     # cell (line + col, line - col) = (x, d) for x = lo, hi
-                    if not (-lo <= d <= lo and hi - d < wide and hi + d <= top):
-                        raise _off_grid((lo - d) >> 1, (lo + d) >> 1, (hi - d) >> 1, (hi + d) >> 1)
                     col = (lo - d) >> 1
                     if not col:  # column 0 breaks the stride: its switch is written alone
-                        if d >> 1 >= quarter:  # its id is line // 2, and line = d there
-                            raise _off_grid(0, d, (hi - d) >> 1, (hi + d) >> 1)
-                        states[d >> 1] = 1
+                        states[d >> 1] = 1  # its id is line // 2, and line = d there
                         col = 1
                     first = base + ((d + 1) >> 1) + fall * col
                     run = ((hi - d) >> 1) - col + 1
@@ -521,11 +511,7 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
                     rq = (j_meet >> 1) + 1
                     # ranks count the partner's diagonal, which goes last
                     lo, hi = diag[rq], diag[rq + n - 3 - j_meet]
-                    # cell (line + col, line - col) = (a, x) for x = hi, lo; an end in
-                    # column 0 (hi == a) must be on one of its lines
-                    if not (-a <= lo and a - lo < wide and hi <= a and a + hi <= top) or (
-                            hi == a and a >> 1 >= quarter):
-                        raise _off_grid((a - hi) >> 1, (a + hi) >> 1, (a - lo) >> 1, (a + lo) >> 1)
+                    # cell (line + col, line - col) = (a, x) for x = hi, lo
                     first = base + ((hi + 1) >> 1) + fall * ((a - hi) >> 1)
                     run = ((hi - lo) >> 1) + 1
                     states[first : first + rise * run : rise] = ones[:run]

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceeded, IncompleteStates, InvalidInput
 from .routing import PairList, RoutingPlan, StateVector, _check_demand
-from .topology import Network, State, _brickwork_columns, optimal_switch_count
+from .topology import Network, State
 
 
 def _state_bits(states: Mapping[int, State], count: int) -> bytes:
@@ -307,24 +307,6 @@ def _switch_lanes(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]
     return lines, lines[2 * size :], 4 * lanes, lines[size:], 2 * lanes
 
 
-def _brickwork_steps(net: Network) -> list[tuple[int, int, int, int]] | None:
-    """The columns of :func:`~pairswitch.topology._brickwork_columns` when
-    ``net.lines`` is exactly that layout for ``net.ports``, each column
-    confirmed with one slice comparison; None for any other network."""
-    ports, lines = net.ports, net.lines
-    if len(lines) != optimal_switch_count(ports):
-        return None
-    # compared by value; lines held in a list never equal an array
-    rows = (array("i", range(0, ports - 1, 2)), array("i", range(1, ports - 2, 2)))
-    columns = []
-    for column in _brickwork_columns(ports):
-        _, parity, first, size = column
-        if lines[first : first + size] != rows[parity][:size]:
-            return None
-        columns.append(column)
-    return columns
-
-
 def _column_lanes(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]]],
                   width: int, columns: list[tuple[int, int, int, int]]
                   ) -> tuple[bytes, bytes, int, bytes, int]:
@@ -383,17 +365,19 @@ def _column_lanes(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]
 def _check_bytes(
     net: Network, mates: Sequence[Sequence[int]],
     plans: Sequence[tuple[bytearray, tuple[int, ...]]],
+    columns: list[tuple[int, int, int, int]] | None = None,
 ) -> tuple[int, int, int] | None:
     """:func:`_check_plans` on byte lanes, plan k in field k: the same result,
     with the same depth bound on ``net``.  The pairing is checked on the
     predicted permutations, which the lanes then compare with the simulated
-    ones.  A brickwork network steps a column at a time, any other a switch
-    at a time."""
+    ones.  Given ``columns``, the list of
+    :func:`~pairswitch.topology._brickwork_columns` for a network that
+    :func:`~pairswitch.topology.build_network` built as brickwork, the lanes
+    step a column at a time; without, a switch at a time."""
     ports, lanes, predicted = net.ports, len(plans), _predicted(net, plans)
     if predicted is None:
         return None
     width = 1 if ports <= 256 else 2
-    columns = _brickwork_steps(net)
     if columns is None:
         evens, odds, stride, depths, deep = _switch_lanes(net, plans, width)
     else:

@@ -33,6 +33,7 @@ from pairswitch import verification
 from pairswitch.cli import main
 from pairswitch.routing import StateVector
 from pairswitch.simulation import _check_bytes, _check_plans
+from pairswitch.topology import _brickwork_columns
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -191,7 +192,8 @@ def _below_lanes(ports):
 def test_byte_lanes_flag_what_the_per_plan_check_fails(design, chunk, seed, edits):
     ports, lanes = chunk
     net, demands, plans = _edited(design, ports, lanes, seed, edits)
-    assert _check_bytes(net, *_raw(demands, plans)) == _per_plan(net, demands, plans)
+    columns = list(_brickwork_columns(ports)) if design is Design.BRICKWORK else None
+    assert _check_bytes(net, *_raw(demands, plans), columns) == _per_plan(net, demands, plans)
 
 
 def test_byte_lanes_hold_ids_and_depths_up_to_n_minus_2_at_the_port_budget():
@@ -253,7 +255,8 @@ def test_byte_lanes_decline_what_the_lane_check_declines(ports):
     demand = random_pair_list(ports, random.Random(3))
     plan = route(Design.BRICKWORK, ports, demand)
     bits, permuted = plan.states.bits, plan.permuted
-    assert _check_bytes(net, *_raw([demand], [plan])) == _per_plan(net, [demand], [plan])
+    columns = list(_brickwork_columns(ports))
+    assert _check_bytes(net, *_raw([demand], [plan]), columns) == _per_plan(net, [demand], [plan])
     for odd in ((dict(plan.states), permuted),
                 (bytes(bits), permuted),
                 (bits[:-1], permuted),
@@ -267,7 +270,7 @@ def test_byte_lanes_decline_what_the_lane_check_declines(ports):
                 (bits, (0.0,) + permuted[1:]),
                 (bits, ("0",) + permuted[1:])):
         chunk = [demand.mate] * 2, [(bits, permuted), odd]
-        assert _check_bytes(net, *chunk) is None
+        assert _check_bytes(net, *chunk, columns) is None
         assert _check_plans(net, *chunk) is None
 
 

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import random
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from pairswitch import (
     Design,
     InvalidDemand,
     InvalidInput,
+    InvalidPorts,
     PairList,
     RoutingPlan,
     State,
@@ -26,6 +29,7 @@ from pairswitch import (
     route_brickwork,
     route_chevron,
     route_triangular,
+    verify_design,
     verify_minimality,
     worst_case_pair_list,
 )
@@ -770,24 +774,22 @@ def test_brickwork_plans_match_structured_golden_digest():
     assert digest.hexdigest() == GOLDEN_BRICKWORK_STRUCTURED_SHA256
 
 
-# sha256 over the brickwork routing core's outcome, at every N from 2 to 41,
-# on 40 seeded tables of entries drawn from 0..N-1: the state bytes and
-# permuted lines where it returns, whether an IndexError names a missing
-# brickwork switch where it raises, and the ticks counted either way.
-# Recorded with the router that looked each run's end ids up through a
-# closed-form helper raising IndexError at every cell without a switch.
-# Demand checks keep odd N from the router; there a frame's last Cross run
-# can start at a column-0 cell that holds no switch, and only the end-cell
-# guard stops the run from being written elsewhere.
-GOLDEN_BRICKWORK_GUARD_SHA256 = (
-    "e3f0f460e931d3f4e8eb7b0c4f559bfda1fcd0f8c6da1d16ec2c3acb5be4d55f"
+# sha256 over the brickwork routing core's outcome, at every even N from 2 to
+# 40, on 40 seeded tables of entries drawn from 0..N-1, so on any rank
+# sequence: the state bytes and permuted lines where it returns, the
+# IndexError where a rank past the frame pops no photon, and the ticks
+# counted either way.  Recorded with the router that checked both end cells
+# of every Cross run against the grid; odd N, where that check could fire,
+# never reaches the core (test_every_way_into_a_routing_core_rejects_odd_n).
+GOLDEN_BRICKWORK_ANY_RANKS_SHA256 = (
+    "94387a34e54210a7b1082d324749d901022b7db2266e332d250bfc430a99e92e"
 )
 
 
-def test_brickwork_core_raises_where_a_run_end_has_no_switch():
+def test_brickwork_core_matches_its_golden_on_any_rank_sequence():
     digest = hashlib.sha256()
     raised = 0
-    for ports in range(2, 42):
+    for ports in range(2, 42, 2):
         for seed in range(40):
             rng = random.Random(seed)
             mate = [rng.randrange(ports) for _ in range(ports)]
@@ -796,11 +798,85 @@ def test_brickwork_core_raises_where_a_run_end_has_no_switch():
                 (states, permuted), = _CORES[Design.BRICKWORK](ports, [mate], counter)
                 outcome = (bytes(states), permuted)
             except IndexError as exc:
-                outcome = str(exc).startswith("no brickwork switch")
-                raised += outcome
+                outcome = repr(exc)
+                raised += 1
             digest.update(repr((ports, seed, outcome, counter.count)).encode())
-    assert raised == 110
-    assert digest.hexdigest() == GOLDEN_BRICKWORK_GUARD_SHA256
+    assert raised == 670
+    assert digest.hexdigest() == GOLDEN_BRICKWORK_ANY_RANKS_SHA256
+
+
+def test_every_way_into_a_routing_core_rejects_odd_n(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a routing core was reached")
+
+    for design, core in list(_CORES.items()):
+        monkeypatch.setitem(_CORES, design, refuse)
+        monkeypatch.setattr(routing, core.__name__, refuse)
+    demand = PairList.from_pairs([(0, 1), (2, 3)], 4)
+    for ports in (3, 5, 7, 41):
+        for design in Design:
+            with pytest.raises(InvalidPorts):
+                route(design, ports, demand)
+            with pytest.raises(InvalidPorts):
+                getattr(routing, _ROUTERS[design])(ports, demand)
+            for mode in ("exhaustive", "random"):
+                with pytest.raises(InvalidPorts):
+                    verify_design(design, ports, mode)
+        with pytest.raises(InvalidDemand):
+            PairList.from_pairs([(0, 1), (2, 3)], ports)
+        with pytest.raises(InvalidDemand):
+            random_pair_list(ports, random.Random(0))
+        with pytest.raises(InvalidPorts):
+            next(iter(enumerate_pair_lists(ports)))
+
+
+def _load_brickwork_frames():
+    """tools/brickwork_frames.py, the frame model and its certificate."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "brickwork_frames.py"
+    spec = importlib.util.spec_from_file_location("brickwork_frames", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+brickwork_frames = _load_brickwork_frames()
+
+
+def test_brickwork_frames_certify_every_run_end_to_n_256():
+    # base case, (a) and (b) of the induction for every even n <= 256: every
+    # Cross run the brickwork core writes at N <= 256 ends on a switch
+    brickwork_frames.certify(256)
+
+
+def _cells(first, last):
+    """The cells of a run from ``first`` to ``last``: one column a step."""
+    (c, j), (c_end, j_end) = first, last
+    down = 1 if j_end >= j else -1
+    return [(c + t, j + down * t) for t in range(c_end - c + 1)]
+
+
+def test_the_brickwork_core_writes_the_frame_models_runs():
+    # one iteration isolated: every other pairs the frame's two bottom
+    # photons (rank n - 2), writes nothing and leaves the core's lists as
+    # they were; one such pair first puts the iteration at odd depth, where
+    # frame cell (c, j) is network cell (c + 1, j)
+    for n in range(4, 66, 2):
+        for k in (0, 1):
+            ports = n + 2 * k
+            net = build_network(Design.BRICKWORK, ports)
+            ids = {cell: sid for sid, cell in enumerate(zip(net.cols, net.lines))}
+            for i in range(n - 1):
+                photons, mate = list(range(ports)), [0] * ports
+                pairs = [(photons.pop(), photons.pop())] if k else []
+                pairs.append((photons.pop(), photons.pop(i)))
+                while photons:
+                    pairs.append((photons.pop(), photons.pop()))
+                for a, b in pairs:
+                    mate[a], mate[b] = b, a
+                (states, _), = _CORES[Design.BRICKWORK](ports, [mate])
+                runs = brickwork_frames.step(n, i)[0]
+                want = {ids[c + k, j] for first, last in runs for c, j in _cells(first, last)}
+                assert {sid for sid, b in enumerate(states) if b} == want, (n, k, i)
 
 
 # sha256 over chevron's plan_to_json of five seeded random demands and the

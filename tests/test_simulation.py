@@ -32,6 +32,7 @@ from pairswitch import (
 )
 from pairswitch import simulation, verification
 from pairswitch.routing import StateVector
+from pairswitch.topology import _brickwork_columns
 
 
 def all_states(net, state):
@@ -283,10 +284,16 @@ def assert_matches_reference(net, bits):
     assert simulate(net, dict(vector)) == want
 
 
-def assert_lanes_match_reference(net, chunk, wants=None):
+def _built_columns(net):
+    """The columns verify hands the byte lanes for ``net``, which
+    build_network built: brickwork's, or None."""
+    return list(_brickwork_columns(net.ports)) if net.design is Design.BRICKWORK else None
+
+
+def assert_lanes_match_reference(net, chunk, wants=None, columns=None):
     """verify's byte lanes on ``chunk``, state byte strings for ``net``, one
-    plan each, agree with the reference (or with ``wants``, its results
-    worked out beforehand).  Each plan predicts the reference permutation,
+    plan each, given ``columns``, agree with the reference (or with
+    ``wants``, its results worked out beforehand).  Each plan predicts the reference permutation,
     and its partner table pairs that permutation's output slots, so no lane
     fails and the depth extrema are the reference's.  With each lane given
     the next one's partner table, exactly the lanes whose outputs that table
@@ -302,18 +309,19 @@ def assert_lanes_match_reference(net, chunk, wants=None):
         mates.append(tuple(mate))
     plans = [(bytearray(bits), perm) for bits, (perm, _) in zip(chunk, wants)]
     depths = [[d for _, ds in wants[first:] for d in ds] for first in (0, 1)]
-    assert simulation._check_bytes(net, mates, plans) == (0, max(depths[0]), min(depths[0]))
+    assert simulation._check_bytes(net, mates, plans, columns) == (
+        0, max(depths[0]), min(depths[0]))
     moved = mates[1:] + mates[:1]
     unpaired = [any(mate[a] != b for a, b in zip(perm[::2], perm[1::2]))
                 for mate, (perm, _) in zip(moved, wants)]
     kept = [d for fails, (_, ds) in zip(unpaired, wants) if not fails for d in ds]
-    assert simulation._check_bytes(net, moved, plans) == (
+    assert simulation._check_bytes(net, moved, plans, columns) == (
         sum(fails << k for k, fails in enumerate(unpaired)),
         *((max(kept), min(kept)) if kept else (0, -1)))
     perm = wants[0][0]
     plans[0] = (plans[0][0], (perm[1], perm[0]) + perm[2:])
     rest = (max(depths[1]), min(depths[1])) if depths[1] else (0, -1)
-    assert simulation._check_bytes(net, mates, plans) == (1, *rest)
+    assert simulation._check_bytes(net, mates, plans, columns) == (1, *rest)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -325,7 +333,7 @@ def test_simulate_matches_the_reference_on_every_demand_up_to_10(design):
             plan = route(design, n, demand)
             assert simulate(net, plan.states) == reference_simulate(net, plan.states)
             chunk.append(plan.states.bits)
-        assert_lanes_match_reference(net, chunk)
+        assert_lanes_match_reference(net, chunk, columns=_built_columns(net))
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -339,7 +347,7 @@ def test_simulate_matches_the_reference_on_seeded_plans_up_to_256(design):
             plan = route(design, n, demand)
             assert simulate(net, plan.states) == reference_simulate(net, plan.states)
             chunk.append(plan.states.bits)
-        assert_lanes_match_reference(net, chunk)
+        assert_lanes_match_reference(net, chunk, columns=_built_columns(net))
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -354,7 +362,7 @@ def test_simulate_matches_the_reference_on_uniform_and_any_byte_states(design):
                                for _ in range(count)))
         for bits in chunk:
             assert_matches_reference(net, bits)
-        assert_lanes_match_reference(net, chunk)
+        assert_lanes_match_reference(net, chunk, columns=_built_columns(net))
 
 
 def test_simulate_matches_the_reference_on_reversed_damaged_and_read_networks():
@@ -411,7 +419,7 @@ def test_simulate_and_the_verify_simulator_match_the_reference_on_built_networks
     net, states = case
     for bits in states:
         assert_matches_reference(net, bits)
-    assert_lanes_match_reference(net, states)  # the states as one chunk
+    assert_lanes_match_reference(net, states, columns=_built_columns(net))  # as one chunk
 
 
 def _any_byte_states(rng, net, lanes):
@@ -430,10 +438,11 @@ def test_brickwork_byte_lanes_step_a_column_at_a_time_at_every_even_n_to_64(monk
     monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
     rng = random.Random(26)
     for n in range(2, 66, 2):
-        net = build_network(Design.BRICKWORK, n)
-        assert_lanes_match_reference(net, _any_byte_states(rng, net, (3, 5, 8, 9, 17)[n % 5]))
+        net, columns = build_network(Design.BRICKWORK, n), list(_brickwork_columns(n))
+        assert_lanes_match_reference(net, _any_byte_states(rng, net, (3, 5, 8, 9, 17)[n % 5]),
+                                     columns=columns)
         assert_lanes_match_reference(network_from_json(network_to_json(net)),
-                                     _any_byte_states(rng, net, 3))
+                                     _any_byte_states(rng, net, 3), columns=columns)
     report = verification.verify_design(Design.BRICKWORK, 16, "random", samples=5)
     assert report.passed and report.demands_checked == 5
 
@@ -447,13 +456,13 @@ def test_brickwork_byte_lanes_step_a_column_at_a_time_past_n_256(monkeypatch):
         chunk = [route(Design.BRICKWORK, n, random_pair_list(n, rng)).states.bits,
                  *_any_byte_states(rng, net, lanes - 1)]
         assert_lanes_match_reference(net, chunk, [simulate(net, StateVector(bytearray(bits)))
-                                                  for bits in chunk])
+                                                  for bits in chunk], list(_brickwork_columns(n)))
 
 
 def test_reversed_and_edited_brickwork_step_a_switch_at_a_time(monkeypatch):
-    # the column path reads only networks laid out as build_network lays
-    # out brickwork: a reversed network, one line edited and a switch cut
-    # (as verify_minimality cuts one) take the per-switch path
+    # the column path is for networks laid out as build_network lays out
+    # brickwork: a reversed network, one line edited and a switch cut (as
+    # verify_minimality cuts one) step a switch at a time, without columns
     monkeypatch.setattr(simulation, "_column_lanes", _refuse)
     rng = random.Random(5)
     for n in (4, 8, 16, 30):
@@ -503,7 +512,7 @@ def test_the_byte_lanes_match_the_reference_at_every_cross_share():
                      for share in (0.0, 0.1, 0.4, 0.6, 0.9, 1.0)]
             for bits in chunk:
                 assert_matches_reference(net, bits)
-            assert_lanes_match_reference(net, chunk)
+            assert_lanes_match_reference(net, chunk, columns=_built_columns(net))
         assert vars(net) == before
 
 
@@ -522,7 +531,7 @@ def test_the_verify_simulator_walks_the_frame_only_at_most_a_quarter_bar():
         bits[:bars] = bytes(bars)
         assert_matches_reference(net, bits)
         chunk.append(bytes(bits))
-    assert_lanes_match_reference(net, chunk)
+    assert_lanes_match_reference(net, chunk, columns=_built_columns(net))
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -539,13 +548,14 @@ def test_the_all_cross_frame_fits_two_bytes_at_the_port_budget(design):
         assert perm == plan.permuted
         depths += plan_depths
     found = simulation._check_bytes(net, [d.mate for d in demands],
-                                    [(p.states.bits, p.permuted) for p in plans])
+                                    [(p.states.bits, p.permuted) for p in plans],
+                                    _built_columns(net))
     assert found == (0, max(depths), min(depths))
     assert max(depths) <= MAX_PORTS - 2
     assert (max(depths) == MAX_PORTS - 2) is (design is Design.TRIANGULAR)
     if design is Design.BRICKWORK:  # a column at a time: flagged lanes too
         assert_lanes_match_reference(net, [p.states.bits for p in plans],
-                                     [simulate(net, p.states) for p in plans])
+                                     [simulate(net, p.states) for p in plans], _built_columns(net))
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -562,12 +572,13 @@ def test_the_byte_lanes_flag_every_lane_or_keep_one_with_two_byte_fields(design)
     bad_plans = [(bits, (perm[1], perm[0]) + perm[2:]) for bits, perm in good]
     bad_mates = mates[1:] + mates[:1]
     bad = [(bad_mates[k], good[k]) if k % 2 else (mates[k], bad_plans[k]) for k in range(4)]
-    assert simulation._check_bytes(net, *zip(*bad)) == (0b1111, 0, -1)
+    columns = _built_columns(net)
+    assert simulation._check_bytes(net, *zip(*bad), columns) == (0b1111, 0, -1)
     for k in range(4):
         chunk = bad[:k] + [(mates[k], good[k])] + bad[k + 1:]
         depths = simulate(net, plans[k].states)[1]
-        assert simulation._check_bytes(net, *zip(*chunk)) == (0b1111 ^ 1 << k, max(depths),
-                                                               min(depths))
+        assert simulation._check_bytes(net, *zip(*chunk), columns) == (
+            0b1111 ^ 1 << k, max(depths), min(depths))
 
 
 def test_the_lane_check_declines_a_two_byte_id_out_of_range():

@@ -22,7 +22,6 @@ from pairswitch import (
     reverse_network,
     validate_network,
 )
-from pairswitch import simulation
 from pairswitch.topology import _brickwork_columns, _ramp, _triangular_first_id
 
 ALL_N = list(range(4, 65, 2))
@@ -116,7 +115,6 @@ def test_brickwork_is_n_over_2_rising_runs_the_byte_lanes_read():
         assert [(first, parity, size) for _, parity, first, size in columns if size] == \
             _rising_runs(net.lines)
         assert [layer for layer, *_ in columns] == list(range(n // 2, 0, -1))
-        assert simulation._brickwork_steps(net) == columns
 
 
 def test_chevron_2_is_empty():

@@ -24,7 +24,7 @@ from pairswitch import (
     verify_minimality,
     worst_case_pair_list,
 )
-from pairswitch import verification
+from pairswitch import simulation, verification
 from pairswitch.verification import _mate_tables, report_to_json
 
 
@@ -387,8 +387,8 @@ def _recorded_paths(monkeypatch):
     paths = []
 
     def recording(name, check):
-        def recorded(net, *args):
-            paths.append((name, len(args[-1]) if name != "simulate" else 1))
+        def recorded(net, *args):  # a lane check's args: mates, plans[, columns]
+            paths.append((name, len(args[1]) if name != "simulate" else 1))
             return check(net, *args)
         return recorded
 
@@ -421,6 +421,31 @@ def test_each_chunk_size_takes_its_path(monkeypatch):
                         (6, ("_check_bytes", 15)), (8, ("_check_plans", 105))]:
         paths.clear()
         assert verify_design("triangular", ports).passed
+        assert paths == [want]
+    # brickwork's byte lanes step by columns and take every chunk below the
+    # bit-sliced threshold, one plan too; at N = 2 the only column is empty
+    def refuse(*args):
+        raise AssertionError("brickwork's byte lanes stepped a switch at a time")
+
+    monkeypatch.setattr(simulation, "_switch_lanes", refuse)
+    for ports, samples, want in [
+        (2, 1, [("_check_bytes", 1)]),
+        (2, 3, [("_check_bytes", 3)]),
+        (18, 1, [("_check_bytes", 1)]),
+        (18, 2, [("_check_bytes", 2)]),
+        (18, threshold - 1, [("_check_bytes", threshold - 1)]),
+        (18, threshold, [("_check_plans", threshold)]),
+        (18, 1025, [("_check_plans", 1024), ("_check_bytes", 1)]),
+        (2048, 1, [("_check_bytes", 1)]),
+    ]:
+        paths.clear()
+        report = verify_design("brickwork", ports, "random", samples=samples, seed=5)
+        assert report.passed and report.demands_checked == samples
+        assert paths == want, (ports, samples)
+    for ports, want in [(2, ("_check_bytes", 1)), (4, ("_check_bytes", 3)),
+                        (6, ("_check_bytes", 15)), (8, ("_check_plans", 105))]:
+        paths.clear()
+        assert verify_design("brickwork", ports).passed
         assert paths == [want]
 
 
