@@ -123,7 +123,17 @@ _BIT_OF_BYTE = b"\x00" + b"\x01" * 255  # a state byte as 0 Bar, 1 Cross
 _ONES = bytearray(b"\x01") * MAX_PORTS
 """Cross bytes for the routers' runs, each at most N cells long: a slice of
 a bytearray is assigned into the state bytes as it is, where ``bytes``
-would first be copied into a new bytearray."""
+would first be copied into a new bytearray.  A single table slices it once
+per run; a batch slices it once per run length (see :data:`_RUN_TEMPLATES`)."""
+
+_RUN_TEMPLATES = 512
+"""A core call that routes more than one table makes one bytearray of ones
+per Cross-run length below this, once per call, and assigns its runs of
+those lengths from them; longer runs, and every run of a single table, are
+sliced from :data:`_ONES`.  Templates for every length hold N²/2 bytes for
+triangular: at N = 2048 they took 1.6 ms to make, and batches of 2-4 tables
+routed 1.1-1.5x slower than slicing; with this cap, 0.96-1.07x.  512 bytes
+is the largest block CPython's small-object allocator serves."""
 
 
 class StateVector(Mapping[int, State]):
@@ -229,6 +239,10 @@ def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCou
     Returns one plan per partner table in ``mates``: the state bytes, 1 for
     Cross, and the photon on each output line."""
     count, lines = optimal_switch_count(ports), list(range(ports))
+    mates = list(mates)
+    # a layer's run is at most n - 2 <= N - 2 long
+    runs = [_ONES[:k] for k in range(min(ports - 1, _RUN_TEMPLATES))] if len(mates) > 1 else []
+    made = len(runs)
     plans = []
     for mate in mates:
         photons = lines[:]
@@ -242,7 +256,8 @@ def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCou
             if counter:
                 counter.tick(idx + 1)
             # switches above the partner stay Bar
-            states[first + idx : first + n - 2] = _ONES[: n - 2 - idx]
+            run = n - 2 - idx
+            states[first + idx : first + n - 2] = runs[run] if run < made else _ONES[:run]
             permuted[n - 2], permuted[n - 1] = photons.pop(idx), bottom
             if counter:
                 counter.tick(2 * n - 2)
@@ -468,7 +483,11 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
     diag0 = list(range(-half0, ports, 2))  # surviving line - col
     fall, rise = half0, half0 - 1  # id strides along a diagonal and an anti-diagonal
     base = ports // 4 - half0  # cell (col > 0, line) has id base + (line - col + 1)//2 + fall*col
-    ones = _ONES
+    mates = list(mates)
+    # a strided run lies past column 0 and visits at most one cell per
+    # column, so it is at most N/2 - 1 long
+    runs = [_ONES[:k] for k in range(min(half0, _RUN_TEMPLATES))] if len(mates) > 1 else []
+    made = len(runs)
     plans = []
     for mate in mates:
         states = bytearray(count)
@@ -505,7 +524,8 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
                         col = 1
                     first = base + ((d + 1) >> 1) + fall * col
                     run = ((hi - d) >> 1) - col + 1
-                    states[first : first + fall * run : fall] = ones[:run]
+                    ones = runs[run] if run < made else _ONES[:run]
+                    states[first : first + fall * run : fall] = ones
                 if j_meet < n - 2:
                     a = anti.pop((j_meet + half0) >> 1)
                     rq = (j_meet >> 1) + 1
@@ -514,7 +534,8 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
                     # cell (line + col, line - col) = (a, x) for x = hi, lo
                     first = base + ((hi + 1) >> 1) + fall * ((a - hi) >> 1)
                     run = ((hi - lo) >> 1) + 1
-                    states[first : first + rise * run : rise] = ones[:run]
+                    ones = runs[run] if run < made else _ONES[:run]
+                    states[first : first + rise * run : rise] = ones
                 del diag[rd]
                 if counter:  # a tick when the partner's first switch couples it from above
                     bar = 0 < i < half if (i + half) & 1 else i >= half - 1
@@ -556,7 +577,10 @@ _CORES = {
 """Each design's routing core: ``(ports, mates, counter=None) -> [(state
 bytes, permuted), ...]``, one plan per partner table, for callers that hold
 checked tables.  What depends only on N is worked out once per call, so a
-batch pays it once; each public router routes a batch of one."""
+batch pays it once: chevron lists its window constants, and triangular and
+brickwork make their Cross-run templates (:data:`_RUN_TEMPLATES`).  Each
+public router routes a batch of one, which reads those as it goes, since
+making them costs more than one table saves."""
 
 
 def route(design: Design | str, ports: int, demand: PairList,

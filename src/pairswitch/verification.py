@@ -56,7 +56,9 @@ def worst_case_pair_list(ports: int) -> PairList:
 
 def enumerate_pair_lists(ports: int) -> Iterator[PairList]:
     """Yield every perfect matching of 0..N-1 exactly once, smallest free
-    index first; stream length is (N-1)!!."""
+    index first; stream length is (N-1)!!.  Ports are checked at the call,
+    not at the first ``next``."""
+    _check_ports(ports)
     return map(PairList._perfect, _mate_tables(ports))
 
 

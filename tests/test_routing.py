@@ -324,18 +324,24 @@ def test_cores_return_what_the_public_routers_plan(design):
 @pytest.mark.parametrize("design", list(Design))
 def test_a_core_routes_a_batch_as_its_tables_one_by_one(design):
     # every table of each N <= 10 as one batch, then seeded batches up to
-    # N = 256: the plans and the tick total are the per-table ones, so no
-    # state a core copies for each table leaks from one table to the next
+    # N = 256 and, at 1024 and 2048, two seeded tables with the worst case,
+    # whose runs are the longest: the plans and the tick total are the
+    # per-table ones, so no state a core copies for each table leaks from
+    # one table to the next, and every plan has state bytes of its own, so
+    # no Cross-run template a batch makes is handed out
     core, rng = _CORES[design], random.Random(f"batch:{design.value}")
     batches = [list(_mate_tables(n)) for n in range(2, 11, 2)]
     batches += [[random_pair_list(n, rng).mate for _ in range(6)]
                 for n in (12, 14, 16, 32, 64, 128, 256)]
     batches.append(batches[-1] + [worst_case_pair_list(256).mate] + batches[-1][:2])
+    batches += [[random_pair_list(n, rng).mate for _ in range(2)] + [worst_case_pair_list(n).mate]
+                for n in (1024, MAX_PORTS)]
     for mates in batches:
         ports, ticks, alone = len(mates[0]), OpCounter(), OpCounter()
         plans = core(ports, mates, ticks)
         assert plans == [plan for mate in mates for plan in core(ports, [mate], alone)]
         assert ticks.count == alone.count and (ticks.count or ports == 2)
+        assert len({id(states) for states, _ in plans}) == len(plans)
         assert core(ports, iter(mates)) == plans
         assert core(ports, []) == [] and core(ports, [], ticks) == []
         assert ticks.count == alone.count
@@ -827,7 +833,7 @@ def test_every_way_into_a_routing_core_rejects_odd_n(monkeypatch):
         with pytest.raises(InvalidDemand):
             random_pair_list(ports, random.Random(0))
         with pytest.raises(InvalidPorts):
-            next(iter(enumerate_pair_lists(ports)))
+            enumerate_pair_lists(ports)
 
 
 def _load_brickwork_frames():

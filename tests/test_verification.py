@@ -166,10 +166,19 @@ def test_mate_stream_matches_the_enumerated_demands():
 
 @pytest.mark.parametrize("ports", [0, -2, 3, 13, True, 4.0, "4", MAX_PORTS + 2])
 def test_enumeration_rejects_bad_ports_at_the_first_next(ports):
-    tables, demands = _mate_tables(ports), enumerate_pair_lists(ports)  # nothing checked yet
-    for stream in (tables, demands):
-        with pytest.raises(PairSwitchError):
-            next(stream)
+    tables = _mate_tables(ports)  # a generator: nothing checked yet
+    with pytest.raises(PairSwitchError):
+        next(tables)
+
+
+@pytest.mark.parametrize("ports", [0, -2, 3, 5, 13, True, 4.0, "4", MAX_PORTS + 2])
+def test_enumerate_pair_lists_rejects_bad_ports_at_the_call(ports):
+    # the error the table stream raises at its first next, raised by the call
+    with pytest.raises(PairSwitchError) as lazy:
+        next(_mate_tables(ports))
+    with pytest.raises(type(lazy.value)) as eager:
+        enumerate_pair_lists(ports)  # never iterated
+    assert str(eager.value) == str(lazy.value)
 
 
 def test_enumeration_first_demand_at_port_budget():
