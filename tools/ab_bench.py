@@ -6,10 +6,10 @@ in alternating pairs, and compare the two per end-to-end metric.
 The parent's committed files are exported with ``git archive`` into a
 temporary directory, so the repository gains no worktree entry and the
 parent runs exactly what it committed.  Both trees are byte-compiled, then
-each pair runs ``perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in each tree, one run at a time, with seeds S0, S0 + 1,
-...; the parent runs first on odd seeds, so the side that runs first
-alternates from pair to pair.
+each pair runs ``perfbench/run.py --workload W --seed S --trace 0`` once in
+each tree, one run at a time, with seeds S0, S0 + 1, ...; the parent runs
+first on odd seeds, so the side that runs first alternates from pair to
+pair.  Every run lasts run.py's default length, the same on both sides.
 
 For every end-to-end metric of the working tree's ``BENCHMARK.json`` it
 prints both medians, the parent's quartiles, the pairs the change won, how
@@ -42,10 +42,10 @@ def export(revision: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its final JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True, timeout=600)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited with code {proc.returncode}")
@@ -89,12 +89,11 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("route-large", "verify-sampled", "verify-exhaustive"))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=int, default=15)
     parser.add_argument("--tmpdir", help="where to export the parent (default: the system's)")
     parser.add_argument("--json", metavar="FILE", help="write every run and the summary here")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds < 1:
-        parser.error("--pairs and --seconds must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
@@ -111,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             first = SIDES[not seed % 2]
             pair = {"seed": seed, "first": first}
             for side in (first, SIDES[first == "parent"]):
-                pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
+                pair[side] = run_once(trees[side], args.workload, seed)
             pairs.append(pair)
             print(f"pair {k + 1}/{args.pairs} seed {seed} ({first} first) done", file=sys.stderr)
 
@@ -129,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{'yes' if row['clear_gain'] else 'no'}"
               f"{'' if row['within_bound'] else '  OUT OF BOUND'}")
     if args.json:
-        record = {"parent": parent, "workload": args.workload, "seconds": args.seconds,
+        record = {"parent": parent, "workload": args.workload,
                   "all_correct_and_no_failed_operations": healthy,
                   "summary": summary, "runs": pairs}
         Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
