@@ -212,6 +212,13 @@ def _check_demand(ports: int, demand: PairList) -> None:
         )
 
 
+def _route_one(core, ports: int, demand: PairList, counter: OpCounter | None) -> RoutingPlan:
+    """The plan ``core`` routes for ``demand`` alone, its ports checked first."""
+    _check_demand(ports, demand)
+    (states, permuted), = core(ports, [demand.mate], counter)
+    return RoutingPlan(StateVector(states), permuted)
+
+
 # ---------------------------------------------------------------------------
 # Triangular
 # ---------------------------------------------------------------------------
@@ -219,9 +226,7 @@ def _check_demand(ports: int, demand: PairList) -> None:
 def route_triangular(ports: int, demand: PairList,
                      counter: OpCounter | None = None) -> RoutingPlan:
     """Route ``demand`` on the triangular network; see :func:`_route_triangular`."""
-    _check_demand(ports, demand)
-    (states, permuted), = _route_triangular(ports, [demand.mate], counter)
-    return RoutingPlan(StateVector(states), permuted)
+    return _route_one(_route_triangular, ports, demand, counter)
 
 
 def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
@@ -275,9 +280,7 @@ def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCou
 def route_chevron(ports: int, demand: PairList,
                   counter: OpCounter | None = None) -> RoutingPlan:
     """Route ``demand`` on the chevron network; see :func:`_route_chevron`."""
-    _check_demand(ports, demand)
-    (states, permuted), = _route_chevron(ports, [demand.mate], counter)
-    return RoutingPlan(StateVector(states), permuted)
+    return _route_one(_route_chevron, ports, demand, counter)
 
 
 def _chevron_windows(ports: int) -> tuple[Iterator[tuple[int, int]],
@@ -432,10 +435,12 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
 # The bottom photon's run ends in the last column and has at most n/2 - 1
 # cells, since a partner on line 0 starts its diagonal by column 1.
 #
-# No run end is checked against the grid.  At every even N each end holds a
-# switch and the bottom photon's run stays past column 0, by induction on
-# the frame size (Waksman, JACM 1968): frame N is the network itself, and
-# for every frame size n, partner rank and parity of skip, both runs end on
+# No run end is checked against the grid, and no run for being empty.  At
+# every even N a partner below line n - 2 has a run of at least one cell,
+# each end holds a switch and the bottom photon's run stays past column 0,
+# by induction on the frame size (Waksman, JACM 1968): frame N is the
+# network itself, and for every frame size n, partner rank and parity of
+# skip, the partner's run is not empty (j_meet > i), both runs end on
 # frame cells and every cell of frame n - 2, read past the two removed
 # entries, reads a cell of frame n.  tools/brickwork_frames.py checks this
 # to any bound and the tests to n = 256; the tests also tie the model to
@@ -460,9 +465,7 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
 def route_brickwork(ports: int, demand: PairList,
                     counter: OpCounter | None = None) -> RoutingPlan:
     """Route ``demand`` on the brickwork network; see :func:`_route_brickwork`."""
-    _check_demand(ports, demand)
-    (states, permuted), = _route_brickwork(ports, [demand.mate], counter)
-    return RoutingPlan(StateVector(states), permuted)
+    return _route_one(_route_brickwork, ports, demand, counter)
 
 
 def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
@@ -514,18 +517,17 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
                     j_meet = i + half - cstart
                 rd = (i - cstart + half) >> 1
                 d = diag[rd]
-                if j_meet > i:
-                    ra = (i + cstart + skip) >> 1
-                    lo, hi = anti[ra], anti[ra + j_meet - i - 1]
-                    # cell (line + col, line - col) = (x, d) for x = lo, hi
-                    col = (lo - d) >> 1
-                    if not col:  # column 0 breaks the stride: its switch is written alone
-                        states[d >> 1] = 1  # its id is line // 2, and line = d there
-                        col = 1
-                    first = base + ((d + 1) >> 1) + fall * col
-                    run = ((hi - d) >> 1) - col + 1
-                    ones = runs[run] if run < made else _ONES[:run]
-                    states[first : first + fall * run : fall] = ones
+                ra = (i + cstart + skip) >> 1
+                lo, hi = anti[ra], anti[ra + j_meet - i - 1]
+                # cell (line + col, line - col) = (x, d) for x = lo, hi
+                col = (lo - d) >> 1
+                if not col:  # column 0 breaks the stride: its switch is written alone
+                    states[d >> 1] = 1  # its id is line // 2, and line = d there
+                    col = 1
+                first = base + ((d + 1) >> 1) + fall * col
+                run = ((hi - d) >> 1) - col + 1
+                ones = runs[run] if run < made else _ONES[:run]
+                states[first : first + fall * run : fall] = ones
                 if j_meet < n - 2:
                     a = anti.pop((j_meet + half0) >> 1)
                     rq = (j_meet >> 1) + 1
@@ -559,16 +561,6 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_ROUTERS = {
-    Design.TRIANGULAR: "route_triangular",
-    Design.CHEVRON: "route_chevron",
-    Design.BRICKWORK: "route_brickwork",
-}
-"""Each design's public router, by name: :func:`route` looks it up in this
-module at call time, as a direct call would, so a router replaced on the
-module (a tracing wrapper, a test's patch) is the one called.  A design is
-a ``str`` enum, so its value finds the same entry as its member."""
-
 _CORES = {
     Design.TRIANGULAR: _route_triangular,
     Design.CHEVRON: _route_chevron,
@@ -585,12 +577,15 @@ making them costs more than one table saves."""
 
 def route(design: Design | str, ports: int, demand: PairList,
           counter: OpCounter | None = None) -> RoutingPlan:
-    """Dispatch to the router for ``design``."""
+    """Dispatch to ``route_<design>``, looked up in this module at call time,
+    as a direct call would, so a router replaced on the module (a tracing
+    wrapper, a test's patch) is the one called.  A design is a ``str`` enum,
+    so its member and its value name the same router."""
     try:
-        name = _ROUTERS[design]
+        router = globals()["route_" + design]
     except (KeyError, TypeError):  # no design: Design() raises its ValueError
-        name = _ROUTERS[Design(design)]
-    return globals()[name](ports, demand, counter)
+        router = globals()["route_" + Design(design)]
+    return router(ports, demand, counter)
 
 
 # ---------------------------------------------------------------------------

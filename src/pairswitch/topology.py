@@ -12,7 +12,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BoundExceeded, InvalidInput, InvalidPorts
 
@@ -28,8 +28,7 @@ class State(str, Enum):
     CROSS = "cross"  # photons on the two lines are exchanged
 
 
-@dataclass(frozen=True)
-class SwitchPoint:
+class SwitchPoint(NamedTuple):
     """A 2x2 element coupling lines ``line`` and ``line + 1``.
 
     ``id`` is the global traversal index (dense, 0-based), ``layer`` the
@@ -100,15 +99,6 @@ def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int, int]]:
         first += size
 
 
-# Triangular switch ids in closed form, as build_network fills them below.
-# The chevron and brickwork routers compute their ids inline.
-
-def _triangular_first_id(ports: int, layer: int) -> int:
-    """Id of triangular switch (layer, 0).  Layers layer..1 come last and
-    hold layer*(layer+1) switches, each layer's lines at consecutive ids."""
-    return optimal_switch_count(ports) - layer * (layer + 1)
-
-
 _RAMP_BLOCK = 4096
 
 
@@ -138,11 +128,13 @@ def build_network(design: Design | str, ports: int) -> Network:
         # Largest layer sits on the input side; each layer is a cascade that
         # carries one photon down to the bottom of its sub-network.  Switch i
         # sits alone in column i, so cols is also the ramp (count >= N - 2).
-        cols = _ramp(count)
-        for layer in range(1, half):
-            first, size = _triangular_first_id(ports, layer), 2 * layer
+        # Ids run from layer N/2 - 1 down, each layer's 2 * layer at consecutive ids.
+        cols, first = _ramp(count), 0
+        for layer in range(half - 1, 0, -1):
+            size = 2 * layer
             lines[first : first + size] = cols[:size]
             layers[first : first + size] = array("i", [layer]) * size
+            first += size
     elif design is Design.CHEVRON:
         # Layer 1 sits innermost on the input side.  Each layer is two arms
         # converging on the middle lines; odd layers swap the lowest arm

@@ -255,7 +255,7 @@ def verify_design(
         demands_checked=checked,
         failures=tuple(failures),
         max_depth=max_depth,
-        min_depth=min_depth if checked else 0,
+        min_depth=min_depth,
         samples=samples_field,
         seed=seed_field,
     )

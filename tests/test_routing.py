@@ -37,7 +37,7 @@ from dataclasses import replace
 
 from pairswitch import routing
 from pairswitch.routing import (
-    _CORES, _ROUTERS, OpCounter, StateVector, _chevron_windows, _joined_ids, states_from_json,
+    _CORES, OpCounter, StateVector, _chevron_windows, _joined_ids, states_from_json,
 )
 from pairswitch.verification import _mate_tables
 
@@ -346,10 +346,10 @@ def test_a_core_routes_a_batch_as_its_tables_one_by_one(design):
 
 
 def test_dispatch_tables_cover_every_design():
-    assert set(_ROUTERS) == set(_CORES) == set(Design)
+    assert set(_CORES) == set(Design)
     demand = pl("0-3,1-5,2-4")
     for design in Design:
-        assert getattr(routing, _ROUTERS[design]) is _PUBLIC[design]
+        assert getattr(routing, f"route_{design.value}") is _PUBLIC[design]
         plan = _PUBLIC[design](6, demand)
         assert route(design, 6, demand) == route(design.value, 6, demand) == plan
 
@@ -822,7 +822,7 @@ def test_every_way_into_a_routing_core_rejects_odd_n(monkeypatch):
             with pytest.raises(InvalidPorts):
                 route(design, ports, demand)
             with pytest.raises(InvalidPorts):
-                getattr(routing, _ROUTERS[design])(ports, demand)
+                getattr(routing, f"route_{design.value}")(ports, demand)
             for mode in ("exhaustive", "random"):
                 with pytest.raises(InvalidPorts):
                     verify_design(design, ports, mode)

@@ -22,7 +22,7 @@ from pairswitch import (
     reverse_network,
     validate_network,
 )
-from pairswitch.topology import _brickwork_columns, _ramp, _triangular_first_id
+from pairswitch.topology import _brickwork_columns, _ramp
 
 ALL_N = list(range(4, 65, 2))
 _EMPTY = (array("i"), array("i"), array("i"))  # lines, layers, cols
@@ -162,9 +162,12 @@ def test_ramp_is_the_index_range(size):
 
 
 def test_triangular_first_id_matches_build_network():
+    # layers L..1 come last and hold L(L+1) switches, each layer's lines at
+    # consecutive ids, so switch (L, line) has id S - L(L+1) + line
     for n in LAYOUT_N:
+        count = optimal_switch_count(n)
         for sp in build_network(Design.TRIANGULAR, n).switches:
-            assert _triangular_first_id(n, sp.layer) + sp.line == sp.id
+            assert count - sp.layer * (sp.layer + 1) + sp.line == sp.id
 
 
 def _brickwork_id(ports, col, line):

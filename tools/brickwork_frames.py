@@ -4,8 +4,8 @@ The brickwork routing core (``pairswitch.routing._route_brickwork``) pairs
 the bottom photon of a frame of size n with its partner, writes at most two
 Cross runs, removes one diagonal and at most one anti-diagonal from its
 lists, and goes on with a frame of size n - 2.  It checks no run end against
-the grid; this module proves, by induction on the frame size, that none
-needs a check at any even N:
+the grid and no partner's run for being empty; this module proves, by
+induction on the frame size, that neither needs a check at any even N:
 
 * frame(n) cells are (col c, line j) with c < n/2, 0 <= j <= n - 2,
   j = n/2 - c (mod 2), and in column 0 only j <= n/2 - 2;
@@ -15,11 +15,12 @@ needs a check at any even N:
   of a step and cancels;
 * base case: frame(N) at depth 0 is exactly the switches of
   ``build_network("brickwork", N)`` (:func:`base_case`);
-* step, for every partner rank i and parity k: (a) each run's two end
-  cells are frame(n) cells, and the bottom photon's run starts past column
-  0, where the core's id stride holds (:func:`check_ends`); (b) every
-  frame(n - 2) cell, read at parity k + 1 and shifted past the removed
-  ranks, reads the ranks of a frame(n) cell (:func:`check_rows`).
+* step, for every partner rank i and parity k: (a) the partner's run is
+  not empty for i < n - 2, each run's two end cells are frame(n) cells, and
+  the bottom photon's run starts past column 0, where the core's id stride
+  holds (:func:`check_ends`); (b) every frame(n - 2) cell, read at parity
+  k + 1 and shifted past the removed ranks, reads the ranks of a frame(n)
+  cell (:func:`check_rows`).
 
 So every frame cell at every depth reads the lists at a switch, and so does
 every run end.  A step is a function of (n, i, k) alone, so checking every
@@ -83,8 +84,7 @@ def step(n: int, i: int) -> tuple[list[tuple[tuple[int, int], tuple[int, int]]],
         return runs, None, j_meet
     cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
     j_meet = min(j_meet, i + half - cstart)
-    if j_meet > i:
-        runs.append(((cstart, i), (cstart + j_meet - i - 1, j_meet - 1)))
+    runs.append(((cstart, i), (cstart + j_meet - i - 1, j_meet - 1)))
     if j_meet < n - 2:
         runs.append(((j_meet + 2 - half, n - 2), (half - 1, j_meet + 1)))
     return runs, (i - cstart + half) >> 1, j_meet
@@ -92,8 +92,12 @@ def step(n: int, i: int) -> tuple[list[tuple[tuple[int, int], tuple[int, int]]],
 
 def check_ends(n: int, i: int, runs: list[tuple[tuple[int, int], tuple[int, int]]],
                j_meet: int) -> None:
-    """(a): each run of :func:`step` (n, i) ends on frame(n) cells, and the
-    bottom photon's starts past column 0, where the core's id stride holds."""
+    """(a): for i < n - 2 the partner's run, which the core writes without a
+    check, holds at least one cell (j_meet > i); each run of :func:`step`
+    (n, i) ends on frame(n) cells, and the bottom photon's starts past
+    column 0, where the core's id stride holds."""
+    if i < n - 2 and j_meet <= i:
+        raise AssertionError(f"n={n} i={i}: the partner's run is empty (meets on line {j_meet})")
     for first, last in runs:
         if not (in_frame(n, *first) and in_frame(n, *last)):
             raise AssertionError(f"n={n} i={i}: a run end {first}..{last} is off frame({n})")
