@@ -5,15 +5,17 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from io import BytesIO
+from itertools import chain, islice, repeat
 from numbers import Real
-from operator import is_
+from operator import add, is_, itemgetter, mul
 from struct import iter_unpack
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BoundExceeded, IncompleteStates, InvalidInput
 from .routing import PairList, RoutingPlan, StateVector, _check_demand
-from .topology import Network, State
+from .topology import (Design, Network, State, _brickwork_columns, _triangular_layers,
+                       optimal_switch_count)
 
 
 def _state_bits(states: Mapping[int, State], count: int) -> bytes:
@@ -182,10 +184,11 @@ def _id_planes(data: bytes, count: int, bits: int) -> list[list[int]]:
     return out
 
 
-def _predicted(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]]]) -> bytes | None:
+def _predicted(ports: int, count: int,
+               plans: Sequence[tuple[bytearray, tuple[int, ...]]]) -> bytes | None:
     """The plans' predicted permutations as :func:`_fields`, or None when a
-    plan is not one state byte per switch and a tuple of N ids in range."""
-    count, ports = len(net.lines), net.ports
+    plan is not one state byte per switch of ``count`` and a tuple of N ids
+    in range."""
     if not all(type(states) is bytearray and len(states) == count and type(permuted) is tuple
                and len(permuted) == ports for states, permuted in plans):
         return None
@@ -209,7 +212,7 @@ def _check_plans(
     :func:`~pairswitch.topology.build_network` a depth is at most N - 2.
     """
     ports, count, lanes = net.ports, len(net.lines), len(plans)
-    bits, data = (ports - 1).bit_length(), _predicted(net, plans)
+    bits, data = (ports - 1).bit_length(), _predicted(ports, count, plans)
     if data is None:
         return None
     predicted = _id_planes(data, ports, bits)
@@ -231,11 +234,15 @@ def _check_plans(
 # holds a photon on a line, or that photon's depth.  Any network steps one
 # switch at a time: each line is one int of a photon block and a depth
 # block, a switch adds 1 to every depth field of both its lines, then swaps
-# the two ints under its Cross mask.  A brickwork network steps one column
-# at a time, because a column's switches sit on disjoint line pairs at
-# consecutive ids (Clements et al., Optica 2016): block h of four ints holds
-# line 2h or 2h + 1, photons and depths apart, and a column is a few
-# operations on them.
+# the two ints under its Cross mask.  A brickwork or triangular network as
+# build_network lays it out steps one column at a time, a column being
+# switches on disjoint line pairs 2h + parity for h = 0, 1, ...: block h of
+# four ints holds line 2h or 2h + 1, photons and depths apart, one-byte
+# fields in a plane of low bytes and, past N = 256, one of high bytes, and
+# a column is a few operations on them.  A brickwork column's switches sit
+# at consecutive ids (Clements et al., Optica 2016); a triangular network's
+# switch k of the t-th layer traversed runs in column 2t + k, the parallel
+# schedule of a bubble-sort network (Knuth, TAOCP Vol. 3, 5.3.4).
 
 _CROSS_BYTES = b"\x00" + b"\xff" * 255  # any nonzero state byte reads as Cross
 
@@ -253,14 +260,14 @@ def _fields(rows: Sequence[Sequence[int]], ports: int) -> bytes:
     return bytes(out)
 
 
-def _mask_image(plans: Sequence[tuple[bytearray, tuple[int, ...]]], count: int, width: int,
-                stride: int, flip: bool = False) -> bytearray:
-    """One ``stride``-byte record per switch in id order: the bytes of plan
-    k's field, k * width on (counted from the record's end when ``flip``),
-    are 0xff where plan k has the switch Cross.  One strided write per plan
-    and byte."""
+def _mask_image(plans: Iterable[bytes], count: int, width: int, stride: int,
+                flip: bool = False) -> bytearray:
+    """One ``stride``-byte record per switch in the order of the plans'
+    state bytes: the bytes of plan k's field, k * width on (counted from the
+    record's end when ``flip``), are 0xff where plan k has the switch Cross.
+    One strided write per plan and byte."""
     image = bytearray(stride * count)
-    for k, (states, _) in enumerate(plans):
+    for k, states in enumerate(plans):
         cross = states.translate(_CROSS_BYTES)
         for at in range(k * width, (k + 1) * width):
             image[stride - 1 - at if flip else at::stride] = cross
@@ -272,11 +279,11 @@ def _byte_masks(plans: Sequence[tuple[bytearray, tuple[int, ...]]], count: int,
     """Per switch, the bytes of the plans' fields where it is Cross, as an
     int, read back in C: one machine word a switch while a row fits in 8
     bytes."""
-    size = len(plans) * width
+    size, states = len(plans) * width, [states for states, _ in plans]
     if size <= 8:
-        return memoryview(_mask_image(plans, count, width, 8, sys.byteorder == "big")).cast("Q")
+        return memoryview(_mask_image(states, count, width, 8, sys.byteorder == "big")).cast("Q")
     return map(int.from_bytes, chain.from_iterable(
-        iter_unpack(f"{size}s", _mask_image(plans, count, width, size))), repeat("little"))
+        iter_unpack(f"{size}s", _mask_image(states, count, width, size))), repeat("little"))
 
 
 def _switch_lanes(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]]],
@@ -307,81 +314,161 @@ def _switch_lanes(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]
     return lines, lines[2 * size :], 4 * lanes, lines[size:], 2 * lanes
 
 
-def _column_lanes(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]]],
-                  width: int, columns: list[tuple[int, int, int, int]]
-                  ) -> tuple[bytes, bytes, int, bytes, int]:
-    """Step a brickwork network one column at a time.  Block h of four ints
-    holds line 2h or 2h + 1: photons on even lines, on odd lines, and their
-    depths.  A parity-0 column pairs even block h with odd block h, a
-    parity-1 column odd block h with even block h + 1; its Cross mask is one
-    read of its switches' contiguous records.
+class _Columns(NamedTuple):
+    """A network as :func:`~pairswitch.topology.build_network` lays out
+    brickwork or triangular, as the byte lanes step it: one column at a
+    time, each column's Cross masks read from consecutive records of a mask
+    image with one record per switch, in column order."""
+
+    ports: int
+    count: int  # switches
+    parities: Sequence[int]  # per column in order
+    sizes: Sequence[int]  # per column in order: its switches
+    # Brickwork's columns are in id order: None.  Triangular: the N-byte id
+    # slices and then the slices of those rows that put a plan's state bytes
+    # in column order.
+    order: tuple[list[slice], list[slice]] | None
+
+
+def _columns(design: Design, ports: int) -> _Columns | None:
+    """The column schedule of the brickwork or triangular network that
+    :func:`~pairswitch.topology.build_network` lays out for N ports, without
+    building it; None for chevron."""
+    count = optimal_switch_count(ports)
+    if design is Design.BRICKWORK:  # a column's switches sit at consecutive ids
+        _, parities, _, sizes = zip(*_brickwork_columns(ports))
+        return _Columns(ports, count, parities, sizes, None)
+    if design is not Design.TRIANGULAR:
+        return None
+    # Column s holds lines s % 2, s % 2 + 2, ..., s: s // 2 + 1 switches,
+    # the one of each layer t <= s // 2 on line s - 2t.  With the t-th layer
+    # traversed at byte t * N of a row each, column s is one strided slice
+    # from byte s // 2 * (N - 2) + s (aN and aN + 1 for s = 2a and 2a + 1),
+    # t falling as the line rises.
+    firsts = list(map(itemgetter(1), _triangular_layers(ports)))
+    rows = list(map(slice, firsts, map(add, firsts, repeat(ports))))
+    pairs = range(1, ports // 2)
+    starts = range(0, ports * len(rows), ports)
+    gathers = map(slice, chain.from_iterable(zip(starts, map(add, starts, repeat(1)))),
+                  repeat(None), repeat(2 - ports))
+    return _Columns(ports, count, [0, 1] * len(rows), list(chain.from_iterable(zip(pairs, pairs))),
+                    (rows, list(gathers)))
+
+
+def _in_columns(states: bytearray, order: tuple[list[slice], list[slice]], ports: int) -> bytes:
+    """A plan's state bytes in column order: the N-byte rows ``order[0]``
+    of them, padded at the end so that every row is whole, then the column
+    slices ``order[1]`` of those rows."""
+    rows, gathers = order
+    rowed = b"".join(map(memoryview(states + bytes(ports)).__getitem__, rows))
+    return b"".join(map(rowed.__getitem__, gathers))
+
+
+def _two_byte(low: bytes, high: bytes) -> bytes:
+    """Two-byte little-endian fields from their low and their high bytes."""
+    out = bytearray(2 * len(low))
+    out[0::2], out[1::2] = low, high
+    return bytes(out)
+
+
+def _column_lanes(columns: _Columns, plans: Sequence[tuple[bytearray, tuple[int, ...]]],
+                  width: int) -> tuple[bytes, bytes, int, bytes, int]:
+    """Step a network one column at a time.  Block h of four ints holds
+    line 2h or 2h + 1: photons on even lines, on odd lines, and their
+    depths, one byte a plan.  A parity-0 column pairs even block h with odd
+    block h, a parity-1 column odd block h with even block h + 1, for h
+    below its size; its Cross mask is one read of its consecutive records.
+    With two-byte ids each int holds two planes of N/2 blocks, the low
+    bytes and above them the high bytes, and one mask serves both.  A depth
+    field's low byte gains at most 1 a column, so every 128 columns its bit
+    7 moves to the high byte as 1: the depth is low + 128 * high.
 
     Returns the fields of the photons on even lines and on odd lines with
     the stride between one plan's fields in them, then the depth fields with
     theirs: plan k's are fields k, k + stride, ... .  Here the depth fields
     hold nothing else, so their stride is the lane count.
     """
-    ports, lanes = net.ports, len(plans)
-    size = lanes * width  # bytes in a block
-    shift, half = 8 * size, ports // 2
-    image = _mask_image(plans, len(net.lines), width, size)
-    field = (b"\x01" + bytes(width - 1)) * lanes  # 1 in every field of a block
-    runs = {count: int.from_bytes(field * count, "little") for *_, count in columns}
-    # block h of the even lines holds photon 2h in every field
-    starts, ids = bytearray(half * size), _fields([range(0, ports, 2)], ports)
-    for at in range(width):
-        starts[at::size] = ids[at::width]
+    ports, lanes = columns.ports, len(plans)
+    shift, half = 8 * lanes, ports // 2  # shift: the bits in a block
+    plane = shift * half if width == 2 else 0  # the bits in the low plane, if there is a high one
+    bits = (states for states, _ in plans)
+    if columns.order is not None:  # each plan's state bytes in column order, one at a time
+        bits = (_in_columns(states, columns.order, ports) for states in bits)
+    # a record a switch, each column's read in turn in C
+    reads = map(BytesIO(_mask_image(bits, columns.count, 1, lanes)).read,
+                map(mul, columns.sizes, repeat(lanes)))
+    masks = map(int.from_bytes, reads, repeat("little"))
+    if plane:
+        masks = (m | m << plane for m in masks)
+    field = b"\x01" * lanes  # 1 in every field of a block
+    every = int.from_bytes(field * half, "little")  # 1 in every field of the low plane
+    # block h of the even lines holds photon 2h in every field, a plane per byte
+    starts, ids = bytearray(width * half * lanes), _fields([range(0, ports, 2)], ports)
+    starts[::lanes] = b"".join(ids[at::width] for at in range(width))
     evens = int.from_bytes(starts, "little") * int.from_bytes(field, "little")
-    odds = evens + int.from_bytes(field * half, "little")
+    odds = evens + every
     deep_evens = deep_odds = 0
-    for _, parity, first, count in columns:
-        ones = runs[count]
-        m = int.from_bytes(image[first * size : (first + count) * size], "little")
-        if parity:
-            deep_evens += ones << shift
-            deep_odds += ones
-            if m:
-                t = (evens >> shift ^ odds) & m
-                evens ^= t << shift
-                odds ^= t
-                t = (deep_evens >> shift ^ deep_odds) & m
-                deep_evens ^= t << shift
-                deep_odds ^= t
-        else:
-            deep_evens += ones
-            deep_odds += ones
-            if m:
-                t = (evens ^ odds) & m
-                evens ^= t
-                odds ^= t
-                t = (deep_evens ^ deep_odds) & m
-                deep_evens ^= t
-                deep_odds ^= t
+    steps = zip(columns.parities, columns.sizes, masks)
+    for _ in range(0, len(columns.sizes), 128):  # then a depth's low bytes are carried
+        for parity, count, m in islice(steps, 128):
+            ones = every >> shift * (half - count)
+            if parity:
+                deep_evens += ones << shift
+                deep_odds += ones
+                if m:
+                    t = (evens >> shift ^ odds) & m
+                    evens ^= t << shift
+                    odds ^= t
+                    t = (deep_evens >> shift ^ deep_odds) & m
+                    deep_evens ^= t << shift
+                    deep_odds ^= t
+            else:
+                deep_evens += ones
+                deep_odds += ones
+                if m:
+                    t = (evens ^ odds) & m
+                    evens ^= t
+                    odds ^= t
+                    t = (deep_evens ^ deep_odds) & m
+                    deep_evens ^= t
+                    deep_odds ^= t
+        if plane:
+            carries = deep_evens >> 7 & every
+            deep_evens += (carries << plane) - (carries << 7)
+            carries = deep_odds >> 7 & every
+            deep_odds += (carries << plane) - (carries << 7)
+    size = half * lanes  # bytes in a plane
     evens, odds, deep_evens, deep_odds = (
-        v.to_bytes(half * size, "little") for v in (evens, odds, deep_evens, deep_odds))
-    return evens, odds, lanes, deep_evens + deep_odds, lanes
+        v.to_bytes(width * size, "little") for v in (evens, odds, deep_evens, deep_odds))
+    if not plane:
+        return evens, odds, lanes, deep_evens + deep_odds, lanes
+    # two-byte fields from the planes; a depth's high byte counts 128
+    evens, odds = _two_byte(evens[:size], evens[size:]), _two_byte(odds[:size], odds[size:])
+    zeros = bytes(2 * size)
+    lows = int.from_bytes(_two_byte(deep_evens[:size] + deep_odds[:size], zeros), "little")
+    highs = int.from_bytes(_two_byte(deep_evens[size:] + deep_odds[size:], zeros), "little")
+    return evens, odds, lanes, (lows + (highs << 7)).to_bytes(4 * size, "little"), lanes
 
 
 def _check_bytes(
-    net: Network, mates: Sequence[Sequence[int]],
+    net: Network | _Columns, mates: Sequence[Sequence[int]],
     plans: Sequence[tuple[bytearray, tuple[int, ...]]],
-    columns: list[tuple[int, int, int, int]] | None = None,
 ) -> tuple[int, int, int] | None:
     """:func:`_check_plans` on byte lanes, plan k in field k: the same result,
     with the same depth bound on ``net``.  The pairing is checked on the
     predicted permutations, which the lanes then compare with the simulated
-    ones.  Given ``columns``, the list of
-    :func:`~pairswitch.topology._brickwork_columns` for a network that
-    :func:`~pairswitch.topology.build_network` built as brickwork, the lanes
-    step a column at a time; without, a switch at a time."""
-    ports, lanes, predicted = net.ports, len(plans), _predicted(net, plans)
+    ones.  A :class:`Network` steps a switch at a time; the
+    :func:`_columns` of a design and N step a column at a time."""
+    ports, lanes = net.ports, len(plans)
+    stepped = isinstance(net, Network)
+    predicted = _predicted(ports, len(net.lines) if stepped else net.count, plans)
     if predicted is None:
         return None
     width = 1 if ports <= 256 else 2
-    if columns is None:
+    if stepped:
         evens, odds, stride, depths, deep = _switch_lanes(net, plans, width)
     else:
-        evens, odds, stride, depths, deep = _column_lanes(net, plans, width, columns)
+        evens, odds, stride, depths, deep = _column_lanes(net, plans, width)
     # plan k's photons on lines 0, 2, ... are fields k, k + stride, ... of
     # evens, on lines 1, 3, ... the same fields of odds; its depths are
     # fields k, k + deep, ... of depths

@@ -12,6 +12,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .errors import BoundExceeded, InvalidInput, InvalidPorts
@@ -99,6 +100,18 @@ def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int, int]]:
         first += size
 
 
+def _triangular_layers(ports: int) -> Iterator[tuple[int, int, int]]:
+    """Per triangular layer in traversal order: its layer, its first switch
+    id and its size.  Layer N/2 - 1 is traversed first, each layer's 2 *
+    layer switches at consecutive ids; switch first + k sits on line k, so
+    a layer is a cascade that carries one photon down to the bottom of its
+    sub-network.  Switch k of the t-th layer traversed can run in step
+    2t + k, the parallel schedule of a bubble-sort network (Knuth, TAOCP
+    Vol. 3, 5.3.4)."""
+    sizes = range(ports - 2, 0, -2)
+    return zip(range(ports // 2 - 1, 0, -1), accumulate(sizes, initial=0), sizes)
+
+
 _RAMP_BLOCK = 4096
 
 
@@ -125,16 +138,12 @@ def build_network(design: Design | str, ports: int) -> Network:
     # an index ramp dominates a large build: each design makes only as long
     # a ramp as its slices read
     if design is Design.TRIANGULAR:
-        # Largest layer sits on the input side; each layer is a cascade that
-        # carries one photon down to the bottom of its sub-network.  Switch i
-        # sits alone in column i, so cols is also the ramp (count >= N - 2).
-        # Ids run from layer N/2 - 1 down, each layer's 2 * layer at consecutive ids.
-        cols, first = _ramp(count), 0
-        for layer in range(half - 1, 0, -1):
-            size = 2 * layer
+        # Largest layer sits on the input side.  Switch i sits alone in
+        # column i, so cols is also the ramp (count >= N - 2).
+        cols = _ramp(count)
+        for layer, first, size in _triangular_layers(ports):
             lines[first : first + size] = cols[:size]
             layers[first : first + size] = array("i", [layer]) * size
-            first += size
     elif design is Design.CHEVRON:
         # Layer 1 sits innermost on the input side.  Each layer is two arms
         # converging on the middle lines; odd layers swap the lowest arm

@@ -12,9 +12,9 @@ from typing import Iterator
 
 from .errors import BoundExceeded, InvalidInput
 from .routing import _CORES, PairList, StateVector, _check_demand_ports
-from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_bytes, _check_plans,
-                         brute_force_route, check_pairing, simulate)
-from .topology import Design, Network, _brickwork_columns, _check_ports, build_network
+from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_bytes, _check_plans, _columns,
+                         _Columns, brute_force_route, check_pairing, simulate)
+from .topology import Design, Network, _check_ports, build_network, optimal_switch_count
 
 
 _CHUNK_DEMANDS = 1024
@@ -23,18 +23,16 @@ _CHUNK_STATE_BYTES = 1 << 22
 state bytes, so the plans held at once stay small."""
 
 _BYTE_LANES_FROM = 3
-"""A triangular or chevron chunk of at least this many plans is checked as
-byte lanes, a smaller one a plan at a time.  Timed against that, N =
-16-2048: byte lanes cost 1.2-2.3x for one plan, 0.73-1.40x for two,
-0.53-1.16x for three.  Brickwork's lanes step a column at a time and check
-every chunk: one plan costs 1.4x at N = 16 and 0.07-0.44x from N = 64 on,
-two 0.06-0.79x."""
+"""A chevron chunk of at least this many plans is checked as byte lanes, a
+smaller one a plan at a time.  Brickwork's and triangular's lanes step a
+column at a time, need no network and check every chunk.  Both choices
+rest on the timings in ``BENCH_triangular_columns.json``."""
 
 _LANES_PER_ID_BIT = 24
 """A chunk of at least this many plans per bit of a photon id is checked as
-lanes of one bit-sliced pass, a smaller one as byte lanes.  Timed, the two
-cost the same at 8-21 plans per id bit for N = 4-8, 24-48 for N = 10-16 and
-40-60 for N = 32-64; 24 keeps every exhaustive chunk from N = 8 on it."""
+lanes of one bit-sliced pass, a smaller one as byte lanes.  24 keeps every
+exhaustive chunk from N = 8 on the pass; ``BENCH_triangular_columns.json``
+times the two on each side of it."""
 
 MAX_EXHAUSTIVE_PORTS = 16
 """Demand budget of an exhaustive run, whatever its cap: (N-1)!! demands,
@@ -202,20 +200,33 @@ def verify_design(
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
 
-    net = build_network(design, ports)
-    # the byte lanes step brickwork, as build_network lays it out, by columns
-    columns = list(_brickwork_columns(ports)) if design is Design.BRICKWORK else None
-    smallest = 1 if columns else _BYTE_LANES_FROM
+    smallest = _BYTE_LANES_FROM if design is Design.CHEVRON else 1
     core = _CORES[design]
     failures: list[tuple[str, str]] = []
     checked = 0
     max_depth = 0
     min_depth = ports * ports
+    net = stepped = None
+
+    def network() -> Network:
+        """The network, built for the first check that reads its lines."""
+        nonlocal net
+        if net is None:
+            net = build_network(design, ports)
+        return net
+
+    def steps() -> _Columns | Network:
+        """What the byte lanes step: brickwork's and triangular's columns,
+        which need no network, or chevron's switches."""
+        nonlocal stepped
+        if stepped is None:
+            stepped = _columns(design, ports) or network()
+        return stepped
 
     def check_one(mate: tuple[int, ...], states: bytearray, permuted: tuple[int, ...]) -> None:
         nonlocal max_depth, min_depth
         demand = PairList._perfect(mate)
-        perm, depths = simulate(net, StateVector(states))
+        perm, depths = simulate(network(), StateVector(states))
         if perm != permuted:
             failures.append(
                 (demand.to_text(), f"router predicted {permuted}, simulator got {perm}")
@@ -230,13 +241,14 @@ def verify_design(
         max_depth = max(max_depth, max(depths))
         min_depth = min(min_depth, min(depths))
 
-    size = min(_CHUNK_DEMANDS, _CHUNK_STATE_BYTES // max(1, len(net.lines)))
+    size = min(_CHUNK_DEMANDS, _CHUNK_STATE_BYTES // max(1, optimal_switch_count(ports)))
     while chunk := list(islice(mates, size)):
         plans = core(ports, chunk)
         checked += len(chunk)
         large = len(chunk) >= _LANES_PER_ID_BIT * (ports - 1).bit_length()
-        lanes = (_check_plans(net, chunk, plans) if large else
-                 _check_bytes(net, chunk, plans, columns) if len(chunk) >= smallest else None)
+        lanes = (_check_plans(network(), chunk, plans) if large else
+                 _check_bytes(steps(), chunk, plans) if len(chunk) >= smallest
+                 else None)
         # without lanes every plan is checked alone; with them, only the
         # flagged ones, so that each failure is worded
         flagged, high, low = lanes or ((1 << len(chunk)) - 1, 0, -1)

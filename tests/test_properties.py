@@ -32,8 +32,7 @@ from pairswitch import (
 from pairswitch import verification
 from pairswitch.cli import main
 from pairswitch.routing import StateVector
-from pairswitch.simulation import _check_bytes, _check_plans
-from pairswitch.topology import _brickwork_columns
+from pairswitch.simulation import _check_bytes, _check_plans, _columns
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -192,8 +191,9 @@ def _below_lanes(ports):
 def test_byte_lanes_flag_what_the_per_plan_check_fails(design, chunk, seed, edits):
     ports, lanes = chunk
     net, demands, plans = _edited(design, ports, lanes, seed, edits)
-    columns = list(_brickwork_columns(ports)) if design is Design.BRICKWORK else None
-    assert _check_bytes(net, *_raw(demands, plans), columns) == _per_plan(net, demands, plans)
+    # brickwork and triangular step columns, as verify steps them; chevron a switch at a time
+    assert _check_bytes(_columns(design, ports) or net, *_raw(demands, plans)) == \
+        _per_plan(net, demands, plans)
 
 
 def test_byte_lanes_hold_ids_and_depths_up_to_n_minus_2_at_the_port_budget():
@@ -255,8 +255,8 @@ def test_byte_lanes_decline_what_the_lane_check_declines(ports):
     demand = random_pair_list(ports, random.Random(3))
     plan = route(Design.BRICKWORK, ports, demand)
     bits, permuted = plan.states.bits, plan.permuted
-    columns = list(_brickwork_columns(ports))
-    assert _check_bytes(net, *_raw([demand], [plan]), columns) == _per_plan(net, [demand], [plan])
+    columns = _columns(Design.BRICKWORK, ports)
+    assert _check_bytes(columns, *_raw([demand], [plan])) == _per_plan(net, [demand], [plan])
     for odd in ((dict(plan.states), permuted),
                 (bytes(bits), permuted),
                 (bits[:-1], permuted),
@@ -270,7 +270,7 @@ def test_byte_lanes_decline_what_the_lane_check_declines(ports):
                 (bits, (0.0,) + permuted[1:]),
                 (bits, ("0",) + permuted[1:])):
         chunk = [demand.mate] * 2, [(bits, permuted), odd]
-        assert _check_bytes(net, *chunk, columns) is None
+        assert _check_bytes(columns, *chunk) is None
         assert _check_plans(net, *chunk) is None
 
 

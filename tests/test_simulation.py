@@ -1,6 +1,7 @@
 import copy
 import random
 from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from pairswitch import (
 )
 from pairswitch import simulation, verification
 from pairswitch.routing import StateVector
-from pairswitch.topology import _brickwork_columns
+from pairswitch.topology import _triangular_layers
 
 
 def all_states(net, state):
@@ -286,8 +287,8 @@ def assert_matches_reference(net, bits):
 
 def _built_columns(net):
     """The columns verify hands the byte lanes for ``net``, which
-    build_network built: brickwork's, or None."""
-    return list(_brickwork_columns(net.ports)) if net.design is Design.BRICKWORK else None
+    build_network built: brickwork's or triangular's, or None."""
+    return simulation._columns(net.design, net.ports)
 
 
 def assert_lanes_match_reference(net, chunk, wants=None, columns=None):
@@ -309,19 +310,19 @@ def assert_lanes_match_reference(net, chunk, wants=None, columns=None):
         mates.append(tuple(mate))
     plans = [(bytearray(bits), perm) for bits, (perm, _) in zip(chunk, wants)]
     depths = [[d for _, ds in wants[first:] for d in ds] for first in (0, 1)]
-    assert simulation._check_bytes(net, mates, plans, columns) == (
+    assert simulation._check_bytes(columns or net, mates, plans) == (
         0, max(depths[0]), min(depths[0]))
     moved = mates[1:] + mates[:1]
     unpaired = [any(mate[a] != b for a, b in zip(perm[::2], perm[1::2]))
                 for mate, (perm, _) in zip(moved, wants)]
     kept = [d for fails, (_, ds) in zip(unpaired, wants) if not fails for d in ds]
-    assert simulation._check_bytes(net, moved, plans, columns) == (
+    assert simulation._check_bytes(columns or net, moved, plans) == (
         sum(fails << k for k, fails in enumerate(unpaired)),
         *((max(kept), min(kept)) if kept else (0, -1)))
     perm = wants[0][0]
     plans[0] = (plans[0][0], (perm[1], perm[0]) + perm[2:])
     rest = (max(depths[1]), min(depths[1])) if depths[1] else (0, -1)
-    assert simulation._check_bytes(net, mates, plans, columns) == (1, *rest)
+    assert simulation._check_bytes(columns or net, mates, plans) == (1, *rest)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -433,30 +434,68 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the byte lanes took the other path")
 
 
-def test_brickwork_byte_lanes_step_a_column_at_a_time_at_every_even_n_to_64(monkeypatch):
+def _columns_at_every_even_n_to_64(design, rng):
     # 3, 5, 8, 9 and 17 lanes: blocks below, at and past an 8-byte word
-    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
-    rng = random.Random(26)
     for n in range(2, 66, 2):
-        net, columns = build_network(Design.BRICKWORK, n), list(_brickwork_columns(n))
+        net, columns = build_network(design, n), simulation._columns(design, n)
         assert_lanes_match_reference(net, _any_byte_states(rng, net, (3, 5, 8, 9, 17)[n % 5]),
                                      columns=columns)
         assert_lanes_match_reference(network_from_json(network_to_json(net)),
                                      _any_byte_states(rng, net, 3), columns=columns)
-    report = verification.verify_design(Design.BRICKWORK, 16, "random", samples=5)
+    report = verification.verify_design(design, 16, "random", samples=5)
     assert report.passed and report.demands_checked == 5
 
 
-def test_brickwork_byte_lanes_step_a_column_at_a_time_past_n_256(monkeypatch):
+def _columns_past_n_256(design, rng):
     # two-byte fields from N = 258 on; routed plans and any-byte states
-    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
-    rng = random.Random(258)
     for n, lanes in ((256, 9), (258, 5), (1024, 3)):
-        net = build_network(Design.BRICKWORK, n)
-        chunk = [route(Design.BRICKWORK, n, random_pair_list(n, rng)).states.bits,
+        net = build_network(design, n)
+        chunk = [route(design, n, random_pair_list(n, rng)).states.bits,
                  *_any_byte_states(rng, net, lanes - 1)]
         assert_lanes_match_reference(net, chunk, [simulate(net, StateVector(bytearray(bits)))
-                                                  for bits in chunk], list(_brickwork_columns(n)))
+                                                  for bits in chunk], simulation._columns(design, n))
+
+
+def test_brickwork_byte_lanes_step_a_column_at_a_time_at_every_even_n_to_64(monkeypatch):
+    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
+    _columns_at_every_even_n_to_64(Design.BRICKWORK, random.Random(26))
+
+
+def test_brickwork_byte_lanes_step_a_column_at_a_time_past_n_256(monkeypatch):
+    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
+    _columns_past_n_256(Design.BRICKWORK, random.Random(258))
+
+
+def test_triangular_byte_lanes_step_a_column_at_a_time_at_every_even_n_to_64(monkeypatch):
+    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
+    _columns_at_every_even_n_to_64(Design.TRIANGULAR, random.Random(30))
+
+
+def test_triangular_byte_lanes_step_a_column_at_a_time_past_n_256(monkeypatch):
+    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
+    _columns_past_n_256(Design.TRIANGULAR, random.Random(1030))
+
+
+@pytest.mark.parametrize("n", [*range(2, 66, 2), 256, 258, 1024])
+def test_triangular_columns_order_each_switch_once(n):
+    # a plan's state bytes in column order: every switch once, column s at
+    # its first record, in line order; switch k of the t-th layer traversed
+    # runs in column 2t + k, on line k
+    columns = simulation._columns(Design.TRIANGULAR, n)
+    placed = []
+    for t, (_, first, size) in enumerate(_triangular_layers(n)):
+        placed += [(2 * t + k, k) for k in range(size)]
+    # the ids as state "bytes" a plan would have, padded as the lanes pad them
+    ids = list(range(columns.count)) + [None] * n
+    rows, gathers = columns.order
+    rowed = [i for row in rows for i in ids[row]]
+    ordered = [i for column in gathers for i in rowed[column]]
+    assert sorted(ordered) == list(range(columns.count))
+    assert list(columns.parities) == [s % 2 for s in range(n - 2)]
+    assert list(columns.sizes) == [s // 2 + 1 for s in range(n - 2)]
+    for s, (first, size) in enumerate(zip(accumulate(columns.sizes, initial=0), columns.sizes)):
+        assert [placed[i] for i in ordered[first : first + size]] == \
+            [(s, line) for line in range(s % 2, s + 1, 2)]
 
 
 def test_reversed_and_edited_brickwork_step_a_switch_at_a_time(monkeypatch):
@@ -547,13 +586,12 @@ def test_the_all_cross_frame_fits_two_bytes_at_the_port_budget(design):
         perm, plan_depths = simulate(net, plan.states)
         assert perm == plan.permuted
         depths += plan_depths
-    found = simulation._check_bytes(net, [d.mate for d in demands],
-                                    [(p.states.bits, p.permuted) for p in plans],
-                                    _built_columns(net))
+    found = simulation._check_bytes(_built_columns(net) or net, [d.mate for d in demands],
+                                    [(p.states.bits, p.permuted) for p in plans])
     assert found == (0, max(depths), min(depths))
     assert max(depths) <= MAX_PORTS - 2
     assert (max(depths) == MAX_PORTS - 2) is (design is Design.TRIANGULAR)
-    if design is Design.BRICKWORK:  # a column at a time: flagged lanes too
+    if design is not Design.CHEVRON:  # a column at a time: flagged lanes too
         assert_lanes_match_reference(net, [p.states.bits for p in plans],
                                      [simulate(net, p.states) for p in plans], _built_columns(net))
 
@@ -573,11 +611,11 @@ def test_the_byte_lanes_flag_every_lane_or_keep_one_with_two_byte_fields(design)
     bad_mates = mates[1:] + mates[:1]
     bad = [(bad_mates[k], good[k]) if k % 2 else (mates[k], bad_plans[k]) for k in range(4)]
     columns = _built_columns(net)
-    assert simulation._check_bytes(net, *zip(*bad), columns) == (0b1111, 0, -1)
+    assert simulation._check_bytes(columns or net, *zip(*bad)) == (0b1111, 0, -1)
     for k in range(4):
         chunk = bad[:k] + [(mates[k], good[k])] + bad[k + 1:]
         depths = simulate(net, plans[k].states)[1]
-        assert simulation._check_bytes(net, *zip(*chunk), columns) == (
+        assert simulation._check_bytes(columns or net, *zip(*chunk)) == (
             0b1111 ^ 1 << k, max(depths), min(depths))
 
 

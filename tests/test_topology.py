@@ -22,7 +22,7 @@ from pairswitch import (
     reverse_network,
     validate_network,
 )
-from pairswitch.topology import _brickwork_columns, _ramp
+from pairswitch.topology import _brickwork_columns, _ramp, _triangular_layers
 
 ALL_N = list(range(4, 65, 2))
 _EMPTY = (array("i"), array("i"), array("i"))  # lines, layers, cols
@@ -115,6 +115,31 @@ def test_brickwork_is_n_over_2_rising_runs_the_byte_lanes_read():
         assert [(first, parity, size) for _, parity, first, size in columns if size] == \
             _rising_runs(net.lines)
         assert [layer for layer, *_ in columns] == list(range(n // 2, 0, -1))
+
+
+def test_triangular_columns_are_the_asap_levels_of_the_built_network():
+    # the byte lanes step a triangular network a column at a time: switch k
+    # of the t-th layer traversed, as topology._triangular_layers lists them,
+    # runs in column 2t + k
+    for n in [*range(2, 258, 2), 258, 1024]:
+        lines = build_network(Design.TRIANGULAR, n).lines
+        columns = array("i", bytes(4 * len(lines)))
+        for t, (_, first, size) in enumerate(_triangular_layers(n)):
+            columns[first : first + size] = array("i", range(2 * t, 2 * t + size))
+        held = {}  # column -> its switches' lines
+        ready, last = [0] * n, [-1] * n  # per line: its ASAP level, its last column
+        for i, column in zip(lines, columns):
+            held.setdefault(column, set()).add(i)
+            # along each line the columns rise in id order: stepping them is traversal order
+            assert column > last[i] and column > last[i + 1]
+            last[i] = last[i + 1] = column
+            level = max(ready[i], ready[i + 1])
+            ready[i] = ready[i + 1] = level + 1
+            assert column == level
+        # a column's switches sit on distinct lines of its parity: disjoint pairs
+        assert all({i % 2 for i in held[c]} == {c % 2} for c in held)
+        assert sum(map(len, held.values())) == len(lines)
+        assert sorted(held) == list(range(max(0, n - 2)))
 
 
 def test_chevron_2_is_empty():

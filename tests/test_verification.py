@@ -339,6 +339,31 @@ def test_verify_output_matches_golden_digest(argv, digest):
     assert _cli_digest(argv) == (0, digest)
 
 
+# sha256 over report_to_json of every exhaustive run at N = 2..10, then of
+# random runs (seed N) at every even N = 2..64 with 1, 2, 3, 5 and 17
+# samples: chunks on every path, a plan alone, byte lanes and the
+# bit-sliced pass, and on both sides of each boundary between them.
+GOLDEN_REPORT_SHA256 = {
+    Design.TRIANGULAR: "65abb8a1f35aa4f15f9f9a113bc6107b629dc41a5fe3c37051c1d89635a40a22",
+    Design.CHEVRON: "9e36577822b2fa5347de6a01ab27d55674e9384a81add75ab9483a7e31abc20b",
+    Design.BRICKWORK: "8eb557bd11f612f468c2f7189a8f04daf45363f53fde930ab5ab4aa61f8e6996",
+}
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_reports_match_golden_digest(design):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for ports in range(2, 12, 2):
+        digest.update(report_to_json(verify_design(design, ports)).encode())
+    for ports in range(2, 66, 2):
+        for samples in (1, 2, 3, 5, 17):
+            report = verify_design(design, ports, "random", samples=samples, seed=ports)
+            digest.update(report_to_json(report).encode())
+    assert digest.hexdigest() == GOLDEN_REPORT_SHA256[design]
+
+
 def _corrupting_route(monkeypatch, targets):
     """Patch the routing core that verify_design calls: the k-th plan of a
     run is corrupted as ``targets[k]`` says.  ("flip", i) flips switch i;
@@ -407,8 +432,8 @@ def _recorded_paths(monkeypatch):
 
 
 def test_each_chunk_size_takes_its_path(monkeypatch):
-    # one plan: simulate; up to the bit-sliced threshold: byte lanes, in one
-    # pass for the whole chunk; from it on: the bit-sliced pass
+    # one chevron plan: simulate; up to the bit-sliced threshold: byte lanes,
+    # in one pass for the whole chunk; from it on: the bit-sliced pass
     paths = _recorded_paths(monkeypatch)
     threshold = verification._LANES_PER_ID_BIT * 5  # 5 id bits at N = 18
     smallest = verification._BYTE_LANES_FROM
@@ -429,33 +454,35 @@ def test_each_chunk_size_takes_its_path(monkeypatch):
     for ports, want in [(2, ("simulate", 1)), (4, ("_check_bytes", 3)),
                         (6, ("_check_bytes", 15)), (8, ("_check_plans", 105))]:
         paths.clear()
-        assert verify_design("triangular", ports).passed
+        assert verify_design("chevron", ports).passed
         assert paths == [want]
-    # brickwork's byte lanes step by columns and take every chunk below the
-    # bit-sliced threshold, one plan too; at N = 2 the only column is empty
+    # brickwork's and triangular's byte lanes step by columns and take every
+    # chunk below the bit-sliced threshold, one plan too; at N = 2 brickwork's
+    # only column is empty and triangular has none
     def refuse(*args):
-        raise AssertionError("brickwork's byte lanes stepped a switch at a time")
+        raise AssertionError("the byte lanes stepped a switch at a time")
 
     monkeypatch.setattr(simulation, "_switch_lanes", refuse)
-    for ports, samples, want in [
-        (2, 1, [("_check_bytes", 1)]),
-        (2, 3, [("_check_bytes", 3)]),
-        (18, 1, [("_check_bytes", 1)]),
-        (18, 2, [("_check_bytes", 2)]),
-        (18, threshold - 1, [("_check_bytes", threshold - 1)]),
-        (18, threshold, [("_check_plans", threshold)]),
-        (18, 1025, [("_check_plans", 1024), ("_check_bytes", 1)]),
-        (2048, 1, [("_check_bytes", 1)]),
-    ]:
-        paths.clear()
-        report = verify_design("brickwork", ports, "random", samples=samples, seed=5)
-        assert report.passed and report.demands_checked == samples
-        assert paths == want, (ports, samples)
-    for ports, want in [(2, ("_check_bytes", 1)), (4, ("_check_bytes", 3)),
-                        (6, ("_check_bytes", 15)), (8, ("_check_plans", 105))]:
-        paths.clear()
-        assert verify_design("brickwork", ports).passed
-        assert paths == [want]
+    for design in ("brickwork", "triangular"):
+        for ports, samples, want in [
+            (2, 1, [("_check_bytes", 1)]),
+            (2, 3, [("_check_bytes", 3)]),
+            (18, 1, [("_check_bytes", 1)]),
+            (18, 2, [("_check_bytes", 2)]),
+            (18, threshold - 1, [("_check_bytes", threshold - 1)]),
+            (18, threshold, [("_check_plans", threshold)]),
+            (18, 1025, [("_check_plans", 1024), ("_check_bytes", 1)]),
+            (2048, 1, [("_check_bytes", 1)]),
+        ]:
+            paths.clear()
+            report = verify_design(design, ports, "random", samples=samples, seed=5)
+            assert report.passed and report.demands_checked == samples
+            assert paths == want, (design, ports, samples)
+        for ports, want in [(2, ("_check_bytes", 1)), (4, ("_check_bytes", 3)),
+                            (6, ("_check_bytes", 15)), (8, ("_check_plans", 105))]:
+            paths.clear()
+            assert verify_design(design, ports).passed
+            assert paths == [want]
 
 
 def test_verify_builds_a_frame_once_per_call(monkeypatch):
@@ -472,6 +499,44 @@ def test_verify_builds_a_frame_once_per_call(monkeypatch):
         verify_design(design, 24, "random", samples=40, seed=3)
         verify_design(design, 6, "exhaustive")
     assert paths == [("_check_bytes", 40), ("_check_bytes", 15)] * len(Design)
+
+
+@pytest.mark.parametrize("design, targets, failure", [
+    ("triangular", {2: ("perm", 0)}, (
+        "0-15,1-9,2-12,3-13,4-11,5-7,6-14,8-10",
+        "router predicted (1, 7, 5, 9, 8, 10, 4, 11, 2, 12, 3, 13, 6, 14, 0, 15), "
+        "simulator got (5, 7, 1, 9, 8, 10, 4, 11, 2, 12, 3, 13, 6, 14, 0, 15)")),
+    ("brickwork", {3: ("pair", 7)}, (
+        "0-6,1-15,2-5,3-11,4-7,8-12,9-13,10-14", "output pairs wrong at BSAs [2, 5]")),
+])
+def test_column_lanes_build_the_network_only_to_word_a_failure(monkeypatch, design, targets,
+                                                               failure):
+    # chunks on column lanes need only N and the switch count: a verify run
+    # that passes builds no network, and one with a failing plan builds it
+    # once, to simulate that plan alone; the failure texts were recorded
+    # when every run built its network first
+    from pairswitch import build_network
+
+    builds = []
+
+    def no_build(design, ports):
+        raise AssertionError(f"built a {design} network for {ports} ports")
+
+    def counted(design, ports):
+        builds.append((design, ports))
+        return build_network(design, ports)
+
+    monkeypatch.setattr(verification, "build_network", no_build)
+    for ports, kwargs in [(16, dict(mode="random", samples=5, seed=1)),
+                          (64, dict(mode="random", samples=17, seed=2)),
+                          (2048, dict(mode="random", samples=1, seed=3)),
+                          (2, dict(mode="exhaustive")), (6, dict(mode="exhaustive"))]:
+        assert verify_design(design, ports, **kwargs).passed
+    monkeypatch.setattr(verification, "build_network", counted)
+    _corrupting_route(monkeypatch, targets)
+    report = verify_design(design, 16, "random", samples=5, seed=1)
+    assert report.failures == (failure,)
+    assert builds == [(Design(design), 16)]
 
 
 def test_a_flagged_lane_is_checked_again_alone(monkeypatch):
