@@ -12,11 +12,11 @@ import re
 from bisect import bisect_left
 from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidDemand, InvalidInput, InvalidPorts
-from .topology import MAX_PORTS, Design, State, _check_ports, optimal_switch_count
+from .topology import (MAX_PORTS, Design, State, _check_ports, _chevron_layers,
+                       optimal_switch_count)
 from .topology import _json_id, _json_int
 
 _PAIR_TOKEN = re.compile(r"^([0-9]+)-([0-9]+)$")  # not \d, which takes any Unicode digit
@@ -286,23 +286,23 @@ def route_chevron(ports: int, demand: PairList,
 def _chevron_windows(ports: int) -> tuple[Iterator[tuple[int, int]],
                                           Iterator[tuple[int, int, int, int, int]]]:
     """The chevron router's per-window constants, which depend only on N,
-    made by C-level passes over ``range``s.
+    made by C-level passes over ``range``s and the layer table
+    :func:`~pairswitch.topology._chevron_layers`.
 
     ``outer`` yields each window's ``(top, bot)`` lines from the outside in,
     ``inner`` each window's ``(top, bot, layer, mid, first)`` from the
-    inside out.  Layer l holds ids ``first = l(l-1)`` to l(l+1)-1.  A pair
-    entering at the middle joins the part below it on odd layers and the
-    part above it on even ones, so no stored index moves: it takes ``mid``,
-    -(l+1) from the bottom on odd layers and l from the top on even ones.
+    inside out, ``first`` being the layer's first id.  A pair entering at
+    the middle joins the part below it on odd layers and the part above it
+    on even ones, so no stored index moves: it takes ``mid``, -(l+1) from
+    the bottom on odd layers l and l from the top on even ones.
     """
     half = ports // 2
     outer = zip(range(half - 1), range(ports - 1, half, -1))
     mid = [0] * (half - 1)  # indexed by layer - 1
     mid[::2] = range(-2, -half - 1, -2)
     mid[1::2] = range(2, half, 2)
-    # l(l-1) rises by 2l from layer l to layer l+1
-    firsts = accumulate(range(2, 2 * half - 2, 2), initial=0)
-    inner = zip(range(half - 2, -1, -1), range(half + 1, ports), range(1, half), mid, firsts)
+    layers, firsts, *_ = _chevron_layers(ports)
+    inner = zip(range(half - 2, -1, -1), range(half + 1, ports), layers, mid, firsts)
     return outer, inner
 
 

@@ -8,14 +8,13 @@ from dataclasses import dataclass
 from io import BytesIO
 from itertools import chain, islice, repeat
 from numbers import Real
-from operator import add, is_, itemgetter, mul
-from struct import iter_unpack
+from operator import add, is_, itemgetter, lshift, mul, rshift
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BoundExceeded, IncompleteStates, InvalidInput
 from .routing import PairList, RoutingPlan, StateVector, _check_demand
-from .topology import (Design, Network, State, _brickwork_columns, _triangular_layers,
-                       optimal_switch_count)
+from .topology import (Design, Network, State, _brickwork_columns, _chevron_layers,
+                       _triangular_layers, optimal_switch_count)
 
 
 def _state_bits(states: Mapping[int, State], count: int) -> bytes:
@@ -229,20 +228,20 @@ def _check_plans(
 # ---------------------------------------------------------------------------
 # Byte lanes: a few plans in one pass
 # ---------------------------------------------------------------------------
-# SIMD within a register (Lamport, CACM 1975): fields of w bytes,
-# little-endian, plan k in field k of each block of lanes * w bytes; a field
-# holds a photon on a line, or that photon's depth.  Any network steps one
-# switch at a time: each line is one int of a photon block and a depth
-# block, a switch adds 1 to every depth field of both its lines, then swaps
-# the two ints under its Cross mask.  A brickwork or triangular network as
-# build_network lays it out steps one column at a time, a column being
-# switches on disjoint line pairs 2h + parity for h = 0, 1, ...: block h of
-# four ints holds line 2h or 2h + 1, photons and depths apart, one-byte
-# fields in a plane of low bytes and, past N = 256, one of high bytes, and
-# a column is a few operations on them.  A brickwork column's switches sit
-# at consecutive ids (Clements et al., Optica 2016); a triangular network's
-# switch k of the t-th layer traversed runs in column 2t + k, the parallel
-# schedule of a bubble-sort network (Knuth, TAOCP Vol. 3, 5.3.4).
+# SIMD within a register (Lamport, CACM 1975): fields of one byte, plan k in
+# field k of each block of lanes bytes; a field holds a photon on a line, or
+# that photon's depth.  A network as build_network lays it out steps one
+# column at a time, a column being switches on disjoint line pairs
+# 2h + parity: block h of four ints holds line 2h or 2h + 1, photons and
+# depths apart, one-byte fields in a plane of low bytes and, past N = 256,
+# one of high bytes, and a column is a few operations on them.  The column
+# schedules are the parallel schedules of sorting networks (Knuth, TAOCP
+# Vol. 3, 5.3.4): a brickwork column's switches sit at consecutive ids
+# (Clements et al., Optica 2016); a triangular network's switch k of the
+# t-th layer traversed runs in column 2t + k; a chevron network's arm
+# switch j of layer l in column l - 1 + j and an odd layer's tip in column
+# 2l - 1, so a chevron column converges on the middle lines from both
+# sides and may miss one line pair there.
 
 _CROSS_BYTES = b"\x00" + b"\xff" * 255  # any nonzero state byte reads as Cross
 
@@ -260,93 +259,43 @@ def _fields(rows: Sequence[Sequence[int]], ports: int) -> bytes:
     return bytes(out)
 
 
-def _mask_image(plans: Iterable[bytes], count: int, width: int, stride: int,
-                flip: bool = False) -> bytearray:
-    """One ``stride``-byte record per switch in the order of the plans'
-    state bytes: the bytes of plan k's field, k * width on (counted from the
-    record's end when ``flip``), are 0xff where plan k has the switch Cross.
-    One strided write per plan and byte."""
-    image = bytearray(stride * count)
-    for k, states in enumerate(plans):
-        cross = states.translate(_CROSS_BYTES)
-        for at in range(k * width, (k + 1) * width):
-            image[stride - 1 - at if flip else at::stride] = cross
-    return image
-
-
-def _byte_masks(plans: Sequence[tuple[bytearray, tuple[int, ...]]], count: int,
-                width: int) -> Iterable[int]:
-    """Per switch, the bytes of the plans' fields where it is Cross, as an
-    int, read back in C: one machine word a switch while a row fits in 8
-    bytes."""
-    size, states = len(plans) * width, [states for states, _ in plans]
-    if size <= 8:
-        return memoryview(_mask_image(states, count, width, 8, sys.byteorder == "big")).cast("Q")
-    return map(int.from_bytes, chain.from_iterable(
-        iter_unpack(f"{size}s", _mask_image(states, count, width, size))), repeat("little"))
-
-
-def _switch_lanes(net: Network, plans: Sequence[tuple[bytearray, tuple[int, ...]]],
-                  width: int) -> tuple[bytes, bytes, int, bytes, int]:
-    """Step any network one switch at a time.  Each line is one int of a
-    photon block and a depth block; a switch adds 1 to every depth field of
-    both its lines, then swaps the two ints under its Cross mask.  Returns
-    the readback that :func:`_column_lanes` describes, from one pass over the
-    lines: here one buffer holds both the photon and the depth fields."""
-    ports, lanes = net.ports, len(plans)
-    size = lanes * width  # bytes in a block
-    one = int.from_bytes((b"\x01" + bytes(width - 1)) * lanes, "little")
-    step, spread = one << 8 * size, 1 | 1 << 8 * size
-    full = (1 << 16 * size) - 1
-    state = [p * one for p in range(ports)]
-    for i, m in zip(net.lines, map(spread.__mul__, _byte_masks(plans, len(net.lines), width))):
-        a = state[i] + step
-        b = state[i + 1] + step
-        if m == full:
-            state[i], state[i + 1] = b, a
-        elif m:
-            t = (a ^ b) & m
-            state[i], state[i + 1] = a ^ t, b ^ t
-        else:
-            state[i], state[i + 1] = a, b
-    # line p's photon block at field 2p * lanes, its depth block after it
-    lines = b"".join(map(int.to_bytes, state, repeat(2 * size), repeat("little")))
-    return lines, lines[2 * size :], 4 * lanes, lines[size:], 2 * lanes
-
-
 class _Columns(NamedTuple):
-    """A network as :func:`~pairswitch.topology.build_network` lays out
-    brickwork or triangular, as the byte lanes step it: one column at a
-    time, each column's Cross masks read from consecutive records of a mask
-    image with one record per switch, in column order."""
+    """A network as :func:`~pairswitch.topology.build_network` lays it out,
+    as the byte lanes step it: one column at a time, each column's Cross
+    masks read from consecutive records of a mask image with one record per
+    switch, in column order."""
 
     ports: int
     count: int  # switches
     parities: Sequence[int]  # per column in order
-    sizes: Sequence[int]  # per column in order: its switches
-    # Brickwork's columns are in id order: None.  Triangular: the N-byte id
-    # slices and then the slices of those rows that put a plan's state bytes
-    # in column order.
+    sizes: Sequence[int]  # per column in order: its records, from its first block
+    # Brickwork's columns are in id order: None.  Triangular and chevron: the
+    # N-byte id slices and then the slices of those rows that put a plan's
+    # state bytes in column order.
     order: tuple[list[slice], list[slice]] | None
+    # Chevron: per column its first block and the block it misses (a zero
+    # record), or None.  Brickwork's and triangular's columns start at
+    # block 0 and miss none: None.
+    starts: Sequence[int] | None = None
+    gaps: Sequence[int | None] | None = None
 
 
-def _columns(design: Design, ports: int) -> _Columns | None:
-    """The column schedule of the brickwork or triangular network that
-    :func:`~pairswitch.topology.build_network` lays out for N ports, without
-    building it; None for chevron."""
+def _columns(design: Design, ports: int) -> _Columns:
+    """The column schedule of the network that
+    :func:`~pairswitch.topology.build_network` lays out for N ports,
+    without building it."""
     count = optimal_switch_count(ports)
     if design is Design.BRICKWORK:  # a column's switches sit at consecutive ids
         _, parities, _, sizes = zip(*_brickwork_columns(ports))
         return _Columns(ports, count, parities, sizes, None)
-    if design is not Design.TRIANGULAR:
-        return None
+    if design is Design.CHEVRON:
+        return _chevron_columns(ports, count)
     # Column s holds lines s % 2, s % 2 + 2, ..., s: s // 2 + 1 switches,
     # the one of each layer t <= s // 2 on line s - 2t.  With the t-th layer
     # traversed at byte t * N of a row each, column s is one strided slice
     # from byte s // 2 * (N - 2) + s (aN and aN + 1 for s = 2a and 2a + 1),
     # t falling as the line rises.
-    firsts = list(map(itemgetter(1), _triangular_layers(ports)))
-    rows = list(map(slice, firsts, map(add, firsts, repeat(ports))))
+    rows = _rows(map(itemgetter(1), _triangular_layers(ports)), ports)
     pairs = range(1, ports // 2)
     starts = range(0, ports * len(rows), ports)
     gathers = map(slice, chain.from_iterable(zip(starts, map(add, starts, repeat(1)))),
@@ -355,13 +304,59 @@ def _columns(design: Design, ports: int) -> _Columns | None:
                     (rows, list(gathers)))
 
 
-def _in_columns(states: bytearray, order: tuple[list[slice], list[slice]], ports: int) -> bytes:
-    """A plan's state bytes in column order: the N-byte rows ``order[0]``
-    of them, padded at the end so that every row is whole, then the column
-    slices ``order[1]`` of those rows."""
-    rows, gathers = order
-    rowed = b"".join(map(memoryview(states + bytes(ports)).__getitem__, rows))
-    return b"".join(map(rowed.__getitem__, gathers))
+def _rows(firsts: Iterable[int], ports: int) -> list[slice]:
+    """The N-byte id slices from each of ``firsts``."""
+    firsts = list(firsts)
+    return list(map(slice, firsts, map(add, firsts, repeat(ports))))
+
+
+def _chevron_columns(ports: int, count: int) -> _Columns:
+    """Chevron's column schedule.  Row 0 is N bytes of padding, so zero,
+    and row l holds layer l from its first id.  Column c holds arm switch
+    c - l + 1 of each layer l that has one, from the top: the upper arms'
+    as l falls, one strided slice; then the tip of layer (c + 1) / 2 when c
+    % 4 is 1, or a zero record for the middle line pair that the column
+    misses when c % 4 is 0 or 3; then the lower arms' as l rises, another
+    strided slice.  So column c holds s = 2 min(c + 1, N/2 - 1) - c
+    records, from line N/2 - s on."""
+    half, last = ports // 2, ports // 2 - 1
+    total = max(0, 2 * last - 1 + last % 2)  # an odd last layer's tip takes a column of its own
+    # Layer l's upper arm switch in column c is byte l(N - 1) + c + 1 of the
+    # rows, its lower arm switch byte lN + c + 1.  The upper arms run from
+    # layer min(c + 1, N/2 - 1) down to (c + 1) // 2 + 1, the lower arms from
+    # (c + 1) // 2 + 1, one more when c % 4 is 0, up to min(c + 1, N/2 - 1).
+    # Each bound is a range in c, in two parts or one per c % 2 or c % 4.
+    wide = total * (ports + 1) + 2 * ports + 4  # past every bound
+    up_from = chain(range(ports, last * ports + 1, ports),  # (c + 1)N up to c = N/2 - 2
+                    range(last * ports + 1, last * (ports - 1) + total + 1))
+    up_to = chain.from_iterable(zip(range(1, wide, ports + 1), range(ports + 1, wide, ports + 1)))
+    down_from = chain.from_iterable(zip(*(range(start, wide, 2 * ports + 4) for start in (
+        2 * ports + 1, 2 * ports + 2, 2 * ports + 3, 3 * ports + 4))))
+    down_to = chain(range(2 * ports + 1, (last + 1) * (ports + 1), ports + 1),
+                    range((last + 1) * (ports + 1), (last + 1) * ports + total + 1))
+    ups = map(slice, up_from, up_to, repeat(1 - ports))
+    downs = map(slice, down_from, down_to, repeat(ports))
+    zero = slice(0, 1)
+    middles = ([zero, None, slice(0), zero] * half)[:total]
+    tips = range(ports + 1, ports + 1 + len(middles[1::4]) * (2 * ports + 4), 2 * ports + 4)
+    middles[1::4] = map(slice, tips, map(add, tips, repeat(1)))  # layer l's at l(N + 2) - 1
+    _, firsts, *_ = _chevron_layers(ports)
+    rows = [slice(count, count + ports), *_rows(firsts, ports)]
+    sizes = [*range(2, last + 2), *range(last, 2 * last - total, -1)]
+    # a column of s records starts on line N/2 - s, at block (N/2 - s) // 2
+    starts = list(map(rshift, map(half.__sub__, sizes), repeat(1)))
+    parities = ([half % 2, 1 - half % 2] * half)[:total]
+    gaps = ([half // 2, None, None, (half - 1) // 2] * half)[:total]
+    return _Columns(ports, count, parities, sizes,
+                    (rows, list(chain.from_iterable(zip(ups, middles, downs)))), starts, gaps)
+
+
+def _in_columns(states: bytearray, getters: tuple[itemgetter, itemgetter], ports: int) -> bytes:
+    """A plan's state bytes in column order: the N-byte rows ``getters[0]``
+    takes of them, padded at the end so that every row is whole, then the
+    column slices ``getters[1]`` takes of those rows."""
+    rows, gathers = getters
+    return b"".join(gathers(b"".join(rows(memoryview(states + bytes(ports))))))
 
 
 def _two_byte(low: bytes, high: bytes) -> bytes:
@@ -372,46 +367,57 @@ def _two_byte(low: bytes, high: bytes) -> bytes:
 
 
 def _column_lanes(columns: _Columns, plans: Sequence[tuple[bytearray, tuple[int, ...]]],
-                  width: int) -> tuple[bytes, bytes, int, bytes, int]:
+                  width: int) -> tuple[bytes, bytes, bytes]:
     """Step a network one column at a time.  Block h of four ints holds
     line 2h or 2h + 1: photons on even lines, on odd lines, and their
     depths, one byte a plan.  A parity-0 column pairs even block h with odd
     block h, a parity-1 column odd block h with even block h + 1, for h
-    below its size; its Cross mask is one read of its consecutive records.
-    With two-byte ids each int holds two planes of N/2 blocks, the low
-    bytes and above them the high bytes, and one mask serves both.  A depth
-    field's low byte gains at most 1 a column, so every 128 columns its bit
-    7 moves to the high byte as 1: the depth is low + 128 * high.
+    from its first block on; its Cross mask is one read of its consecutive
+    records.  With two-byte ids each int holds two planes of N/2 blocks, the
+    low bytes and above them the high bytes, and one mask serves both.  A
+    depth field's low byte gains at most 1 a column, so every 128 columns
+    its bit 7 moves to the high byte as 1: the depth is low + 128 * high.
 
-    Returns the fields of the photons on even lines and on odd lines with
-    the stride between one plan's fields in them, then the depth fields with
-    theirs: plan k's are fields k, k + stride, ... .  Here the depth fields
-    hold nothing else, so their stride is the lane count.
+    Returns the fields of the photons on even lines and on odd lines, then
+    the depth fields: plan k's are fields k, k + lanes, ... of each.
     """
     ports, lanes = columns.ports, len(plans)
     shift, half = 8 * lanes, ports // 2  # shift: the bits in a block
     plane = shift * half if width == 2 else 0  # the bits in the low plane, if there is a high one
     bits = (states for states, _ in plans)
     if columns.order is not None:  # each plan's state bytes in column order, one at a time
-        bits = (_in_columns(states, columns.order, ports) for states in bits)
-    # a record a switch, each column's read in turn in C
-    reads = map(BytesIO(_mask_image(bits, columns.count, 1, lanes)).read,
-                map(mul, columns.sizes, repeat(lanes)))
+        # one C call takes every slice; an empty one first makes it return a tuple
+        getters = tuple(itemgetter(slice(0), *part) for part in columns.order)
+        bits = (_in_columns(states, getters, ports) for states in bits)
+    # a mask image of one record a switch (or missed pair), byte k 0xff where
+    # plan k has it Cross, one strided write per plan; each column's records
+    # read in turn in C
+    image = bytearray(lanes * sum(columns.sizes))
+    for k, states in enumerate(bits):
+        image[k::lanes] = states.translate(_CROSS_BYTES)
+    reads = map(BytesIO(image).read, map(mul, columns.sizes, repeat(lanes)))
     masks = map(int.from_bytes, reads, repeat("little"))
-    if plane:
-        masks = (m | m << plane for m in masks)
     field = b"\x01" * lanes  # 1 in every field of a block
     every = int.from_bytes(field * half, "little")  # 1 in every field of the low plane
+    # a column's depth ones: 1 in every field of its first size blocks
+    runs = map(every.__rshift__, map(shift.__mul__, map(half.__sub__, columns.sizes)))
+    if columns.starts is not None:  # shifted to the first block, less the missed one
+        offsets = list(map(shift.__mul__, columns.starts))
+        masks = map(lshift, masks, offsets)
+        block = int.from_bytes(field, "little")
+        runs = (v << at if gap is None else (v << at) - (block << shift * gap)
+                for v, at, gap in zip(runs, offsets, columns.gaps))
+    if plane:
+        masks = (m | m << plane for m in masks)
     # block h of the even lines holds photon 2h in every field, a plane per byte
     starts, ids = bytearray(width * half * lanes), _fields([range(0, ports, 2)], ports)
     starts[::lanes] = b"".join(ids[at::width] for at in range(width))
     evens = int.from_bytes(starts, "little") * int.from_bytes(field, "little")
     odds = evens + every
     deep_evens = deep_odds = 0
-    steps = zip(columns.parities, columns.sizes, masks)
+    steps = zip(columns.parities, runs, masks)
     for _ in range(0, len(columns.sizes), 128):  # then a depth's low bytes are carried
-        for parity, count, m in islice(steps, 128):
-            ones = every >> shift * (half - count)
+        for parity, ones, m in islice(steps, 128):
             if parity:
                 deep_evens += ones << shift
                 deep_odds += ones
@@ -441,37 +447,32 @@ def _column_lanes(columns: _Columns, plans: Sequence[tuple[bytearray, tuple[int,
     evens, odds, deep_evens, deep_odds = (
         v.to_bytes(width * size, "little") for v in (evens, odds, deep_evens, deep_odds))
     if not plane:
-        return evens, odds, lanes, deep_evens + deep_odds, lanes
+        return evens, odds, deep_evens + deep_odds
     # two-byte fields from the planes; a depth's high byte counts 128
     evens, odds = _two_byte(evens[:size], evens[size:]), _two_byte(odds[:size], odds[size:])
     zeros = bytes(2 * size)
     lows = int.from_bytes(_two_byte(deep_evens[:size] + deep_odds[:size], zeros), "little")
     highs = int.from_bytes(_two_byte(deep_evens[size:] + deep_odds[size:], zeros), "little")
-    return evens, odds, lanes, (lows + (highs << 7)).to_bytes(4 * size, "little"), lanes
+    return evens, odds, (lows + (highs << 7)).to_bytes(4 * size, "little")
 
 
 def _check_bytes(
-    net: Network | _Columns, mates: Sequence[Sequence[int]],
+    columns: _Columns, mates: Sequence[Sequence[int]],
     plans: Sequence[tuple[bytearray, tuple[int, ...]]],
 ) -> tuple[int, int, int] | None:
-    """:func:`_check_plans` on byte lanes, plan k in field k: the same result,
-    with the same depth bound on ``net``.  The pairing is checked on the
-    predicted permutations, which the lanes then compare with the simulated
-    ones.  A :class:`Network` steps a switch at a time; the
-    :func:`_columns` of a design and N step a column at a time."""
-    ports, lanes = net.ports, len(plans)
-    stepped = isinstance(net, Network)
-    predicted = _predicted(ports, len(net.lines) if stepped else net.count, plans)
+    """:func:`_check_plans` on byte lanes, plan k in field k, stepping the
+    :func:`_columns` of a design and N: the same result, with the same depth
+    bound.  The pairing is checked on the predicted permutations, which the
+    lanes then compare with the simulated ones."""
+    ports, lanes = columns.ports, len(plans)
+    predicted = _predicted(ports, columns.count, plans)
     if predicted is None:
         return None
     width = 1 if ports <= 256 else 2
-    if stepped:
-        evens, odds, stride, depths, deep = _switch_lanes(net, plans, width)
-    else:
-        evens, odds, stride, depths, deep = _column_lanes(net, plans, width)
-    # plan k's photons on lines 0, 2, ... are fields k, k + stride, ... of
+    evens, odds, depths = _column_lanes(columns, plans, width)
+    # plan k's photons on lines 0, 2, ... are fields k, k + lanes, ... of
     # evens, on lines 1, 3, ... the same fields of odds; its depths are
-    # fields k, k + deep, ... of depths
+    # fields k, k + lanes, ... of depths
     if width == 1:
         want = predicted
     else:
@@ -489,14 +490,14 @@ def _check_bytes(
             unpaired = tops.translate(bytes(mate).ljust(256, b"\0")) != bottoms
         else:
             unpaired = array("H", map(mate.__getitem__, tops)) != bottoms
-        if unpaired or evens[k::stride] != tops or odds[k::stride] != bottoms:
+        if unpaired or evens[k::lanes] != tops or odds[k::lanes] != bottoms:
             flagged |= 1 << k
     kept = [k for k in range(lanes) if not flagged >> k & 1]
     if not kept:
         return flagged, 0, -1
-    if len(kept) == lanes == deep:  # every depth field counts: one pass
+    if len(kept) == lanes:  # every depth field counts: one pass
         return flagged, max(depths), min(depths)
-    walks = [depths[k::deep] for k in kept]
+    walks = [depths[k::lanes] for k in kept]
     return flagged, max(map(max, walks)), min(map(min, walks))
 
 

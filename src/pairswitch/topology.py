@@ -12,7 +12,8 @@ import struct
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import and_
 from typing import Iterator, NamedTuple
 
 from .errors import BoundExceeded, InvalidInput, InvalidPorts
@@ -112,6 +113,24 @@ def _triangular_layers(ports: int) -> Iterator[tuple[int, int, int]]:
     return zip(range(ports // 2 - 1, 0, -1), accumulate(sizes, initial=0), sizes)
 
 
+
+def _chevron_layers(ports: int) -> tuple[range, Iterator[int], range, Iterator[int],
+                                         Iterator[int]]:
+    """The chevron layer table by columns, made by C-level passes; ``zip``
+    gives its rows.  Per layer in traversal order: its layer, its first
+    switch id and the sizes of its upper arm, its lower arm and its tip.
+    Layer 1 is traversed first, layer l's 2l switches at ids l(l-1) to
+    l(l+1)-1: the upper arm's l switches from line N/2-l-1 down to N/2-2,
+    then the lower arm's l - odd from line N/2+l-1 up to N/2+odd, then on an
+    odd layer a tip at line N/2-1.  Arm switch j of layer l can run in step
+    l-1+j and the tip in step 2l-1, the parallel schedule of
+    ``simulation._columns``."""
+    layers = range(1, ports // 2)
+    # l(l-1) rises by 2l from layer l to layer l+1; l & -2 is l - odd, l & 1 odd
+    return (layers, accumulate(range(2, ports - 2, 2), initial=0), layers,
+            map(and_, layers, repeat(-2)), map(and_, layers, repeat(1)))
+
+
 _RAMP_BLOCK = 4096
 
 
@@ -146,22 +165,20 @@ def build_network(design: Design | str, ports: int) -> Network:
             layers[first : first + size] = array("i", [layer]) * size
     elif design is Design.CHEVRON:
         # Layer 1 sits innermost on the input side.  Each layer is two arms
-        # converging on the middle lines; odd layers swap the lowest arm
-        # switch for a tip element at line half-1, traversed after both arms.
+        # converging on the middle lines, then an odd layer's tip.
         ramp = _ramp(count // 2 + ports)
-        for layer in range(1, half):
-            odd, first = layer % 2, layer * (layer - 1)
+        for layer, first, upper, lower, tip in zip(*_chevron_layers(ports)):
             col = first // 2 + layer // 2  # layers before it span j + j % 2 columns each
-            upper = slice(first, first + layer)
-            lower = slice(first + layer, first + 2 * layer - odd)
-            lines[upper] = ramp[half - layer - 1 : half - 1]
-            cols[upper] = ramp[col : col + layer]
-            lines[lower] = ramp[half + layer - 1 : half + odd - 1 : -1]
-            cols[lower] = ramp[col : col + layer - odd]
-            if odd:
-                lines[first + 2 * layer - 1] = half - 1
-                cols[first + 2 * layer - 1] = col + layer
-            layers[first : first + 2 * layer] = array("i", [layer]) * (2 * layer)
+            arm = slice(first, first + upper)
+            lines[arm] = ramp[half - upper - 1 : half - 1]
+            cols[arm] = ramp[col : col + upper]
+            arm = slice(first + upper, first + upper + lower)
+            lines[arm] = ramp[half + upper - 1 : half + upper - lower - 1 : -1]
+            cols[arm] = ramp[col : col + lower]
+            if tip:
+                lines[arm.stop] = half - 1
+                cols[arm.stop] = col + upper
+            layers[first : arm.stop + tip] = array("i", [layer]) * (2 * layer)
     else:
         ramp = _ramp(ports)
         for col, (layer, parity, first, size) in enumerate(_brickwork_columns(ports)):

@@ -13,7 +13,7 @@ from typing import Iterator
 from .errors import BoundExceeded, InvalidInput
 from .routing import _CORES, PairList, StateVector, _check_demand_ports
 from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_bytes, _check_plans, _columns,
-                         _Columns, brute_force_route, check_pairing, simulate)
+                         brute_force_route, check_pairing, simulate)
 from .topology import Design, Network, _check_ports, build_network, optimal_switch_count
 
 
@@ -21,12 +21,6 @@ _CHUNK_DEMANDS = 1024
 _CHUNK_STATE_BYTES = 1 << 22
 """A verify run routes demands in chunks of at most this many demands and
 state bytes, so the plans held at once stay small."""
-
-_BYTE_LANES_FROM = 3
-"""A chevron chunk of at least this many plans is checked as byte lanes, a
-smaller one a plan at a time.  Brickwork's and triangular's lanes step a
-column at a time, need no network and check every chunk.  Both choices
-rest on the timings in ``BENCH_triangular_columns.json``."""
 
 _LANES_PER_ID_BIT = 24
 """A chunk of at least this many plans per bit of a photon id is checked as
@@ -200,13 +194,12 @@ def verify_design(
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
 
-    smallest = _BYTE_LANES_FROM if design is Design.CHEVRON else 1
     core = _CORES[design]
     failures: list[tuple[str, str]] = []
     checked = 0
     max_depth = 0
     min_depth = ports * ports
-    net = stepped = None
+    net = columns = None
 
     def network() -> Network:
         """The network, built for the first check that reads its lines."""
@@ -214,14 +207,6 @@ def verify_design(
         if net is None:
             net = build_network(design, ports)
         return net
-
-    def steps() -> _Columns | Network:
-        """What the byte lanes step: brickwork's and triangular's columns,
-        which need no network, or chevron's switches."""
-        nonlocal stepped
-        if stepped is None:
-            stepped = _columns(design, ports) or network()
-        return stepped
 
     def check_one(mate: tuple[int, ...], states: bytearray, permuted: tuple[int, ...]) -> None:
         nonlocal max_depth, min_depth
@@ -246,9 +231,11 @@ def verify_design(
         plans = core(ports, chunk)
         checked += len(chunk)
         large = len(chunk) >= _LANES_PER_ID_BIT * (ports - 1).bit_length()
-        lanes = (_check_plans(network(), chunk, plans) if large else
-                 _check_bytes(steps(), chunk, plans) if len(chunk) >= smallest
-                 else None)
+        if large:
+            lanes = _check_plans(network(), chunk, plans)
+        else:  # the column schedule needs no network
+            columns = columns or _columns(design, ports)
+            lanes = _check_bytes(columns, chunk, plans)
         # without lanes every plan is checked alone; with them, only the
         # flagged ones, so that each failure is worded
         flagged, high, low = lanes or ((1 << len(chunk)) - 1, 0, -1)

@@ -1,11 +1,13 @@
 """Property-based checks: demands are accepted exactly when they are perfect
 matchings, every router agrees with the simulator on drawn demands up to
 N = 256, plans survive the JSON wire format, the bit-sliced and byte lane
-checks agree with the per-plan simulator, and malformed documents and pair lists
-exit the command line with code 2 and no traceback."""
+checks agree with the per-plan simulator, a reversed network inverts the
+permutation of any network it mirrors, and malformed documents and pair
+lists exit the command line with code 2 and no traceback."""
 import io
 import json
 import random
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -17,6 +19,7 @@ from pairswitch import (
     Design,
     InvalidDemand,
     InvalidInput,
+    Network,
     PairList,
     RoutingPlan,
     build_network,
@@ -25,6 +28,7 @@ from pairswitch import (
     plan_from_json,
     plan_to_json,
     random_pair_list,
+    reverse_network,
     route,
     simulate,
     worst_case_pair_list,
@@ -191,8 +195,8 @@ def _below_lanes(ports):
 def test_byte_lanes_flag_what_the_per_plan_check_fails(design, chunk, seed, edits):
     ports, lanes = chunk
     net, demands, plans = _edited(design, ports, lanes, seed, edits)
-    # brickwork and triangular step columns, as verify steps them; chevron a switch at a time
-    assert _check_bytes(_columns(design, ports) or net, *_raw(demands, plans)) == \
+    # every design steps columns, as verify steps them
+    assert _check_bytes(_columns(design, ports), *_raw(demands, plans)) == \
         _per_plan(net, demands, plans)
 
 
@@ -203,7 +207,7 @@ def test_byte_lanes_hold_ids_and_depths_up_to_n_minus_2_at_the_port_budget():
     demands = [worst_case_pair_list(MAX_PORTS)]
     demands += [random_pair_list(MAX_PORTS, rng) for _ in range(3)]
     plans = [route(Design.TRIANGULAR, MAX_PORTS, d) for d in demands]
-    found = _check_bytes(net, *_raw(demands, plans))
+    found = _check_bytes(_columns(Design.TRIANGULAR, MAX_PORTS), *_raw(demands, plans))
     assert found == _per_plan(net, demands, plans)
     assert found[:2] == (0, MAX_PORTS - 2)
 
@@ -244,7 +248,8 @@ def test_byte_lanes_compare_both_bytes_of_an_id():
     assert i // 2 == j // 2
     permuted[i], permuted[j] = 259, 3
     plans[0] = RoutingPlan(plans[0].states, tuple(permuted))
-    found = _check_bytes(net, *_raw(demands, plans))
+    # chevron's columns at N = 300 hold a plane of low and one of high bytes
+    found = _check_bytes(_columns(Design.CHEVRON, 300), *_raw(demands, plans))
     assert found == _per_plan(net, demands, plans)
     assert found[0] == 0b001
 
@@ -297,6 +302,43 @@ def test_lane_check_declines_plans_it_cannot_read():
 _NOT_AN_INT = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
                         st.lists(st.integers(), max_size=2))
 _ENDS = {"truncate", "nest", "bytes"}  # edits of the text, not of the document
+
+
+@st.composite
+def built_edited_and_cut_networks(draw):
+    """A built network of N <= 64 as it is built, with one switch moved one
+    line or with one switch cut (as verify_minimality cuts one), and state
+    bytes for it, any nonzero byte reading as Cross."""
+    ports = 2 * draw(st.integers(1, 32))
+    net = build_network(draw(st.sampled_from(Design)), ports)
+    how = draw(st.sampled_from(("built", "edited", "cut")))
+    if net.lines and how != "built":
+        k = draw(st.integers(0, len(net.lines) - 1))
+        if how == "edited":
+            lines = array("i", net.lines)
+            lines[k] += 1 if lines[k] < ports - 2 else -1
+            net = Network(net.design, ports, lines, net.layers, net.cols)
+        else:
+            net = Network(net.design, ports, *(a[:k] + a[k + 1 :]
+                                               for a in (net.lines, net.layers, net.cols)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    share = draw(st.sampled_from((0, 0.1, 0.5, 0.9, 1)))
+    bits = bytes(rng.randrange(1, 256) if rng.random() < share else 0 for _ in net.lines)
+    return net, bits
+
+
+@SETTINGS
+@given(case=built_edited_and_cut_networks())
+def test_a_reversed_network_inverts_the_permutation_and_keeps_each_photons_depth(case):
+    # the source-pool mode: reversed switch S-1-i takes the forward state of
+    # switch i.  Each switch is an involution and reversal reverses their
+    # order, so the photon entering the reversed network on line L retraces
+    # the switches of the forward photon that ended on L
+    net, bits = case
+    perm, depths = simulate(net, StateVector(bytearray(bits)))
+    back, back_depths = simulate(reverse_network(net), StateVector(bytearray(bits[::-1])))
+    assert [back[photon] for photon in perm] == list(range(net.ports))  # the inverse of perm
+    assert back_depths == tuple(depths[photon] for photon in perm)
 
 
 def _cli(*argv):

@@ -1,4 +1,6 @@
-"""README's Library block runs as written, and what its comments state holds."""
+"""README's Library block runs as written, what its comments state holds, and
+the figures of its verify-path section match the records they name."""
+import json
 import re
 from pathlib import Path
 
@@ -29,3 +31,73 @@ def test_library_block_runs_and_its_comments_hold():
     assert scope["perm"] == plan.permuted
     assert ps.check_pairing(scope["perm"], demand).ok
     assert ps.optimal_switch_count(12) == 30
+
+
+ROOT = README.parent
+
+# One row per figure of README's verify-path section: the phrase with the
+# figure as {}, the record that holds it, its path in the record (a dict
+# picks the list item with those fields) and the decimals it is rounded to,
+# negative ones rounding to tens.  A change that moves a figure changes its
+# row.
+_CHEVRON = "BENCH_chevron_columns.json"
+_FEW = ("boundaries", "few_plans")
+_BITS = ("boundaries", "lanes_per_id_bit")
+_LARGE = ("large_n", "runs", "verify --design chevron --ports 2048 --samples 3", "medians")
+_SAMPLED = ("summary", "verify-sampled")
+VERIFY_FIGURES = [
+    ("costs {}x that at N = 16", _CHEVRON,
+     (*_FEW, {"design": "chevron", "ports": 16, "plans": 1}, "ratio_with_build"), 2),
+    ("about {} us more", _CHEVRON,
+     (*_FEW, {"design": "chevron", "ports": 16, "plans": 1}, "over_us"), 0),
+    ("{}x at N = 64 and", _CHEVRON,
+     (*_FEW, {"design": "chevron", "ports": 64, "plans": 1}, "ratio_with_build"), 2),
+    ("and {}x at N = 2048. One triangular", _CHEVRON,
+     (*_FEW, {"design": "chevron", "ports": 2048, "plans": 1}, "ratio_with_build"), 3),
+    ("One triangular plan costs {}x at N = 16", _CHEVRON,
+     (*_FEW, {"design": "triangular", "ports": 16, "plans": 1}, "ratio_with_build"), 2),
+    ("and {}x at N = 2048, one brickwork", _CHEVRON,
+     (*_FEW, {"design": "triangular", "ports": 2048, "plans": 1}, "ratio_with_build"), 3),
+    ("one brickwork plan {}x and", _CHEVRON,
+     (*_FEW, {"design": "brickwork", "ports": 16, "plans": 1}, "ratio_with_build"), 2),
+    ("x and {}x, so every design", _CHEVRON,
+     (*_FEW, {"design": "brickwork", "ports": 2048, "plans": 1}, "ratio_with_build"), 3),
+    ("cost {}x the bit-sliced pass for chevron at N = 8", _CHEVRON,
+     (*_BITS, {"design": "chevron", "ports": 8, "per_id_bit": 24}, "ratio"), 2),
+    ("{}x for brickwork at N = 64", _CHEVRON,
+     (*_BITS, {"design": "brickwork", "ports": 64, "per_id_bit": 24}, "ratio"), 2),
+    ("spends {} s in `cli.main`", _CHEVRON, (*_LARGE, "change", "main_s"), 3),
+    ("against {} s at the parent commit", _CHEVRON, (*_LARGE, "parent", "main_s"), 2),
+    ("peak RSS of {} against", _CHEVRON, (*_LARGE, "change", "peak_rss_mib"), 1),
+    ("against {} MiB", _CHEVRON, (*_LARGE, "parent", "peak_rss_mib"), 1),
+    ("about {} (triangular)", _CHEVRON, (*_SAMPLED, "demands_per_s.triangular", "change_median"), -1),
+    ("{} (chevron)", _CHEVRON, (*_SAMPLED, "demands_per_s.chevron", "change_median"), -1),
+    ("{} (brickwork) demands/s", _CHEVRON,
+     (*_SAMPLED, "demands_per_s.brickwork", "change_median"), -1),
+]
+
+
+def _figure(record, path):
+    value = json.loads((ROOT / record).read_text())
+    for key in path:
+        if isinstance(key, dict):
+            value = next(item for item in value if key.items() <= item.items())
+        else:
+            value = value[key]
+    return value
+
+
+def test_verify_figures_match_their_records():
+    text = README.read_text()
+    start = text.index("`simulate` is one stateless pass")
+    section = " ".join(text[start : text.index("\n## Install and test", start)].split())
+    for phrase, record, path, digits in VERIFY_FIGURES:
+        figure = f"{round(_figure(record, path), digits):,.{max(digits, 0)}f}"
+        assert phrase.format(figure) in section, (phrase, figure)
+
+
+def test_every_record_named_in_readme_or_changes_exists():
+    names = set(re.findall(r"BENCH_\w+\.json", README.read_text()
+                           + (ROOT / "CHANGES.md").read_text()))
+    assert len(names) >= 24
+    assert [name for name in sorted(names) if not (ROOT / name).is_file()] == []

@@ -33,7 +33,7 @@ from pairswitch import (
 )
 from pairswitch import simulation, verification
 from pairswitch.routing import StateVector
-from pairswitch.topology import _triangular_layers
+from pairswitch.topology import _chevron_layers, _triangular_layers
 
 
 def all_states(net, state):
@@ -285,23 +285,19 @@ def assert_matches_reference(net, bits):
     assert simulate(net, dict(vector)) == want
 
 
-def _built_columns(net):
-    """The columns verify hands the byte lanes for ``net``, which
-    build_network built: brickwork's or triangular's, or None."""
-    return simulation._columns(net.design, net.ports)
-
-
-def assert_lanes_match_reference(net, chunk, wants=None, columns=None):
+def assert_lanes_match_reference(net, chunk, wants=None):
     """verify's byte lanes on ``chunk``, state byte strings for ``net``, one
-    plan each, given ``columns``, agree with the reference (or with
-    ``wants``, its results worked out beforehand).  Each plan predicts the reference permutation,
-    and its partner table pairs that permutation's output slots, so no lane
-    fails and the depth extrema are the reference's.  With each lane given
-    the next one's partner table, exactly the lanes whose outputs that table
-    does not pair fail.  With two slots of the first prediction swapped,
-    that lane alone fails."""
+    plan each, stepping the columns of ``net``'s design and N, agree with
+    the reference (or with ``wants``, its results worked out beforehand).
+    Each plan predicts the reference permutation, and its partner table
+    pairs that permutation's output slots, so no lane fails and the depth
+    extrema are the reference's.  With each lane given the next one's
+    partner table, exactly the lanes whose outputs that table does not pair
+    fail.  With two slots of the first prediction swapped, that lane alone
+    fails."""
     if wants is None:
         wants = [reference_simulate(net, StateVector(bytearray(bits))) for bits in chunk]
+    columns = simulation._columns(net.design, net.ports)
     mates = []
     for perm, _ in wants:
         mate = [0] * net.ports
@@ -310,19 +306,19 @@ def assert_lanes_match_reference(net, chunk, wants=None, columns=None):
         mates.append(tuple(mate))
     plans = [(bytearray(bits), perm) for bits, (perm, _) in zip(chunk, wants)]
     depths = [[d for _, ds in wants[first:] for d in ds] for first in (0, 1)]
-    assert simulation._check_bytes(columns or net, mates, plans) == (
+    assert simulation._check_bytes(columns, mates, plans) == (
         0, max(depths[0]), min(depths[0]))
     moved = mates[1:] + mates[:1]
     unpaired = [any(mate[a] != b for a, b in zip(perm[::2], perm[1::2]))
                 for mate, (perm, _) in zip(moved, wants)]
     kept = [d for fails, (_, ds) in zip(unpaired, wants) if not fails for d in ds]
-    assert simulation._check_bytes(columns or net, moved, plans) == (
+    assert simulation._check_bytes(columns, moved, plans) == (
         sum(fails << k for k, fails in enumerate(unpaired)),
         *((max(kept), min(kept)) if kept else (0, -1)))
     perm = wants[0][0]
     plans[0] = (plans[0][0], (perm[1], perm[0]) + perm[2:])
     rest = (max(depths[1]), min(depths[1])) if depths[1] else (0, -1)
-    assert simulation._check_bytes(columns or net, mates, plans) == (1, *rest)
+    assert simulation._check_bytes(columns, mates, plans) == (1, *rest)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -334,7 +330,7 @@ def test_simulate_matches_the_reference_on_every_demand_up_to_10(design):
             plan = route(design, n, demand)
             assert simulate(net, plan.states) == reference_simulate(net, plan.states)
             chunk.append(plan.states.bits)
-        assert_lanes_match_reference(net, chunk, columns=_built_columns(net))
+        assert_lanes_match_reference(net, chunk)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -348,7 +344,7 @@ def test_simulate_matches_the_reference_on_seeded_plans_up_to_256(design):
             plan = route(design, n, demand)
             assert simulate(net, plan.states) == reference_simulate(net, plan.states)
             chunk.append(plan.states.bits)
-        assert_lanes_match_reference(net, chunk, columns=_built_columns(net))
+        assert_lanes_match_reference(net, chunk)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -363,7 +359,7 @@ def test_simulate_matches_the_reference_on_uniform_and_any_byte_states(design):
                                for _ in range(count)))
         for bits in chunk:
             assert_matches_reference(net, bits)
-        assert_lanes_match_reference(net, chunk, columns=_built_columns(net))
+        assert_lanes_match_reference(net, chunk)
 
 
 def test_simulate_matches_the_reference_on_reversed_damaged_and_read_networks():
@@ -420,7 +416,7 @@ def test_simulate_and_the_verify_simulator_match_the_reference_on_built_networks
     net, states = case
     for bits in states:
         assert_matches_reference(net, bits)
-    assert_lanes_match_reference(net, states, columns=_built_columns(net))  # as one chunk
+    assert_lanes_match_reference(net, states)  # as one chunk
 
 
 def _any_byte_states(rng, net, lanes):
@@ -430,18 +426,13 @@ def _any_byte_states(rng, net, lanes):
             for share in (rng.random() for _ in range(lanes))]
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("the byte lanes took the other path")
-
-
 def _columns_at_every_even_n_to_64(design, rng):
     # 3, 5, 8, 9 and 17 lanes: blocks below, at and past an 8-byte word
     for n in range(2, 66, 2):
-        net, columns = build_network(design, n), simulation._columns(design, n)
-        assert_lanes_match_reference(net, _any_byte_states(rng, net, (3, 5, 8, 9, 17)[n % 5]),
-                                     columns=columns)
+        net = build_network(design, n)
+        assert_lanes_match_reference(net, _any_byte_states(rng, net, (3, 5, 8, 9, 17)[n % 5]))
         assert_lanes_match_reference(network_from_json(network_to_json(net)),
-                                     _any_byte_states(rng, net, 3), columns=columns)
+                                     _any_byte_states(rng, net, 3))
     report = verification.verify_design(design, 16, "random", samples=5)
     assert report.passed and report.demands_checked == 5
 
@@ -453,56 +444,86 @@ def _columns_past_n_256(design, rng):
         chunk = [route(design, n, random_pair_list(n, rng)).states.bits,
                  *_any_byte_states(rng, net, lanes - 1)]
         assert_lanes_match_reference(net, chunk, [simulate(net, StateVector(bytearray(bits)))
-                                                  for bits in chunk], simulation._columns(design, n))
+                                                  for bits in chunk])
 
 
-def test_brickwork_byte_lanes_step_a_column_at_a_time_at_every_even_n_to_64(monkeypatch):
-    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
+def test_brickwork_byte_lanes_step_a_column_at_a_time_at_every_even_n_to_64():
     _columns_at_every_even_n_to_64(Design.BRICKWORK, random.Random(26))
 
 
-def test_brickwork_byte_lanes_step_a_column_at_a_time_past_n_256(monkeypatch):
-    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
+def test_brickwork_byte_lanes_step_a_column_at_a_time_past_n_256():
     _columns_past_n_256(Design.BRICKWORK, random.Random(258))
 
 
-def test_triangular_byte_lanes_step_a_column_at_a_time_at_every_even_n_to_64(monkeypatch):
-    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
+def test_triangular_byte_lanes_step_a_column_at_a_time_at_every_even_n_to_64():
     _columns_at_every_even_n_to_64(Design.TRIANGULAR, random.Random(30))
 
 
-def test_triangular_byte_lanes_step_a_column_at_a_time_past_n_256(monkeypatch):
-    monkeypatch.setattr(simulation, "_switch_lanes", _refuse)
+def test_triangular_byte_lanes_step_a_column_at_a_time_past_n_256():
     _columns_past_n_256(Design.TRIANGULAR, random.Random(1030))
 
 
-@pytest.mark.parametrize("n", [*range(2, 66, 2), 256, 258, 1024])
-def test_triangular_columns_order_each_switch_once(n):
-    # a plan's state bytes in column order: every switch once, column s at
-    # its first record, in line order; switch k of the t-th layer traversed
-    # runs in column 2t + k, on line k
-    columns = simulation._columns(Design.TRIANGULAR, n)
-    placed = []
-    for t, (_, first, size) in enumerate(_triangular_layers(n)):
-        placed += [(2 * t + k, k) for k in range(size)]
+def test_chevron_byte_lanes_step_a_column_at_a_time_at_every_even_n_to_64():
+    _columns_at_every_even_n_to_64(Design.CHEVRON, random.Random(31))
+
+
+def test_chevron_byte_lanes_step_a_column_at_a_time_past_n_256():
+    _columns_past_n_256(Design.CHEVRON, random.Random(1031))
+
+
+def _assert_columns_order_each_switch_once(design, n, placed):
+    """A plan's state bytes in column order: every switch once, in the
+    column ``placed`` gives it, column s at its first record, in line order
+    from its first block; a zero record, padding here, at its gap."""
+    columns = simulation._columns(design, n)
+    lines = build_network(design, n).lines
     # the ids as state "bytes" a plan would have, padded as the lanes pad them
     ids = list(range(columns.count)) + [None] * n
     rows, gathers = columns.order
     rowed = [i for row in rows for i in ids[row]]
     ordered = [i for column in gathers for i in rowed[column]]
-    assert sorted(ordered) == list(range(columns.count))
+    assert sorted(i for i in ordered if i is not None) == list(range(columns.count))
+    starts = columns.starts or [0] * len(columns.sizes)
+    gaps = columns.gaps or [None] * len(columns.sizes)
+    for s, (first, size) in enumerate(zip(accumulate(columns.sizes, initial=0), columns.sizes)):
+        records = ordered[first : first + size]
+        assert [placed[i] for i in records if i is not None] == [s] * (size - (gaps[s] is not None))
+        blocks = [h for h, i in enumerate(records, starts[s]) if i is None]
+        assert blocks == ([] if gaps[s] is None else [gaps[s]])
+        assert all(lines[i] == 2 * h + columns.parities[s]
+                   for h, i in enumerate(records, starts[s]) if i is not None)
+
+
+@pytest.mark.parametrize("n", [*range(2, 66, 2), 256, 258, 1024])
+def test_triangular_columns_order_each_switch_once(n):
+    # switch k of the t-th layer traversed runs in column 2t + k, on line k
+    columns = simulation._columns(Design.TRIANGULAR, n)
+    placed = []
+    for t, (_, first, size) in enumerate(_triangular_layers(n)):
+        placed += range(2 * t, 2 * t + size)
+    _assert_columns_order_each_switch_once(Design.TRIANGULAR, n, placed)
     assert list(columns.parities) == [s % 2 for s in range(n - 2)]
     assert list(columns.sizes) == [s // 2 + 1 for s in range(n - 2)]
-    for s, (first, size) in enumerate(zip(accumulate(columns.sizes, initial=0), columns.sizes)):
-        assert [placed[i] for i in ordered[first : first + size]] == \
-            [(s, line) for line in range(s % 2, s + 1, 2)]
 
 
-def test_reversed_and_edited_brickwork_step_a_switch_at_a_time(monkeypatch):
-    # the column path is for networks laid out as build_network lays out
-    # brickwork: a reversed network, one line edited and a switch cut (as
-    # verify_minimality cuts one) step a switch at a time, without columns
-    monkeypatch.setattr(simulation, "_column_lanes", _refuse)
+@pytest.mark.parametrize("n", [*range(2, 66, 2), 256, 258, 300, 1024])
+def test_chevron_columns_order_each_switch_once(n):
+    # arm switch j of layer l runs in column l - 1 + j, an odd layer's tip
+    # in column 2l - 1; a column misses at most the middle line pair
+    placed = []
+    for layer, _, upper, lower, tip in zip(*_chevron_layers(n)):
+        placed += [*range(layer - 1, layer - 1 + upper), *range(layer - 1, layer - 1 + lower),
+                   *[2 * layer - 1] * tip]
+    _assert_columns_order_each_switch_once(Design.CHEVRON, n, placed)
+    columns = simulation._columns(Design.CHEVRON, n)
+    assert list(columns.parities) == [(n // 2 + s) % 2 for s in range(len(columns.sizes))]
+    assert max(columns.sizes, default=0) <= n // 2
+
+
+def test_reversed_and_edited_brickwork_step_a_switch_at_a_time():
+    # the column path is for networks laid out as build_network lays them
+    # out; a reversed network, one line edited and a switch cut (as
+    # verify_minimality cuts one) are simulated a switch at a time
     rng = random.Random(5)
     for n in (4, 8, 16, 30):
         net = build_network(Design.BRICKWORK, n)
@@ -512,7 +533,8 @@ def test_reversed_and_edited_brickwork_step_a_switch_at_a_time(monkeypatch):
         cut = [a[:k] + a[k + 1 :] for a in (net.lines, net.layers, net.cols)]
         for variant in (reverse_network(net), Network(net.design, n, lines, net.layers, net.cols),
                         Network(net.design, n, *cut)):
-            assert_lanes_match_reference(variant, _any_byte_states(rng, variant, (3, 5, 9)[k % 3]))
+            for bits in _any_byte_states(rng, variant, (3, 5, 9)[k % 3]):
+                assert_matches_reference(variant, bits)
 
 
 def test_simulate_keeps_nothing_on_the_network():
@@ -551,7 +573,7 @@ def test_the_byte_lanes_match_the_reference_at_every_cross_share():
                      for share in (0.0, 0.1, 0.4, 0.6, 0.9, 1.0)]
             for bits in chunk:
                 assert_matches_reference(net, bits)
-            assert_lanes_match_reference(net, chunk, columns=_built_columns(net))
+            assert_lanes_match_reference(net, chunk)
         assert vars(net) == before
 
 
@@ -570,7 +592,7 @@ def test_the_verify_simulator_walks_the_frame_only_at_most_a_quarter_bar():
         bits[:bars] = bytes(bars)
         assert_matches_reference(net, bits)
         chunk.append(bytes(bits))
-    assert_lanes_match_reference(net, chunk, columns=_built_columns(net))
+    assert_lanes_match_reference(net, chunk)
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -586,14 +608,14 @@ def test_the_all_cross_frame_fits_two_bytes_at_the_port_budget(design):
         perm, plan_depths = simulate(net, plan.states)
         assert perm == plan.permuted
         depths += plan_depths
-    found = simulation._check_bytes(_built_columns(net) or net, [d.mate for d in demands],
+    found = simulation._check_bytes(simulation._columns(design, MAX_PORTS),
+                                    [d.mate for d in demands],
                                     [(p.states.bits, p.permuted) for p in plans])
     assert found == (0, max(depths), min(depths))
     assert max(depths) <= MAX_PORTS - 2
     assert (max(depths) == MAX_PORTS - 2) is (design is Design.TRIANGULAR)
-    if design is not Design.CHEVRON:  # a column at a time: flagged lanes too
-        assert_lanes_match_reference(net, [p.states.bits for p in plans],
-                                     [simulate(net, p.states) for p in plans], _built_columns(net))
+    assert_lanes_match_reference(net, [p.states.bits for p in plans],
+                                 [simulate(net, p.states) for p in plans])  # flagged lanes too
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -610,12 +632,12 @@ def test_the_byte_lanes_flag_every_lane_or_keep_one_with_two_byte_fields(design)
     bad_plans = [(bits, (perm[1], perm[0]) + perm[2:]) for bits, perm in good]
     bad_mates = mates[1:] + mates[:1]
     bad = [(bad_mates[k], good[k]) if k % 2 else (mates[k], bad_plans[k]) for k in range(4)]
-    columns = _built_columns(net)
-    assert simulation._check_bytes(columns or net, *zip(*bad)) == (0b1111, 0, -1)
+    columns = simulation._columns(design, n)
+    assert simulation._check_bytes(columns, *zip(*bad)) == (0b1111, 0, -1)
     for k in range(4):
         chunk = bad[:k] + [(mates[k], good[k])] + bad[k + 1:]
         depths = simulate(net, plans[k].states)[1]
-        assert simulation._check_bytes(columns or net, *zip(*chunk)) == (
+        assert simulation._check_bytes(columns, *zip(*chunk)) == (
             0b1111 ^ 1 << k, max(depths), min(depths))
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from array import array
+from collections import Counter
 from operator import sub
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from pairswitch import (
     reverse_network,
     validate_network,
 )
-from pairswitch.topology import _brickwork_columns, _ramp, _triangular_layers
+from pairswitch.topology import _brickwork_columns, _chevron_layers, _ramp, _triangular_layers
 
 ALL_N = list(range(4, 65, 2))
 _EMPTY = (array("i"), array("i"), array("i"))  # lines, layers, cols
@@ -140,6 +141,38 @@ def test_triangular_columns_are_the_asap_levels_of_the_built_network():
         assert all({i % 2 for i in held[c]} == {c % 2} for c in held)
         assert sum(map(len, held.values())) == len(lines)
         assert sorted(held) == list(range(max(0, n - 2)))
+
+
+def _chevron_schedule(n):
+    """The column of each chevron switch in id order, as the layer table
+    places it: arm switch j of layer l in column l - 1 + j, an odd layer's
+    tip in column 2l - 1."""
+    columns = array("i")
+    for layer, _, upper, lower, tip in zip(*_chevron_layers(n)):
+        columns += array("i", range(layer - 1, layer - 1 + upper))
+        columns += array("i", range(layer - 1, layer - 1 + lower))
+        columns += array("i", [2 * layer - 1] * tip)
+    return columns
+
+
+def test_chevron_columns_are_a_parallel_schedule_of_the_built_network():
+    # the byte lanes step a chevron network a column at a time; this is not
+    # the ASAP schedule, whose levels mix parities (at N = 16 level 3 holds
+    # lines 3, 5, 9 and 12), so its three properties are checked instead
+    for n in [*range(2, 302, 2), 1024, 2048]:
+        lines = build_network(Design.CHEVRON, n).lines
+        columns = _chevron_schedule(n)
+        assert len(columns) == len(lines)
+        last = [-1] * n  # per line: its last column
+        for i, column in zip(lines, columns):
+            # along each line the columns rise in id order: stepping them is traversal order
+            assert column > last[i] and column > last[i + 1]
+            last[i] = last[i + 1] = column
+        # each column holds lines of parity (N/2 + column) % 2: disjoint pairs
+        assert all((i - n // 2 - column) % 2 == 0 for i, column in zip(lines, columns))
+        sizes = Counter(columns)
+        assert len(sizes) == (n - 2 if n % 4 == 0 else max(0, n - 3)) == max(columns, default=-1) + 1
+        assert max(sizes.values(), default=0) <= n // 2
 
 
 def test_chevron_2_is_empty():

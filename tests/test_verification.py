@@ -24,7 +24,7 @@ from pairswitch import (
     verify_minimality,
     worst_case_pair_list,
 )
-from pairswitch import simulation, verification
+from pairswitch import verification
 from pairswitch.verification import _mate_tables, report_to_json
 
 
@@ -432,52 +432,29 @@ def _recorded_paths(monkeypatch):
 
 
 def test_each_chunk_size_takes_its_path(monkeypatch):
-    # one chevron plan: simulate; up to the bit-sliced threshold: byte lanes,
-    # in one pass for the whole chunk; from it on: the bit-sliced pass
+    # every design's byte lanes step by columns and take every chunk below
+    # the bit-sliced threshold, one plan too, in one pass for the whole
+    # chunk; from it on: the bit-sliced pass.  At N = 2 brickwork's only
+    # column is empty and chevron and triangular have none
     paths = _recorded_paths(monkeypatch)
     threshold = verification._LANES_PER_ID_BIT * 5  # 5 id bits at N = 18
-    smallest = verification._BYTE_LANES_FROM
-    for samples, want in [
-        (1, [("simulate", 1)]),
-        (smallest - 1, [("simulate", 1)] * (smallest - 1)),
-        (smallest, [("_check_bytes", smallest)]),
-        (5, [("_check_bytes", 5)]),
-        (threshold - 1, [("_check_bytes", threshold - 1)]),
-        (threshold, [("_check_plans", threshold)]),
-        (1025, [("_check_plans", 1024), ("simulate", 1)]),  # chunks of 1024 demands
-    ]:
-        paths.clear()
-        report = verify_design("chevron", 18, "random", samples=samples, seed=5)
-        assert report.passed and report.demands_checked == samples
-        assert paths == want, samples
-    # exhaustively: N = 4 and 6 as byte lanes, N >= 8 on the bit-sliced pass
-    for ports, want in [(2, ("simulate", 1)), (4, ("_check_bytes", 3)),
-                        (6, ("_check_bytes", 15)), (8, ("_check_plans", 105))]:
-        paths.clear()
-        assert verify_design("chevron", ports).passed
-        assert paths == [want]
-    # brickwork's and triangular's byte lanes step by columns and take every
-    # chunk below the bit-sliced threshold, one plan too; at N = 2 brickwork's
-    # only column is empty and triangular has none
-    def refuse(*args):
-        raise AssertionError("the byte lanes stepped a switch at a time")
-
-    monkeypatch.setattr(simulation, "_switch_lanes", refuse)
-    for design in ("brickwork", "triangular"):
+    for design in Design:
         for ports, samples, want in [
             (2, 1, [("_check_bytes", 1)]),
             (2, 3, [("_check_bytes", 3)]),
             (18, 1, [("_check_bytes", 1)]),
             (18, 2, [("_check_bytes", 2)]),
+            (18, 5, [("_check_bytes", 5)]),
             (18, threshold - 1, [("_check_bytes", threshold - 1)]),
             (18, threshold, [("_check_plans", threshold)]),
-            (18, 1025, [("_check_plans", 1024), ("_check_bytes", 1)]),
+            (18, 1025, [("_check_plans", 1024), ("_check_bytes", 1)]),  # chunks of 1024 demands
             (2048, 1, [("_check_bytes", 1)]),
         ]:
             paths.clear()
             report = verify_design(design, ports, "random", samples=samples, seed=5)
             assert report.passed and report.demands_checked == samples
             assert paths == want, (design, ports, samples)
+        # exhaustively: N = 2, 4 and 6 as byte lanes, N >= 8 on the bit-sliced pass
         for ports, want in [(2, ("_check_bytes", 1)), (4, ("_check_bytes", 3)),
                             (6, ("_check_bytes", 15)), (8, ("_check_plans", 105))]:
             paths.clear()
@@ -508,6 +485,10 @@ def test_verify_builds_a_frame_once_per_call(monkeypatch):
         "simulator got (5, 7, 1, 9, 8, 10, 4, 11, 2, 12, 3, 13, 6, 14, 0, 15)")),
     ("brickwork", {3: ("pair", 7)}, (
         "0-6,1-15,2-5,3-11,4-7,8-12,9-13,10-14", "output pairs wrong at BSAs [2, 5]")),
+    ("chevron", {4: ("flip", 10)}, (
+        "0-11,1-2,3-4,5-14,6-9,7-12,8-13,10-15",
+        "router predicted (1, 2, 3, 4, 7, 12, 5, 14, 0, 11, 8, 13, 10, 15, 6, 9), "
+        "simulator got (1, 2, 3, 4, 7, 12, 5, 14, 0, 6, 8, 13, 10, 15, 11, 9)")),
 ])
 def test_column_lanes_build_the_network_only_to_word_a_failure(monkeypatch, design, targets,
                                                                failure):
