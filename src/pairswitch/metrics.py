@@ -78,11 +78,12 @@ class ComparisonTable:
 
     def ratio(self, ports: int) -> float:
         """ours / spanke_benes switch-count ratio at N ports."""
-        by = {(r.scheme, r.ports): r for r in self.rows}
-        return (
-            by[(SCHEME_OURS, ports)].switches
-            / by[(SCHEME_SPANKE_BENES, ports)].switches
-        )
+        by = {(r.scheme, r.ports): r.switches for r in self.rows}
+        try:
+            return by[(SCHEME_OURS, ports)] / by[(SCHEME_SPANKE_BENES, ports)]
+        except (KeyError, TypeError):
+            covered = sorted({r.ports for r in self.rows})
+            raise InvalidInput(f"the table covers N = {covered}, not N = {ports!r}") from None
 
 
 def _count_rows(n: int) -> list[CountRow]:

@@ -133,7 +133,9 @@ those lengths from them; longer runs, and every run of a single table, are
 sliced from :data:`_ONES`.  Templates for every length hold N²/2 bytes for
 triangular: at N = 2048 they took 1.6 ms to make, and batches of 2-4 tables
 routed 1.1-1.5x slower than slicing; with this cap, 0.96-1.07x.  512 bytes
-is the largest block CPython's small-object allocator serves."""
+is the largest block CPython's small-object allocator serves.  Brickwork's
+step-table batches (:func:`_route_brickwork_by_table`) make every length,
+which their 2N or more tables outweigh."""
 
 
 class StateVector(Mapping[int, State]):
@@ -446,7 +448,9 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
 # to any bound and the tests to n = 256; the tests also tie the model to
 # this loop at depth 0 and 1.  The loop reads skip only through its parity
 # and an offset skip // 2 shared by every `anti` index, so that covers
-# every depth.  Line and column are monotone along a run, so when both ends
+# every depth; the tests check this, for every even N <= 64, on the rows
+# of a batch's step table (_brickwork_step_table), which are this loop's
+# arithmetic.  Line and column are monotone along a run, so when both ends
 # hold a switch the cells between do too.  Odd N breaks the step (a frame's
 # last run can start at a column-0 cell that holds no switch); every way
 # into this core rejects it first.
@@ -478,7 +482,12 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
     iteration only removes photons from it, the bottom one and its partner,
     so it stays sorted by photon id and the partner's frame line is its rank,
     found by bisection.  Counter ticks are the cascade's, as in
-    :func:`_route_triangular`, and so is what it returns."""
+    :func:`_route_triangular`, and so is what it returns.  A batch of at
+    least :data:`_STEP_TABLES_PER_PORT` tables per port is routed by
+    :func:`_route_brickwork_by_table`."""
+    mates = list(mates)
+    if len(mates) >= _STEP_TABLES_PER_PORT * ports:
+        return _route_brickwork_by_table(ports, mates, counter)
     half0 = ports // 2
     count = optimal_switch_count(ports)
     lines = list(range(ports))  # the photons, and frame line -> physical output line
@@ -486,7 +495,6 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
     diag0 = list(range(-half0, ports, 2))  # surviving line - col
     fall, rise = half0, half0 - 1  # id strides along a diagonal and an anti-diagonal
     base = ports // 4 - half0  # cell (col > 0, line) has id base + (line - col + 1)//2 + fall*col
-    mates = list(mates)
     # a strided run lies past column 0 and visits at most one cell per
     # column, so it is at most N/2 - 1 long
     runs = [_ONES[:k] for k in range(min(half0, _RUN_TEMPLATES))] if len(mates) > 1 else []
@@ -557,6 +565,105 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
     return plans
 
 
+_STEP_TABLES_PER_PORT = 2
+"""A brickwork core call with at least this many partner tables per port
+reads each iteration's ranks from :func:`_brickwork_step_table`, made once
+per call; a smaller one works each step out as it goes.  The table has
+(N/2)² - 1 rows.  Against the step-by-step loop, T random tables took
+0.75-0.99x the time at T = 2N for N = 6-512 (1.02x, 1 us more, at N = 4)
+and 0.70-0.92x at T = 4N; at T = N up to 1.08x, and at T = N/2 up to
+1.22x (``boundaries`` in ``BENCH_brickwork_steps.json``).  From N = 256 on,
+a verify chunk holds fewer than 2N tables, so verify builds no table there."""
+
+
+def _brickwork_step_table(ports: int) -> list[list[tuple[int | None, ...]]]:
+    """What one iteration of :func:`_route_brickwork` works out from the
+    frame size, the partner's rank i and the depth alone: per iteration, in
+    order, one row per rank i <= n - 2,
+
+        (j_meet, rd, ra, rb, pa, qa, qb, ticks):
+
+    the meeting line; the partner's diagonal rank; the first and last
+    anti-diagonal ranks of its run; the anti-diagonal rank of the bottom
+    photon's run and the diagonal ranks of its last and first cells, read
+    after the partner's diagonal is removed (None for no run); and the
+    iteration's counter ticks.  Rank n - 2 writes no run and has None from
+    ``rd`` on.  Every anti-diagonal rank of a row at depth ``skip`` is its
+    value at depth ``skip % 2`` plus ``skip // 2``."""
+    half0, steps = ports // 2, []
+    for skip in range(half0 - 1):
+        n, half = ports - 2 * skip, half0 - skip
+        rows = []
+        for i in range(n - 2):  # the arithmetic of _route_brickwork's loop
+            cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
+            j_meet = i + half - cstart
+            rd, ra = (i - cstart + half) >> 1, (i + cstart + skip) >> 1
+            ticks = 4 * n - 3 - i + (0 < i < half if cstart == 1 else i >= half - 1)
+            if j_meet < n - 2:
+                q = j_meet >> 1
+                rows.append((j_meet, rd, ra, ra + j_meet - i - 1,
+                             (j_meet + half0) >> 1, q, q + n - 3 - j_meet, ticks))
+            else:
+                rows.append((n - 2, rd, ra, ra + n - 3 - i, None, None, None, ticks))
+        rows.append((n - 2, None, None, None, None, None, None, 3 * n - 1))
+        steps.append(rows)
+    return steps
+
+
+def _route_brickwork_by_table(ports: int, mates: list[Sequence[int]], counter: OpCounter | None
+                              ) -> list[tuple[bytearray, tuple[int, ...]]]:
+    """:func:`_route_brickwork` on a batch, each iteration's ranks read from
+    :func:`_brickwork_step_table`: the same plans and counter total.
+
+    ``anti`` and ``diag`` hold each entry x as x >> 1, which loses nothing
+    since every entry has the parity of N/2: a cell's column is then the
+    difference of its two entries, and its id and a run's length need no
+    shift."""
+    half0 = ports // 2
+    count = optimal_switch_count(ports)
+    lines = list(range(ports))
+    anti0 = [x >> 1 for x in range(half0 % 2, ports + half0, 2)]
+    diag0 = [x >> 1 for x in range(-half0, ports, 2)]
+    fall, rise = half0, half0 - 1
+    base = ports // 4 - half0 + half0 % 2  # cell (col > 0, diag entry d) has id base + d + fall*col
+    steps = _brickwork_step_table(ports)
+    runs = [_ONES[:k] for k in range(half0)]  # every length: see _RUN_TEMPLATES
+    plans = []
+    total = 0
+    for mate in mates:
+        states = bytearray(count)
+        photons, frame_out, anti, diag = lines[:], lines[:], anti0[:], diag0[:]
+        result = [0] * ports
+        for rows in steps:
+            bottom = photons.pop()
+            i = bisect_left(photons, mate[bottom])
+            j_meet, rd, ra, rb, pa, qa, qb, ticks = rows[i]
+            total += ticks
+            if rd is not None:
+                d = diag.pop(rd)
+                col = anti[ra] - d
+                if not col:  # column 0's switch on line 2d or 2d + 1 has id d
+                    states[d] = 1
+                    col = 1
+                first = base + d + fall * col
+                run = anti[rb] - d - col + 1
+                states[first : first + fall * run : fall] = runs[run]
+                if pa is not None:
+                    a = anti.pop(pa)
+                    lo, hi = diag[qa], diag[qb]
+                    first = base + hi + fall * (a - hi)
+                    run = hi - lo + 1
+                    states[first : first + rise * run : rise] = runs[run]
+            result[frame_out.pop(j_meet)] = photons.pop(i)
+            result[frame_out.pop(j_meet)] = bottom
+        result[frame_out[0]] = photons[0]
+        result[frame_out[1]] = photons[1]
+        plans.append((states, tuple(result)))
+    if counter:
+        counter.tick(total)
+    return plans
+
+
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -569,10 +676,11 @@ _CORES = {
 """Each design's routing core: ``(ports, mates, counter=None) -> [(state
 bytes, permuted), ...]``, one plan per partner table, for callers that hold
 checked tables.  What depends only on N is worked out once per call, so a
-batch pays it once: chevron lists its window constants, and triangular and
-brickwork make their Cross-run templates (:data:`_RUN_TEMPLATES`).  Each
-public router routes a batch of one, which reads those as it goes, since
-making them costs more than one table saves."""
+batch pays it once: chevron lists its window constants, triangular and
+brickwork make their Cross-run templates (:data:`_RUN_TEMPLATES`), and
+brickwork, from :data:`_STEP_TABLES_PER_PORT` tables per port, its step
+table.  Each public router routes a batch of one, which reads those as it
+goes, since making them costs more than one table saves."""
 
 
 def route(design: Design | str, ports: int, demand: PairList,

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,44 @@ def test_summary_needs_the_gain_to_clear_the_parents_quartile_spread():
     row = ab_bench.summarize(_pairs("rate", parent, [p + 1.0 for p in parent]), end_to_end)["rate"]
     assert row["change_wins"] == "10/10" and row["parent_quartiles"] == [90.0, 110.0]
     assert not row["clear_gain"]
+
+
+def test_repeated_workloads_run_in_turn_into_one_record_keyed_by_workload(monkeypatch, tmp_path):
+    # no perfbench run: the export, the git and compile steps and each run
+    # are stubbed; the change reads 10 % faster on every workload
+    class Done:
+        stdout = "abc1234\n"
+
+    calls = []
+
+    def run_once(tree, workload, seed):
+        side = "change" if tree == ab_bench.ROOT else "parent"
+        calls.append((workload, seed, side))
+        value = 1.0 if side == "parent" else 0.9
+        return {"correct": True, "failed": 0, "metrics": {"setup_s": {"value": value}}}
+
+    monkeypatch.setattr(ab_bench, "export", lambda revision, dest: None)
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda *args, **kwargs: Done())
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    out = tmp_path / "record.json"
+    argv = ["--parent", "HEAD", "--workload", "verify-sampled", "--workload", "route-large",
+            "--pairs", "2", "--seed", "5", "--json", str(out)]
+    assert ab_bench.main(argv) == 0
+    assert calls == [("verify-sampled", 5, "parent"), ("verify-sampled", 5, "change"),
+                     ("verify-sampled", 6, "change"), ("verify-sampled", 6, "parent"),
+                     ("route-large", 5, "parent"), ("route-large", 5, "change"),
+                     ("route-large", 6, "change"), ("route-large", 6, "parent")]
+    record = json.loads(out.read_text())
+    assert record["parent"] == "abc1234" and record["all_correct_and_no_failed_operations"]
+    assert record["workloads"] == ["verify-sampled", "route-large"]
+    assert list(record["summary"]) == list(record["runs"]) == record["workloads"]
+    for workload in record["workloads"]:
+        assert record["summary"][workload]["setup_s"]["change_wins"] == "2/2"
+        assert [pair["seed"] for pair in record["runs"][workload]] == [5, 6]
+
+    # a workload out of its bound fails the whole run
+    monkeypatch.setattr(ab_bench, "run_once", lambda tree, workload, seed: {
+        "correct": True, "failed": 0,
+        "metrics": {"setup_s": {"value": 2.0 if tree == ab_bench.ROOT and workload == "route-large"
+                                else 1.0}}})
+    assert ab_bench.main(argv[:-2]) == 1

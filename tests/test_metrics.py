@@ -63,6 +63,13 @@ def test_count_table_n12_ratio():
     assert table.ratio(12) == 30 / 66 < 0.5
 
 
+@pytest.mark.parametrize("ports", [10, 4, 0, -8, [8], None])
+def test_ratio_off_the_table_raises_a_typed_error_naming_n_and_the_tables_ports(ports):
+    with pytest.raises(InvalidInput, match=r"covers N = \[8, 12\], not N = "):
+        count_table([8, 12]).ratio(ports)
+    assert count_table([8, 12]).ratio(8) == 12 / 28
+
+
 def test_count_table_n8_classics():
     table = count_table([8])
     by = {r.scheme: r for r in table.rows}

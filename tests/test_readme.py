@@ -77,6 +77,23 @@ VERIFY_FIGURES = [
 ]
 
 
+# The same, for the figures of README's routing section.
+_STEPS = "BENCH_brickwork_steps.json"
+_GRID = ("boundaries", "rows")
+_EXHAUSTIVE = ("summary", "verify-exhaustive")
+ROUTING_FIGURES = [
+    ("24 and 48 tables at N = 12 took {}x", _STEPS,
+     (*_GRID, {"ports": 12, "tables": 24}, "ratio"), 2),
+    ("and {}x the time, and 512 tables", _STEPS, (*_GRID, {"ports": 12, "tables": 48}, "ratio"), 2),
+    ("512 tables at N = 256 {}x", _STEPS, (*_GRID, {"ports": 256, "tables": 512}, "ratio"), 2),
+    ("--exhaustive` checks about {} (triangular)", _STEPS,
+     (*_EXHAUSTIVE, "demands_per_s.triangular", "change_median"), -2),
+    ("{} (chevron) and", _STEPS, (*_EXHAUSTIVE, "demands_per_s.chevron", "change_median"), -2),
+    ("and {} (brickwork) demands/s", _STEPS,
+     (*_EXHAUSTIVE, "demands_per_s.brickwork", "change_median"), -2),
+]
+
+
 def _figure(record, path):
     value = json.loads((ROOT / record).read_text())
     for key in path:
@@ -92,6 +109,14 @@ def test_verify_figures_match_their_records():
     start = text.index("`simulate` is one stateless pass")
     section = " ".join(text[start : text.index("\n## Install and test", start)].split())
     for phrase, record, path, digits in VERIFY_FIGURES:
+        figure = f"{round(_figure(record, path), digits):,.{max(digits, 0)}f}"
+        assert phrase.format(figure) in section, (phrase, figure)
+
+
+def test_routing_figures_match_their_records():
+    text = README.read_text()
+    section = " ".join(text[: text.index("`build_network` fills its three arrays")].split())
+    for phrase, record, path, digits in ROUTING_FIGURES:
         figure = f"{round(_figure(record, path), digits):,.{max(digits, 0)}f}"
         assert phrase.format(figure) in section, (phrase, figure)
 

@@ -322,22 +322,34 @@ def test_cores_return_what_the_public_routers_plan(design):
 
 
 @pytest.mark.parametrize("design", list(Design))
-def test_a_core_routes_a_batch_as_its_tables_one_by_one(design):
+def test_a_core_routes_a_batch_as_its_tables_one_by_one(design, monkeypatch):
     # every table of each N <= 10 as one batch, then seeded batches up to
-    # N = 256 and, at 1024 and 2048, two seeded tables with the worst case,
-    # whose runs are the longest: the plans and the tick total are the
-    # per-table ones, so no state a core copies for each table leaks from
-    # one table to the next
+    # N = 256, seeded batches one table below and at brickwork's step-table
+    # threshold with the worst case, and, at 1024 and 2048, two seeded
+    # tables with the worst case, whose runs are the longest: the plans and
+    # the tick total are the per-table ones, so no state a core copies for
+    # each table leaks from one table to the next, and brickwork's two
+    # loops plan alike
     core, rng = _CORES[design], random.Random(f"batch:{design.value}")
+    per_port = routing._STEP_TABLES_PER_PORT
     batches = [list(_mate_tables(n)) for n in range(2, 11, 2)]
     batches += [[random_pair_list(n, rng).mate for _ in range(6)]
                 for n in (12, 14, 16, 32, 64, 128, 256)]
     batches.append(batches[-1] + [worst_case_pair_list(256).mate] + batches[-1][:2])
+    batches += [[random_pair_list(n, rng).mate for _ in range(size - 1)]
+                + [worst_case_pair_list(n).mate]
+                for n in (2, 4, 12, 14, 16, 32, 64)
+                for size in (per_port * n - 1, per_port * n)]
     batches += [[random_pair_list(n, rng).mate for _ in range(2)] + [worst_case_pair_list(n).mate]
                 for n in (1024, MAX_PORTS)]
+    made, table = [], routing._brickwork_step_table
+    monkeypatch.setattr(routing, "_brickwork_step_table", lambda n: made.append(n) or table(n))
     for mates in batches:
         ports, ticks, alone = len(mates[0]), OpCounter(), OpCounter()
+        before = len(made)
         plans = core(ports, mates, ticks)
+        by_table = design is Design.BRICKWORK and len(mates) >= per_port * ports
+        assert (len(made) > before) == by_table
         assert plans == [plan for mate in mates for plan in core(ports, [mate], alone)]
         assert ticks.count == alone.count and (ticks.count or ports == 2)
         assert core(ports, iter(mates)) == plans
@@ -869,6 +881,7 @@ def test_the_brickwork_core_writes_the_frame_models_runs():
             ports = n + 2 * k
             net = build_network(Design.BRICKWORK, ports)
             ids = {cell: sid for sid, cell in enumerate(zip(net.cols, net.lines))}
+            mates, wants = [], []
             for i in range(n - 1):
                 photons, mate = list(range(ports)), [0] * ports
                 pairs = [(photons.pop(), photons.pop())] if k else []
@@ -881,6 +894,54 @@ def test_the_brickwork_core_writes_the_frame_models_runs():
                 runs = brickwork_frames.step(n, i)[0]
                 want = {ids[c + k, j] for first, last in runs for c, j in _cells(first, last)}
                 assert {sid for sid, b in enumerate(states) if b} == want, (n, k, i)
+                mates.append(mate)
+                wants.append(want)
+            # the same tables as one batch, repeated up to the step-table threshold
+            times = -(-routing._STEP_TABLES_PER_PORT * ports // len(mates))
+            plans = _CORES[Design.BRICKWORK](ports, mates * times)
+            for (states, _), want in zip(plans, wants * times):
+                assert {sid for sid, b in enumerate(states) if b} == want, (n, k)
+
+
+def test_every_step_table_row_is_the_frame_models_step_at_its_parity():
+    # every row of a batch's step table, its anti-diagonal ranks less the
+    # depth's offset skip // 2, is step(n, i) read as ranks at the depth's
+    # parity: a function of (n, i, skip % 2) alone, so the induction's step
+    # covers every depth
+    for ports in range(2, 66, 2):
+        steps = routing._brickwork_step_table(ports)
+        assert len(steps) == max(ports // 2 - 1, 0)
+        for skip, rows in enumerate(steps):
+            n, k = ports - 2 * skip, skip % 2
+            assert len(rows) == n - 1
+
+            def anti(c, j):
+                return (j + c + k) // 2 + skip // 2
+
+            def diag(c, j):
+                return (j - c + n // 2) // 2
+
+            for i, row in enumerate(rows):
+                runs, removed, j_meet = brickwork_frames.step(n, i)
+                want = [j_meet, removed, None, None, None, None, None]
+                if runs:
+                    want[2:4] = anti(*runs[0][0]), anti(*runs[0][1])
+                if len(runs) == 2:  # read once the partner's diagonal, below them, is gone
+                    (first, last), = runs[1:]
+                    assert removed < diag(*last)
+                    want[4:7] = anti(*first), diag(*last) - 1, diag(*first) - 1
+                assert list(row[:7]) == want, (ports, n, i)
+
+
+def test_a_single_brickwork_table_builds_no_step_table(monkeypatch):
+    def refuse(ports):
+        raise AssertionError("a step table was built")
+
+    monkeypatch.setattr(routing, "_brickwork_step_table", refuse)
+    rng = random.Random("single")
+    for n in (2, 4, 12, 16, 64, 256):
+        for demand in (worst_case_pair_list(n), random_pair_list(n, rng)):
+            assert route_brickwork(n, demand) == route(Design.BRICKWORK, n, demand)
 
 
 # sha256 over chevron's plan_to_json of five seeded random demands and the

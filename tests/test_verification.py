@@ -24,7 +24,7 @@ from pairswitch import (
     verify_minimality,
     worst_case_pair_list,
 )
-from pairswitch import verification
+from pairswitch import routing, verification
 from pairswitch.verification import _mate_tables, report_to_json
 
 
@@ -460,6 +460,30 @@ def test_each_chunk_size_takes_its_path(monkeypatch):
             paths.clear()
             assert verify_design(design, ports).passed
             assert paths == [want]
+
+
+def test_no_verify_chunk_builds_a_brickwork_step_table_from_n_256(monkeypatch):
+    # a step table holds (N/2)^2 - 1 rows; from N = 256 on a chunk's state
+    # bytes cap it below the tables a step table needs, so verify never
+    # builds one there
+    def refuse(ports):
+        raise AssertionError("a step table was built")
+
+    sizes = []
+    core = routing._CORES[Design.BRICKWORK]
+
+    def recorded(ports, mates, counter=None):
+        mates = list(mates)
+        sizes.append(len(mates))
+        return core(ports, mates, counter)
+
+    monkeypatch.setattr(routing, "_brickwork_step_table", refuse)
+    monkeypatch.setitem(routing._CORES, Design.BRICKWORK, recorded)
+    assert verify_design(Design.BRICKWORK, 256, "random", samples=300, seed=1).passed
+    assert sizes == [258, 42] and 258 < routing._STEP_TABLES_PER_PORT * 256
+    for ports in range(256, MAX_PORTS + 1, 2):
+        size = verification._CHUNK_STATE_BYTES // verification.optimal_switch_count(ports)
+        assert size < routing._STEP_TABLES_PER_PORT * ports, ports
 
 
 def test_verify_builds_a_frame_once_per_call(monkeypatch):

@@ -1,7 +1,9 @@
-"""Time one perfbench workload at a parent revision and in the working tree,
+"""Time perfbench workloads at a parent revision and in the working tree,
 in alternating pairs, and compare the two per end-to-end metric.
 
     python3 tools/ab_bench.py --parent HEAD~1 --workload verify-exhaustive --pairs 10
+    python3 tools/ab_bench.py --parent HEAD~1 --workload route-large \
+        --workload verify-sampled --workload verify-exhaustive --json BENCH_x.json
 
 The parent's committed files are exported with ``git archive`` into a
 temporary directory, so the repository gains no worktree entry and the
@@ -11,15 +13,18 @@ each tree, one run at a time, with seeds S0, S0 + 1, ...; the parent runs
 first on odd seeds, so the side that runs first alternates from pair to
 pair.  Every run lasts run.py's default length, the same on both sides.
 
-For every end-to-end metric of the working tree's ``BENCHMARK.json`` it
-prints both medians, the parent's quartiles, the pairs the change won, how
-much worse the change's median is (negative is better) against the metric's
-bound, and whether a gain is clear: won in at least nine pairs in ten, by a
-median gain larger than the spread between the parent's quartiles.  With
-``--json FILE`` it also writes every run's final report line and the
-summary.  Stdlib only; not part of the test suite.  Exit status: 0 when
-every run is correct with no failed operation and every metric is within
-its bound, 1 otherwise, 2 on a usage error.
+``--workload`` may be given more than once: each workload runs all its
+pairs in turn, in the order given.  For each workload and every end-to-end
+metric of the working tree's ``BENCHMARK.json`` it prints both medians,
+the parent's quartiles, the pairs the change won, how much worse the
+change's median is (negative is better) against the metric's bound, and
+whether a gain is clear: won in at least nine pairs in ten, by a median
+gain larger than the spread between the parent's quartiles.  With
+``--json FILE`` it also writes one record of every run's final report line
+and the summary, each keyed by workload.  Stdlib only; not part of the
+test suite.  Exit status: 0 when every run is correct with no failed
+operation and every metric is within its bound on every workload, 1
+otherwise, 2 on a usage error.
 """
 from __future__ import annotations
 
@@ -50,6 +55,35 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited with code {proc.returncode}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_pairs(trees: dict[str, Path], workload: str, count: int, seed: int) -> list[dict]:
+    """``count`` pairs of ``workload``, seeds ``seed``, ``seed + 1``, ...; the
+    parent runs first on odd seeds."""
+    pairs = []
+    for k in range(count):
+        first = SIDES[not (seed + k) % 2]
+        pair = {"seed": seed + k, "first": first}
+        for side in (first, SIDES[first == "parent"]):
+            pair[side] = run_once(trees[side], workload, seed + k)
+        pairs.append(pair)
+        print(f"{workload} pair {k + 1}/{count} seed {seed + k} ({first} first) done",
+              file=sys.stderr)
+    return pairs
+
+
+def print_summary(workload: str, count: int, parent: str, healthy: bool, summary: dict) -> None:
+    print(f"{workload}: {count} pairs against {parent}; every run correct "
+          f"with no failed operation: {healthy}")
+    print(f"{'metric':26} {'parent':>12} {'change':>12} {'parent q1..q3':>25} "
+          f"{'wins':>6} {'worse by':>9} {'bound':>6}  clear gain")
+    for name, row in summary.items():
+        q1, q3 = row["parent_quartiles"]
+        print(f"{name:26} {row['parent_median']:12.6g} {row['change_median']:12.6g} "
+              f"{q1:12.6g}..{q3:<12.6g} {row['change_wins']:>6} "
+              f"{100 * row['change_worse_by']:+8.1f}% {row['bound']:6.2f}  "
+              f"{'yes' if row['clear_gain'] else 'no'}"
+              f"{'' if row['within_bound'] else '  OUT OF BOUND'}")
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
@@ -85,54 +119,44 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True,
-                        choices=("route-large", "verify-sampled", "verify-exhaustive"))
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--workload", required=True, action="append",
+                        choices=("route-large", "verify-sampled", "verify-exhaustive"),
+                        help="a workload to time; repeat for more, run in the order given")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
+    parser.add_argument("--seed", type=int, default=1, help="seed of each workload's first pair")
     parser.add_argument("--tmpdir", help="where to export the parent (default: the system's)")
     parser.add_argument("--json", metavar="FILE", help="write every run and the summary here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    workloads = list(dict.fromkeys(args.workload))
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
                             stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+    runs = {}
     with tempfile.TemporaryDirectory(prefix="ab_bench-", dir=args.tmpdir) as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         export(parent, trees["parent"])
         for tree in trees.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                            cwd=tree, check=True, stdout=subprocess.DEVNULL)
-        pairs = []
-        for k in range(args.pairs):
-            seed = args.seed + k
-            first = SIDES[not seed % 2]
-            pair = {"seed": seed, "first": first}
-            for side in (first, SIDES[first == "parent"]):
-                pair[side] = run_once(trees[side], args.workload, seed)
-            pairs.append(pair)
-            print(f"pair {k + 1}/{args.pairs} seed {seed} ({first} first) done", file=sys.stderr)
+        for workload in workloads:
+            runs[workload] = run_pairs(trees, workload, args.pairs, args.seed)
 
-    summary = summarize(pairs, end_to_end)
-    healthy = all(p[side]["correct"] and not p[side]["failed"] for p in pairs for side in SIDES)
-    print(f"{args.workload}: {args.pairs} pairs against {parent}; every run correct "
-          f"with no failed operation: {healthy}")
-    print(f"{'metric':26} {'parent':>12} {'change':>12} {'parent q1..q3':>25} "
-          f"{'wins':>6} {'worse by':>9} {'bound':>6}  clear gain")
-    for name, row in summary.items():
-        q1, q3 = row["parent_quartiles"]
-        print(f"{name:26} {row['parent_median']:12.6g} {row['change_median']:12.6g} "
-              f"{q1:12.6g}..{q3:<12.6g} {row['change_wins']:>6} "
-              f"{100 * row['change_worse_by']:+8.1f}% {row['bound']:6.2f}  "
-              f"{'yes' if row['clear_gain'] else 'no'}"
-              f"{'' if row['within_bound'] else '  OUT OF BOUND'}")
+    summary = {workload: summarize(pairs, end_to_end) for workload, pairs in runs.items()}
+    healthy = {workload: all(p[side]["correct"] and not p[side]["failed"]
+                             for p in pairs for side in SIDES)
+               for workload, pairs in runs.items()}
+    for workload in workloads:
+        print_summary(workload, args.pairs, parent, healthy[workload], summary[workload])
     if args.json:
-        record = {"parent": parent, "workload": args.workload,
-                  "all_correct_and_no_failed_operations": healthy,
-                  "summary": summary, "runs": pairs}
+        record = {"parent": parent, "workloads": workloads,
+                  "all_correct_and_no_failed_operations": all(healthy.values()),
+                  "summary": summary, "runs": runs}
         Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
-    return 0 if healthy and all(row["within_bound"] for row in summary.values()) else 1
+    within = all(row["within_bound"] for rows in summary.values() for row in rows.values())
+    return 0 if all(healthy.values()) and within else 1
 
 
 if __name__ == "__main__":
