@@ -41,7 +41,8 @@ def depth_stats(
 ) -> DepthStats:
     """Formula depth fields, with empirical extrema copied from a
     verification report when one is supplied; the report must be of the
-    same design and N."""
+    same design and N.  A report in which no demand passed has no extrema,
+    and its empirical fields stay None."""
     design = Design(design)
     fmax, fmin, fdelta = depth_formulas(design, ports)
     emax = emin = edelta = None
@@ -52,7 +53,8 @@ def depth_stats(
                 f" not {design.value} at N = {ports}"
             )
         emax, emin = report.max_depth, report.min_depth
-        edelta = emax - emin
+        if emax is not None:
+            edelta = emax - emin
     return DepthStats(design, ports, fmax, fmin, fdelta, emax, emin, edelta)
 
 

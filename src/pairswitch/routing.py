@@ -308,8 +308,8 @@ def _chevron_windows(ports: int) -> tuple[Iterator[tuple[int, int]],
     return outer, inner
 
 
-def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
-                   ) -> list[tuple[bytearray, tuple[int, ...]]]:
+def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None,
+                   inner: dict | None = None) -> list[tuple[bytearray, tuple[int, ...]]]:
     """Routing over nested windows: window k holds photons k..N-1-k and
     its layer is N/2-1-k.
 
@@ -328,10 +328,14 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
     bottom, stored as a negative, Python-style index.
 
     Returns one plan per partner table in ``mates``: the state bytes, 1 for
-    Cross, and the photon on each output line.
+    Cross, and the photon on each output line.  With no counter and a dict
+    ``inner``, which the caller keeps across calls, the batch is routed by
+    :func:`_route_chevron_by_inner`: the same plans.
     """
-    count = optimal_switch_count(ports)
     mates = list(mates)
+    if inner is not None and not counter and ports > 2:
+        return _route_chevron_by_inner(ports, mates, inner)
+    count = optimal_switch_count(ports)
     outer, inner = _chevron_windows(ports)
     if len(mates) > 1:
         # every table reads the same constants, so a batch lists them once; a
@@ -385,6 +389,70 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
         for photon, index in enumerate(pos):
             permuted[index] = photon
         plans.append((states, tuple(permuted)))
+    return plans
+
+
+def _route_chevron_by_inner(ports: int, mates: list[Sequence[int]], inner: dict
+                            ) -> list[tuple[bytearray, tuple[int, ...]]]:
+    """:func:`_route_chevron` on a batch, each table's inner window routed
+    once and shared (memoization, Michie, Nature 1968).
+
+    The outer window folds its pair inward, and what is left, photons
+    1..N-2 with the folded partners, is the chevron network two ports
+    smaller: its switches are the first S(N-2) ids, on lines shifted by one.
+    ``inner`` maps that folded table to what the outer layer needs: the
+    state bytes with the outer layer all Cross, the output lines with 0 and
+    N-1 paired at the middle, and each photon's index in those lines.  The
+    tables the dict lacks are routed in one batch at N-2.  A table then
+    routes only the outer layer, as :func:`_route_chevron`'s last window
+    does: at most two Bar switches and two pairs placed.  The dict holds one
+    entry per distinct inner table, (N-3)!! at most."""
+    last, layer = ports - 1, ports // 2 - 1
+    first = optimal_switch_count(ports - 2)  # the outer layer's first id
+    mid = layer + (layer & 1)  # where the outer pair enters; inner lines above it keep their index
+    cross = b"\x01" * (ports - 2)
+    entries, missing = [], []
+    for mate in mates:
+        top_mate, bot_mate = mate[0], mate[last]
+        if top_mate == last:
+            key = tuple(mate[1:last])
+        else:
+            folded = list(mate)
+            folded[top_mate], folded[bot_mate] = bot_mate, top_mate
+            key = tuple(folded[1:last])
+        entry = inner.get(key)
+        if entry is None:  # a slot, filled once the batch's new inner tables are routed
+            entry = inner[key] = [key]
+            missing.append(entry)
+        entries.append(entry)
+    if missing:
+        routed = _route_chevron(ports - 2, [[x - 1 for x in key] for key, in missing])
+        for entry, (states, permuted) in zip(missing, routed):
+            lines = [x + 1 for x in permuted]
+            lines[mid:mid] = (0, last)
+            where = [0] * ports
+            for index, photon in enumerate(lines):
+                where[photon] = index
+            entry[:] = bytes(states) + cross, lines, where
+    plans = []
+    for mate, (states, lines, where) in zip(mates, entries):
+        top_mate, bot_mate = mate[0], mate[last]
+        if top_mate == last:
+            plans.append((bytearray(states), tuple(lines)))
+            continue
+        states, lines = bytearray(states), lines[:]
+        a, b = where[top_mate], where[bot_mate]  # adjacent, on one side of mid
+        lo = a if a < b else b
+        # _route_chevron's last window, with lo counted from the top
+        if lo < mid:
+            states[first + lo + 1 if lo + 1 < layer else first + 2 * layer - 1] = a > b
+            states[first + lo] = 0
+            lines[lo], lines[lo + 1], lines[mid], lines[mid + 1] = 0, top_mate, bot_mate, last
+        else:
+            states[first + layer + ports - lo - 1] = a > b
+            states[first + layer + ports - lo - 2] = 0
+            lines[mid], lines[mid + 1], lines[lo], lines[lo + 1] = 0, top_mate, bot_mate, last
+        plans.append((states, tuple(lines)))
     return plans
 
 
@@ -680,7 +748,10 @@ batch pays it once: chevron lists its window constants, triangular and
 brickwork make their Cross-run templates (:data:`_RUN_TEMPLATES`), and
 brickwork, from :data:`_STEP_TABLES_PER_PORT` tables per port, its step
 table.  Each public router routes a batch of one, which reads those as it
-goes, since making them costs more than one table saves."""
+goes, since making them costs more than one table saves.  Chevron's core
+takes a fourth argument, a dict of routed inner windows that a caller keeps
+across calls (:func:`_route_chevron_by_inner`); an exhaustive verify run up
+to N = 14 passes one, positionally."""
 
 
 def route(design: Design | str, ports: int, demand: PairList,

@@ -28,6 +28,12 @@ lanes of one bit-sliced pass, a smaller one as byte lanes.  24 keeps every
 exhaustive chunk from N = 8 on the pass; ``BENCH_triangular_columns.json``
 times the two on each side of it."""
 
+_INNER_WINDOWS = 10395
+"""An exhaustive chevron run keeps one dict of routed inner windows, one
+entry per distinct inner table, when (N-3)!! is at most this: N <= 14.  At
+N = 16 it would hold 135,135 entries (``inner_dict`` in
+``BENCH_chevron_inner.json``)."""
+
 MAX_EXHAUSTIVE_PORTS = 16
 """Demand budget of an exhaustive run, whatever its cap: (N-1)!! demands,
 at most 15!! = 2,027,025."""
@@ -142,8 +148,8 @@ class VerificationReport:
     mode: str  # "exhaustive" | "random"
     demands_checked: int
     failures: tuple[tuple[str, str], ...]  # (demand text, diagnostic)
-    max_depth: int
-    min_depth: int
+    max_depth: int | None  # None when no demand passed
+    min_depth: int | None
     samples: int | None = None
     seed: int | None = None
 
@@ -174,7 +180,8 @@ def verify_design(
     cap: int = 12,
 ) -> VerificationReport:
     """Route every demand (or a seeded sample), simulate, and check the
-    paired egress; collect depth extrema across all checked routings."""
+    paired egress; collect depth extrema across the routings that pass,
+    None when none does."""
     design = Design(design)
     _check_ports(ports)
     for name, value in (("cap", cap), ("seed", seed)):
@@ -195,6 +202,12 @@ def verify_design(
         raise InvalidInput(f"unknown mode {mode!r}")
 
     core = _CORES[design]
+    # an exhaustive chevron run shares its inner windows across chunks; the
+    # dict goes to the core positionally, so a core patched on _CORES sees it
+    shared = ()
+    if (design is Design.CHEVRON and mode == "exhaustive"
+            and double_factorial(ports - 3) <= _INNER_WINDOWS):
+        shared = (None, {})
     failures: list[tuple[str, str]] = []
     checked = 0
     max_depth = 0
@@ -228,7 +241,7 @@ def verify_design(
 
     size = min(_CHUNK_DEMANDS, _CHUNK_STATE_BYTES // max(1, optimal_switch_count(ports)))
     while chunk := list(islice(mates, size)):
-        plans = core(ports, chunk)
+        plans = core(ports, chunk, *shared)
         checked += len(chunk)
         large = len(chunk) >= _LANES_PER_ID_BIT * (ports - 1).bit_length()
         if large:
@@ -247,6 +260,8 @@ def verify_design(
             max_depth = max(max_depth, high)
             min_depth = min(min_depth, low)
     failures.sort(key=lambda f: f[0])
+    if len(failures) == checked:  # no demand passed, so no depth was read
+        max_depth = min_depth = None
     return VerificationReport(
         design=design,
         ports=ports,

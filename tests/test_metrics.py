@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pairswitch import (
@@ -38,6 +40,17 @@ def test_depth_stats_copies_empirical_fields():
     assert s.empirical_delta == report.max_depth - report.min_depth
     bare = depth_stats(Design.TRIANGULAR, 6)
     assert bare.empirical_max is None
+
+
+def test_a_report_in_which_no_demand_passed_gives_no_empirical_depths():
+    report = dataclasses.replace(
+        verify_design(Design.CHEVRON, 8, mode="exhaustive"),
+        failures=(("0-1,2-3,4-5,6-7", "output pairs wrong at BSAs [0]"),) * 105,
+        max_depth=None, min_depth=None,
+    )
+    s = depth_stats(Design.CHEVRON, 8, report)
+    assert (s.empirical_max, s.empirical_min, s.empirical_delta) == (None, None, None)
+    assert (s.formula_max, s.formula_min, s.formula_delta) == depth_formulas(Design.CHEVRON, 8)
 
 
 def test_depth_stats_rejects_a_report_of_another_network():

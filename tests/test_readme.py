@@ -1,5 +1,6 @@
 """README's Library block runs as written, what its comments state holds, and
-the figures of its verify-path section match the records they name."""
+the figures of its routing, build_network and verify-path paragraphs match
+the records they name."""
 import json
 import re
 from pathlib import Path
@@ -77,20 +78,57 @@ VERIFY_FIGURES = [
 ]
 
 
-# The same, for the figures of README's routing section.
+# The same, for the figures of README's routing section; a fifth item
+# scales the record's value (seconds to ms).
+_DELETION = "BENCH_deletion_round.json"
+_DOUBLING = ("traced_route_large", "metrics")
+_ROUTE_LARGE = ("summary", "route-large")
 _STEPS = "BENCH_brickwork_steps.json"
 _GRID = ("boundaries", "rows")
+_INNER = "BENCH_chevron_inner.json"
 _EXHAUSTIVE = ("summary", "verify-exhaustive")
+_CLI_14 = ("cli_n14", "runs", "chevron")
 ROUTING_FIGURES = [
+    ("a route by {} (triangular)", _DELETION,
+     (*_DOUBLING, "routing.triangular.doubling_ratio", "change"), 2),
+    ("(triangular), {} (chevron)", _DELETION,
+     (*_DOUBLING, "routing.chevron.doubling_ratio", "change"), 2),
+    ("{} (brickwork), the benchmark's `doubling_ratio`", _DELETION,
+     (*_DOUBLING, "routing.brickwork.doubling_ratio", "change"), 2),
+    ("reads {} ms (triangular)", _DELETION,
+     (*_ROUTE_LARGE, "call_s.triangular", "change_median"), 2, 1000),
+    ("{} ms (chevron) and", _DELETION, (*_ROUTE_LARGE, "call_s.chevron", "change_median"), 2, 1000),
+    ("{} ms (brickwork) (medians", _DELETION,
+     (*_ROUTE_LARGE, "call_s.brickwork", "change_median"), 1, 1000),
     ("24 and 48 tables at N = 12 took {}x", _STEPS,
      (*_GRID, {"ports": 12, "tables": 24}, "ratio"), 2),
     ("and {}x the time, and 512 tables", _STEPS, (*_GRID, {"ports": 12, "tables": 48}, "ratio"), 2),
     ("512 tables at N = 256 {}x", _STEPS, (*_GRID, {"ports": 256, "tables": 512}, "ratio"), 2),
-    ("--exhaustive` checks about {} (triangular)", _STEPS,
+    ("takes {}x the time of the window loop at N = 12", _INNER,
+     ("core_ratios", "by_ports", "12", "ratio"), 2),
+    ("and {}x at N = 14", _INNER, ("core_ratios", "by_ports", "14", "ratio"), 2),
+    ("spends {} s in `cli.main`", _INNER, (*_CLI_14, "change", "main_s_median"), 3),
+    ("against {} s at the parent commit", _INNER, (*_CLI_14, "parent", "main_s_median"), 3),
+    ("peak RSS of {} against", _INNER, (*_CLI_14, "change", "peak_rss_mib_median"), 1),
+    ("against {} MiB", _INNER, (*_CLI_14, "parent", "peak_rss_mib_median"), 1),
+    ("135,135 entries, {} MiB", _INNER, ("inner_dict", "by_ports", "16", "mib"), 0),
+    ("--exhaustive` checks about {} (triangular)", _INNER,
      (*_EXHAUSTIVE, "demands_per_s.triangular", "change_median"), -2),
-    ("{} (chevron) and", _STEPS, (*_EXHAUSTIVE, "demands_per_s.chevron", "change_median"), -2),
-    ("and {} (brickwork) demands/s", _STEPS,
+    ("{} (chevron) and", _INNER, (*_EXHAUSTIVE, "demands_per_s.chevron", "change_median"), -2),
+    ("and {} (brickwork) demands/s", _INNER,
      (*_EXHAUSTIVE, "demands_per_s.brickwork", "change_median"), -2),
+]
+
+# The same, for the figures of README's build_network paragraph.
+_RAMPS = "BENCH_draw_readback_ramps.json"
+_BUILD = ("build_network_ms", "change")
+BUILD_FIGURES = [
+    ("{} ms (triangular),", _RAMPS, (*_BUILD, "triangular 1024"), 1),
+    ("{} ms (chevron) and", _RAMPS, (*_BUILD, "chevron 1024"), 1),
+    ("{} ms (brickwork) at N = 1024", _RAMPS, (*_BUILD, "brickwork 1024"), 1),
+    ("and {} ms (triangular),", _RAMPS, (*_BUILD, "triangular 2048"), 0),
+    ("{} ms (chevron) and", _RAMPS, (*_BUILD, "chevron 2048"), 0),
+    ("{} ms (brickwork) at N = 2048", _RAMPS, (*_BUILD, "brickwork 2048"), 0),
 ]
 
 
@@ -104,21 +142,31 @@ def _figure(record, path):
     return value
 
 
-def test_verify_figures_match_their_records():
+def _section(start, end):
     text = README.read_text()
-    start = text.index("`simulate` is one stateless pass")
-    section = " ".join(text[start : text.index("\n## Install and test", start)].split())
-    for phrase, record, path, digits in VERIFY_FIGURES:
-        figure = f"{round(_figure(record, path), digits):,.{max(digits, 0)}f}"
+    first = text.index(start) if start else 0
+    return " ".join(text[first : text.index(end, first)].split())
+
+
+def _check_figures(section, rows):
+    for phrase, record, path, digits, *scale in rows:
+        value = _figure(record, path) * (scale[0] if scale else 1)
+        figure = f"{round(value, digits):,.{max(digits, 0)}f}"
         assert phrase.format(figure) in section, (phrase, figure)
+
+
+def test_verify_figures_match_their_records():
+    _check_figures(_section("`simulate` is one stateless pass", "\n## Install and test"),
+                   VERIFY_FIGURES)
 
 
 def test_routing_figures_match_their_records():
-    text = README.read_text()
-    section = " ".join(text[: text.index("`build_network` fills its three arrays")].split())
-    for phrase, record, path, digits in ROUTING_FIGURES:
-        figure = f"{round(_figure(record, path), digits):,.{max(digits, 0)}f}"
-        assert phrase.format(figure) in section, (phrase, figure)
+    _check_figures(_section(None, "`build_network` fills its three arrays"), ROUTING_FIGURES)
+
+
+def test_build_figures_match_their_records():
+    _check_figures(_section("`build_network` fills its three arrays",
+                            "`simulate` is one stateless pass"), BUILD_FIGURES)
 
 
 def test_every_record_named_in_readme_or_changes_exists():

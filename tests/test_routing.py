@@ -20,6 +20,7 @@ from pairswitch import (
     brute_force_route,
     build_network,
     check_pairing,
+    double_factorial,
     enumerate_pair_lists,
     plan_from_json,
     plan_to_json,
@@ -190,6 +191,63 @@ def test_chevron_8_worst_case_all_cross():
     perm = propagate(net, plan.states)
     assert perm == plan.permuted
     assert check_pairing(perm, pl("0-7,1-6,2-5,3-4")).ok
+
+
+def _folded_inner(mate):
+    """Photons 1..N-2's partner table once the outer pair is folded inward:
+    the partners of 0 and N-1 paired with each other."""
+    mate = list(mate)
+    top, bot = mate[0], mate[-1]
+    if top != len(mate) - 1:
+        mate[top], mate[bot] = bot, top
+    return tuple(mate[1:-1])
+
+
+def test_shared_inner_windows_give_the_plans_of_the_loop():
+    # every table for each N <= 12 in chunks of 1024, then seeded batches at
+    # N = 14 with the worst case, each run carrying one dict across its
+    # calls: the plans are the loop's, byte for byte, and the dict holds
+    # one entry per distinct inner table
+    core, rng = routing._route_chevron, random.Random("inner")
+    runs = [list(_mate_tables(n)) for n in range(2, 13, 2)]
+    runs.append([random_pair_list(14, rng).mate for _ in range(3000)]
+                + [worst_case_pair_list(14).mate])
+    for mates in runs:
+        ports, inner = len(mates[0]), {}
+        plans = [plan for start in range(0, len(mates), 1024)
+                 for plan in core(ports, mates[start : start + 1024], None, inner)]
+        assert plans == core(ports, mates)
+        assert all(type(states) is bytearray and type(permuted) is tuple
+                   for states, permuted in plans)
+        if ports <= 12:
+            assert len(inner) == (double_factorial(ports - 3) if ports > 2 else 0)
+        else:
+            assert len(inner) == len(set(map(_folded_inner, mates))) < len(mates)
+        # a second pass reads every inner window from the dict
+        assert core(ports, mates[:50], None, inner) == plans[:50]
+        assert core(ports, [], None, inner) == []
+
+
+def test_a_counter_keeps_the_chevron_loop_and_leaves_the_dict_alone():
+    # the shared path ticks nothing, so a call with a counter takes the
+    # loop: the same plans and ticks as without a dict
+    mates = list(_mate_tables(8))
+    inner, ticks, alone = {}, OpCounter(), OpCounter()
+    plans = routing._route_chevron(8, mates, ticks, inner)
+    assert inner == {}
+    assert plans == routing._route_chevron(8, mates, alone) and ticks.count == alone.count > 0
+
+
+def test_chevron_networks_nest():
+    # the shared path's premise: the first S(N-2) switches of the chevron
+    # network are the network two ports smaller, one line lower
+    smaller = build_network(Design.CHEVRON, 2)
+    for ports in range(4, 301, 2):
+        net = build_network(Design.CHEVRON, ports)
+        count = len(smaller.lines)
+        assert list(net.lines[:count]) == [line + 1 for line in smaller.lines], ports
+        assert list(net.layers[:count]) == list(smaller.layers), ports
+        smaller = net
 
 
 # ---------------------------------------------------------------------------

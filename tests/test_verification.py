@@ -20,6 +20,7 @@ from pairswitch import (
     enumerate_pair_lists,
     random_pair_list,
     route,
+    route_chevron,
     verify_design,
     verify_minimality,
     worst_case_pair_list,
@@ -209,7 +210,7 @@ def test_verify_chevron_2_exhaustive():
 def test_verify_cap_enforced():
     with pytest.raises(BoundExceeded):
         verify_design(Design.TRIANGULAR, 14, mode="exhaustive")
-    # opting in with a larger cap is allowed (not executed here: slow)
+    # opting in with a larger cap is allowed (test_chevron_exhaustive_14_matches_its_digest)
 
 
 def test_verify_unknown_mode_rejected():
@@ -404,6 +405,10 @@ def _corrupting_route(monkeypatch, targets):
      "b2602ae485d0346e49be4a1c2e250eb50f137505660263b06d139a08b96aa990"),
     ("brickwork", 12, dict(mode="exhaustive"), {5000: ("pair", 7), 9000: ("flip", 0)}, 2,
      "14bbc0e1b56ee8b54504333d663bbae0e671ab4f1203fe30342857d508a244f0"),
+    # the first and last demands and two in later chunks, through shared inner windows
+    ("chevron", 12, dict(mode="exhaustive"),
+     {0: ("flip", 0), 4000: ("perm", 2), 8000: ("pair", 13), 10394: ("flip", 29)}, 4,
+     "1cd6f9ed39690ce78f5c5de9a00a1e049da9e8258a5d1e6f2ba3000a1c95e5a7"),
 ])
 def test_corrupted_plans_give_the_golden_report(monkeypatch, design, ports, kwargs, targets,
                                                 failures, digest):
@@ -413,6 +418,129 @@ def test_corrupted_plans_give_the_golden_report(monkeypatch, design, ports, kwar
     report = verify_design(design, ports, **kwargs)
     assert len(report.failures) == failures
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest
+
+
+class _Stopped(Exception):
+    pass
+
+
+def _recorded_cores(monkeypatch, stop_after=None):
+    """Record what each core call gets past its tables, per design; with
+    ``stop_after``, end the run by raising _Stopped at that call."""
+    calls = []
+
+    def recording(design, core):
+        def recorded(ports, mates, *rest):
+            calls.append((design, ports, rest))
+            if len(calls) == stop_after:
+                raise _Stopped
+            return core(ports, mates, *rest)
+        return recorded
+
+    for design, core in list(routing._CORES.items()):
+        monkeypatch.setitem(routing._CORES, design, recording(design, core))
+    return calls
+
+
+# sha256 of report_to_json of the exhaustive chevron run at N = 14, the
+# largest N whose inner windows are shared; recorded before they were.
+# tools/exhaustive_digests.py checks it, and N = 14 and 16 for every design,
+# against README.
+CHEVRON_14_SHA256 = "1aaf88f5bd89c665359724e496a34c4f947780f9bc71e92f5e1ce292daac46bf"
+
+
+def test_chevron_exhaustive_14_matches_its_digest(monkeypatch):
+    import hashlib
+
+    calls = _recorded_cores(monkeypatch)
+    report = verify_design(Design.CHEVRON, 14, cap=14)
+    assert report.passed and report.demands_checked == double_factorial(13)
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == CHEVRON_14_SHA256
+    # its 132 chunks share one dict, which ends with every inner table
+    inner = calls[0][2][1]
+    assert len(calls) == 132 and all(rest[1] is inner for *_, rest in calls)
+    assert len(inner) == double_factorial(11) == verification._INNER_WINDOWS
+
+
+def _load_exhaustive_digests():
+    """tools/exhaustive_digests.py, the opt-in exhaustive runs at N = 14 and 16."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "exhaustive_digests.py"
+    spec = importlib.util.spec_from_file_location("exhaustive_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_readme_records_the_exhaustive_digests_the_script_checks(capsys):
+    tool = _load_exhaustive_digests()
+    digests = tool.recorded(tool.README.read_text())
+    assert set(digests) == {(design.value, n) for design in Design for n in (14, 16)}
+    assert digests[("chevron", 14)] == CHEVRON_14_SHA256
+    assert tool.recorded("no table") == {}
+    # an N with no recorded digest fails before any run
+    assert tool.main(["4"]) == 1
+    assert capsys.readouterr().out.count("README records no digest") == len(Design)
+
+
+def test_an_exhaustive_chevron_run_shares_one_dict_across_its_chunks(monkeypatch):
+    # one dict per run, handed to every chunk of it, (N-3)!! entries at the
+    # end (N = 2 has no inner window and leaves it empty); no other design
+    # gets one
+    calls, last = _recorded_cores(monkeypatch), None
+    for ports in range(2, 13, 2):  # N = 14: test_chevron_exhaustive_14_matches_its_digest
+        for _ in range(2):  # a second run makes its own
+            calls.clear()
+            assert verify_design(Design.CHEVRON, ports).passed
+            dicts = [rest[1] for *_, rest in calls if rest]
+            assert len(dicts) == len(calls) and all(inner is dicts[0] for inner in dicts)
+            assert len(dicts[0]) == (double_factorial(ports - 3) if ports > 2 else 0)
+            assert dicts[0] is not last
+            last = dicts[0]
+    calls.clear()
+    for design in (Design.TRIANGULAR, Design.BRICKWORK):
+        verify_design(design, 12)
+    assert len(calls) == 2 * 11 and not any(rest for *_, rest in calls)
+
+
+def test_shared_inner_windows_are_never_reached_by_random_mode_or_n_16(monkeypatch):
+    def refuse(ports, mates, inner):
+        raise AssertionError("inner windows were shared")
+
+    monkeypatch.setattr(routing, "_route_chevron_by_inner", refuse)
+    for ports in (4, 8, 12, 14, 16):
+        # 1100 samples: a chunk on the bit-sliced pass and one on byte lanes
+        assert verify_design(Design.CHEVRON, ports, "random", samples=1100, seed=ports).passed
+        assert route_chevron(ports, worst_case_pair_list(ports)).states
+    # N = 16's 2,027,025 demands: the first three chunks get no dict
+    calls = _recorded_cores(monkeypatch, stop_after=3)
+    with pytest.raises(_Stopped):
+        verify_design(Design.CHEVRON, 16, cap=16)
+    assert calls == [(Design.CHEVRON, 16, ())] * 3
+
+
+@pytest.mark.parametrize("ports, kwargs, demands", [
+    (8, dict(mode="exhaustive"), 105),  # the bit-sliced pass
+    (6, dict(mode="exhaustive"), 15),  # byte lanes
+    (16, dict(mode="random", samples=5, seed=1), 5),
+])
+@pytest.mark.parametrize("design", list(Design))
+def test_a_run_in_which_no_demand_passes_reports_no_depths(monkeypatch, design, ports, kwargs,
+                                                           demands):
+    _corrupting_route(monkeypatch, dict.fromkeys(range(demands), ("perm", 0)))
+    report = verify_design(design, ports, **kwargs)
+    assert len(report.failures) == report.demands_checked == demands
+    assert report.max_depth is None and report.min_depth is None
+    doc = json.loads(report_to_json(report))
+    assert doc["max_depth"] is None and doc["min_depth"] is None
+    # one passing demand gives depths again
+    monkeypatch.undo()
+    _corrupting_route(monkeypatch, dict.fromkeys(range(1, demands), ("perm", 0)))
+    report = verify_design(design, ports, **kwargs)
+    assert len(report.failures) == demands - 1
+    assert 0 <= report.min_depth <= report.max_depth <= ports - 2
 
 
 def _recorded_paths(monkeypatch):
