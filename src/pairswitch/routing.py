@@ -133,9 +133,8 @@ those lengths from them; longer runs, and every run of a single table, are
 sliced from :data:`_ONES`.  Templates for every length hold N²/2 bytes for
 triangular: at N = 2048 they took 1.6 ms to make, and batches of 2-4 tables
 routed 1.1-1.5x slower than slicing; with this cap, 0.96-1.07x.  512 bytes
-is the largest block CPython's small-object allocator serves.  Brickwork's
-step-table batches (:func:`_route_brickwork_by_table`) make every length,
-which their 2N or more tables outweigh."""
+is the largest block CPython's small-object allocator serves.  Every
+batch follows this rule, brickwork's step-table batches too."""
 
 
 class StateVector(Mapping[int, State]):
@@ -485,25 +484,36 @@ def _route_chevron_by_inner(ports: int, mates: list[Sequence[int]], inner: dict
 # partner's path is one diagonal and the bottom photon's one anti-diagonal,
 # and removing those two is all that shrinking the frame does to them: the
 # frame's k-th diagonal is the k-th physical diagonal still in `diag`, and
-# likewise for `anti`.  Every entry has the parity of N/2, so frame cell
+# likewise for `anti`.  Every line + col and line - col has the parity of
+# N/2, so the lists hold each as x >> 1, which loses nothing: frame cell
 # (c, j) is entry (j + c + skip) // 2 of `anti` and (j - c - skip + N/2) // 2
-# = (j - c + n/2) // 2 of `diag`.  A Cross run keeps to one entry of one
-# list; its first and last cells are two entries of the other.  An
-# iteration writes its runs, then deletes the two entries it used.
+# = (j - c + n/2) // 2 of `diag`, and a cell's column is its `anti` entry
+# less its `diag` entry.  A Cross run keeps to one entry of one list; its
+# first and last cells are two entries of the other.  An iteration writes
+# its runs and deletes the two entries it used.
 #
 # Past column 0, switch ids are affine along both kinds of diagonal.  The
-# cell on diagonal d = line - col in column col > 0 has id
+# cell with `diag` entry d in column col > 0 (line - col = 2d + N/2 % 2)
+# has id
 #
-#     N//4 - N/2 + (d + 1)//2 + (N/2)*col,
+#     N//4 - N/2 + N/2 % 2 + d + (N/2)*col,
 #
 # so one step along a diagonal adds N/2 to the id, one step along an
 # anti-diagonal N/2 - 1.  Column 0 holds ids 0..N//4 - 1, line // 2 on each
-# of its lines.  A run is one strided slice of `states`, written at once as
-# ones: the loop computes its first id from this formula and its length from
-# the span of columns it covers.  Column 0 breaks the stride and can only
-# hold the first cell of the partner's run, which is then written alone.
-# The bottom photon's run ends in the last column and has at most n/2 - 1
-# cells, since a partner on line 0 starts its diagonal by column 1.
+# of its lines, which is the cell's `diag` entry.  A run is one strided
+# slice of `states`, written at once as ones: the loop computes its first
+# id from this formula and its length from the span of columns it covers.
+# Column 0 breaks the stride and can only hold the first cell of the
+# partner's run, which is then written alone.  The bottom photon's run ends
+# in the last column and has at most n/2 - 1 cells, since a partner on
+# line 0 starts its diagonal by column 1.
+#
+# The list ranks an iteration reads and its ticks, one row (j_meet, rd, ra,
+# rb, pa, qa, qb, ticks), depend only on N, the frame size n and the
+# partner's rank.  A call that routes at least 2N tables reads each row
+# from a step table it makes once (_brickwork_step_table); any other call
+# works the row out inline, with the same arithmetic.  One loop body then
+# writes the runs and pops the lists, whichever source gave the row.
 #
 # No run end is checked against the grid, and no run for being empty.  At
 # every even N a partner below line n - 2 has a run of at least one cell,
@@ -513,15 +523,16 @@ def _route_chevron_by_inner(ports: int, mates: list[Sequence[int]], inner: dict
 # skip, the partner's run is not empty (j_meet > i), both runs end on
 # frame cells and every cell of frame n - 2, read past the two removed
 # entries, reads a cell of frame n.  tools/brickwork_frames.py checks this
-# to any bound and the tests to n = 256; the tests also tie the model to
-# this loop at depth 0 and 1.  The loop reads skip only through its parity
-# and an offset skip // 2 shared by every `anti` index, so that covers
-# every depth; the tests check this, for every even N <= 64, on the rows
-# of a batch's step table (_brickwork_step_table), which are this loop's
-# arithmetic.  Line and column are monotone along a run, so when both ends
-# hold a switch the cells between do too.  Odd N breaks the step (a frame's
-# last run can start at a column-0 cell that holds no switch); every way
-# into this core rejects it first.
+# to any bound and the tests to n = 256.  A row reads skip only through its
+# parity and an offset skip // 2 shared by every `anti` rank, so that
+# covers every depth.  The tests tie the model to this loop at every depth
+# for N <= 42, each run it writes from a row worked out inline and from a
+# step-table row, and check every step-table row for N <= 64, less that
+# offset, against the model's step at skip's parity.  Line and column are
+# monotone along a run, so when both ends hold a switch the cells between
+# do too.  Odd N breaks the step (a frame's last run can start at a
+# column-0 cell that holds no switch); every way into this core rejects it
+# first.
 #
 # The slice also covers the cells where the run crosses a line already
 # removed, and writing ones there changes nothing:
@@ -548,21 +559,23 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
 
     ``photons`` holds the frame's unpaired photons, in line order.  Each
     iteration only removes photons from it, the bottom one and its partner,
-    so it stays sorted by photon id and the partner's frame line is its rank,
-    found by bisection.  Counter ticks are the cascade's, as in
-    :func:`_route_triangular`, and so is what it returns.  A batch of at
-    least :data:`_STEP_TABLES_PER_PORT` tables per port is routed by
-    :func:`_route_brickwork_by_table`."""
+    so it stays sorted by photon id and the partner's frame line is its rank
+    i, found by bisection.  The rest of the iteration reads one row of list
+    ranks and ticks (:func:`_brickwork_step_table`), from the call's step
+    table when it made one (:data:`_STEP_TABLES_PER_PORT`), else worked out
+    inline.  Counter ticks are the cascade's, as in :func:`_route_triangular`,
+    and so is what it returns."""
     mates = list(mates)
-    if len(mates) >= _STEP_TABLES_PER_PORT * ports:
-        return _route_brickwork_by_table(ports, mates, counter)
     half0 = ports // 2
     count = optimal_switch_count(ports)
     lines = list(range(ports))  # the photons, and frame line -> physical output line
-    anti0 = list(range(half0 % 2, ports + half0, 2))  # surviving line + col
-    diag0 = list(range(-half0, ports, 2))  # surviving line - col
+    anti0 = [x >> 1 for x in range(half0 % 2, ports + half0, 2)]  # surviving line + col, halved
+    diag0 = [x >> 1 for x in range(-half0, ports, 2)]  # surviving line - col, halved
     fall, rise = half0, half0 - 1  # id strides along a diagonal and an anti-diagonal
-    base = ports // 4 - half0  # cell (col > 0, line) has id base + (line - col + 1)//2 + fall*col
+    base = ports // 4 - half0 + half0 % 2  # cell (col > 0, diag entry d) has id base + d + fall*col
+    # one row source per iteration: the step table's rows, or None for inline
+    by_table = len(mates) >= _STEP_TABLES_PER_PORT * ports
+    steps = _brickwork_step_table(ports) if by_table else [None] * (half0 - 1)
     # a strided run lies past column 0 and visits at most one cell per
     # column, so it is at most N/2 - 1 long
     runs = [_ONES[:k] for k in range(min(half0, _RUN_TEMPLATES))] if len(mates) > 1 else []
@@ -572,61 +585,53 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
         states = bytearray(count)
         photons, frame_out, anti, diag = lines[:], lines[:], anti0[:], diag0[:]
         result = [0] * ports
-        # the frame's size and half of it, and the iterations done; since
-        # half + skip = half0, the anti-diagonal ranks of the bottom photon's run
-        # and the diagonal ranks of its ends need no frame offset
-        n, half, skip = ports, half0, 0
-        while n > 2:
+        for rows in steps:
             bottom = photons.pop()
             i = bisect_left(photons, mate[bottom])
+            if rows:
+                j_meet, rd, ra, rb, pa, qa, qb, ticks = rows[i]
+            else:  # the same row, worked out as _brickwork_step_table does
+                n = len(photons) + 1
+                j_meet, rd, pa = n - 2, None, None
+                if i < j_meet:
+                    half = n >> 1
+                    # column 0 holds the lines of half's parity up to half-2, column 1
+                    # every line of the other.  A partner off half's parity starts in
+                    # column 1, past column 0's switch above it if there is one; one
+                    # on it in column 0 up to line half-2, else in column 2, past
+                    # column 1's switch above it.  A switch passed stays Bar and ticks.
+                    cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
+                    rd, ra = (i - cstart + half) >> 1, (i + cstart + half0 - half) >> 1
+                    # worked out only for a counter, which saves about 4 % of a route
+                    ticks = counter and (
+                        4 * n - 3 - i + (0 < i < half if cstart == 1 else i >= half - 1))
+                    if i + half - cstart < j_meet:  # the bottom photon rises to meet it
+                        j_meet = i + half - cstart
+                        qa = j_meet >> 1  # ranks count past the partner's diagonal
+                        pa, qb = (j_meet + half0) >> 1, qa + n - 3 - j_meet
+                    rb = ra + j_meet - i - 1
+                else:  # rank n - 1 pairs no photon: it ticks its scan, then its pop raises
+                    ticks = 3 * n - 1 if i == j_meet else n
             if counter:
-                counter.tick(i + 1)
-            j_meet = n - 2
-            if i < j_meet:
-                # column 0 holds the lines of half's parity up to half-2, column 1
-                # every line of the other.  A partner off half's parity starts in
-                # column 1, past column 0's switch above it if there is one; one
-                # on it in column 0 up to line half-2, else in column 2, past
-                # column 1's switch above it.  A switch passed stays Bar.
-                cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
-                if i + half - cstart < j_meet:
-                    j_meet = i + half - cstart
-                rd = (i - cstart + half) >> 1
-                d = diag[rd]
-                ra = (i + cstart + skip) >> 1
-                lo, hi = anti[ra], anti[ra + j_meet - i - 1]
-                # cell (line + col, line - col) = (x, d) for x = lo, hi
-                col = (lo - d) >> 1
-                if not col:  # column 0 breaks the stride: its switch is written alone
-                    states[d >> 1] = 1  # its id is line // 2, and line = d there
+                counter.tick(ticks)
+            if rd is not None:
+                d = diag.pop(rd)
+                col = anti[ra] - d
+                if not col:  # column 0 breaks the stride: its switch, id d, is written alone
+                    states[d] = 1
                     col = 1
-                first = base + ((d + 1) >> 1) + fall * col
-                run = ((hi - d) >> 1) - col + 1
-                ones = runs[run] if run < made else _ONES[:run]
-                states[first : first + fall * run : fall] = ones
-                if j_meet < n - 2:
-                    a = anti.pop((j_meet + half0) >> 1)
-                    rq = (j_meet >> 1) + 1
-                    # ranks count the partner's diagonal, which goes last
-                    lo, hi = diag[rq], diag[rq + n - 3 - j_meet]
-                    # cell (line + col, line - col) = (a, x) for x = hi, lo
-                    first = base + ((hi + 1) >> 1) + fall * ((a - hi) >> 1)
-                    run = ((hi - lo) >> 1) + 1
-                    ones = runs[run] if run < made else _ONES[:run]
-                    states[first : first + rise * run : rise] = ones
-                del diag[rd]
-                if counter:  # a tick when the partner's first switch couples it from above
-                    bar = 0 < i < half if (i + half) & 1 else i >= half - 1
-                    counter.tick(bar + 2 * (n - 2 - i))
-            result[frame_out[j_meet]] = photons.pop(i)
-            result[frame_out[j_meet + 1]] = bottom
-            del frame_out[j_meet : j_meet + 2]
-            if counter:
-                counter.tick(2 * n)
-            n -= 2
-            half -= 1
-            skip += 1
-
+                first = base + d + fall * col
+                run = anti[rb] - d - col + 1
+                states[first : first + fall * run : fall] = runs[run] if run < made else _ONES[:run]
+                if pa is not None:
+                    a = anti.pop(pa)
+                    lo, hi = diag[qa], diag[qb]
+                    first = base + hi + fall * (a - hi)
+                    run = hi - lo + 1
+                    states[first : first + rise * run : rise] = (
+                        runs[run] if run < made else _ONES[:run])
+            result[frame_out.pop(j_meet)] = photons.pop(i)
+            result[frame_out.pop(j_meet)] = bottom
         result[frame_out[0]] = photons[0]
         result[frame_out[1]] = photons[1]
         plans.append((states, tuple(result)))
@@ -635,19 +640,19 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
 
 _STEP_TABLES_PER_PORT = 2
 """A brickwork core call with at least this many partner tables per port
-reads each iteration's ranks from :func:`_brickwork_step_table`, made once
-per call; a smaller one works each step out as it goes.  The table has
-(N/2)² - 1 rows.  Against the step-by-step loop, T random tables took
-0.75-0.99x the time at T = 2N for N = 6-512 (1.02x, 1 us more, at N = 4)
-and 0.70-0.92x at T = 4N; at T = N up to 1.08x, and at T = N/2 up to
-1.22x (``boundaries`` in ``BENCH_brickwork_steps.json``).  From N = 256 on,
-a verify chunk holds fewer than 2N tables, so verify builds no table there."""
+reads each iteration's row from :func:`_brickwork_step_table`, made once
+per call; a smaller one works each row out inline.  Against inline rows,
+T random tables took 0.90-0.98x the time at T = 2N for N = 8-128 (1.06-1.20x
+at N = 4, 6, 256 and 512) and 0.80-0.98x at T = 4N up to N = 256; at T = N
+1.04-1.34x, at T = N/2 1.35-1.66x (``boundaries`` in
+``BENCH_brickwork_one_loop.json``).  From N = 256 on, a verify chunk holds
+fewer than 2N tables, so verify builds no table there."""
 
 
 def _brickwork_step_table(ports: int) -> list[list[tuple[int | None, ...]]]:
-    """What one iteration of :func:`_route_brickwork` works out from the
-    frame size, the partner's rank i and the depth alone: per iteration, in
-    order, one row per rank i <= n - 2,
+    """Every row :func:`_route_brickwork` can read at N = ``ports``: per
+    iteration, in order, one per partner rank i <= n - 2 on the frame of
+    size n,
 
         (j_meet, rd, ra, rb, pa, qa, qb, ticks):
 
@@ -659,77 +664,19 @@ def _brickwork_step_table(ports: int) -> list[list[tuple[int | None, ...]]]:
     ``rd`` on.  Every anti-diagonal rank of a row at depth ``skip`` is its
     value at depth ``skip % 2`` plus ``skip // 2``."""
     half0, steps = ports // 2, []
-    for skip in range(half0 - 1):
-        n, half = ports - 2 * skip, half0 - skip
-        rows = []
-        for i in range(n - 2):  # the arithmetic of _route_brickwork's loop
+    for n in range(ports, 2, -2):
+        half, rows = n >> 1, []
+        for i in range(n - 2):  # the arithmetic of _route_brickwork's inline rows
             cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
-            j_meet = i + half - cstart
-            rd, ra = (i - cstart + half) >> 1, (i + cstart + skip) >> 1
+            j_meet = min(i + half - cstart, n - 2)
+            rd, ra = (i - cstart + half) >> 1, (i + cstart + half0 - half) >> 1
             ticks = 4 * n - 3 - i + (0 < i < half if cstart == 1 else i >= half - 1)
-            if j_meet < n - 2:
-                q = j_meet >> 1
-                rows.append((j_meet, rd, ra, ra + j_meet - i - 1,
-                             (j_meet + half0) >> 1, q, q + n - 3 - j_meet, ticks))
-            else:
-                rows.append((n - 2, rd, ra, ra + n - 3 - i, None, None, None, ticks))
+            q = j_meet >> 1
+            tail = ((j_meet + half0) >> 1, q, q + n - 3 - j_meet) if j_meet < n - 2 else (None,) * 3
+            rows.append((j_meet, rd, ra, ra + j_meet - i - 1, *tail, ticks))
         rows.append((n - 2, None, None, None, None, None, None, 3 * n - 1))
         steps.append(rows)
     return steps
-
-
-def _route_brickwork_by_table(ports: int, mates: list[Sequence[int]], counter: OpCounter | None
-                              ) -> list[tuple[bytearray, tuple[int, ...]]]:
-    """:func:`_route_brickwork` on a batch, each iteration's ranks read from
-    :func:`_brickwork_step_table`: the same plans and counter total.
-
-    ``anti`` and ``diag`` hold each entry x as x >> 1, which loses nothing
-    since every entry has the parity of N/2: a cell's column is then the
-    difference of its two entries, and its id and a run's length need no
-    shift."""
-    half0 = ports // 2
-    count = optimal_switch_count(ports)
-    lines = list(range(ports))
-    anti0 = [x >> 1 for x in range(half0 % 2, ports + half0, 2)]
-    diag0 = [x >> 1 for x in range(-half0, ports, 2)]
-    fall, rise = half0, half0 - 1
-    base = ports // 4 - half0 + half0 % 2  # cell (col > 0, diag entry d) has id base + d + fall*col
-    steps = _brickwork_step_table(ports)
-    runs = [_ONES[:k] for k in range(half0)]  # every length: see _RUN_TEMPLATES
-    plans = []
-    total = 0
-    for mate in mates:
-        states = bytearray(count)
-        photons, frame_out, anti, diag = lines[:], lines[:], anti0[:], diag0[:]
-        result = [0] * ports
-        for rows in steps:
-            bottom = photons.pop()
-            i = bisect_left(photons, mate[bottom])
-            j_meet, rd, ra, rb, pa, qa, qb, ticks = rows[i]
-            total += ticks
-            if rd is not None:
-                d = diag.pop(rd)
-                col = anti[ra] - d
-                if not col:  # column 0's switch on line 2d or 2d + 1 has id d
-                    states[d] = 1
-                    col = 1
-                first = base + d + fall * col
-                run = anti[rb] - d - col + 1
-                states[first : first + fall * run : fall] = runs[run]
-                if pa is not None:
-                    a = anti.pop(pa)
-                    lo, hi = diag[qa], diag[qb]
-                    first = base + hi + fall * (a - hi)
-                    run = hi - lo + 1
-                    states[first : first + rise * run : rise] = runs[run]
-            result[frame_out.pop(j_meet)] = photons.pop(i)
-            result[frame_out.pop(j_meet)] = bottom
-        result[frame_out[0]] = photons[0]
-        result[frame_out[1]] = photons[1]
-        plans.append((states, tuple(result)))
-    if counter:
-        counter.tick(total)
-    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -746,12 +693,13 @@ bytes, permuted), ...]``, one plan per partner table, for callers that hold
 checked tables.  What depends only on N is worked out once per call, so a
 batch pays it once: chevron lists its window constants, triangular and
 brickwork make their Cross-run templates (:data:`_RUN_TEMPLATES`), and
-brickwork, from :data:`_STEP_TABLES_PER_PORT` tables per port, its step
-table.  Each public router routes a batch of one, which reads those as it
-goes, since making them costs more than one table saves.  Chevron's core
-takes a fourth argument, a dict of routed inner windows that a caller keeps
-across calls (:func:`_route_chevron_by_inner`); an exhaustive verify run up
-to N = 14 passes one, positionally."""
+brickwork, from :data:`_STEP_TABLES_PER_PORT` tables per port, the step
+table its loop reads rows from instead of working them out.  Each public
+router routes a batch of one, which reads those as it goes, since making
+them costs more than one table saves.  Chevron's core takes a fourth
+argument, a dict of routed inner windows that a caller keeps across calls
+(:func:`_route_chevron_by_inner`); an exhaustive verify run up to N = 14
+passes one, positionally."""
 
 
 def route(design: Design | str, ports: int, demand: PairList,

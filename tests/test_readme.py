@@ -1,6 +1,6 @@
 """README's Library block runs as written, what its comments state holds, and
-the figures of its routing, build_network and verify-path paragraphs match
-the records they name."""
+the figures of its routing, build_network, verify-path and Install and test
+paragraphs match the records they name."""
 import json
 import re
 from pathlib import Path
@@ -83,7 +83,7 @@ VERIFY_FIGURES = [
 _DELETION = "BENCH_deletion_round.json"
 _DOUBLING = ("traced_route_large", "metrics")
 _ROUTE_LARGE = ("summary", "route-large")
-_STEPS = "BENCH_brickwork_steps.json"
+_ONE_LOOP = "BENCH_brickwork_one_loop.json"
 _GRID = ("boundaries", "rows")
 _INNER = "BENCH_chevron_inner.json"
 _EXHAUSTIVE = ("summary", "verify-exhaustive")
@@ -100,10 +100,11 @@ ROUTING_FIGURES = [
     ("{} ms (chevron) and", _DELETION, (*_ROUTE_LARGE, "call_s.chevron", "change_median"), 2, 1000),
     ("{} ms (brickwork) (medians", _DELETION,
      (*_ROUTE_LARGE, "call_s.brickwork", "change_median"), 1, 1000),
-    ("24 and 48 tables at N = 12 took {}x", _STEPS,
+    ("24 and 48 tables at N = 12 took {}x", _ONE_LOOP,
      (*_GRID, {"ports": 12, "tables": 24}, "ratio"), 2),
-    ("and {}x the time, and 512 tables", _STEPS, (*_GRID, {"ports": 12, "tables": 48}, "ratio"), 2),
-    ("512 tables at N = 256 {}x", _STEPS, (*_GRID, {"ports": 256, "tables": 512}, "ratio"), 2),
+    ("and {}x the time, and 512 tables", _ONE_LOOP,
+     (*_GRID, {"ports": 12, "tables": 48}, "ratio"), 2),
+    ("512 tables at N = 256 {}x", _ONE_LOOP, (*_GRID, {"ports": 256, "tables": 512}, "ratio"), 2),
     ("takes {}x the time of the window loop at N = 12", _INNER,
      ("core_ratios", "by_ports", "12", "ratio"), 2),
     ("and {}x at N = 14", _INNER, ("core_ratios", "by_ports", "14", "ratio"), 2),
@@ -132,11 +133,23 @@ BUILD_FIGURES = [
 ]
 
 
+# The same, for the figures of README's Install and test section.  A
+# function in a path parses the value it reaches: the certificate's record
+# holds its time only inside the line the script prints.
+INSTALL_FIGURES = [
+    ("to 2048 it took {} s on a", _DELETION,
+     ("certificate", "output", lambda line: float(re.fullmatch(r".* in ([0-9.]+) s", line)[1])),
+     0),
+]
+
+
 def _figure(record, path):
     value = json.loads((ROOT / record).read_text())
     for key in path:
         if isinstance(key, dict):
             value = next(item for item in value if key.items() <= item.items())
+        elif callable(key):
+            value = key(value)
         else:
             value = value[key]
     return value
@@ -167,6 +180,10 @@ def test_routing_figures_match_their_records():
 def test_build_figures_match_their_records():
     _check_figures(_section("`build_network` fills its three arrays",
                             "`simulate` is one stateless pass"), BUILD_FIGURES)
+
+
+def test_install_figures_match_their_records():
+    _check_figures(_section("\n## Install and test", "\n## Library"), INSTALL_FIGURES)
 
 
 def test_every_record_named_in_readme_or_changes_exists():

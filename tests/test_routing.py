@@ -386,8 +386,8 @@ def test_a_core_routes_a_batch_as_its_tables_one_by_one(design, monkeypatch):
     # threshold with the worst case, and, at 1024 and 2048, two seeded
     # tables with the worst case, whose runs are the longest: the plans and
     # the tick total are the per-table ones, so no state a core copies for
-    # each table leaks from one table to the next, and brickwork's two
-    # loops plan alike
+    # each table leaks from one table to the next, and brickwork's two row
+    # sources, the step table and the inline rows, plan alike
     core, rng = _CORES[design], random.Random(f"batch:{design.value}")
     per_port = routing._STEP_TABLES_PER_PORT
     batches = [list(_mate_tables(n)) for n in range(2, 11, 2)]
@@ -922,6 +922,31 @@ def test_brickwork_frames_certify_every_run_end_to_n_256():
     brickwork_frames.certify(256)
 
 
+@pytest.mark.parametrize("args", [["-4"], ["0"], [str(MAX_PORTS + 2)], ["12.5"], ["x"], ["4", "6"]],
+                         ids=["below-2", "0", "past-the-budget", "12.5", "x", "two-bounds"])
+def test_brickwork_frames_rejects_a_bad_bound_before_any_work(args, monkeypatch, capsys):
+    # exit 2 with one usage line, and no frame checked
+    def refuse(bound):
+        raise AssertionError("the certificate ran")
+
+    monkeypatch.setattr(brickwork_frames, "certify", refuse)
+    assert brickwork_frames.main(["brickwork_frames.py", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("usage: brickwork_frames.py")
+
+
+def test_brickwork_frames_certifies_the_bounds_it_accepts(monkeypatch, capsys):
+    # 2, an odd bound and the budget pass the check, and so does no bound;
+    # the certificate itself runs only to 8 here
+    bounds, certify = [], brickwork_frames.certify
+    monkeypatch.setattr(brickwork_frames, "certify",
+                        lambda bound: bounds.append(bound) or certify(min(bound, 8)))
+    for argv in (["2"], ["7"], [str(MAX_PORTS)], []):
+        assert brickwork_frames.main(["brickwork_frames.py", *argv]) == 0
+    assert bounds == [2, 7, MAX_PORTS, MAX_PORTS]
+    assert capsys.readouterr().out.count("brickwork frames certified for every even N <= ") == 4
+
+
 def _cells(first, last):
     """The cells of a run from ``first`` to ``last``: one column a step."""
     (c, j), (c_end, j_end) = first, last
@@ -932,17 +957,19 @@ def _cells(first, last):
 def test_the_brickwork_core_writes_the_frame_models_runs():
     # one iteration isolated: every other pairs the frame's two bottom
     # photons (rank n - 2), writes nothing and leaves the core's lists as
-    # they were; one such pair first puts the iteration at odd depth, where
-    # frame cell (c, j) is network cell (c + 1, j)
+    # they were; k such pairs first put the iteration at depth k, where
+    # frame cell (c, j) is network cell (c + k, j).  Every depth for
+    # N <= 42, depths 0 and 1 up to N = 66; each table alone, with its row
+    # worked out inline, and in a batch that reads the step table
     for n in range(4, 66, 2):
-        for k in (0, 1):
+        for k in range(max(2, (42 - n) // 2 + 1)):
             ports = n + 2 * k
             net = build_network(Design.BRICKWORK, ports)
             ids = {cell: sid for sid, cell in enumerate(zip(net.cols, net.lines))}
             mates, wants = [], []
             for i in range(n - 1):
                 photons, mate = list(range(ports)), [0] * ports
-                pairs = [(photons.pop(), photons.pop())] if k else []
+                pairs = [(photons.pop(), photons.pop()) for _ in range(k)]
                 pairs.append((photons.pop(), photons.pop(i)))
                 while photons:
                     pairs.append((photons.pop(), photons.pop()))

@@ -485,6 +485,20 @@ def test_readme_records_the_exhaustive_digests_the_script_checks(capsys):
     assert capsys.readouterr().out.count("README records no digest") == len(Design)
 
 
+def test_exhaustive_digests_rejects_an_n_that_is_no_integer(monkeypatch, capsys):
+    # a usage error exits 2, apart from a mismatch's 1, before any run
+    tool = _load_exhaustive_digests()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verify run started")
+
+    monkeypatch.setattr(tool, "verify_design", refuse)
+    for argv in (["14.0"], ["14", "x"], [""]):
+        assert tool.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("usage: exhaustive_digests.py")
+
+
 def test_an_exhaustive_chevron_run_shares_one_dict_across_its_chunks(monkeypatch):
     # one dict per run, handed to every chunk of it, (N-3)!! entries at the
     # end (N = 2 has no inner window and leaves it empty); no other design

@@ -31,12 +31,14 @@ column: the bottom photon's run never reaches physical column 0.
 
 Frame rows are intervals of diagonal ranks along an anti-diagonal rank, and
 the shifts are monotone, so (b) checks only each row's two ends.  The tests
-tie this model to the core (every run it writes at depth 0 and 1 is the
-model's) and run the certificate to N = 256; this script runs it to any
-bound.
+tie this model to the core (every run it writes is the model's, at every
+depth for N <= 42 and at depth 0 and 1 up to N = 66) and run the
+certificate to N = 256; this script runs it to any bound.
 
 Run it with ``PYTHONPATH=src python tools/brickwork_frames.py [BOUND]``;
-the bound defaults to ``MAX_PORTS``.
+the bound defaults to ``MAX_PORTS``.  A BOUND that is no integer from 2 to
+``MAX_PORTS`` exits with status 2 and a one-line usage message before any
+work.
 """
 from __future__ import annotations
 
@@ -163,7 +165,15 @@ def certify(bound: int) -> None:
 
 
 def main(argv: list[str]) -> int:
-    bound = int(argv[1]) if len(argv) > 1 else MAX_PORTS
+    args = argv[1:]
+    try:
+        bound = int(args[0]) if args else MAX_PORTS
+    except ValueError:
+        bound = None
+    if len(args) > 1 or bound is None or not 2 <= bound <= MAX_PORTS:
+        print(f"usage: brickwork_frames.py [BOUND], BOUND an integer from 2 to {MAX_PORTS}; "
+              f"got {' '.join(args)!r}", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     certify(bound)
     print(f"brickwork frames certified for every even N <= {bound} "

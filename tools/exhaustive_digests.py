@@ -8,7 +8,8 @@ This script runs ``verify_design(design, N, cap=16)`` for every design and
 each N asked for, hashes ``report_to_json`` of the report with sha256 and
 compares the digest with README's table of exhaustive digests (the rows
 under ``| design | N = 14 | N = 16 |``).  It prints one line per run, with
-its time, and exits 0 when every report matches its digest, 1 otherwise.
+its time, and exits 0 when every report matches its digest, 1 otherwise,
+and 2, before any run, when an N is no integer.
 
 Run it with ``PYTHONPATH=src python tools/exhaustive_digests.py [N ...]``;
 N defaults to 14 and 16.  Standard library only; not part of the test suite.
@@ -45,7 +46,12 @@ def recorded(text: str) -> dict[tuple[str, int], str]:
 
 
 def main(argv: list[str]) -> int:
-    ports = [int(arg) for arg in argv] or [14, 16]
+    try:
+        ports = [int(arg) for arg in argv] or [14, 16]
+    except ValueError:
+        print(f"usage: exhaustive_digests.py [N ...], each N an integer; got {' '.join(argv)!r}",
+              file=sys.stderr)
+        return 2
     digests = recorded(README.read_text())
     status = 0
     for n in ports:
