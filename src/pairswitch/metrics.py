@@ -47,6 +47,8 @@ def depth_stats(
     fmax, fmin, fdelta = depth_formulas(design, ports)
     emax = emin = edelta = None
     if report is not None:
+        if not isinstance(report, VerificationReport):
+            raise InvalidInput(f"report {report!r:.60} is not a VerificationReport")
         if (report.design, report.ports) != (design, ports):
             raise InvalidInput(
                 f"report covers {report.design.value} at N = {report.ports},"

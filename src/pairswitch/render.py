@@ -26,7 +26,10 @@ def _codes(net: Network, states: Mapping[int, State] | None) -> bytes:
     count = len(net.lines)
     if isinstance(states, StateVector) and len(states) == count:
         return states.bits.translate(_BIT_OF_BYTE)
-    get = {}.get if states is None else states.get
+    try:
+        get = {}.get if states is None else states.get
+    except AttributeError:  # an int, a str, a list
+        raise InvalidInput(f"states {states!r:.60} are not a mapping of switch ids") from None
     codes = bytearray(count)
     for i in range(count):
         value = get(i)

@@ -121,20 +121,16 @@ _NAME_OF_BYTE = ("bar",) + ("cross",) * 255  # the state's value, for plan_to_js
 _BIT_OF_BYTE = b"\x00" + b"\x01" * 255  # a state byte as 0 Bar, 1 Cross
 
 _ONES = bytearray(b"\x01") * MAX_PORTS
-"""Cross bytes for the routers' runs, each at most N cells long: a slice of
-a bytearray is assigned into the state bytes as it is, where ``bytes``
-would first be copied into a new bytearray.  A single table slices it once
-per run; a batch slices it once per run length (see :data:`_RUN_TEMPLATES`)."""
-
-_RUN_TEMPLATES = 512
-"""A core call that routes more than one table makes one bytearray of ones
-per Cross-run length below this, once per call, and assigns its runs of
-those lengths from them; longer runs, and every run of a single table, are
-sliced from :data:`_ONES`.  Templates for every length hold N²/2 bytes for
-triangular: at N = 2048 they took 1.6 ms to make, and batches of 2-4 tables
-routed 1.1-1.5x slower than slicing; with this cap, 0.96-1.07x.  512 bytes
-is the largest block CPython's small-object allocator serves.  Every
-batch follows this rule, brickwork's step-table batches too."""
+"""Cross bytes for the routers' runs, each shorter than N: a slice of a
+bytearray is assigned into the state bytes as it is, where ``bytes`` would
+first be copied into a new bytearray.  A single table slices each run from
+it.  A batch keeps one template per run length in a per-call list, sliced
+from this the first time the call writes a run of that length, so it slices
+each length once (memoization, Michie, Nature 1968).  A single table that
+kept them cost route-large 8.6 % in triangular's ``call_s``
+(``earlier_run`` in ``BENCH_lazy_rows.json``): a slice dropped at once
+leaves its block to the next run's, where each kept template takes new
+memory."""
 
 
 class StateVector(Mapping[int, State]):
@@ -246,9 +242,7 @@ def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCou
     Cross, and the photon on each output line."""
     count, lines = optimal_switch_count(ports), list(range(ports))
     mates = list(mates)
-    # a layer's run is at most n - 2 <= N - 2 long
-    runs = [_ONES[:k] for k in range(min(ports - 1, _RUN_TEMPLATES))] if len(mates) > 1 else []
-    made = len(runs)
+    runs = [None] * ports if len(mates) > 1 else None  # a batch's Cross-run templates
     plans = []
     for mate in mates:
         photons = lines[:]
@@ -263,7 +257,10 @@ def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCou
                 counter.tick(idx + 1)
             # switches above the partner stay Bar
             run = n - 2 - idx
-            states[first + idx : first + n - 2] = runs[run] if run < made else _ONES[:run]
+            ones = runs[run] if runs else _ONES[:run]
+            if ones is None:
+                ones = runs[run] = _ONES[:run]
+            states[first + idx : first + n - 2] = ones
             permuted[n - 2], permuted[n - 1] = photons.pop(idx), bottom
             if counter:
                 counter.tick(2 * n - 2)
@@ -510,10 +507,11 @@ def _route_chevron_by_inner(ports: int, mates: list[Sequence[int]], inner: dict
 #
 # The list ranks an iteration reads and its ticks, one row (j_meet, rd, ra,
 # rb, pa, qa, qb, ticks), depend only on N, the frame size n and the
-# partner's rank.  A call that routes at least 2N tables reads each row
-# from a step table it makes once (_brickwork_step_table); any other call
-# works the row out inline, with the same arithmetic.  One loop body then
-# writes the runs and pops the lists, whichever source gave the row.
+# partner's rank, and one arithmetic in the loop works each row out.  A
+# call that routes at least 2N tables keeps each row the first time a table
+# needs it, in a list per iteration indexed by the partner's rank, and later
+# tables read it back (memoization, Michie, Nature 1968); any other call
+# keeps none.  One loop body then writes the runs and pops the lists.
 #
 # No run end is checked against the grid, and no run for being empty.  At
 # every even N a partner below line n - 2 has a run of at least one cell,
@@ -526,9 +524,8 @@ def _route_chevron_by_inner(ports: int, mates: list[Sequence[int]], inner: dict
 # to any bound and the tests to n = 256.  A row reads skip only through its
 # parity and an offset skip // 2 shared by every `anti` rank, so that
 # covers every depth.  The tests tie the model to this loop at every depth
-# for N <= 42, each run it writes from a row worked out inline and from a
-# step-table row, and check every step-table row for N <= 64, less that
-# offset, against the model's step at skip's parity.  Line and column are
+# for N <= 64, each run it writes and each meeting line, from a row worked
+# out and from a row kept by an earlier table.  Line and column are
 # monotone along a run, so when both ends hold a switch the cells between
 # do too.  Odd N breaks the step (a frame's last run can start at a
 # column-0 cell that holds no switch); every way into this core rejects it
@@ -561,9 +558,10 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
     iteration only removes photons from it, the bottom one and its partner,
     so it stays sorted by photon id and the partner's frame line is its rank
     i, found by bisection.  The rest of the iteration reads one row of list
-    ranks and ticks (:func:`_brickwork_step_table`), from the call's step
-    table when it made one (:data:`_STEP_TABLES_PER_PORT`), else worked out
-    inline.  Counter ticks are the cascade's, as in :func:`_route_triangular`,
+    ranks and ticks, worked out inline; a call of at least
+    :data:`_STEP_TABLES_PER_PORT` tables per port keeps each row in
+    ``steps`` the first time it works it out, and later tables read it
+    back.  Counter ticks are the cascade's, as in :func:`_route_triangular`,
     and so is what it returns."""
     mates = list(mates)
     half0 = ports // 2
@@ -573,13 +571,11 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
     diag0 = [x >> 1 for x in range(-half0, ports, 2)]  # surviving line - col, halved
     fall, rise = half0, half0 - 1  # id strides along a diagonal and an anti-diagonal
     base = ports // 4 - half0 + half0 % 2  # cell (col > 0, diag entry d) has id base + d + fall*col
-    # one row source per iteration: the step table's rows, or None for inline
-    by_table = len(mates) >= _STEP_TABLES_PER_PORT * ports
-    steps = _brickwork_step_table(ports) if by_table else [None] * (half0 - 1)
-    # a strided run lies past column 0 and visits at most one cell per
-    # column, so it is at most N/2 - 1 long
-    runs = [_ONES[:k] for k in range(min(half0, _RUN_TEMPLATES))] if len(mates) > 1 else []
-    made = len(runs)
+    # per iteration, the rows a call of at least 2N tables has worked out so
+    # far, by partner rank (rank n - 1 ticks, then raises); None keeps none
+    keep = len(mates) >= _STEP_TABLES_PER_PORT * ports
+    steps = [[None] * n for n in range(ports, 2, -2)] if keep else [None] * (half0 - 1)
+    runs = [None] * ports if len(mates) > 1 else None  # a batch's Cross-run templates
     plans = []
     for mate in mates:
         states = bytearray(count)
@@ -588,11 +584,13 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
         for rows in steps:
             bottom = photons.pop()
             i = bisect_left(photons, mate[bottom])
-            if rows:
-                j_meet, rd, ra, rb, pa, qa, qb, ticks = rows[i]
-            else:  # the same row, worked out as _brickwork_step_table does
+            row = rows and rows[i]
+            if row:
+                j_meet, rd, ra, rb, pa, qa, qb, ticks = row
+            else:
                 n = len(photons) + 1
-                j_meet, rd, pa = n - 2, None, None
+                j_meet = n - 2
+                rd = ra = rb = pa = qa = qb = None
                 if i < j_meet:
                     half = n >> 1
                     # column 0 holds the lines of half's parity up to half-2, column 1
@@ -612,6 +610,8 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
                     rb = ra + j_meet - i - 1
                 else:  # rank n - 1 pairs no photon: it ticks its scan, then its pop raises
                     ticks = 3 * n - 1 if i == j_meet else n
+                if rows:
+                    rows[i] = j_meet, rd, ra, rb, pa, qa, qb, ticks
             if counter:
                 counter.tick(ticks)
             if rd is not None:
@@ -622,14 +622,19 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
                     col = 1
                 first = base + d + fall * col
                 run = anti[rb] - d - col + 1
-                states[first : first + fall * run : fall] = runs[run] if run < made else _ONES[:run]
+                ones = runs[run] if runs else _ONES[:run]
+                if ones is None:
+                    ones = runs[run] = _ONES[:run]
+                states[first : first + fall * run : fall] = ones
                 if pa is not None:
                     a = anti.pop(pa)
                     lo, hi = diag[qa], diag[qb]
                     first = base + hi + fall * (a - hi)
                     run = hi - lo + 1
-                    states[first : first + rise * run : rise] = (
-                        runs[run] if run < made else _ONES[:run])
+                    ones = runs[run] if runs else _ONES[:run]
+                    if ones is None:
+                        ones = runs[run] = _ONES[:run]
+                    states[first : first + rise * run : rise] = ones
             result[frame_out.pop(j_meet)] = photons.pop(i)
             result[frame_out.pop(j_meet)] = bottom
         result[frame_out[0]] = photons[0]
@@ -640,43 +645,13 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
 
 _STEP_TABLES_PER_PORT = 2
 """A brickwork core call with at least this many partner tables per port
-reads each iteration's row from :func:`_brickwork_step_table`, made once
-per call; a smaller one works each row out inline.  Against inline rows,
-T random tables took 0.90-0.98x the time at T = 2N for N = 8-128 (1.06-1.20x
-at N = 4, 6, 256 and 512) and 0.80-0.98x at T = 4N up to N = 256; at T = N
-1.04-1.34x, at T = N/2 1.35-1.66x (``boundaries`` in
-``BENCH_brickwork_one_loop.json``).  From N = 256 on, a verify chunk holds
-fewer than 2N tables, so verify builds no table there."""
-
-
-def _brickwork_step_table(ports: int) -> list[list[tuple[int | None, ...]]]:
-    """Every row :func:`_route_brickwork` can read at N = ``ports``: per
-    iteration, in order, one per partner rank i <= n - 2 on the frame of
-    size n,
-
-        (j_meet, rd, ra, rb, pa, qa, qb, ticks):
-
-    the meeting line; the partner's diagonal rank; the first and last
-    anti-diagonal ranks of its run; the anti-diagonal rank of the bottom
-    photon's run and the diagonal ranks of its last and first cells, read
-    after the partner's diagonal is removed (None for no run); and the
-    iteration's counter ticks.  Rank n - 2 writes no run and has None from
-    ``rd`` on.  Every anti-diagonal rank of a row at depth ``skip`` is its
-    value at depth ``skip % 2`` plus ``skip // 2``."""
-    half0, steps = ports // 2, []
-    for n in range(ports, 2, -2):
-        half, rows = n >> 1, []
-        for i in range(n - 2):  # the arithmetic of _route_brickwork's inline rows
-            cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
-            j_meet = min(i + half - cstart, n - 2)
-            rd, ra = (i - cstart + half) >> 1, (i + cstart + half0 - half) >> 1
-            ticks = 4 * n - 3 - i + (0 < i < half if cstart == 1 else i >= half - 1)
-            q = j_meet >> 1
-            tail = ((j_meet + half0) >> 1, q, q + n - 3 - j_meet) if j_meet < n - 2 else (None,) * 3
-            rows.append((j_meet, rd, ra, ra + j_meet - i - 1, *tail, ticks))
-        rows.append((n - 2, None, None, None, None, None, None, 3 * n - 1))
-        steps.append(rows)
-    return steps
+keeps each row it works out, one list per iteration with a slot per partner
+rank, and reads it back for later tables; a smaller one keeps none.  Against
+rows worked out for every table, T random tables took 0.84-0.98x the time
+at T = 2N for N = 4-256 and 1.05x at N = 512, 0.91-1.06x at T = N and
+0.99-1.14x at T = N/2 (``boundaries`` in ``BENCH_lazy_rows.json``).  From
+N = 256 on, a verify chunk holds fewer than 2N tables, so verify keeps no
+rows there."""
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +665,12 @@ _CORES = {
 }
 """Each design's routing core: ``(ports, mates, counter=None) -> [(state
 bytes, permuted), ...]``, one plan per partner table, for callers that hold
-checked tables.  What depends only on N is worked out once per call, so a
-batch pays it once: chevron lists its window constants, triangular and
-brickwork make their Cross-run templates (:data:`_RUN_TEMPLATES`), and
-brickwork, from :data:`_STEP_TABLES_PER_PORT` tables per port, the step
-table its loop reads rows from instead of working them out.  Each public
-router routes a batch of one, which reads those as it goes, since making
-them costs more than one table saves.  Chevron's core takes a fourth
+checked tables.  A batch pays once for what depends only on N: chevron
+lists its window constants, triangular and brickwork keep each Cross-run
+template they make (:data:`_ONES`), and brickwork, from
+:data:`_STEP_TABLES_PER_PORT` tables per port, keeps each row of list
+ranks its loop works out for the tables after.  Each public router routes
+a batch of one, which keeps none of them.  Chevron's core takes a fourth
 argument, a dict of routed inner windows that a caller keeps across calls
 (:func:`_route_chevron_by_inner`); an exhaustive verify run up to N = 14
 passes one, positionally."""

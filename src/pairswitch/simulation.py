@@ -27,6 +27,8 @@ def _state_bits(states: Mapping[int, State], count: int) -> bytes:
         values = list(map(states.__getitem__, range(count))) if len(states) == count else None
     except KeyError:
         values = None
+    except (AttributeError, TypeError):  # no len or no item lookup: None, an int
+        raise InvalidInput(f"states {states!r:.60} are not a mapping of switch ids") from None
     if values is None:
         ids, given = set(range(count)), set(states)
         raise IncompleteStates(
@@ -79,19 +81,24 @@ class PairingReport:
 
 def check_pairing(perm: Sequence[int], demand: PairList) -> PairingReport:
     """Check that each adjacent output pair (2j, 2j+1) holds a demanded pair."""
-    if len(perm) != demand.ports:
-        raise InvalidInput(
-            f"permutation has {len(perm)} entries, demand covers {demand.ports} ports"
-        )
+    if not isinstance(demand, PairList):
+        raise InvalidInput(f"demand {demand!r:.60} is not a PairList")
     mate, n = demand.mate, demand.ports
-    matched = []
-    mismatches = []
-    for j in range(n // 2):
-        a, b = perm[2 * j], perm[2 * j + 1]
-        if 0 <= a < n and mate[a] == b:
-            matched.append((j, (a, b) if a < b else (b, a)))
-        else:
-            mismatches.append(j)
+    try:
+        if len(perm) != n:
+            raise InvalidInput(
+                f"permutation has {len(perm)} entries, demand covers {n} ports"
+            )
+        matched = []
+        mismatches = []
+        for j in range(n // 2):
+            a, b = perm[2 * j], perm[2 * j + 1]
+            if 0 <= a < n and mate[a] == b:
+                matched.append((j, (a, b) if a < b else (b, a)))
+            else:
+                mismatches.append(j)
+    except TypeError:  # no len, or an entry that is no int
+        raise InvalidInput(f"permutation {perm!r:.60} is not a sequence of ints") from None
     return PairingReport(not mismatches, tuple(matched), tuple(mismatches))
 
 

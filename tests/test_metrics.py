@@ -61,6 +61,13 @@ def test_depth_stats_rejects_a_report_of_another_network():
         depth_stats(Design.CHEVRON, 8, report)
 
 
+@pytest.mark.parametrize("report", ["r", 5, {"design": "triangular", "ports": 4}],
+                         ids=["str", "int", "dict"])
+def test_depth_stats_rejects_a_report_that_is_no_verification_report(report):
+    with pytest.raises(InvalidInput, match=r"^report .* is not a VerificationReport$"):
+        depth_stats("triangular", 4, report)
+
+
 def test_depth_stats_rejects_tiny_ports():
     with pytest.raises(InvalidPorts):
         depth_formulas(Design.TRIANGULAR, 2)

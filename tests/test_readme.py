@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from pairswitch import State
+from pairswitch import MAX_PORTS, State
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -83,8 +83,17 @@ VERIFY_FIGURES = [
 _DELETION = "BENCH_deletion_round.json"
 _DOUBLING = ("traced_route_large", "metrics")
 _ROUTE_LARGE = ("summary", "route-large")
-_ONE_LOOP = "BENCH_brickwork_one_loop.json"
-_GRID = ("boundaries", "rows")
+_LAZY = "BENCH_lazy_rows.json"
+
+
+def _at(tables_per_port, pick, top=MAX_PORTS):
+    """``pick`` of the ratios of the rows with that many tables per port,
+    up to N = ``top``."""
+    return lambda rows: pick(row["ratio"] for row in rows if row["ports"] <= top
+                             and row["tables"] == tables_per_port * row["ports"])
+
+
+_RULE, _VS_PARENT = ("boundaries", "rule"), ("boundaries", "vs_parent")
 _INNER = "BENCH_chevron_inner.json"
 _EXHAUSTIVE = ("summary", "verify-exhaustive")
 _CLI_14 = ("cli_n14", "runs", "chevron")
@@ -100,11 +109,17 @@ ROUTING_FIGURES = [
     ("{} ms (chevron) and", _DELETION, (*_ROUTE_LARGE, "call_s.chevron", "change_median"), 2, 1000),
     ("{} ms (brickwork) (medians", _DELETION,
      (*_ROUTE_LARGE, "call_s.brickwork", "change_median"), 1, 1000),
-    ("24 and 48 tables at N = 12 took {}x", _ONE_LOOP,
-     (*_GRID, {"ports": 12, "tables": 24}, "ratio"), 2),
-    ("and {}x the time, and 512 tables", _ONE_LOOP,
-     (*_GRID, {"ports": 12, "tables": 48}, "ratio"), 2),
-    ("512 tables at N = 256 {}x", _ONE_LOOP, (*_GRID, {"ports": 256, "tables": 512}, "ratio"), 2),
+    ("every table, 2N tables took {}-", _LAZY, (*_RULE, _at(2, min)), 2),
+    ("-{}x the time for every N from 4 to 256", _LAZY, (*_RULE, _at(2, max, 256)), 2),
+    ("and {}x at N = 512, N tables", _LAZY, (*_RULE, {"ports": 512, "tables": 1024}, "ratio"), 2),
+    ("N tables {}-", _LAZY, (*_RULE, _at(1, min)), 2),
+    ("-{}x (`boundaries` in", _LAZY, (*_RULE, _at(1, max)), 2),
+    ("before, 2N tables took {}-", _LAZY, (*_VS_PARENT, _at(2, min)), 2),
+    ("-{}x from N = 4 to 512", _LAZY, (*_VS_PARENT, _at(2, max)), 2),
+    ("keep no rows, {}x at N = 1024", _LAZY, (*_VS_PARENT, {"ports": 1024}, "ratio"), 2),
+    ("and {}x at N = 2048.", _LAZY, (*_VS_PARENT, {"ports": 2048}, "ratio"), 2),
+    ("route-large {}% in triangular's", _LAZY,
+     ("earlier_run", "summary", "route-large", "call_s.triangular", "change_worse_by"), 1, 100),
     ("takes {}x the time of the window loop at N = 12", _INNER,
      ("core_ratios", "by_ports", "12", "ratio"), 2),
     ("and {}x at N = 14", _INNER, ("core_ratios", "by_ports", "14", "ratio"), 2),

@@ -262,6 +262,18 @@ def test_a_value_that_is_no_state_raises_invalid_input(design, value):
         render_svg(net, states, RenderOptions(highlight=(1,)))
 
 
+@pytest.mark.parametrize("states", [5, "cross", [State.CROSS] * 6, 2.5],
+                         ids=["int", "str", "list", "float"])
+def test_states_that_are_no_mapping_raise_invalid_input(states):
+    # no .get: a typed error naming the argument, not an AttributeError
+    net = build_network(Design.TRIANGULAR, 6)
+    message = r"^states .* are not a mapping of switch ids$"
+    with pytest.raises(InvalidInput, match=message):
+        render_ascii(net, states)
+    with pytest.raises(InvalidInput, match=message):
+        render_svg(net, states)
+
+
 def test_highlighted_path_passes_unset_switches_straight():
     net = build_network(Design.TRIANGULAR, 4)
     options = RenderOptions(highlight=(0, 1, 2, 3))

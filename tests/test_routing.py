@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import tracemalloc
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -380,14 +381,15 @@ def test_cores_return_what_the_public_routers_plan(design):
 
 
 @pytest.mark.parametrize("design", list(Design))
-def test_a_core_routes_a_batch_as_its_tables_one_by_one(design, monkeypatch):
+def test_a_core_routes_a_batch_as_its_tables_one_by_one(design):
     # every table of each N <= 10 as one batch, then seeded batches up to
-    # N = 256, seeded batches one table below and at brickwork's step-table
-    # threshold with the worst case, and, at 1024 and 2048, two seeded
-    # tables with the worst case, whose runs are the longest: the plans and
-    # the tick total are the per-table ones, so no state a core copies for
-    # each table leaks from one table to the next, and brickwork's two row
-    # sources, the step table and the inline rows, plan alike
+    # N = 256, seeded batches one table below and at brickwork's threshold
+    # for keeping rows (2N tables) with the worst case, and, at 1024 and
+    # 2048, two seeded tables with the worst case, whose runs are the
+    # longest: the plans and the tick total are the per-table ones, so no
+    # state a core copies for each table leaks from one table to the next,
+    # and brickwork's rows, worked out or kept, plan alike.  Which calls keep
+    # rows: test_a_single_brickwork_table_builds_no_step_table
     core, rng = _CORES[design], random.Random(f"batch:{design.value}")
     per_port = routing._STEP_TABLES_PER_PORT
     batches = [list(_mate_tables(n)) for n in range(2, 11, 2)]
@@ -400,14 +402,9 @@ def test_a_core_routes_a_batch_as_its_tables_one_by_one(design, monkeypatch):
                 for size in (per_port * n - 1, per_port * n)]
     batches += [[random_pair_list(n, rng).mate for _ in range(2)] + [worst_case_pair_list(n).mate]
                 for n in (1024, MAX_PORTS)]
-    made, table = [], routing._brickwork_step_table
-    monkeypatch.setattr(routing, "_brickwork_step_table", lambda n: made.append(n) or table(n))
     for mates in batches:
         ports, ticks, alone = len(mates[0]), OpCounter(), OpCounter()
-        before = len(made)
         plans = core(ports, mates, ticks)
-        by_table = design is Design.BRICKWORK and len(mates) >= per_port * ports
-        assert (len(made) > before) == by_table
         assert plans == [plan for mate in mates for plan in core(ports, [mate], alone)]
         assert ticks.count == alone.count and (ticks.count or ports == 2)
         assert core(ports, iter(mates)) == plans
@@ -958,11 +955,15 @@ def test_the_brickwork_core_writes_the_frame_models_runs():
     # one iteration isolated: every other pairs the frame's two bottom
     # photons (rank n - 2), writes nothing and leaves the core's lists as
     # they were; k such pairs first put the iteration at depth k, where
-    # frame cell (c, j) is network cell (c + k, j).  Every depth for
-    # N <= 42, depths 0 and 1 up to N = 66; each table alone, with its row
-    # worked out inline, and in a batch that reads the step table
+    # frame cell (c, j) is network cell (c + k, j) and frame line j output
+    # line j.  Every depth for N <= 64, depths 0 and 1 up to N = 66; each
+    # table alone, its rows worked out, and in a batch of at least 2N, where
+    # later tables read the rows that earlier ones kept.  So every row the
+    # core reads for N <= 64, worked out or kept, writes the model's runs
+    # and meets on the model's line, and a row depends on the depth only as
+    # the model's step does, through its parity and the `anti` offset
     for n in range(4, 66, 2):
-        for k in range(max(2, (42 - n) // 2 + 1)):
+        for k in range(max(2, (64 - n) // 2 + 1)):
             ports = n + 2 * k
             net = build_network(Design.BRICKWORK, ports)
             ids = {cell: sid for sid, cell in enumerate(zip(net.cols, net.lines))}
@@ -975,58 +976,55 @@ def test_the_brickwork_core_writes_the_frame_models_runs():
                     pairs.append((photons.pop(), photons.pop()))
                 for a, b in pairs:
                     mate[a], mate[b] = b, a
-                (states, _), = _CORES[Design.BRICKWORK](ports, [mate])
-                runs = brickwork_frames.step(n, i)[0]
-                want = {ids[c + k, j] for first, last in runs for c, j in _cells(first, last)}
-                assert {sid for sid, b in enumerate(states) if b} == want, (n, k, i)
+                runs, _, j_meet = brickwork_frames.step(n, i)
+                cells = bytearray(len(ids))
+                for first, last in runs:
+                    for c, j in _cells(first, last):
+                        cells[ids[c + k, j]] = 1
                 mates.append(mate)
-                wants.append(want)
-            # the same tables as one batch, repeated up to the step-table threshold
+                wants.append((cells, j_meet))
+            # each table alone, then all as one batch, repeated up to the
+            # threshold for keeping rows
+            core = _CORES[Design.BRICKWORK]
             times = -(-routing._STEP_TABLES_PER_PORT * ports // len(mates))
-            plans = _CORES[Design.BRICKWORK](ports, mates * times)
-            for (states, _), want in zip(plans, wants * times):
-                assert {sid for sid, b in enumerate(states) if b} == want, (n, k)
+            plans = [plan for mate in mates for plan in core(ports, [mate])]
+            plans += core(ports, mates * times)
+            for t, (states, permuted) in enumerate(plans):
+                i = t % (n - 1)
+                cells, j_meet = wants[i]
+                assert states == cells and permuted[j_meet : j_meet + 2] == (i, n - 1), (n, k, i)
 
 
-def test_every_step_table_row_is_the_frame_models_step_at_its_parity():
-    # every row of a batch's step table, its anti-diagonal ranks less the
-    # depth's offset skip // 2, is step(n, i) read as ranks at the depth's
-    # parity: a function of (n, i, skip % 2) alone, so the induction's step
-    # covers every depth
-    for ports in range(2, 66, 2):
-        steps = routing._brickwork_step_table(ports)
-        assert len(steps) == max(ports // 2 - 1, 0)
-        for skip, rows in enumerate(steps):
-            n, k = ports - 2 * skip, skip % 2
-            assert len(rows) == n - 1
-
-            def anti(c, j):
-                return (j + c + k) // 2 + skip // 2
-
-            def diag(c, j):
-                return (j - c + n // 2) // 2
-
-            for i, row in enumerate(rows):
-                runs, removed, j_meet = brickwork_frames.step(n, i)
-                want = [j_meet, removed, None, None, None, None, None]
-                if runs:
-                    want[2:4] = anti(*runs[0][0]), anti(*runs[0][1])
-                if len(runs) == 2:  # read once the partner's diagonal, below them, is gone
-                    (first, last), = runs[1:]
-                    assert removed < diag(*last)
-                    want[4:7] = anti(*first), diag(*last) - 1, diag(*first) - 1
-                assert list(row[:7]) == want, (ports, n, i)
+def _traced(call):
+    """``call()``, with the peak bytes traced while it ran and the bytes it
+    left held, what it returned among them."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
 
 
-def test_a_single_brickwork_table_builds_no_step_table(monkeypatch):
-    def refuse(ports):
-        raise AssertionError("a step table was built")
-
-    monkeypatch.setattr(routing, "_brickwork_step_table", refuse)
+def test_a_single_brickwork_table_builds_no_step_table():
+    # rows kept for later tables take a list per depth, more than (N/2)^2
+    # slots in all: one route at N = 128, 256 or 1024, its plan included,
+    # peaks below those slots' bytes, and so does a core call of 2N - 1
+    # tables at N = 128 beyond the plans it returns, while one of 2N tables
+    # keeps rows
     rng = random.Random("single")
-    for n in (2, 4, 12, 16, 64, 256):
+    for n in (128, 256, 1024):
         for demand in (worst_case_pair_list(n), random_pair_list(n, rng)):
-            assert route_brickwork(n, demand) == route(Design.BRICKWORK, n, demand)
+            plan, peak, _ = _traced(lambda: route_brickwork(n, demand))
+            assert peak < (n // 2) ** 2 * 8, (n, peak)
+            assert plan == route(Design.BRICKWORK, n, demand)
+    n, core = 128, _CORES[Design.BRICKWORK]
+    mates = [random_pair_list(n, rng).mate for _ in range(routing._STEP_TABLES_PER_PORT * n)]
+    _, peak, held = _traced(lambda: core(n, mates[1:]))
+    assert peak - held < (n // 2) ** 2 * 8
+    _, peak, held = _traced(lambda: core(n, mates))
+    assert peak - held > (n // 2) ** 2 * 8
 
 
 # sha256 over chevron's plan_to_json of five seeded random demands and the

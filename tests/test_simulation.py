@@ -116,6 +116,16 @@ def test_incomplete_states_message_for_a_dict_missing_an_id():
         simulate(net, states)
 
 
+@pytest.mark.parametrize("states", [None, 5, 2.5, object()], ids=["None", "int", "float", "object"])
+@pytest.mark.parametrize("call", [simulate, propagate, traversal_depths])
+def test_states_that_are_no_mapping_raise_invalid_input(states, call):
+    # no len or no item lookup: a typed error naming the argument, not the
+    # TypeError of len() or the AttributeError of a lookup
+    net = build_network(Design.TRIANGULAR, 4)
+    with pytest.raises(InvalidInput, match=r"^states .* are not a mapping of switch ids$"):
+        call(net, states)
+
+
 @pytest.mark.parametrize("states, bad", [
     ({0: "cross", 1: "cross"}, 0),
     ({0: "banana", 1: None}, 0),
@@ -202,6 +212,20 @@ def test_check_pairing_out_of_range_entries_are_mismatches():
     report = check_pairing((0, 2, 1, -1), PairList.from_text("0-2,1-3"))
     assert report.matched == ((0, (0, 2)),)
     assert report.mismatches == (1,)
+
+
+@pytest.mark.parametrize("perm", [None, 5, ("0", "1", "2", "3"), (0.0, 1, 2, 3), (None,) * 4],
+                         ids=["None", "int", "str-entries", "float-entry", "None-entries"])
+def test_check_pairing_rejects_a_permutation_of_non_ints(perm):
+    with pytest.raises(InvalidInput, match=r"^permutation .* is not a sequence of ints$"):
+        check_pairing(perm, PairList.from_text("0-1,2-3"))
+
+
+@pytest.mark.parametrize("demand", [None, "0-1,2-3", ((0, 1), (2, 3))],
+                         ids=["None", "text", "pairs"])
+def test_check_pairing_rejects_a_demand_that_is_no_pair_list(demand):
+    with pytest.raises(InvalidInput, match=r"^demand .* is not a PairList$"):
+        check_pairing((0, 1, 2, 3), demand)
 
 
 def test_check_pairing_size_mismatch():

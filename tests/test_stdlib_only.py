@@ -1,10 +1,13 @@
-"""The runtime needs nothing but Python: every module under src/pairswitch
-imports only the standard library and pairswitch itself."""
+"""The runtime and the scripts need nothing but Python: every module under
+src/pairswitch and every script in tools/ imports only the standard library
+and pairswitch itself, so the scripts run offline with no install."""
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pairswitch"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pairswitch"
+TOOLS = ROOT / "tools"
 
 
 def _imports(path):
@@ -16,13 +19,24 @@ def _imports(path):
             yield node.module.partition(".")[0]
 
 
-def test_runtime_imports_only_the_standard_library():
-    paths = sorted(SRC.rglob("*.py"))
-    assert SRC / "routing.py" in paths
-    outside = {
+def _outside(paths):
+    """Each (file, module) import in ``paths`` of neither the standard
+    library nor pairswitch."""
+    return {
         (path.name, name)
         for path in paths
         for name in _imports(path)
         if name != "pairswitch" and name not in sys.stdlib_module_names
     }
-    assert not outside
+
+
+def test_runtime_imports_only_the_standard_library():
+    paths = sorted(SRC.rglob("*.py"))
+    assert SRC / "routing.py" in paths
+    assert not _outside(paths)
+
+
+def test_tools_import_only_the_standard_library_and_pairswitch():
+    paths = sorted(TOOLS.glob("*.py"))
+    assert TOOLS / "ab_bench.py" in paths and TOOLS / "brickwork_frames.py" in paths
+    assert not _outside(paths)

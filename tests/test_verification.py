@@ -3,6 +3,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -605,24 +606,29 @@ def test_each_chunk_size_takes_its_path(monkeypatch):
 
 
 def test_no_verify_chunk_builds_a_brickwork_step_table_from_n_256(monkeypatch):
-    # a step table holds (N/2)^2 - 1 rows; from N = 256 on a chunk's state
-    # bytes cap it below the tables a step table needs, so verify never
-    # builds one there
-    def refuse(ports):
-        raise AssertionError("a step table was built")
-
-    sizes = []
+    # the brickwork core keeps rows for later tables, a list per depth and
+    # more than (N/2)^2 slots in all, only in a call of at least 2N tables.
+    # From N = 256 on a chunk's state bytes cap it below 2N, and each core
+    # call of a verify run at N = 256 peaks below those slots' bytes beyond
+    # the plans it returns
+    calls = []
     core = routing._CORES[Design.BRICKWORK]
 
-    def recorded(ports, mates, counter=None):
+    def traced(ports, mates, counter=None):
         mates = list(mates)
-        sizes.append(len(mates))
-        return core(ports, mates, counter)
+        tracemalloc.start()
+        try:
+            plans = core(ports, mates, counter)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        calls.append((len(mates), peak - held))
+        return plans
 
-    monkeypatch.setattr(routing, "_brickwork_step_table", refuse)
-    monkeypatch.setitem(routing._CORES, Design.BRICKWORK, recorded)
+    monkeypatch.setitem(routing._CORES, Design.BRICKWORK, traced)
     assert verify_design(Design.BRICKWORK, 256, "random", samples=300, seed=1).passed
-    assert sizes == [258, 42] and 258 < routing._STEP_TABLES_PER_PORT * 256
+    assert [size for size, _ in calls] == [258, 42] and 258 < routing._STEP_TABLES_PER_PORT * 256
+    assert all(spent < (256 // 2) ** 2 * 8 for _, spent in calls), calls
     for ports in range(256, MAX_PORTS + 1, 2):
         size = verification._CHUNK_STATE_BYTES // verification.optimal_switch_count(ports)
         assert size < routing._STEP_TABLES_PER_PORT * ports, ports
