@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import sys
 import tracemalloc
 from collections.abc import Mapping
 from pathlib import Path
@@ -993,6 +994,68 @@ def test_the_brickwork_core_writes_the_frame_models_runs():
                 i = t % (n - 1)
                 cells, j_meet = wants[i]
                 assert states == cells and permuted[j_meet : j_meet + 2] == (i, n - 1), (n, k, i)
+
+
+def _kept_rows(ports, mates):
+    """The rows one brickwork core call of ``mates`` keeps, read from its
+    ``steps`` as it returns."""
+    kept, code = [], _CORES[Design.BRICKWORK].__code__
+
+    def grab(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            kept.append(frame.f_locals["steps"])
+
+    sys.setprofile(grab)
+    try:
+        _CORES[Design.BRICKWORK](ports, mates)
+    finally:
+        sys.setprofile(None)
+    return kept[0]
+
+
+def test_every_step_table_row_is_the_frame_models_step_at_its_parity():
+    # a batch of at least 2N tables in which every (depth, partner rank)
+    # occurs, as in the frame test above, keeps every row: each, its
+    # anti-diagonal ranks less the depth's offset skip // 2, is step(n, i)
+    # read as ranks at the depth's parity, a function of (n, i, skip % 2)
+    # alone, so the induction's step covers every depth.  Rank n - 1 pairs
+    # no photon, so its slot stays empty
+    for ports in range(2, 66, 2):
+        mates = []
+        for skip in range(ports // 2 - 1):
+            n = ports - 2 * skip
+            for i in range(n - 1):
+                photons, mate = list(range(ports)), [0] * ports
+                pairs = [(photons.pop(), photons.pop()) for _ in range(skip)]
+                pairs.append((photons.pop(), photons.pop(i)))
+                while photons:
+                    pairs.append((photons.pop(), photons.pop()))
+                for a, b in pairs:
+                    mate[a], mate[b] = b, a
+                mates.append(mate)
+        times = -(-routing._STEP_TABLES_PER_PORT * ports // max(len(mates), 1))
+        steps = _kept_rows(ports, mates * times)
+        assert len(steps) == max(ports // 2 - 1, 0)
+        for skip, rows in enumerate(steps):
+            n, k = ports - 2 * skip, skip % 2
+            assert len(rows) == n and rows[n - 1] is None
+
+            def anti(c, j):
+                return (j + c + k) // 2 + skip // 2
+
+            def diag(c, j):
+                return (j - c + n // 2) // 2
+
+            for i, row in enumerate(rows[: n - 1]):
+                runs, removed, j_meet = brickwork_frames.step(n, i)
+                want = [j_meet, removed, None, None, None, None, None]
+                if runs:
+                    want[2:4] = anti(*runs[0][0]), anti(*runs[0][1])
+                if len(runs) == 2:  # read once the partner's diagonal, below them, is gone
+                    (first, last), = runs[1:]
+                    assert removed < diag(*last)
+                    want[4:7] = anti(*first), diag(*last) - 1, diag(*first) - 1
+                assert list(row[:7]) == want, (ports, n, i)
 
 
 def _traced(call):
