@@ -126,8 +126,9 @@ bytearray is assigned into the state bytes as it is, where ``bytes`` would
 first be copied into a new bytearray.  A single table slices each run from
 it.  A batch keeps one template per run length in a per-call list, sliced
 from this the first time the call writes a run of that length, so it slices
-each length once (memoization, Michie, Nature 1968).  A single table that
-kept them cost route-large 8.6 % in triangular's ``call_s``
+each length once (memoization, Michie, Nature 1968); an exhaustive run
+(:data:`_EXHAUSTIVE`) slices every template it reads up front.  A single
+table that kept them cost route-large 8.6 % in triangular's ``call_s``
 (``earlier_run`` in ``BENCH_lazy_rows.json``): a slice dropped at once
 leaves its block to the next run's, where each kept template takes new
 memory."""
@@ -271,6 +272,52 @@ def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCou
     return plans
 
 
+def _exhaustive_triangular(ports: int, size: int
+                           ) -> Iterator[tuple[list[tuple[int, ...]], list]]:
+    """Every demand at N with its plan, in chunks of ``size``: a depth-first
+    walk of the partner-rank trie, each level one layer of
+    :func:`_route_triangular` (backtracking, Knuth, TAOCP Vol. 4B, 7.2.2).
+
+    A layer's writes depend only on its frame size n and the partner's rank
+    i, so a prefix of ranks is routed once for every demand below it: the
+    layer's bytes are one row per (n, i), and the partner table, state
+    bytes and output lines are shared down the walk, each level rewriting
+    its own entries.  A leaf copies them."""
+    if ports == 2:
+        yield [(1, 0)], [(bytearray(), (0, 1))]
+        return
+    rows = {(n, i): bytearray(i) + _ONES[: n - 2 - i]
+            for n in range(4, ports + 1, 2) for i in range(n - 1)}
+    mate, permuted, states = [0] * ports, [0] * ports, bytearray(optimal_switch_count(ports))
+    tables, plans = [], []
+
+    def walk(photons: list[int], first: int) -> Iterator:
+        nonlocal tables, plans
+        n, bottom = len(photons), photons[-1]
+        end = first + n - 2
+        permuted[n - 1] = bottom
+        for i in range(n - 1):
+            partner = photons[i]
+            mate[bottom], mate[partner] = partner, bottom
+            states[first:end] = rows[n, i]
+            permuted[n - 2] = partner
+            rest = photons[:i] + photons[i + 1 : -1]
+            if n > 4:
+                yield from walk(rest, end)
+                continue
+            a, b = permuted[0], permuted[1] = rest
+            mate[a], mate[b] = b, a
+            tables.append(tuple(mate))
+            plans.append((states[:], tuple(permuted)))
+            if len(tables) == size:
+                yield tables, plans
+                tables, plans = [], []
+
+    yield from walk(list(range(ports)), 0)
+    if tables:
+        yield tables, plans
+
+
 # ---------------------------------------------------------------------------
 # Chevron
 # ---------------------------------------------------------------------------
@@ -304,8 +351,8 @@ def _chevron_windows(ports: int) -> tuple[Iterator[tuple[int, int]],
     return outer, inner
 
 
-def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None,
-                   inner: dict | None = None) -> list[tuple[bytearray, tuple[int, ...]]]:
+def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
+                   ) -> list[tuple[bytearray, tuple[int, ...]]]:
     """Routing over nested windows: window k holds photons k..N-1-k and
     its layer is N/2-1-k.
 
@@ -324,13 +371,9 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
     bottom, stored as a negative, Python-style index.
 
     Returns one plan per partner table in ``mates``: the state bytes, 1 for
-    Cross, and the photon on each output line.  With no counter and a dict
-    ``inner``, which the caller keeps across calls, the batch is routed by
-    :func:`_route_chevron_by_inner`: the same plans.
+    Cross, and the photon on each output line.
     """
     mates = list(mates)
-    if inner is not None and not counter and ports > 2:
-        return _route_chevron_by_inner(ports, mates, inner)
     count = optimal_switch_count(ports)
     outer, inner = _chevron_windows(ports)
     if len(mates) > 1:
@@ -388,68 +431,61 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
     return plans
 
 
-def _route_chevron_by_inner(ports: int, mates: list[Sequence[int]], inner: dict
-                            ) -> list[tuple[bytearray, tuple[int, ...]]]:
-    """:func:`_route_chevron` on a batch, each table's inner window routed
-    once and shared (memoization, Michie, Nature 1968).
+def _exhaustive_chevron(ports: int, size: int
+                        ) -> Iterator[tuple[list[tuple[int, ...]], list]]:
+    """Every demand at N with its plan, in chunks of ``size``, folded from
+    the run at N-2 (memoization, Michie, Nature 1968).
 
     The outer window folds its pair inward, and what is left, photons
     1..N-2 with the folded partners, is the chevron network two ports
     smaller: its switches are the first S(N-2) ids, on lines shifted by one.
-    ``inner`` maps that folded table to what the outer layer needs: the
-    state bytes with the outer layer all Cross, the output lines with 0 and
-    N-1 paired at the middle, and each photon's index in those lines.  The
-    tables the dict lacks are routed in one batch at N-2.  A table then
-    routes only the outer layer, as :func:`_route_chevron`'s last window
-    does: at most two Bar switches and two pairs placed.  The dict holds one
-    entry per distinct inner table, (N-3)!! at most."""
+    So each demand at N-2 is the inner table of N-1 demands at N: 0 paired
+    with N-1, whose outer layer is all Cross with 0 and N-1 paired at the
+    middle, or 0 and N-1 paired with the two photons of one inner pair, in
+    either orientation.  Each of those routes only the outer layer, as
+    :func:`_route_chevron`'s last window does: at most two Bar switches and
+    two pairs placed."""
+    if ports == 2:
+        yield [(1, 0)], [(bytearray(), (0, 1))]
+        return
     last, layer = ports - 1, ports // 2 - 1
     first = optimal_switch_count(ports - 2)  # the outer layer's first id
     mid = layer + (layer & 1)  # where the outer pair enters; inner lines above it keep their index
-    cross = b"\x01" * (ports - 2)
-    entries, missing = [], []
-    for mate in mates:
-        top_mate, bot_mate = mate[0], mate[last]
-        if top_mate == last:
-            key = tuple(mate[1:last])
-        else:
-            folded = list(mate)
-            folded[top_mate], folded[bot_mate] = bot_mate, top_mate
-            key = tuple(folded[1:last])
-        entry = inner.get(key)
-        if entry is None:  # a slot, filled once the batch's new inner tables are routed
-            entry = inner[key] = [key]
-            missing.append(entry)
-        entries.append(entry)
-    if missing:
-        routed = _route_chevron(ports - 2, [[x - 1 for x in key] for key, in missing])
-        for entry, (states, permuted) in zip(missing, routed):
-            lines = [x + 1 for x in permuted]
+    cross = _ONES[: ports - 2]
+    tables, plans = [], []
+    for inner_tables, inner_plans in _exhaustive_chevron(ports - 2, size):
+        for inner, (inner_states, inner_lines) in zip(inner_tables, inner_plans):
+            mate = [last, *[x + 1 for x in inner], 0]
+            lines = [x + 1 for x in inner_lines]
             lines[mid:mid] = (0, last)
             where = [0] * ports
             for index, photon in enumerate(lines):
                 where[photon] = index
-            entry[:] = bytes(states) + cross, lines, where
-    plans = []
-    for mate, (states, lines, where) in zip(mates, entries):
-        top_mate, bot_mate = mate[0], mate[last]
-        if top_mate == last:
-            plans.append((bytearray(states), tuple(lines)))
-            continue
-        states, lines = bytearray(states), lines[:]
-        a, b = where[top_mate], where[bot_mate]  # adjacent, on one side of mid
-        lo = a if a < b else b
-        # _route_chevron's last window, with lo counted from the top
-        if lo < mid:
-            states[first + lo + 1 if lo + 1 < layer else first + 2 * layer - 1] = a > b
-            states[first + lo] = 0
-            lines[lo], lines[lo + 1], lines[mid], lines[mid + 1] = 0, top_mate, bot_mate, last
-        else:
-            states[first + layer + ports - lo - 1] = a > b
-            states[first + layer + ports - lo - 2] = 0
-            lines[mid], lines[mid + 1], lines[lo], lines[lo + 1] = 0, top_mate, bot_mate, last
-        plans.append((states, tuple(lines)))
-    return plans
+            states = inner_states + cross
+            tables.append(tuple(mate))
+            plans.append((states, tuple(lines)))
+            for top_mate in range(1, last):
+                bot_mate = mate[top_mate]
+                out, cut, put = mate[:], states[:], lines[:]
+                out[0], out[top_mate], out[bot_mate], out[last] = top_mate, 0, last, bot_mate
+                a, b = where[top_mate], where[bot_mate]  # adjacent, on one side of mid
+                lo = a if a < b else b
+                # _route_chevron's last window, with lo counted from the top
+                if lo < mid:
+                    cut[first + lo + 1 if lo + 1 < layer else first + 2 * layer - 1] = a > b
+                    cut[first + lo] = 0
+                    put[lo], put[lo + 1], put[mid], put[mid + 1] = 0, top_mate, bot_mate, last
+                else:
+                    cut[first + layer + ports - lo - 1] = a > b
+                    cut[first + layer + ports - lo - 2] = 0
+                    put[mid], put[mid + 1], put[lo], put[lo + 1] = 0, top_mate, bot_mate, last
+                tables.append(tuple(out))
+                plans.append((cut, tuple(put)))
+            while len(tables) >= size:
+                yield tables[:size], plans[:size]
+                del tables[:size], plans[:size]
+    if tables:
+        yield tables, plans
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +543,9 @@ def _route_chevron_by_inner(ports: int, mates: list[Sequence[int]], inner: dict
 #
 # The list ranks an iteration reads and its ticks, one row (j_meet, rd, ra,
 # rb, pa, qa, qb, ticks), depend only on N, the frame size n and the
-# partner's rank, and one arithmetic in the loop works each row out.  A
-# call that routes at least 2N tables keeps each row the first time a table
-# needs it, in a list per iteration indexed by the partner's rank, and later
-# tables read it back (memoization, Michie, Nature 1968); any other call
-# keeps none.  One loop body then writes the runs and pops the lists.
+# partner's rank, and one arithmetic in the loop works each row out.  One
+# loop body then writes the runs and pops the lists.  An exhaustive run
+# reads every row from one table made per run (:func:`_brickwork_rows`).
 #
 # No run end is checked against the grid, and no run for being empty.  At
 # every even N a partner below line n - 2 has a run of at least one cell,
@@ -524,8 +558,8 @@ def _route_chevron_by_inner(ports: int, mates: list[Sequence[int]], inner: dict
 # to any bound and the tests to n = 256.  A row reads skip only through its
 # parity and an offset skip // 2 shared by every `anti` rank, so that
 # covers every depth.  The tests tie the model to this loop at every depth
-# for N <= 64, each run it writes and each meeting line, from a row worked
-# out and from a row kept by an earlier table.  Line and column are
+# for N <= 64, each run it writes and each meeting line, and to every row
+# of the exhaustive run's table for N <= 64.  Line and column are
 # monotone along a run, so when both ends hold a switch the cells between
 # do too.  Odd N breaks the step (a frame's last run can start at a
 # column-0 cell that holds no switch); every way into this core rejects it
@@ -558,60 +592,46 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
     iteration only removes photons from it, the bottom one and its partner,
     so it stays sorted by photon id and the partner's frame line is its rank
     i, found by bisection.  The rest of the iteration reads one row of list
-    ranks and ticks, worked out inline; a call of at least
-    :data:`_STEP_TABLES_PER_PORT` tables per port keeps each row in
-    ``steps`` the first time it works it out, and later tables read it
-    back.  Counter ticks are the cascade's, as in :func:`_route_triangular`,
-    and so is what it returns."""
+    ranks and ticks, worked out inline.  Counter ticks are the cascade's, as
+    in :func:`_route_triangular`, and so is what it returns."""
     mates = list(mates)
     half0 = ports // 2
     count = optimal_switch_count(ports)
     lines = list(range(ports))  # the photons, and frame line -> physical output line
-    anti0 = [x >> 1 for x in range(half0 % 2, ports + half0, 2)]  # surviving line + col, halved
-    diag0 = [x >> 1 for x in range(-half0, ports, 2)]  # surviving line - col, halved
+    anti0, diag0 = _brickwork_lists(ports)
     fall, rise = half0, half0 - 1  # id strides along a diagonal and an anti-diagonal
     base = ports // 4 - half0 + half0 % 2  # cell (col > 0, diag entry d) has id base + d + fall*col
-    # per iteration, the rows a call of at least 2N tables has worked out so
-    # far, by partner rank (rank n - 1 ticks, then raises); None keeps none
-    keep = len(mates) >= _STEP_TABLES_PER_PORT * ports
-    steps = [[None] * n for n in range(ports, 2, -2)] if keep else [None] * (half0 - 1)
     runs = [None] * ports if len(mates) > 1 else None  # a batch's Cross-run templates
     plans = []
     for mate in mates:
         states = bytearray(count)
         photons, frame_out, anti, diag = lines[:], lines[:], anti0[:], diag0[:]
         result = [0] * ports
-        for rows in steps:
+        for _ in range(half0 - 1):
             bottom = photons.pop()
             i = bisect_left(photons, mate[bottom])
-            row = rows and rows[i]
-            if row:
-                j_meet, rd, ra, rb, pa, qa, qb, ticks = row
-            else:
-                n = len(photons) + 1
-                j_meet = n - 2
-                rd = ra = rb = pa = qa = qb = None
-                if i < j_meet:
-                    half = n >> 1
-                    # column 0 holds the lines of half's parity up to half-2, column 1
-                    # every line of the other.  A partner off half's parity starts in
-                    # column 1, past column 0's switch above it if there is one; one
-                    # on it in column 0 up to line half-2, else in column 2, past
-                    # column 1's switch above it.  A switch passed stays Bar and ticks.
-                    cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
-                    rd, ra = (i - cstart + half) >> 1, (i + cstart + half0 - half) >> 1
-                    # worked out only for a counter, which saves about 4 % of a route
-                    ticks = counter and (
-                        4 * n - 3 - i + (0 < i < half if cstart == 1 else i >= half - 1))
-                    if i + half - cstart < j_meet:  # the bottom photon rises to meet it
-                        j_meet = i + half - cstart
-                        qa = j_meet >> 1  # ranks count past the partner's diagonal
-                        pa, qb = (j_meet + half0) >> 1, qa + n - 3 - j_meet
-                    rb = ra + j_meet - i - 1
-                else:  # rank n - 1 pairs no photon: it ticks its scan, then its pop raises
-                    ticks = 3 * n - 1 if i == j_meet else n
-                if rows:
-                    rows[i] = j_meet, rd, ra, rb, pa, qa, qb, ticks
+            n = len(photons) + 1
+            j_meet = n - 2
+            rd = ra = rb = pa = qa = qb = None
+            if i < j_meet:
+                half = n >> 1
+                # column 0 holds the lines of half's parity up to half-2, column 1
+                # every line of the other.  A partner off half's parity starts in
+                # column 1, past column 0's switch above it if there is one; one
+                # on it in column 0 up to line half-2, else in column 2, past
+                # column 1's switch above it.  A switch passed stays Bar and ticks.
+                cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
+                rd, ra = (i - cstart + half) >> 1, (i + cstart + half0 - half) >> 1
+                # worked out only for a counter, which saves about 4 % of a route
+                ticks = counter and (
+                    4 * n - 3 - i + (0 < i < half if cstart == 1 else i >= half - 1))
+                if i + half - cstart < j_meet:  # the bottom photon rises to meet it
+                    j_meet = i + half - cstart
+                    qa = j_meet >> 1  # ranks count past the partner's diagonal
+                    pa, qb = (j_meet + half0) >> 1, qa + n - 3 - j_meet
+                rb = ra + j_meet - i - 1
+            else:  # rank n - 1 pairs no photon: it ticks its scan, then its pop raises
+                ticks = 3 * n - 1 if i == j_meet else n
             if counter:
                 counter.tick(ticks)
             if rd is not None:
@@ -643,15 +663,95 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
     return plans
 
 
-_STEP_TABLES_PER_PORT = 2
-"""A brickwork core call with at least this many partner tables per port
-keeps each row it works out, one list per iteration with a slot per partner
-rank, and reads it back for later tables; a smaller one keeps none.  Against
-rows worked out for every table, T random tables took 0.84-0.98x the time
-at T = 2N for N = 4-256 and 1.05x at N = 512, 0.91-1.06x at T = N and
-0.99-1.14x at T = N/2 (``boundaries`` in ``BENCH_lazy_rows.json``).  From
-N = 256 on, a verify chunk holds fewer than 2N tables, so verify keeps no
-rows there."""
+def _brickwork_lists(ports: int) -> tuple[list[int], list[int]]:
+    """Frame N's ``anti`` and ``diag``: every line + col and line - col, halved."""
+    half0 = ports // 2
+    return ([x >> 1 for x in range(half0 % 2, ports + half0, 2)],
+            [x >> 1 for x in range(-half0, ports, 2)])
+
+
+def _brickwork_rows(ports: int) -> dict[tuple[int, int], tuple]:
+    """The row :func:`_route_brickwork` works out for frame size n and
+    partner rank i < n - 1, for every such (n, i) at N, without its ticks:
+    (j_meet, rd, ra, rb, pa, qa, qb), qa and qb counting ``diag`` before
+    rd's entry is removed (the rising run's cells lie past it)."""
+    half0, rows = ports // 2, {}
+    for n in range(4, ports + 1, 2):
+        half = n >> 1
+        rows[n, n - 2] = n - 2, None, None, None, None, None, None
+        for i in range(n - 2):
+            cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
+            rd, ra = (i - cstart + half) >> 1, (i + cstart + half0 - half) >> 1
+            j_meet, pa, qa, qb = min(i + half - cstart, n - 2), None, None, None
+            if j_meet < n - 2:  # the bottom photon rises to meet it
+                qa = (j_meet >> 1) + 1
+                pa, qb = (j_meet + half0) >> 1, qa + n - 3 - j_meet
+            rows[n, i] = j_meet, rd, ra, ra + j_meet - i - 1, pa, qa, qb
+    return rows
+
+
+def _exhaustive_brickwork(ports: int, size: int
+                          ) -> Iterator[tuple[list[tuple[int, ...]], list]]:
+    """Every demand at N with its plan, in chunks of ``size``: a depth-first
+    walk of the partner-rank trie, each level one iteration of
+    :func:`_route_brickwork`, as :func:`_exhaustive_triangular` walks.
+
+    Each trie node copies its frame's lists and state bytes, writes its
+    runs from the row for (n, i) and passes them down; its partner table
+    and output lines are shared, each level rewriting its own entries."""
+    if ports == 2:
+        yield [(1, 0)], [(bytearray(), (0, 1))]
+        return
+    half0 = ports // 2
+    fall, rise = half0, half0 - 1
+    base = ports // 4 - half0 + half0 % 2
+    rows, runs = _brickwork_rows(ports), [_ONES[:run] for run in range(ports)]
+    mate, result = [0] * ports, [0] * ports
+    tables, plans = [], []
+
+    def walk(photons: list[int], frame_out: list[int], anti: list[int], diag: list[int],
+             states: bytearray) -> Iterator:
+        nonlocal tables, plans
+        n, bottom = len(photons), photons[-1]
+        for i in range(n - 1):
+            partner = photons[i]
+            mate[bottom], mate[partner] = partner, bottom
+            j_meet, rd, ra, rb, pa, qa, qb = rows[n, i]
+            cut = states[:]
+            if rd is not None:
+                d = diag[rd]
+                col = anti[ra] - d
+                if not col:
+                    cut[d] = 1
+                    col = 1
+                first = base + d + fall * col
+                run = anti[rb] - d - col + 1
+                cut[first : first + fall * run : fall] = runs[run]
+                if pa is not None:
+                    a, lo, hi = anti[pa], diag[qa], diag[qb]
+                    first = base + hi + fall * (a - hi)
+                    run = hi - lo + 1
+                    cut[first : first + rise * run : rise] = runs[run]
+            result[frame_out[j_meet]], result[frame_out[j_meet + 1]] = partner, bottom
+            rest = photons[:i] + photons[i + 1 : -1]
+            if n > 4:
+                yield from walk(rest, frame_out[:j_meet] + frame_out[j_meet + 2 :],
+                                anti if pa is None else anti[:pa] + anti[pa + 1 :],
+                                diag if rd is None else diag[:rd] + diag[rd + 1 :], cut)
+                continue
+            a, b = rest
+            mate[a], mate[b] = b, a
+            result[frame_out[0]], result[frame_out[1]] = a, b  # j_meet is 2 in frame 4
+            tables.append(tuple(mate))
+            plans.append((cut, tuple(result)))
+            if len(tables) == size:
+                yield tables, plans
+                tables, plans = [], []
+
+    lines = list(range(ports))
+    yield from walk(lines, lines, *_brickwork_lists(ports), bytearray(optimal_switch_count(ports)))
+    if tables:
+        yield tables, plans
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +766,21 @@ _CORES = {
 """Each design's routing core: ``(ports, mates, counter=None) -> [(state
 bytes, permuted), ...]``, one plan per partner table, for callers that hold
 checked tables.  A batch pays once for what depends only on N: chevron
-lists its window constants, triangular and brickwork keep each Cross-run
-template they make (:data:`_ONES`), and brickwork, from
-:data:`_STEP_TABLES_PER_PORT` tables per port, keeps each row of list
-ranks its loop works out for the tables after.  Each public router routes
-a batch of one, which keeps none of them.  Chevron's core takes a fourth
-argument, a dict of routed inner windows that a caller keeps across calls
-(:func:`_route_chevron_by_inner`); an exhaustive verify run up to N = 14
-passes one, positionally."""
+lists its window constants, and triangular and brickwork keep each Cross-run
+template they make (:data:`_ONES`).  Each public router routes a batch of
+one, which keeps none of them."""
+
+_EXHAUSTIVE = {
+    Design.TRIANGULAR: _exhaustive_triangular,
+    Design.CHEVRON: _exhaustive_chevron,
+    Design.BRICKWORK: _exhaustive_brickwork,
+}
+"""Each design's exhaustive run: ``(ports, size) -> iterator of (tables,
+plans)``, lists of at most ``size`` entries, every chunk but the last of
+``size``.  Over the run, ``tables`` holds each partner table of N once, as
+a tuple, and ``plans`` what ``_CORES[design]`` routes for it, in the order
+of the router's recursion, not :func:`~pairswitch.verification._mate_tables`'s.
+Ports are checked by the caller."""
 
 
 def route(design: Design | str, ports: int, demand: PairList,

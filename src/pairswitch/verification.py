@@ -11,7 +11,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import BoundExceeded, InvalidInput
-from .routing import _CORES, PairList, StateVector, _check_demand_ports
+from .routing import _CORES, _EXHAUSTIVE, PairList, StateVector, _check_demand_ports
 from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_bytes, _check_plans, _columns,
                          brute_force_route, check_pairing, simulate)
 from .topology import Design, Network, _check_ports, build_network, optimal_switch_count
@@ -27,12 +27,6 @@ _LANES_PER_ID_BIT = 24
 lanes of one bit-sliced pass, a smaller one as byte lanes.  24 keeps every
 exhaustive chunk from N = 8 on the pass; ``BENCH_triangular_columns.json``
 times the two on each side of it."""
-
-_INNER_WINDOWS = 10395
-"""An exhaustive chevron run keeps one dict of routed inner windows, one
-entry per distinct inner table, when (N-3)!! is at most this: N <= 14.  At
-N = 16 it would hold 135,135 entries (``inner_dict`` in
-``BENCH_chevron_inner.json``)."""
 
 MAX_EXHAUSTIVE_PORTS = 16
 """Demand budget of an exhaustive run, whatever its cap: (N-1)!! demands,
@@ -181,15 +175,18 @@ def verify_design(
 ) -> VerificationReport:
     """Route every demand (or a seeded sample), simulate, and check the
     paired egress; collect depth extrema across the routings that pass,
-    None when none does."""
+    None when none does.  An exhaustive run takes its chunks of tables and
+    plans from the design's walk in ``routing._EXHAUSTIVE``, a random one
+    routes each chunk of sampled tables through ``routing._CORES``."""
     design = Design(design)
     _check_ports(ports)
     for name, value in (("cap", cap), ("seed", seed)):
         if type(value) is not int:  # a bool is neither
             raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    size = min(_CHUNK_DEMANDS, _CHUNK_STATE_BYTES // max(1, optimal_switch_count(ports)))
     if mode == "exhaustive":
         _check_exhaustive(ports, cap)
-        mates = _mate_tables(ports)
+        chunks = _EXHAUSTIVE[design](ports, size)
         samples_field = seed_field = None
     elif mode == "random":
         if type(samples) is not int or samples < 1:  # a bool is no sample count either
@@ -197,17 +194,13 @@ def verify_design(
         if samples > sys.maxsize:  # islice's stop, and past any run's reach
             raise BoundExceeded(f"samples capped at {sys.maxsize}, got {samples}")
         mates = islice(_random_mate_tables(ports, random.Random(seed)), samples)
+        core = _CORES[design]
+        chunks = ((chunk, core(ports, chunk))
+                  for chunk in iter(lambda: list(islice(mates, size)), []))
         samples_field, seed_field = samples, seed
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
 
-    core = _CORES[design]
-    # an exhaustive chevron run shares its inner windows across chunks; the
-    # dict goes to the core positionally, so a core patched on _CORES sees it
-    shared = ()
-    if (design is Design.CHEVRON and mode == "exhaustive"
-            and double_factorial(ports - 3) <= _INNER_WINDOWS):
-        shared = (None, {})
     failures: list[tuple[str, str]] = []
     checked = 0
     max_depth = 0
@@ -239,9 +232,7 @@ def verify_design(
         max_depth = max(max_depth, max(depths))
         min_depth = min(min_depth, min(depths))
 
-    size = min(_CHUNK_DEMANDS, _CHUNK_STATE_BYTES // max(1, optimal_switch_count(ports)))
-    while chunk := list(islice(mates, size)):
-        plans = core(ports, chunk, *shared)
+    for chunk, plans in chunks:
         checked += len(chunk)
         large = len(chunk) >= _LANES_PER_ID_BIT * (ports - 1).bit_length()
         if large:

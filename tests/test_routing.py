@@ -2,7 +2,6 @@ import hashlib
 import importlib.util
 import json
 import random
-import sys
 import tracemalloc
 from collections.abc import Mapping
 from pathlib import Path
@@ -24,6 +23,7 @@ from pairswitch import (
     check_pairing,
     double_factorial,
     enumerate_pair_lists,
+    optimal_switch_count,
     plan_from_json,
     plan_to_json,
     propagate,
@@ -195,53 +195,34 @@ def test_chevron_8_worst_case_all_cross():
     assert check_pairing(perm, pl("0-7,1-6,2-5,3-4")).ok
 
 
-def _folded_inner(mate):
-    """Photons 1..N-2's partner table once the outer pair is folded inward:
-    the partners of 0 and N-1 paired with each other."""
-    mate = list(mate)
-    top, bot = mate[0], mate[-1]
-    if top != len(mate) - 1:
-        mate[top], mate[bot] = bot, top
-    return tuple(mate[1:-1])
-
-
 def test_shared_inner_windows_give_the_plans_of_the_loop():
-    # every table for each N <= 12 in chunks of 1024, then seeded batches at
-    # N = 14 with the worst case, each run carrying one dict across its
-    # calls: the plans are the loop's, byte for byte, and the dict holds
-    # one entry per distinct inner table
-    core, rng = routing._route_chevron, random.Random("inner")
-    runs = [list(_mate_tables(n)) for n in range(2, 13, 2)]
-    runs.append([random_pair_list(14, rng).mate for _ in range(3000)]
-                + [worst_case_pair_list(14).mate])
-    for mates in runs:
-        ports, inner = len(mates[0]), {}
-        plans = [plan for start in range(0, len(mates), 1024)
-                 for plan in core(ports, mates[start : start + 1024], None, inner)]
-        assert plans == core(ports, mates)
-        assert all(type(states) is bytearray and type(permuted) is tuple
-                   for states, permuted in plans)
-        if ports <= 12:
-            assert len(inner) == (double_factorial(ports - 3) if ports > 2 else 0)
-        else:
-            assert len(inner) == len(set(map(_folded_inner, mates))) < len(mates)
-        # a second pass reads every inner window from the dict
-        assert core(ports, mates[:50], None, inner) == plans[:50]
-        assert core(ports, [], None, inner) == []
-
-
-def test_a_counter_keeps_the_chevron_loop_and_leaves_the_dict_alone():
-    # the shared path ticks nothing, so a call with a counter takes the
-    # loop: the same plans and ticks as without a dict
-    mates = list(_mate_tables(8))
-    inner, ticks, alone = {}, OpCounter(), OpCounter()
-    plans = routing._route_chevron(8, mates, ticks, inner)
-    assert inner == {}
-    assert plans == routing._route_chevron(8, mates, alone) and ticks.count == alone.count > 0
+    # the chevron walk routes each demand at N - 2 once and shares it with
+    # its N - 1 outer variants: each of them keeps the inner plan's state
+    # bytes as its first S(N-2), its outer pair folded inward gives the
+    # inner table, and the plans are the loop's, byte for byte, for every
+    # N <= 12 (chunks of 1024 and of 7, fewer than N - 1 variants)
+    core = routing._route_chevron
+    for ports in range(4, 13, 2):
+        inner = {table: plan for tables, plans in routing._exhaustive_chevron(ports - 2, 1024)
+                 for table, plan in zip(tables, plans)}
+        count = optimal_switch_count(ports - 2)
+        for size in (1024, 7):
+            seen = 0
+            for tables, plans in routing._exhaustive_chevron(ports, size):
+                assert plans == core(ports, tables)
+                for mate, (states, _) in zip(tables, plans):
+                    folded = list(mate)
+                    top, bot = folded[0], folded[-1]
+                    if top != ports - 1:
+                        folded[top], folded[bot] = bot, top
+                    inner_states, _ = inner[tuple(x - 1 for x in folded[1:-1])]
+                    assert states[:count] == inner_states
+                seen += len(tables)
+            assert seen == len(inner) * (ports - 1) == double_factorial(ports - 1)
 
 
 def test_chevron_networks_nest():
-    # the shared path's premise: the first S(N-2) switches of the chevron
+    # the chevron walk's premise: the first S(N-2) switches of the chevron
     # network are the network two ports smaller, one line lower
     smaller = build_network(Design.CHEVRON, 2)
     for ports in range(4, 301, 2):
@@ -384,23 +365,19 @@ def test_cores_return_what_the_public_routers_plan(design):
 @pytest.mark.parametrize("design", list(Design))
 def test_a_core_routes_a_batch_as_its_tables_one_by_one(design):
     # every table of each N <= 10 as one batch, then seeded batches up to
-    # N = 256, seeded batches one table below and at brickwork's threshold
-    # for keeping rows (2N tables) with the worst case, and, at 1024 and
-    # 2048, two seeded tables with the worst case, whose runs are the
-    # longest: the plans and the tick total are the per-table ones, so no
-    # state a core copies for each table leaks from one table to the next,
-    # and brickwork's rows, worked out or kept, plan alike.  Which calls keep
-    # rows: test_a_single_brickwork_table_builds_no_step_table
+    # N = 256, seeded batches of 2N tables with the worst case, where every
+    # Cross-run template a batch keeps is read again, and, at 1024 and 2048,
+    # two seeded tables with the worst case, whose runs are the longest: the
+    # plans and the tick total are the per-table ones, so no state a core
+    # copies for each table leaks from one table to the next
     core, rng = _CORES[design], random.Random(f"batch:{design.value}")
-    per_port = routing._STEP_TABLES_PER_PORT
     batches = [list(_mate_tables(n)) for n in range(2, 11, 2)]
     batches += [[random_pair_list(n, rng).mate for _ in range(6)]
                 for n in (12, 14, 16, 32, 64, 128, 256)]
     batches.append(batches[-1] + [worst_case_pair_list(256).mate] + batches[-1][:2])
-    batches += [[random_pair_list(n, rng).mate for _ in range(size - 1)]
+    batches += [[random_pair_list(n, rng).mate for _ in range(2 * n - 1)]
                 + [worst_case_pair_list(n).mate]
-                for n in (2, 4, 12, 14, 16, 32, 64)
-                for size in (per_port * n - 1, per_port * n)]
+                for n in (2, 4, 12, 14, 16, 32, 64)]
     batches += [[random_pair_list(n, rng).mate for _ in range(2)] + [worst_case_pair_list(n).mate]
                 for n in (1024, MAX_PORTS)]
     for mates in batches:
@@ -411,6 +388,37 @@ def test_a_core_routes_a_batch_as_its_tables_one_by_one(design):
         assert core(ports, iter(mates)) == plans
         assert core(ports, []) == [] and core(ports, [], ticks) == []
         assert ticks.count == alone.count
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_an_exhaustive_walk_routes_every_demand_as_its_core(design):
+    # every demand of each even N <= 12, in chunks of 1024 and of 7: every
+    # partner table once, as a tuple, the tables _mate_tables enumerates,
+    # each with the core's state bytes and output lines, and every chunk
+    # but the last full.  At N = 14 the walk yields all 135,135 tables, and
+    # 3,000 seeded ones and the worst case get the core's plans
+    walk, core = routing._EXHAUSTIVE[design], _CORES[design]
+    for ports in range(2, 13, 2):
+        for size in (1024, 7):
+            sizes, got = [], {}
+            for tables, plans in walk(ports, size):
+                sizes.append(len(tables))
+                assert len(plans) == len(tables)
+                got.update(zip(tables, plans))
+            assert sizes[:-1] == [size] * (len(sizes) - 1) and 0 < sizes[-1] <= size
+            assert sum(sizes) == len(got) and sorted(got) == sorted(_mate_tables(ports))
+            assert all(type(table) is tuple and type(states) is bytearray and type(lines) is tuple
+                       for table, (states, lines) in got.items())
+            assert [got[table] for table in _mate_tables(ports)] == core(ports, _mate_tables(ports))
+    rng = random.Random(f"walk:{design.value}")
+    sampled = {random_pair_list(14, rng).mate for _ in range(3000)}
+    sampled.add(worst_case_pair_list(14).mate)
+    count, got = 0, {}
+    for tables, plans in walk(14, 1024):
+        count += len(tables)
+        got.update((table, plan) for table, plan in zip(tables, plans) if table in sampled)
+    assert count == double_factorial(13) and len(got) == len(sampled)
+    assert [got[table] for table in sampled] == core(14, sampled)
 
 
 def test_dispatch_tables_cover_every_design():
@@ -958,11 +966,10 @@ def test_the_brickwork_core_writes_the_frame_models_runs():
     # they were; k such pairs first put the iteration at depth k, where
     # frame cell (c, j) is network cell (c + k, j) and frame line j output
     # line j.  Every depth for N <= 64, depths 0 and 1 up to N = 66; each
-    # table alone, its rows worked out, and in a batch of at least 2N, where
-    # later tables read the rows that earlier ones kept.  So every row the
-    # core reads for N <= 64, worked out or kept, writes the model's runs
-    # and meets on the model's line, and a row depends on the depth only as
-    # the model's step does, through its parity and the `anti` offset
+    # table alone and all in one batch.  So every row the core works out for
+    # N <= 64 writes the model's runs and meets on the model's line, and a
+    # row depends on the depth only as the model's step does, through its
+    # parity and the `anti` offset
     for n in range(4, 66, 2):
         for k in range(max(2, (64 - n) // 2 + 1)):
             ports = n + 2 * k
@@ -984,61 +991,29 @@ def test_the_brickwork_core_writes_the_frame_models_runs():
                         cells[ids[c + k, j]] = 1
                 mates.append(mate)
                 wants.append((cells, j_meet))
-            # each table alone, then all as one batch, repeated up to the
-            # threshold for keeping rows
+            # each table alone, then all as one batch
             core = _CORES[Design.BRICKWORK]
-            times = -(-routing._STEP_TABLES_PER_PORT * ports // len(mates))
             plans = [plan for mate in mates for plan in core(ports, [mate])]
-            plans += core(ports, mates * times)
+            plans += core(ports, mates)
             for t, (states, permuted) in enumerate(plans):
                 i = t % (n - 1)
                 cells, j_meet = wants[i]
                 assert states == cells and permuted[j_meet : j_meet + 2] == (i, n - 1), (n, k, i)
 
 
-def _kept_rows(ports, mates):
-    """The rows one brickwork core call of ``mates`` keeps, read from its
-    ``steps`` as it returns."""
-    kept, code = [], _CORES[Design.BRICKWORK].__code__
-
-    def grab(frame, event, arg):
-        if event == "return" and frame.f_code is code:
-            kept.append(frame.f_locals["steps"])
-
-    sys.setprofile(grab)
-    try:
-        _CORES[Design.BRICKWORK](ports, mates)
-    finally:
-        sys.setprofile(None)
-    return kept[0]
-
-
 def test_every_step_table_row_is_the_frame_models_step_at_its_parity():
-    # a batch of at least 2N tables in which every (depth, partner rank)
-    # occurs, as in the frame test above, keeps every row: each, its
-    # anti-diagonal ranks less the depth's offset skip // 2, is step(n, i)
-    # read as ranks at the depth's parity, a function of (n, i, skip % 2)
-    # alone, so the induction's step covers every depth.  Rank n - 1 pairs
-    # no photon, so its slot stays empty
+    # the brickwork walk's table holds one row per frame size n and partner
+    # rank i < n - 1 (rank n - 1 pairs no photon): each, its anti-diagonal
+    # ranks less the depth's offset skip // 2, is step(n, i) read as ranks
+    # at the depth's parity, a function of (n, i, skip % 2) alone, so the
+    # induction's step covers every depth.  The rising run's diagonal ranks
+    # count the partner's diagonal, below them, as still there
     for ports in range(2, 66, 2):
-        mates = []
-        for skip in range(ports // 2 - 1):
-            n = ports - 2 * skip
-            for i in range(n - 1):
-                photons, mate = list(range(ports)), [0] * ports
-                pairs = [(photons.pop(), photons.pop()) for _ in range(skip)]
-                pairs.append((photons.pop(), photons.pop(i)))
-                while photons:
-                    pairs.append((photons.pop(), photons.pop()))
-                for a, b in pairs:
-                    mate[a], mate[b] = b, a
-                mates.append(mate)
-        times = -(-routing._STEP_TABLES_PER_PORT * ports // max(len(mates), 1))
-        steps = _kept_rows(ports, mates * times)
-        assert len(steps) == max(ports // 2 - 1, 0)
-        for skip, rows in enumerate(steps):
-            n, k = ports - 2 * skip, skip % 2
-            assert len(rows) == n and rows[n - 1] is None
+        rows = routing._brickwork_rows(ports)
+        assert set(rows) == {(n, i) for n in range(4, ports + 1, 2) for i in range(n - 1)}
+        for (n, i), row in rows.items():
+            skip = (ports - n) // 2
+            k = skip % 2
 
             def anti(c, j):
                 return (j + c + k) // 2 + skip // 2
@@ -1046,16 +1021,15 @@ def test_every_step_table_row_is_the_frame_models_step_at_its_parity():
             def diag(c, j):
                 return (j - c + n // 2) // 2
 
-            for i, row in enumerate(rows[: n - 1]):
-                runs, removed, j_meet = brickwork_frames.step(n, i)
-                want = [j_meet, removed, None, None, None, None, None]
-                if runs:
-                    want[2:4] = anti(*runs[0][0]), anti(*runs[0][1])
-                if len(runs) == 2:  # read once the partner's diagonal, below them, is gone
-                    (first, last), = runs[1:]
-                    assert removed < diag(*last)
-                    want[4:7] = anti(*first), diag(*last) - 1, diag(*first) - 1
-                assert list(row[:7]) == want, (ports, n, i)
+            runs, removed, j_meet = brickwork_frames.step(n, i)
+            want = [j_meet, removed, None, None, None, None, None]
+            if runs:
+                want[2:4] = anti(*runs[0][0]), anti(*runs[0][1])
+            if len(runs) == 2:
+                (first, last), = runs[1:]
+                assert removed < diag(*last)
+                want[4:7] = anti(*first), diag(*last), diag(*first)
+            assert list(row) == want, (ports, n, i)
 
 
 def _traced(call):
@@ -1071,11 +1045,10 @@ def _traced(call):
 
 
 def test_a_single_brickwork_table_builds_no_step_table():
-    # rows kept for later tables take a list per depth, more than (N/2)^2
-    # slots in all: one route at N = 128, 256 or 1024, its plan included,
-    # peaks below those slots' bytes, and so does a core call of 2N - 1
-    # tables at N = 128 beyond the plans it returns, while one of 2N tables
-    # keeps rows
+    # rows kept for later tables would take a list per depth, more than
+    # (N/2)^2 slots in all: one route at N = 128, 256 or 1024, its plan
+    # included, peaks below those slots' bytes, and so does a core call of
+    # 2N tables at N = 128 beyond the plans it returns: no call keeps rows
     rng = random.Random("single")
     for n in (128, 256, 1024):
         for demand in (worst_case_pair_list(n), random_pair_list(n, rng)):
@@ -1083,11 +1056,10 @@ def test_a_single_brickwork_table_builds_no_step_table():
             assert peak < (n // 2) ** 2 * 8, (n, peak)
             assert plan == route(Design.BRICKWORK, n, demand)
     n, core = 128, _CORES[Design.BRICKWORK]
-    mates = [random_pair_list(n, rng).mate for _ in range(routing._STEP_TABLES_PER_PORT * n)]
-    _, peak, held = _traced(lambda: core(n, mates[1:]))
-    assert peak - held < (n // 2) ** 2 * 8
-    _, peak, held = _traced(lambda: core(n, mates))
-    assert peak - held > (n // 2) ** 2 * 8
+    mates = [random_pair_list(n, rng).mate for _ in range(2 * n)]
+    for batch in (mates[1:], mates):
+        _, peak, held = _traced(lambda: core(n, batch))
+        assert peak - held < (n // 2) ** 2 * 8
 
 
 # sha256 over chevron's plan_to_json of five seeded random demands and the

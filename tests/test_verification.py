@@ -367,36 +367,52 @@ def test_reports_match_golden_digest(design):
 
 
 def _corrupting_route(monkeypatch, targets):
-    """Patch the routing core that verify_design calls: the k-th plan of a
-    run is corrupted as ``targets[k]`` says.  ("flip", i) flips switch i;
-    ("perm", i) swaps predicted entries i and i + 2; ("pair", i) flips switch
-    i and predicts what the simulator then gives, so only the pairing fails."""
+    """Patch the routing that verify_design reads: the k-th demand of a run
+    is corrupted as ``targets[k]`` says, k counting a random run's samples
+    in their order, which the design's core routes, and an exhaustive run's
+    demands in enumerate_pair_lists' order, which the design's exhaustive
+    walk routes in its own.  ("flip", i) flips switch i; ("perm", i) swaps
+    predicted entries i and i + 2; ("pair", i) flips switch i and predicts
+    what the simulator then gives, so only the pairing fails."""
     from pairswitch import build_network, simulate
-    from pairswitch.routing import _CORES, StateVector
+    from pairswitch.routing import _CORES, _EXHAUSTIVE, StateVector
 
     calls = iter(range(1 << 30))
+
+    def corrupt(design, ports, positions, plans):
+        for k, target in enumerate(map(targets.get, positions)):
+            if target is None:
+                continue
+            how, i = target
+            states, permuted = bytearray(plans[k][0]), list(plans[k][1])
+            if how == "perm":
+                permuted[i], permuted[i + 2] = permuted[i + 2], permuted[i]
+            else:
+                states[i] ^= 1
+                if how == "pair":
+                    permuted = simulate(build_network(design, ports), StateVector(states))[0]
+            plans[k] = states, tuple(permuted)
 
     def corrupting(design, original):
         def core(ports, mates, *rest):
             plans = original(ports, mates, *rest)
-            for k, target in enumerate(map(targets.get, islice(calls, len(plans)))):
-                if target is None:
-                    continue
-                how, i = target
-                states, permuted = bytearray(plans[k][0]), list(plans[k][1])
-                if how == "perm":
-                    permuted[i], permuted[i + 2] = permuted[i + 2], permuted[i]
-                else:
-                    states[i] ^= 1
-                    if how == "pair":
-                        permuted = simulate(build_network(design, ports), StateVector(states))[0]
-                plans[k] = states, tuple(permuted)
+            corrupt(design, ports, islice(calls, len(plans)), plans)
             return plans
 
         return core
 
-    for design, original in list(_CORES.items()):
-        monkeypatch.setitem(_CORES, design, corrupting(design, original))
+    def corrupting_walk(design, original):
+        def walk(ports, size):
+            order = {mate: k for k, mate in enumerate(_mate_tables(ports))}
+            for tables, plans in original(ports, size):
+                corrupt(design, ports, map(order.__getitem__, tables), plans)
+                yield tables, plans
+
+        return walk
+
+    for design in Design:
+        monkeypatch.setitem(_CORES, design, corrupting(design, _CORES[design]))
+        monkeypatch.setitem(_EXHAUSTIVE, design, corrupting_walk(design, _EXHAUSTIVE[design]))
 
 
 @pytest.mark.parametrize("design, ports, kwargs, targets, failures, digest", [
@@ -406,7 +422,7 @@ def _corrupting_route(monkeypatch, targets):
      "b2602ae485d0346e49be4a1c2e250eb50f137505660263b06d139a08b96aa990"),
     ("brickwork", 12, dict(mode="exhaustive"), {5000: ("pair", 7), 9000: ("flip", 0)}, 2,
      "14bbc0e1b56ee8b54504333d663bbae0e671ab4f1203fe30342857d508a244f0"),
-    # the first and last demands and two in later chunks, through shared inner windows
+    # the first and last demands in enumeration order, and two between them
     ("chevron", 12, dict(mode="exhaustive"),
      {0: ("flip", 0), 4000: ("perm", 2), 8000: ("pair", 13), 10394: ("flip", 29)}, 4,
      "1cd6f9ed39690ce78f5c5de9a00a1e049da9e8258a5d1e6f2ba3000a1c95e5a7"),
@@ -425,42 +441,53 @@ class _Stopped(Exception):
     pass
 
 
-def _recorded_cores(monkeypatch, stop_after=None):
-    """Record what each core call gets past its tables, per design; with
-    ``stop_after``, end the run by raising _Stopped at that call."""
+def _recorded_routing(monkeypatch, stop_after=None):
+    """Record each core call and each chunk an exhaustive walk yields, as
+    (design, ports, "core" or "walk", tables); with ``stop_after``, end the
+    run by raising _Stopped at that record."""
     calls = []
 
-    def recording(design, core):
+    def record(*call):
+        calls.append(call)
+        if len(calls) == stop_after:
+            raise _Stopped
+
+    def recording_core(design, core):
         def recorded(ports, mates, *rest):
-            calls.append((design, ports, rest))
-            if len(calls) == stop_after:
-                raise _Stopped
+            record(design, ports, "core", len(mates))
             return core(ports, mates, *rest)
         return recorded
 
-    for design, core in list(routing._CORES.items()):
-        monkeypatch.setitem(routing._CORES, design, recording(design, core))
+    def recording_walk(design, walk):
+        def recorded(ports, size):
+            for tables, plans in walk(ports, size):
+                record(design, ports, "walk", len(tables))
+                yield tables, plans
+        return recorded
+
+    for design in Design:
+        monkeypatch.setitem(routing._CORES, design, recording_core(design, routing._CORES[design]))
+        monkeypatch.setitem(routing._EXHAUSTIVE, design,
+                            recording_walk(design, routing._EXHAUSTIVE[design]))
     return calls
 
 
-# sha256 of report_to_json of the exhaustive chevron run at N = 14, the
-# largest N whose inner windows are shared; recorded before they were.
-# tools/exhaustive_digests.py checks it, and N = 14 and 16 for every design,
-# against README.
+# sha256 of report_to_json of the exhaustive chevron run at N = 14, recorded
+# when each chunk of tables went through the routing core, before inner
+# windows were shared.  tools/exhaustive_digests.py checks it, and N = 14 and
+# 16 for every design, against README.
 CHEVRON_14_SHA256 = "1aaf88f5bd89c665359724e496a34c4f947780f9bc71e92f5e1ce292daac46bf"
 
 
 def test_chevron_exhaustive_14_matches_its_digest(monkeypatch):
     import hashlib
 
-    calls = _recorded_cores(monkeypatch)
+    calls = _recorded_routing(monkeypatch)
     report = verify_design(Design.CHEVRON, 14, cap=14)
     assert report.passed and report.demands_checked == double_factorial(13)
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == CHEVRON_14_SHA256
-    # its 132 chunks share one dict, which ends with every inner table
-    inner = calls[0][2][1]
-    assert len(calls) == 132 and all(rest[1] is inner for *_, rest in calls)
-    assert len(inner) == double_factorial(11) == verification._INNER_WINDOWS
+    # its 132 chunks come from the chevron walk, and no core routes a table
+    assert calls == [(Design.CHEVRON, 14, "walk", 1024)] * 131 + [(Design.CHEVRON, 14, "walk", 991)]
 
 
 def _load_exhaustive_digests():
@@ -500,40 +527,63 @@ def test_exhaustive_digests_rejects_an_n_that_is_no_integer(monkeypatch, capsys)
         assert out == "" and err.count("\n") == 1 and err.startswith("usage: exhaustive_digests.py")
 
 
-def test_an_exhaustive_chevron_run_shares_one_dict_across_its_chunks(monkeypatch):
-    # one dict per run, handed to every chunk of it, (N-3)!! entries at the
-    # end (N = 2 has no inner window and leaves it empty); no other design
-    # gets one
-    calls, last = _recorded_cores(monkeypatch), None
-    for ports in range(2, 13, 2):  # N = 14: test_chevron_exhaustive_14_matches_its_digest
-        for _ in range(2):  # a second run makes its own
+def test_an_exhaustive_run_reads_its_designs_walk_once(monkeypatch):
+    # every chunk of an exhaustive run comes from its own design's walk, in
+    # chunks of 1024 and the rest, and no core routes a table; a second run
+    # walks again, and gives the same report.  The chevron walk at N reads
+    # the walk at N - 2 once, so each inner window is routed once a run
+    calls = _recorded_routing(monkeypatch)
+    for design in Design:
+        for ports in range(2, 13, 2):
+            count = double_factorial(ports - 1)
+            want = [(design, ports, "walk", 1024)] * (count // 1024)
+            want += [(design, ports, "walk", count % 1024)] * (count % 1024 > 0)
             calls.clear()
-            assert verify_design(Design.CHEVRON, ports).passed
-            dicts = [rest[1] for *_, rest in calls if rest]
-            assert len(dicts) == len(calls) and all(inner is dicts[0] for inner in dicts)
-            assert len(dicts[0]) == (double_factorial(ports - 3) if ports > 2 else 0)
-            assert dicts[0] is not last
-            last = dicts[0]
-    calls.clear()
-    for design in (Design.TRIANGULAR, Design.BRICKWORK):
-        verify_design(design, 12)
-    assert len(calls) == 2 * 11 and not any(rest for *_, rest in calls)
+            first = verify_design(design, ports)
+            assert first.passed and calls == want
+            calls.clear()
+            assert verify_design(design, ports) == first and calls == want
+    walked, walk = [], routing._exhaustive_chevron
+
+    def recorded(ports, size):
+        walked.append(ports)
+        return walk(ports, size)
+
+    monkeypatch.setattr(routing, "_exhaustive_chevron", recorded)
+    for ports in range(2, 13, 2):
+        walked.clear()
+        assert sum(len(tables) for tables, _ in recorded(ports, 1024)) == double_factorial(ports - 1)
+        assert walked == list(range(ports, 1, -2))
 
 
-def test_shared_inner_windows_are_never_reached_by_random_mode_or_n_16(monkeypatch):
-    def refuse(ports, mates, inner):
-        raise AssertionError("inner windows were shared")
+def test_exhaustive_walks_are_never_reached_by_random_mode_and_stream_at_n_16(monkeypatch):
+    def refuse(ports, size):
+        raise AssertionError("an exhaustive walk was reached")
 
-    monkeypatch.setattr(routing, "_route_chevron_by_inner", refuse)
+    walks = dict(routing._EXHAUSTIVE)
+    for design in Design:
+        monkeypatch.setitem(routing._EXHAUSTIVE, design, refuse)
     for ports in (4, 8, 12, 14, 16):
         # 1100 samples: a chunk on the bit-sliced pass and one on byte lanes
         assert verify_design(Design.CHEVRON, ports, "random", samples=1100, seed=ports).passed
         assert route_chevron(ports, worst_case_pair_list(ports)).states
-    # N = 16's 2,027,025 demands: the first three chunks get no dict
-    calls = _recorded_cores(monkeypatch, stop_after=3)
+    monkeypatch.undo()
+    # N = 16's 2,027,025 demands: the first three chunks of 1024 come from
+    # the walk, which holds a few chunks at a time (2 MB), not the run (1 GB)
+    calls = _recorded_routing(monkeypatch, stop_after=3)
     with pytest.raises(_Stopped):
         verify_design(Design.CHEVRON, 16, cap=16)
-    assert calls == [(Design.CHEVRON, 16, ())] * 3
+    assert calls == [(Design.CHEVRON, 16, "walk", 1024)] * 3
+    for design, walk in walks.items():
+        tracemalloc.start()
+        try:
+            chunks = walk(16, 1024)
+            for _ in range(3):
+                next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (design, peak)
 
 
 @pytest.mark.parametrize("ports, kwargs, demands", [
@@ -606,11 +656,10 @@ def test_each_chunk_size_takes_its_path(monkeypatch):
 
 
 def test_no_verify_chunk_builds_a_brickwork_step_table_from_n_256(monkeypatch):
-    # the brickwork core keeps rows for later tables, a list per depth and
-    # more than (N/2)^2 slots in all, only in a call of at least 2N tables.
-    # From N = 256 on a chunk's state bytes cap it below 2N, and each core
-    # call of a verify run at N = 256 peaks below those slots' bytes beyond
-    # the plans it returns
+    # a brickwork core call keeps no rows for later tables, which would take
+    # a list per depth and more than (N/2)^2 slots in all: at N = 256 a
+    # verify run's chunks are capped by their state bytes, and each core
+    # call peaks below those slots' bytes beyond the plans it returns
     calls = []
     core = routing._CORES[Design.BRICKWORK]
 
@@ -627,11 +676,8 @@ def test_no_verify_chunk_builds_a_brickwork_step_table_from_n_256(monkeypatch):
 
     monkeypatch.setitem(routing._CORES, Design.BRICKWORK, traced)
     assert verify_design(Design.BRICKWORK, 256, "random", samples=300, seed=1).passed
-    assert [size for size, _ in calls] == [258, 42] and 258 < routing._STEP_TABLES_PER_PORT * 256
+    assert [size for size, _ in calls] == [258, 42]
     assert all(spent < (256 // 2) ** 2 * 8 for _, spent in calls), calls
-    for ports in range(256, MAX_PORTS + 1, 2):
-        size = verification._CHUNK_STATE_BYTES // verification.optimal_switch_count(ports)
-        assert size < routing._STEP_TABLES_PER_PORT * ports, ports
 
 
 def test_verify_builds_a_frame_once_per_call(monkeypatch):
