@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import BoundExceeded, InvalidInput
-from .routing import _BIT_OF_BYTE, StateVector
+from .routing import _BIT_OF_BYTE, StateVector, _check_states
 from .topology import Network, State
 
 _PALETTE = (
@@ -26,10 +26,8 @@ def _codes(net: Network, states: Mapping[int, State] | None) -> bytes:
     count = len(net.lines)
     if isinstance(states, StateVector) and len(states) == count:
         return states.bits.translate(_BIT_OF_BYTE)
-    try:
-        get = {}.get if states is None else states.get
-    except AttributeError:  # an int, a str, a list
-        raise InvalidInput(f"states {states!r:.60} are not a mapping of switch ids") from None
+    _check_states({} if states is None else states)
+    get = {}.get if states is None else states.get
     codes = bytearray(count)
     for i in range(count):
         value = get(i)

@@ -163,6 +163,14 @@ class StateVector(Mapping[int, State]):
         return super().__eq__(other)
 
 
+def _check_states(states: object) -> None:
+    """A states argument is a Mapping, a StateVector or any other: a list,
+    tuple, str or bytes of states is no mapping of switch ids, whatever it
+    holds."""
+    if not isinstance(states, Mapping):
+        raise InvalidInput(f"states {states!r:.60} are not a mapping of switch ids")
+
+
 class _StateValues(ValuesView):
     def __iter__(self) -> Iterator[State]:  # the bytes through the table, in one map
         return map(_STATE_OF_BYTE.__getitem__, self._mapping.bits)

@@ -12,7 +12,7 @@ from operator import add, is_, itemgetter, lshift, mul, rshift
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BoundExceeded, IncompleteStates, InvalidInput
-from .routing import PairList, RoutingPlan, StateVector, _check_demand
+from .routing import PairList, RoutingPlan, StateVector, _check_demand, _check_states
 from .topology import (Design, Network, State, _brickwork_columns, _chevron_layers,
                        _triangular_layers, optimal_switch_count)
 
@@ -23,12 +23,11 @@ def _state_bits(states: Mapping[int, State], count: int) -> bytes:
     its own bytes."""
     if isinstance(states, StateVector) and len(states) == count:
         return states.bits
+    _check_states(states)
     try:
         values = list(map(states.__getitem__, range(count))) if len(states) == count else None
     except KeyError:
         values = None
-    except (AttributeError, TypeError):  # no len or no item lookup: None, an int
-        raise InvalidInput(f"states {states!r:.60} are not a mapping of switch ids") from None
     if values is None:
         ids, given = set(range(count)), set(states)
         raise IncompleteStates(

@@ -81,9 +81,9 @@ N(N-2)/4 switches."""
 
 def _check_ports(ports: int, minimum: int = 2) -> None:
     if not isinstance(ports, int) or ports < minimum or ports % 2:
-        raise InvalidPorts(f"ports must be an even integer >= {minimum}, got {ports!r}")
+        raise InvalidPorts(f"ports must be an even integer >= {minimum}, got {ports!r:.60}")
     if ports > MAX_PORTS:
-        raise BoundExceeded(f"{ports} ports exceed the {MAX_PORTS}-port budget")
+        raise BoundExceeded(f"{ports!r:.60} ports exceed the {MAX_PORTS}-port budget")
 
 
 def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int, int]]:

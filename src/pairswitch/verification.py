@@ -14,7 +14,8 @@ from .errors import BoundExceeded, InvalidInput
 from .routing import _CORES, _EXHAUSTIVE, PairList, StateVector, _check_demand_ports
 from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_bytes, _check_plans, _columns,
                          brute_force_route, check_pairing, simulate)
-from .topology import Design, Network, _check_ports, build_network, optimal_switch_count
+from .topology import (MAX_PORTS, Design, Network, _check_ports, build_network,
+                       optimal_switch_count)
 
 
 _CHUNK_DEMANDS = 1024
@@ -40,10 +41,10 @@ def _check_exhaustive(ports: int, cap: int) -> None:
 
 
 def worst_case_pair_list(ports: int) -> PairList:
-    """The demand pairing the two most distant inputs at every step."""
-    return PairList.from_pairs(
-        [(k, ports - 1 - k) for k in range(ports // 2)], ports
-    )
+    """The demand pairing the two most distant inputs at every step, k with
+    N-1-k.  Ports are checked as a demand's are, before the demand is built."""
+    _check_demand_ports(ports)
+    return PairList._perfect(tuple(range(ports - 1, -1, -1)))
 
 
 def enumerate_pair_lists(ports: int) -> Iterator[PairList]:
@@ -128,6 +129,12 @@ def _random_mate_tables(ports: int, rng: random.Random) -> Iterator[tuple[int, .
 
 
 def double_factorial(n: int) -> int:
+    """n (n-2) (n-4) ... down to 2 or 1, 1 for n < 2: (n-1)!! demands of n
+    ports.  ``n`` is an int, no bool, up to :data:`MAX_PORTS`."""
+    if type(n) is not int:
+        raise InvalidInput(f"n must be an integer, got {n!r:.60}")
+    if n > MAX_PORTS:
+        raise BoundExceeded(f"n {n!r:.60} exceeds the {MAX_PORTS}-port budget")
     out = 1
     while n > 1:
         out *= n

@@ -92,3 +92,48 @@ def test_repeated_workloads_run_in_turn_into_one_record_keyed_by_workload(monkey
         "metrics": {"setup_s": {"value": 2.0 if tree == ab_bench.ROOT and workload == "route-large"
                                 else 1.0}}})
     assert ab_bench.main(argv[:-2]) == 1
+
+
+def test_a_tree_that_changes_under_a_run_ends_the_comparison(monkeypatch, tmp_path, capsys):
+    # both trees are small copies; the stubbed run edits one file of the
+    # parent's during the second pair, and bytecode caches change nothing
+    class Done:
+        stdout = "abc1234\n"
+
+    def export(revision, dest):
+        for name, text in (("BENCHMARK.json", '{"end_to_end": []}'), ("src/x.py", "x = 1\n"),
+                           ("perfbench/run.py", "print()\n")):
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            (dest / name).write_text(text)
+
+    change = tmp_path / "change"
+    change.mkdir()
+    export("HEAD", change)
+    calls = []
+
+    def run_once(tree, workload, seed):
+        calls.append((seed, tree == change))
+        (tree / "src" / "__pycache__").mkdir(exist_ok=True)
+        (tree / "src" / "__pycache__" / f"x{seed}.pyc").write_bytes(b"")
+        if seed == 2 and tree != change:
+            (tree / "src" / "x.py").write_text("x = 2\n")
+        return {"correct": True, "failed": 0, "metrics": {}}
+
+    monkeypatch.setattr(ab_bench, "ROOT", change)
+    monkeypatch.setattr(ab_bench, "export", export)
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda *args, **kwargs: Done())
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    argv = ["--parent", "HEAD", "--workload", "route-large", "--pairs", "3"]
+    with pytest.raises(SystemExit) as exc:
+        ab_bench.main(argv)
+    assert calls == [(1, False), (1, True), (2, True), (2, False)]
+    assert str(exc.value.code).startswith("the parent tree ")
+    assert str(exc.value.code).endswith(
+        " changed during route-large pair 2/3 (seed 2); no reading reported")
+    assert capsys.readouterr().out == ""
+
+    # an unchanged tree, its caches rewritten, gives the report
+    calls.clear()
+    monkeypatch.setattr(ab_bench, "run_once", lambda tree, workload, seed: run_once(tree, workload, 1))
+    assert ab_bench.main(argv) == 0
+    assert "route-large: 3 pairs against abc1234" in capsys.readouterr().out

@@ -24,6 +24,8 @@ from pairswitch import (
     network_to_json,
     propagate,
     random_pair_list,
+    render_ascii,
+    render_svg,
     reverse_network,
     route,
     route_triangular,
@@ -124,6 +126,30 @@ def test_states_that_are_no_mapping_raise_invalid_input(states, call):
     net = build_network(Design.TRIANGULAR, 4)
     with pytest.raises(InvalidInput, match=r"^states .* are not a mapping of switch ids$"):
         call(net, states)
+
+
+@pytest.mark.parametrize("call", [simulate, propagate, traversal_depths, render_ascii, render_svg],
+                         ids=lambda call: call.__name__)
+def test_every_states_reader_takes_a_mapping_and_refuses_a_sequence(call):
+    # one check for simulation and render: a StateVector, a dict or any
+    # other Mapping is read, and render also takes None; a list, tuple, str
+    # or bytes, even of the right length, is refused with one message
+    from types import MappingProxyType
+
+    net = build_network(Design.TRIANGULAR, 6)
+    plan = route(Design.TRIANGULAR, 6, worst_case_pair_list(6))
+    count = len(net.lines)
+    as_dict = dict(plan.states)
+    accepted = [plan.states, as_dict, MappingProxyType(as_dict)]
+    if call in (render_ascii, render_svg):
+        accepted.append(None)
+    outputs = [call(net, states) for states in accepted]
+    assert all(out == outputs[0] for out in outputs[:3])
+    for states in ([State.CROSS] * count, (State.CROSS,) * count, "x" * count, b"\x01" * count,
+                   "cross" * 20):
+        with pytest.raises(InvalidInput) as exc:
+            call(net, states)
+        assert str(exc.value) == f"states {states!r:.60} are not a mapping of switch ids"
 
 
 @pytest.mark.parametrize("states, bad", [

@@ -193,6 +193,56 @@ def test_worst_case_pair_lists():
     assert worst_case_pair_list(4).pairs == ((0, 3), (1, 2))
     assert worst_case_pair_list(2).pairs == ((0, 1),)
     assert worst_case_pair_list(12).to_text() == "0-11,1-10,2-9,3-8,4-7,5-6"
+    for ports in [*range(2, 130, 2), MAX_PORTS]:
+        want = PairList.from_pairs([(k, ports - 1 - k) for k in range(ports // 2)], ports)
+        demand = worst_case_pair_list(ports)
+        assert demand == want and demand.mate == want.mate
+
+
+_LONG = "x" * 100
+
+
+@pytest.mark.parametrize("ports, error, message", [
+    (10**30, BoundExceeded, f"{10**30} ports exceed the {MAX_PORTS}-port budget"),
+    (MAX_PORTS + 2, BoundExceeded, f"{MAX_PORTS + 2} ports exceed the {MAX_PORTS}-port budget"),
+    (7, InvalidDemand, "ports must be an even integer >= 2, got 7"),
+    (0, InvalidDemand, "ports must be an even integer >= 2, got 0"),
+    (True, InvalidDemand, "ports must be an even integer >= 2, got True"),
+    (4.0, InvalidDemand, "ports must be an even integer >= 2, got 4.0"),
+    (None, InvalidDemand, "ports must be an even integer >= 2, got None"),
+    (_LONG, InvalidDemand, f"ports must be an even integer >= 2, got {repr(_LONG)[:60]}"),
+])
+def test_worst_case_pair_list_checks_its_ports_before_any_work(monkeypatch, ports, error,
+                                                               message):
+    # 10**30 ports would take a pair list without bound: the check comes first
+    def refuse(mate):
+        raise AssertionError("a demand was built")
+
+    monkeypatch.setattr(PairList, "_perfect", refuse)
+    with pytest.raises(error) as exc:
+        worst_case_pair_list(ports)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, error, message", [
+    ("x", InvalidInput, "n must be an integer, got 'x'"),
+    (None, InvalidInput, "n must be an integer, got None"),
+    (1.5, InvalidInput, "n must be an integer, got 1.5"),
+    (True, InvalidInput, "n must be an integer, got True"),
+    (_LONG, InvalidInput, f"n must be an integer, got {repr(_LONG)[:60]}"),
+    (10**6, BoundExceeded, f"n 1000000 exceeds the {MAX_PORTS}-port budget"),
+    (MAX_PORTS + 1, BoundExceeded, f"n {MAX_PORTS + 1} exceeds the {MAX_PORTS}-port budget"),
+])
+def test_double_factorial_rejects_bad_input_before_any_work(n, error, message):
+    # 10**6 would run for minutes: the bound is checked before the product
+    with pytest.raises(error) as exc:
+        double_factorial(n)
+    assert str(exc.value) == message
+
+
+def test_double_factorial_up_to_the_budget():
+    assert [double_factorial(n) for n in range(-2, 8)] == [1, 1, 1, 1, 2, 3, 8, 15, 48, 105]
+    assert double_factorial(MAX_PORTS) == double_factorial(MAX_PORTS - 2) * MAX_PORTS
 
 
 def test_verify_triangular_8_exhaustive():

@@ -12,6 +12,10 @@ each pair runs ``perfbench/run.py --workload W --seed S --trace 0`` once in
 each tree, one run at a time, with seeds S0, S0 + 1, ...; the parent runs
 first on odd seeds, so the side that runs first alternates from pair to
 pair.  Every run lasts run.py's default length, the same on both sides.
+Each tree's sources (``src/``, ``perfbench/`` and ``BENCHMARK.json``) are
+hashed before the first pair and again after each run: a tree that changed
+under a run ends the comparison with exit status 1, naming the side and
+the pair, and no reading is reported.
 
 ``--workload`` may be given more than once: each workload runs all its
 pairs in turn, in the order given.  For each workload and every end-to-end
@@ -29,6 +33,7 @@ otherwise, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -47,6 +52,20 @@ def export(revision: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def tree_hash(tree: Path) -> str:
+    """sha256 over the sources a run reads: every file under ``src/`` and
+    ``perfbench/``, bytecode caches aside, and ``BENCHMARK.json``, each by
+    its path and its bytes."""
+    files = [*tree.glob("BENCHMARK.json"),
+             *sorted(path for top in ("src", "perfbench") for path in (tree / top).rglob("*")
+                     if path.is_file() and "__pycache__" not in path.parts)]
+    digest = hashlib.sha256()
+    for path in files:
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(tree).as_posix()}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its final JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -57,15 +76,20 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def run_pairs(trees: dict[str, Path], workload: str, count: int, seed: int) -> list[dict]:
+def run_pairs(trees: dict[str, Path], hashes: dict[str, str], workload: str, count: int,
+              seed: int) -> list[dict]:
     """``count`` pairs of ``workload``, seeds ``seed``, ``seed + 1``, ...; the
-    parent runs first on odd seeds."""
+    parent runs first on odd seeds.  After each run the tree must still hash
+    to ``hashes[side]``, or the comparison ends with exit status 1."""
     pairs = []
     for k in range(count):
         first = SIDES[not (seed + k) % 2]
         pair = {"seed": seed + k, "first": first}
         for side in (first, SIDES[first == "parent"]):
             pair[side] = run_once(trees[side], workload, seed + k)
+            if tree_hash(trees[side]) != hashes[side]:
+                raise SystemExit(f"the {side} tree {trees[side]} changed during {workload} "
+                                 f"pair {k + 1}/{count} (seed {seed + k}); no reading reported")
         pairs.append(pair)
         print(f"{workload} pair {k + 1}/{count} seed {seed + k} ({first} first) done",
               file=sys.stderr)
@@ -141,8 +165,9 @@ def main(argv: list[str] | None = None) -> int:
         for tree in trees.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                            cwd=tree, check=True, stdout=subprocess.DEVNULL)
+        hashes = {side: tree_hash(tree) for side, tree in trees.items()}
         for workload in workloads:
-            runs[workload] = run_pairs(trees, workload, args.pairs, args.seed)
+            runs[workload] = run_pairs(trees, hashes, workload, args.pairs, args.seed)
 
     summary = {workload: summarize(pairs, end_to_end) for workload, pairs in runs.items()}
     healthy = {workload: all(p[side]["correct"] and not p[side]["failed"]
