@@ -127,7 +127,7 @@ first be copied into a new bytearray.  A single table slices each run from
 it.  A batch keeps one template per run length in a per-call list, sliced
 from this the first time the call writes a run of that length, so it slices
 each length once (memoization, Michie, Nature 1968); an exhaustive run
-(:data:`_EXHAUSTIVE`) slices every template it reads up front.  A single
+(:data:`_EXHAUSTIVE`) makes its rows and templates up front.  A single
 table that kept them cost route-large 8.6 % in triangular's ``call_s``
 (``earlier_run`` in ``BENCH_lazy_rows.json``): a slice dropped at once
 leaves its block to the next run's, where each kept template takes new
@@ -164,8 +164,8 @@ class StateVector(Mapping[int, State]):
 
 
 def _check_states(states: object) -> None:
-    """A states argument is a Mapping, a StateVector or any other: a list,
-    tuple, str or bytes of states is no mapping of switch ids, whatever it
+    """Refuse a states argument that is no Mapping (a StateVector is one):
+    a list, tuple, str or bytes is no mapping of switch ids, whatever it
     holds."""
     if not isinstance(states, Mapping):
         raise InvalidInput(f"states {states!r:.60} are not a mapping of switch ids")
