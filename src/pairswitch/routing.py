@@ -164,9 +164,7 @@ class StateVector(Mapping[int, State]):
 
 
 def _check_states(states: object) -> None:
-    """Refuse a states argument that is no Mapping (a StateVector is one):
-    a list, tuple, str or bytes is no mapping of switch ids, whatever it
-    holds."""
+    """Refuse states that are no Mapping: a list, tuple, str or bytes too."""
     if not isinstance(states, Mapping):
         raise InvalidInput(f"states {states!r:.60} are not a mapping of switch ids")
 
@@ -280,27 +278,23 @@ def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCou
     return plans
 
 
-def _exhaustive_triangular(ports: int, size: int
-                           ) -> Iterator[tuple[list[tuple[int, ...]], list]]:
-    """Every demand at N with its plan, in chunks of ``size``: a depth-first
-    walk of the partner-rank trie, each level one layer of
-    :func:`_route_triangular` (backtracking, Knuth, TAOCP Vol. 4B, 7.2.2).
+# an exhaustive run's chunks: partner tables and their plans
+_Chunks = Iterator[tuple[list[tuple[int, ...]], list[tuple[bytearray, tuple[int, ...]]]]]
 
-    A layer's writes depend only on its frame size n and the partner's rank
-    i, so a prefix of ranks is routed once for every demand below it: the
-    layer's bytes are one row per (n, i), and the partner table, state
-    bytes and output lines are shared down the walk, each level rewriting
-    its own entries.  A leaf copies them."""
-    if ports == 2:
-        yield [(1, 0)], [(bytearray(), (0, 1))]
-        return
+
+def _exhaustive_triangular(ports: int, size: int) -> _Chunks:
+    """Every demand at N with its plan, in chunks of ``size``: a depth-first
+    walk of the partner-rank trie (Knuth, TAOCP Vol. 4B, 7.2.2), each level
+    one layer of :func:`_route_triangular`, its bytes a row per frame size
+    and rank.  Each prefix is written once for every demand below it, each
+    level rewriting its own entries of the shared lists, and a leaf copies
+    them."""
     rows = {(n, i): bytearray(i) + _ONES[: n - 2 - i]
-            for n in range(4, ports + 1, 2) for i in range(n - 1)}
+            for n in range(2, ports + 1, 2) for i in range(n - 1)}
     mate, permuted, states = [0] * ports, [0] * ports, bytearray(optimal_switch_count(ports))
     tables, plans = [], []
 
-    def walk(photons: list[int], first: int) -> Iterator:
-        nonlocal tables, plans
+    def walk(photons: list[int], first: int) -> _Chunks:
         n, bottom = len(photons), photons[-1]
         end = first + n - 2
         permuted[n - 1] = bottom
@@ -313,13 +307,14 @@ def _exhaustive_triangular(ports: int, size: int
             if n > 4:
                 yield from walk(rest, end)
                 continue
-            a, b = permuted[0], permuted[1] = rest
-            mate[a], mate[b] = b, a
+            if rest:  # frame 4 leaves two photons on lines 0 and 1, frame 2 none
+                a, b = permuted[0], permuted[1] = rest
+                mate[a], mate[b] = b, a
             tables.append(tuple(mate))
             plans.append((states[:], tuple(permuted)))
             if len(tables) == size:
-                yield tables, plans
-                tables, plans = [], []
+                yield tables[:], plans[:]
+                del tables[:], plans[:]
 
     yield from walk(list(range(ports)), 0)
     if tables:
@@ -439,20 +434,13 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
     return plans
 
 
-def _exhaustive_chevron(ports: int, size: int
-                        ) -> Iterator[tuple[list[tuple[int, ...]], list]]:
+def _exhaustive_chevron(ports: int, size: int) -> _Chunks:
     """Every demand at N with its plan, in chunks of ``size``, folded from
-    the run at N-2 (memoization, Michie, Nature 1968).
-
-    The outer window folds its pair inward, and what is left, photons
-    1..N-2 with the folded partners, is the chevron network two ports
-    smaller: its switches are the first S(N-2) ids, on lines shifted by one.
-    So each demand at N-2 is the inner table of N-1 demands at N: 0 paired
-    with N-1, whose outer layer is all Cross with 0 and N-1 paired at the
-    middle, or 0 and N-1 paired with the two photons of one inner pair, in
-    either orientation.  Each of those routes only the outer layer, as
-    :func:`_route_chevron`'s last window does: at most two Bar switches and
-    two pairs placed."""
+    the run at N-2, the network two ports smaller on lines 1..N-2 (Michie,
+    Nature 1968).  Each inner demand gives N-1 at N: 0 paired with N-1, or
+    0 and N-1 with the two photons of one inner pair, in either order, each
+    routing only the outer layer as :func:`_route_chevron`'s last window
+    does."""
     if ports == 2:
         yield [(1, 0)], [(bytearray(), (0, 1))]
         return
@@ -466,9 +454,7 @@ def _exhaustive_chevron(ports: int, size: int
             mate = [last, *[x + 1 for x in inner], 0]
             lines = [x + 1 for x in inner_lines]
             lines[mid:mid] = (0, last)
-            where = [0] * ports
-            for index, photon in enumerate(lines):
-                where[photon] = index
+            where = sorted(range(ports), key=lines.__getitem__)  # photon -> its line
             states = inner_states + cross
             tables.append(tuple(mate))
             plans.append((states, tuple(lines)))
@@ -679,12 +665,10 @@ def _brickwork_lists(ports: int) -> tuple[list[int], list[int]]:
 
 
 def _brickwork_rows(ports: int) -> dict[tuple[int, int], tuple]:
-    """The row :func:`_route_brickwork` works out for frame size n and
-    partner rank i < n - 1, for every such (n, i) at N, without its ticks:
-    (j_meet, rd, ra, rb, pa, qa, qb), qa and qb counting ``diag`` before
-    rd's entry is removed (the rising run's cells lie past it)."""
+    """Per (frame size n, partner rank i < n - 1), :func:`_route_brickwork`'s
+    row less its ticks, qa and qb counting ``diag`` before rd's removal."""
     half0, rows = ports // 2, {}
-    for n in range(4, ports + 1, 2):
+    for n in range(2, ports + 1, 2):
         half = n >> 1
         rows[n, n - 2] = n - 2, None, None, None, None, None, None
         for i in range(n - 2):
@@ -698,28 +682,18 @@ def _brickwork_rows(ports: int) -> dict[tuple[int, int], tuple]:
     return rows
 
 
-def _exhaustive_brickwork(ports: int, size: int
-                          ) -> Iterator[tuple[list[tuple[int, ...]], list]]:
-    """Every demand at N with its plan, in chunks of ``size``: a depth-first
-    walk of the partner-rank trie, each level one iteration of
-    :func:`_route_brickwork`, as :func:`_exhaustive_triangular` walks.
-
-    Each trie node copies its frame's lists and state bytes, writes its
-    runs from the row for (n, i) and passes them down; its partner table
-    and output lines are shared, each level rewriting its own entries."""
-    if ports == 2:
-        yield [(1, 0)], [(bytearray(), (0, 1))]
-        return
+def _exhaustive_brickwork(ports: int, size: int) -> _Chunks:
+    """:func:`_exhaustive_triangular`'s walk, each level one iteration of
+    :func:`_route_brickwork`, its row from :func:`_brickwork_rows`; each trie
+    node copies its frame's lists and state bytes for the levels below."""
     half0 = ports // 2
     fall, rise = half0, half0 - 1
     base = ports // 4 - half0 + half0 % 2
     rows, runs = _brickwork_rows(ports), [_ONES[:run] for run in range(ports)]
-    mate, result = [0] * ports, [0] * ports
-    tables, plans = [], []
+    mate, result, tables, plans = [0] * ports, [0] * ports, [], []
 
     def walk(photons: list[int], frame_out: list[int], anti: list[int], diag: list[int],
-             states: bytearray) -> Iterator:
-        nonlocal tables, plans
+             states: bytearray) -> _Chunks:
         n, bottom = len(photons), photons[-1]
         for i in range(n - 1):
             partner = photons[i]
@@ -747,14 +721,15 @@ def _exhaustive_brickwork(ports: int, size: int
                                 anti if pa is None else anti[:pa] + anti[pa + 1 :],
                                 diag if rd is None else diag[:rd] + diag[rd + 1 :], cut)
                 continue
-            a, b = rest
-            mate[a], mate[b] = b, a
-            result[frame_out[0]], result[frame_out[1]] = a, b  # j_meet is 2 in frame 4
+            if rest:  # frame 4 meets on lines 2 and 3 and leaves two photons, frame 2 none
+                a, b = rest
+                mate[a], mate[b] = b, a
+                result[frame_out[0]], result[frame_out[1]] = a, b
             tables.append(tuple(mate))
             plans.append((cut, tuple(result)))
             if len(tables) == size:
-                yield tables, plans
-                tables, plans = [], []
+                yield tables[:], plans[:]
+                del tables[:], plans[:]
 
     lines = list(range(ports))
     yield from walk(lines, lines, *_brickwork_lists(ports), bytearray(optimal_switch_count(ports)))
@@ -783,12 +758,9 @@ _EXHAUSTIVE = {
     Design.CHEVRON: _exhaustive_chevron,
     Design.BRICKWORK: _exhaustive_brickwork,
 }
-"""Each design's exhaustive run: ``(ports, size) -> iterator of (tables,
-plans)``, lists of at most ``size`` entries, every chunk but the last of
-``size``.  Over the run, ``tables`` holds each partner table of N once, as
-a tuple, and ``plans`` what ``_CORES[design]`` routes for it, in the order
-of the router's recursion, not :func:`~pairswitch.verification._mate_tables`'s.
-Ports are checked by the caller."""
+"""Each design's exhaustive run on checked ports, ``(ports, size) ->
+(tables, plans), ...``, every chunk but the last of ``size``: each partner
+table of N once, as a tuple, with the plan ``_CORES[design]`` routes for it."""
 
 
 def route(design: Design | str, ports: int, demand: PairList,

@@ -41,8 +41,7 @@ def _check_exhaustive(ports: int, cap: int) -> None:
 
 
 def worst_case_pair_list(ports: int) -> PairList:
-    """The demand pairing the two most distant inputs at every step, k with
-    N-1-k.  Ports are checked as a demand's are, before the demand is built."""
+    """The demand pairing k with N-1-k, its ports checked as a demand's first."""
     _check_demand_ports(ports)
     return PairList._perfect(tuple(range(ports - 1, -1, -1)))
 
@@ -129,8 +128,7 @@ def _random_mate_tables(ports: int, rng: random.Random) -> Iterator[tuple[int, .
 
 
 def double_factorial(n: int) -> int:
-    """n (n-2) (n-4) ... down to 2 or 1, 1 for n < 2: (n-1)!! demands of n
-    ports.  ``n`` is an int, no bool, up to :data:`MAX_PORTS`."""
+    """n (n-2) (n-4) ... 1 for an int n (no bool) up to :data:`MAX_PORTS`."""
     if type(n) is not int:
         raise InvalidInput(f"n must be an integer, got {n!r:.60}")
     if n > MAX_PORTS:

@@ -1010,7 +1010,7 @@ def test_every_step_table_row_is_the_frame_models_step_at_its_parity():
     # count the partner's diagonal, below them, as still there
     for ports in range(2, 66, 2):
         rows = routing._brickwork_rows(ports)
-        assert set(rows) == {(n, i) for n in range(4, ports + 1, 2) for i in range(n - 1)}
+        assert set(rows) == {(n, i) for n in range(2, ports + 1, 2) for i in range(n - 1)}
         for (n, i), row in rows.items():
             skip = (ports - n) // 2
             k = skip % 2
