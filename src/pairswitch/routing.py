@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidDemand, InvalidInput, InvalidPorts
-from .topology import (MAX_PORTS, Design, State, _check_ports, _chevron_layers,
+from .topology import (MAX_PORTS, Design, State, _check_ports, _chevron_layers, _shown,
                        optimal_switch_count)
 from .topology import _json_id, _json_int
 
@@ -166,7 +166,7 @@ class StateVector(Mapping[int, State]):
 def _check_states(states: object) -> None:
     """Refuse states that are no Mapping: a list, tuple, str or bytes too."""
     if not isinstance(states, Mapping):
-        raise InvalidInput(f"states {states!r:.60} are not a mapping of switch ids")
+        raise InvalidInput(f"states {_shown(states)} are not a mapping of switch ids")
 
 
 class _StateValues(ValuesView):

@@ -79,11 +79,20 @@ tabulated.  Larger requests raise BoundExceeded instead of allocating
 N(N-2)/4 switches."""
 
 
+def _shown(value: object) -> str:
+    """``value``'s repr cut to 60 characters, for an error message; an int
+    too long to write in decimal shows its bit length."""
+    try:
+        return f"{value!r:.60}"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"<{value.bit_length()}-bit int>"
+
+
 def _check_ports(ports: int, minimum: int = 2) -> None:
     if not isinstance(ports, int) or ports < minimum or ports % 2:
-        raise InvalidPorts(f"ports must be an even integer >= {minimum}, got {ports!r:.60}")
+        raise InvalidPorts(f"ports must be an even integer >= {minimum}, got {_shown(ports)}")
     if ports > MAX_PORTS:
-        raise BoundExceeded(f"{ports!r:.60} ports exceed the {MAX_PORTS}-port budget")
+        raise BoundExceeded(f"{_shown(ports)} ports exceed the {MAX_PORTS}-port budget")
 
 
 def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int, int]]:

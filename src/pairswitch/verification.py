@@ -14,7 +14,7 @@ from .errors import BoundExceeded, InvalidInput
 from .routing import _CORES, _EXHAUSTIVE, PairList, StateVector, _check_demand_ports
 from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_bytes, _check_plans, _columns,
                          brute_force_route, check_pairing, simulate)
-from .topology import (MAX_PORTS, Design, Network, _check_ports, build_network,
+from .topology import (MAX_PORTS, Design, Network, _check_ports, _shown, build_network,
                        optimal_switch_count)
 
 
@@ -130,9 +130,9 @@ def _random_mate_tables(ports: int, rng: random.Random) -> Iterator[tuple[int, .
 def double_factorial(n: int) -> int:
     """n (n-2) (n-4) ... 1 for an int n (no bool) up to :data:`MAX_PORTS`."""
     if type(n) is not int:
-        raise InvalidInput(f"n must be an integer, got {n!r:.60}")
+        raise InvalidInput(f"n must be an integer, got {_shown(n)}")
     if n > MAX_PORTS:
-        raise BoundExceeded(f"n {n!r:.60} exceeds the {MAX_PORTS}-port budget")
+        raise BoundExceeded(f"n {_shown(n)} exceeds the {MAX_PORTS}-port budget")
     out = 1
     while n > 1:
         out *= n

@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from pairswitch import MAX_PORTS, State
+from pairswitch import State
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -84,19 +84,9 @@ _DELETION = "BENCH_deletion_round.json"
 _DOUBLING = ("traced_route_large", "metrics")
 _ROUTE_LARGE = ("summary", "route-large")
 _LAZY = "BENCH_lazy_rows.json"
-
-
-def _at(tables_per_port, pick, top=MAX_PORTS):
-    """``pick`` of the ratios of the rows with that many tables per port,
-    up to N = ``top``."""
-    return lambda rows: pick(row["ratio"] for row in rows if row["ports"] <= top
-                             and row["tables"] == tables_per_port * row["ports"])
-
-
-_RULE, _VS_PARENT = ("boundaries", "rule"), ("boundaries", "vs_parent")
-_INNER = "BENCH_chevron_inner.json"
+_TRIES = "BENCH_exhaustive_tries.json"
+_WALK = ("walk_ratios",)
 _EXHAUSTIVE = ("summary", "verify-exhaustive")
-_CLI_14 = ("cli_n14", "runs", "chevron")
 ROUTING_FIGURES = [
     ("a route by {} (triangular)", _DELETION,
      (*_DOUBLING, "routing.triangular.doubling_ratio", "change"), 2),
@@ -109,29 +99,18 @@ ROUTING_FIGURES = [
     ("{} ms (chevron) and", _DELETION, (*_ROUTE_LARGE, "call_s.chevron", "change_median"), 2, 1000),
     ("{} ms (brickwork) (medians", _DELETION,
      (*_ROUTE_LARGE, "call_s.brickwork", "change_median"), 1, 1000),
-    ("every table, 2N tables took {}-", _LAZY, (*_RULE, _at(2, min)), 2),
-    ("-{}x the time for every N from 4 to 256", _LAZY, (*_RULE, _at(2, max, 256)), 2),
-    ("and {}x at N = 512, N tables", _LAZY, (*_RULE, {"ports": 512, "tables": 1024}, "ratio"), 2),
-    ("N tables {}-", _LAZY, (*_RULE, _at(1, min)), 2),
-    ("-{}x (`boundaries` in", _LAZY, (*_RULE, _at(1, max)), 2),
-    ("before, 2N tables took {}-", _LAZY, (*_VS_PARENT, _at(2, min)), 2),
-    ("-{}x from N = 4 to 512", _LAZY, (*_VS_PARENT, _at(2, max)), 2),
-    ("keep no rows, {}x at N = 1024", _LAZY, (*_VS_PARENT, {"ports": 1024}, "ratio"), 2),
-    ("and {}x at N = 2048.", _LAZY, (*_VS_PARENT, {"ports": 2048}, "ratio"), 2),
     ("route-large {}% in triangular's", _LAZY,
      ("earlier_run", "summary", "route-large", "call_s.triangular", "change_worse_by"), 1, 100),
-    ("takes {}x the time of the window loop at N = 12", _INNER,
-     ("core_ratios", "by_ports", "12", "ratio"), 2),
-    ("and {}x at N = 14", _INNER, ("core_ratios", "by_ports", "14", "ratio"), 2),
-    ("spends {} s in `cli.main`", _INNER, (*_CLI_14, "change", "main_s_median"), 3),
-    ("against {} s at the parent commit", _INNER, (*_CLI_14, "parent", "main_s_median"), 3),
-    ("peak RSS of {} against", _INNER, (*_CLI_14, "change", "peak_rss_mib_median"), 1),
-    ("against {} MiB", _INNER, (*_CLI_14, "parent", "peak_rss_mib_median"), 1),
-    ("135,135 entries, {} MiB", _INNER, ("inner_dict", "by_ports", "16", "mib"), 0),
-    ("--exhaustive` checks about {} (triangular)", _INNER,
+    ("N = 12 a walk takes {}x (triangular)", _TRIES, (*_WALK, "triangular", "12", "ratio"), 2),
+    ("{}x (chevron) and", _TRIES, (*_WALK, "chevron", "12", "ratio"), 2),
+    ("and {}x (brickwork) the time", _TRIES, (*_WALK, "brickwork", "12", "ratio"), 2),
+    ("it replaced, and {}x,", _TRIES, (*_WALK, "triangular", "14", "ratio"), 2),
+    (", {}x and", _TRIES, (*_WALK, "chevron", "14", "ratio"), 2),
+    ("and {}x at N = 14 (`walk_ratios`", _TRIES, (*_WALK, "brickwork", "14", "ratio"), 2),
+    ("--exhaustive` checks about {} (triangular)", _TRIES,
      (*_EXHAUSTIVE, "demands_per_s.triangular", "change_median"), -2),
-    ("{} (chevron) and", _INNER, (*_EXHAUSTIVE, "demands_per_s.chevron", "change_median"), -2),
-    ("and {} (brickwork) demands/s", _INNER,
+    ("{} (chevron) and", _TRIES, (*_EXHAUSTIVE, "demands_per_s.chevron", "change_median"), -2),
+    ("and {} (brickwork) demands/s", _TRIES,
      (*_EXHAUSTIVE, "demands_per_s.brickwork", "change_median"), -2),
 ]
 
@@ -151,10 +130,18 @@ BUILD_FIGURES = [
 # The same, for the figures of README's Install and test section.  A
 # function in a path parses the value it reaches: the certificate's record
 # holds its time only inside the line the script prints.
+_DIGESTS = ("exhaustive_digests",)
 INSTALL_FIGURES = [
     ("to 2048 it took {} s on a", _DELETION,
      ("certificate", "output", lambda line: float(re.fullmatch(r".* in ([0-9.]+) s", line)[1])),
      0),
+    ("At N = 16 it took {} s (triangular)", _TRIES,
+     (*_DIGESTS, "change", "runs", "triangular 16", "seconds"), 1),
+    ("{} s (chevron) and", _TRIES, (*_DIGESTS, "change", "runs", "chevron 16", "seconds"), 1),
+    ("{} s (brickwork), against", _TRIES, (*_DIGESTS, "change", "runs", "brickwork 16", "seconds"), 1),
+    ("against {}, ", _TRIES, (*_DIGESTS, "parent", "runs", "triangular 16", "seconds"), 1),
+    (", {} and", _TRIES, (*_DIGESTS, "parent", "runs", "chevron 16", "seconds"), 1),
+    ("and {} s when", _TRIES, (*_DIGESTS, "parent", "runs", "brickwork 16", "seconds"), 1),
 ]
 
 

@@ -211,6 +211,11 @@ _LONG = "x" * 100
     (4.0, InvalidDemand, "ports must be an even integer >= 2, got 4.0"),
     (None, InvalidDemand, "ports must be an even integer >= 2, got None"),
     (_LONG, InvalidDemand, f"ports must be an even integer >= 2, got {repr(_LONG)[:60]}"),
+    # past the interpreter's limit on int-to-decimal conversion
+    pytest.param(10**5000, BoundExceeded, f"<{(10**5000).bit_length()}-bit int> ports exceed "
+                 f"the {MAX_PORTS}-port budget", id="10**5000"),
+    pytest.param(-10**5000, InvalidDemand, "ports must be an even integer >= 2, got "
+                 f"<{(10**5000).bit_length()}-bit int>", id="-10**5000"),
 ])
 def test_worst_case_pair_list_checks_its_ports_before_any_work(monkeypatch, ports, error,
                                                                message):
@@ -232,6 +237,9 @@ def test_worst_case_pair_list_checks_its_ports_before_any_work(monkeypatch, port
     (_LONG, InvalidInput, f"n must be an integer, got {repr(_LONG)[:60]}"),
     (10**6, BoundExceeded, f"n 1000000 exceeds the {MAX_PORTS}-port budget"),
     (MAX_PORTS + 1, BoundExceeded, f"n {MAX_PORTS + 1} exceeds the {MAX_PORTS}-port budget"),
+    pytest.param(10**5000, BoundExceeded,
+                 f"n <{(10**5000).bit_length()}-bit int> exceeds the {MAX_PORTS}-port budget",
+                 id="10**5000"),
 ])
 def test_double_factorial_rejects_bad_input_before_any_work(n, error, message):
     # 10**6 would run for minutes: the bound is checked before the product
