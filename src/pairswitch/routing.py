@@ -449,7 +449,9 @@ def _exhaustive_chevron(ports: int, size: int) -> _Chunks:
     mid = layer + (layer & 1)  # where the outer pair enters; inner lines above it keep their index
     cross = _ONES[: ports - 2]
     tables, plans = [], []
-    for inner_tables, inner_plans in _exhaustive_chevron(ports - 2, size):
+    # each inner demand gives N-1 here, so inner chunks of size // (N-1)
+    # keep about one chunk's plans across the fold's levels
+    for inner_tables, inner_plans in _exhaustive_chevron(ports - 2, max(1, size // last)):
         for inner, (inner_states, inner_lines) in zip(inner_tables, inner_plans):
             mate = [last, *[x + 1 for x in inner], 0]
             lines = [x + 1 for x in inner_lines]

@@ -627,7 +627,7 @@ def test_exhaustive_walks_are_never_reached_by_random_mode_and_stream_at_n_16(mo
         assert route_chevron(ports, worst_case_pair_list(ports)).states
     monkeypatch.undo()
     # N = 16's 2,027,025 demands: the first three chunks of 1024 come from
-    # the walk, which holds a few chunks at a time (2 MB), not the run (1 GB)
+    # the walk, which holds about a chunk at a time (under 1 MB), not the run (1 GB)
     calls = _recorded_routing(monkeypatch, stop_after=3)
     with pytest.raises(_Stopped):
         verify_design(Design.CHEVRON, 16, cap=16)
@@ -641,7 +641,7 @@ def test_exhaustive_walks_are_never_reached_by_random_mode_and_stream_at_n_16(mo
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 << 20, (design, peak)
+        assert peak < 2 << 20, (design, peak)
 
 
 @pytest.mark.parametrize("ports, kwargs, demands", [
