@@ -197,7 +197,7 @@ def verify_design(
         if type(samples) is not int or samples < 1:  # a bool is no sample count either
             raise InvalidInput(f"samples must be an integer >= 1, got {samples!r}")
         if samples > sys.maxsize:  # islice's stop, and past any run's reach
-            raise BoundExceeded(f"samples capped at {sys.maxsize}, got {samples}")
+            raise BoundExceeded(f"samples capped at {sys.maxsize}, got {_shown(samples)}")
         mates = islice(_random_mate_tables(ports, random.Random(seed)), samples)
         core = _CORES[design]
         chunks = ((chunk, core(ports, chunk))

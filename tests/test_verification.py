@@ -309,6 +309,10 @@ def test_random_mode_bounds_a_huge_sample_count(monkeypatch, samples):
     monkeypatch.setattr(verification, "build_network", no_build)
     with pytest.raises(BoundExceeded, match=f"^samples capped at {sys.maxsize}, got {samples}$"):
         verify_design(Design.TRIANGULAR, 8, mode="random", samples=samples)
+    # past the interpreter's limit on int-to-decimal conversion: its bit length
+    with pytest.raises(BoundExceeded) as exc:
+        verify_design(Design.TRIANGULAR, 8, mode="random", samples=10**5000)
+    assert str(exc.value) == f"samples capped at {sys.maxsize}, got <16610-bit int>"
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
