@@ -6,13 +6,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
-from .topology import Design, _check_ports, optimal_switch_count
+from .topology import Design, _check_ports, _design, optimal_switch_count
 from .verification import VerificationReport
 
 
 def depth_formulas(design: Design | str, ports: int) -> tuple[int, int, int]:
     """(max, min, delta) structural depth for the design at N ports."""
-    design = Design(design)
+    design = _design(design)
     _check_ports(ports, minimum=4)
     half = ports // 2
     if design is Design.TRIANGULAR:
@@ -43,7 +43,7 @@ def depth_stats(
     verification report when one is supplied; the report must be of the
     same design and N.  A report in which no demand passed has no extrema,
     and its empirical fields stay None."""
-    design = Design(design)
+    design = _design(design)
     fmax, fmin, fdelta = depth_formulas(design, ports)
     emax = emin = edelta = None
     if report is not None:

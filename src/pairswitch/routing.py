@@ -7,6 +7,7 @@ Which output pair a demand lands on is emergent, not chosen.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from bisect import bisect_left
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidDemand, InvalidInput, InvalidPorts
-from .topology import (MAX_PORTS, Design, State, _check_ports, _chevron_layers, _shown,
-                       optimal_switch_count)
+from .topology import (MAX_PORTS, Design, State, _check_ports, _chevron_layers, _design,
+                       _shown, optimal_switch_count)
 from .topology import _json_id, _json_int
 
 _PAIR_TOKEN = re.compile(r"^([0-9]+)-([0-9]+)$")  # not \d, which takes any Unicode digit
@@ -123,15 +124,9 @@ _BIT_OF_BYTE = b"\x00" + b"\x01" * 255  # a state byte as 0 Bar, 1 Cross
 _ONES = bytearray(b"\x01") * MAX_PORTS
 """Cross bytes for the routers' runs, each shorter than N: a slice of a
 bytearray is assigned into the state bytes as it is, where ``bytes`` would
-first be copied into a new bytearray.  A single table slices each run from
-it.  A batch keeps one template per run length in a per-call list, sliced
-from this the first time the call writes a run of that length, so it slices
-each length once (memoization, Michie, Nature 1968); an exhaustive run
-(:data:`_EXHAUSTIVE`) makes its rows and templates up front.  A single
-table that kept them cost route-large 8.6 % in triangular's ``call_s``
-(``earlier_run`` in ``BENCH_lazy_rows.json``): a slice dropped at once
-leaves its block to the next run's, where each kept template takes new
-memory."""
+first be copied into a new bytearray.  A routing core slices each run from
+it as it writes the run; an exhaustive run (:data:`_EXHAUSTIVE`) makes its
+rows and templates up front."""
 
 
 class StateVector(Mapping[int, State]):
@@ -217,9 +212,9 @@ def _check_demand(ports: int, demand: PairList) -> None:
 
 
 def _route_one(core, ports: int, demand: PairList, counter: OpCounter | None) -> RoutingPlan:
-    """The plan ``core`` routes for ``demand`` alone, its ports checked first."""
+    """The plan ``core`` routes for ``demand``, its ports checked first."""
     _check_demand(ports, demand)
-    (states, permuted), = core(ports, [demand.mate], counter)
+    states, permuted = core(ports, demand.mate, counter)
     return RoutingPlan(StateVector(states), permuted)
 
 
@@ -233,8 +228,8 @@ def route_triangular(ports: int, demand: PairList,
     return _route_one(_route_triangular, ports, demand, counter)
 
 
-def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
-                      ) -> list[tuple[bytearray, tuple[int, ...]]]:
+def _route_triangular(ports: int, mate: Sequence[int], counter: OpCounter | None = None
+                      ) -> tuple[bytearray, tuple[int, ...]]:
     """Bubble-style peeling: per layer, cascade the partner of the current
     bottom photon down to meet it, then recurse on the first n-2 photons.
 
@@ -245,37 +240,27 @@ def _route_triangular(ports: int, mates: Iterable[Sequence[int]], counter: OpCou
     the partner, then the layer's switch commits and photon moves), not the
     Python steps taken.
 
-    Returns one plan per partner table in ``mates``: the state bytes, 1 for
+    Returns the plan for the partner table ``mate``: the state bytes, 1 for
     Cross, and the photon on each output line."""
-    count, lines = optimal_switch_count(ports), list(range(ports))
-    mates = list(mates)
-    runs = [None] * ports if len(mates) > 1 else None  # a batch's Cross-run templates
-    plans = []
-    for mate in mates:
-        photons = lines[:]
-        permuted = [0] * ports
-        states = bytearray(count)
-        first = 0  # layer n/2-1 starts at id S - (n/2-1)(n/2)
-        n = ports
-        while n > 2:
-            bottom = photons.pop()
-            idx = bisect_left(photons, mate[bottom])
-            if counter:
-                counter.tick(idx + 1)
-            # switches above the partner stay Bar
-            run = n - 2 - idx
-            ones = runs[run] if runs else _ONES[:run]
-            if ones is None:
-                ones = runs[run] = _ONES[:run]
-            states[first + idx : first + n - 2] = ones
-            permuted[n - 2], permuted[n - 1] = photons.pop(idx), bottom
-            if counter:
-                counter.tick(2 * n - 2)
-            first += n - 2
-            n -= 2
-        permuted[0], permuted[1] = photons
-        plans.append((states, tuple(permuted)))
-    return plans
+    photons = list(range(ports))
+    permuted = [0] * ports
+    states = bytearray(optimal_switch_count(ports))
+    first = 0  # layer n/2-1 starts at id S - (n/2-1)(n/2)
+    n = ports
+    while n > 2:
+        bottom = photons.pop()
+        idx = bisect_left(photons, mate[bottom])
+        if counter:
+            counter.tick(idx + 1)
+        # switches above the partner stay Bar
+        states[first + idx : first + n - 2] = _ONES[: n - 2 - idx]
+        permuted[n - 2], permuted[n - 1] = photons.pop(idx), bottom
+        if counter:
+            counter.tick(2 * n - 2)
+        first += n - 2
+        n -= 2
+    permuted[0], permuted[1] = photons
+    return states, tuple(permuted)
 
 
 # an exhaustive run's chunks: partner tables and their plans
@@ -331,31 +316,34 @@ def route_chevron(ports: int, demand: PairList,
     return _route_one(_route_chevron, ports, demand, counter)
 
 
-def _chevron_windows(ports: int) -> tuple[Iterator[tuple[int, int]],
-                                          Iterator[tuple[int, int, int, int, int]]]:
+@functools.lru_cache(maxsize=1)
+def _chevron_windows(ports: int) -> tuple[tuple[range, range],
+                                          tuple[range, range, range, list[int], list[int]]]:
     """The chevron router's per-window constants, which depend only on N,
-    made by C-level passes over ``range``s and the layer table
-    :func:`~pairswitch.topology._chevron_layers`.
+    by columns, made by C-level passes over ``range``s and the layer table
+    :func:`~pairswitch.topology._chevron_layers`.  The last N's are kept;
+    each call zips them, since ``zip`` reuses its row when the caller drops
+    it, where kept rows would cost every call at a new N their allocation.
 
-    ``outer`` yields each window's ``(top, bot)`` lines from the outside in,
-    ``inner`` each window's ``(top, bot, layer, mid, first)`` from the
-    inside out, ``first`` being the layer's first id.  A pair entering at
-    the middle joins the part below it on odd layers and the part above it
-    on even ones, so no stored index moves: it takes ``mid``, -(l+1) from
-    the bottom on odd layers l and l from the top on even ones.
+    ``zip(*outer)`` gives each window's ``(top, bot)`` lines from the
+    outside in, ``zip(*inner)`` each window's ``(top, bot, layer, mid,
+    first)`` from the inside out, ``first`` being the layer's first id.  A
+    pair entering at the middle joins the part below it on odd layers and
+    the part above it on even ones, so no stored index moves: it takes
+    ``mid``, -(l+1) from the bottom on odd layers l and l from the top on
+    even ones.
     """
     half = ports // 2
-    outer = zip(range(half - 1), range(ports - 1, half, -1))
     mid = [0] * (half - 1)  # indexed by layer - 1
     mid[::2] = range(-2, -half - 1, -2)
     mid[1::2] = range(2, half, 2)
     layers, firsts, *_ = _chevron_layers(ports)
-    inner = zip(range(half - 2, -1, -1), range(half + 1, ports), layers, mid, firsts)
-    return outer, inner
+    return ((range(half - 1), range(ports - 1, half, -1)),
+            (range(half - 2, -1, -1), range(half + 1, ports), layers, mid, list(firsts)))
 
 
-def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
-                   ) -> list[tuple[bytearray, tuple[int, ...]]]:
+def _route_chevron(ports: int, mate: Sequence[int], counter: OpCounter | None = None
+                   ) -> tuple[bytearray, tuple[int, ...]]:
     """Routing over nested windows: window k holds photons k..N-1-k and
     its layer is N/2-1-k.
 
@@ -373,65 +361,55 @@ def _route_chevron(ports: int, mates: Iterable[Sequence[int]], counter: OpCounte
     point keeps its index from the top and one below it its index from the
     bottom, stored as a negative, Python-style index.
 
-    Returns one plan per partner table in ``mates``: the state bytes, 1 for
-    Cross, and the photon on each output line.
+    Returns the plan for the partner table ``mate``, as
+    :func:`_route_triangular` does.
     """
-    mates = list(mates)
-    count = optimal_switch_count(ports)
     outer, inner = _chevron_windows(ports)
-    if len(mates) > 1:
-        # every table reads the same constants, so a batch lists them once; a
-        # single table reads them as they are made, since listing them adds
-        # allocations that cost most when the call starts with a cold cache
-        outer, inner = list(outer), list(inner)
-    plans = []
-    for mate in mates:
-        mate = list(mate)  # rewritten as windows fold their outer pair inward
-        virtual: list[tuple[int, int] | None] = []  # per window, outermost first
-        for top, bot in outer:
-            if counter:
-                counter.tick(bot - top + 1)
-            if mate[top] == bot:
-                virtual.append(None)
-            else:
-                top_mate, bot_mate = mate[top], mate[bot]
-                mate[top_mate], mate[bot_mate] = bot_mate, top_mate
-                virtual.append((top_mate, bot_mate))
+    mate = list(mate)  # rewritten as windows fold their outer pair inward
+    virtual: list[tuple[int, int] | None] = []  # per window, outermost first
+    for top, bot in zip(*outer):
+        if counter:
+            counter.tick(bot - top + 1)
+        if mate[top] == bot:
+            virtual.append(None)
+        else:
+            top_mate, bot_mate = mate[top], mate[bot]
+            mate[top_mate], mate[bot_mate] = bot_mate, top_mate
+            virtual.append((top_mate, bot_mate))
 
-        states = bytearray(b"\x01") * count
-        pos = [0] * ports  # photon -> index in its window: >= 0 from the top, < 0 from the bottom
-        pos[ports // 2] = 1  # the innermost window holds N/2-1 above N/2
-        for (top, bot, layer, mid, first), pair in zip(inner, reversed(virtual)):
-            if pair is None:
-                pos[top], pos[bot] = mid, mid + 1
-            else:
-                top_mate, bot_mate = pair
-                a, b = pos[top_mate], pos[bot_mate]  # adjacent, so of one sign
-                lo = a if a < b else b
-                if counter:
-                    counter.tick(2 * layer + 2)  # the window's photon count
-                # the layer's ids run along the upper arm from the top, the
-                # lower arm from the bottom, then an odd layer's tip; the
-                # pair's own switch is Bar when the pair is already in order
-                if lo >= 0:
-                    # upper arm or tip: outer top stops just above the pair, its
-                    # other member rides the rest of the arm down to the middle
-                    states[first + lo + 1 if lo + 1 < layer else first + 2 * layer - 1] = a > b
-                    states[first + lo] = 0
-                    pos[top], pos[top_mate], pos[bot_mate], pos[bot] = lo, lo + 1, mid, mid + 1
-                else:
-                    # lower arm (mirror of the upper case)
-                    states[first + layer - lo - 1] = a > b
-                    states[first + layer - lo - 2] = 0
-                    pos[top], pos[top_mate], pos[bot_mate], pos[bot] = mid, mid + 1, lo, lo + 1
+    states = bytearray(b"\x01") * optimal_switch_count(ports)
+    pos = [0] * ports  # photon -> index in its window: >= 0 from the top, < 0 from the bottom
+    pos[ports // 2] = 1  # the innermost window holds N/2-1 above N/2
+    for (top, bot, layer, mid, first), pair in zip(zip(*inner), reversed(virtual)):
+        if pair is None:
+            pos[top], pos[bot] = mid, mid + 1
+        else:
+            top_mate, bot_mate = pair
+            a, b = pos[top_mate], pos[bot_mate]  # adjacent, so of one sign
+            lo = a if a < b else b
             if counter:
-                counter.tick(2 * layer)
+                counter.tick(2 * layer + 2)  # the window's photon count
+            # the layer's ids run along the upper arm from the top, the
+            # lower arm from the bottom, then an odd layer's tip; the
+            # pair's own switch is Bar when the pair is already in order
+            if lo >= 0:
+                # upper arm or tip: outer top stops just above the pair, its
+                # other member rides the rest of the arm down to the middle
+                states[first + lo + 1 if lo + 1 < layer else first + 2 * layer - 1] = a > b
+                states[first + lo] = 0
+                pos[top], pos[top_mate], pos[bot_mate], pos[bot] = lo, lo + 1, mid, mid + 1
+            else:
+                # lower arm (mirror of the upper case)
+                states[first + layer - lo - 1] = a > b
+                states[first + layer - lo - 2] = 0
+                pos[top], pos[top_mate], pos[bot_mate], pos[bot] = mid, mid + 1, lo, lo + 1
+        if counter:
+            counter.tick(2 * layer)
 
-        permuted = [0] * ports
-        for photon, index in enumerate(pos):
-            permuted[index] = photon
-        plans.append((states, tuple(permuted)))
-    return plans
+    permuted = [0] * ports
+    for photon, index in enumerate(pos):
+        permuted[index] = photon
+    return states, tuple(permuted)
 
 
 def _exhaustive_chevron(ports: int, size: int) -> _Chunks:
@@ -578,8 +556,8 @@ def route_brickwork(ports: int, demand: PairList,
     return _route_one(_route_brickwork, ports, demand, counter)
 
 
-def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCounter | None = None
-                     ) -> list[tuple[bytearray, tuple[int, ...]]]:
+def _route_brickwork(ports: int, mate: Sequence[int], counter: OpCounter | None = None
+                     ) -> tuple[bytearray, tuple[int, ...]]:
     """Pair the bottom-most photon first: its partner moves down as soon as
     possible, the bottom photon up as late as necessary; recurse on the
     surviving smaller brickwork.
@@ -590,80 +568,74 @@ def _route_brickwork(ports: int, mates: Iterable[Sequence[int]], counter: OpCoun
     i, found by bisection.  The rest of the iteration reads one row of list
     ranks and ticks, worked out inline.  Counter ticks are the cascade's, as
     in :func:`_route_triangular`, and so is what it returns."""
-    mates = list(mates)
+    lines, anti, diag, count, base, fall, rise = _brickwork_frame(ports)
     half0 = ports // 2
-    count = optimal_switch_count(ports)
-    lines = list(range(ports))  # the photons, and frame line -> physical output line
-    anti0, diag0 = _brickwork_lists(ports)
-    fall, rise = half0, half0 - 1  # id strides along a diagonal and an anti-diagonal
-    base = ports // 4 - half0 + half0 % 2  # cell (col > 0, diag entry d) has id base + d + fall*col
-    runs = [None] * ports if len(mates) > 1 else None  # a batch's Cross-run templates
-    plans = []
-    for mate in mates:
-        states = bytearray(count)
-        photons, frame_out, anti, diag = lines[:], lines[:], anti0[:], diag0[:]
-        result = [0] * ports
-        for _ in range(half0 - 1):
-            bottom = photons.pop()
-            i = bisect_left(photons, mate[bottom])
-            n = len(photons) + 1
-            j_meet = n - 2
-            rd = ra = rb = pa = qa = qb = None
-            if i < j_meet:
-                half = n >> 1
-                # column 0 holds the lines of half's parity up to half-2, column 1
-                # every line of the other.  A partner off half's parity starts in
-                # column 1, past column 0's switch above it if there is one; one
-                # on it in column 0 up to line half-2, else in column 2, past
-                # column 1's switch above it.  A switch passed stays Bar and ticks.
-                cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
-                rd, ra = (i - cstart + half) >> 1, (i + cstart + half0 - half) >> 1
-                # worked out only for a counter, which saves about 4 % of a route
-                ticks = counter and (
-                    4 * n - 3 - i + (0 < i < half if cstart == 1 else i >= half - 1))
-                if i + half - cstart < j_meet:  # the bottom photon rises to meet it
-                    j_meet = i + half - cstart
-                    qa = j_meet >> 1  # ranks count past the partner's diagonal
-                    pa, qb = (j_meet + half0) >> 1, qa + n - 3 - j_meet
-                rb = ra + j_meet - i - 1
-            else:  # rank n - 1 pairs no photon: it ticks its scan, then its pop raises
-                ticks = 3 * n - 1 if i == j_meet else n
-            if counter:
-                counter.tick(ticks)
-            if rd is not None:
-                d = diag.pop(rd)
-                col = anti[ra] - d
-                if not col:  # column 0 breaks the stride: its switch, id d, is written alone
-                    states[d] = 1
-                    col = 1
-                first = base + d + fall * col
-                run = anti[rb] - d - col + 1
-                ones = runs[run] if runs else _ONES[:run]
-                if ones is None:
-                    ones = runs[run] = _ONES[:run]
-                states[first : first + fall * run : fall] = ones
-                if pa is not None:
-                    a = anti.pop(pa)
-                    lo, hi = diag[qa], diag[qb]
-                    first = base + hi + fall * (a - hi)
-                    run = hi - lo + 1
-                    ones = runs[run] if runs else _ONES[:run]
-                    if ones is None:
-                        ones = runs[run] = _ONES[:run]
-                    states[first : first + rise * run : rise] = ones
-            result[frame_out.pop(j_meet)] = photons.pop(i)
-            result[frame_out.pop(j_meet)] = bottom
-        result[frame_out[0]] = photons[0]
-        result[frame_out[1]] = photons[1]
-        plans.append((states, tuple(result)))
-    return plans
+    states = bytearray(count)
+    # the photons, and frame line -> physical output line
+    photons, frame_out, anti, diag = list(lines), list(lines), list(anti), list(diag)
+    result = [0] * ports
+    for _ in range(half0 - 1):
+        bottom = photons.pop()
+        i = bisect_left(photons, mate[bottom])
+        n = len(photons) + 1
+        j_meet = n - 2
+        rd = ra = rb = pa = qa = qb = None
+        if i < j_meet:
+            half = n >> 1
+            # column 0 holds the lines of half's parity up to half-2, column 1
+            # every line of the other.  A partner off half's parity starts in
+            # column 1, past column 0's switch above it if there is one; one
+            # on it in column 0 up to line half-2, else in column 2, past
+            # column 1's switch above it.  A switch passed stays Bar and ticks.
+            cstart = 1 if (i + half) & 1 else 0 if i <= half - 2 else 2
+            rd, ra = (i - cstart + half) >> 1, (i + cstart + half0 - half) >> 1
+            # worked out only for a counter, which saves about 4 % of a route
+            ticks = counter and (
+                4 * n - 3 - i + (0 < i < half if cstart == 1 else i >= half - 1))
+            if i + half - cstart < j_meet:  # the bottom photon rises to meet it
+                j_meet = i + half - cstart
+                qa = j_meet >> 1  # ranks count past the partner's diagonal
+                pa, qb = (j_meet + half0) >> 1, qa + n - 3 - j_meet
+            rb = ra + j_meet - i - 1
+        else:  # rank n - 1 pairs no photon: it ticks its scan, then its pop raises
+            ticks = 3 * n - 1 if i == j_meet else n
+        if counter:
+            counter.tick(ticks)
+        if rd is not None:
+            d = diag.pop(rd)
+            col = anti[ra] - d
+            if not col:  # column 0 breaks the stride: its switch, id d, is written alone
+                states[d] = 1
+                col = 1
+            first = base + d + fall * col
+            run = anti[rb] - d - col + 1
+            states[first : first + fall * run : fall] = _ONES[:run]
+            if pa is not None:
+                a = anti.pop(pa)
+                lo, hi = diag[qa], diag[qb]
+                first = base + hi + fall * (a - hi)
+                run = hi - lo + 1
+                states[first : first + rise * run : rise] = _ONES[:run]
+        result[frame_out.pop(j_meet)] = photons.pop(i)
+        result[frame_out.pop(j_meet)] = bottom
+    result[frame_out[0]] = photons[0]
+    result[frame_out[1]] = photons[1]
+    return states, tuple(result)
 
 
-def _brickwork_lists(ports: int) -> tuple[list[int], list[int]]:
-    """Frame N's ``anti`` and ``diag``: every line + col and line - col, halved."""
+@functools.lru_cache(maxsize=1)
+def _brickwork_frame(ports: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
+                                           int, int, int, int]:
+    """Frame N, kept for the last N as :func:`_chevron_windows` is: the
+    lines, ``anti`` and ``diag`` (every line + col and line - col, halved),
+    the switch count and the id constants ``base``, ``fall`` and ``rise``.
+    Cell (col > 0, ``diag`` entry d) has id base + d + fall*col; fall and
+    rise are the id strides along a diagonal and an anti-diagonal."""
     half0 = ports // 2
-    return ([x >> 1 for x in range(half0 % 2, ports + half0, 2)],
-            [x >> 1 for x in range(-half0, ports, 2)])
+    return (tuple(range(ports)),
+            tuple(x >> 1 for x in range(half0 % 2, ports + half0, 2)),
+            tuple(x >> 1 for x in range(-half0, ports, 2)),
+            optimal_switch_count(ports), ports // 4 - half0 + half0 % 2, half0, half0 - 1)
 
 
 def _brickwork_rows(ports: int) -> dict[tuple[int, int], tuple]:
@@ -688,9 +660,7 @@ def _exhaustive_brickwork(ports: int, size: int) -> _Chunks:
     """:func:`_exhaustive_triangular`'s walk, each level one iteration of
     :func:`_route_brickwork`, its row from :func:`_brickwork_rows`; each trie
     node copies its frame's lists and state bytes for the levels below."""
-    half0 = ports // 2
-    fall, rise = half0, half0 - 1
-    base = ports // 4 - half0 + half0 % 2
+    lines, anti, diag, count, base, fall, rise = _brickwork_frame(ports)
     rows, runs = _brickwork_rows(ports), [_ONES[:run] for run in range(ports)]
     mate, result, tables, plans = [0] * ports, [0] * ports, [], []
 
@@ -733,8 +703,7 @@ def _exhaustive_brickwork(ports: int, size: int) -> _Chunks:
                 yield tables[:], plans[:]
                 del tables[:], plans[:]
 
-    lines = list(range(ports))
-    yield from walk(lines, lines, *_brickwork_lists(ports), bytearray(optimal_switch_count(ports)))
+    yield from walk(list(lines), list(lines), list(anti), list(diag), bytearray(count))
     if tables:
         yield tables, plans
 
@@ -748,12 +717,11 @@ _CORES = {
     Design.CHEVRON: _route_chevron,
     Design.BRICKWORK: _route_brickwork,
 }
-"""Each design's routing core: ``(ports, mates, counter=None) -> [(state
-bytes, permuted), ...]``, one plan per partner table, for callers that hold
-checked tables.  A batch pays once for what depends only on N: chevron
-lists its window constants, and triangular and brickwork keep each Cross-run
-template they make (:data:`_ONES`).  Each public router routes a batch of
-one, which keeps none of them."""
+"""Each design's routing core: ``(ports, mate, counter=None) -> (state
+bytes, permuted)``, the plan for one partner table, for callers that hold
+checked tables.  What depends only on N is kept for the last N (chevron's
+:func:`_chevron_windows`, brickwork's :func:`_brickwork_frame`), so calls
+at one N share it."""
 
 _EXHAUSTIVE = {
     Design.TRIANGULAR: _exhaustive_triangular,
@@ -773,8 +741,8 @@ def route(design: Design | str, ports: int, demand: PairList,
     so its member and its value name the same router."""
     try:
         router = globals()["route_" + design]
-    except (KeyError, TypeError):  # no design: Design() raises its ValueError
-        router = globals()["route_" + Design(design)]
+    except (KeyError, TypeError):  # no design: _design raises InvalidInput
+        router = globals()["route_" + _design(design)]
     return router(ports, demand, counter)
 
 

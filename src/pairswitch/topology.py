@@ -95,6 +95,15 @@ def _check_ports(ports: int, minimum: int = 2) -> None:
         raise BoundExceeded(f"{_shown(ports)} ports exceed the {MAX_PORTS}-port budget")
 
 
+def _design(value: object) -> Design:
+    """``Design(value)``; an unknown design raises InvalidInput with the
+    enum's message, such as ``'bogus' is not a valid Design``."""
+    try:
+        return Design(value)
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
+
+
 def _brickwork_columns(ports: int) -> Iterator[tuple[int, int, int, int]]:
     """Per brickwork column in traversal order: its layer, the parity of its
     lines, its first switch id and its size.  Column c holds layer N/2 - c,
@@ -159,7 +168,7 @@ def build_network(design: Design | str, ports: int) -> Network:
 
     N = 2 yields the trivial zero-switch network.
     """
-    design = Design(design)
+    design = _design(design)
     _check_ports(ports)
     half, count = ports // 2, optimal_switch_count(ports)
     lines, layers, cols = (array("i", [0]) * count for _ in range(3))
@@ -208,6 +217,8 @@ def reverse_network(net: Network) -> Network:
 
 def validate_network(net: Network) -> ValidationReport:
     """Report violations of the structural rules.  Never raises."""
+    if not isinstance(net, Network):
+        return ValidationReport(False, (("network", None, f"{_shown(net)} is not a Network"),))
     violations: list[tuple[str, object, str]] = []
     n = net.ports
     if not isinstance(n, int) or n < 2 or n % 2:

@@ -14,8 +14,8 @@ from .errors import BoundExceeded, InvalidInput
 from .routing import _CORES, _EXHAUSTIVE, PairList, StateVector, _check_demand_ports
 from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_bytes, _check_plans, _columns,
                          brute_force_route, check_pairing, simulate)
-from .topology import (MAX_PORTS, Design, Network, _check_ports, _shown, build_network,
-                       optimal_switch_count)
+from .topology import (MAX_PORTS, Design, Network, _check_ports, _design, _shown,
+                       build_network, optimal_switch_count)
 
 
 _CHUNK_DEMANDS = 1024
@@ -108,7 +108,9 @@ def _random_mate_tables(ports: int, rng: random.Random) -> Iterator[tuple[int, .
     Ports are checked as a demand's are, before the first shuffle, so a
     rejected call leaves ``rng`` as it was and allocates nothing."""
     _check_demand_ports(ports)
-    getrandbits = rng.getrandbits
+    getrandbits = getattr(rng, "getrandbits", None)
+    if not callable(getrandbits):
+        raise InvalidInput(f"rng {_shown(rng)} has no getrandbits method")
     mate = [0] * ports
     while True:
         # Fisher-Yates (Knuth, TAOCP Vol. 2, 3.4.2, Algorithm P); j is drawn
@@ -182,8 +184,8 @@ def verify_design(
     paired egress; collect depth extrema across the routings that pass,
     None when none does.  An exhaustive run takes its chunks of tables and
     plans from the design's walk in ``routing._EXHAUSTIVE``, a random one
-    routes each chunk of sampled tables through ``routing._CORES``."""
-    design = Design(design)
+    routes each sampled table through ``routing._CORES``."""
+    design = _design(design)
     _check_ports(ports)
     for name, value in (("cap", cap), ("seed", seed)):
         if type(value) is not int:  # a bool is neither
@@ -200,7 +202,7 @@ def verify_design(
             raise BoundExceeded(f"samples capped at {sys.maxsize}, got {_shown(samples)}")
         mates = islice(_random_mate_tables(ports, random.Random(seed)), samples)
         core = _CORES[design]
-        chunks = ((chunk, core(ports, chunk))
+        chunks = ((chunk, [core(ports, mate) for mate in chunk])
                   for chunk in iter(lambda: list(islice(mates, size)), []))
         samples_field, seed_field = samples, seed
     else:
@@ -295,7 +297,7 @@ class MinimalityReport:
 def verify_minimality(design: Design | str, ports: int) -> MinimalityReport:
     """Delete each switch in turn and brute-force the worst-case demand on
     the damaged network; a minimal design leaves every deletion unroutable."""
-    design = Design(design)
+    design = _design(design)
     net = build_network(design, ports)
     count = len(net.lines)
     if count - 1 > MAX_BRUTE_FORCE_SWITCHES:

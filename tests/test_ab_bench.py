@@ -137,3 +137,36 @@ def test_a_tree_that_changes_under_a_run_ends_the_comparison(monkeypatch, tmp_pa
     monkeypatch.setattr(ab_bench, "run_once", lambda tree, workload, seed: run_once(tree, workload, 1))
     assert ab_bench.main(argv) == 0
     assert "route-large: 3 pairs against abc1234" in capsys.readouterr().out
+
+
+def test_each_trees_src_lines_are_counted_into_the_record(monkeypatch, tmp_path, capsys):
+    # two small trees; blank lines and comment lines do not count, a
+    # docstring and a line with a trailing comment do, and so does no file
+    # outside src/pairswitch
+    class Done:
+        stdout = "abc1234\n"
+
+    files = {"parent": {"src/pairswitch/a.py": '"""Doc."""\n\n# note\nx = 1  # one\n',
+                        "src/pairswitch/b.py": "    # indented note\n\t\ny = 2",
+                        "src/other.py": "z = 3\n", "tools/t.py": "w = 4\n"},
+             "change": {"src/pairswitch/a.py": "x = 1\n", "BENCHMARK.json": '{"end_to_end": []}'}}
+
+    def write(tree, side):
+        for name, text in files[side].items():
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(text)
+
+    change = tmp_path / "change"
+    write(change, "change")
+    assert ab_bench.src_lines(change) == 1
+    assert ab_bench.src_lines(tmp_path / "missing") == 0
+    monkeypatch.setattr(ab_bench, "ROOT", change)
+    monkeypatch.setattr(ab_bench, "export", lambda revision, dest: write(dest, "parent"))
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda *args, **kwargs: Done())
+    monkeypatch.setattr(ab_bench, "run_once", lambda tree, workload, seed: {
+        "correct": True, "failed": 0, "metrics": {}})
+    out = tmp_path / "record.json"
+    argv = ["--parent", "HEAD", "--workload", "route-large", "--pairs", "1", "--json", str(out)]
+    assert ab_bench.main(argv) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 1}
+    assert "src lines (non-blank, non-comment): parent 3, change 1" in capsys.readouterr().out

@@ -83,7 +83,6 @@ VERIFY_FIGURES = [
 _DELETION = "BENCH_deletion_round.json"
 _DOUBLING = ("traced_route_large", "metrics")
 _ROUTE_LARGE = ("summary", "route-large")
-_LAZY = "BENCH_lazy_rows.json"
 _TRIES = "BENCH_exhaustive_tries.json"
 _WALK = ("walk_ratios",)
 _EXHAUSTIVE = ("summary", "verify-exhaustive")
@@ -99,8 +98,6 @@ ROUTING_FIGURES = [
     ("{} ms (chevron) and", _DELETION, (*_ROUTE_LARGE, "call_s.chevron", "change_median"), 2, 1000),
     ("{} ms (brickwork) (medians", _DELETION,
      (*_ROUTE_LARGE, "call_s.brickwork", "change_median"), 1, 1000),
-    ("route-large {}% in triangular's", _LAZY,
-     ("earlier_run", "summary", "route-large", "call_s.triangular", "change_worse_by"), 1, 100),
     ("N = 12 a walk takes {}x (triangular)", _TRIES, (*_WALK, "triangular", "12", "ratio"), 2),
     ("{}x (chevron) and", _TRIES, (*_WALK, "chevron", "12", "ratio"), 2),
     ("and {}x (brickwork) the time", _TRIES, (*_WALK, "brickwork", "12", "ratio"), 2),

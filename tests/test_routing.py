@@ -209,7 +209,7 @@ def test_shared_inner_windows_give_the_plans_of_the_loop():
         for size in (1024, 7):
             seen = 0
             for tables, plans in routing._exhaustive_chevron(ports, size):
-                assert plans == core(ports, tables)
+                assert plans == [core(ports, table) for table in tables]
                 for mate, (states, _) in zip(tables, plans):
                     folded = list(mate)
                     top, bot = folded[0], folded[-1]
@@ -355,39 +355,72 @@ def test_cores_return_what_the_public_routers_plan(design):
     for demand in demands:
         ports, ticks, core_ticks = demand.ports, OpCounter(), OpCounter()
         plan = _PUBLIC[design](ports, demand, ticks)
-        (states, permuted), = _CORES[design](ports, [demand.mate], core_ticks)
+        states, permuted = _CORES[design](ports, demand.mate, core_ticks)
         assert type(states) is bytearray and states == plan.states.bits
         assert type(permuted) is tuple and permuted == plan.permuted
         assert core_ticks.count == ticks.count
-        assert _CORES[design](ports, [demand.mate]) == [(states, permuted)]
+        assert _CORES[design](ports, demand.mate) == (states, permuted)
+
+
+_MEMOS = (routing._chevron_windows, routing._brickwork_frame)
+
+
+def _cold(design, ports, mate, counter=None):
+    """The core's plan for ``mate`` with every per-N memo emptied first."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+    return _CORES[design](ports, mate, counter)
 
 
 @pytest.mark.parametrize("design", list(Design))
-def test_a_core_routes_a_batch_as_its_tables_one_by_one(design):
-    # every table of each N <= 10 as one batch, then seeded batches up to
-    # N = 256, seeded batches of 2N tables with the worst case, where every
-    # Cross-run template a batch keeps is read again, and, at 1024 and 2048,
-    # two seeded tables with the worst case, whose runs are the longest: the
-    # plans and the tick total are the per-table ones, so no state a core
-    # copies for each table leaks from one table to the next
+def test_consecutive_core_calls_at_one_n_route_as_with_a_cold_memo(design):
+    # every table of each N <= 10 in turn, then seeded runs of tables up to
+    # N = 256, seeded runs of 2N tables with the worst case and, at 1024
+    # and 2048, two seeded tables with the worst case, whose runs are the
+    # longest.  Each call after the first at its N reads what the memo
+    # kept, and gives the plan and the ticks of a call with an empty memo,
+    # so no state leaks from one call to the next
     core, rng = _CORES[design], random.Random(f"batch:{design.value}")
-    batches = [list(_mate_tables(n)) for n in range(2, 11, 2)]
-    batches += [[random_pair_list(n, rng).mate for _ in range(6)]
-                for n in (12, 14, 16, 32, 64, 128, 256)]
-    batches.append(batches[-1] + [worst_case_pair_list(256).mate] + batches[-1][:2])
-    batches += [[random_pair_list(n, rng).mate for _ in range(2 * n - 1)]
-                + [worst_case_pair_list(n).mate]
-                for n in (2, 4, 12, 14, 16, 32, 64)]
-    batches += [[random_pair_list(n, rng).mate for _ in range(2)] + [worst_case_pair_list(n).mate]
-                for n in (1024, MAX_PORTS)]
-    for mates in batches:
-        ports, ticks, alone = len(mates[0]), OpCounter(), OpCounter()
-        plans = core(ports, mates, ticks)
-        assert plans == [plan for mate in mates for plan in core(ports, [mate], alone)]
-        assert ticks.count == alone.count and (ticks.count or ports == 2)
-        assert core(ports, iter(mates)) == plans
-        assert core(ports, []) == [] and core(ports, [], ticks) == []
-        assert ticks.count == alone.count
+    runs = [list(_mate_tables(n)) for n in range(2, 11, 2)]
+    runs += [[random_pair_list(n, rng).mate for _ in range(6)]
+             for n in (12, 14, 16, 32, 64, 128, 256)]
+    runs.append(runs[-1] + [worst_case_pair_list(256).mate] + runs[-1][:2])
+    runs += [[random_pair_list(n, rng).mate for _ in range(2 * n - 1)]
+             + [worst_case_pair_list(n).mate]
+             for n in (2, 4, 12, 14, 16, 32, 64)]
+    runs += [[random_pair_list(n, rng).mate for _ in range(2)] + [worst_case_pair_list(n).mate]
+             for n in (1024, MAX_PORTS)]
+    for mates in runs:
+        ports, cold, warm = len(mates[0]), [], []
+        for mate in mates:
+            ticks = OpCounter()
+            cold.append((_cold(design, ports, mate, ticks), ticks.count))
+        for mate in mates:
+            ticks = OpCounter()
+            warm.append((core(ports, mate, ticks), ticks.count))
+            assert core(ports, mate) == warm[-1][0]
+        assert warm == cold
+        assert all(count for _, count in warm) or ports == 2
+
+
+def test_the_per_n_memos_hold_one_entry_and_little_memory():
+    # routes at the port budget leave under 1 MiB allocated, the memos'
+    # entries among it, and routes at N = 4 replace each entry
+    assert all(memo.cache_info().maxsize == 1 for memo in _MEMOS)
+    for memo in _MEMOS:
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        for design in (Design.CHEVRON, Design.BRICKWORK):
+            route(design, MAX_PORTS, worst_case_pair_list(MAX_PORTS))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [memo.cache_info().currsize for memo in _MEMOS] == [1, 1]
+    assert held < 1 << 20, held
+    for design in (Design.CHEVRON, Design.BRICKWORK):
+        route(design, 4, worst_case_pair_list(4))
+    assert [memo.cache_info()[1:] for memo in _MEMOS] == [(2, 1, 1)] * 2  # misses, maxsize, size
 
 
 @pytest.mark.parametrize("design", list(Design))
@@ -409,7 +442,8 @@ def test_an_exhaustive_walk_routes_every_demand_as_its_core(design):
             assert sum(sizes) == len(got) and sorted(got) == sorted(_mate_tables(ports))
             assert all(type(table) is tuple and type(states) is bytearray and type(lines) is tuple
                        for table, (states, lines) in got.items())
-            assert [got[table] for table in _mate_tables(ports)] == core(ports, _mate_tables(ports))
+            assert [got[table] for table in _mate_tables(ports)] == [
+                core(ports, table) for table in _mate_tables(ports)]
     rng = random.Random(f"walk:{design.value}")
     sampled = {random_pair_list(14, rng).mate for _ in range(3000)}
     sampled.add(worst_case_pair_list(14).mate)
@@ -418,7 +452,7 @@ def test_an_exhaustive_walk_routes_every_demand_as_its_core(design):
         count += len(tables)
         got.update((table, plan) for table, plan in zip(tables, plans) if table in sampled)
     assert count == double_factorial(13) and len(got) == len(sampled)
-    assert [got[table] for table in sampled] == core(14, sampled)
+    assert [got[table] for table in sampled] == [core(14, table) for table in sampled]
 
 
 def test_dispatch_tables_cover_every_design():
@@ -445,9 +479,9 @@ def test_route_calls_the_router_the_module_holds(monkeypatch):
 
 @pytest.mark.parametrize("design", ["bogus", "Triangular", "", None, 3, ["triangular"], {}])
 def test_route_rejects_an_unknown_design_as_before(design):
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(InvalidInput) as excinfo:
         route(design, 4, pl("0-3,1-2"))
-    assert type(excinfo.value) is ValueError
+    assert type(excinfo.value) is InvalidInput
     assert str(excinfo.value) == f"{design!r} is not a valid Design"
 
 
@@ -875,7 +909,7 @@ def test_brickwork_core_matches_its_golden_on_any_rank_sequence():
             mate = [rng.randrange(ports) for _ in range(ports)]
             counter = OpCounter()
             try:
-                (states, permuted), = _CORES[Design.BRICKWORK](ports, [mate], counter)
+                states, permuted = _CORES[Design.BRICKWORK](ports, mate, counter)
                 outcome = (bytes(states), permuted)
             except IndexError as exc:
                 outcome = repr(exc)
@@ -966,10 +1000,10 @@ def test_the_brickwork_core_writes_the_frame_models_runs():
     # they were; k such pairs first put the iteration at depth k, where
     # frame cell (c, j) is network cell (c + k, j) and frame line j output
     # line j.  Every depth for N <= 64, depths 0 and 1 up to N = 66; each
-    # table alone and all in one batch.  So every row the core works out for
-    # N <= 64 writes the model's runs and meets on the model's line, and a
-    # row depends on the depth only as the model's step does, through its
-    # parity and the `anti` offset
+    # table with an empty memo, then all in turn.  So every row the core
+    # works out for N <= 64 writes the model's runs and meets on the
+    # model's line, and a row depends on the depth only as the model's step
+    # does, through its parity and the `anti` offset
     for n in range(4, 66, 2):
         for k in range(max(2, (64 - n) // 2 + 1)):
             ports = n + 2 * k
@@ -991,10 +1025,9 @@ def test_the_brickwork_core_writes_the_frame_models_runs():
                         cells[ids[c + k, j]] = 1
                 mates.append(mate)
                 wants.append((cells, j_meet))
-            # each table alone, then all as one batch
-            core = _CORES[Design.BRICKWORK]
-            plans = [plan for mate in mates for plan in core(ports, [mate])]
-            plans += core(ports, mates)
+            # each table with an empty memo, then all in turn at one N
+            plans = [_cold(Design.BRICKWORK, ports, mate) for mate in mates]
+            plans += [_CORES[Design.BRICKWORK](ports, mate) for mate in mates]
             for t, (states, permuted) in enumerate(plans):
                 i = t % (n - 1)
                 cells, j_meet = wants[i]
@@ -1047,8 +1080,9 @@ def _traced(call):
 def test_a_single_brickwork_table_builds_no_step_table():
     # rows kept for later tables would take a list per depth, more than
     # (N/2)^2 slots in all: one route at N = 128, 256 or 1024, its plan
-    # included, peaks below those slots' bytes, and so does a core call of
-    # 2N tables at N = 128 beyond the plans it returns: no call keeps rows
+    # included, peaks below those slots' bytes, and so does each of 2N
+    # core calls in turn at N = 128 beyond the plan it returns: no call
+    # keeps rows
     rng = random.Random("single")
     for n in (128, 256, 1024):
         for demand in (worst_case_pair_list(n), random_pair_list(n, rng)):
@@ -1057,8 +1091,8 @@ def test_a_single_brickwork_table_builds_no_step_table():
             assert plan == route(Design.BRICKWORK, n, demand)
     n, core = 128, _CORES[Design.BRICKWORK]
     mates = [random_pair_list(n, rng).mate for _ in range(2 * n)]
-    for batch in (mates[1:], mates):
-        _, peak, held = _traced(lambda: core(n, batch))
+    for mate in mates:
+        _, peak, held = _traced(lambda: core(n, mate))
         assert peak - held < (n // 2) ** 2 * 8
 
 
@@ -1108,7 +1142,7 @@ def test_chevron_plans_match_large_golden_digest():
 
 def test_chevron_windows_match_the_per_window_formulas():
     for ports in range(2, MAX_PORTS + 1, 2):
-        outer, inner = map(list, _chevron_windows(ports))
+        outer, inner = (list(zip(*columns)) for columns in _chevron_windows(ports))
         assert outer == [(top, ports - 1 - top) for top in range(ports // 2 - 1)]
         expected = []
         for left in reversed(range(ports // 2 - 1)):

@@ -16,12 +16,16 @@ from pairswitch import (
     Network,
     State,
     build_network,
+    depth_formulas,
+    depth_stats,
     network_from_json,
     network_to_json,
     optimal_switch_count,
     propagate,
     reverse_network,
     validate_network,
+    verify_design,
+    verify_minimality,
 )
 from pairswitch.topology import _brickwork_columns, _chevron_layers, _ramp, _triangular_layers
 
@@ -401,6 +405,29 @@ def test_validate_rejects_odd_ports():
     report = validate_network(Network(Design.TRIANGULAR, 5, *_EMPTY))
     assert not report.ok
     assert report.violations[0][0] == "ports"
+
+
+@pytest.mark.parametrize("net", [None, {"ports": 4}, "network", array("i", [0, 1])])
+def test_validate_reports_what_is_no_network_and_never_raises(net):
+    report = validate_network(net)
+    assert not report.ok
+    assert report.violations == (("network", None, f"{net!r:.60} is not a Network"),)
+
+
+@pytest.mark.parametrize("design", ["bogus", None, 3, ["triangular"]])
+@pytest.mark.parametrize("call", [
+    lambda design: build_network(design, 4),
+    lambda design: verify_design(design, 4),
+    lambda design: verify_minimality(design, 4),
+    lambda design: depth_formulas(design, 4),
+    lambda design: depth_stats(design, 4),
+], ids=["build_network", "verify_design", "verify_minimality", "depth_formulas", "depth_stats"])
+def test_an_unknown_design_raises_a_typed_error(call, design):
+    # the enum's message, as an InvalidInput, which is a ValueError too
+    with pytest.raises(InvalidInput) as excinfo:
+        call(design)
+    assert str(excinfo.value) == f"{design!r} is not a valid Design"
+    assert isinstance(excinfo.value, ValueError)
 
 
 def test_reversed_network_distributes_adjacent_pairs():

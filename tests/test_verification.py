@@ -136,6 +136,13 @@ def test_random_demands_check_ports_before_the_first_shuffle(ports, error, messa
     assert rng.random() == random.Random(1).random()  # a rejected call draws nothing
 
 
+@pytest.mark.parametrize("rng", [None, 3, "seed"])
+def test_random_demands_check_their_generator_before_any_draw(rng):
+    message = f"rng {rng!r} has no getrandbits method"
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        random_pair_list(8, rng)
+
+
 def test_random_verify_builds_no_validated_demand(monkeypatch):
     calls = _count_validated_demands(monkeypatch)
     for design in Design:
@@ -456,10 +463,10 @@ def _corrupting_route(monkeypatch, targets):
             plans[k] = states, tuple(permuted)
 
     def corrupting(design, original):
-        def core(ports, mates, *rest):
-            plans = original(ports, mates, *rest)
-            corrupt(design, ports, islice(calls, len(plans)), plans)
-            return plans
+        def core(ports, mate, *rest):
+            plans = [original(ports, mate, *rest)]
+            corrupt(design, ports, islice(calls, 1), plans)
+            return plans[0]
 
         return core
 
@@ -515,9 +522,9 @@ def _recorded_routing(monkeypatch, stop_after=None):
             raise _Stopped
 
     def recording_core(design, core):
-        def recorded(ports, mates, *rest):
-            record(design, ports, "core", len(mates))
-            return core(ports, mates, *rest)
+        def recorded(ports, mate, *rest):
+            record(design, ports, "core", 1)
+            return core(ports, mate, *rest)
         return recorded
 
     def recording_walk(design, walk):
@@ -720,26 +727,28 @@ def test_each_chunk_size_takes_its_path(monkeypatch):
 def test_no_verify_chunk_builds_a_brickwork_step_table_from_n_256(monkeypatch):
     # a brickwork core call keeps no rows for later tables, which would take
     # a list per depth and more than (N/2)^2 slots in all: at N = 256 a
-    # verify run's chunks are capped by their state bytes, and each core
-    # call peaks below those slots' bytes beyond the plans it returns
+    # verify run's chunks are capped by their state bytes, each sampled
+    # table is one core call, and each call peaks below those slots' bytes
+    # beyond the plan it returns
     calls = []
     core = routing._CORES[Design.BRICKWORK]
 
-    def traced(ports, mates, counter=None):
-        mates = list(mates)
+    def traced(ports, mate, counter=None):
         tracemalloc.start()
         try:
-            plans = core(ports, mates, counter)
+            plan = core(ports, mate, counter)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        calls.append((len(mates), peak - held))
-        return plans
+        calls.append(peak - held)
+        return plan
 
     monkeypatch.setitem(routing._CORES, Design.BRICKWORK, traced)
+    paths = _recorded_paths(monkeypatch)
     assert verify_design(Design.BRICKWORK, 256, "random", samples=300, seed=1).passed
-    assert [size for size, _ in calls] == [258, 42]
-    assert all(spent < (256 // 2) ** 2 * 8 for _, spent in calls), calls
+    assert paths == [("_check_plans", 258), ("_check_bytes", 42)]
+    assert len(calls) == 300
+    assert all(spent < (256 // 2) ** 2 * 8 for spent in calls), max(calls)
 
 
 def test_verify_builds_a_frame_once_per_call(monkeypatch):

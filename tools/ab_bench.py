@@ -23,10 +23,12 @@ metric of the working tree's ``BENCHMARK.json`` it prints both medians,
 the parent's quartiles, the pairs the change won, how much worse the
 change's median is (negative is better) against the metric's bound, and
 whether a gain is clear: won in at least nine pairs in ten, by a median
-gain larger than the spread between the parent's quartiles.  With
-``--json FILE`` it also writes one record of every run's final report line
-and the summary, each keyed by workload.  Stdlib only; not part of the
-test suite.  Exit status: 0 when every run is correct with no failed
+gain larger than the spread between the parent's quartiles.  It also
+prints each tree's src line count, the non-blank, non-comment lines of
+``src/pairswitch/*.py``, summed.  With ``--json FILE`` it also writes one
+record of both line counts, every run's final report line and the
+summary, each keyed by workload.  Stdlib only; not part of the test
+suite.  Exit status: 0 when every run is correct with no failed
 operation and every metric is within its bound on every workload, 1
 otherwise, 2 on a usage error.
 """
@@ -64,6 +66,16 @@ def tree_hash(tree: Path) -> str:
         data = path.read_bytes()
         digest.update(f"{path.relative_to(tree).as_posix()}\0{len(data)}\0".encode() + data)
     return digest.hexdigest()
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of ``tree``'s ``src/pairswitch/*.py`` that are neither
+    blank nor a comment, summed, docstrings counted: per file, what grep
+    counts with ``-cvE`` and the pattern of optional blanks before a ``#``
+    or the line's end."""
+    return sum(1 for path in (tree / "src" / "pairswitch").glob("*.py")
+               for line in path.read_text().splitlines()
+               if line.strip() and not line.lstrip().startswith("#"))
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -166,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                            cwd=tree, check=True, stdout=subprocess.DEVNULL)
         hashes = {side: tree_hash(tree) for side, tree in trees.items()}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         for workload in workloads:
             runs[workload] = run_pairs(trees, hashes, workload, args.pairs, args.seed)
 
@@ -173,10 +186,12 @@ def main(argv: list[str] | None = None) -> int:
     healthy = {workload: all(p[side]["correct"] and not p[side]["failed"]
                              for p in pairs for side in SIDES)
                for workload, pairs in runs.items()}
+    print(f"src lines (non-blank, non-comment): parent {lines['parent']}, "
+          f"change {lines['change']}")
     for workload in workloads:
         print_summary(workload, args.pairs, parent, healthy[workload], summary[workload])
     if args.json:
-        record = {"parent": parent, "workloads": workloads,
+        record = {"parent": parent, "workloads": workloads, "src_lines": lines,
                   "all_correct_and_no_failed_operations": all(healthy.values()),
                   "summary": summary, "runs": runs}
         Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
