@@ -205,6 +205,8 @@ class OpCounter:
 
 def _check_demand(ports: int, demand: PairList) -> None:
     _check_ports(ports)
+    if not isinstance(demand, PairList):
+        raise InvalidDemand(f"demand {_shown(demand)} is not a PairList")
     if demand.ports != ports:
         raise InvalidDemand(
             f"demand covers {demand.ports} ports, network has {ports}"
@@ -212,8 +214,11 @@ def _check_demand(ports: int, demand: PairList) -> None:
 
 
 def _route_one(core, ports: int, demand: PairList, counter: OpCounter | None) -> RoutingPlan:
-    """The plan ``core`` routes for ``demand``, its ports checked first."""
+    """The plan ``core`` routes for ``demand``, its ports and ``counter``
+    checked first."""
     _check_demand(ports, demand)
+    if counter is not None and not isinstance(counter, OpCounter):
+        raise InvalidInput(f"counter {_shown(counter)} is not an OpCounter")
     states, permuted = core(ports, demand.mate, counter)
     return RoutingPlan(StateVector(states), permuted)
 
@@ -263,8 +268,8 @@ def _route_triangular(ports: int, mate: Sequence[int], counter: OpCounter | None
     return states, tuple(permuted)
 
 
-# an exhaustive run's chunks: partner tables and their plans
-_Chunks = Iterator[tuple[list[tuple[int, ...]], list[tuple[bytearray, tuple[int, ...]]]]]
+# an exhaustive run's chunks: partner tables and their plans, ids as bytes
+_Chunks = Iterator[tuple[list[bytes], list[tuple[bytearray, bytes]]]]
 
 
 def _exhaustive_triangular(ports: int, size: int) -> _Chunks:
@@ -272,11 +277,12 @@ def _exhaustive_triangular(ports: int, size: int) -> _Chunks:
     walk of the partner-rank trie (Knuth, TAOCP Vol. 4B, 7.2.2), each level
     one layer of :func:`_route_triangular`, its bytes a row per frame size
     and rank.  Each prefix is written once for every demand below it, each
-    level rewriting its own entries of the shared lists, and a leaf copies
-    them."""
+    level rewriting its own entries of the shared byte rows, and a leaf
+    copies them."""
     rows = {(n, i): bytearray(i) + _ONES[: n - 2 - i]
             for n in range(2, ports + 1, 2) for i in range(n - 1)}
-    mate, permuted, states = [0] * ports, [0] * ports, bytearray(optimal_switch_count(ports))
+    mate, permuted = bytearray(ports), bytearray(ports)  # a leaf's rows, copied as bytes
+    states = bytearray(optimal_switch_count(ports))
     tables, plans = [], []
 
     def walk(photons: list[int], first: int) -> _Chunks:
@@ -295,8 +301,8 @@ def _exhaustive_triangular(ports: int, size: int) -> _Chunks:
             if rest:  # frame 4 leaves two photons on lines 0 and 1, frame 2 none
                 a, b = permuted[0], permuted[1] = rest
                 mate[a], mate[b] = b, a
-            tables.append(tuple(mate))
-            plans.append((states[:], tuple(permuted)))
+            tables.append(bytes(mate))
+            plans.append((states[:], bytes(permuted)))
             if len(tables) == size:
                 yield tables[:], plans[:]
                 del tables[:], plans[:]
@@ -412,6 +418,9 @@ def _route_chevron(ports: int, mate: Sequence[int], counter: OpCounter | None = 
     return states, tuple(permuted)
 
 
+_NEXT_ID = bytes(range(1, 256)) + b"\x00"  # one-byte ids i -> i + 1, as a translate table
+
+
 def _exhaustive_chevron(ports: int, size: int) -> _Chunks:
     """Every demand at N with its plan, in chunks of ``size``, folded from
     the run at N-2, the network two ports smaller on lines 1..N-2 (Michie,
@@ -420,7 +429,7 @@ def _exhaustive_chevron(ports: int, size: int) -> _Chunks:
     routing only the outer layer as :func:`_route_chevron`'s last window
     does."""
     if ports == 2:
-        yield [(1, 0)], [(bytearray(), (0, 1))]
+        yield [b"\x01\x00"], [(bytearray(), b"\x00\x01")]
         return
     last, layer = ports - 1, ports // 2 - 1
     first = optimal_switch_count(ports - 2)  # the outer layer's first id
@@ -431,13 +440,13 @@ def _exhaustive_chevron(ports: int, size: int) -> _Chunks:
     # keep about one chunk's plans across the fold's levels
     for inner_tables, inner_plans in _exhaustive_chevron(ports - 2, max(1, size // last)):
         for inner, (inner_states, inner_lines) in zip(inner_tables, inner_plans):
-            mate = [last, *[x + 1 for x in inner], 0]
-            lines = [x + 1 for x in inner_lines]
+            mate = bytearray((last,)) + inner.translate(_NEXT_ID) + b"\x00"
+            lines = bytearray(inner_lines.translate(_NEXT_ID))
             lines[mid:mid] = (0, last)
             where = sorted(range(ports), key=lines.__getitem__)  # photon -> its line
             states = inner_states + cross
-            tables.append(tuple(mate))
-            plans.append((states, tuple(lines)))
+            tables.append(bytes(mate))
+            plans.append((states, bytes(lines)))
             for top_mate in range(1, last):
                 bot_mate = mate[top_mate]
                 out, cut, put = mate[:], states[:], lines[:]
@@ -453,8 +462,8 @@ def _exhaustive_chevron(ports: int, size: int) -> _Chunks:
                     cut[first + layer + ports - lo - 1] = a > b
                     cut[first + layer + ports - lo - 2] = 0
                     put[mid], put[mid + 1], put[lo], put[lo + 1] = 0, top_mate, bot_mate, last
-                tables.append(tuple(out))
-                plans.append((cut, tuple(put)))
+                tables.append(bytes(out))
+                plans.append((cut, bytes(put)))
             while len(tables) >= size:
                 yield tables[:size], plans[:size]
                 del tables[:size], plans[:size]
@@ -624,17 +633,17 @@ def _route_brickwork(ports: int, mate: Sequence[int], counter: OpCounter | None 
 
 
 @functools.lru_cache(maxsize=1)
-def _brickwork_frame(ports: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
-                                           int, int, int, int]:
+def _brickwork_frame(ports: int) -> tuple[range, range, range, int, int, int, int]:
     """Frame N, kept for the last N as :func:`_chevron_windows` is: the
     lines, ``anti`` and ``diag`` (every line + col and line - col, halved),
     the switch count and the id constants ``base``, ``fall`` and ``rise``.
     Cell (col > 0, ``diag`` entry d) has id base + d + fall*col; fall and
-    rise are the id strides along a diagonal and an anti-diagonal."""
+    rise are the id strides along a diagonal and an anti-diagonal.  Halved,
+    the sums N/2 % 2, N/2 % 2 + 2, ... below N + N/2 and the differences
+    -N/2, -N/2 + 2, ... below N are each a run of consecutive ints."""
     half0 = ports // 2
-    return (tuple(range(ports)),
-            tuple(x >> 1 for x in range(half0 % 2, ports + half0, 2)),
-            tuple(x >> 1 for x in range(-half0, ports, 2)),
+    return (range(ports), range(len(range(half0 % 2, ports + half0, 2))),
+            range(-half0 >> 1, (-half0 >> 1) + len(range(-half0, ports, 2))),
             optimal_switch_count(ports), ports // 4 - half0 + half0 % 2, half0, half0 - 1)
 
 
@@ -662,7 +671,7 @@ def _exhaustive_brickwork(ports: int, size: int) -> _Chunks:
     node copies its frame's lists and state bytes for the levels below."""
     lines, anti, diag, count, base, fall, rise = _brickwork_frame(ports)
     rows, runs = _brickwork_rows(ports), [_ONES[:run] for run in range(ports)]
-    mate, result, tables, plans = [0] * ports, [0] * ports, [], []
+    mate, result, tables, plans = bytearray(ports), bytearray(ports), [], []
 
     def walk(photons: list[int], frame_out: list[int], anti: list[int], diag: list[int],
              states: bytearray) -> _Chunks:
@@ -697,8 +706,8 @@ def _exhaustive_brickwork(ports: int, size: int) -> _Chunks:
                 a, b = rest
                 mate[a], mate[b] = b, a
                 result[frame_out[0]], result[frame_out[1]] = a, b
-            tables.append(tuple(mate))
-            plans.append((cut, tuple(result)))
+            tables.append(bytes(mate))
+            plans.append((cut, bytes(result)))
             if len(tables) == size:
                 yield tables[:], plans[:]
                 del tables[:], plans[:]
@@ -730,7 +739,8 @@ _EXHAUSTIVE = {
 }
 """Each design's exhaustive run on checked ports, ``(ports, size) ->
 (tables, plans), ...``, every chunk but the last of ``size``: each partner
-table of N once, as a tuple, with the plan ``_CORES[design]`` routes for it."""
+table of N once, with the plan ``_CORES[design]`` routes for it.  A table
+and a plan's output lines are ``bytes``, one id a byte (N <= 16 here)."""
 
 
 def route(design: Design | str, ports: int, demand: PairList,

@@ -102,40 +102,25 @@ def check_pairing(perm: Sequence[int], demand: PairList) -> PairingReport:
 
 
 # ---------------------------------------------------------------------------
-# Bit-sliced lanes: many plans or switch configurations in one pass
+# Bit-sliced lanes: switch configurations for brute force
 # ---------------------------------------------------------------------------
 # A lane is one bit of every Python int (Biham, FSE 1997).  Each line holds
-# the bit planes of its photon's id, of that photon's mate and of its depth
-# counter; a switch swaps its two lines' planes in the lanes of its Cross
-# mask.  Lane k of a chunk is bit k, so the lowest set bit is the first lane.
+# the bit planes of its photon's id and of that photon's mate; a switch
+# swaps its two lines' planes in the lanes of its Cross mask.  Lane k is
+# bit k, so the lowest set bit is the first lane.
 
-_MASK_DIGITS = b"0" + b"1" * 255  # any nonzero state byte reads as Cross
-_PLANE_DIGITS = tuple(bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8))
-
-
-def _lane_start(full: int, mates: list[list[int]], depth_bits: int) -> list[list[int]]:
-    """Per line p: the planes of photon p, of its mate and a zero depth."""
+def _lane_start(full: int, mates: list[list[int]]) -> list[list[int]]:
+    """Per line p: the planes of photon p and of its mate."""
     ids = range(len(mates[0]))
-    return [[full if p >> b & 1 else 0 for b in ids] + mate + [0] * depth_bits
-            for p, mate in enumerate(mates)]
+    return [[full if p >> b & 1 else 0 for b in ids] + mate for p, mate in enumerate(mates)]
 
 
 def _lane_kernel(lines: Sequence[int], masks: Sequence[int], full: int,
-                 state: list[list[int]], depth_bits: int) -> None:
+                 state: list[list[int]]) -> None:
     """Apply switch k (upper line ``lines[k]``) to every lane of ``state``,
-    crossing in the lanes set in ``masks[k]``; the last ``depth_bits``
-    planes of each line count the switches its photon passed."""
-    counter = range(len(state[0]) - depth_bits, len(state[0]))
+    crossing in the lanes set in ``masks[k]``."""
     for i, m in zip(lines, masks):
         a, b = state[i], state[i + 1]
-        for c in (a, b) if depth_bits else ():  # +1 in every lane, carry rippling up
-            carry = full
-            for x in counter:
-                v = c[x]
-                c[x] = v ^ carry
-                carry &= v
-                if not carry:
-                    break
         if m == full:
             state[i], state[i + 1] = b, a
         elif m:
@@ -144,58 +129,55 @@ def _lane_kernel(lines: Sequence[int], masks: Sequence[int], full: int,
             state[i + 1] = [q ^ u for q, u in zip(b, t)]
 
 
-def _lane_checks(state: list[list[int]], full: int, width: int,
-                 predicted: list[list[int]] | None, depth_bits: int) -> tuple[int, int, int, int]:
-    """Read the lanes after :func:`_lane_kernel`, ids ``width`` planes wide.
-
-    Returns the lanes whose permutation differs from ``predicted`` (None:
-    not checked), the lanes where the photon on line 2j+1 is not the mate
-    of the one on 2j, and the largest and smallest depth over the lanes
-    that pass both checks (0 and -1 when none does).
-    """
-    ids = range(width)
-    wrong_perm = wrong_pair = 0
-    for planes, want in zip(state, predicted or ()):
-        for x in ids:
-            wrong_perm |= planes[x] ^ want[x]
+def _unpaired_lanes(state: list[list[int]], width: int) -> int:
+    """The lanes where, after :func:`_lane_kernel`, the photon on line 2j+1
+    is not the mate of the one on 2j, ids ``width`` planes wide."""
+    wrong = 0
     for top, bottom in zip(state[::2], state[1::2]):
-        for x in ids:
-            wrong_pair |= top[width + x] ^ bottom[x]
-    ok = full & ~(wrong_perm | wrong_pair)
-    if not ok:
-        return wrong_perm, wrong_pair, 0, -1
-    counters = [planes[2 * width:] for planes in state]
-    extrema = []
-    for flip in (0, full):  # the largest depth, then the largest complement
-        live, value = [ok] * len(counters), 0
-        for x in reversed(range(depth_bits)):
-            hits = [lane & (c[x] ^ flip) for lane, c in zip(live, counters)]
-            if any(hits):
-                value |= 1 << x
-                live = hits
-        extrema.append(value)
-    return wrong_perm, wrong_pair, extrema[0], (1 << depth_bits) - 1 - extrema[1]
+        for x in range(width):
+            wrong |= top[width + x] ^ bottom[x]
+    return wrong
 
 
-def _id_planes(data: bytes, count: int, bits: int) -> list[list[int]]:
-    """Planes of id c of every row of :func:`_fields` bytes (row k in lane
-    k), for each c < ``count``."""
-    width = 1 if count <= 256 else 2
-    stride = width * count
-    out = []
-    for c in range(0, stride, width):
-        column = [data[c + w::stride][::-1] for w in range(width)]
-        out.append([int(column[b >> 3].translate(_PLANE_DIGITS[b & 7]), 2) for b in range(bits)])
+# ---------------------------------------------------------------------------
+# Byte fields: many plans in one pass, one int a line
+# ---------------------------------------------------------------------------
+# SIMD within a register (Lamport, CACM 1975): field k of an int holds plan
+# k's value, one byte up to N = 256 and two little-endian bytes above, so
+# the fields of every plan are strided slices of the plans' rows joined.
+
+_CROSS_BYTES = b"\x00" + b"\xff" * 255  # any nonzero state byte reads as Cross
+
+
+def _fields(rows: Sequence[Sequence[int]], ports: int) -> bytes:
+    """The rows' ids one after another, little-endian, one byte each up to
+    N = 256 and two above; with one-byte ids, rows of ``bytes`` are joined
+    as they are.  An id outside 0..N-1 raises ValueError (or OverflowError,
+    TypeError)."""
+    if ports > 256:
+        out = array("H", chain.from_iterable(rows))
+        if max(out) >= ports:
+            raise ValueError("id out of range")
+        if sys.byteorder == "big":
+            out.byteswap()
+        return bytes(out)
+    try:
+        out = b"".join(rows)  # byte rows as they are
+    except TypeError:  # a tuple row: each row made bytes
+        out = b"".join(map(bytes, rows))
+    if out.translate(None, bytes(range(ports))):  # a byte left is out of range
+        raise ValueError("id out of range")
     return out
 
 
 def _predicted(ports: int, count: int,
-               plans: Sequence[tuple[bytearray, tuple[int, ...]]]) -> bytes | None:
+               plans: Sequence[tuple[bytearray, Sequence[int]]]) -> bytes | None:
     """The plans' predicted permutations as :func:`_fields`, or None when a
-    plan is not one state byte per switch of ``count`` and a tuple of N ids
-    in range."""
-    if not all(type(states) is bytearray and len(states) == count and type(permuted) is tuple
-               and len(permuted) == ports for states, permuted in plans):
+    plan is not one state byte per switch of ``count`` and a tuple or
+    ``bytes`` of N ids in range."""
+    if not all(type(states) is bytearray and len(states) == count
+               and type(permuted) in (tuple, bytes) and len(permuted) == ports
+               for states, permuted in plans):
         return None
     try:
         return _fields([permuted for _, permuted in plans], ports)
@@ -205,30 +187,77 @@ def _predicted(ports: int, count: int,
 
 def _check_plans(
     net: Network, mates: Sequence[Sequence[int]],
-    plans: Sequence[tuple[bytearray, tuple[int, ...]]],
+    plans: Sequence[tuple[bytearray, Sequence[int]]],
 ) -> tuple[int, int, int] | None:
-    """Simulate and pair-check routed plans as lanes, plan k in lane k.
+    """Simulate and pair-check routed plans as byte fields, plan k in field k.
 
     Plan k is the state bytes and predicted permutation a routing core
-    returns for the partner table ``mates[k]``.  Returns the lanes that fail
-    (predicted permutation or pairing) and the largest and smallest depth
-    over the rest, or None when a plan is not one state byte per switch with
-    an in-range predicted permutation.  On a network from
+    returns for the partner table ``mates[k]``, each table and permutation
+    a tuple or, as :func:`_fields` reads them, ``bytes``.  Returns the
+    lanes that fail (predicted permutation or pairing) and the largest and
+    smallest depth over the rest (0 and -1 when none passes), or None when a
+    plan is not one state byte per switch with an in-range predicted
+    permutation.  On a network from
     :func:`~pairswitch.topology.build_network` a depth is at most N - 2.
+
+    Line p is one int of three parts of one field a plan: the photon on
+    the line, that photon's mate and its depth.  It starts as photon p, with
+    the slice of the joined partner tables that holds every plan's
+    ``mate[p]``.  Switch k adds 1 to both its lines' depths and swaps the
+    lines in the fields of its Cross mask, the slice of the joined state
+    bytes that holds every plan's byte k.
     """
     ports, count, lanes = net.ports, len(net.lines), len(plans)
-    bits, data = (ports - 1).bit_length(), _predicted(ports, count, plans)
-    if data is None:
+    predicted = _predicted(ports, count, plans)
+    if predicted is None:
         return None
-    predicted = _id_planes(data, ports, bits)
-    joined = b"".join(reversed([states for states, _ in plans])).translate(_MASK_DIGITS)
-    masks = [int(joined[k::count], 2) for k in range(count)]
-    mate_planes = _id_planes(_fields(mates, ports), ports, bits)
-    full, depth_bits = (1 << lanes) - 1, (ports - 2).bit_length()
-    state = _lane_start(full, mate_planes, depth_bits)
-    _lane_kernel(net.lines, masks, full, state, depth_bits)
-    wrong_perm, wrong_pair, high, low = _lane_checks(state, full, bits, predicted, depth_bits)
-    return wrong_perm | wrong_pair, high, low
+    width = 1 if ports <= 256 else 2
+    size = width * lanes  # the bytes in a part
+    shift, top = 8 * size, 16 * size  # where the mates and the depths start
+    ids = _fields(mates, ports)
+    crosses = b"".join([states for states, _ in plans]).translate(_CROSS_BYTES)
+    if width == 2:  # slices of two-byte items; a mask's two bytes are equal
+        ids, predicted = memoryview(ids).cast("H"), memoryview(predicted).cast("H")
+        crosses = memoryview(_two_byte(crosses, crosses)).cast("H")
+    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * lanes, "little")
+    deeper = ones << top
+    lines = [p * ones | int.from_bytes(ids[p::ports], "little") << shift for p in range(ports)]
+    for i, k in zip(net.lines, range(count)):
+        m = int.from_bytes(crosses[k::count], "little")
+        m |= m << shift | m << top
+        a = lines[i] + deeper
+        b = lines[i + 1] + deeper
+        t = (a ^ b) & m
+        lines[i] = a ^ t
+        lines[i + 1] = b ^ t
+    # a photon field differs where a photon is not the predicted one, or
+    # the photon on line 2j+1 is not the mate of the one on 2j
+    wrong = 0
+    for p, upper, lower in zip(range(0, ports, 2), lines[::2], lines[1::2]):
+        wrong |= (upper ^ int.from_bytes(predicted[p::ports], "little")
+                  | lower ^ int.from_bytes(predicted[p + 1::ports], "little")
+                  | upper >> shift ^ lower)
+    wrong &= (1 << shift) - 1
+    flagged = 0
+    if wrong:  # the lanes with a field that differs
+        wrong = wrong.to_bytes(size, "little")
+        flagged = sum(1 << k for k in range(lanes) if any(wrong[k * width : k * width + width]))
+    # line-major depth fields, plan k's fields k, k + lanes, ...
+    depths = b"".join([(line >> top).to_bytes(size, "little") for line in lines])
+    if flagged:
+        if flagged == (1 << lanes) - 1:
+            return flagged, 0, -1
+        fields = memoryview(depths).cast("BH"[width - 1])
+        depths = b"".join([fields[k::lanes].tobytes() for k in range(lanes)
+                           if not flagged >> k & 1])
+    if width == 1:  # each depth below N - 1 looked up from both ends, in C
+        seen = depths.__contains__
+        return (flagged, next(filter(seen, range(ports - 2, -1, -1))),
+                next(filter(seen, range(ports - 1))))
+    depths = array("H", depths)
+    if sys.byteorder == "big":
+        depths.byteswap()
+    return flagged, max(depths), min(depths)
 
 
 # ---------------------------------------------------------------------------
@@ -248,22 +277,6 @@ def _check_plans(
 # switch j of layer l in column l - 1 + j and an odd layer's tip in column
 # 2l - 1, so a chevron column converges on the middle lines from both
 # sides and may miss one line pair there.
-
-_CROSS_BYTES = b"\x00" + b"\xff" * 255  # any nonzero state byte reads as Cross
-
-
-def _fields(rows: Sequence[Sequence[int]], ports: int) -> bytes:
-    """The rows' ids one after another, little-endian, one byte each up to
-    N = 256 and two above; an id outside 0..N-1 raises ValueError (or
-    OverflowError, TypeError)."""
-    flat = chain.from_iterable(rows)
-    out = bytes(flat) if ports <= 256 else array("H", flat)
-    if out.translate(None, bytes(range(ports))) if ports <= 256 else max(out) >= ports:
-        raise ValueError("id out of range")  # with one-byte ids, a byte left is out of range
-    if ports > 256 and sys.byteorder == "big":
-        out.byteswap()
-    return bytes(out)
-
 
 class _Columns(NamedTuple):
     """A network as :func:`~pairswitch.topology.build_network` lays it out,
@@ -545,15 +558,15 @@ def brute_force_route(net: Network, demand: PairList) -> RoutingPlan | None:
     full = (1 << (1 << low)) - 1
     bits = (net.ports - 1).bit_length()
     start = _lane_start(full, [[full if m >> b & 1 else 0 for b in range(bits)]
-                               for m in demand.mate], 0)
+                               for m in demand.mate])
     # the low switches come first in traversal order: one pass for them all
-    _lane_kernel(net.lines[:low], _lane_patterns(low), full, start, 0)
+    _lane_kernel(net.lines[:low], _lane_patterns(low), full, start)
     high = net.lines[low:]
     for chunk in range(1 << (count - low)):
         state = list(start)  # a uniform mask only moves whole plane lists
         _lane_kernel(high, [full if chunk >> k & 1 else 0 for k in range(count - low)],
-                     full, state, 0)
-        ok = full & ~_lane_checks(state, full, bits, None, 0)[1]
+                     full, state)
+        ok = full & ~_unpaired_lanes(state, bits)
         if ok:
             assignment = chunk << low | (ok & -ok).bit_length() - 1
             states = StateVector(bytearray(assignment >> k & 1 for k in range(count)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
 from operator import and_
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BoundExceeded, InvalidInput, InvalidPorts
 
@@ -223,6 +223,13 @@ def validate_network(net: Network) -> ValidationReport:
     n = net.ports
     if not isinstance(n, int) or n < 2 or n % 2:
         violations.append(("ports", n, "ports must be an even integer >= 2"))
+        return ValidationReport(False, tuple(violations))
+    for name in ("lines", "layers", "cols"):
+        values = getattr(net, name)
+        # by type: a bool or a float is no switch index
+        if not isinstance(values, Sequence) or not all(type(v) is int for v in values):
+            violations.append((name, None, f"{name} {_shown(values)} are not a sequence of ints"))
+    if violations:
         return ValidationReport(False, tuple(violations))
 
     for i, line in enumerate(net.lines):

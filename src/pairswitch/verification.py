@@ -8,7 +8,7 @@ import sys
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import BoundExceeded, InvalidInput
 from .routing import _CORES, _EXHAUSTIVE, PairList, StateVector, _check_demand_ports
@@ -23,11 +23,12 @@ _CHUNK_STATE_BYTES = 1 << 22
 """A verify run routes demands in chunks of at most this many demands and
 state bytes, so the plans held at once stay small."""
 
-_LANES_PER_ID_BIT = 24
-"""A chunk of at least this many plans per bit of a photon id is checked as
-lanes of one bit-sliced pass, a smaller one as byte lanes.  24 keeps every
-exhaustive chunk from N = 8 on the pass; ``BENCH_triangular_columns.json``
-times the two on each side of it."""
+_FIELD_PASS_PLANS_PER_ID_BIT = 24
+"""A chunk of at least this many plans per bit of a photon id is checked on
+the byte-field pass (``simulation._check_plans``, one int a line), a smaller
+one on the column lanes (``simulation._check_bytes``, which need no
+network).  24 keeps every exhaustive chunk from N = 8 on the byte-field
+pass; ``BENCH_byte_fields.json`` times both passes on each side of it."""
 
 MAX_EXHAUSTIVE_PORTS = 16
 """Demand budget of an exhaustive run, whatever its cap: (N-1)!! demands,
@@ -221,9 +222,12 @@ def verify_design(
             net = build_network(design, ports)
         return net
 
-    def check_one(mate: tuple[int, ...], states: bytearray, permuted: tuple[int, ...]) -> None:
+    def check_one(mate: Sequence[int], states: bytearray, permuted: Sequence[int]) -> None:
+        """One plan alone, a walk's byte rows read back as tuples."""
         nonlocal max_depth, min_depth
-        demand = PairList._perfect(mate)
+        demand = PairList._perfect(tuple(mate))
+        if type(permuted) is bytes:
+            permuted = tuple(permuted)
         perm, depths = simulate(network(), StateVector(states))
         if perm != permuted:
             failures.append(
@@ -241,7 +245,7 @@ def verify_design(
 
     for chunk, plans in chunks:
         checked += len(chunk)
-        large = len(chunk) >= _LANES_PER_ID_BIT * (ports - 1).bit_length()
+        large = len(chunk) >= _FIELD_PASS_PLANS_PER_ID_BIT * (ports - 1).bit_length()
         if large:
             lanes = _check_plans(network(), chunk, plans)
         else:  # the column schedule needs no network

@@ -1,6 +1,6 @@
 """Property-based checks: demands are accepted exactly when they are perfect
 matchings, every router agrees with the simulator on drawn demands up to
-N = 256, plans survive the JSON wire format, the bit-sliced and byte lane
+N = 256, plans survive the JSON wire format, the byte-field and byte lane
 checks agree with the per-plan simulator, a reversed network inverts the
 permutation of any network it mirrors, and malformed documents and pair
 lists exit the command line with code 2 and no traceback."""
@@ -175,7 +175,7 @@ def _below_lanes(ports):
     """Chunk sizes from 2 to the last one verify checks as byte lanes at
     ``ports``.  Past N = 64 the per-plan reference costs milliseconds a
     plan, so the chunks drawn there stay small."""
-    top = verification._LANES_PER_ID_BIT * (ports - 1).bit_length() - 1
+    top = verification._FIELD_PASS_PLANS_PER_ID_BIT * (ports - 1).bit_length() - 1
     return st.integers(2, top if ports <= 64 else 6)
 
 
@@ -198,6 +198,47 @@ def test_byte_lanes_flag_what_the_per_plan_check_fails(design, chunk, seed, edit
     # every design steps columns, as verify steps them
     assert _check_bytes(_columns(design, ports), *_raw(demands, plans)) == \
         _per_plan(net, demands, plans)
+
+
+_FORMS = st.lists(st.sampled_from((tuple, bytes)), min_size=12, max_size=12)
+
+
+@SETTINGS
+@given(
+    design=st.sampled_from(Design),
+    ports=st.sampled_from([*range(2, 50, 2), 256, 258]),
+    lanes=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    edits=_EDITS,
+    forms=_FORMS,
+)
+@example(design=Design.BRICKWORK, ports=12, lanes=6, seed=1, edits=[(2, "flip"), (3, "swap")],
+         forms=[bytes] * 12)
+@example(design=Design.TRIANGULAR, ports=256, lanes=4, seed=2, edits=[(1, "pair")],
+         forms=[tuple, bytes] * 6)
+@example(design=Design.CHEVRON, ports=258, lanes=4, seed=3, edits=[(1, "255"), (2, "swap")],
+         forms=[bytes, tuple] * 6)
+def test_tuple_byte_and_mixed_rows_check_alike(design, ports, lanes, seed, edits, forms):
+    # both lane checks read a partner table or a prediction given as bytes
+    # as they read it given as a tuple: with tuple rows they agree, and with
+    # rows in the drawn forms (all bytes, all tuples or mixed) they give the
+    # same result.  Past N = 256 an id takes two bytes, so a row fits no
+    # bytes: a prediction given as bytes (its ids mod 256) fails its lane
+    # there, as the per-plan check fails it
+    net, demands, plans = _edited(design, ports, lanes, seed, edits)
+    mates, rows = _raw(demands, plans)
+    columns = _columns(design, ports)
+    want = _check_plans(net, mates, rows)
+    assert _check_bytes(columns, mates, rows) == want
+    tables, predictions = forms[:lanes], forms[6 : 6 + lanes]
+    if ports > 256:
+        rows = [(bits, bytes(x & 255 for x in permuted) if form is bytes else permuted)
+                for (bits, permuted), form in zip(rows, predictions)]
+        want = _per_plan(net, demands, [RoutingPlan(StateVector(b), p) for b, p in rows])
+    else:
+        mates = [form(mate) for mate, form in zip(mates, tables)]
+        rows = [(bits, form(permuted)) for (bits, permuted), form in zip(rows, predictions)]
+    assert _check_plans(net, mates, rows) == _check_bytes(columns, mates, rows) == want
 
 
 def test_byte_lanes_hold_ids_and_depths_up_to_n_minus_2_at_the_port_budget():

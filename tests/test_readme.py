@@ -43,7 +43,10 @@ ROOT = README.parent
 # row.
 _CHEVRON = "BENCH_chevron_columns.json"
 _FEW = ("boundaries", "few_plans")
-_BITS = ("boundaries", "lanes_per_id_bit")
+_FIELDS = "BENCH_byte_fields.json"
+_DISPATCH = ("dispatch",)  # the chunks at 24 plans per id bit, on the byte-field side
+_CHEVRON_AT_RULE = {"design": "chevron", "ports": 8, "plans": 72}
+_BRICKWORK_AT_RULE = {"design": "brickwork", "ports": 64, "plans": 144}
 _LARGE = ("large_n", "runs", "verify --design chevron --ports 2048 --samples 3", "medians")
 _SAMPLED = ("summary", "verify-sampled")
 VERIFY_FIGURES = [
@@ -63,10 +66,14 @@ VERIFY_FIGURES = [
      (*_FEW, {"design": "brickwork", "ports": 16, "plans": 1}, "ratio_with_build"), 2),
     ("x and {}x, so every design", _CHEVRON,
      (*_FEW, {"design": "brickwork", "ports": 2048, "plans": 1}, "ratio_with_build"), 3),
-    ("cost {}x the bit-sliced pass for chevron at N = 8", _CHEVRON,
-     (*_BITS, {"design": "chevron", "ports": 8, "per_id_bit": 24}, "ratio"), 2),
-    ("{}x for brickwork at N = 64", _CHEVRON,
-     (*_BITS, {"design": "brickwork", "ports": 64, "per_id_bit": 24}, "ratio"), 2),
+    ("column lanes take {}x the byte-field pass's time for chevron at N = 8", _FIELDS,
+     (*_DISPATCH, _CHEVRON_AT_RULE, "columns_ratio"), 2),
+    ("but {}x for brickwork at N = 64", _FIELDS,
+     (*_DISPATCH, _BRICKWORK_AT_RULE, "columns_ratio"), 2),
+    ("N = 64, {} ms against", _FIELDS, (*_DISPATCH, _BRICKWORK_AT_RULE, "column_lanes_ms"), 2),
+    ("against {} ms for 144 plans", _FIELDS, (*_DISPATCH, _BRICKWORK_AT_RULE, "byte_fields_ms"), 2),
+    ("replaced took {}x and", _FIELDS, (*_DISPATCH, _CHEVRON_AT_RULE, "bit_sliced_ratio"), 2),
+    ("and {}x its time there", _FIELDS, (*_DISPATCH, _BRICKWORK_AT_RULE, "bit_sliced_ratio"), 2),
     ("spends {} s in `cli.main`", _CHEVRON, (*_LARGE, "change", "main_s"), 3),
     ("against {} s at the parent commit", _CHEVRON, (*_LARGE, "parent", "main_s"), 2),
     ("peak RSS of {} against", _CHEVRON, (*_LARGE, "change", "peak_rss_mib"), 1),
@@ -104,10 +111,10 @@ ROUTING_FIGURES = [
     ("it replaced, and {}x,", _TRIES, (*_WALK, "triangular", "14", "ratio"), 2),
     (", {}x and", _TRIES, (*_WALK, "chevron", "14", "ratio"), 2),
     ("and {}x at N = 14 (`walk_ratios`", _TRIES, (*_WALK, "brickwork", "14", "ratio"), 2),
-    ("--exhaustive` checks about {} (triangular)", _TRIES,
+    ("--exhaustive` checks about {} (triangular)", _FIELDS,
      (*_EXHAUSTIVE, "demands_per_s.triangular", "change_median"), -2),
-    ("{} (chevron) and", _TRIES, (*_EXHAUSTIVE, "demands_per_s.chevron", "change_median"), -2),
-    ("and {} (brickwork) demands/s", _TRIES,
+    ("{} (chevron) and", _FIELDS, (*_EXHAUSTIVE, "demands_per_s.chevron", "change_median"), -2),
+    ("and {} (brickwork) demands/s", _FIELDS,
      (*_EXHAUSTIVE, "demands_per_s.brickwork", "change_median"), -2),
 ]
 

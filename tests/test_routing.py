@@ -200,7 +200,8 @@ def test_shared_inner_windows_give_the_plans_of_the_loop():
     # its N - 1 outer variants: each of them keeps the inner plan's state
     # bytes as its first S(N-2), its outer pair folded inward gives the
     # inner table, and the plans are the loop's, byte for byte, for every
-    # N <= 12 (chunks of 1024 and of 7, fewer than N - 1 variants)
+    # N <= 12 (chunks of 1024 and of 7, fewer than N - 1 variants), its
+    # tables and output lines as bytes
     core = routing._route_chevron
     for ports in range(4, 13, 2):
         inner = {table: plan for tables, plans in routing._exhaustive_chevron(ports - 2, 1024)
@@ -209,13 +210,14 @@ def test_shared_inner_windows_give_the_plans_of_the_loop():
         for size in (1024, 7):
             seen = 0
             for tables, plans in routing._exhaustive_chevron(ports, size):
-                assert plans == [core(ports, table) for table in tables]
+                assert [(states, tuple(lines)) for states, lines in plans] == [
+                    core(ports, table) for table in tables]
                 for mate, (states, _) in zip(tables, plans):
                     folded = list(mate)
                     top, bot = folded[0], folded[-1]
                     if top != ports - 1:
                         folded[top], folded[bot] = bot, top
-                    inner_states, _ = inner[tuple(x - 1 for x in folded[1:-1])]
+                    inner_states, _ = inner[bytes(x - 1 for x in folded[1:-1])]
                     assert states[:count] == inner_states
                 seen += len(tables)
             assert seen == len(inner) * (ports - 1) == double_factorial(ports - 1)
@@ -423,14 +425,34 @@ def test_the_per_n_memos_hold_one_entry_and_little_memory():
     assert [memo.cache_info()[1:] for memo in _MEMOS] == [(2, 1, 1)] * 2  # misses, maxsize, size
 
 
+def test_the_brickwork_frame_is_its_halved_sums_and_differences():
+    # the frame's lines, anti and diag are ranges equal to the tuples built
+    # entry by entry: every line, and every line + col and line - col halved
+    for ports in [*range(2, 257, 2), 1024, 2048]:
+        half0 = ports // 2
+        lines, anti, diag, *constants = routing._brickwork_frame(ports)
+        assert all(type(v) is range for v in (lines, anti, diag))
+        assert (tuple(lines), tuple(anti), tuple(diag)) == (
+            tuple(range(ports)),
+            tuple(x >> 1 for x in range(half0 % 2, ports + half0, 2)),
+            tuple(x >> 1 for x in range(-half0, ports, 2)))
+        assert constants == [optimal_switch_count(ports), ports // 4 - half0 + half0 % 2,
+                             half0, half0 - 1]
+
+
 @pytest.mark.parametrize("design", list(Design))
 def test_an_exhaustive_walk_routes_every_demand_as_its_core(design):
     # every demand of each even N <= 12, in chunks of 1024 and of 7: every
-    # partner table once, as a tuple, the tables _mate_tables enumerates,
-    # each with the core's state bytes and output lines, and every chunk
-    # but the last full.  At N = 14 the walk yields all 135,135 tables, and
-    # 3,000 seeded ones and the worst case get the core's plans
-    walk, core = routing._EXHAUSTIVE[design], _CORES[design]
+    # partner table once, as bytes, the tables _mate_tables enumerates,
+    # each with the core's state bytes and output lines (as bytes), and
+    # every chunk but the last full.  At N = 14 the walk yields all 135,135
+    # tables, and 3,000 seeded ones and the worst case get the core's plans
+    walk = routing._EXHAUSTIVE[design]
+
+    def core(ports, table):
+        states, lines = _CORES[design](ports, table)
+        return states, bytes(lines)
+
     for ports in range(2, 13, 2):
         for size in (1024, 7):
             sizes, got = [], {}
@@ -439,14 +461,14 @@ def test_an_exhaustive_walk_routes_every_demand_as_its_core(design):
                 assert len(plans) == len(tables)
                 got.update(zip(tables, plans))
             assert sizes[:-1] == [size] * (len(sizes) - 1) and 0 < sizes[-1] <= size
-            assert sum(sizes) == len(got) and sorted(got) == sorted(_mate_tables(ports))
-            assert all(type(table) is tuple and type(states) is bytearray and type(lines) is tuple
+            tables = list(map(bytes, _mate_tables(ports)))
+            assert sum(sizes) == len(got) and sorted(got) == sorted(tables)
+            assert all(type(table) is bytes and type(states) is bytearray and type(lines) is bytes
                        for table, (states, lines) in got.items())
-            assert [got[table] for table in _mate_tables(ports)] == [
-                core(ports, table) for table in _mate_tables(ports)]
+            assert [got[table] for table in tables] == [core(ports, table) for table in tables]
     rng = random.Random(f"walk:{design.value}")
-    sampled = {random_pair_list(14, rng).mate for _ in range(3000)}
-    sampled.add(worst_case_pair_list(14).mate)
+    sampled = {bytes(random_pair_list(14, rng).mate) for _ in range(3000)}
+    sampled.add(bytes(worst_case_pair_list(14).mate))
     count, got = 0, {}
     for tables, plans in walk(14, 1024):
         count += len(tables)
@@ -483,6 +505,44 @@ def test_route_rejects_an_unknown_design_as_before(design):
         route(design, 4, pl("0-3,1-2"))
     assert type(excinfo.value) is InvalidInput
     assert str(excinfo.value) == f"{design!r} is not a valid Design"
+
+
+_ROUTERS = {
+    "route": lambda demand, counter: route(Design.CHEVRON, 4, demand, counter),
+    "route_triangular": lambda demand, counter: route_triangular(4, demand, counter),
+    "route_chevron": lambda demand, counter: route_chevron(4, demand, counter),
+    "route_brickwork": lambda demand, counter: route_brickwork(4, demand, counter),
+}
+_BAD_DEMANDS = [  # demand, message
+    (None, "demand None is not a PairList"),
+    ("0-3,1-2", "demand '0-3,1-2' is not a PairList"),
+    (((0, 3), (1, 2)), "demand ((0, 3), (1, 2)) is not a PairList"),
+    ([(0, 3)] * 20, f"demand {[(0, 3)] * 20!r:.60} is not a PairList"),
+]
+_BAD_COUNTERS = [  # counter, message
+    (3, "counter 3 is not an OpCounter"),
+    ("x" * 80, f"counter {'x' * 80!r:.60} is not an OpCounter"),
+    (OpCounter, f"counter {OpCounter!r:.60} is not an OpCounter"),
+    ([], "counter [] is not an OpCounter"),
+]
+
+
+@pytest.mark.parametrize("call, demand, counter, error, message", [
+    *[(name, demand, None, InvalidDemand, message)
+      for name in [*_ROUTERS, "brute_force_route"] for demand, message in _BAD_DEMANDS],
+    *[(name, pl("0-3,1-2"), counter, InvalidInput, message)
+      for name in _ROUTERS for counter, message in _BAD_COUNTERS],
+])
+def test_routers_reject_a_demand_or_counter_of_the_wrong_type(call, demand, counter, error,
+                                                              message):
+    # a typed error naming the argument, its repr cut to 60 characters;
+    # brute force takes no counter
+    with pytest.raises(error) as excinfo:
+        if call == "brute_force_route":
+            brute_force_route(build_network(Design.TRIANGULAR, 4), demand)
+        else:
+            _ROUTERS[call](demand, counter)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------

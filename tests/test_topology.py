@@ -414,6 +414,17 @@ def test_validate_reports_what_is_no_network_and_never_raises(net):
     assert report.violations == (("network", None, f"{net!r:.60} is not a Network"),)
 
 
+@pytest.mark.parametrize("values", [None, "0101", [1.5], [True, False], 7])
+@pytest.mark.parametrize("name", ["lines", "layers", "cols"])
+def test_validate_reports_an_array_of_no_ints_and_never_raises(name, values):
+    # an array that is no sequence, or holds a str, float or bool, is one
+    # violation naming it, where iterating or comparing it would raise
+    net = replace(build_network("triangular", 4), **{name: values})
+    report = validate_network(net)
+    assert not report.ok
+    assert report.violations == ((name, None, f"{name} {values!r:.60} are not a sequence of ints"),)
+
+
 @pytest.mark.parametrize("design", ["bogus", None, 3, ["triangular"]])
 @pytest.mark.parametrize("call", [
     lambda design: build_network(design, 4),

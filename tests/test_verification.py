@@ -413,7 +413,7 @@ def test_verify_output_matches_golden_digest(argv, digest):
 # sha256 over report_to_json of every exhaustive run at N = 2..10, then of
 # random runs (seed N) at every even N = 2..64 with 1, 2, 3, 5 and 17
 # samples: chunks on every path, a plan alone, byte lanes and the
-# bit-sliced pass, and on both sides of each boundary between them.
+# byte-field pass, and on both sides of each boundary between them.
 GOLDEN_REPORT_SHA256 = {
     Design.TRIANGULAR: "65abb8a1f35aa4f15f9f9a113bc6107b629dc41a5fe3c37051c1d89635a40a22",
     Design.CHEVRON: "9e36577822b2fa5347de6a01ab27d55674e9384a81add75ab9483a7e31abc20b",
@@ -440,9 +440,10 @@ def _corrupting_route(monkeypatch, targets):
     is corrupted as ``targets[k]`` says, k counting a random run's samples
     in their order, which the design's core routes, and an exhaustive run's
     demands in enumerate_pair_lists' order, which the design's exhaustive
-    walk routes in its own.  ("flip", i) flips switch i; ("perm", i) swaps
-    predicted entries i and i + 2; ("pair", i) flips switch i and predicts
-    what the simulator then gives, so only the pairing fails."""
+    walk routes in its own, its tables and output lines as bytes.  ("flip",
+    i) flips switch i; ("perm", i) swaps predicted entries i and i + 2;
+    ("pair", i) flips switch i and predicts what the simulator then gives,
+    so only the pairing fails.  A corrupted prediction keeps its row's type."""
     from pairswitch import build_network, simulate
     from pairswitch.routing import _CORES, _EXHAUSTIVE, StateVector
 
@@ -454,13 +455,14 @@ def _corrupting_route(monkeypatch, targets):
                 continue
             how, i = target
             states, permuted = bytearray(plans[k][0]), list(plans[k][1])
+            row = type(plans[k][1])  # a core's tuple or a walk's bytes
             if how == "perm":
                 permuted[i], permuted[i + 2] = permuted[i + 2], permuted[i]
             else:
                 states[i] ^= 1
                 if how == "pair":
                     permuted = simulate(build_network(design, ports), StateVector(states))[0]
-            plans[k] = states, tuple(permuted)
+            plans[k] = states, row(permuted)
 
     def corrupting(design, original):
         def core(ports, mate, *rest):
@@ -472,7 +474,7 @@ def _corrupting_route(monkeypatch, targets):
 
     def corrupting_walk(design, original):
         def walk(ports, size):
-            order = {mate: k for k, mate in enumerate(_mate_tables(ports))}
+            order = {bytes(mate): k for k, mate in enumerate(_mate_tables(ports))}
             for tables, plans in original(ports, size):
                 corrupt(design, ports, map(order.__getitem__, tables), plans)
                 yield tables, plans
@@ -633,7 +635,7 @@ def test_exhaustive_walks_are_never_reached_by_random_mode_and_stream_at_n_16(mo
     for design in Design:
         monkeypatch.setitem(routing._EXHAUSTIVE, design, refuse)
     for ports in (4, 8, 12, 14, 16):
-        # 1100 samples: a chunk on the bit-sliced pass and one on byte lanes
+        # 1100 samples: a chunk on the byte-field pass and one on byte lanes
         assert verify_design(Design.CHEVRON, ports, "random", samples=1100, seed=ports).passed
         assert route_chevron(ports, worst_case_pair_list(ports)).states
     monkeypatch.undo()
@@ -656,7 +658,7 @@ def test_exhaustive_walks_are_never_reached_by_random_mode_and_stream_at_n_16(mo
 
 
 @pytest.mark.parametrize("ports, kwargs, demands", [
-    (8, dict(mode="exhaustive"), 105),  # the bit-sliced pass
+    (8, dict(mode="exhaustive"), 105),  # the byte-field pass
     (6, dict(mode="exhaustive"), 15),  # byte lanes
     (16, dict(mode="random", samples=5, seed=1), 5),
 ])
@@ -695,11 +697,11 @@ def _recorded_paths(monkeypatch):
 
 def test_each_chunk_size_takes_its_path(monkeypatch):
     # every design's byte lanes step by columns and take every chunk below
-    # the bit-sliced threshold, one plan too, in one pass for the whole
-    # chunk; from it on: the bit-sliced pass.  At N = 2 brickwork's only
+    # the byte-field threshold, one plan too, in one pass for the whole
+    # chunk; from it on: the byte-field pass.  At N = 2 brickwork's only
     # column is empty and chevron and triangular have none
     paths = _recorded_paths(monkeypatch)
-    threshold = verification._LANES_PER_ID_BIT * 5  # 5 id bits at N = 18
+    threshold = verification._FIELD_PASS_PLANS_PER_ID_BIT * 5  # 5 id bits at N = 18
     for design in Design:
         for ports, samples, want in [
             (2, 1, [("_check_bytes", 1)]),
@@ -716,7 +718,7 @@ def test_each_chunk_size_takes_its_path(monkeypatch):
             report = verify_design(design, ports, "random", samples=samples, seed=5)
             assert report.passed and report.demands_checked == samples
             assert paths == want, (design, ports, samples)
-        # exhaustively: N = 2, 4 and 6 as byte lanes, N >= 8 on the bit-sliced pass
+        # exhaustively: N = 2, 4 and 6 as byte lanes, N >= 8 on the byte-field pass
         for ports, want in [(2, ("_check_bytes", 1)), (4, ("_check_bytes", 3)),
                             (6, ("_check_bytes", 15)), (8, ("_check_plans", 105))]:
             paths.clear()
