@@ -7,7 +7,7 @@ from typing import Mapping
 
 from .errors import BoundExceeded, InvalidInput
 from .routing import _BIT_OF_BYTE, StateVector, _check_states
-from .topology import Network, State
+from .topology import Network, State, _check_network
 
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#59a14f", "#e15759",
@@ -94,6 +94,7 @@ def render_ascii(net: Network, states: Mapping[int, State] | None = None) -> str
 
     Glyphs: ``X`` Cross, ``=`` Bar, ``?`` unset.
     """
+    _check_network(net)
     ncols = max(_columns(net), 1)
     _check_cells(net.ports, ncols)
     # even text rows are photon lines, odd rows the gaps between them
@@ -148,6 +149,7 @@ def render_svg(
     """SVG 1.1 document: horizontal photon lines, one rectangle per switch
     spanning its two lines (colored per layer), semicircles for the output
     pair analyzers, and optional highlighted photon paths."""
+    _check_network(net)
     opt = options or RenderOptions()
     s = opt.scale
     ncols = _columns(net)

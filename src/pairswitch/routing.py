@@ -268,8 +268,70 @@ def _route_triangular(ports: int, mate: Sequence[int], counter: OpCounter | None
     return states, tuple(permuted)
 
 
-# an exhaustive run's chunks: partner tables and their plans, ids as bytes
-_Chunks = Iterator[tuple[list[bytes], list[tuple[bytearray, bytes]]]]
+# an exhaustive run's chunks: the partner tables, the state bytes and the
+# output lines of its demands, each joined in the run's order, one id a byte
+_Chunks = Iterator[tuple[bytes, bytes, bytes]]
+
+
+def _chunked(blocks: Iterable[tuple[bytes, bytes, bytes]], ports: int, size: int) -> _Chunks:
+    """The joined rows of ``blocks``, each block a run of demands as a
+    chunk holds them, rejoined in chunks of ``size`` demands but the last."""
+    widths = ports, optimal_switch_count(ports), ports  # bytes a demand
+    joined = bytearray(), bytearray(), bytearray()
+    for block in blocks:
+        for rows, more in zip(joined, block):
+            rows += more
+        while len(joined[0]) >= size * ports:
+            yield tuple(bytes(rows[: size * width]) for rows, width in zip(joined, widths))
+            for rows, width in zip(joined, widths):
+                del rows[: size * width]
+    if joined[0]:
+        yield tuple(map(bytes, joined))
+
+
+_Block = tuple[int, list[bytes], list[bytes], list[bytes]]
+
+
+def _stamp(block: _Block, photons: Sequence[int], mate: bytearray, states: bytearray,
+           lines: bytearray) -> tuple[bytearray, bytearray, bytearray]:
+    """The joined rows of every demand of ``block`` below a trie node: the
+    node's rows ``mate``, ``states`` and ``lines`` repeated, the block's
+    columns written over the entries of its photons, its last switch ids
+    and its lines.  A block is its demand count, then one column a rank (its
+    partner), a switch and a line (its photon), one byte a demand, ranks
+    labelling ``photons`` in order."""
+    count, mates, bits, outs = block
+    label = bytes(photons).ljust(256, b"\x00")  # rank -> photon, a translate table
+    ports, total = len(mate), len(states)
+    tables, cut, put = mate * count, states * count, lines * count
+    for photon, column in zip(photons, mates):
+        tables[photon::ports] = column.translate(label)
+    for k, column in enumerate(bits, total - len(bits)):
+        cut[k::total] = column
+    for line, column in enumerate(outs):
+        put[line::ports] = column.translate(label)
+    return tables, cut, put
+
+
+@functools.lru_cache(maxsize=None)
+def _triangular_block(ports: int) -> _Block:
+    """Every demand of the triangular network at N <= 8 with its plan, as
+    :func:`_stamp` reads a block: frame N's partner ranks, each with frame
+    N-2's block below it."""
+    if ports == 2:
+        rows = [(b"\x01\x00", b"", b"\x00\x01")]
+    else:
+        below, rows = _triangular_block(ports - 2), []
+        for i in range(ports - 1):
+            mate, lines = bytearray(ports), bytearray(ports)
+            mate[i], mate[-1], lines[-2], lines[-1] = ports - 1, i, i, ports - 1
+            states = bytearray(i) + _ONES[: ports - 2 - i] + bytes(optimal_switch_count(ports - 2))
+            rows.append(_stamp(below, [*range(i), *range(i + 1, ports - 1)], mate, states, lines))
+    mates, states, lines = map(b"".join, zip(*rows))
+    count = len(mates) // ports
+    total = len(states) // count
+    return (count, [mates[p::ports] for p in range(ports)],
+            [states[k::total] for k in range(total)], [lines[p::ports] for p in range(ports)])
 
 
 def _exhaustive_triangular(ports: int, size: int) -> _Chunks:
@@ -277,39 +339,31 @@ def _exhaustive_triangular(ports: int, size: int) -> _Chunks:
     walk of the partner-rank trie (Knuth, TAOCP Vol. 4B, 7.2.2), each level
     one layer of :func:`_route_triangular`, its bytes a row per frame size
     and rank.  Each prefix is written once for every demand below it, each
-    level rewriting its own entries of the shared byte rows, and a leaf
-    copies them."""
+    level rewriting its own entries of the node's rows.  The levels from
+    frame 8 down are one block of 105 demands, which each node of frame 8
+    stamps below its rows (:func:`_stamp`); up to N = 8 the run is a block."""
+    frame = min(ports, 8)
+    block = _triangular_block(frame)
     rows = {(n, i): bytearray(i) + _ONES[: n - 2 - i]
-            for n in range(2, ports + 1, 2) for i in range(n - 1)}
-    mate, permuted = bytearray(ports), bytearray(ports)  # a leaf's rows, copied as bytes
+            for n in range(frame + 2, ports + 1, 2) for i in range(n - 1)}
+    mate, lines = bytearray(ports), bytearray(ports)
     states = bytearray(optimal_switch_count(ports))
-    tables, plans = [], []
 
-    def walk(photons: list[int], first: int) -> _Chunks:
+    def walk(photons: list[int], first: int) -> Iterator[tuple[bytearray, bytearray, bytearray]]:
         n, bottom = len(photons), photons[-1]
+        if n == frame:
+            yield _stamp(block, photons, mate, states, lines)
+            return
         end = first + n - 2
-        permuted[n - 1] = bottom
+        lines[n - 1] = bottom
         for i in range(n - 1):
             partner = photons[i]
             mate[bottom], mate[partner] = partner, bottom
             states[first:end] = rows[n, i]
-            permuted[n - 2] = partner
-            rest = photons[:i] + photons[i + 1 : -1]
-            if n > 4:
-                yield from walk(rest, end)
-                continue
-            if rest:  # frame 4 leaves two photons on lines 0 and 1, frame 2 none
-                a, b = permuted[0], permuted[1] = rest
-                mate[a], mate[b] = b, a
-            tables.append(bytes(mate))
-            plans.append((states[:], bytes(permuted)))
-            if len(tables) == size:
-                yield tables[:], plans[:]
-                del tables[:], plans[:]
+            lines[n - 2] = partner
+            yield from walk(photons[:i] + photons[i + 1 : -1], end)
 
-    yield from walk(list(range(ports)), 0)
-    if tables:
-        yield tables, plans
+    return _chunked(walk(list(range(ports)), 0), ports, size)
 
 
 # ---------------------------------------------------------------------------
@@ -428,47 +482,51 @@ def _exhaustive_chevron(ports: int, size: int) -> _Chunks:
     0 and N-1 with the two photons of one inner pair, in either order, each
     routing only the outer layer as :func:`_route_chevron`'s last window
     does."""
+    return _chunked(_chevron_blocks(ports, size), ports, size)
+
+
+def _chevron_blocks(ports: int, size: int) -> Iterator[tuple[bytearray, bytearray, bytearray]]:
+    """:func:`_exhaustive_chevron`'s demands, a block of N-1 for each inner
+    demand: its rows at N repeated, each copy but the first rewriting the
+    outer pair's entries."""
     if ports == 2:
-        yield [b"\x01\x00"], [(bytearray(), b"\x00\x01")]
+        yield b"\x01\x00", b"", b"\x00\x01"
         return
-    last, layer = ports - 1, ports // 2 - 1
-    first = optimal_switch_count(ports - 2)  # the outer layer's first id
+    last, layer, inner = ports - 1, ports // 2 - 1, ports - 2
+    first = optimal_switch_count(inner)  # the outer layer's first id
+    count = first + ports - 2
     mid = layer + (layer & 1)  # where the outer pair enters; inner lines above it keep their index
-    cross = _ONES[: ports - 2]
-    tables, plans = [], []
+    cross, ends = _ONES[: ports - 2], bytes((0, last))
     # each inner demand gives N-1 here, so inner chunks of size // (N-1)
     # keep about one chunk's plans across the fold's levels
-    for inner_tables, inner_plans in _exhaustive_chevron(ports - 2, max(1, size // last)):
-        for inner, (inner_states, inner_lines) in zip(inner_tables, inner_plans):
-            mate = bytearray((last,)) + inner.translate(_NEXT_ID) + b"\x00"
-            lines = bytearray(inner_lines.translate(_NEXT_ID))
-            lines[mid:mid] = (0, last)
-            where = sorted(range(ports), key=lines.__getitem__)  # photon -> its line
-            states = inner_states + cross
-            tables.append(bytes(mate))
-            plans.append((states, bytes(lines)))
+    for tables, states, lines in _exhaustive_chevron(inner, max(1, size // last)):
+        tables, lines = tables.translate(_NEXT_ID), lines.translate(_NEXT_ID)
+        for k, at in enumerate(range(0, len(tables), inner)):
+            mate = bytearray((last,)) + tables[at : at + inner] + b"\x00"
+            row = bytearray(lines[at : at + mid]) + ends + lines[at + mid : at + inner]
+            where = sorted(range(ports), key=row.__getitem__)  # photon -> its line
+            out = mate * last
+            cut = (bytearray(states[k * first : k * first + first]) + cross) * last
+            put = row * last
             for top_mate in range(1, last):
                 bot_mate = mate[top_mate]
-                out, cut, put = mate[:], states[:], lines[:]
-                out[0], out[top_mate], out[bot_mate], out[last] = top_mate, 0, last, bot_mate
+                t, s = top_mate * ports, top_mate * count + first
+                out[t], out[t + top_mate], out[t + bot_mate], out[t + last] = (
+                    top_mate, 0, last, bot_mate)
                 a, b = where[top_mate], where[bot_mate]  # adjacent, on one side of mid
                 lo = a if a < b else b
                 # _route_chevron's last window, with lo counted from the top
                 if lo < mid:
-                    cut[first + lo + 1 if lo + 1 < layer else first + 2 * layer - 1] = a > b
-                    cut[first + lo] = 0
-                    put[lo], put[lo + 1], put[mid], put[mid + 1] = 0, top_mate, bot_mate, last
+                    cut[s + lo + 1 if lo + 1 < layer else s + 2 * layer - 1] = a > b
+                    cut[s + lo] = 0
+                    put[t + lo], put[t + lo + 1], put[t + mid], put[t + mid + 1] = (
+                        0, top_mate, bot_mate, last)
                 else:
-                    cut[first + layer + ports - lo - 1] = a > b
-                    cut[first + layer + ports - lo - 2] = 0
-                    put[mid], put[mid + 1], put[lo], put[lo + 1] = 0, top_mate, bot_mate, last
-                tables.append(bytes(out))
-                plans.append((cut, bytes(put)))
-            while len(tables) >= size:
-                yield tables[:size], plans[:size]
-                del tables[:size], plans[:size]
-    if tables:
-        yield tables, plans
+                    cut[s + layer + ports - lo - 1] = a > b
+                    cut[s + layer + ports - lo - 2] = 0
+                    put[t + mid], put[t + mid + 1], put[t + lo], put[t + lo + 1] = (
+                        0, top_mate, bot_mate, last)
+            yield out, cut, put
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +727,11 @@ def _exhaustive_brickwork(ports: int, size: int) -> _Chunks:
     """:func:`_exhaustive_triangular`'s walk, each level one iteration of
     :func:`_route_brickwork`, its row from :func:`_brickwork_rows`; each trie
     node copies its frame's lists and state bytes for the levels below."""
-    lines, anti, diag, count, base, fall, rise = _brickwork_frame(ports)
+    frame, anti, diag, count, base, fall, rise = _brickwork_frame(ports)
     rows, runs = _brickwork_rows(ports), [_ONES[:run] for run in range(ports)]
-    mate, result, tables, plans = bytearray(ports), bytearray(ports), [], []
+    mate, result = bytearray(ports), bytearray(ports)
+    tables, bits, lines = bytearray(), bytearray(), bytearray()  # a chunk's joined rows
+    full = size * ports
 
     def walk(photons: list[int], frame_out: list[int], anti: list[int], diag: list[int],
              states: bytearray) -> _Chunks:
@@ -706,15 +766,16 @@ def _exhaustive_brickwork(ports: int, size: int) -> _Chunks:
                 a, b = rest
                 mate[a], mate[b] = b, a
                 result[frame_out[0]], result[frame_out[1]] = a, b
-            tables.append(bytes(mate))
-            plans.append((cut, bytes(result)))
-            if len(tables) == size:
-                yield tables[:], plans[:]
-                del tables[:], plans[:]
+            tables.extend(mate)
+            bits.extend(cut)
+            lines.extend(result)
+            if len(tables) == full:
+                yield bytes(tables), bytes(bits), bytes(lines)
+                del tables[:], bits[:], lines[:]
 
-    yield from walk(list(lines), list(lines), list(anti), list(diag), bytearray(count))
+    yield from walk(list(frame), list(frame), list(anti), list(diag), bytearray(count))
     if tables:
-        yield tables, plans
+        yield bytes(tables), bytes(bits), bytes(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +799,14 @@ _EXHAUSTIVE = {
     Design.BRICKWORK: _exhaustive_brickwork,
 }
 """Each design's exhaustive run on checked ports, ``(ports, size) ->
-(tables, plans), ...``, every chunk but the last of ``size``: each partner
-table of N once, with the plan ``_CORES[design]`` routes for it.  A table
-and a plan's output lines are ``bytes``, one id a byte (N <= 16 here)."""
+(tables, states, lines), ...``, every chunk but the last of ``size``
+demands: each partner table of N once, with the plan ``_CORES[design]``
+routes for it.  A chunk is three ``bytes``, each joining one row a demand
+in the run's order: the partner table (N bytes, one id a byte, N <= 16
+here), the state bytes (one a switch, 1 for Cross) and the output lines
+(N bytes).  No object is made a demand: triangular stamps a block of 105
+demands below each node of frame 8, chevron one of N-1 for each demand at
+N-2, and brickwork extends the rows a leaf at a time."""
 
 
 def route(design: Design | str, ports: int, demand: PairList,
@@ -762,6 +828,8 @@ def route(design: Design | str, ports: int, demand: PairList,
 
 def plan_to_json(plan: RoutingPlan) -> str:
     # json.dumps(indent=2) of the plan, the states rows formatted by hand
+    if not isinstance(plan, RoutingPlan):
+        raise InvalidInput(f"plan {_shown(plan)} is not a RoutingPlan")
     if isinstance(plan.states, StateVector):  # straight from the bytes, in id order
         rows = [f'"{i}": "{_NAME_OF_BYTE[b]}"' for i, b in enumerate(plan.states.bits)]
     else:  # a plan read from a document may be sparse

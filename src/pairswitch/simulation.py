@@ -13,8 +13,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BoundExceeded, IncompleteStates, InvalidInput
 from .routing import PairList, RoutingPlan, StateVector, _check_demand, _check_states
-from .topology import (Design, Network, State, _brickwork_columns, _chevron_layers,
-                       _triangular_layers, optimal_switch_count)
+from .topology import (Design, Network, State, _brickwork_columns, _check_network,
+                       _chevron_layers, _triangular_layers, optimal_switch_count)
 
 
 def _state_bits(states: Mapping[int, State], count: int) -> bytes:
@@ -51,6 +51,7 @@ def simulate(
     counts too), depths[photon].  One pass over every switch; nothing is
     kept on ``net``.
     """
+    _check_network(net)
     lines = list(range(net.ports))
     depths = [0] * net.ports
     for i, cross in zip(net.lines, _state_bits(states, len(net.lines))):
@@ -152,52 +153,76 @@ _CROSS_BYTES = b"\x00" + b"\xff" * 255  # any nonzero state byte reads as Cross
 def _fields(rows: Sequence[Sequence[int]], ports: int) -> bytes:
     """The rows' ids one after another, little-endian, one byte each up to
     N = 256 and two above; with one-byte ids, rows of ``bytes`` are joined
-    as they are.  An id outside 0..N-1 raises ValueError (or OverflowError,
-    TypeError)."""
+    as they are.  An id that does not fit its field raises ValueError (or
+    OverflowError, TypeError); :func:`_below` checks the range."""
     if ports > 256:
         out = array("H", chain.from_iterable(rows))
-        if max(out) >= ports:
-            raise ValueError("id out of range")
         if sys.byteorder == "big":
             out.byteswap()
         return bytes(out)
     try:
-        out = b"".join(rows)  # byte rows as they are
+        return b"".join(rows)  # byte rows as they are
     except TypeError:  # a tuple row: each row made bytes
-        out = b"".join(map(bytes, rows))
-    if out.translate(None, bytes(range(ports))):  # a byte left is out of range
-        raise ValueError("id out of range")
-    return out
+        return b"".join(map(bytes, rows))
+
+
+def _below(ids: bytes, ports: int) -> bool:
+    """Whether every id of ``ids``, laid out as :func:`_fields` lays them
+    out, is below N: one ``translate`` with one-byte ids."""
+    if ports <= 256:
+        return not ids.translate(None, bytes(range(ports)))
+    values = array("H", ids)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return max(values, default=0) < ports
 
 
 def _predicted(ports: int, count: int,
                plans: Sequence[tuple[bytearray, Sequence[int]]]) -> bytes | None:
     """The plans' predicted permutations as :func:`_fields`, or None when a
     plan is not one state byte per switch of ``count`` and a tuple or
-    ``bytes`` of N ids in range."""
+    ``bytes`` of N ids in range.  It checks each plan in turn, for the
+    sequences a core's plans come in; an exhaustive walk's joined rows skip
+    it for the O(1) length checks of :func:`_check_joined`."""
     if not all(type(states) is bytearray and len(states) == count
                and type(permuted) in (tuple, bytes) and len(permuted) == ports
                for states, permuted in plans):
         return None
     try:
-        return _fields([permuted for _, permuted in plans], ports)
+        predicted = _fields([permuted for _, permuted in plans], ports)
     except (TypeError, ValueError, OverflowError):
         return None
+    return predicted if _below(predicted, ports) else None
 
 
 def _check_plans(
     net: Network, mates: Sequence[Sequence[int]],
     plans: Sequence[tuple[bytearray, Sequence[int]]],
 ) -> tuple[int, int, int] | None:
+    """:func:`_check_joined` on routed plans given one at a time, plan k in
+    field k: ``mates[k]`` is a partner table and ``plans[k]`` the state
+    bytes and predicted permutation a routing core returns for it, each
+    table and permutation a tuple or, as :func:`_fields` reads them,
+    ``bytes``.  None when a plan is not one state byte per switch with an
+    in-range predicted permutation (:func:`_predicted`)."""
+    predicted = _predicted(net.ports, len(net.lines), plans)
+    if predicted is None:
+        return None
+    return _check_joined(net, _fields(mates, net.ports),
+                         b"".join([states for states, _ in plans]), predicted)
+
+
+def _check_joined(net: Network, tables: bytes, states: bytes,
+                  predicted: bytes) -> tuple[int, int, int] | None:
     """Simulate and pair-check routed plans as byte fields, plan k in field k.
 
-    Plan k is the state bytes and predicted permutation a routing core
-    returns for the partner table ``mates[k]``, each table and permutation
-    a tuple or, as :func:`_fields` reads them, ``bytes``.  Returns the
-    lanes that fail (predicted permutation or pairing) and the largest and
-    smallest depth over the rest (0 and -1 when none passes), or None when a
-    plan is not one state byte per switch with an in-range predicted
-    permutation.  On a network from
+    Each argument joins one row a plan, ids laid out as :func:`_fields`
+    lays them out: the partner tables, the state bytes (one a switch,
+    nonzero for Cross) and the predicted photon on each output line.
+    Returns the lanes that fail (predicted permutation or pairing) and the
+    largest and smallest depth over the rest (0 and -1 when none passes),
+    or None when the rows do not hold one whole number of plans, the same
+    in all three, or an id is out of range.  On a network from
     :func:`~pairswitch.topology.build_network` a depth is at most N - 2.
 
     Line p is one int of three parts of one field a plan: the photon on
@@ -207,21 +232,22 @@ def _check_plans(
     lines in the fields of its Cross mask, the slice of the joined state
     bytes that holds every plan's byte k.
     """
-    ports, count, lanes = net.ports, len(net.lines), len(plans)
-    predicted = _predicted(ports, count, plans)
-    if predicted is None:
-        return None
+    ports, count = net.ports, len(net.lines)
     width = 1 if ports <= 256 else 2
+    lanes = len(tables) // (width * ports)
     size = width * lanes  # the bytes in a part
+    if (len(tables) != size * ports or len(predicted) != size * ports
+            or len(states) != count * lanes or not _below(tables, ports)
+            or not _below(predicted, ports)):
+        return None
     shift, top = 8 * size, 16 * size  # where the mates and the depths start
-    ids = _fields(mates, ports)
-    crosses = b"".join([states for states, _ in plans]).translate(_CROSS_BYTES)
+    crosses = states.translate(_CROSS_BYTES)
     if width == 2:  # slices of two-byte items; a mask's two bytes are equal
-        ids, predicted = memoryview(ids).cast("H"), memoryview(predicted).cast("H")
+        tables, predicted = memoryview(tables).cast("H"), memoryview(predicted).cast("H")
         crosses = memoryview(_two_byte(crosses, crosses)).cast("H")
     ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * lanes, "little")
     deeper = ones << top
-    lines = [p * ones | int.from_bytes(ids[p::ports], "little") << shift for p in range(ports)]
+    lines = [p * ones | int.from_bytes(tables[p::ports], "little") << shift for p in range(ports)]
     for i, k in zip(net.lines, range(count)):
         m = int.from_bytes(crosses[k::count], "little")
         m |= m << shift | m << top
@@ -242,11 +268,11 @@ def _check_plans(
     if wrong:  # the lanes with a field that differs
         wrong = wrong.to_bytes(size, "little")
         flagged = sum(1 << k for k in range(lanes) if any(wrong[k * width : k * width + width]))
+    if flagged == (1 << lanes) - 1:  # no plan passes, or there is none
+        return flagged, 0, -1
     # line-major depth fields, plan k's fields k, k + lanes, ...
     depths = b"".join([(line >> top).to_bytes(size, "little") for line in lines])
     if flagged:
-        if flagged == (1 << lanes) - 1:
-            return flagged, 0, -1
         fields = memoryview(depths).cast("BH"[width - 1])
         depths = b"".join([fields[k::lanes].tobytes() for k in range(lanes)
                            if not flagged >> k & 1])
@@ -548,6 +574,7 @@ def brute_force_route(net: Network, demand: PairList) -> RoutingPlan | None:
     lane index's bits, the rest the chunk index's, so the lowest passing
     lane of the first chunk with one is the first assignment.
     """
+    _check_network(net)
     _check_demand(net.ports, demand)
     count = len(net.lines)
     if count > MAX_BRUTE_FORCE_SWITCHES:

@@ -69,7 +69,10 @@ class ValidationReport:
 
 
 def optimal_switch_count(ports: int) -> int:
-    """Number of switches every design uses for an N-port network."""
+    """Number of switches every design uses for an N-port network, for an
+    int N (no bool)."""
+    if type(ports) is not int and (isinstance(ports, bool) or not isinstance(ports, int)):
+        raise InvalidInput(f"ports must be an integer, got {_shown(ports)}")
     return ports * (ports - 2) // 4
 
 
@@ -86,6 +89,12 @@ def _shown(value: object) -> str:
         return f"{value!r:.60}"
     except ValueError:  # past sys.get_int_max_str_digits()
         return f"<{value.bit_length()}-bit int>"
+
+
+def _check_network(net: object) -> None:
+    """Refuse a net that is no :class:`Network`."""
+    if not isinstance(net, Network):
+        raise InvalidInput(f"net {_shown(net)} is not a Network")
 
 
 def _check_ports(ports: int, minimum: int = 2) -> None:
@@ -210,6 +219,7 @@ def reverse_network(net: Network) -> Network:
     """Mirror the traversal order, for operation with sources behind the
     former output side: adjacent input pairs are distributed to arbitrary
     output pairings."""
+    _check_network(net)
     max_col = max(net.cols, default=0)
     cols = array("i", [max_col - c for c in reversed(net.cols)])
     return Network(net.design, net.ports, net.lines[::-1], net.layers[::-1], cols, not net.reversed)
@@ -281,6 +291,7 @@ def _json_id(key: str) -> int:
 
 def network_to_json(net: Network) -> str:
     """Serialize with deterministic key and array order (byte-stable)."""
+    _check_network(net)
     doc = {
         "design": net.design.value,
         "ports": net.ports,

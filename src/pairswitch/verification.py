@@ -12,8 +12,8 @@ from typing import Iterator, Sequence
 
 from .errors import BoundExceeded, InvalidInput
 from .routing import _CORES, _EXHAUSTIVE, PairList, StateVector, _check_demand_ports
-from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_bytes, _check_plans, _columns,
-                         brute_force_route, check_pairing, simulate)
+from .simulation import (MAX_BRUTE_FORCE_SWITCHES, _check_bytes, _check_joined, _check_plans,
+                         _columns, brute_force_route, check_pairing, simulate)
 from .topology import (MAX_PORTS, Design, Network, _check_ports, _design, _shown,
                        build_network, optimal_switch_count)
 
@@ -25,10 +25,11 @@ state bytes, so the plans held at once stay small."""
 
 _FIELD_PASS_PLANS_PER_ID_BIT = 24
 """A chunk of at least this many plans per bit of a photon id is checked on
-the byte-field pass (``simulation._check_plans``, one int a line), a smaller
-one on the column lanes (``simulation._check_bytes``, which need no
-network).  24 keeps every exhaustive chunk from N = 8 on the byte-field
-pass; ``BENCH_byte_fields.json`` times both passes on each side of it."""
+the byte-field pass (``simulation._check_plans``, or ``_check_joined`` on an
+exhaustive walk's joined rows; one int a line), a smaller one on the column
+lanes (``simulation._check_bytes``, which need no network).  24 keeps every
+exhaustive chunk from N = 8 on the byte-field pass; ``BENCH_byte_fields.json``
+times both passes on each side of it."""
 
 MAX_EXHAUSTIVE_PORTS = 16
 """Demand budget of an exhaustive run, whatever its cap: (N-1)!! demands,
@@ -183,15 +184,16 @@ def verify_design(
 ) -> VerificationReport:
     """Route every demand (or a seeded sample), simulate, and check the
     paired egress; collect depth extrema across the routings that pass,
-    None when none does.  An exhaustive run takes its chunks of tables and
-    plans from the design's walk in ``routing._EXHAUSTIVE``, a random one
-    routes each sampled table through ``routing._CORES``."""
+    None when none does.  An exhaustive run takes its chunks of joined rows
+    from the design's walk in ``routing._EXHAUSTIVE``, a random one routes
+    each sampled table through ``routing._CORES``."""
     design = _design(design)
     _check_ports(ports)
     for name, value in (("cap", cap), ("seed", seed)):
         if type(value) is not int:  # a bool is neither
             raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    size = min(_CHUNK_DEMANDS, _CHUNK_STATE_BYTES // max(1, optimal_switch_count(ports)))
+    count = optimal_switch_count(ports)
+    size = min(_CHUNK_DEMANDS, _CHUNK_STATE_BYTES // max(1, count))
     if mode == "exhaustive":
         _check_exhaustive(ports, cap)
         chunks = _EXHAUSTIVE[design](ports, size)
@@ -222,12 +224,19 @@ def verify_design(
             net = build_network(design, ports)
         return net
 
+    def rows(tables: bytes, states: bytes, lines: bytes
+             ) -> tuple[list[bytes], list[tuple[bytearray, bytes]]]:
+        """A walk's joined chunk as a core's tables and plans, a row each."""
+        ends = range(ports, len(tables) + 1, ports)
+        return ([tables[end - ports : end] for end in ends],
+                [(bytearray(states[k * count : k * count + count]), lines[end - ports : end])
+                 for k, end in enumerate(ends)])
+
     def check_one(mate: Sequence[int], states: bytearray, permuted: Sequence[int]) -> None:
         """One plan alone, a walk's byte rows read back as tuples."""
         nonlocal max_depth, min_depth
         demand = PairList._perfect(tuple(mate))
-        if type(permuted) is bytes:
-            permuted = tuple(permuted)
+        permuted = tuple(permuted)
         perm, depths = simulate(network(), StateVector(states))
         if perm != permuted:
             failures.append(
@@ -243,20 +252,25 @@ def verify_design(
         max_depth = max(max_depth, max(depths))
         min_depth = min(min_depth, min(depths))
 
-    for chunk, plans in chunks:
-        checked += len(chunk)
-        large = len(chunk) >= _FIELD_PASS_PLANS_PER_ID_BIT * (ports - 1).bit_length()
-        if large:
-            lanes = _check_plans(network(), chunk, plans)
+    joined = mode == "exhaustive"
+    for chunk in chunks:
+        demands = len(chunk[0]) // ports if joined else len(chunk[0])
+        checked += demands
+        split = None if joined else chunk  # a row a demand, split from joined rows when read
+        if demands >= _FIELD_PASS_PLANS_PER_ID_BIT * (ports - 1).bit_length():
+            lanes = (_check_joined if joined else _check_plans)(network(), *chunk)
         else:  # the column schedule needs no network
             columns = columns or _columns(design, ports)
-            lanes = _check_bytes(columns, chunk, plans)
+            split = split or rows(*chunk)
+            lanes = _check_bytes(columns, *split)
         # without lanes every plan is checked alone; with them, only the
         # flagged ones, so that each failure is worded
-        flagged, high, low = lanes or ((1 << len(chunk)) - 1, 0, -1)
+        flagged, high, low = lanes or ((1 << demands) - 1, 0, -1)
+        if flagged:
+            tables, plans = split or rows(*chunk)
         while flagged:
             k = (flagged & -flagged).bit_length() - 1
-            check_one(chunk[k], *plans[k])
+            check_one(tables[k], *plans[k])
             flagged &= flagged - 1
         if low >= 0:
             max_depth = max(max_depth, high)

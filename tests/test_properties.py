@@ -36,7 +36,7 @@ from pairswitch import (
 from pairswitch import verification
 from pairswitch.cli import main
 from pairswitch.routing import StateVector
-from pairswitch.simulation import _check_bytes, _check_plans, _columns
+from pairswitch.simulation import _check_bytes, _check_joined, _check_plans, _columns
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -169,6 +169,84 @@ _EDITS = st.lists(st.tuples(st.integers(0, 10**6),
 def test_lane_check_flags_what_the_per_plan_check_fails(design, ports, lanes, seed, edits):
     net, demands, plans = _edited(design, ports, lanes, seed, edits)
     assert _check_plans(net, *_raw(demands, plans)) == _per_plan(net, demands, plans)
+
+
+@SETTINGS
+@given(
+    design=st.sampled_from(Design),
+    ports=st.integers(1, 32).map(lambda k: 2 * k),
+    lanes=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+    edits=_EDITS,
+)
+@example(design=Design.BRICKWORK, ports=2, lanes=3, seed=1, edits=[(0, "swap")])  # no switches
+@example(design=Design.CHEVRON, ports=12, lanes=40, seed=2,
+         edits=[(0, "flip"), (41, "pair"), (5, "swap"), (6, "255")])
+def test_the_joined_kernel_checks_as_the_front_door(design, ports, lanes, seed, edits):
+    # an exhaustive walk hands the byte-field pass its rows joined, and the
+    # pass then returns what it returns on the same plans given a row a
+    # plan, some lanes flipped, paired wrongly or predicting wrongly
+    net, demands, plans = _edited(design, ports, lanes, seed, edits)
+    mates, rows = _raw(demands, plans)
+    joined = (b"".join(map(bytes, mates)), b"".join(bits for bits, _ in rows),
+              b"".join(map(bytes, (permuted for _, permuted in rows))))
+    assert _check_joined(net, *joined) == _check_plans(net, mates, rows)
+
+
+class _Unstepped:
+    """Switch lines that count but may not be stepped through."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        raise AssertionError("a refused chunk was checked")
+
+
+@pytest.mark.parametrize("ports", [8, 258])
+def test_the_joined_kernel_refuses_an_id_out_of_range_or_a_wrong_length(ports):
+    # rows joined from 3 plans; the kernel checks them in one pass, and a
+    # chunk with an id past N - 1 or a buffer whose total length is no
+    # whole number of plans, or not the same number in all three, is
+    # refused (None) before a switch is stepped.  Past N = 256 an id takes
+    # two little-endian bytes
+    width = 1 if ports <= 256 else 2
+    net = build_network(Design.TRIANGULAR, ports)
+    demands = [random_pair_list(ports, random.Random(seed)) for seed in range(3)]
+    plans = [route(Design.TRIANGULAR, ports, demand) for demand in demands]
+    mates, rows = _raw(demands, plans)
+    ids = (lambda row: bytes(row)) if width == 1 else (
+        lambda row: b"".join(x.to_bytes(2, "little") for x in row))
+    tables = b"".join(map(ids, mates))
+    states = b"".join(bits for bits, _ in rows)
+    lines = b"".join(ids(permuted) for _, permuted in rows)
+    assert _check_joined(net, tables, states, lines) == _check_plans(net, mates, rows) == \
+        _per_plan(net, demands, plans)
+    assert _check_joined(net, b"", b"", b"") == (0, 0, -1)  # no plan: none fails, no depth
+    unstepped = Network(net.design, ports, _Unstepped(len(net.lines)), net.layers, net.cols)
+    past = ports.to_bytes(width, "little")  # photon N, one past the last
+    top = (256 ** width - 1).to_bytes(width, "little")
+    count, row = len(net.lines), width * ports
+    for bad in [
+        (past + tables[width:], states, lines),
+        (tables[:-width] + top, states, lines),
+        (tables, states, lines[:row] + past + lines[row + width :]),
+        (tables, states, top + lines[width:]),
+        (tables[:-1], states, lines),
+        (tables + b"\x00", states, lines),
+        (tables, states, lines[:-1]),
+        (tables, states, lines + b"\x00"),
+        (tables, states[:-1], lines),
+        (tables, states + b"\x00", lines),
+        (tables, states[:-count], lines),  # the states of two plans
+        (tables[:-row], states, lines[:-row]),  # the tables and lines of two
+        (tables + tables[:row], states, lines + lines[:row]),
+    ]:
+        assert _check_joined(unstepped, *bad) is None
+        assert _check_joined(net, *bad) is None
 
 
 def _below_lanes(ports):

@@ -93,6 +93,8 @@ _ROUTE_LARGE = ("summary", "route-large")
 _TRIES = "BENCH_exhaustive_tries.json"
 _WALK = ("walk_ratios",)
 _EXHAUSTIVE = ("summary", "verify-exhaustive")
+_JOINED = "BENCH_joined_walks.json"
+_WALKS = ("walks_ms",)
 ROUTING_FIGURES = [
     ("a route by {} (triangular)", _DELETION,
      (*_DOUBLING, "routing.triangular.doubling_ratio", "change"), 2),
@@ -105,16 +107,22 @@ ROUTING_FIGURES = [
     ("{} ms (chevron) and", _DELETION, (*_ROUTE_LARGE, "call_s.chevron", "change_median"), 2, 1000),
     ("{} ms (brickwork) (medians", _DELETION,
      (*_ROUTE_LARGE, "call_s.brickwork", "change_median"), 1, 1000),
-    ("N = 12 a walk takes {}x (triangular)", _TRIES, (*_WALK, "triangular", "12", "ratio"), 2),
+    ("N = 12 a walk took {}x (triangular)", _TRIES, (*_WALK, "triangular", "12", "ratio"), 2),
     ("{}x (chevron) and", _TRIES, (*_WALK, "chevron", "12", "ratio"), 2),
     ("and {}x (brickwork) the time", _TRIES, (*_WALK, "brickwork", "12", "ratio"), 2),
     ("it replaced, and {}x,", _TRIES, (*_WALK, "triangular", "14", "ratio"), 2),
     (", {}x and", _TRIES, (*_WALK, "chevron", "14", "ratio"), 2),
     ("and {}x at N = 14 (`walk_ratios`", _TRIES, (*_WALK, "brickwork", "14", "ratio"), 2),
-    ("--exhaustive` checks about {} (triangular)", _FIELDS,
+    ("a walk now takes {} ms (triangular)", _JOINED, (*_WALKS, "change", "triangular 12"), 2),
+    ("{} ms (chevron) and", _JOINED, (*_WALKS, "change", "chevron 12"), 2),
+    ("{} ms (brickwork), against", _JOINED, (*_WALKS, "change", "brickwork 12"), 2),
+    ("against {}, ", _JOINED, (*_WALKS, "parent", "triangular 12"), 2),
+    (", {} and", _JOINED, (*_WALKS, "parent", "chevron 12"), 2),
+    ("and {} ms for the walk and the joins", _JOINED, (*_WALKS, "parent", "brickwork 12"), 2),
+    ("--exhaustive` checks about {} (triangular)", _JOINED,
      (*_EXHAUSTIVE, "demands_per_s.triangular", "change_median"), -2),
-    ("{} (chevron) and", _FIELDS, (*_EXHAUSTIVE, "demands_per_s.chevron", "change_median"), -2),
-    ("and {} (brickwork) demands/s", _FIELDS,
+    ("{} (chevron) and", _JOINED, (*_EXHAUSTIVE, "demands_per_s.chevron", "change_median"), -2),
+    ("and {} (brickwork) demands/s", _JOINED,
      (*_EXHAUSTIVE, "demands_per_s.brickwork", "change_median"), -2),
 ]
 
@@ -139,10 +147,15 @@ INSTALL_FIGURES = [
     ("to 2048 it took {} s on a", _DELETION,
      ("certificate", "output", lambda line: float(re.fullmatch(r".* in ([0-9.]+) s", line)[1])),
      0),
-    ("At N = 16 it took {} s (triangular)", _TRIES,
+    ("At N = 16 it took {} s (triangular)", _JOINED,
      (*_DIGESTS, "change", "runs", "triangular 16", "seconds"), 1),
-    ("{} s (chevron) and", _TRIES, (*_DIGESTS, "change", "runs", "chevron 16", "seconds"), 1),
-    ("{} s (brickwork), against", _TRIES, (*_DIGESTS, "change", "runs", "brickwork 16", "seconds"), 1),
+    ("{} s (chevron) and", _JOINED, (*_DIGESTS, "change", "runs", "chevron 16", "seconds"), 1),
+    ("{} s (brickwork), against", _JOINED,
+     (*_DIGESTS, "change", "runs", "brickwork 16", "seconds"), 1),
+    ("against {}, ", _JOINED, (*_DIGESTS, "parent", "runs", "triangular 16", "seconds"), 1),
+    (", {} and", _JOINED, (*_DIGESTS, "parent", "runs", "chevron 16", "seconds"), 1),
+    ("and {} s before the walks", _JOINED,
+     (*_DIGESTS, "parent", "runs", "brickwork 16", "seconds"), 1),
     ("against {}, ", _TRIES, (*_DIGESTS, "parent", "runs", "triangular 16", "seconds"), 1),
     (", {} and", _TRIES, (*_DIGESTS, "parent", "runs", "chevron 16", "seconds"), 1),
     ("and {} s when", _TRIES, (*_DIGESTS, "parent", "runs", "brickwork 16", "seconds"), 1),

@@ -195,6 +195,16 @@ def test_chevron_8_worst_case_all_cross():
     assert check_pairing(perm, pl("0-7,1-6,2-5,3-4")).ok
 
 
+def _rows(ports, chunk):
+    """A walk's joined chunk a row a demand: (partner table, (state bytes,
+    output lines)), each the type a core's plan has once its lines are bytes."""
+    tables, states, lines = chunk
+    count = optimal_switch_count(ports)
+    return [(tables[at : at + ports], (bytearray(states[k * count : k * count + count]),
+                                        lines[at : at + ports]))
+            for k, at in enumerate(range(0, len(tables), ports))]
+
+
 def test_shared_inner_windows_give_the_plans_of_the_loop():
     # the chevron walk routes each demand at N - 2 once and shares it with
     # its N - 1 outer variants: each of them keeps the inner plan's state
@@ -204,22 +214,23 @@ def test_shared_inner_windows_give_the_plans_of_the_loop():
     # tables and output lines as bytes
     core = routing._route_chevron
     for ports in range(4, 13, 2):
-        inner = {table: plan for tables, plans in routing._exhaustive_chevron(ports - 2, 1024)
-                 for table, plan in zip(tables, plans)}
+        inner = {table: plan for chunk in routing._exhaustive_chevron(ports - 2, 1024)
+                 for table, plan in _rows(ports - 2, chunk)}
         count = optimal_switch_count(ports - 2)
         for size in (1024, 7):
             seen = 0
-            for tables, plans in routing._exhaustive_chevron(ports, size):
-                assert [(states, tuple(lines)) for states, lines in plans] == [
-                    core(ports, table) for table in tables]
-                for mate, (states, _) in zip(tables, plans):
+            for chunk in routing._exhaustive_chevron(ports, size):
+                rows = _rows(ports, chunk)
+                assert [(states, tuple(lines)) for _, (states, lines) in rows] == [
+                    core(ports, table) for table, _ in rows]
+                for mate, (states, _) in rows:
                     folded = list(mate)
                     top, bot = folded[0], folded[-1]
                     if top != ports - 1:
                         folded[top], folded[bot] = bot, top
                     inner_states, _ = inner[bytes(x - 1 for x in folded[1:-1])]
                     assert states[:count] == inner_states
-                seen += len(tables)
+                seen += len(rows)
             assert seen == len(inner) * (ports - 1) == double_factorial(ports - 1)
 
 
@@ -442,11 +453,12 @@ def test_the_brickwork_frame_is_its_halved_sums_and_differences():
 
 @pytest.mark.parametrize("design", list(Design))
 def test_an_exhaustive_walk_routes_every_demand_as_its_core(design):
-    # every demand of each even N <= 12, in chunks of 1024 and of 7: every
-    # partner table once, as bytes, the tables _mate_tables enumerates,
-    # each with the core's state bytes and output lines (as bytes), and
-    # every chunk but the last full.  At N = 14 the walk yields all 135,135
-    # tables, and 3,000 seeded ones and the worst case get the core's plans
+    # every demand of each even N <= 12, in chunks of 1024 and of 7: each
+    # chunk three bytes objects of one row a demand, every partner table
+    # once, the tables _mate_tables enumerates, each with the core's state
+    # bytes and output lines, and every chunk but the last full.  At N = 14
+    # the walk yields all 135,135 tables, and 3,000 seeded ones and the
+    # worst case get the core's plans
     walk = routing._EXHAUSTIVE[design]
 
     def core(ports, table):
@@ -454,25 +466,29 @@ def test_an_exhaustive_walk_routes_every_demand_as_its_core(design):
         return states, bytes(lines)
 
     for ports in range(2, 13, 2):
+        count = optimal_switch_count(ports)
         for size in (1024, 7):
             sizes, got = [], {}
-            for tables, plans in walk(ports, size):
-                sizes.append(len(tables))
-                assert len(plans) == len(tables)
-                got.update(zip(tables, plans))
+            for chunk in walk(ports, size):
+                tables, states, lines = chunk
+                demands = len(tables) // ports
+                assert all(type(part) is bytes for part in chunk)
+                assert (len(tables), len(states), len(lines)) == (
+                    demands * ports, demands * count, demands * ports)
+                sizes.append(demands)
+                got.update(_rows(ports, chunk))
             assert sizes[:-1] == [size] * (len(sizes) - 1) and 0 < sizes[-1] <= size
             tables = list(map(bytes, _mate_tables(ports)))
             assert sum(sizes) == len(got) and sorted(got) == sorted(tables)
-            assert all(type(table) is bytes and type(states) is bytearray and type(lines) is bytes
-                       for table, (states, lines) in got.items())
             assert [got[table] for table in tables] == [core(ports, table) for table in tables]
     rng = random.Random(f"walk:{design.value}")
     sampled = {bytes(random_pair_list(14, rng).mate) for _ in range(3000)}
     sampled.add(bytes(worst_case_pair_list(14).mate))
     count, got = 0, {}
-    for tables, plans in walk(14, 1024):
-        count += len(tables)
-        got.update((table, plan) for table, plan in zip(tables, plans) if table in sampled)
+    for chunk in walk(14, 1024):
+        rows = _rows(14, chunk)
+        count += len(rows)
+        got.update((table, plan) for table, plan in rows if table in sampled)
     assert count == double_factorial(13) and len(got) == len(sampled)
     assert [got[table] for table in sampled] == [core(14, table) for table in sampled]
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 from array import array
 from collections import Counter
+from enum import IntEnum
 from operator import sub
 from dataclasses import replace
 
@@ -20,9 +21,17 @@ from pairswitch import (
     depth_stats,
     network_from_json,
     network_to_json,
+    PairList,
+    brute_force_route,
     optimal_switch_count,
+    plan_to_json,
     propagate,
+    render_ascii,
+    render_svg,
     reverse_network,
+    route_triangular,
+    simulate,
+    traversal_depths,
     validate_network,
     verify_design,
     verify_minimality,
@@ -39,6 +48,55 @@ def test_switch_count_matches_bound(design):
         net = build_network(design, n)
         assert len(net.switches) == optimal_switch_count(n) == n * (n - 2) // 4
     assert build_network(design, 2).switches == ()
+
+
+def test_optimal_switch_count_takes_only_an_int():
+    # every int keeps its value, negative and odd ones and an int subclass
+    # too; anything else, a bool included, is refused with a typed error
+    # naming it
+    class Ports(IntEnum):
+        EIGHT = 8
+
+    for n in [*range(-5, 70), 2048, 10**30, -(10**30), Ports.EIGHT]:
+        assert optimal_switch_count(n) == n * (n - 2) // 4
+    assert build_network(Design.TRIANGULAR, Ports.EIGHT) == build_network(Design.TRIANGULAR, 8)
+    for bad in ["x", None, 4.0, True, False, [4], "4" * 100]:
+        with pytest.raises(InvalidInput) as excinfo:
+            optimal_switch_count(bad)
+        assert type(excinfo.value) is InvalidInput
+        assert str(excinfo.value) == f"ports must be an integer, got {bad!r:.60}"
+
+
+def test_plan_to_json_refuses_a_plan_that_is_no_routing_plan():
+    plan = route_triangular(4, PairList.from_text("0-3,1-2"))
+    for bad in [None, "plan", {"states": {}, "permuted": []}, (plan.states, plan.permuted)]:
+        with pytest.raises(InvalidInput) as excinfo:
+            plan_to_json(bad)
+        assert type(excinfo.value) is InvalidInput
+        assert str(excinfo.value) == f"plan {bad!r:.60} is not a RoutingPlan"
+    assert json.loads(plan_to_json(plan))["permuted"] == list(plan.permuted)
+
+
+_NET_READERS = {  # each public function that takes a network, on its other arguments
+    "simulate": lambda net: simulate(net, {}),
+    "propagate": lambda net: propagate(net, {}),
+    "traversal_depths": lambda net: traversal_depths(net, {}),
+    "network_to_json": network_to_json,
+    "reverse_network": reverse_network,
+    "render_ascii": render_ascii,
+    "render_svg": render_svg,
+    "brute_force_route": lambda net: brute_force_route(net, PairList.from_text("0-1")),
+}
+
+
+@pytest.mark.parametrize("name", list(_NET_READERS))
+def test_a_net_that_is_no_network_is_refused_by_name(name):
+    for bad in [None, "triangular", Design.TRIANGULAR, build_network(Design.TRIANGULAR, 4).lines,
+                [(0, 1)] * 30]:
+        with pytest.raises(InvalidInput) as excinfo:
+            _NET_READERS[name](bad)
+        assert type(excinfo.value) is InvalidInput
+        assert str(excinfo.value) == f"net {bad!r:.60} is not a Network"
 
 
 def test_optimal_switch_count_values():

@@ -19,6 +19,7 @@ from pairswitch import (
     State,
     double_factorial,
     enumerate_pair_lists,
+    optimal_switch_count,
     random_pair_list,
     route,
     route_chevron,
@@ -475,9 +476,14 @@ def _corrupting_route(monkeypatch, targets):
     def corrupting_walk(design, original):
         def walk(ports, size):
             order = {bytes(mate): k for k, mate in enumerate(_mate_tables(ports))}
-            for tables, plans in original(ports, size):
-                corrupt(design, ports, map(order.__getitem__, tables), plans)
-                yield tables, plans
+            count = optimal_switch_count(ports)
+            for tables, states, lines in original(ports, size):
+                ends = range(ports, len(tables) + 1, ports)
+                plans = [(states[k * count : k * count + count], lines[end - ports : end])
+                         for k, end in enumerate(ends)]
+                corrupt(design, ports, (order[tables[end - ports : end]] for end in ends), plans)
+                yield (tables, b"".join(states for states, _ in plans),
+                       b"".join(lines for _, lines in plans))
 
         return walk
 
@@ -514,7 +520,7 @@ class _Stopped(Exception):
 
 def _recorded_routing(monkeypatch, stop_after=None):
     """Record each core call and each chunk an exhaustive walk yields, as
-    (design, ports, "core" or "walk", tables); with ``stop_after``, end the
+    (design, ports, "core" or "walk", demands); with ``stop_after``, end the
     run by raising _Stopped at that record."""
     calls = []
 
@@ -531,9 +537,9 @@ def _recorded_routing(monkeypatch, stop_after=None):
 
     def recording_walk(design, walk):
         def recorded(ports, size):
-            for tables, plans in walk(ports, size):
-                record(design, ports, "walk", len(tables))
-                yield tables, plans
+            for chunk in walk(ports, size):
+                record(design, ports, "walk", len(chunk[0]) // ports)
+                yield chunk
         return recorded
 
     for design in Design:
@@ -543,11 +549,13 @@ def _recorded_routing(monkeypatch, stop_after=None):
     return calls
 
 
-# sha256 of report_to_json of the exhaustive chevron run at N = 14, recorded
-# when each chunk of tables went through the routing core, before inner
-# windows were shared.  tools/exhaustive_digests.py checks it, and N = 14 and
-# 16 for every design, against README.
+# sha256 of report_to_json of the exhaustive chevron and triangular runs at
+# N = 14, recorded when each chunk of tables went through the routing core,
+# before inner windows were shared or triangular stamped its frame-8 blocks.
+# tools/exhaustive_digests.py checks them, and N = 14 and 16 for every
+# design, against README.
 CHEVRON_14_SHA256 = "1aaf88f5bd89c665359724e496a34c4f947780f9bc71e92f5e1ce292daac46bf"
+TRIANGULAR_14_SHA256 = "81bdb93ccacb240bed666330c93c50569308a83e31e66d7582ba832c8cd112e6"
 
 
 def test_chevron_exhaustive_14_matches_its_digest(monkeypatch):
@@ -559,6 +567,17 @@ def test_chevron_exhaustive_14_matches_its_digest(monkeypatch):
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == CHEVRON_14_SHA256
     # its 132 chunks come from the chevron walk, and no core routes a table
     assert calls == [(Design.CHEVRON, 14, "walk", 1024)] * 131 + [(Design.CHEVRON, 14, "walk", 991)]
+
+
+def test_triangular_exhaustive_14_matches_its_digest(monkeypatch):
+    import hashlib
+
+    calls = _recorded_routing(monkeypatch)
+    report = verify_design(Design.TRIANGULAR, 14, cap=14)
+    assert report.passed and report.demands_checked == double_factorial(13)
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == TRIANGULAR_14_SHA256
+    assert calls == ([(Design.TRIANGULAR, 14, "walk", 1024)] * 131
+                     + [(Design.TRIANGULAR, 14, "walk", 991)])
 
 
 def _load_exhaustive_digests():
@@ -578,6 +597,7 @@ def test_readme_records_the_exhaustive_digests_the_script_checks(capsys):
     digests = tool.recorded(tool.README.read_text())
     assert set(digests) == {(design.value, n) for design in Design for n in (14, 16)}
     assert digests[("chevron", 14)] == CHEVRON_14_SHA256
+    assert digests[("triangular", 14)] == TRIANGULAR_14_SHA256
     assert tool.recorded("no table") == {}
     # an N with no recorded digest fails before any run
     assert tool.main(["4"]) == 1
@@ -623,7 +643,8 @@ def test_an_exhaustive_run_reads_its_designs_walk_once(monkeypatch):
     monkeypatch.setattr(routing, "_exhaustive_chevron", recorded)
     for ports in range(2, 13, 2):
         walked.clear()
-        assert sum(len(tables) for tables, _ in recorded(ports, 1024)) == double_factorial(ports - 1)
+        assert sum(len(tables) // ports for tables, _, _ in recorded(ports, 1024)) == \
+            double_factorial(ports - 1)
         assert walked == list(range(ports, 1, -2))
 
 
@@ -681,17 +702,26 @@ def test_a_run_in_which_no_demand_passes_reports_no_depths(monkeypatch, design, 
 
 def _recorded_paths(monkeypatch):
     """Record the path each chunk of a verify call takes: ("simulate", 1)
-    per plan checked alone, or the lane check and its chunk size."""
+    per plan checked alone, or the lane check and its chunk size; the
+    byte-field pass is "_check_plans" whether a chunk comes to it a row a
+    plan or as a walk's joined rows (``_check_joined``)."""
     paths = []
 
     def recording(name, check):
-        def recorded(net, *args):  # a lane check's args: mates, plans[, columns]
+        def recorded(net, *args):  # a lane check's args: mates, plans
             paths.append((name, len(args[1]) if name != "simulate" else 1))
             return check(net, *args)
         return recorded
 
+    def recording_joined(check):
+        def recorded(net, tables, *args):  # a walk's joined rows on the byte-field pass
+            paths.append(("_check_plans", len(tables) // net.ports))
+            return check(net, tables, *args)
+        return recorded
+
     for name in ("simulate", "_check_bytes", "_check_plans"):
         monkeypatch.setattr(verification, name, recording(name, getattr(verification, name)))
+    monkeypatch.setattr(verification, "_check_joined", recording_joined(verification._check_joined))
     return paths
 
 

@@ -2,8 +2,9 @@
 
 An exhaustive run at N checks every one of the (N-1)!! demands: 135,135 at
 N = 14 and 2,027,025 at N = 16, the demand budget.  The test suite stops at
-N = 12, apart from chevron at N = 14
-(``tests/test_verification.py::test_chevron_exhaustive_14_matches_its_digest``).
+N = 12, apart from chevron and triangular at N = 14
+(``tests/test_verification.py::test_chevron_exhaustive_14_matches_its_digest``
+and ``test_triangular_exhaustive_14_matches_its_digest``).
 This script runs ``verify_design(design, N, cap=16)`` for every design and
 each N asked for, hashes ``report_to_json`` of the report with sha256 and
 compares the digest with README's table of exhaustive digests (the rows
